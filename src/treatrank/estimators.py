@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -87,16 +88,38 @@ class PseudoOutcomes:
 
     def contrast(self, a: int, b: int) -> NDArray[np.float64]:
         """Per-unit score whose mean estimates ``ATE_a - ATE_b`` (index 0 = control)."""
-        for arm in (a, b):
-            if not 0 <= arm <= self.num_treatments:
-                raise ValueError(f"arm index must be in 0..{self.num_treatments}, got {arm}")
-        if a == b:
-            return np.zeros(self.n)
-        if b == 0:
-            return self.effect_score(a)
-        if a == 0:
-            return -self.effect_score(b)
-        return self.effect_score(a) - self.effect_score(b)
+        return _contrast(self.effect_score, self.num_treatments, self.n, a, b)
+
+
+def _contrast(
+    effect_score: Callable[[int], NDArray[np.float64]], K: int, n: int, a: int, b: int
+) -> NDArray[np.float64]:
+    """``effect_score(a) - effect_score(b)``, where arm 0 (control) has no score."""
+    for arm in (a, b):
+        if not 0 <= arm <= K:
+            raise ValueError(f"arm index must be in 0..{K}, got {arm}")
+    if a == b:
+        return np.zeros(n)
+    if b == 0:
+        return effect_score(a)
+    if a == 0:
+        return -effect_score(b)
+    return effect_score(a) - effect_score(b)
+
+
+def _dr_score(y: NDArray, d: NDArray, m: NDArray, q: NDArray) -> NDArray[np.float64]:
+    """``m(X) + D * (Y - m(X)) / q(X)`` for membership ``D`` with probability ``q``."""
+    return m + d.astype(np.float64) * (y - m) / q
+
+
+def _treated_score(data: Dataset, fit: NuisanceFit, j: int) -> NDArray[np.float64]:
+    return _dr_score(data.y, data.indicator(j), fit.treated_outcome(j), fit.arm_probability(j))
+
+
+def _control_score(data: Dataset, fit: NuisanceFit, j: int) -> NDArray[np.float64]:
+    return _dr_score(
+        data.y, data.control_indicator(j), fit.control_outcome(j), fit.control_probability(j)
+    )
 
 
 def pseudo_outcomes(data: Dataset, fit: NuisanceFit) -> PseudoOutcomes:
@@ -106,19 +129,11 @@ def pseudo_outcomes(data: Dataset, fit: NuisanceFit) -> PseudoOutcomes:
     model ``m``: ``score = m(X) + D * (Y - m(X)) / q(X)``. Finiteness is
     guaranteed by propensity clipping upstream (see ``fit.clipped_count``).
     """
-    K = data.num_treatments
-    n = data.n
-    treated = np.empty((n, K))
-    control = np.empty((n, K))
-    for j in range(1, K + 1):
-        d = data.indicator(j).astype(np.float64)
-        mu1 = fit.treated_outcome(j)
-        treated[:, j - 1] = mu1 + d * (data.y - mu1) / fit.arm_probability(j)
-
-        c = data.control_indicator(j).astype(np.float64)
-        mu0 = fit.control_outcome(j)
-        control[:, j - 1] = mu0 + c * (data.y - mu0) / fit.control_probability(j)
-    return PseudoOutcomes(treated=treated, control=control)
+    arms = range(1, data.num_treatments + 1)
+    return PseudoOutcomes(
+        treated=np.column_stack([_treated_score(data, fit, j) for j in arms]),
+        control=np.column_stack([_control_score(data, fit, j) for j in arms]),
+    )
 
 
 def plm_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
@@ -158,7 +173,10 @@ def aipw_estimate(data: Dataset, fit: NuisanceFit, a: int, b: int = 0) -> Effect
     is the mean pseudo-outcome contrast and the standard error its sample
     standard deviation over sqrt(n).
     """
-    scores = pseudo_outcomes(data, fit).contrast(a, b)
+    scores = _contrast(
+        lambda j: _treated_score(data, fit, j) - _control_score(data, fit, j),
+        data.num_treatments, data.n, a, b,
+    )
     point = float(scores.mean())
     se = float(scores.std(ddof=1) / np.sqrt(data.n)) if data.n > 1 else 0.0
     if a == b:

@@ -23,6 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from importlib import resources
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -197,7 +198,7 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 
 
 def load_scenario_config(path) -> ScenarioConfig:
-    text = open(path).read()
+    text = Path(path).read_text()
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -360,7 +361,11 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloResult:
 
 
 def summarize(result: MonteCarloResult) -> list[dict]:
-    """Per-method, per-treatment summary rows: moments, quantiles, bias, rates."""
+    """Per-method, per-treatment summary rows: moments, quantiles, bias, rates.
+
+    ``failures`` counts the replicates whose estimate for that method and
+    treatment is missing (non-finite).
+    """
     if result.num_reps < 1 or not result.estimates:
         raise ValueError("cannot summarize an empty result")
     bias = result.bias()
@@ -387,7 +392,7 @@ def summarize(result: MonteCarloResult) -> list[dict]:
                     "bias_vs_ate": bias[method]["vs_ate"][idx],
                     "bias_vs_wate": bias[method]["vs_wate"][idx],
                     "correct_ranking_rate": result.correct_ranking_rate[method],
-                    "failures": result.failure_count,
+                    "failures": int(col.size - finite.size),
                 }
             )
     return rows

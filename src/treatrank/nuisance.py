@@ -1,23 +1,41 @@
 """Cross-fitted nuisance estimation on discrete strata.
 
 The estimators need two kinds of conditional expectations: outcome
-regressions ``E[Y | X]`` (pooled and per arm) and propensities
-``E[W | X]``. Everything is fit fold-wise: a unit's prediction always comes
-from models trained on the other folds.
+regressions ``E[Y | X]`` (pooled, per arm and, under multinomial assignment,
+on each {control, j} subsample) and propensities ``E[W | X]``. Everything is
+fit fold-wise: a unit's prediction always comes from models trained on the
+other folds.
+
+Because ``X`` is a stratum code, every learner is a function of a small
+table: for each (fold, target, stratum), the number of training units and
+the sum of their target values. ``_StratumTable`` builds that table once per
+fit, with one ``bincount`` per fold, and each target's learner maps its
+S-row slice to S predictions that are gathered back to the units.
 
 Three learners are available. ``STRATUM_MEAN`` is the saturated
 nonparametric estimator (within-cell training means) and is exact for the
 discrete designs in this package. ``LINEAR_RIDGE`` and ``LOGISTIC_RIDGE``
 fit penalized linear/logistic models on a basis expansion of the stratum
-code; both are solved with deterministic dependency-free numerics
+code, solved on the table with each stratum row weighted by its count
 (closed-form normal equations, Newton iterations).
+
+Exactness rule: ``np.bincount`` adds weights in input order, so a table sum
+equals the sum over the target's own training units only if the same
+values are added in the same order. The table therefore zeroes the
+held-out fold's outcomes instead of subtracting them from a total (which
+is off in the last bits), and stratum means are bit-identical to a
+per-target fit on the gathered training units. The training mean that an
+empty cell falls back to is a pairwise ``mean()``, which no table sum
+reproduces, so it is taken from the gathered units, only for a fold that
+predicts into an empty cell. 0/1 targets are counts and are exact in any
+order. Ridge fits agree with the unit-level solution to rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 from numpy.typing import NDArray
@@ -85,12 +103,6 @@ class FoldAssignment:
     @property
     def n(self) -> int:
         return self.fold_of.shape[0]
-
-    def splits(self) -> Iterable[tuple[NDArray[np.bool_], NDArray[np.bool_]]]:
-        """Yield (train_mask, predict_mask) pairs, one per fold."""
-        for k in range(self.num_folds):
-            test = self.fold_of == k
-            yield ~test, test
 
 
 def assign_folds(n: int, num_folds: int, seed: int) -> FoldAssignment:
@@ -163,28 +175,44 @@ class NuisanceFit:
 
 
 # ---------------------------------------------------------------------------
-# learners
+# learners on one training split of one target
+#
+# A learner sees a target through two length-S vectors: ``count``, the
+# training units in each stratum, and ``total``, the sum of their target
+# values. Stratum ``s`` is row ``s`` of the basis ``X``; weighting the row by
+# its count gives the same normal equations, gradient and Hessian as the
+# unit-level fit.
 
 
-def _design(codes: NDArray, levels: NDArray, basis: Basis) -> NDArray[np.float64]:
+def _basis(levels: NDArray, basis: Basis) -> NDArray[np.float64]:
     if basis is Basis.STRATUM_DUMMIES:
-        pos = np.searchsorted(levels, codes)
-        X = np.zeros((codes.shape[0], levels.shape[0]))
-        X[np.arange(codes.shape[0]), pos] = 1.0
-        return X
-    return np.column_stack([np.ones(codes.shape[0]), codes.astype(np.float64)])
+        return np.eye(levels.shape[0])
+    return np.column_stack([np.ones(levels.shape[0]), levels.astype(np.float64)])
 
 
-def _linear_ridge_beta(X: NDArray, t: NDArray, penalty: float) -> NDArray[np.float64]:
+def _sigmoid(eta: NDArray) -> NDArray[np.float64]:
+    return 1.0 / (1.0 + np.exp(-np.clip(eta, -30.0, 30.0)))
+
+
+def _linear_ridge_beta(
+    X: NDArray, count: NDArray, total: NDArray, penalty: float
+) -> NDArray[np.float64]:
     if penalty == 0.0:
-        beta, *_ = np.linalg.lstsq(X, t, rcond=None)
+        # rows scaled by sqrt(count) keep the minimum-norm answer for a
+        # stratum absent from the split (its row is zero)
+        root = np.sqrt(count)
+        rhs = np.divide(total, root, out=np.zeros_like(total), where=count > 0)
+        beta, *_ = np.linalg.lstsq(X * root[:, None], rhs, rcond=None)
         return beta
-    d = X.shape[1]
-    return np.linalg.solve(X.T @ X + penalty * np.eye(d), X.T @ t)
+    gram = X.T @ (X * count[:, None])
+    return np.linalg.solve(gram + penalty * np.eye(X.shape[1]), X.T @ total)
 
 
-def _logistic_ridge_beta(X: NDArray, t: NDArray, penalty: float) -> NDArray[np.float64]:
-    if penalty == 0.0 and (t.min() == t.max()):
+def _logistic_ridge_beta(
+    X: NDArray, count: NDArray, total: NDArray, penalty: float
+) -> NDArray[np.float64]:
+    hits = total.sum()
+    if penalty == 0.0 and (hits == 0 or hits == count.sum()):
         raise SingularFitError(
             "logistic training split contains a single class; "
             "set ridge_penalty > 0 to regularize the fit"
@@ -192,12 +220,11 @@ def _logistic_ridge_beta(X: NDArray, t: NDArray, penalty: float) -> NDArray[np.f
     d = X.shape[1]
     beta = np.zeros(d)
     for _ in range(NEWTON_MAX_ITER):
-        eta = np.clip(X @ beta, -30.0, 30.0)
-        mu = 1.0 / (1.0 + np.exp(-eta))
-        grad = X.T @ (t - mu) - penalty * beta
+        mu = _sigmoid(X @ beta)
+        grad = X.T @ (total - count * mu) - penalty * beta
         if np.max(np.abs(grad)) <= NEWTON_GRAD_TOL:
             break
-        H = (X * (mu * (1.0 - mu))[:, None]).T @ X + penalty * np.eye(d)
+        H = (X * (count * mu * (1.0 - mu))[:, None]).T @ X + penalty * np.eye(d)
         try:
             step = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError as exc:
@@ -208,49 +235,125 @@ def _logistic_ridge_beta(X: NDArray, t: NDArray, penalty: float) -> NDArray[np.f
     return beta
 
 
-class _TargetFitter:
-    """Fits one nuisance target on a training subset and predicts any units."""
+# ---------------------------------------------------------------------------
+# the stratum table
 
-    def __init__(self, spec: LearnerSpec, levels: NDArray, binary: bool):
-        self.spec = spec
-        self.levels = levels
-        self.binary = binary
 
-    def fit_predict(
+Group = tuple[int, int]  # (family, half)
+POOLED: Group = (0, 0)
+
+
+class _StratumTable:
+    """Training counts and outcome sums of every target, per fold and stratum.
+
+    A *family* splits the units into halves (``families`` pairs a per-unit
+    half index with the number of halves): an arm indicator splits treated
+    from control, a {0, j} restriction splits in from out. Family 0, which
+    the table adds itself, is every unit in one half, so ``POOLED`` is the
+    pooled target. Group ``(family, half)`` is one outcome target. Indicator
+    targets need no sums of their own: their totals are another group's
+    counts.
+
+    Fold ``k``'s training units are the units outside fold ``k`` (every unit
+    when fitting in-sample). Each fold's sums come from one ``bincount`` over
+    all families, keyed by ``(family offset + half) * S + stratum`` and
+    weighted by the outcome with the held-out fold zeroed; see the module
+    docstring for why this is exact.
+    """
+
+    def __init__(
         self,
-        codes_tr: NDArray,
-        t_tr: NDArray,
-        codes_pred: NDArray,
-        pooled_fallback: float,
-    ) -> tuple[NDArray[np.float64], int]:
-        """Return (predictions for codes_pred, fallback prediction count)."""
+        data: Dataset,
+        spec: LearnerSpec,
+        fold_of: NDArray[np.int64],
+        num_folds: int,
+        crossfit: bool,
+        families: list[tuple[NDArray, int]],
+    ):
+        families = [(np.zeros(data.n, dtype=np.int64), 1)] + families
+        levels = np.unique(data.x)
+        pos = np.searchsorted(levels, data.x)
+        S = levels.shape[0]
+        self.spec = spec
+        self.X = _basis(levels, spec.basis)
+        self.y = data.y
+        self.fold_of = fold_of
+        self.crossfit = crossfit
+        self.halves = [np.asarray(half, dtype=np.int64) for half, _ in families]
+        self.offsets = np.cumsum([0] + [size for _, size in families[:-1]])
+        self.cell = fold_of * S + pos
+
+        width = sum(size for _, size in families) * S
+        keys = np.concatenate([(o + h) * S + pos for o, h in zip(self.offsets, self.halves)])
+        held = np.bincount(
+            np.tile(fold_of, len(families)) * width + keys, minlength=num_folds * width
+        ).reshape(num_folds, -1, S)
+        self.counts = held.sum(axis=0) - held if crossfit else held
+        self.held = held[:, 0]  # POOLED: units each fold predicts, per stratum
+        sums = np.empty((num_folds, width))
+        for k in range(num_folds):
+            y_k = np.where(fold_of != k, data.y, 0.0) if crossfit else data.y
+            sums[k] = np.bincount(keys, np.tile(y_k, len(families)), minlength=width)
+        self.sums = sums.reshape(num_folds, -1, S)
+
+    def outcome(self, group: Group) -> tuple[NDArray[np.float64], int]:
+        """Predictions of E[Y | X, group] for every unit, and the fallback count."""
+        return self._predict(
+            self.counts[:, self._index(group)],
+            self.sums[:, self._index(group)],
+            binary=False,
+            cell_mean=lambda k: float(self._training_y(k, group).mean()),
+            empty_value=lambda k: float(self._training_y(k).mean()),
+        )
+
+    def rate(self, hits: Group, among: Group) -> tuple[NDArray[np.float64], int]:
+        """Predictions of P(hits | X, among) for every unit, and the fallback count."""
+        count = self.counts[:, self._index(among)]
+        total = self.counts[:, self._index(hits)].astype(np.float64)
+        return self._predict(
+            count,
+            total,
+            binary=True,
+            cell_mean=lambda k: total[k].sum() / count[k].sum(),
+            empty_value=lambda k: 0.5,
+        )
+
+    def _index(self, group: Group) -> int:
+        return self.offsets[group[0]] + group[1]
+
+    def _training_y(self, k: int, group: Group | None = None) -> NDArray[np.float64]:
+        keep = self.fold_of != k if self.crossfit else np.ones(self.y.shape[0], dtype=bool)
+        if group is not None:
+            keep &= self.halves[group[0]] == group[1]
+        return self.y[keep]
+
+    def _predict(self, count, total, binary, cell_mean, empty_value):
+        """Map each fold's (count, total) to S predictions and gather them per unit.
+
+        A stratum-mean cell without training units takes the target's training
+        mean; a target without any training units takes ``empty_value``. Both
+        count one fallback per predicted unit.
+        """
         kind = self.spec.kind
-        if kind is LearnerKind.LOGISTIC_RIDGE and not self.binary:
+        if kind is LearnerKind.LOGISTIC_RIDGE and not binary:
             kind = LearnerKind.LINEAR_RIDGE
-
-        if t_tr.shape[0] == 0:
-            # no training units for this target at all (e.g. an arm absent
-            # from the training folds): predict the pooled training mean
-            return np.full(codes_pred.shape[0], pooled_fallback), codes_pred.shape[0]
-
+        empty = count.sum(axis=1) == 0
         if kind is LearnerKind.STRATUM_MEAN:
-            L = self.levels.shape[0]
-            pos = np.searchsorted(self.levels, codes_tr)
-            counts = np.bincount(pos, minlength=L)
-            sums = np.bincount(pos, weights=t_tr.astype(np.float64), minlength=L)
-            has_cell = counts > 0
-            means = np.where(has_cell, sums / np.maximum(counts, 1), float(t_tr.mean()))
-            pred_pos = np.searchsorted(self.levels, codes_pred)
-            return means[pred_pos], int(np.sum(~has_cell[pred_pos]))
-
-        X_tr = _design(codes_tr, self.levels, self.spec.basis)
-        X_pred = _design(codes_pred, self.levels, self.spec.basis)
-        if kind is LearnerKind.LOGISTIC_RIDGE:
-            beta = _logistic_ridge_beta(X_tr, t_tr.astype(np.float64), self.spec.ridge_penalty)
-            eta = np.clip(X_pred @ beta, -30.0, 30.0)
-            return 1.0 / (1.0 + np.exp(-eta)), 0
-        beta = _linear_ridge_beta(X_tr, t_tr.astype(np.float64), self.spec.ridge_penalty)
-        return X_pred @ beta, 0
+            table = total / np.maximum(count, 1)
+            missing = np.where(count > 0, 0, self.held).sum(axis=1)
+        else:
+            table = np.zeros(total.shape)
+            missing = np.where(empty, self.held.sum(axis=1), 0)
+            for k in np.flatnonzero(~empty):
+                if kind is LearnerKind.LOGISTIC_RIDGE:
+                    beta = _logistic_ridge_beta(self.X, count[k], total[k], self.spec.ridge_penalty)
+                    table[k] = _sigmoid(self.X @ beta)
+                else:
+                    beta = _linear_ridge_beta(self.X, count[k], total[k], self.spec.ridge_penalty)
+                    table[k] = self.X @ beta
+        for k in np.flatnonzero(missing):
+            table[k, count[k] == 0] = empty_value(k) if empty[k] else cell_mean(k)
+        return table.ravel()[self.cell], int(missing.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +380,7 @@ def fit_crossfit(
         raise ValueError(f"fold assignment covers {folds.n} units, dataset has {data.n}")
     if not 0.0 <= clip < 0.5:
         raise ValueError(f"clip must be in [0, 0.5), got {clip}")
-    return _compute_fit(data, spec, clip, list(folds.splits()))
+    return _compute_fit(data, spec, clip, folds.fold_of, folds.num_folds, crossfit=True)
 
 
 def fit_insample(data: Dataset, spec: LearnerSpec, clip: float = 0.0) -> NuisanceFit:
@@ -290,81 +393,60 @@ def fit_insample(data: Dataset, spec: LearnerSpec, clip: float = 0.0) -> Nuisanc
         raise ValueError("dataset is empty")
     if not 0.0 <= clip < 0.5:
         raise ValueError(f"clip must be in [0, 0.5), got {clip}")
-    every = np.ones(data.n, dtype=bool)
-    return _compute_fit(data, spec, clip, [(every, every)])
+    return _compute_fit(data, spec, clip, np.zeros(data.n, dtype=np.int64), 1, crossfit=False)
 
 
 def _compute_fit(
     data: Dataset,
     spec: LearnerSpec,
     clip: float,
-    splits: list[tuple[NDArray[np.bool_], NDArray[np.bool_]]],
+    fold_of: NDArray[np.int64],
+    num_folds: int,
+    crossfit: bool,
 ) -> NuisanceFit:
     n, K = data.n, data.num_treatments
-    codes = data.x
-    levels = np.unique(codes)
-    multinomial = data.assignment_mode is AssignmentMode.MULTINOMIAL
-
-    outcome = _TargetFitter(spec, levels, binary=False)
-    propensity = _TargetFitter(spec, levels, binary=True)
-
-    y_hat = np.empty(n)
-    p_hat = np.empty((n, K))
     mu_treated = np.empty((n, K))
     mu_control = np.empty((n, K))
-    restricted_y = np.empty((n, K)) if multinomial else None
-    restricted_p = np.empty((n, K)) if multinomial else None
-    control_p = np.empty(n) if multinomial else None
-
+    p_hat = np.empty((n, K))
     fallbacks = 0
-    for train, pred in splits:
-        codes_tr, codes_pred = codes[train], codes[pred]
-        y_tr = data.y[train]
-        pooled_mean = float(y_tr.mean())
 
-        y_hat[pred], fb = outcome.fit_predict(codes_tr, y_tr, codes_pred, pooled_mean)
-        fallbacks += fb
-
+    if data.assignment_mode is AssignmentMode.PARALLEL_BINARY:
+        # family j: units split by treatment j's indicator
+        families = [(data.w[:, j], 2) for j in range(K)]
+        table = _StratumTable(data, spec, fold_of, num_folds, crossfit, families)
+        y_hat, fallbacks = table.outcome(POOLED)
         for j in range(1, K + 1):
-            w_tr = data.indicator(j)[train]
-            p_hat[pred, j - 1], fb = propensity.fit_predict(
-                codes_tr, w_tr, codes_pred, float(w_tr.mean())
-            )
-            fallbacks += fb
-
-            treated_tr = w_tr == 1
-            mu_treated[pred, j - 1], fb = outcome.fit_predict(
-                codes_tr[treated_tr], y_tr[treated_tr], codes_pred, pooled_mean
-            )
-            fallbacks += fb
-
-            ctrl_tr = data.control_indicator(j)[train] == 1
-            mu_control[pred, j - 1], fb = outcome.fit_predict(
-                codes_tr[ctrl_tr], y_tr[ctrl_tr], codes_pred, pooled_mean
-            )
-            fallbacks += fb
-
-            if multinomial:
-                restrict_tr = data.restriction_mask(j)[train]
-                restricted_y[pred, j - 1], fb = outcome.fit_predict(
-                    codes_tr[restrict_tr], y_tr[restrict_tr], codes_pred, pooled_mean
-                )
+            for out, pred in (
+                (p_hat, table.rate((j, 1), POOLED)),
+                (mu_treated, table.outcome((j, 1))),
+                (mu_control, table.outcome((j, 0))),
+            ):
+                out[:, j - 1], fb = pred
                 fallbacks += fb
-                arm_tr = data.indicator(j)[train][restrict_tr]
-                restricted_p[pred, j - 1], fb = propensity.fit_predict(
-                    codes_tr[restrict_tr],
-                    arm_tr,
-                    codes_pred,
-                    float(arm_tr.mean()) if arm_tr.size else 0.5,
-                )
+        restricted_y = restricted_p = control_p = None
+    else:
+        # family 1: units split by arm (0 = control); family 1 + j: units in
+        # or out of treatment j's {0, j} comparison
+        arm = data.arm
+        families = [(arm, K + 1)] + [((arm == j) | (arm == 0), 2) for j in range(1, K + 1)]
+        table = _StratumTable(data, spec, fold_of, num_folds, crossfit, families)
+        y_hat, fallbacks = table.outcome(POOLED)
+        control_p, fb = table.rate((1, 0), POOLED)
+        fallbacks += fb
+        control_y, fb = table.outcome((1, 0))
+        mu_control[:] = control_y[:, None]
+        fallbacks += K * fb  # one control model, used by every treatment
+        restricted_y = np.empty((n, K))
+        restricted_p = np.empty((n, K))
+        for j in range(1, K + 1):
+            for out, pred in (
+                (p_hat, table.rate((1, j), POOLED)),
+                (mu_treated, table.outcome((1, j))),
+                (restricted_y, table.outcome((1 + j, 1))),
+                (restricted_p, table.rate((1, j), (1 + j, 1))),
+            ):
+                out[:, j - 1], fb = pred
                 fallbacks += fb
-
-        if multinomial:
-            c_tr = (data.w[train].sum(axis=1) == 0).astype(np.int8)
-            control_p[pred], fb = propensity.fit_predict(
-                codes_tr, c_tr, codes_pred, float(c_tr.mean())
-            )
-            fallbacks += fb
 
     clipped = 0
     lo, hi = clip, 1.0 - clip

@@ -162,6 +162,16 @@ class TestSummaries:
         assert len(rows) == 6  # 3 methods x 2 treatments
         assert {r["method"] for r in rows} == {"plm", "aipw", "ipw"}
 
+    def test_failures_counted_per_method_and_treatment(self):
+        result = tr.run_scenario(small(num_reps=4))
+        aipw = result.estimates["aipw"].copy()
+        aipw[1, 1] = np.nan
+        injected = replace(result, estimates={**result.estimates, "aipw": aipw})
+        failures = {(r["method"], r["treatment"]): r["failures"] for r in tr.summarize(injected)}
+        assert failures == {
+            (m, j): int(m == "aipw" and j == 2) for m in ("plm", "aipw", "ipw") for j in (1, 2)
+        }
+
     def test_empty_result_rejected(self):
         result = tr.run_scenario(small(num_reps=2))
         hollow = replace(result, estimates={})
