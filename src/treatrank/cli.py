@@ -9,9 +9,9 @@ Subcommands:
 * ``reversal``    pairwise reversal checks (plus sufficient conditions)
 * ``montecarlo``  run a replication scenario and emit summary/plot data
 
-Command-level errors (bad config, bad flags) exit nonzero; per-estimator
-failures inside ``estimate`` are recorded in the output files and do not
-change the exit code.
+Command-level errors (bad config, bad flags, a nuisance fit the data cannot
+support) exit nonzero; per-estimator failures inside ``estimate`` are
+recorded in the output files and do not change the exit code.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .diagnostics import (
     rank_treatments,
     sufficient_condition_check,
 )
-from .estimators import Method, aipw_estimate, ipw_estimate, plm_estimate
+from .estimators import ESTIMATION_ERRORS, Method, aipw_estimate, ipw_estimate, plm_estimate
 from .montecarlo import (
     histogram_rows,
     load_scenario_config,
@@ -246,7 +246,7 @@ def cmd_estimate(manifest: RunManifest) -> None:
         for j in range(1, data.num_treatments + 1):
             try:
                 est = fn(data, fit, j)
-            except Exception as exc:  # estimator-level failure is data, not an exit code
+            except ESTIMATION_ERRORS as exc:  # estimator-level failure is data, not an exit code
                 estimate_rows.append(
                     {"treatment": j, "method": method.value, "estimand": "",
                      "point": "", "std_error": "", "n_used": "", "error": str(exc)}
@@ -343,11 +343,12 @@ def cmd_montecarlo(manifest: RunManifest) -> None:
         clip=manifest.clip,
     )
     result = run_scenario(config, workers=manifest.workers)
+    summary = summarize(result)
 
     out = manifest.output_dir
     write_scenario_config(config, out / "resolved_config.yaml")
-    _write_json(out / "summary.json", {"result": result.to_dict(), "summary": summarize(result)})
-    _write_csv(out / "summary.csv", SUMMARY_HEADER, summarize(result))
+    _write_json(out / "summary.json", {"result": result.to_dict(), "summary": summary})
+    _write_csv(out / "summary.csv", SUMMARY_HEADER, summary)
     _write_csv(out / "replicates.csv", REPLICATES_HEADER, replicate_rows(result))
     _write_csv(
         out / "ranking_rates.csv",
@@ -455,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         manifest.output_dir.mkdir(parents=True, exist_ok=True)
         COMMANDS[manifest.command](manifest)
-    except (ConfigError, NotEstimableError, ValueError, OSError) as exc:
+    except (ConfigError, NotEstimableError, ValueError, OSError, *ESTIMATION_ERRORS) as exc:
         print(f"treatrank {manifest.command}: error: {exc}", file=sys.stderr)
         return 1
     return 0

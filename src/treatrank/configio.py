@@ -1,17 +1,41 @@
 """Config-file and dataset-file formats.
 
 DGP and scenario configs are single human-editable YAML documents whose
-tables mirror :class:`~treatrank.dgp.StratifiedDGP`. Datasets travel as
-minimal CSV: ``y,w,x`` with an arm label per unit (0 = control) for
-mutually exclusive treatments, or ``y,w1,...,wK,x`` with one indicator
-column per treatment for parallel assignment. Rows with blank fields are
-rejected; there is no missing-data handling.
+tables mirror :class:`~treatrank.dgp.StratifiedDGP`. Every config is read
+and written through :func:`_load_yaml` and :func:`_dump_yaml`, which use
+PyYAML's libyaml-backed safe loader and dumper when PyYAML was built with
+libyaml and the pure-Python ones otherwise; both build the same objects
+and write the same text.
+
+Datasets travel as minimal CSV: ``y,w,x`` with an arm label per unit
+(0 = control) for mutually exclusive treatments, or ``y,w1,...,wK,x`` with
+one indicator column per treatment for parallel assignment. There is no
+missing-data handling. The reader accepts:
+
+* LF, CRLF or CR line endings, with or without a final line ending;
+* header names padded with spaces, and quoted header names;
+* numeric cells that are quoted or padded with whitespace;
+* any float literal ``float()`` accepts (including ``nan``, ``inf`` and
+  exponent forms), except one with ``_`` digit separators or non-ASCII
+  digits, which numpy's reader rejects.
+
+It rejects, as a :class:`ConfigError`: an empty file; a header other than
+the two layouts; a file with no data rows; and, naming ``path:line`` with
+the 1-based line in the file, a blank line, a row shorter or longer than
+the header, a blank field and a non-numeric cell. Stratum codes must be
+integers, arm labels non-negative integers with at least one treated unit,
+and indicators 0/1.
+
+The writer emits CRLF line endings and ``repr`` floats, so a written
+dataset reads back bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -119,15 +143,27 @@ def learner_to_dict(spec: LearnerSpec) -> dict:
     }
 
 
+if yaml.__with_libyaml__:
+    _YAML_LOADER, _YAML_DUMPER = yaml.CSafeLoader, yaml.CSafeDumper
+else:
+    _YAML_LOADER, _YAML_DUMPER = yaml.SafeLoader, yaml.SafeDumper
+
+
 def _load_yaml(path: str | Path) -> dict:
+    """Parse a YAML config file that must hold a top-level mapping."""
     text = Path(path).read_text()
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a top-level mapping")
     return raw
+
+
+def _dump_yaml(obj: dict, path: str | Path) -> None:
+    """Write ``obj`` as a YAML document, keys in insertion order."""
+    Path(path).write_text(yaml.dump(obj, Dumper=_YAML_DUMPER, sort_keys=False))
 
 
 def load_dgp_config(path: str | Path) -> StratifiedDGP:
@@ -145,42 +181,80 @@ def packaged_config_path(name: str) -> Path:
 
 
 def write_dgp_config(dgp: StratifiedDGP, path: str | Path) -> None:
-    Path(path).write_text(yaml.safe_dump(dgp_to_dict(dgp), sort_keys=False))
+    _dump_yaml(dgp_to_dict(dgp), path)
+
+
+def _read_rows(lines) -> np.ndarray:
+    """Parse comma-separated numeric rows with numpy's C reader."""
+    return np.loadtxt(
+        lines, dtype=np.float64, delimiter=",", comments=None, quotechar='"', ndmin=2
+    )
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        return _read_rows([cell]).shape == (1, 1)
+    except ValueError:
+        return False
+
+
+def _row_fault(path, body: str, width: int, first_line: int, cause: object) -> ConfigError:
+    """Name the first faulty line of a body that is already rejected.
+
+    Called only after the bulk parse or its checks failed, so it locates a
+    fault and never decides whether the file is accepted; ``cause`` is the
+    message used if no single line shows the fault.
+    """
+    for lineno, line in enumerate(io.StringIO(body), start=first_line):
+        cells = next(csv.reader([line]), [])
+        if len(cells) != width or any(cell.strip() == "" for cell in cells):
+            return ConfigError(f"{path}:{lineno}: blank or missing fields are not allowed")
+        try:
+            _read_rows([line])
+        except ValueError as exc:
+            bad = next((cell for cell in cells if not _is_number(cell)), None)
+            detail = exc if bad is None else f"could not convert string to float: {bad!r}"
+            return ConfigError(f"{path}:{lineno}: {detail}")
+    return ConfigError(f"{path}: {cause}")
 
 
 def load_dataset_csv(path: str | Path) -> Dataset:
-    """Read a dataset CSV in either the arm-label or indicator layout."""
-    with open(path, newline="") as fh:
+    """Read a dataset CSV in either the arm-label or indicator layout.
+
+    The module docstring lists what is accepted and rejected.
+    """
+    # universal newlines: every line ending reaches the parsers as "\n"
+    with open(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ConfigError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if header == ["y", "w", "x"]:
-            layout = "arm"
-        elif (
-            len(header) >= 3
-            and header[0] == "y"
-            and header[-1] == "x"
-            and all(h == f"w{i}" for i, h in enumerate(header[1:-1], start=1))
-        ):
-            layout = "indicator"
-        else:
-            raise ConfigError(
-                f"{path}: unsupported header {header}; expected y,w,x or y,w1,...,wK,x"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header) or any(cell.strip() == "" for cell in row):
-                raise ConfigError(f"{path}:{lineno}: blank or missing fields are not allowed")
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    if not rows:
+        first_line = reader.line_num + 1
+        body = fh.read()
+    header = [h.strip() for h in header]
+    if header == ["y", "w", "x"]:
+        layout = "arm"
+    elif (
+        len(header) >= 3
+        and header[0] == "y"
+        and header[-1] == "x"
+        and all(h == f"w{i}" for i, h in enumerate(header[1:-1], start=1))
+    ):
+        layout = "indicator"
+    else:
+        raise ConfigError(
+            f"{path}: unsupported header {header}; expected y,w,x or y,w1,...,wK,x"
+        )
+    if not body:
         raise ConfigError(f"{path}: no data rows")
-    arr = np.array(rows)
+    try:
+        arr = _read_rows(io.StringIO(body))
+    except ValueError as exc:
+        raise _row_fault(path, body, len(header), first_line, exc) from None
+    # the C reader skips empty lines, which are faults here
+    if arr.shape[1] != len(header) or body.startswith("\n") or "\n\n" in body:
+        raise _row_fault(path, body, len(header), first_line, "rows do not match the header")
     y = arr[:, 0]
     x = arr[:, -1]
     if np.any(x != np.round(x)):
@@ -206,17 +280,31 @@ def load_dataset_csv(path: str | Path) -> Dataset:
     return Dataset(y=y, w=w, x=x.astype(np.int64), assignment_mode=mode)
 
 
+def _int_cells(column: np.ndarray, template: str) -> list[str]:
+    """``template`` filled with each value of an integer column.
+
+    Each distinct value is formatted once and the strings gathered by the
+    column's inverse index.
+    """
+    values, inverse = np.unique(column, return_inverse=True)
+    table = np.array([template.format(v) for v in values.tolist()], dtype=object)
+    return table[inverse].tolist()
+
+
 def write_dataset_csv(data: Dataset, path: str | Path) -> None:
-    """Write the arm-label layout for multinomial data, indicators otherwise."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if data.assignment_mode is AssignmentMode.MULTINOMIAL:
-            writer.writerow(["y", "w", "x"])
-            for y, a, x in zip(data.y, data.arm, data.x):
-                writer.writerow([repr(float(y)), int(a), int(x)])
-        else:
-            writer.writerow(["y"] + [f"w{j}" for j in range(1, data.num_treatments + 1)] + ["x"])
-            for i in range(data.n):
-                writer.writerow(
-                    [repr(float(data.y[i]))] + [int(v) for v in data.w[i]] + [int(data.x[i])]
-                )
+    """Write the arm-label layout for multinomial data, indicators otherwise.
+
+    The text is built column by column: ``repr`` floats for ``y``, integers
+    for the labels and codes, comma-separated with CRLF line endings.
+    """
+    if data.assignment_mode is AssignmentMode.MULTINOMIAL:
+        header = ["y", "w", "x"]
+        labels = [data.arm]
+    else:
+        header = ["y"] + [f"w{j}" for j in range(1, data.num_treatments + 1)] + ["x"]
+        labels = list(data.w.T)
+    columns = [map(repr, data.y.tolist())]
+    columns += [_int_cells(label, ",{}") for label in labels]
+    columns.append(_int_cells(data.x, ",{}\r\n"))
+    text = ",".join(header) + "\r\n" + "".join(chain.from_iterable(zip(*columns)))
+    Path(path).write_text(text, newline="")

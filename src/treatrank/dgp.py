@@ -37,6 +37,23 @@ class OverlapError(ValueError):
     """Raised when a propensity table violates strict overlap."""
 
 
+def code_positions(known: NDArray, codes: NDArray) -> NDArray[np.int64]:
+    """Position in ``known`` (distinct stratum codes) of each of ``codes``.
+
+    Codes are truncated to integers first; the first code not in ``known``
+    raises ``ValueError("unknown stratum code ...")``.
+    """
+    codes = np.asarray(codes).ravel().astype(np.int64, copy=False)
+    order = np.argsort(known)
+    sorted_known = np.asarray(known, dtype=np.int64)[order]
+    pos = np.searchsorted(sorted_known, codes)
+    found = pos < sorted_known.size
+    found[found] = sorted_known[pos[found]] == codes[found]
+    if not found.all():
+        raise ValueError(f"unknown stratum code {int(codes[np.argmin(found)])}")
+    return order[pos]
+
+
 class AssignmentMode(str, Enum):
     """How treatment indicators are generated.
 
@@ -152,11 +169,7 @@ class StratifiedDGP:
 
     def stratum_index(self, codes: NDArray) -> NDArray[np.int64]:
         """Map stratum codes to row positions of the tables."""
-        lookup = {s: i for i, (s, _) in enumerate(self.strata)}
-        try:
-            return np.array([lookup[int(c)] for c in np.asarray(codes).ravel()], dtype=np.int64)
-        except KeyError as exc:
-            raise ValueError(f"unknown stratum code {exc.args[0]}") from None
+        return code_positions(self.stratum_codes, codes)
 
     def _check_treatment(self, j: int) -> int:
         if not 1 <= j <= self.num_treatments:

@@ -156,28 +156,34 @@ def estimate_decomposition(data: Dataset, fit: NuisanceFit, j: int) -> Decomposi
     the stratum distribution renormalized; if every stratum is dropped the
     decomposition is not estimable.
     """
-    treated = data.indicator(j) == 1
-    control = data.control_indicator(j) == 1
-    p_j = fit.arm_probability(j)
+    # Group the units by stratum once: a stable sort keeps each stratum's
+    # units in data order, so every cell mean adds the same values in the
+    # same order as a boolean mask over the full sample would.
+    order = np.argsort(data.x, kind="stable")
+    x = data.x[order]
+    first = np.ones(data.n, dtype=bool)
+    first[1:] = x[1:] != x[:-1]
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], data.n)
+    codes = x[starts]
+    y = data.y[order]
+    p_j = fit.arm_probability(j)[order]
+    treated = data.indicator(j)[order] == 1
+    control = data.control_indicator(j)[order] == 1
 
     tau_tab: dict[int, float] = {}
     var_tab: dict[int, float] = {}
     prob_tab: dict[int, float] = {}
     dropped = 0
-    for code in np.unique(data.x):
-        in_stratum = data.x == code
-        n_treated = int(np.sum(in_stratum & treated))
-        n_control = int(np.sum(in_stratum & control))
-        if n_treated == 0 or n_control == 0:
+    for code, lo, hi in zip(codes.tolist(), starts.tolist(), ends.tolist()):
+        cell_y, cell_t, cell_c = y[lo:hi], treated[lo:hi], control[lo:hi]
+        if not cell_t.any() or not cell_c.any():
             dropped += 1
             continue
-        code = int(code)
-        tau_tab[code] = float(
-            data.y[in_stratum & treated].mean() - data.y[in_stratum & control].mean()
-        )
-        p_bar = float(p_j[in_stratum].mean())
+        tau_tab[code] = float(cell_y[cell_t].mean() - cell_y[cell_c].mean())
+        p_bar = float(p_j[lo:hi].mean())
         var_tab[code] = p_bar * (1.0 - p_bar)
-        prob_tab[code] = float(in_stratum.mean())
+        prob_tab[code] = (hi - lo) / data.n
 
     if not tau_tab:
         raise NotEstimableError(

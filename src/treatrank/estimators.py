@@ -24,11 +24,25 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .dgp import Dataset
-from .nuisance import NuisanceFit
+from .nuisance import NuisanceFit, SingularFitError
 
 
 class NoVariationError(RuntimeError):
     """Raised when the treatment residuals carry no variation to regress on."""
+
+
+class UndefinedEstimateError(ValueError):
+    """Raised when an estimate's standard error is not finite.
+
+    An estimated propensity of exactly 0 or 1 (possible with ``clip=0``) or
+    a non-finite outcome leaves the inverse weights or the scores undefined.
+    """
+
+
+# Errors the learners and estimators raise on purpose when the data cannot
+# support a fit or an estimate. Callers that record such failures and carry
+# on catch exactly these; any other exception is a bug and propagates.
+ESTIMATION_ERRORS = (SingularFitError, NoVariationError, UndefinedEstimateError)
 
 
 class Method(str, Enum):
@@ -54,7 +68,9 @@ class EffectEstimate:
     n_used: int
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.std_error) or self.std_error < 0:
+        if not np.isfinite(self.std_error):
+            raise UndefinedEstimateError(f"std_error must be finite and >= 0, got {self.std_error}")
+        if self.std_error < 0:
             raise ValueError(f"std_error must be finite and >= 0, got {self.std_error}")
         if (self.estimand is Estimand.WATE) != (self.method is Method.PLM):
             raise ValueError("WATE is the estimand of PLM and of PLM only")

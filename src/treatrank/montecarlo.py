@@ -22,18 +22,24 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from importlib import resources
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-import yaml
 from numpy.typing import NDArray
 
 from . import rng
-from .configio import ConfigError, dgp_from_dict, dgp_to_dict, learner_from_dict, learner_to_dict
+from .configio import (
+    ConfigError,
+    _dump_yaml,
+    _load_yaml,
+    dgp_from_dict,
+    dgp_to_dict,
+    learner_from_dict,
+    learner_to_dict,
+    packaged_config_path,
+)
 from .dgp import StratifiedDGP, oracle_ate, oracle_decomposition, oracle_wate, sample
-from .estimators import aipw_estimate, ipw_estimate, plm_estimate
+from .estimators import ESTIMATION_ERRORS, aipw_estimate, ipw_estimate, plm_estimate
 from .nuisance import DEFAULT_CLIP, DEFAULT_NUM_FOLDS, LearnerSpec, assign_folds, fit_crossfit
 
 METHODS = ("plm", "aipw", "ipw")
@@ -161,8 +167,6 @@ def _points_ordering(points: NDArray) -> tuple[int, ...]:
 
 
 def _scenario_from_dict(raw: dict, context: str) -> ScenarioConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{context}: expected a mapping")
     try:
         return ScenarioConfig(
             name=str(raw.get("name", "custom")),
@@ -198,17 +202,11 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 
 
 def load_scenario_config(path) -> ScenarioConfig:
-    text = Path(path).read_text()
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return _scenario_from_dict(raw, context=str(path))
+    return _scenario_from_dict(_load_yaml(path), context=str(path))
 
 
 def write_scenario_config(config: ScenarioConfig, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(scenario_to_dict(config), fh, sort_keys=False)
+    _dump_yaml(scenario_to_dict(config), path)
 
 
 def preset(name: str | ScenarioName) -> ScenarioConfig:
@@ -218,8 +216,8 @@ def preset(name: str | ScenarioName) -> ScenarioConfig:
     except ValueError:
         valid = ", ".join(s.value for s in ScenarioName)
         raise ValueError(f"unknown preset {name!r}; valid presets: {valid}") from None
-    path = resources.files("treatrank").joinpath("configs", f"{scenario.value}.yaml")
-    config = _scenario_from_dict(yaml.safe_load(path.read_text()), context=scenario.value)
+    path = packaged_config_path(f"{scenario.value}.yaml")
+    config = _scenario_from_dict(_load_yaml(path), context=scenario.value)
     validate_scenario(config)
     return config
 
@@ -284,21 +282,28 @@ def validate_scenario(config: ScenarioConfig) -> None:
 
 
 def _run_replicate(config: ScenarioConfig, r: int) -> tuple[NDArray[np.float64], int]:
-    """One replicate: sample, cross-fit, estimate. Returns ((3, K) points, failures)."""
+    """One replicate: sample, cross-fit, estimate. Returns ((3, K) points, failures).
+
+    A fit or estimate the data cannot support (``ESTIMATION_ERRORS``) is NaN
+    and counted; a failed fit counts for every method and treatment.
+    """
     data_seed = rng.child_seed(config.seed, r, _DATA_STREAM)
     fold_seed = rng.child_seed(config.seed, r, _FOLD_STREAM)
     data = sample(config.dgp, config.n_per_rep, data_seed)
     folds = assign_folds(data.n, config.num_folds, fold_seed)
-    fit = fit_crossfit(data, config.learner, folds, config.clip)
     K = data.num_treatments
     points = np.full((len(METHODS), K), np.nan)
+    try:
+        fit = fit_crossfit(data, config.learner, folds, config.clip)
+    except ESTIMATION_ERRORS:
+        return points, points.size
     failures = 0
     estimator = {"plm": plm_estimate, "aipw": aipw_estimate, "ipw": ipw_estimate}
     for m, method in enumerate(METHODS):
         for j in range(1, K + 1):
             try:
                 points[m, j - 1] = estimator[method](data, fit, j).point
-            except Exception:
+            except ESTIMATION_ERRORS:
                 failures += 1
     return points, failures
 
@@ -307,8 +312,8 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloResult:
     """Run every replicate of a scenario, optionally on a process pool.
 
     Replicates are aggregated by index, so the result is identical for any
-    worker count. Replicate-level estimation failures are recorded as NaN
-    and counted, not raised.
+    worker count. Fits and estimates the data cannot support are recorded
+    as NaN and counted, not raised; any other error propagates.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

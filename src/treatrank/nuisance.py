@@ -41,7 +41,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import rng
-from .dgp import AssignmentMode, Dataset, StratifiedDGP
+from .dgp import AssignmentMode, Dataset, StratifiedDGP, code_positions
 
 NEWTON_MAX_ITER = 100
 NEWTON_GRAD_TOL = 1e-10
@@ -526,7 +526,9 @@ def corrupt_outcome(fit: NuisanceFit, data: Dataset, bias: Mapping[int, float]) 
     Leaves propensities untouched; the canonical "wrong outcome model, right
     propensity model" configuration for double-robustness checks.
     """
-    offset = np.array([float(bias[int(c)]) for c in data.x])
+    codes = np.fromiter(bias.keys(), dtype=np.int64, count=len(bias))
+    values = np.array([float(v) for v in bias.values()])
+    offset = values[code_positions(codes, data.x)]
     return replace(
         fit,
         y_hat=fit.y_hat + offset,

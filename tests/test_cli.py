@@ -196,6 +196,32 @@ class TestEstimateCommand:
         ) == 1
         assert "--n" in capsys.readouterr().err
 
+    def test_estimator_programming_error_propagates(self, tmp_path, dgp_config, monkeypatch):
+        def broken(data, fit, j):
+            raise TypeError("not a data problem")
+
+        monkeypatch.setattr(cli, "ipw_estimate", broken)
+        with pytest.raises(TypeError, match="not a data problem"):
+            run_cli("estimate", "--config", dgp_config, "--n", 200, "--out", tmp_path / "o")
+
+    def test_estimator_data_error_recorded(self, tmp_path, dgp_config, monkeypatch):
+        def no_variation(data, fit, j):
+            raise tr.NoVariationError(f"no variation for {j}")
+
+        monkeypatch.setattr(cli, "plm_estimate", no_variation)
+        out = tmp_path / "o"
+        assert run_cli("estimate", "--config", dgp_config, "--n", 200, "--out", out) == 0
+        header, rows = read_csv(out / "estimates.csv")
+        errors = [r[header.index("error")] for r in rows if r[1] == "plm"]
+        assert errors == ["no variation for 1", "no variation for 2"]
+
+    def test_failed_fit_exits_nonzero_with_message(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("y,w,x\n" + "1.0,1,0\n2.0,1,1\n" * 6)  # no control units
+        out = tmp_path / "o"
+        assert run_cli("estimate", "--data", path, "--learner", "logistic_ridge", "--out", out) == 1
+        assert "single class" in capsys.readouterr().err
+
     def test_imported_data_without_controls_flags_treatment_only(self, tmp_path):
         # treatment 2 has no control condition: w2 is always 1
         gen = np.random.default_rng(5)

@@ -193,6 +193,22 @@ class TestSampling:
         )
         assert np.allclose(data.y, expected, atol=0)
 
+    def test_stratum_index_matches_lookup_and_rejects_unknown_codes(self):
+        dgp = tr.StratifiedDGP(
+            strata=((7, 0.25), (-3, 0.25), (40, 0.5)),
+            num_treatments=1,
+            propensity=np.array([[0.4, 0.6, 0.5]]),
+            effect=np.zeros((1, 3)),
+            baseline=np.zeros(3),
+        )
+        codes = np.array([40, 7, 7, -3, 40, -3])
+        lookup = {7: 0, -3: 1, 40: 2}
+        assert dgp.stratum_index(codes).tolist() == [lookup[c] for c in codes.tolist()]
+        assert dgp.stratum_index(codes.reshape(2, 3)).tolist() == [2, 0, 0, 1, 2, 1]
+        for bad, first_unknown in (([7, 8, 40, 41], 8), ([41], 41), ([-4, 7], -4)):
+            with pytest.raises(ValueError, match=f"unknown stratum code {first_unknown}$"):
+                dgp.stratum_index(np.array(bad))
+
     def test_multinomial_arms_exclusive_and_calibrated(self):
         dgp = tr.StratifiedDGP(
             strata=((0, 0.5), (1, 0.5)),

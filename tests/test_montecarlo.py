@@ -113,6 +113,36 @@ class TestRunScenario:
         assert result.correct_ranking_rate["plm"] == 0.0
         assert not np.any(np.isnan(result.estimates["aipw"]))
 
+    def test_failed_fit_recorded_for_every_method_and_treatment(self):
+        # n=10 logistic fits hit single-class training splits
+        config = tr.scaled(
+            tr.preset(tr.ScenarioName.EXTREME_HETEROGENEITY), num_reps=50, n_per_rep=10,
+            learner=tr.LearnerSpec(kind=tr.LearnerKind.LOGISTIC_RIDGE),
+        )
+        serial = tr.run_scenario(config, workers=1)
+        assert serial.failure_count > 0
+        failed_reps = np.all(np.isnan(serial.estimates["plm"]), axis=1)
+        for points in serial.estimates.values():
+            assert np.all(np.isnan(points[failed_reps]))
+        assert serial.canonical_bytes() == tr.run_scenario(config, workers=2).canonical_bytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_undefined_estimates_recorded(self):
+        # clip=0 at n=10 leaves estimated propensities of 0 or 1: non-finite SEs
+        config = small(tr.ScenarioName.BALANCED, num_reps=10, n_per_rep=10, clip=0.0)
+        assert tr.run_scenario(config).failure_count > 0
+        with pytest.raises(tr.UndefinedEstimateError):
+            tr.EffectEstimate(treatment=1, method=tr.Method.IPW, point=0.0,
+                              std_error=float("nan"), estimand=tr.Estimand.ATE, n_used=10)
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(data, fit, j):
+            raise TypeError("not a data problem")
+
+        monkeypatch.setattr(montecarlo, "aipw_estimate", broken)
+        with pytest.raises(TypeError, match="not a data problem"):
+            tr.run_scenario(small(num_reps=2))
+
     def test_oracle_targeting_all_presets(self):
         # mean PLM estimate tracks the weighted target, mean AIPW the ATE
         for name in tr.ScenarioName:

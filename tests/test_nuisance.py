@@ -233,6 +233,13 @@ class TestCorruption:
         assert np.allclose(bad.mu_treated, fit.mu_treated + offset[:, None])
         assert np.array_equal(bad.p_hat, fit.p_hat)
 
+    def test_outcome_bias_needs_every_stratum(self):
+        dgp = round_propensity_dgp()
+        data = exact_cell_dataset(dgp, 40)
+        fit = tr.oracle_nuisance(data, dgp)
+        with pytest.raises(ValueError, match="unknown stratum code 1"):
+            tr.corrupt_outcome(fit, data, bias={0: 1.0})
+
     def test_propensity_odds_shift_formula(self):
         dgp = round_propensity_dgp()
         data = exact_cell_dataset(dgp, 40)
