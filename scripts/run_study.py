@@ -1,8 +1,9 @@
 """Run the full replication study: every scenario preset at full scale.
 
-Writes one output directory per scenario (summary, per-replicate estimates,
-ranking rates, histogram data) plus a combined ranking-rate table. Reduce
---reps / --n for a quick pass.
+Each scenario runs through ``treatrank montecarlo --preset NAME``, which
+writes its output directory (resolved config, summary, per-replicate
+estimates, ranking rates, histogram data). This script adds a combined
+ranking-rate table over the scenarios. Reduce --reps / --n for a quick pass.
 
     python scripts/run_study.py --out results/ --workers 4
 """
@@ -11,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import sys
 from pathlib import Path
 
 import treatrank as tr
+from treatrank import cli
 
 
 def main() -> None:
@@ -31,37 +33,25 @@ def main() -> None:
 
     combined = []
     for name in args.scenarios:
-        config = tr.scaled(tr.preset(name), num_reps=args.reps, n_per_rep=args.n)
-        print(f"== {name}: {config.num_reps} reps x n={config.n_per_rep} ...", flush=True)
-        result = tr.run_scenario(config, workers=args.workers)
-        print(
-            f"   ranking rates {result.correct_ranking_rate}"
-            f"  ({result.runtime_seconds:.1f}s, {result.failure_count} failures)"
-        )
-
         out = args.out / name
-        out.mkdir(parents=True, exist_ok=True)
-        tr.write_scenario_config(config, out / "resolved_config.yaml")
-        (out / "summary.json").write_text(
-            json.dumps({"result": result.to_dict(), "summary": tr.summarize(result)}, indent=2)
-        )
-        _write_csv(out / "replicates.csv", tr.replicate_rows(result))
-        _write_csv(out / "estimate_histograms.csv", tr.histogram_rows(result))
-        for method, rate in result.correct_ranking_rate.items():
-            combined.append({"scenario": name, "method": method, "correct_ranking_rate": rate})
+        argv = ["montecarlo", "--preset", name, "--out", str(out), "--workers", str(args.workers)]
+        for flag, value in (("--reps", args.reps), ("--n", args.n)):
+            if value is not None:
+                argv += [flag, str(value)]
+        print(f"== {name} ...", flush=True)
+        if cli.main(argv) != 0:
+            sys.exit(f"scenario {name} failed")
+        with open(out / "ranking_rates.csv", newline="") as fh:
+            rates = list(csv.DictReader(fh))
+        print("   ranking rates " + ", ".join(
+            f"{r['method']} {r['correct_ranking_rate']}" for r in rates))
+        combined += [{"scenario": name, **r} for r in rates]
 
-    _write_csv(args.out / "ranking_rates.csv", combined)
-    print(f"done -> {args.out}")
-
-
-def _write_csv(path: Path, rows) -> None:
-    rows = list(rows)
-    if not rows:
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+    with open(args.out / "ranking_rates.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=["scenario", *cli.RANKING_RATES_HEADER])
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows(combined)
+    print(f"done -> {args.out}")
 
 
 if __name__ == "__main__":

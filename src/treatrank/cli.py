@@ -20,18 +20,20 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .configio import (
     ConfigError,
     load_dataset_csv,
     load_dgp_config,
+    load_scenario_config,
     write_dataset_csv,
     write_dgp_config,
+    write_scenario_config,
 )
 from .dgp import Dataset, StratifiedDGP, oracle_decomposition, sample
 from .diagnostics import (
+    DecompositionReport,
     NotEstimableError,
     check_reversal,
     estimate_decomposition,
@@ -39,18 +41,11 @@ from .diagnostics import (
     rank_treatments,
     sufficient_condition_check,
 )
-from .estimators import ESTIMATION_ERRORS, Method, aipw_estimate, ipw_estimate, plm_estimate
-from .montecarlo import (
-    histogram_rows,
-    load_scenario_config,
-    preset,
-    replicate_rows,
-    run_scenario,
-    scaled,
-    summarize,
-    write_scenario_config,
+from .estimators import ESTIMATION_ERRORS, ESTIMATORS, Method
+from .montecarlo import histogram_rows, preset, replicate_rows, run_scenario, scaled, summarize
+from .nuisance import (
+    DEFAULT_CLIP, DEFAULT_NUM_FOLDS, LearnerKind, LearnerSpec, NuisanceFit, assign_folds, fit_crossfit,
 )
-from .nuisance import DEFAULT_CLIP, DEFAULT_NUM_FOLDS, LearnerKind, LearnerSpec, assign_folds, fit_crossfit
 
 ESTIMATES_HEADER = ["treatment", "method", "estimand", "point", "std_error", "n_used", "error"]
 DECOMPOSITION_HEADER = [
@@ -70,31 +65,12 @@ SUMMARY_HEADER = [
 ]
 
 
-@dataclass
-class RunManifest:
-    """Everything one CLI invocation needs, resolved from flags."""
-
-    command: str
-    output_dir: Path
-    config_path: Path | None = None
-    data_path: Path | None = None
-    seed: int | None = None
-    format: str = "json"
-    preset: str | None = None
-    n: int | None = None
-    reps: int | None = None
-    folds: int | None = None
-    learner: LearnerSpec | None = None
-    clip: float | None = None
-    workers: int = 1
-    delta: float | None = None
-
-
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=False) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    # a row's missing fields are written empty (DictWriter's restval)
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=header)
         writer.writeheader()
@@ -102,34 +78,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow(row)
 
 
-def _decomposition_rows(reports) -> tuple[list[dict], list[dict]]:
-    main = [
-        {
-            "treatment": r.treatment,
-            "source": r.source.value,
-            "ate": r.ate,
-            "cov_tau_gamma": r.cov_tau_gamma,
-            "wate": r.wate,
-            "dropped_strata": r.dropped_strata,
-            "error": "",
-        }
-        for r in reports
-    ]
-    strata = [
-        {
-            "treatment": r.treatment,
-            "stratum": row.stratum,
-            "probability": row.probability,
-            "tau": row.tau,
-            "gamma": row.gamma,
-        }
-        for r in reports
-        for row in r.per_stratum
-    ]
-    return main, strata
-
-
-def _report_dict(r) -> dict:
+def _report_row(r: DecompositionReport) -> dict:
+    """A report's scalar fields, in output order."""
     return {
         "treatment": r.treatment,
         "source": r.source.value,
@@ -137,11 +87,18 @@ def _report_dict(r) -> dict:
         "cov_tau_gamma": r.cov_tau_gamma,
         "wate": r.wate,
         "dropped_strata": r.dropped_strata,
-        "per_stratum": [
-            {"stratum": s.stratum, "probability": s.probability, "tau": s.tau, "gamma": s.gamma}
-            for s in r.per_stratum
-        ],
     }
+
+
+def _stratum_rows(r: DecompositionReport) -> list[dict]:
+    return [
+        {"stratum": s.stratum, "probability": s.probability, "tau": s.tau, "gamma": s.gamma}
+        for s in r.per_stratum
+    ]
+
+
+def _strata_csv_rows(reports) -> list[dict]:
+    return [{"treatment": r.treatment, **row} for r in reports for row in _stratum_rows(r)]
 
 
 def _pairwise_reversals(reports, delta: float | None) -> list[dict]:
@@ -165,109 +122,111 @@ def _pairwise_reversals(reports, delta: float | None) -> list[dict]:
     return rows
 
 
-def cmd_oracle(manifest: RunManifest) -> None:
-    dgp = load_dgp_config(manifest.config_path)
-    quantities = [oracle_decomposition(dgp, j) for j in range(1, dgp.num_treatments + 1)]
+def _oracle_pairs(args) -> tuple[StratifiedDGP, list[DecompositionReport], list[dict]]:
+    """The ``--config`` DGP, its oracle reports and their pairwise reversal rows."""
+    dgp = load_dgp_config(args.config)
     reports = [oracle_report(dgp, j) for j in range(1, dgp.num_treatments + 1)]
-    pairs = _pairwise_reversals(reports, manifest.delta)
-    reversed_pairs = [
-        [row["treatment_j"], row["treatment_k"]] for row in pairs if row["reversed"]
+    return dgp, reports, _pairwise_reversals(reports, args.delta)
+
+
+def cmd_oracle(args: argparse.Namespace) -> None:
+    dgp, reports, pairs = _oracle_pairs(args)
+    quantities = [oracle_decomposition(dgp, j) for j in range(1, dgp.num_treatments + 1)]
+    rows = [
+        {"treatment": q.treatment, "ate": q.ate, "wate": q.wate, "cov_tau_gamma": q.cov_tau_gamma}
+        for q in quantities
     ]
-    out = manifest.output_dir
-    if manifest.format == "json":
+    if args.format == "json":
         payload = {
             "treatments": [
-                {
-                    "treatment": q.treatment,
-                    "ate": q.ate,
-                    "wate": q.wate,
-                    "cov_tau_gamma": q.cov_tau_gamma,
-                    "gamma": {int(c): float(g) for c, g in zip(dgp.stratum_codes, q.gamma)},
-                }
-                for q in quantities
+                {**row, "gamma": {int(c): float(g) for c, g in zip(dgp.stratum_codes, q.gamma)}}
+                for row, q in zip(rows, quantities)
             ],
-            "reversed_pairs": reversed_pairs,
+            "reversed_pairs": [
+                [row["treatment_j"], row["treatment_k"]] for row in pairs if row["reversed"]
+            ],
             "pairs": pairs,
         }
-        _write_json(out / "oracle.json", payload)
+        _write_json(args.out / "oracle.json", payload)
     else:
-        _write_csv(
-            out / "oracle.csv",
-            ORACLE_HEADER,
-            (
-                {"treatment": q.treatment, "ate": q.ate, "wate": q.wate,
-                 "cov_tau_gamma": q.cov_tau_gamma}
-                for q in quantities
-            ),
-        )
-        _, strata_rows = _decomposition_rows(reports)
-        _write_csv(out / "oracle_weights.csv", ORACLE_WEIGHTS_HEADER, strata_rows)
-        _write_csv(out / "reversal.csv", REVERSAL_HEADER, pairs)
+        _write_csv(args.out / "oracle.csv", ORACLE_HEADER, rows)
+        _write_csv(args.out / "oracle_weights.csv", ORACLE_WEIGHTS_HEADER, _strata_csv_rows(reports))
+        _write_csv(args.out / "reversal.csv", REVERSAL_HEADER, pairs)
 
 
-def _resolve_dataset(manifest: RunManifest) -> tuple[Dataset, StratifiedDGP | None]:
-    if manifest.data_path is not None:
-        return load_dataset_csv(manifest.data_path), None
-    if manifest.config_path is None:
+def cmd_reversal(args: argparse.Namespace) -> None:
+    _, _, pairs = _oracle_pairs(args)
+    if args.format == "json":
+        _write_json(args.out / "reversal.json", {"pairs": pairs})
+    else:
+        _write_csv(args.out / "reversal.csv", REVERSAL_HEADER, pairs)
+
+
+def _sampled(args) -> tuple[Dataset, StratifiedDGP]:
+    """``--n`` units drawn from the ``--config`` DGP with ``--seed``."""
+    dgp = load_dgp_config(args.config)
+    if args.n is None or args.n < 1:
+        raise ConfigError(f"--n must be a positive sample size, got {args.n}")
+    return sample(dgp, args.n, args.seed), dgp
+
+
+def cmd_sample(args: argparse.Namespace) -> None:
+    data, dgp = _sampled(args)
+    write_dataset_csv(data, args.out / "dataset.csv")
+    write_dgp_config(dgp, args.out / "resolved_dgp.yaml")
+
+
+def _fitted(args) -> tuple[Dataset, NuisanceFit]:
+    """The ``--data`` or sampled dataset and its cross-fitted nuisances."""
+    if args.data is not None:
+        data = load_dataset_csv(args.data)
+    elif args.config is None:
         raise ConfigError("provide either --data or --config with --n/--seed")
-    dgp = load_dgp_config(manifest.config_path)
-    if manifest.n is None or manifest.n < 1:
-        raise ConfigError(f"--n must be a positive sample size, got {manifest.n}")
-    seed = manifest.seed if manifest.seed is not None else 0
-    return sample(dgp, manifest.n, seed), dgp
+    else:
+        data, _ = _sampled(args)
+    folds = assign_folds(data.n, args.folds, args.seed)
+    return data, fit_crossfit(data, LearnerSpec(kind=args.learner), folds, args.clip)
 
 
-def cmd_sample(manifest: RunManifest) -> None:
-    data, dgp = _resolve_dataset(manifest)
-    write_dataset_csv(data, manifest.output_dir / "dataset.csv")
-    if dgp is not None:
-        write_dgp_config(dgp, manifest.output_dir / "resolved_dgp.yaml")
-
-
-def _fit(data: Dataset, manifest: RunManifest):
-    folds = assign_folds(
-        data.n,
-        manifest.folds if manifest.folds is not None else DEFAULT_NUM_FOLDS,
-        manifest.seed if manifest.seed is not None else 0,
-    )
-    learner = manifest.learner if manifest.learner is not None else LearnerSpec()
-    clip = manifest.clip if manifest.clip is not None else DEFAULT_CLIP
-    return fit_crossfit(data, learner, folds, clip)
-
-
-def cmd_estimate(manifest: RunManifest) -> None:
-    data, _ = _resolve_dataset(manifest)
-    fit = _fit(data, manifest)
-    out = manifest.output_dir
-
-    estimate_rows: list[dict] = []
-    kept = []
-    for method, fn in ((Method.PLM, plm_estimate), (Method.AIPW, aipw_estimate), (Method.IPW, ipw_estimate)):
-        for j in range(1, data.num_treatments + 1):
-            try:
-                est = fn(data, fit, j)
-            except ESTIMATION_ERRORS as exc:  # estimator-level failure is data, not an exit code
-                estimate_rows.append(
-                    {"treatment": j, "method": method.value, "estimand": "",
-                     "point": "", "std_error": "", "n_used": "", "error": str(exc)}
-                )
-                continue
-            kept.append(est)
-            estimate_rows.append(
-                {"treatment": j, "method": method.value, "estimand": est.estimand.value,
-                 "point": est.point, "std_error": est.std_error, "n_used": est.n_used,
-                 "error": ""}
-            )
-    _write_csv(out / "estimates.csv", ESTIMATES_HEADER, estimate_rows)
-
-    reports = []
-    report_errors = []
+def _write_decompositions(args, data: Dataset, fit: NuisanceFit) -> None:
+    """Decompose every treatment; one that is not estimable becomes an error row."""
+    reports, errors = [], []
     for j in range(1, data.num_treatments + 1):
         try:
             reports.append(estimate_decomposition(data, fit, j))
         except NotEstimableError as exc:
-            report_errors.append({"treatment": j, "error": str(exc)})
-    _write_decompositions(manifest, reports, "decomposition", errors=report_errors)
+            errors.append({"treatment": j, "error": str(exc)})
+    if args.format == "json":
+        payload = [{**_report_row(r), "per_stratum": _stratum_rows(r)} for r in reports]
+        _write_json(args.out / "decomposition.json", payload + errors)
+    else:
+        main = [{**_report_row(r), "error": ""} for r in reports] + errors
+        main.sort(key=lambda r: r["treatment"])
+        _write_csv(args.out / "decomposition.csv", DECOMPOSITION_HEADER, main)
+        _write_csv(args.out / "decomposition_strata.csv", DECOMPOSITION_STRATA_HEADER,
+                   _strata_csv_rows(reports))
+
+
+def cmd_estimate(args: argparse.Namespace) -> None:
+    data, fit = _fitted(args)
+    estimate_rows: list[dict] = []
+    kept = []
+    for method, estimator in ESTIMATORS.items():
+        for j in range(1, data.num_treatments + 1):
+            row = {"treatment": j, "method": method.value}
+            try:
+                est = estimator(data, fit, j)
+            except ESTIMATION_ERRORS as exc:  # estimator-level failure is data, not an exit code
+                estimate_rows.append({**row, "error": str(exc)})
+                continue
+            kept.append(est)
+            estimate_rows.append(
+                {**row, "estimand": est.estimand.value, "point": est.point,
+                 "std_error": est.std_error, "n_used": est.n_used, "error": ""}
+            )
+    _write_csv(args.out / "estimates.csv", ESTIMATES_HEADER, estimate_rows)
+
+    _write_decompositions(args, data, fit)
 
     ranking_input = [e for e in kept if e.method in (Method.PLM, Method.AIPW)]
     try:
@@ -280,72 +239,33 @@ def cmd_estimate(manifest: RunManifest) -> None:
         }
     except ValueError as exc:
         payload = {"error": str(exc)}
-    _write_json(out / "ranking.json", payload)
+    _write_json(args.out / "ranking.json", payload)
 
 
-def _write_decompositions(
-    manifest: RunManifest, reports, stem: str, errors: list[dict] | None = None
-) -> None:
-    out = manifest.output_dir
-    errors = errors or []
-    if manifest.format == "json":
-        _write_json(out / f"{stem}.json", [_report_dict(r) for r in reports] + errors)
-    else:
-        main, strata = _decomposition_rows(reports)
-        for err in errors:
-            main.append(
-                {"treatment": err["treatment"], "source": "", "ate": "",
-                 "cov_tau_gamma": "", "wate": "", "dropped_strata": "",
-                 "error": err["error"]}
-            )
-        main.sort(key=lambda r: r["treatment"])
-        _write_csv(out / f"{stem}.csv", DECOMPOSITION_HEADER, main)
-        _write_csv(out / f"{stem}_strata.csv", DECOMPOSITION_STRATA_HEADER, strata)
+def cmd_decompose(args: argparse.Namespace) -> None:
+    _write_decompositions(args, *_fitted(args))
 
 
-def cmd_decompose(manifest: RunManifest) -> None:
-    data, _ = _resolve_dataset(manifest)
-    fit = _fit(data, manifest)
-    reports = []
-    report_errors = []
-    for j in range(1, data.num_treatments + 1):
-        try:
-            reports.append(estimate_decomposition(data, fit, j))
-        except NotEstimableError as exc:
-            report_errors.append({"treatment": j, "error": str(exc)})
-    _write_decompositions(manifest, reports, "decomposition", errors=report_errors)
-
-
-def cmd_reversal(manifest: RunManifest) -> None:
-    dgp = load_dgp_config(manifest.config_path)
-    reports = [oracle_report(dgp, j) for j in range(1, dgp.num_treatments + 1)]
-    pairs = _pairwise_reversals(reports, manifest.delta)
-    if manifest.format == "json":
-        _write_json(manifest.output_dir / "reversal.json", {"pairs": pairs})
-    else:
-        _write_csv(manifest.output_dir / "reversal.csv", REVERSAL_HEADER, pairs)
-
-
-def cmd_montecarlo(manifest: RunManifest) -> None:
-    if manifest.preset is not None:
-        config = preset(manifest.preset)
-    elif manifest.config_path is not None:
-        config = load_scenario_config(manifest.config_path)
+def cmd_montecarlo(args: argparse.Namespace) -> None:
+    if args.preset is not None:
+        config = preset(args.preset)
+    elif args.config is not None:
+        config = load_scenario_config(args.config)
     else:
         raise ConfigError("provide --preset or --config for montecarlo")
     config = scaled(
         config,
-        n_per_rep=manifest.n,
-        num_reps=manifest.reps,
-        seed=manifest.seed,
-        num_folds=manifest.folds,
-        learner=manifest.learner,
-        clip=manifest.clip,
+        n_per_rep=args.n,
+        num_reps=args.reps,
+        seed=args.seed,
+        num_folds=args.folds,
+        learner=LearnerSpec(kind=args.learner) if args.learner is not None else None,
+        clip=args.clip,
     )
-    result = run_scenario(config, workers=manifest.workers)
+    result = run_scenario(config, workers=args.workers)
     summary = summarize(result)
 
-    out = manifest.output_dir
+    out = args.out
     write_scenario_config(config, out / "resolved_config.yaml")
     _write_json(out / "summary.json", {"result": result.to_dict(), "summary": summary})
     _write_csv(out / "summary.csv", SUMMARY_HEADER, summary)
@@ -393,6 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw a dataset from a DGP config")
     add_common(p, config_required=True)
     p.add_argument("--n", type=int, required=True, help="sample size")
+    p.set_defaults(seed=0)
 
     for name, helptext in (
         ("estimate", "PLM/AIPW/IPW estimates, decompositions, and ranking"),
@@ -403,6 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", type=Path, default=None, help="dataset CSV to import")
         p.add_argument("--n", type=int, default=None, help="sample size (with --config)")
         add_fit_flags(p)
+        # montecarlo keeps None for these: "use the scenario's own setting"
+        p.set_defaults(seed=0, folds=DEFAULT_NUM_FOLDS, learner=LearnerKind.STRATUM_MEAN.value,
+                       clip=DEFAULT_CLIP)
 
     p = sub.add_parser("reversal", help="pairwise rank-reversal checks from a DGP config")
     add_common(p, config_required=True)
@@ -420,26 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def manifest_from_args(args: argparse.Namespace) -> RunManifest:
-    kind = getattr(args, "learner", None)
-    return RunManifest(
-        command=args.command,
-        output_dir=args.out,
-        config_path=getattr(args, "config", None),
-        data_path=getattr(args, "data", None),
-        seed=getattr(args, "seed", None),
-        format=getattr(args, "format", "json"),
-        preset=getattr(args, "preset", None),
-        n=getattr(args, "n", None),
-        reps=getattr(args, "reps", None),
-        folds=getattr(args, "folds", None),
-        learner=LearnerSpec(kind=LearnerKind(kind)) if kind is not None else None,
-        clip=getattr(args, "clip", None),
-        workers=getattr(args, "workers", 1),
-        delta=getattr(args, "delta", None),
-    )
-
-
 COMMANDS = {
     "oracle": cmd_oracle,
     "sample": cmd_sample,
@@ -452,12 +356,11 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    manifest = manifest_from_args(args)
     try:
-        manifest.output_dir.mkdir(parents=True, exist_ok=True)
-        COMMANDS[manifest.command](manifest)
+        args.out.mkdir(parents=True, exist_ok=True)
+        COMMANDS[args.command](args)
     except (ConfigError, NotEstimableError, ValueError, OSError, *ESTIMATION_ERRORS) as exc:
-        print(f"treatrank {manifest.command}: error: {exc}", file=sys.stderr)
+        print(f"treatrank {args.command}: error: {exc}", file=sys.stderr)
         return 1
     return 0
 

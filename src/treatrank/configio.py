@@ -1,7 +1,10 @@
 """Config-file and dataset-file formats.
 
-DGP and scenario configs are single human-editable YAML documents whose
-tables mirror :class:`~treatrank.dgp.StratifiedDGP`. Every config is read
+This module owns every file format: the DGP, learner and scenario configs
+and the dataset CSV. DGP and scenario configs are single human-editable
+YAML documents whose tables mirror :class:`~treatrank.dgp.StratifiedDGP`;
+a scenario (:class:`ScenarioConfig`) adds the replication and fitting
+settings and nests its DGP under ``dgp``. Every config is read
 and written through :func:`_load_yaml` and :func:`_dump_yaml`, which use
 PyYAML's libyaml-backed safe loader and dumper when PyYAML was built with
 libyaml and the pure-Python ones otherwise; both build the same objects
@@ -35,6 +38,7 @@ from __future__ import annotations
 import csv
 import io
 from importlib import resources
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Any
@@ -43,7 +47,7 @@ import numpy as np
 import yaml
 
 from .dgp import AssignmentMode, Dataset, StratifiedDGP
-from .nuisance import Basis, LearnerKind, LearnerSpec
+from .nuisance import DEFAULT_CLIP, DEFAULT_NUM_FOLDS, Basis, LearnerKind, LearnerSpec
 
 
 class ConfigError(ValueError):
@@ -170,6 +174,65 @@ def load_dgp_config(path: str | Path) -> StratifiedDGP:
     raw = _load_yaml(path)
     # accept either a bare DGP document or one nested under 'dgp'
     return dgp_from_dict(raw.get("dgp", raw), context=str(path))
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """One simulation scenario: a DGP plus replication and fitting settings."""
+
+    name: str
+    dgp: StratifiedDGP
+    n_per_rep: int
+    num_reps: int
+    seed: int
+    learner: LearnerSpec = field(default_factory=LearnerSpec)
+    num_folds: int = DEFAULT_NUM_FOLDS
+    clip: float = DEFAULT_CLIP
+
+    def __post_init__(self) -> None:
+        if self.n_per_rep < 1:
+            raise ValueError(f"n_per_rep must be >= 1, got {self.n_per_rep}")
+        if self.num_reps < 1:
+            raise ValueError(f"num_reps must be >= 1, got {self.num_reps}")
+
+
+def _scenario_from_dict(raw: dict, context: str) -> ScenarioConfig:
+    try:
+        return ScenarioConfig(
+            name=str(raw.get("name", "custom")),
+            dgp=dgp_from_dict(_require(raw, "dgp", context), context=f"{context}.dgp"),
+            n_per_rep=int(raw.get("n_per_rep", 10_000)),
+            num_reps=int(raw.get("num_reps", 1_000)),
+            seed=int(raw.get("seed", 0)),
+            learner=learner_from_dict(raw.get("learner", {}), context=f"{context}.learner"),
+            num_folds=int(raw.get("num_folds", DEFAULT_NUM_FOLDS)),
+            clip=float(raw.get("clip", DEFAULT_CLIP)),
+        )
+    except ValueError as exc:
+        if isinstance(exc, ConfigError):
+            raise
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def scenario_to_dict(config: ScenarioConfig) -> dict:
+    return {
+        "name": config.name,
+        "n_per_rep": config.n_per_rep,
+        "num_reps": config.num_reps,
+        "seed": config.seed,
+        "num_folds": config.num_folds,
+        "clip": config.clip,
+        "learner": learner_to_dict(config.learner),
+        "dgp": dgp_to_dict(config.dgp),
+    }
+
+
+def load_scenario_config(path: str | Path) -> ScenarioConfig:
+    return _scenario_from_dict(_load_yaml(path), context=str(path))
+
+
+def write_scenario_config(config: ScenarioConfig, path: str | Path) -> None:
+    _dump_yaml(scenario_to_dict(config), path)
 
 
 def packaged_config_path(name: str) -> Path:

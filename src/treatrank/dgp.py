@@ -277,30 +277,35 @@ def oracle_weights(dgp: StratifiedDGP, j: int) -> NDArray[np.float64]:
 
 def oracle_ate(dgp: StratifiedDGP, j: int) -> float:
     """Average treatment effect of ``j``: ``sum_x Pr(x) tau_j(x)``."""
-    j = dgp._check_treatment(j)
-    return float(dgp.stratum_probs @ dgp.effect[j - 1])
+    return oracle_decomposition(dgp, j).ate
 
 
 def oracle_wate(dgp: StratifiedDGP, j: int) -> float:
     """Weighted ATE of ``j``: ``sum_x Pr(x) gamma_j(x) tau_j(x)``."""
-    j = dgp._check_treatment(j)
-    return float(dgp.stratum_probs @ (oracle_weights(dgp, j) * dgp.effect[j - 1]))
+    return oracle_decomposition(dgp, j).wate
 
 
-def oracle_decomposition(dgp: StratifiedDGP, j: int) -> OracleQuantities:
-    """ATE, WATE, and their covariance gap, each computed independently.
+def decomposition_terms(
+    probs: NDArray[np.float64], tau: NDArray[np.float64], gamma: NDArray[np.float64]
+) -> tuple[float, float, float]:
+    """``(ate, wate, cov)`` of per-stratum effects ``tau`` and weights ``gamma``.
 
-    The covariance term is evaluated as ``E[gamma tau] - E[gamma] E[tau]``
-    rather than as ``wate - ate``, so the additive identity is a genuine
-    cross-check instead of a tautology.
+    ``ate = E[tau]`` and ``wate = E[gamma tau]`` under the stratum
+    distribution ``probs``. The covariance term is evaluated as
+    ``E[gamma tau] - E[gamma] E[tau]`` rather than as ``wate - ate``, so the
+    additive identity is a genuine cross-check instead of a tautology.
     """
-    j = dgp._check_treatment(j)
-    probs = dgp.stratum_probs
-    tau = dgp.effect[j - 1]
-    gamma = oracle_weights(dgp, j)
     ate = float(probs @ tau)
     wate = float(probs @ (gamma * tau))
     cov = float(probs @ (gamma * tau)) - float(probs @ gamma) * ate
+    return ate, wate, cov
+
+
+def oracle_decomposition(dgp: StratifiedDGP, j: int) -> OracleQuantities:
+    """ATE, WATE, and their covariance gap (see :func:`decomposition_terms`)."""
+    j = dgp._check_treatment(j)
+    gamma = oracle_weights(dgp, j)
+    ate, wate, cov = decomposition_terms(dgp.stratum_probs, dgp.effect[j - 1], gamma)
     return OracleQuantities(treatment=j, ate=ate, wate=wate, cov_tau_gamma=cov, gamma=gamma)
 
 

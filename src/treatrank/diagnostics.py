@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dgp import Dataset, StratifiedDGP, oracle_weights
+from .dgp import Dataset, StratifiedDGP, decomposition_terms, oracle_weights
 from .estimators import EffectEstimate, Estimand
 from .nuisance import NuisanceFit
 
@@ -91,10 +91,8 @@ def decompose(
 ) -> DecompositionReport:
     """Split the weighted effect into ATE plus an effect-weight covariance.
 
-    The weight table is renormalized to probability-weighted mean one, then
-    ``ate = E[tau]``, ``wate = E[gamma tau]``, and the covariance is computed
-    independently as ``E[gamma tau] - E[gamma] E[tau]`` so that the additive
-    identity remains a genuine check.
+    The weight table is renormalized to probability-weighted mean one; the
+    three terms then come from :func:`~treatrank.dgp.decomposition_terms`.
     """
     keys = sorted(tau_by_stratum)
     if sorted(gamma_by_stratum) != keys or sorted(strata_probs) != keys:
@@ -114,10 +112,7 @@ def decompose(
     if total <= 0:
         raise ValueError("weights must have positive probability-weighted mean")
     gamma = gamma / total
-
-    ate = float(probs @ tau)
-    wate = float(probs @ (gamma * tau))
-    cov = float(probs @ (gamma * tau)) - float(probs @ gamma) * ate
+    ate, wate, cov = decomposition_terms(probs, tau, gamma)
     rows = tuple(
         StratumRow(stratum=s, probability=float(p), tau=float(t), gamma=float(g))
         for s, p, t, g in zip(keys, probs, tau, gamma)
@@ -240,8 +235,8 @@ def sufficient_condition_check(
     )
 
 
-def _ordering(points: Mapping[int, float]) -> tuple[int, ...]:
-    # descending by point, ties broken by treatment index
+def descending_order(points: Mapping[int, float]) -> tuple[int, ...]:
+    """Treatments by descending point, ties broken by treatment index."""
     return tuple(sorted(points, key=lambda t: (-points[t], t)))
 
 
@@ -288,8 +283,8 @@ def rank_treatments(estimates: Sequence[EffectEstimate]) -> RankingResult:
         if da * dw < 0:
             reversed_pairs.append((i, j))
     return RankingResult(
-        ordering_by_ate=_ordering(ate_pts),
-        ordering_by_wate=_ordering(wate_pts),
+        ordering_by_ate=descending_order(ate_pts),
+        ordering_by_wate=descending_order(wate_pts),
         reversed_pairs=tuple(reversed_pairs),
         agreement=concordant / num_pairs if num_pairs else 1.0,
     )

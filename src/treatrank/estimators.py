@@ -11,7 +11,8 @@ Three estimators with two distinct targets:
   ATE-targeting.
 
 All three are pure functions of (data, fit) and safe to evaluate
-concurrently.
+concurrently. ``ESTIMATORS`` maps each :class:`Method` to its function and
+is the only dispatch table.
 """
 
 from __future__ import annotations
@@ -228,17 +229,20 @@ def ipw_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
     )
 
 
+# Callers dispatch in this order; it is the row order of the estimate outputs.
+ESTIMATORS: dict[Method, Callable[[Dataset, NuisanceFit, int], EffectEstimate]] = {
+    Method.PLM: plm_estimate,
+    Method.AIPW: aipw_estimate,
+    Method.IPW: ipw_estimate,
+}
+
+
 def estimate_all(
     data: Dataset, fit: NuisanceFit, methods: tuple[Method, ...] = tuple(Method)
 ) -> list[EffectEstimate]:
     """Run the requested estimators for every treatment versus control."""
-    dispatch = {
-        Method.PLM: plm_estimate,
-        Method.AIPW: aipw_estimate,
-        Method.IPW: ipw_estimate,
-    }
     return [
-        dispatch[m](data, fit, j)
+        ESTIMATORS[m](data, fit, j)
         for m in methods
         for j in range(1, data.num_treatments + 1)
     ]

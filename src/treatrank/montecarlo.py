@@ -5,9 +5,13 @@ for ranking: extreme heterogeneity with extreme propensities (where the
 residual regression's ordering flips), constant effects, effects
 uncorrelated with the regression weights, uniform selection on gains, and
 balanced assignment. The concrete tables live in YAML files shipped with
-the package; ``preset`` loads them and asserts each scenario's defining
-property against the closed-form oracle, so the scenario semantics are
-checked rather than nominal.
+the package, in the scenario format that :mod:`treatrank.configio` owns
+(:class:`~treatrank.configio.ScenarioConfig`); ``preset`` loads them and
+asserts each scenario's defining property against the closed-form oracle,
+so the scenario semantics are checked rather than nominal.
+
+Each replicate runs every estimator of ``estimators.ESTIMATORS``, in its
+order; ``METHODS`` holds their names.
 
 Replicates are independent work items keyed by index: replicate ``r``
 derives its sampling and fold seeds as ``child_seed(seed, r, purpose)``,
@@ -20,7 +24,7 @@ import functools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator
 
@@ -28,21 +32,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import rng
-from .configio import (
-    ConfigError,
-    _dump_yaml,
-    _load_yaml,
-    dgp_from_dict,
-    dgp_to_dict,
-    learner_from_dict,
-    learner_to_dict,
-    packaged_config_path,
-)
-from .dgp import StratifiedDGP, oracle_ate, oracle_decomposition, oracle_wate, sample
-from .estimators import ESTIMATION_ERRORS, aipw_estimate, ipw_estimate, plm_estimate
-from .nuisance import DEFAULT_CLIP, DEFAULT_NUM_FOLDS, LearnerSpec, assign_folds, fit_crossfit
+from .configio import ScenarioConfig, learner_to_dict, load_scenario_config, packaged_config_path
+from .dgp import oracle_ate, oracle_decomposition, oracle_wate, sample
+from .diagnostics import descending_order
+from .estimators import ESTIMATION_ERRORS, ESTIMATORS
+from .nuisance import LearnerSpec, assign_folds, fit_crossfit
 
-METHODS = ("plm", "aipw", "ipw")
+# plain strings: the keys of ``MonteCarloResult.estimates``
+METHODS = tuple(m.value for m in ESTIMATORS)
 
 _DATA_STREAM = 0
 _FOLD_STREAM = 1
@@ -56,26 +53,6 @@ class ScenarioName(str, Enum):
     UNCORRELATED = "uncorrelated"
     SELECTION_ON_GAINS = "selection_on_gains"
     BALANCED = "balanced"
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """One simulation scenario: a DGP plus replication and fitting settings."""
-
-    name: str
-    dgp: StratifiedDGP
-    n_per_rep: int
-    num_reps: int
-    seed: int
-    learner: LearnerSpec = field(default_factory=LearnerSpec)
-    num_folds: int = DEFAULT_NUM_FOLDS
-    clip: float = DEFAULT_CLIP
-
-    def __post_init__(self) -> None:
-        if self.n_per_rep < 1:
-            raise ValueError(f"n_per_rep must be >= 1, got {self.n_per_rep}")
-        if self.num_reps < 1:
-            raise ValueError(f"num_reps must be >= 1, got {self.num_reps}")
 
 
 @dataclass
@@ -162,53 +139,6 @@ class MonteCarloResult:
         ).encode()
 
 
-def _points_ordering(points: NDArray) -> tuple[int, ...]:
-    return tuple(sorted(range(1, points.shape[0] + 1), key=lambda j: (-points[j - 1], j)))
-
-
-def _scenario_from_dict(raw: dict, context: str) -> ScenarioConfig:
-    try:
-        return ScenarioConfig(
-            name=str(raw.get("name", "custom")),
-            dgp=dgp_from_dict(raw["dgp"], context=f"{context}.dgp") if "dgp" in raw else _missing(context),
-            n_per_rep=int(raw.get("n_per_rep", 10_000)),
-            num_reps=int(raw.get("num_reps", 1_000)),
-            seed=int(raw.get("seed", 0)),
-            learner=learner_from_dict(raw.get("learner", {}), context=f"{context}.learner"),
-            num_folds=int(raw.get("num_folds", DEFAULT_NUM_FOLDS)),
-            clip=float(raw.get("clip", DEFAULT_CLIP)),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{context}: {exc}") from exc
-
-
-def _missing(context: str):
-    raise ConfigError(f"{context}: missing required field 'dgp'")
-
-
-def scenario_to_dict(config: ScenarioConfig) -> dict:
-    return {
-        "name": config.name,
-        "n_per_rep": config.n_per_rep,
-        "num_reps": config.num_reps,
-        "seed": config.seed,
-        "num_folds": config.num_folds,
-        "clip": config.clip,
-        "learner": learner_to_dict(config.learner),
-        "dgp": dgp_to_dict(config.dgp),
-    }
-
-
-def load_scenario_config(path) -> ScenarioConfig:
-    return _scenario_from_dict(_load_yaml(path), context=str(path))
-
-
-def write_scenario_config(config: ScenarioConfig, path) -> None:
-    _dump_yaml(scenario_to_dict(config), path)
-
-
 def preset(name: str | ScenarioName) -> ScenarioConfig:
     """Load a named scenario from the packaged config files and validate it."""
     try:
@@ -216,8 +146,7 @@ def preset(name: str | ScenarioName) -> ScenarioConfig:
     except ValueError:
         valid = ", ".join(s.value for s in ScenarioName)
         raise ValueError(f"unknown preset {name!r}; valid presets: {valid}") from None
-    path = packaged_config_path(f"{scenario.value}.yaml")
-    config = _scenario_from_dict(_load_yaml(path), context=scenario.value)
+    config = load_scenario_config(packaged_config_path(f"{scenario.value}.yaml"))
     validate_scenario(config)
     return config
 
@@ -298,11 +227,10 @@ def _run_replicate(config: ScenarioConfig, r: int) -> tuple[NDArray[np.float64],
     except ESTIMATION_ERRORS:
         return points, points.size
     failures = 0
-    estimator = {"plm": plm_estimate, "aipw": aipw_estimate, "ipw": ipw_estimate}
-    for m, method in enumerate(METHODS):
+    for m, estimator in enumerate(ESTIMATORS.values()):
         for j in range(1, K + 1):
             try:
-                points[m, j - 1] = estimator[method](data, fit, j).point
+                points[m, j - 1] = estimator(data, fit, j).point
             except ESTIMATION_ERRORS:
                 failures += 1
     return points, failures
@@ -333,7 +261,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloResult:
     treatments = tuple(range(1, K + 1))
     ate = tuple(oracle_ate(config.dgp, j) for j in treatments)
     wate = tuple(oracle_wate(config.dgp, j) for j in treatments)
-    oracle_order = _points_ordering(np.array(ate))
+    oracle_order = descending_order(dict(zip(treatments, ate)))
 
     estimates = {m: points[:, i, :] for i, m in enumerate(METHODS)}
     rates = {}
@@ -342,7 +270,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloResult:
         for row in arr:
             if np.any(np.isnan(row)):
                 continue
-            if _points_ordering(row) == oracle_order:
+            if descending_order(dict(zip(treatments, row))) == oracle_order:
                 correct += 1
         rates[m] = correct / config.num_reps
 

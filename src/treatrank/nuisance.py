@@ -374,12 +374,6 @@ def fit_crossfit(
     stratum-mean cells fall back to the training-split marginal mean. Both
     events are counted on the returned fit.
     """
-    if data.n == 0:
-        raise ValueError("dataset is empty")
-    if folds.n != data.n:
-        raise ValueError(f"fold assignment covers {folds.n} units, dataset has {data.n}")
-    if not 0.0 <= clip < 0.5:
-        raise ValueError(f"clip must be in [0, 0.5), got {clip}")
     return _compute_fit(data, spec, clip, folds.fold_of, folds.num_folds, crossfit=True)
 
 
@@ -389,10 +383,6 @@ def fit_insample(data: Dataset, spec: LearnerSpec, clip: float = 0.0) -> Nuisanc
     Intended for diagnostics and for checking algebraic identities of the
     residual regression, where fold-splitting would break exactness.
     """
-    if data.n == 0:
-        raise ValueError("dataset is empty")
-    if not 0.0 <= clip < 0.5:
-        raise ValueError(f"clip must be in [0, 0.5), got {clip}")
     return _compute_fit(data, spec, clip, np.zeros(data.n, dtype=np.int64), 1, crossfit=False)
 
 
@@ -405,6 +395,12 @@ def _compute_fit(
     crossfit: bool,
 ) -> NuisanceFit:
     n, K = data.n, data.num_treatments
+    if n == 0:
+        raise ValueError("dataset is empty")
+    if fold_of.shape[0] != n:
+        raise ValueError(f"fold assignment covers {fold_of.shape[0]} units, dataset has {n}")
+    if not 0.0 <= clip < 0.5:
+        raise ValueError(f"clip must be in [0, 0.5), got {clip}")
     mu_treated = np.empty((n, K))
     mu_control = np.empty((n, K))
     p_hat = np.empty((n, K))

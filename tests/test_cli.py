@@ -8,6 +8,7 @@ import pytest
 
 import treatrank as tr
 from treatrank import cli
+from treatrank.estimators import ESTIMATORS, Method
 
 
 def run_cli(*args) -> int:
@@ -200,7 +201,7 @@ class TestEstimateCommand:
         def broken(data, fit, j):
             raise TypeError("not a data problem")
 
-        monkeypatch.setattr(cli, "ipw_estimate", broken)
+        monkeypatch.setitem(ESTIMATORS, Method.IPW, broken)
         with pytest.raises(TypeError, match="not a data problem"):
             run_cli("estimate", "--config", dgp_config, "--n", 200, "--out", tmp_path / "o")
 
@@ -208,7 +209,7 @@ class TestEstimateCommand:
         def no_variation(data, fit, j):
             raise tr.NoVariationError(f"no variation for {j}")
 
-        monkeypatch.setattr(cli, "plm_estimate", no_variation)
+        monkeypatch.setitem(ESTIMATORS, Method.PLM, no_variation)
         out = tmp_path / "o"
         assert run_cli("estimate", "--config", dgp_config, "--n", 200, "--out", out) == 0
         header, rows = read_csv(out / "estimates.csv")

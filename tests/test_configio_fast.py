@@ -11,9 +11,10 @@ import pytest
 import yaml
 
 import treatrank as tr
-from treatrank.configio import ConfigError, _dump_yaml, _load_yaml, packaged_config_path
+from treatrank.configio import (
+    ConfigError, _dump_yaml, _load_yaml, packaged_config_path, scenario_to_dict,
+)
 from treatrank.diagnostics import NotEstimableError, Source, decompose
-from treatrank.montecarlo import scenario_to_dict
 
 
 # --- references: the csv-module reader and writer, the per-stratum-mask

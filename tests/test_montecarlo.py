@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import treatrank as tr
-from treatrank import montecarlo
+from treatrank.estimators import ESTIMATORS, Method
+from treatrank.montecarlo import METHODS
 
 
 class TestPresets:
@@ -96,6 +97,7 @@ class TestRunScenario:
         config = small(num_reps=8)
         result = tr.run_scenario(config)
         assert result.methods == ("plm", "aipw", "ipw")
+        assert result.methods == METHODS == tuple(m.value for m in ESTIMATORS)
         for arr in result.estimates.values():
             assert arr.shape == (8, 2)
         for rate in result.correct_ranking_rate.values():
@@ -106,7 +108,7 @@ class TestRunScenario:
         def explode(data, fit, j):
             raise tr.NoVariationError("boom")
 
-        monkeypatch.setattr(montecarlo, "plm_estimate", explode)
+        monkeypatch.setitem(ESTIMATORS, Method.PLM, explode)
         result = tr.run_scenario(small(num_reps=3))
         assert result.failure_count == 6  # 3 replicates x 2 treatments
         assert np.all(np.isnan(result.estimates["plm"]))
@@ -139,7 +141,7 @@ class TestRunScenario:
         def broken(data, fit, j):
             raise TypeError("not a data problem")
 
-        monkeypatch.setattr(montecarlo, "aipw_estimate", broken)
+        monkeypatch.setitem(ESTIMATORS, Method.AIPW, broken)
         with pytest.raises(TypeError, match="not a data problem"):
             tr.run_scenario(small(num_reps=2))
 

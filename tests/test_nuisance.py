@@ -264,3 +264,22 @@ class TestFitValidation:
         folds = tr.assign_folds(99, 5, seed=1)
         with pytest.raises(ValueError):
             tr.fit_crossfit(data, tr.LearnerSpec(), folds)
+
+    def test_messages_from_both_entry_points(self, reversal_dgp):
+        data = tr.sample(reversal_dgp, 100, seed=1)
+        empty = tr.Dataset(y=np.zeros(0), w=np.zeros((0, 2)), x=np.zeros(0))
+        folds = tr.assign_folds(100, 5, seed=1)
+        spec = tr.LearnerSpec()
+        # the empty-dataset check comes before the fold-size check
+        with pytest.raises(ValueError, match="^dataset is empty$"):
+            tr.fit_crossfit(empty, spec, folds)
+        with pytest.raises(ValueError, match="^dataset is empty$"):
+            tr.fit_insample(empty, spec)
+        with pytest.raises(ValueError, match=r"^fold assignment covers 99 units, dataset has 100$"):
+            tr.fit_crossfit(data, spec, tr.assign_folds(99, 5, seed=1), clip=0.7)
+        for clip in (-0.1, 0.5):
+            message = rf"^clip must be in \[0, 0\.5\), got {clip}$"
+            with pytest.raises(ValueError, match=message):
+                tr.fit_crossfit(data, spec, folds, clip=clip)
+            with pytest.raises(ValueError, match=message):
+                tr.fit_insample(data, spec, clip=clip)
