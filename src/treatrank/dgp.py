@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -188,12 +189,42 @@ class OracleQuantities:
     gamma: NDArray[np.float64]
 
 
+class StratumGroups:
+    """Units grouped by their stratum codes ``x``.
+
+    ``codes`` holds the distinct codes in ascending order and ``position[i]``
+    is unit ``i``'s index into ``codes``.
+    """
+
+    def __init__(self, x: NDArray[np.int64]):
+        self.codes, self.position = np.unique(x, return_inverse=True)
+
+    @cached_property
+    def order(self) -> NDArray[np.intp]:
+        """Units sorted by stratum, each stratum's units in data order.
+
+        A stable sort of ``position``; narrowed to at most 16 bits it is a
+        radix sort, about ten times faster than a stable sort of the codes.
+        """
+        return np.argsort(
+            self.position.astype(np.min_scalar_type(self.codes.shape[0] - 1)), kind="stable"
+        )
+
+    @cached_property
+    def bounds(self) -> NDArray[np.int64]:
+        """Stratum ``s``'s units are ``order[bounds[s]:bounds[s + 1]]``."""
+        sizes = np.bincount(self.position, minlength=self.codes.shape[0])
+        return np.concatenate([[0], np.cumsum(sizes)])
+
+
 @dataclass(eq=False)
 class Dataset:
     """Sampled units: outcome, treatment indicator matrix, stratum codes.
 
     ``w`` has one 0/1 column per treatment. Under MULTINOMIAL assignment the
-    rows are one-hot (all-zero rows are control units).
+    rows are one-hot (all-zero rows are control units). The arrays are not
+    modified after construction: the control arm and the stratum grouping
+    are computed once and shared by every fit, estimator and decomposition.
     """
 
     y: NDArray[np.float64]
@@ -208,8 +239,15 @@ class Dataset:
         self.assignment_mode = AssignmentMode(self.assignment_mode)
         if self.w.ndim != 2 or not (self.y.shape[0] == self.w.shape[0] == self.x.shape[0]):
             raise ValueError("y, w, x must share the unit dimension and w must be 2-D")
-        if self.assignment_mode is AssignmentMode.MULTINOMIAL and np.any(self.w.sum(axis=1) > 1):
-            raise ValueError("multinomial datasets must have mutually exclusive arms")
+        # the control arm is computed once here and shared, read-only, by
+        # every treatment's control indicator and {0, j} restriction
+        self._control: NDArray[np.int8] | None = None
+        if self.assignment_mode is AssignmentMode.MULTINOMIAL:
+            received = _column_total(self.w)
+            if np.any(received > 1):
+                raise ValueError("multinomial datasets must have mutually exclusive arms")
+            self._control = (received == 0).view(np.int8)
+            self._control.flags.writeable = False
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
@@ -229,12 +267,17 @@ class Dataset:
     def num_treatments(self) -> int:
         return self.w.shape[1]
 
+    @cached_property
+    def strata(self) -> StratumGroups:
+        """The units grouped by stratum code."""
+        return StratumGroups(self.x)
+
     @property
     def arm(self) -> NDArray[np.int64]:
         """Per-unit arm label (0 = control); only meaningful under MULTINOMIAL."""
         if self.assignment_mode is not AssignmentMode.MULTINOMIAL:
             raise ValueError("arm labels are only defined for multinomial datasets")
-        return (self.w * np.arange(1, self.num_treatments + 1)).sum(axis=1).astype(np.int64)
+        return _column_total(self.w, np.arange(1, self.num_treatments + 1))
 
     def indicator(self, j: int) -> NDArray[np.int8]:
         """0/1 indicator of receiving treatment ``j``."""
@@ -247,8 +290,8 @@ class Dataset:
         the control arm.
         """
         if self.assignment_mode is AssignmentMode.PARALLEL_BINARY:
-            return (1 - self.w[:, j - 1]).astype(np.int8)
-        return (self.w.sum(axis=1) == 0).astype(np.int8)
+            return 1 - self.w[:, j - 1]
+        return self._control
 
     def restriction_mask(self, j: int) -> NDArray[np.bool_]:
         """Units entering treatment ``j``'s pairwise comparison.
@@ -258,7 +301,19 @@ class Dataset:
         """
         if self.assignment_mode is AssignmentMode.PARALLEL_BINARY:
             return np.ones(self.n, dtype=bool)
-        return (self.indicator(j) == 1) | (self.w.sum(axis=1) == 0)
+        return (self.indicator(j) == 1) | (self._control == 1)
+
+
+def _column_total(w: NDArray, scale: NDArray | None = None) -> NDArray[np.int64]:
+    """Row sums of the int8 matrix ``w`` (columns scaled by ``scale``), in int64.
+
+    Equal to ``(w * scale).sum(axis=1)``; adding column by column is several
+    times faster than numpy's reduction over a short inner axis.
+    """
+    total = np.zeros(w.shape[0], dtype=np.int64)
+    for k in range(w.shape[1]):
+        total += w[:, k] if scale is None else np.multiply(w[:, k], scale[k], dtype=np.int64)
+    return total
 
 
 def oracle_weights(dgp: StratifiedDGP, j: int) -> NDArray[np.float64]:
@@ -326,9 +381,11 @@ def sample(dgp: StratifiedDGP, n: int, seed: int) -> Dataset:
     cum = np.cumsum(dgp.stratum_probs)
     cum[-1] = 1.0
     idx = np.searchsorted(cum, stratum_rng.random(n), side="right")
-    x = dgp.stratum_codes[idx]
+    # np.take gathers the same values as fancy indexing; along axis 1 of the
+    # (K, S) tables it is several times faster
+    x = np.take(dgp.stratum_codes, idx)
 
-    p = dgp.propensity[:, idx]  # (K, n)
+    p = np.take(dgp.propensity, idx, axis=1)  # (K, n)
     if dgp.assignment_mode is AssignmentMode.PARALLEL_BINARY:
         w = (treatment_rng.random((K, n)) < p).T.astype(np.int8)
     else:
@@ -340,7 +397,8 @@ def sample(dgp: StratifiedDGP, n: int, seed: int) -> Dataset:
         treated = arm > 0
         w[np.nonzero(treated)[0], arm[treated] - 1] = 1
 
-    y = dgp.baseline[idx] + (dgp.effect[:, idx] * w.T).sum(axis=0)
+    # (K, n) rows summed in treatment order
+    y = np.take(dgp.baseline, idx) + (np.take(dgp.effect, idx, axis=1) * w.T).sum(axis=0)
     if dgp.noise_sd > 0:
         y = y + noise_rng.normal(0.0, dgp.noise_sd, size=n)
     return Dataset(y=y, w=w, x=x, assignment_mode=dgp.assignment_mode)

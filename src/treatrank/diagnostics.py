@@ -151,26 +151,21 @@ def estimate_decomposition(data: Dataset, fit: NuisanceFit, j: int) -> Decomposi
     the stratum distribution renormalized; if every stratum is dropped the
     decomposition is not estimable.
     """
-    # Group the units by stratum once: a stable sort keeps each stratum's
-    # units in data order, so every cell mean adds the same values in the
-    # same order as a boolean mask over the full sample would.
-    order = np.argsort(data.x, kind="stable")
-    x = data.x[order]
-    first = np.ones(data.n, dtype=bool)
-    first[1:] = x[1:] != x[:-1]
-    starts = np.flatnonzero(first)
-    ends = np.append(starts[1:], data.n)
-    codes = x[starts]
-    y = data.y[order]
-    p_j = fit.arm_probability(j)[order]
-    treated = data.indicator(j)[order] == 1
-    control = data.control_indicator(j)[order] == 1
+    # The dataset's stratum grouping (shared by every treatment) keeps each
+    # stratum's units in data order, so every cell mean adds the same values
+    # in the same order as a boolean mask over the full sample would.
+    groups = data.strata
+    order, bounds = groups.order, groups.bounds
+    y = np.take(data.y, order)
+    p_j = np.take(fit.arm_probability(j), order)
+    treated = np.take(data.indicator(j), order) == 1
+    control = np.take(data.control_indicator(j), order) == 1
 
     tau_tab: dict[int, float] = {}
     var_tab: dict[int, float] = {}
     prob_tab: dict[int, float] = {}
     dropped = 0
-    for code, lo, hi in zip(codes.tolist(), starts.tolist(), ends.tolist()):
+    for code, lo, hi in zip(groups.codes.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
         cell_y, cell_t, cell_c = y[lo:hi], treated[lo:hi], control[lo:hi]
         if not cell_t.any() or not cell_c.any():
             dropped += 1

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .dgp import Dataset
+from .dgp import AssignmentMode, Dataset
 from .nuisance import NuisanceFit, SingularFitError
 
 
@@ -126,7 +126,10 @@ def _contrast(
 
 def _dr_score(y: NDArray, d: NDArray, m: NDArray, q: NDArray) -> NDArray[np.float64]:
     """``m(X) + D * (Y - m(X)) / q(X)`` for membership ``D`` with probability ``q``."""
-    return m + d.astype(np.float64) * (y - m) / q
+    score = np.subtract(y, m)
+    np.multiply(d.astype(np.float64), score, out=score)
+    np.divide(score, q, out=score)
+    return np.add(m, score, out=score)
 
 
 def _treated_score(data: Dataset, fit: NuisanceFit, j: int) -> NDArray[np.float64]:
@@ -137,6 +140,12 @@ def _control_score(data: Dataset, fit: NuisanceFit, j: int) -> NDArray[np.float6
     return _dr_score(
         data.y, data.control_indicator(j), fit.control_outcome(j), fit.control_probability(j)
     )
+
+
+def _effect_score(data: Dataset, fit: NuisanceFit, j: int) -> NDArray[np.float64]:
+    """Treated minus control score of treatment ``j``, written over the treated one."""
+    score = _treated_score(data, fit, j)
+    return np.subtract(score, _control_score(data, fit, j), out=score)
 
 
 def pseudo_outcomes(data: Dataset, fit: NuisanceFit) -> PseudoOutcomes:
@@ -161,9 +170,13 @@ def plm_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
     slope SE. Under MULTINOMIAL assignment the regression runs on the
     {control, j} subsample with the conditional propensity.
     """
-    mask = data.restriction_mask(j)
-    w_res = data.indicator(j)[mask].astype(np.float64) - fit.plm_propensity(j)[mask]
-    y_res = data.y[mask] - fit.plm_outcome(j)[mask]
+    d, y = data.indicator(j), data.y
+    p, m = fit.plm_propensity(j), fit.plm_outcome(j)
+    if data.assignment_mode is AssignmentMode.MULTINOMIAL:
+        keep = np.flatnonzero(data.restriction_mask(j))
+        d, y, p, m = (np.take(a, keep) for a in (d, y, p, m))
+    w_res = d.astype(np.float64) - p
+    y_res = y - m
 
     denom = float(w_res @ w_res)
     if denom <= 0.0:
@@ -171,15 +184,16 @@ def plm_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
             f"treatment {j} residuals have zero variation; cannot run the residual regression"
         )
     point = float(w_res @ y_res) / denom
-    resid = y_res - point * w_res
-    se = float(np.sqrt((w_res**2) @ (resid**2))) / denom
+    # in place: resid = y_res - point * w_res, then both squared
+    resid = np.subtract(y_res, np.multiply(point, w_res), out=y_res)
+    se = float(np.sqrt(np.square(w_res, out=w_res) @ np.square(resid, out=resid))) / denom
     return EffectEstimate(
         treatment=j,
         method=Method.PLM,
         point=point,
         std_error=se,
         estimand=Estimand.WATE,
-        n_used=int(mask.sum()),
+        n_used=y.shape[0],
     )
 
 
@@ -190,10 +204,7 @@ def aipw_estimate(data: Dataset, fit: NuisanceFit, a: int, b: int = 0) -> Effect
     is the mean pseudo-outcome contrast and the standard error its sample
     standard deviation over sqrt(n).
     """
-    scores = _contrast(
-        lambda j: _treated_score(data, fit, j) - _control_score(data, fit, j),
-        data.num_treatments, data.n, a, b,
-    )
+    scores = _contrast(lambda j: _effect_score(data, fit, j), data.num_treatments, data.n, a, b)
     point = float(scores.mean())
     se = float(scores.std(ddof=1) / np.sqrt(data.n)) if data.n > 1 else 0.0
     if a == b:
@@ -214,9 +225,12 @@ def ipw_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
     ``mean(1{arm j} Y / p_j) - mean(1{control} Y / p_control)`` with the
     control condition as in :meth:`Dataset.control_indicator`.
     """
-    d = data.indicator(j).astype(np.float64)
-    c = data.control_indicator(j).astype(np.float64)
-    scores = d * data.y / fit.arm_probability(j) - c * data.y / fit.control_probability(j)
+    # d * y / p_j - c * y / p_control, each step written over its input
+    treated = np.multiply(data.indicator(j).astype(np.float64), data.y)
+    np.divide(treated, fit.arm_probability(j), out=treated)
+    control = np.multiply(data.control_indicator(j).astype(np.float64), data.y)
+    np.divide(control, fit.control_probability(j), out=control)
+    scores = np.subtract(treated, control, out=treated)
     point = float(scores.mean())
     se = float(scores.std(ddof=1) / np.sqrt(data.n)) if data.n > 1 else 0.0
     return EffectEstimate(

@@ -297,7 +297,8 @@ def summarize(result: MonteCarloResult) -> list[dict]:
     """Per-method, per-treatment summary rows: moments, quantiles, bias, rates.
 
     ``failures`` counts the replicates whose estimate for that method and
-    treatment is missing (non-finite).
+    treatment is missing (non-finite). A method and treatment without any
+    estimate still gets its row, with every moment, quantile and bias None.
     """
     if result.num_reps < 1 or not result.estimates:
         raise ValueError("cannot summarize an empty result")
@@ -307,19 +308,22 @@ def summarize(result: MonteCarloResult) -> list[dict]:
         for idx, j in enumerate(result.treatments):
             col = arr[:, idx]
             finite = col[np.isfinite(col)]
-            if finite.size == 0:
-                raise ValueError(f"no successful replicates for {method}, treatment {j}")
-            q025, q500, q975 = np.percentile(finite, [2.5, 50.0, 97.5])
-            rows.append(
-                {
-                    "scenario": result.scenario,
-                    "method": method,
-                    "treatment": j,
+            moments: dict[str, float | None] = dict.fromkeys(("mean", "sd", "q025", "q500", "q975"))
+            if finite.size:
+                q025, q500, q975 = np.percentile(finite, [2.5, 50.0, 97.5])
+                moments = {
                     "mean": float(finite.mean()),
                     "sd": float(finite.std(ddof=1)) if finite.size > 1 else 0.0,
                     "q025": float(q025),
                     "q500": float(q500),
                     "q975": float(q975),
+                }
+            rows.append(
+                {
+                    "scenario": result.scenario,
+                    "method": method,
+                    "treatment": j,
+                    **moments,
                     "oracle_ate": result.oracle_ate[idx],
                     "oracle_wate": result.oracle_wate[idx],
                     "bias_vs_ate": bias[method]["vs_ate"][idx],

@@ -10,7 +10,8 @@ Because ``X`` is a stratum code, every learner is a function of a small
 table: for each (fold, target, stratum), the number of training units and
 the sum of their target values. ``_StratumTable`` builds that table once per
 fit, with one ``bincount`` per fold, and each target's learner maps its
-S-row slice to S predictions that are gathered back to the units.
+S-row slice to S predictions; one ``take`` gathers every target's
+predictions back to the units.
 
 Three learners are available. ``STRATUM_MEAN`` is the saturated
 nonparametric estimator (within-cell training means) and is exact for the
@@ -29,6 +30,13 @@ empty cell falls back to is a pairwise ``mean()``, which no table sum
 reproduces, so it is taken from the gathered units, only for a fold that
 predicts into an empty cell. 0/1 targets are counts and are exact in any
 order. Ridge fits agree with the unit-level solution to rounding.
+
+Propensities are clipped on the (fold, stratum) table before the gather:
+clipping a value and copying it commute, so every unit gets the same bits
+as a per-unit clip. ``clipped_count`` adds, over the cells outside
+``[clip, 1 - clip]``, the number of units the cell predicts (the held-out
+fold's units in that stratum; in-sample, every unit in it), which is the
+per-unit count of clipped predictions.
 """
 
 from __future__ import annotations
@@ -113,7 +121,11 @@ def assign_folds(n: int, num_folds: int, seed: int) -> FoldAssignment:
         raise ValueError(f"need at least one unit per fold: n={n} < num_folds={num_folds}")
     order = rng.substream(seed).permutation(n)
     fold_of = np.empty(n, dtype=np.int64)
-    fold_of[order] = np.arange(n) % num_folds
+    # unit order[i] joins fold i % num_folds; the labels are built as rows of
+    # 0..num_folds-1, which is faster than an integer modulo
+    labels = np.empty((-(-n // num_folds), num_folds), dtype=np.int64)
+    labels[:] = np.arange(num_folds)
+    fold_of[order] = labels.ravel()[:n]
     return FoldAssignment(num_folds=num_folds, fold_of=fold_of)
 
 
@@ -121,7 +133,8 @@ def assign_folds(n: int, num_folds: int, seed: int) -> FoldAssignment:
 class NuisanceFit:
     """Cross-fitted nuisance predictions for every unit.
 
-    All arrays are aligned with the dataset's unit order. ``restricted_*``
+    All arrays are aligned with the dataset's unit order; in a fitted
+    ``(n, K)`` array each treatment's column is contiguous. ``restricted_*``
     and ``control_p`` are only populated under MULTINOMIAL assignment, where
     the residual-on-residual regression runs on the {control, j} subsample
     with the conditional propensity ``p_j / (p_j + p_0)``.
@@ -259,6 +272,11 @@ class _StratumTable:
     all families, keyed by ``(family offset + half) * S + stratum`` and
     weighted by the outcome with the held-out fold zeroed; see the module
     docstring for why this is exact.
+
+    ``outcome`` and ``rate`` fit one target and return its (fold, stratum)
+    table of predictions; ``gather`` maps tables to the units, one row per
+    table. ``rate`` clips its table to ``[clip, 1 - clip]`` and adds the
+    units it clipped to ``clipped``.
     """
 
     def __init__(
@@ -268,36 +286,48 @@ class _StratumTable:
         fold_of: NDArray[np.int64],
         num_folds: int,
         crossfit: bool,
+        clip: float,
         families: list[tuple[NDArray, int]],
     ):
-        families = [(np.zeros(data.n, dtype=np.int64), 1)] + families
-        levels = np.unique(data.x)
-        pos = np.searchsorted(levels, data.x)
+        families = [(np.zeros(data.n, dtype=np.int8), 1)] + families
+        levels, pos = data.strata.codes, data.strata.position
         S = levels.shape[0]
         self.spec = spec
         self.X = _basis(levels, spec.basis)
         self.y = data.y
         self.fold_of = fold_of
         self.crossfit = crossfit
-        self.halves = [np.asarray(half, dtype=np.int64) for half, _ in families]
+        self.clip = clip
+        self.clipped = 0
+        self.halves = [half for half, _ in families]
         self.offsets = np.cumsum([0] + [size for _, size in families[:-1]])
-        self.cell = fold_of * S + pos
+        self.cell = fold_of * S + pos if crossfit else pos
 
+        # one row of keys per family; a half index is cast to int64 before it
+        # is scaled, since an int8 index times S overflows once S >= 128
         width = sum(size for _, size in families) * S
-        keys = np.concatenate([(o + h) * S + pos for o, h in zip(self.offsets, self.halves)])
+        keys = np.empty((len(families), data.n), dtype=np.int64)
+        for row, half in zip(keys, self.halves):
+            row[:] = half
+        keys += self.offsets[:, None]
+        keys *= S
+        keys += pos
         held = np.bincount(
-            np.tile(fold_of, len(families)) * width + keys, minlength=num_folds * width
+            (keys + fold_of * width if crossfit else keys).ravel(), minlength=num_folds * width
         ).reshape(num_folds, -1, S)
         self.counts = held.sum(axis=0) - held if crossfit else held
         self.held = held[:, 0]  # POOLED: units each fold predicts, per stratum
+
+        keys = keys.ravel()
+        weights = np.empty((len(families), data.n))
         sums = np.empty((num_folds, width))
         for k in range(num_folds):
-            y_k = np.where(fold_of != k, data.y, 0.0) if crossfit else data.y
-            sums[k] = np.bincount(keys, np.tile(y_k, len(families)), minlength=width)
+            weights[:] = np.where(fold_of != k, data.y, 0.0) if crossfit else data.y
+            sums[k] = np.bincount(keys, weights.ravel(), minlength=width)
         self.sums = sums.reshape(num_folds, -1, S)
 
     def outcome(self, group: Group) -> tuple[NDArray[np.float64], int]:
-        """Predictions of E[Y | X, group] for every unit, and the fallback count."""
+        """Table of E[Y | X, group], and the fallback count."""
         return self._predict(
             self.counts[:, self._index(group)],
             self.sums[:, self._index(group)],
@@ -307,7 +337,7 @@ class _StratumTable:
         )
 
     def rate(self, hits: Group, among: Group) -> tuple[NDArray[np.float64], int]:
-        """Predictions of P(hits | X, among) for every unit, and the fallback count."""
+        """Table of P(hits | X, among), clipped, and the fallback count."""
         count = self.counts[:, self._index(among)]
         total = self.counts[:, self._index(hits)].astype(np.float64)
         return self._predict(
@@ -317,6 +347,10 @@ class _StratumTable:
             cell_mean=lambda k: total[k].sum() / count[k].sum(),
             empty_value=lambda k: 0.5,
         )
+
+    def gather(self, tables: list[NDArray[np.float64]]) -> NDArray[np.float64]:
+        """``(len(tables), n)``: row ``t`` is table ``t``'s prediction for every unit."""
+        return np.take(np.reshape(tables, (len(tables), -1)), self.cell, axis=1)
 
     def _index(self, group: Group) -> int:
         return self.offsets[group[0]] + group[1]
@@ -328,22 +362,23 @@ class _StratumTable:
         return self.y[keep]
 
     def _predict(self, count, total, binary, cell_mean, empty_value):
-        """Map each fold's (count, total) to S predictions and gather them per unit.
+        """Map each fold's (count, total) to S predictions.
 
         A stratum-mean cell without training units takes the target's training
         mean; a target without any training units takes ``empty_value``. Both
-        count one fallback per predicted unit.
+        count one fallback per predicted unit. Binary targets are clipped on
+        the table, each cell counting the units it predicts.
         """
         kind = self.spec.kind
         if kind is LearnerKind.LOGISTIC_RIDGE and not binary:
             kind = LearnerKind.LINEAR_RIDGE
-        empty = count.sum(axis=1) == 0
         if kind is LearnerKind.STRATUM_MEAN:
             table = total / np.maximum(count, 1)
-            missing = np.where(count > 0, 0, self.held).sum(axis=1)
+            unfit = count == 0
         else:
             table = np.zeros(total.shape)
-            missing = np.where(empty, self.held.sum(axis=1), 0)
+            empty = ~count.any(axis=1)
+            unfit = np.repeat(empty[:, None], count.shape[1], axis=1)
             for k in np.flatnonzero(~empty):
                 if kind is LearnerKind.LOGISTIC_RIDGE:
                     beta = _logistic_ridge_beta(self.X, count[k], total[k], self.spec.ridge_penalty)
@@ -351,9 +386,19 @@ class _StratumTable:
                 else:
                     beta = _linear_ridge_beta(self.X, count[k], total[k], self.spec.ridge_penalty)
                     table[k] = self.X @ beta
-        for k in np.flatnonzero(missing):
-            table[k, count[k] == 0] = empty_value(k) if empty[k] else cell_mean(k)
-        return table.ravel()[self.cell], int(missing.sum())
+        fallbacks = 0
+        if unfit.any():
+            missing = np.where(unfit, self.held, 0).sum(axis=1)
+            fallbacks = int(missing.sum())
+            for k in np.flatnonzero(missing):
+                table[k, unfit[k]] = cell_mean(k) if count[k].any() else empty_value(k)
+        if binary:
+            lo, hi = self.clip, 1.0 - self.clip
+            outside = (table < lo) | (table > hi)
+            if outside.any():
+                self.clipped += int(self.held[outside].sum())
+            np.clip(table, lo, hi, out=table)
+        return table, fallbacks
 
 
 # ---------------------------------------------------------------------------
@@ -401,56 +446,33 @@ def _compute_fit(
         raise ValueError(f"fold assignment covers {fold_of.shape[0]} units, dataset has {n}")
     if not 0.0 <= clip < 0.5:
         raise ValueError(f"clip must be in [0, 0.5), got {clip}")
-    mu_treated = np.empty((n, K))
-    mu_control = np.empty((n, K))
-    p_hat = np.empty((n, K))
-    fallbacks = 0
-
     if data.assignment_mode is AssignmentMode.PARALLEL_BINARY:
         # family j: units split by treatment j's indicator
         families = [(data.w[:, j], 2) for j in range(K)]
-        table = _StratumTable(data, spec, fold_of, num_folds, crossfit, families)
-        y_hat, fallbacks = table.outcome(POOLED)
-        for j in range(1, K + 1):
-            for out, pred in (
-                (p_hat, table.rate((j, 1), POOLED)),
-                (mu_treated, table.outcome((j, 1))),
-                (mu_control, table.outcome((j, 0))),
-            ):
-                out[:, j - 1], fb = pred
-                fallbacks += fb
+        table = _StratumTable(data, spec, fold_of, num_folds, crossfit, clip, families)
+        targets = [table.outcome(POOLED)] + _treatment_major([
+            (table.rate((j, 1), POOLED), table.outcome((j, 1)), table.outcome((j, 0)))
+            for j in range(1, K + 1)
+        ])
+        preds = table.gather([t for t, _ in targets])
+        y_hat, (p_hat, mu_treated, mu_control) = preds[0], _per_treatment(preds[1:], K)
         restricted_y = restricted_p = control_p = None
     else:
         # family 1: units split by arm (0 = control); family 1 + j: units in
         # or out of treatment j's {0, j} comparison
         arm = data.arm
         families = [(arm, K + 1)] + [((arm == j) | (arm == 0), 2) for j in range(1, K + 1)]
-        table = _StratumTable(data, spec, fold_of, num_folds, crossfit, families)
-        y_hat, fallbacks = table.outcome(POOLED)
-        control_p, fb = table.rate((1, 0), POOLED)
-        fallbacks += fb
-        control_y, fb = table.outcome((1, 0))
-        mu_control[:] = control_y[:, None]
-        fallbacks += K * fb  # one control model, used by every treatment
-        restricted_y = np.empty((n, K))
-        restricted_p = np.empty((n, K))
-        for j in range(1, K + 1):
-            for out, pred in (
-                (p_hat, table.rate((1, j), POOLED)),
-                (mu_treated, table.outcome((1, j))),
-                (restricted_y, table.outcome((1 + j, 1))),
-                (restricted_p, table.rate((1, j), (1 + j, 1))),
-            ):
-                out[:, j - 1], fb = pred
-                fallbacks += fb
-
-    clipped = 0
-    lo, hi = clip, 1.0 - clip
-    for arr in (p_hat, restricted_p, control_p):
-        if arr is None:
-            continue
-        clipped += int(np.sum((arr < lo) | (arr > hi)))
-        np.clip(arr, lo, hi, out=arr)
+        table = _StratumTable(data, spec, fold_of, num_folds, crossfit, clip, families)
+        targets = [table.outcome(POOLED), table.rate((1, 0), POOLED)]
+        control_y = table.outcome((1, 0))  # one control model, used by every treatment
+        targets += _treatment_major([
+            (table.rate((1, j), POOLED), table.outcome((1, j)), control_y,
+             table.outcome((1 + j, 1)), table.rate((1, j), (1 + j, 1)))
+            for j in range(1, K + 1)
+        ])
+        preds = table.gather([t for t, _ in targets])
+        y_hat, control_p = preds[0], preds[1]
+        p_hat, mu_treated, mu_control, restricted_y, restricted_p = _per_treatment(preds[2:], K)
 
     return NuisanceFit(
         mode=data.assignment_mode,
@@ -462,9 +484,27 @@ def _compute_fit(
         restricted_y=restricted_y,
         restricted_p=restricted_p,
         control_p=control_p,
-        clipped_count=clipped,
-        fallback_count=fallbacks,
+        clipped_count=table.clipped,
+        fallback_count=sum(fb for _, fb in targets),
     )
+
+
+def _treatment_major(per_treatment: list[tuple]) -> list:
+    """Per-treatment tuples of targets, reordered target by target.
+
+    The targets are fitted treatment by treatment, in the order a failing
+    fit reports first; ``_per_treatment`` then takes each target's ``K``
+    consecutive rows.
+    """
+    return [target for column in zip(*per_treatment) for target in column]
+
+
+def _per_treatment(rows: NDArray[np.float64], K: int) -> list[NDArray[np.float64]]:
+    """Split ``rows`` into ``(n, K)`` arrays of ``K`` consecutive rows each.
+
+    Each is a transposed view, so every treatment's column is contiguous.
+    """
+    return [rows[i : i + K].T for i in range(0, rows.shape[0], K)]
 
 
 # ---------------------------------------------------------------------------

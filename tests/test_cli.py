@@ -291,6 +291,27 @@ class TestMonteCarloCommand:
         assert config.num_reps == 16
         assert config.n_per_rep == 1_000
 
+    def test_study_whose_every_fit_fails(self, tmp_path):
+        # eight units over five folds leave a logistic training split with a
+        # single class, so the one replicate's fit fails
+        out = tmp_path / "out"
+        assert run_cli(
+            "montecarlo", "--preset", "extreme_heterogeneity", "--reps", 1, "--n", 8,
+            "--learner", "logistic_ridge", "--out", out,
+        ) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "estimate_histograms.csv", "ranking_rates.csv", "replicates.csv",
+            "resolved_config.yaml", "summary.csv", "summary.json",
+        ]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["result"]["failure_count"] == 6
+        assert [(r["failures"], r["mean"]) for r in summary["summary"]] == [(1, None)] * 6
+        header, rows = read_csv(out / "summary.csv")
+        assert header == cli.SUMMARY_HEADER and len(rows) == 6
+        assert all(r[header.index("mean")] == "" for r in rows)
+        _, rows = read_csv(out / "estimate_histograms.csv")
+        assert rows == []
+
     def test_unknown_preset_lists_names(self, tmp_path, capsys):
         assert run_cli("montecarlo", "--preset", "nope", "--out", tmp_path / "o") == 1
         err = capsys.readouterr().err

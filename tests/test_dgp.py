@@ -175,6 +175,40 @@ class TestSampling:
         c = tr.sample(reversal_dgp, 500, seed=10)
         assert a != c
 
+    @pytest.mark.parametrize("mode", list(tr.AssignmentMode))
+    def test_matches_fancy_index_formula(self, mode):
+        # the gathers of ``sample`` against the fancy-indexing formula they
+        # replaced, bit for bit, with unsorted codes and K = 3 (three terms
+        # summed per unit)
+        base = tr.random_dgp(5, num_treatments=3, min_strata=200, max_strata=200,
+                             propensity_range=(0.02, 0.6), assignment_mode=mode)
+        codes = np.random.default_rng(1).permutation(200) * 1_000 - 2**40
+        dgp = tr.StratifiedDGP(
+            strata=tuple((int(c), p) for c, (_, p) in zip(codes, base.strata)),
+            num_treatments=3, propensity=base.propensity, effect=base.effect,
+            baseline=base.baseline, noise_sd=0.7, assignment_mode=mode,
+        )
+        n, seed, K = 5_000, 21, 3
+        cum = np.cumsum(dgp.stratum_probs)
+        cum[-1] = 1.0
+        idx = np.searchsorted(cum, rng.substream(seed, rng.STRATUM).random(n), side="right")
+        p = dgp.propensity[:, idx]
+        treatment_rng = rng.substream(seed, rng.TREATMENT)
+        if mode is tr.AssignmentMode.PARALLEL_BINARY:
+            w = (treatment_rng.random((K, n)) < p).T.astype(np.int8)
+        else:
+            below = np.sum(treatment_rng.random(n)[None, :] >= np.cumsum(p, axis=0), axis=0)
+            arm = np.where(below < K, below + 1, 0)
+            w = np.zeros((n, K), dtype=np.int8)
+            w[np.nonzero(arm > 0)[0], arm[arm > 0] - 1] = 1
+        y = dgp.baseline[idx] + (dgp.effect[:, idx] * w.T).sum(axis=0)
+        y = y + rng.substream(seed, rng.NOISE).normal(0.0, dgp.noise_sd, size=n)
+
+        data = tr.sample(dgp, n, seed)
+        assert np.array_equal(data.x, dgp.stratum_codes[idx])
+        assert np.array_equal(data.w, w) and data.w.dtype == np.int8
+        assert data.y.tobytes() == y.tobytes()
+
     def test_outcome_assembly_noiseless(self):
         dgp = tr.StratifiedDGP(
             strata=((0, 0.5), (1, 0.5)),
@@ -254,6 +288,40 @@ class TestSampling:
     def test_n_must_be_positive(self, reversal_dgp):
         with pytest.raises(ValueError):
             tr.sample(reversal_dgp, 0, seed=1)
+
+
+class TestDatasetGrouping:
+    @pytest.mark.parametrize("num_codes", [1, 2, 300, 70_000])
+    def test_strata_is_a_stable_sort_of_the_codes(self, num_codes):
+        gen = np.random.default_rng(num_codes)
+        codes = np.arange(num_codes) * 12_345_679 - 2**40
+        x = gen.permutation(np.append(codes, gen.choice(codes, size=1_000)))
+        data = tr.Dataset(y=np.zeros(x.size), w=np.zeros((x.size, 1)), x=x)
+        groups = data.strata
+        assert data.strata is groups
+        assert np.array_equal(groups.codes, codes)
+        assert np.array_equal(groups.codes[groups.position], x)
+        assert np.array_equal(groups.order, np.argsort(x, kind="stable"))
+        sizes = np.diff(groups.bounds)
+        assert sizes.sum() == x.size and sizes.min() >= 1
+        assert np.array_equal(np.repeat(codes, sizes), x[groups.order])
+
+    def test_control_arm_is_shared_and_read_only(self):
+        w = np.array([[0, 0], [1, 0], [0, 1], [0, 0]])
+        data = tr.Dataset(y=np.zeros(4), w=w, x=np.zeros(4),
+                          assignment_mode=tr.AssignmentMode.MULTINOMIAL)
+        control = data.control_indicator(1)
+        assert control is data.control_indicator(2)
+        assert control.dtype == np.int8 and control.tolist() == [1, 0, 0, 1]
+        with pytest.raises(ValueError):
+            control[0] = 0
+        assert data.restriction_mask(2).tolist() == [True, False, True, True]
+        assert data.arm.tolist() == [0, 1, 2, 0]
+
+    def test_multinomial_rows_must_be_exclusive(self):
+        with pytest.raises(ValueError, match="mutually exclusive"):
+            tr.Dataset(y=np.zeros(2), w=np.array([[1, 1], [0, 0]]), x=np.zeros(2),
+                       assignment_mode=tr.AssignmentMode.MULTINOMIAL)
 
 
 class TestRngDerivation:

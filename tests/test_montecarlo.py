@@ -204,6 +204,30 @@ class TestSummaries:
             (m, j): int(m == "aipw" and j == 2) for m in ("plm", "aipw", "ipw") for j in (1, 2)
         }
 
+    def test_failed_column_keeps_its_row(self):
+        result = tr.run_scenario(small(num_reps=3))
+        plm = result.estimates["plm"].copy()
+        plm[:, 0] = np.nan
+        injected = replace(result, estimates={**result.estimates, "plm": plm})
+        rows = {(r["method"], r["treatment"]): r for r in tr.summarize(injected)}
+        assert len(rows) == 6
+        failed = rows[("plm", 1)]
+        assert failed["failures"] == 3
+        for key in ("mean", "sd", "q025", "q500", "q975", "bias_vs_ate", "bias_vs_wate"):
+            assert failed[key] is None, key
+        assert failed["oracle_ate"] == result.oracle_ate[0]
+        assert rows[("plm", 2)]["mean"] == float(plm[:, 1].mean())
+        assert rows[("plm", 2)]["failures"] == 0
+
+    def test_every_replicate_failed(self):
+        result = tr.run_scenario(small(num_reps=2))
+        hollow = replace(
+            result, estimates={m: np.full_like(a, np.nan) for m, a in result.estimates.items()}
+        )
+        rows = tr.summarize(hollow)
+        assert len(rows) == 6
+        assert all(r["failures"] == 2 and r["mean"] is None for r in rows)
+
     def test_empty_result_rejected(self):
         result = tr.run_scenario(small(num_reps=2))
         hollow = replace(result, estimates={})

@@ -345,3 +345,88 @@ def pinned_config(name):
 def test_canonical_bytes_pinned(name):
     result = tr.run_scenario(pinned_config(name))
     assert hashlib.sha256(result.canonical_bytes()).hexdigest() == PINNED[name]
+
+
+# ---------------------------------------------------------------------------
+# extreme stratum codes, many strata and clip bounds: bit for bit
+
+
+def coded_case(seed, mode, codes):
+    """``random_case`` on the given stratum codes, each of which occurs."""
+    gen = np.random.default_rng(seed)
+    K, S = 2, codes.shape[0]
+    n = int(gen.integers(3 * S, 6 * S))
+    x = gen.permutation(np.append(codes, gen.choice(codes, size=n - S, p=gen.dirichlet(np.ones(S)))))
+    if mode is tr.AssignmentMode.MULTINOMIAL:
+        treatment = gen.choice(K + 1, size=n, p=[0.5, 0.3, 0.2])
+        treatment[0] = K
+    else:
+        treatment = (gen.random((n, K)) < [0.3, 0.05]).astype(np.int8)
+    y = gen.normal(size=n) * 40.0 + (x % 7)
+    return make_dataset(x, treatment, y, mode), tr.assign_folds(n, 5, seed=seed)
+
+
+class TestKeysBitwise:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_codes_near_two_to_the_forty(self, mode, sign):
+        codes = sign * 2**40 + np.array([-3, 0, 1, 5, 2**20])
+        data, folds = coded_case(11, mode, codes)
+        assert_matches(data, tr.LearnerSpec(), folds)
+        assert_matches(data, tr.LearnerSpec())
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_two_hundred_strata(self, mode):
+        # half indices times S overflow int8 once S >= 128
+        codes = np.random.default_rng(3).permutation(np.arange(-50, 150)) * 3
+        data, folds = coded_case(12, mode, codes)
+        fit = tr.fit_crossfit(data, tr.LearnerSpec(), folds)
+        assert np.unique(data.x).shape[0] == 200 and fit.fallback_count > 0
+        assert_matches(data, tr.LearnerSpec(), folds)
+        assert_matches(data, tr.LearnerSpec())
+
+
+def clipped_per_unit(fit, clip):
+    """Per-unit clip of an unclipped fit's propensities, and the units clipped."""
+    count, arrays = 0, {}
+    for name in ("p_hat", "restricted_p", "control_p"):
+        raw = getattr(fit, name)
+        if raw is None:
+            arrays[name] = None
+            continue
+        count += int(np.sum((raw < clip) | (raw > 1.0 - clip)))
+        arrays[name] = np.clip(raw, clip, 1.0 - clip)
+    return arrays, count
+
+
+class TestClipOnTable:
+    def test_predictions_exactly_on_the_bounds(self):
+        # in-sample rates of 1/4 and 3/4 sit on the bounds of clip = 1/4 and
+        # are not clipped; the rate of 1/8 is, for each of its eight units
+        x = np.repeat([0, 1, 2], [4, 4, 8])
+        treated = np.array([1, 0, 0, 0] + [1, 1, 1, 0] + [1] + [0] * 7)
+        data = make_dataset(x, treated[:, None], np.arange(16.0), tr.AssignmentMode.PARALLEL_BINARY)
+        fit = tr.fit_insample(data, tr.LearnerSpec(), clip=0.25)
+        assert fit.clipped_count == 8
+        assert np.array_equal(fit.p_hat[:, 0], np.repeat([0.25, 0.75, 0.25], [4, 4, 8]))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_clip_on_table_equals_clip_per_unit(self, mode, seed):
+        # clip at a fitted value, so some predictions land exactly on a bound
+        data, folds = random_case(seed, mode)
+        for split in (folds, None):
+            def fit_at(clip):
+                if split is None:
+                    return tr.fit_insample(data, tr.LearnerSpec(), clip)
+                return tr.fit_crossfit(data, tr.LearnerSpec(), split, clip)
+
+            raw = fit_at(0.0)
+            values = raw.p_hat[(raw.p_hat > 0.0) & (raw.p_hat < 0.5)]
+            for clip in np.unique(np.append(values, [0.0, 0.01, 0.3]))[:4]:
+                fit = fit_at(clip)
+                arrays, count = clipped_per_unit(raw, clip)
+                assert fit.clipped_count == count
+                for name, want in arrays.items():
+                    got = getattr(fit, name)
+                    assert (got is None) if want is None else np.array_equal(got, want), name
