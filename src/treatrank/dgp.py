@@ -22,9 +22,10 @@ substreams for the stratum draw, treatment draw, and outcome noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -190,14 +191,40 @@ class OracleQuantities:
 
 
 class StratumGroups:
-    """Units grouped by their stratum codes ``x``.
+    """Units grouped by their stratum codes.
 
-    ``codes`` holds the distinct codes in ascending order and ``position[i]``
-    is unit ``i``'s index into ``codes``.
+    ``codes`` holds the distinct codes that occur, in ascending order, and
+    ``position`` (the shape of the codes) is each unit's index into
+    ``codes``. For a block of datasets ``codes`` covers every row, so a code
+    may be absent from some rows.
     """
 
-    def __init__(self, x: NDArray[np.int64]):
-        self.codes, self.position = np.unique(x, return_inverse=True)
+    def __init__(self, codes: NDArray[np.int64], position: NDArray[np.intp]):
+        self.codes, self.position = codes, position
+
+    @classmethod
+    def of_codes(cls, x: NDArray[np.int64]) -> "StratumGroups":
+        """Group by sorting the codes."""
+        codes, position = np.unique(x, return_inverse=True)
+        return cls(codes, position.reshape(x.shape))
+
+    @classmethod
+    def of_index(cls, levels: NDArray[np.int64], index: NDArray[np.intp]) -> "StratumGroups":
+        """Group units whose codes are ``levels[index]``, without sorting them.
+
+        ``levels`` are distinct codes in any order, some perhaps unused; the
+        result equals ``of_codes(levels[index])``.
+        """
+        S = levels.shape[0]
+        order = np.argsort(levels, kind="stable")
+        if np.any(order != np.arange(S)):
+            rank = np.empty(S, dtype=np.intp)
+            rank[order] = np.arange(S)
+            index = np.take(rank, index)
+        present = np.bincount(index.ravel(), minlength=S) > 0
+        if not present.all():
+            index = np.take(np.cumsum(present) - 1, index)
+        return cls(np.take(levels, order[present]), index)
 
     @cached_property
     def order(self) -> NDArray[np.intp]:
@@ -225,20 +252,28 @@ class Dataset:
     rows are one-hot (all-zero rows are control units). The arrays are not
     modified after construction: the control arm and the stratum grouping
     are computed once and shared by every fit, estimator and decomposition.
+
+    A *block* of datasets, all of ``n`` units, stacks them along a leading
+    axis: ``y`` and ``x`` are ``(B, n)`` and ``w`` is ``(B, n, K)``. Fits and
+    estimators work along the unit axis, so row ``b`` of their output is
+    that of :meth:`replicate` ``(b)``. ``groups`` passes a stratum grouping
+    already known (the sampler's); without it one is made from ``x``.
     """
 
     y: NDArray[np.float64]
     w: NDArray[np.int8]
     x: NDArray[np.int64]
     assignment_mode: AssignmentMode = AssignmentMode.PARALLEL_BINARY
+    groups: InitVar[StratumGroups | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, groups: StratumGroups | None) -> None:
         self.y = np.asarray(self.y, dtype=np.float64)
         self.w = np.asarray(self.w, dtype=np.int8)
         self.x = np.asarray(self.x, dtype=np.int64)
         self.assignment_mode = AssignmentMode(self.assignment_mode)
-        if self.w.ndim != 2 or not (self.y.shape[0] == self.w.shape[0] == self.x.shape[0]):
-            raise ValueError("y, w, x must share the unit dimension and w must be 2-D")
+        if self.y.ndim not in (1, 2) or not self.w.shape[:-1] == self.y.shape == self.x.shape:
+            raise ValueError("y and x must share one shape, and w must add a treatment axis to it")
+        self._strata = groups
         # the control arm is computed once here and shared, read-only, by
         # every treatment's control indicator and {0, j} restriction
         self._control: NDArray[np.int8] | None = None
@@ -261,16 +296,24 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        return self.y.shape[0]
+        return self.y.shape[-1]
 
     @property
     def num_treatments(self) -> int:
-        return self.w.shape[1]
+        return self.w.shape[-1]
 
-    @cached_property
+    @property
     def strata(self) -> StratumGroups:
         """The units grouped by stratum code."""
-        return StratumGroups(self.x)
+        if self._strata is None:
+            self._strata = StratumGroups.of_codes(self.x)
+        return self._strata
+
+    def replicate(self, b: int) -> "Dataset":
+        """Row ``b`` of a block, as a dataset of its own."""
+        groups = self.strata
+        return Dataset(self.y[b], self.w[b], self.x[b], self.assignment_mode,
+                       StratumGroups.of_index(groups.codes, groups.position[b]))
 
     @property
     def arm(self) -> NDArray[np.int64]:
@@ -281,7 +324,7 @@ class Dataset:
 
     def indicator(self, j: int) -> NDArray[np.int8]:
         """0/1 indicator of receiving treatment ``j``."""
-        return self.w[:, j - 1]
+        return self.w[..., j - 1]
 
     def control_indicator(self, j: int) -> NDArray[np.int8]:
         """0/1 indicator of the control condition facing treatment ``j``.
@@ -290,7 +333,7 @@ class Dataset:
         the control arm.
         """
         if self.assignment_mode is AssignmentMode.PARALLEL_BINARY:
-            return 1 - self.w[:, j - 1]
+            return 1 - self.w[..., j - 1]
         return self._control
 
     def restriction_mask(self, j: int) -> NDArray[np.bool_]:
@@ -300,19 +343,19 @@ class Dataset:
         MULTINOMIAL.
         """
         if self.assignment_mode is AssignmentMode.PARALLEL_BINARY:
-            return np.ones(self.n, dtype=bool)
+            return np.ones(self.y.shape, dtype=bool)
         return (self.indicator(j) == 1) | (self._control == 1)
 
 
 def _column_total(w: NDArray, scale: NDArray | None = None) -> NDArray[np.int64]:
-    """Row sums of the int8 matrix ``w`` (columns scaled by ``scale``), in int64.
+    """Sums over the last axis of the int8 ``w`` (columns scaled by ``scale``), in int64.
 
-    Equal to ``(w * scale).sum(axis=1)``; adding column by column is several
+    Equal to ``(w * scale).sum(axis=-1)``; adding column by column is several
     times faster than numpy's reduction over a short inner axis.
     """
-    total = np.zeros(w.shape[0], dtype=np.int64)
-    for k in range(w.shape[1]):
-        total += w[:, k] if scale is None else np.multiply(w[:, k], scale[k], dtype=np.int64)
+    total = np.zeros(w.shape[:-1], dtype=np.int64)
+    for k in range(w.shape[-1]):
+        total += w[..., k] if scale is None else np.multiply(w[..., k], scale[k], dtype=np.int64)
     return total
 
 
@@ -364,44 +407,72 @@ def oracle_decomposition(dgp: StratifiedDGP, j: int) -> OracleQuantities:
     return OracleQuantities(treatment=j, ate=ate, wate=wate, cov_tau_gamma=cov, gamma=gamma)
 
 
-def sample(dgp: StratifiedDGP, n: int, seed: int) -> Dataset:
+def sample(dgp: StratifiedDGP, n: int, seed: int | Sequence[int]) -> Dataset:
     """Draw ``n`` units from the DGP, deterministically in ``(dgp, n, seed)``.
 
     The stratum draw, treatment draw, and outcome noise each consume their own
     substream, so enlarging one table never perturbs the others' draws.
+
+    A sequence of ``B`` seeds draws a block of ``B`` datasets (see
+    :class:`Dataset`): each seed's streams fill one row of the ``(B, n)``
+    draws, every later step is elementwise, and row ``b`` is bit for bit
+    ``sample(dgp, n, seed[b])``. The stratum index of the draw is kept as the
+    block's stratum grouping, so the codes are never sorted.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    K = dgp.num_treatments
-
-    stratum_rng = rng.substream(seed, rng.STRATUM)
-    treatment_rng = rng.substream(seed, rng.TREATMENT)
-    noise_rng = rng.substream(seed, rng.NOISE)
-
+    single = isinstance(seed, (int, np.integer))
+    seeds = [seed] if single else list(seed)
+    B, K = len(seeds), dgp.num_treatments
+    parallel = dgp.assignment_mode is AssignmentMode.PARALLEL_BINARY
+    # the B datasets are one axis of B * n units; each draw is made as late
+    # as a single dataset would make it, so no draw is held longer
     cum = np.cumsum(dgp.stratum_probs)
     cum[-1] = 1.0
-    idx = np.searchsorted(cum, stratum_rng.random(n), side="right")
+    idx = np.searchsorted(cum, _uniforms(seeds, rng.STRATUM, n).reshape(-1), side="right")
     # np.take gathers the same values as fancy indexing; along axis 1 of the
     # (K, S) tables it is several times faster
     x = np.take(dgp.stratum_codes, idx)
 
-    p = np.take(dgp.propensity, idx, axis=1)  # (K, n)
-    if dgp.assignment_mode is AssignmentMode.PARALLEL_BINARY:
-        w = (treatment_rng.random((K, n)) < p).T.astype(np.int8)
+    p = np.take(dgp.propensity, idx, axis=1)  # (K, B * n)
+    if parallel:
+        # treatment k's indicators, (K, B * n); w is a (B, n, K) view of them
+        treated = np.empty((K, B, n), dtype=np.int8)
+        np.less(_uniforms(seeds, rng.TREATMENT, K, n).transpose(1, 0, 2), p.reshape(K, B, n),
+                out=treated)
+        w = treated.transpose(1, 2, 0)
+        treated = treated.reshape(K, -1)
     else:
-        u = treatment_rng.random(n)
-        arm_cum = np.cumsum(p, axis=0)  # (K, n)
-        below = np.sum(u[None, :] >= arm_cum, axis=0)  # draws past all K arms -> control
+        arm_cum = np.cumsum(p, axis=0)  # (K, B * n)
+        # draws past all K arms -> control
+        below = np.sum(_uniforms(seeds, rng.TREATMENT, n).reshape(-1) >= arm_cum, axis=0)
         arm = np.where(below < K, below + 1, 0)
-        w = np.zeros((n, K), dtype=np.int8)
-        treated = arm > 0
-        w[np.nonzero(treated)[0], arm[treated] - 1] = 1
+        w = np.zeros((B * n, K), dtype=np.int8)
+        units = np.flatnonzero(arm)
+        w[units, arm[units] - 1] = 1
+        treated = w.T
+        w = w.reshape(B, n, K)
 
-    # (K, n) rows summed in treatment order
-    y = np.take(dgp.baseline, idx) + (np.take(dgp.effect, idx, axis=1) * w.T).sum(axis=0)
+    # (K, B * n) rows summed in treatment order
+    effects = np.take(dgp.effect, idx, axis=1)
+    effects *= treated
+    y = np.take(dgp.baseline, idx) + effects.sum(axis=0)
+    y, x, idx = y.reshape(B, n), x.reshape(B, n), idx.reshape(B, n)
     if dgp.noise_sd > 0:
-        y = y + noise_rng.normal(0.0, dgp.noise_sd, size=n)
-    return Dataset(y=y, w=w, x=x, assignment_mode=dgp.assignment_mode)
+        for row, s in zip(y, seeds):
+            row += rng.substream(s, rng.NOISE).normal(0.0, dgp.noise_sd, size=n)
+    if single:
+        y, w, x, idx = y[0], w[0], x[0], idx[0]
+    groups = StratumGroups.of_index(dgp.stratum_codes, idx)
+    return Dataset(y=y, w=w, x=x, assignment_mode=dgp.assignment_mode, groups=groups)
+
+
+def _uniforms(seeds: list[int], tag: int, *shape: int) -> NDArray[np.float64]:
+    """Uniform draws of ``shape`` from each seed's ``tag`` substream, one row per seed."""
+    out = np.empty((len(seeds),) + shape)
+    for row, seed in zip(out, seeds):
+        rng.substream(seed, tag).random(out=row)
+    return out
 
 
 def random_dgp(

@@ -13,6 +13,14 @@ Three estimators with two distinct targets:
 All three are pure functions of (data, fit) and safe to evaluate
 concurrently. ``ESTIMATORS`` maps each :class:`Method` to its function and
 is the only dispatch table.
+
+Given a block of datasets and its fit (a leading block axis, see
+``dgp.Dataset``), each estimator works along the unit axis and returns
+one :class:`EffectEstimate` whose numbers are per-dataset arrays, row ``b``
+bit for bit the estimate of dataset ``b`` alone: sums and means reduce
+over the contiguous last axis, which numpy adds pairwise row by row as it
+adds a single dataset, and every dot product is one BLAS dot per dataset.
+An estimate the data cannot support in any dataset of the block raises.
 """
 
 from __future__ import annotations
@@ -59,19 +67,23 @@ class Estimand(str, Enum):
 
 @dataclass(frozen=True)
 class EffectEstimate:
-    """Point estimate with its standard error and declared target."""
+    """Point estimate with its standard error and declared target.
+
+    For a block of datasets, ``point``, ``std_error`` and ``n_used`` are
+    arrays with one entry per dataset.
+    """
 
     treatment: int
     method: Method
-    point: float
-    std_error: float
+    point: float | NDArray[np.float64]
+    std_error: float | NDArray[np.float64]
     estimand: Estimand
-    n_used: int
+    n_used: int | NDArray[np.int64]
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.std_error):
+        if not np.isfinite(self.std_error).all():
             raise UndefinedEstimateError(f"std_error must be finite and >= 0, got {self.std_error}")
-        if self.std_error < 0:
+        if np.less(self.std_error, 0).any():
             raise ValueError(f"std_error must be finite and >= 0, got {self.std_error}")
         if (self.estimand is Estimand.WATE) != (self.method is Method.PLM):
             raise ValueError("WATE is the estimand of PLM and of PLM only")
@@ -105,18 +117,19 @@ class PseudoOutcomes:
 
     def contrast(self, a: int, b: int) -> NDArray[np.float64]:
         """Per-unit score whose mean estimates ``ATE_a - ATE_b`` (index 0 = control)."""
-        return _contrast(self.effect_score, self.num_treatments, self.n, a, b)
+        return _contrast(self.effect_score, self.num_treatments, (self.n,), a, b)
 
 
 def _contrast(
-    effect_score: Callable[[int], NDArray[np.float64]], K: int, n: int, a: int, b: int
+    effect_score: Callable[[int], NDArray[np.float64]], K: int, shape: tuple[int, ...],
+    a: int, b: int,
 ) -> NDArray[np.float64]:
     """``effect_score(a) - effect_score(b)``, where arm 0 (control) has no score."""
     for arm in (a, b):
         if not 0 <= arm <= K:
             raise ValueError(f"arm index must be in 0..{K}, got {arm}")
     if a == b:
-        return np.zeros(n)
+        return np.zeros(shape)
     if b == 0:
         return effect_score(a)
     if a == 0:
@@ -162,6 +175,35 @@ def pseudo_outcomes(data: Dataset, fit: NuisanceFit) -> PseudoOutcomes:
     )
 
 
+def _estimate(data: Dataset, method: Method, j: int, point: NDArray, se: NDArray,
+              n_used: NDArray | None = None) -> EffectEstimate:
+    """An estimate from per-dataset arrays, made plain numbers for a single dataset.
+
+    ``n_used`` defaults to every unit of each dataset.
+    """
+    if data.y.ndim == 1:
+        point, se = point.item(), se.item()
+        n_used = data.n if n_used is None else n_used.item()
+    elif n_used is None:
+        n_used = np.full(point.shape, data.n)
+    estimand = Estimand.WATE if method is Method.PLM else Estimand.ATE
+    return EffectEstimate(treatment=j, method=method, point=point, std_error=se,
+                          estimand=estimand, n_used=n_used)
+
+
+def _row_dots(a: NDArray[np.float64], b: NDArray[np.float64], bounds: NDArray) -> NDArray:
+    """``a[lo:hi] @ b[lo:hi]`` for each dataset's slice ``lo:hi``: one BLAS dot each."""
+    return np.array([a[lo:hi] @ b[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
+def _mean_and_se(scores: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
+    """Mean of each dataset's scores and its standard error ``sd / sqrt(n)``."""
+    n = scores.shape[-1]
+    point = scores.mean(axis=-1)
+    se = scores.std(ddof=1, axis=-1) / np.sqrt(n) if n > 1 else np.zeros(point.shape)
+    return point, se
+
+
 def plm_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
     """Residual-on-residual regression coefficient for treatment ``j``.
 
@@ -172,29 +214,30 @@ def plm_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
     """
     d, y = data.indicator(j), data.y
     p, m = fit.plm_propensity(j), fit.plm_outcome(j)
+    # dataset b's units are bounds[b]:bounds[b + 1] of the flattened arrays
+    bounds = np.arange(y.size // data.n + 1) * data.n
     if data.assignment_mode is AssignmentMode.MULTINOMIAL:
-        keep = np.flatnonzero(data.restriction_mask(j))
-        d, y, p, m = (np.take(a, keep) for a in (d, y, p, m))
-    w_res = d.astype(np.float64) - p
-    y_res = y - m
+        # each dataset's subsample, one after the other
+        units = np.flatnonzero(data.restriction_mask(j))
+        d, y, p, m = (np.take(a, units) for a in (d, y, p, m))
+        bounds = np.searchsorted(units, bounds)
+    used = np.diff(bounds)
+    w_res = np.subtract(d.astype(np.float64), p).reshape(-1)
+    y_res = np.subtract(y, m).reshape(-1)
 
-    denom = float(w_res @ w_res)
-    if denom <= 0.0:
+    denom = _row_dots(w_res, w_res, bounds)
+    if np.any(denom <= 0.0):
         raise NoVariationError(
             f"treatment {j} residuals have zero variation; cannot run the residual regression"
         )
-    point = float(w_res @ y_res) / denom
+    point = _row_dots(w_res, y_res, bounds) / denom
+    # a dataset's slope scales each of its units: one slope broadcasts over all
+    scale = point if point.shape[0] == 1 else np.repeat(point, used)
     # in place: resid = y_res - point * w_res, then both squared
-    resid = np.subtract(y_res, np.multiply(point, w_res), out=y_res)
-    se = float(np.sqrt(np.square(w_res, out=w_res) @ np.square(resid, out=resid))) / denom
-    return EffectEstimate(
-        treatment=j,
-        method=Method.PLM,
-        point=point,
-        std_error=se,
-        estimand=Estimand.WATE,
-        n_used=y.shape[0],
-    )
+    resid = np.subtract(y_res, np.multiply(scale, w_res), out=y_res)
+    np.square(w_res, out=w_res)
+    se = np.sqrt(_row_dots(w_res, np.square(resid, out=resid), bounds)) / denom
+    return _estimate(data, Method.PLM, j, point, se, used)
 
 
 def aipw_estimate(data: Dataset, fit: NuisanceFit, a: int, b: int = 0) -> EffectEstimate:
@@ -204,19 +247,13 @@ def aipw_estimate(data: Dataset, fit: NuisanceFit, a: int, b: int = 0) -> Effect
     is the mean pseudo-outcome contrast and the standard error its sample
     standard deviation over sqrt(n).
     """
-    scores = _contrast(lambda j: _effect_score(data, fit, j), data.num_treatments, data.n, a, b)
-    point = float(scores.mean())
-    se = float(scores.std(ddof=1) / np.sqrt(data.n)) if data.n > 1 else 0.0
-    if a == b:
-        point, se = 0.0, 0.0
-    return EffectEstimate(
-        treatment=a,
-        method=Method.AIPW,
-        point=point,
-        std_error=se,
-        estimand=Estimand.ATE,
-        n_used=data.n,
+    scores = _contrast(
+        lambda j: _effect_score(data, fit, j), data.num_treatments, data.y.shape, a, b
     )
+    point, se = _mean_and_se(scores)
+    if a == b:
+        point, se = np.zeros(point.shape), np.zeros(point.shape)
+    return _estimate(data, Method.AIPW, a, point, se)
 
 
 def ipw_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
@@ -230,17 +267,8 @@ def ipw_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
     np.divide(treated, fit.arm_probability(j), out=treated)
     control = np.multiply(data.control_indicator(j).astype(np.float64), data.y)
     np.divide(control, fit.control_probability(j), out=control)
-    scores = np.subtract(treated, control, out=treated)
-    point = float(scores.mean())
-    se = float(scores.std(ddof=1) / np.sqrt(data.n)) if data.n > 1 else 0.0
-    return EffectEstimate(
-        treatment=j,
-        method=Method.IPW,
-        point=point,
-        std_error=se,
-        estimand=Estimand.ATE,
-        n_used=data.n,
-    )
+    point, se = _mean_and_se(np.subtract(treated, control, out=treated))
+    return _estimate(data, Method.IPW, j, point, se)
 
 
 # Callers dispatch in this order; it is the row order of the estimate outputs.

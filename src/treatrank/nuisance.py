@@ -37,13 +37,21 @@ as a per-unit clip. ``clipped_count`` adds, over the cells outside
 ``[clip, 1 - clip]``, the number of units the cell predicts (the held-out
 fold's units in that stratum; in-sample, every unit in it), which is the
 per-unit count of clipped predictions.
+
+A block of datasets (see ``dgp.Dataset``) is fitted by the same table with
+the dataset in the key: a key's units are still added in unit order, so
+every dataset's cells are bit for bit those of its own fit, and a block
+costs one ``bincount`` per fold instead of one per fold and dataset. Ridge
+fits stay per (fold, dataset) and see only the dataset's own strata. Newton
+iterations that end with the gradient above ``NEWTON_GRAD_TOL`` raise
+``SingularFitError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -100,7 +108,7 @@ class LearnerSpec:
 
 @dataclass(frozen=True)
 class FoldAssignment:
-    """Balanced random partition of units into folds."""
+    """Balanced random partition of units into folds (one row per dataset of a block)."""
 
     num_folds: int
     fold_of: NDArray[np.int64]
@@ -110,23 +118,34 @@ class FoldAssignment:
 
     @property
     def n(self) -> int:
-        return self.fold_of.shape[0]
+        return self.fold_of.shape[-1]
+
+    def replicate(self, b: int) -> "FoldAssignment":
+        """Row ``b`` of a block's assignment."""
+        return FoldAssignment(self.num_folds, self.fold_of[b])
 
 
-def assign_folds(n: int, num_folds: int, seed: int) -> FoldAssignment:
-    """Randomly partition ``n`` units into folds whose sizes differ by at most one."""
+def assign_folds(n: int, num_folds: int, seed: int | Sequence[int]) -> FoldAssignment:
+    """Randomly partition ``n`` units into folds whose sizes differ by at most one.
+
+    A sequence of seeds partitions a block of datasets: row ``b`` is bit for
+    bit ``assign_folds(n, num_folds, seed[b])``.
+    """
     if num_folds < 2:
         raise ValueError(f"num_folds must be >= 2, got {num_folds}")
     if n < num_folds:
         raise ValueError(f"need at least one unit per fold: n={n} < num_folds={num_folds}")
-    order = rng.substream(seed).permutation(n)
-    fold_of = np.empty(n, dtype=np.int64)
+    single = isinstance(seed, (int, np.integer))
+    seeds = [seed] if single else list(seed)
     # unit order[i] joins fold i % num_folds; the labels are built as rows of
     # 0..num_folds-1, which is faster than an integer modulo
     labels = np.empty((-(-n // num_folds), num_folds), dtype=np.int64)
     labels[:] = np.arange(num_folds)
-    fold_of[order] = labels.ravel()[:n]
-    return FoldAssignment(num_folds=num_folds, fold_of=fold_of)
+    labels = labels.ravel()[:n]
+    fold_of = np.empty((len(seeds), n), dtype=np.int64)
+    for row, s in zip(fold_of, seeds):
+        row[rng.substream(s).permutation(n)] = labels
+    return FoldAssignment(num_folds=num_folds, fold_of=fold_of[0] if single else fold_of)
 
 
 @dataclass
@@ -138,6 +157,9 @@ class NuisanceFit:
     and ``control_p`` are only populated under MULTINOMIAL assignment, where
     the residual-on-residual regression runs on the {control, j} subsample
     with the conditional propensity ``p_j / (p_j + p_0)``.
+
+    The fit of a block of datasets has a leading block axis on every array
+    and on the two counts.
     """
 
     mode: AssignmentMode
@@ -149,42 +171,53 @@ class NuisanceFit:
     restricted_y: NDArray[np.float64] | None = None  # (n, K) E[Y | X, W in {0, j}]
     restricted_p: NDArray[np.float64] | None = None  # (n, K) P(W=j | X, W in {0, j})
     control_p: NDArray[np.float64] | None = None     # (n,) P(control arm | X)
-    clipped_count: int = 0
-    fallback_count: int = 0
+    clipped_count: int | NDArray[np.int64] = 0
+    fallback_count: int | NDArray[np.int64] = 0
 
     @property
     def n(self) -> int:
-        return self.y_hat.shape[0]
+        return self.y_hat.shape[-1]
+
+    def replicate(self, b: int) -> "NuisanceFit":
+        """Row ``b`` of a block's fit."""
+        arrays = ("y_hat", "p_hat", "mu_treated", "mu_control", "restricted_y", "restricted_p",
+                  "control_p")
+        return replace(
+            self,
+            **{name: getattr(self, name)[b] for name in arrays if getattr(self, name) is not None},
+            clipped_count=int(self.clipped_count[b]),
+            fallback_count=int(self.fallback_count[b]),
+        )
 
     def plm_outcome(self, j: int) -> NDArray[np.float64]:
         """Outcome predictions entering treatment ``j``'s residual regression."""
         if self.mode is AssignmentMode.PARALLEL_BINARY:
             return self.y_hat
         assert self.restricted_y is not None
-        return self.restricted_y[:, j - 1]
+        return self.restricted_y[..., j - 1]
 
     def plm_propensity(self, j: int) -> NDArray[np.float64]:
         """Propensities entering treatment ``j``'s residual regression."""
         if self.mode is AssignmentMode.PARALLEL_BINARY:
-            return self.p_hat[:, j - 1]
+            return self.p_hat[..., j - 1]
         assert self.restricted_p is not None
-        return self.restricted_p[:, j - 1]
+        return self.restricted_p[..., j - 1]
 
     def arm_probability(self, j: int) -> NDArray[np.float64]:
-        return self.p_hat[:, j - 1]
+        return self.p_hat[..., j - 1]
 
     def control_probability(self, j: int) -> NDArray[np.float64]:
         """Probability of treatment ``j``'s control condition."""
         if self.mode is AssignmentMode.PARALLEL_BINARY:
-            return 1.0 - self.p_hat[:, j - 1]
+            return 1.0 - self.p_hat[..., j - 1]
         assert self.control_p is not None
         return self.control_p
 
     def treated_outcome(self, j: int) -> NDArray[np.float64]:
-        return self.mu_treated[:, j - 1]
+        return self.mu_treated[..., j - 1]
 
     def control_outcome(self, j: int) -> NDArray[np.float64]:
-        return self.mu_control[:, j - 1]
+        return self.mu_control[..., j - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +265,12 @@ def _logistic_ridge_beta(
         )
     d = X.shape[1]
     beta = np.zeros(d)
-    for _ in range(NEWTON_MAX_ITER):
+    for step_count in range(NEWTON_MAX_ITER + 1):
         mu = _sigmoid(X @ beta)
         grad = X.T @ (total - count * mu) - penalty * beta
         if np.max(np.abs(grad)) <= NEWTON_GRAD_TOL:
+            return beta
+        if step_count == NEWTON_MAX_ITER:
             break
         H = (X * (count * mu * (1.0 - mu))[:, None]).T @ X + penalty * np.eye(d)
         try:
@@ -245,7 +280,10 @@ def _logistic_ridge_beta(
                 "singular Hessian in logistic fit; set ridge_penalty > 0"
             ) from exc
         beta = beta + step
-    return beta
+    raise SingularFitError(
+        f"logistic fit did not converge in {NEWTON_MAX_ITER} Newton steps "
+        f"(gradient {np.max(np.abs(grad)):.3g} > {NEWTON_GRAD_TOL:g})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +307,17 @@ class _StratumTable:
 
     Fold ``k``'s training units are the units outside fold ``k`` (every unit
     when fitting in-sample). Each fold's sums come from one ``bincount`` over
-    all families, keyed by ``(family offset + half) * S + stratum`` and
-    weighted by the outcome with the held-out fold zeroed; see the module
-    docstring for why this is exact.
+    all families and all datasets of a block, keyed by ``(dataset * groups +
+    family offset + half) * S + stratum`` and weighted by the outcome with
+    the held-out fold zeroed; see the module docstring for why this is exact.
+    A single dataset is a block of one. Every table is indexed ``[fold,
+    dataset, ..., stratum]``.
 
-    ``outcome`` and ``rate`` fit one target and return its (fold, stratum)
-    table of predictions; ``gather`` maps tables to the units, one row per
-    table. ``rate`` clips its table to ``[clip, 1 - clip]`` and adds the
-    units it clipped to ``clipped``.
+    ``outcome`` and ``rate`` fit one target and return its (fold, dataset,
+    stratum) table of predictions and its per-dataset fallback counts;
+    ``gather`` maps tables to the units, one row per table. ``rate`` clips
+    its table to ``[clip, 1 - clip]`` and adds the units it clipped to
+    ``clipped``.
     """
 
     def __init__(
@@ -289,85 +330,103 @@ class _StratumTable:
         clip: float,
         families: list[tuple[NDArray, int]],
     ):
-        families = [(np.zeros(data.n, dtype=np.int8), 1)] + families
-        levels, pos = data.strata.codes, data.strata.position
-        S = levels.shape[0]
+        n = data.n
+        y = data.y.reshape(-1, n)
+        B = y.shape[0]
+        families = [(np.zeros(n, dtype=np.int8), 1)] + families
+        self.levels, pos = data.strata.codes, data.strata.position.reshape(B, n)
+        S = self.levels.shape[0]
         self.spec = spec
-        self.X = _basis(levels, spec.basis)
-        self.y = data.y
-        self.fold_of = fold_of
+        self.y = y
+        self.fold_of = fold_of.reshape(B, n)
         self.crossfit = crossfit
         self.clip = clip
-        self.clipped = 0
-        self.halves = [half for half, _ in families]
+        self.clipped = np.zeros(B, dtype=np.int64)
+        self.bases: dict[int, tuple] = {}  # per dataset, from _basis
+        self.halves = [half for half, _ in families]  # (n,) or, per dataset, (B, n)
         self.offsets = np.cumsum([0] + [size for _, size in families[:-1]])
-        self.cell = fold_of * S + pos if crossfit else pos
+        dataset = np.arange(B)[:, None]
+        self.cell = dataset * S + pos
+        if crossfit:
+            self.cell += self.fold_of * (B * S)
 
-        # one row of keys per family; a half index is cast to int64 before it
-        # is scaled, since an int8 index times S overflows once S >= 128
-        width = sum(size for _, size in families) * S
-        keys = np.empty((len(families), data.n), dtype=np.int64)
+        # one (B, n) slice of keys per family; a half index is cast to int64
+        # before it is scaled, since an int8 index times S overflows once S >= 128
+        groups = sum(size for _, size in families)
+        width = B * groups * S
+        keys = np.empty((len(families), B, n), dtype=np.int64)
         for row, half in zip(keys, self.halves):
             row[:] = half
-        keys += self.offsets[:, None]
+        keys += self.offsets[:, None, None] + dataset * groups
         keys *= S
         keys += pos
         held = np.bincount(
-            (keys + fold_of * width if crossfit else keys).ravel(), minlength=num_folds * width
-        ).reshape(num_folds, -1, S)
+            (keys + self.fold_of * width if crossfit else keys).ravel(),
+            minlength=num_folds * width,
+        ).reshape(num_folds, B, groups, S)
         self.counts = held.sum(axis=0) - held if crossfit else held
-        self.held = held[:, 0]  # POOLED: units each fold predicts, per stratum
+        self.held = held[:, :, 0]  # POOLED: units each fold predicts, per stratum
 
         keys = keys.ravel()
-        weights = np.empty((len(families), data.n))
+        weights = np.empty((len(families), B, n))
         sums = np.empty((num_folds, width))
         for k in range(num_folds):
-            weights[:] = np.where(fold_of != k, data.y, 0.0) if crossfit else data.y
+            weights[:] = np.where(self.fold_of != k, y, 0.0) if crossfit else y
             sums[k] = np.bincount(keys, weights.ravel(), minlength=width)
-        self.sums = sums.reshape(num_folds, -1, S)
+        self.sums = sums.reshape(num_folds, B, groups, S)
 
-    def outcome(self, group: Group) -> tuple[NDArray[np.float64], int]:
-        """Table of E[Y | X, group], and the fallback count."""
+    def outcome(self, group: Group) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
+        """Table of E[Y | X, group], and the per-dataset fallback counts (or 0)."""
         return self._predict(
-            self.counts[:, self._index(group)],
-            self.sums[:, self._index(group)],
+            self.counts[:, :, self._index(group)],
+            self.sums[:, :, self._index(group)],
             binary=False,
-            cell_mean=lambda k: float(self._training_y(k, group).mean()),
-            empty_value=lambda k: float(self._training_y(k).mean()),
+            cell_mean=lambda k, b: float(self._training_y(k, b, group).mean()),
+            empty_value=lambda k, b: float(self._training_y(k, b).mean()),
         )
 
-    def rate(self, hits: Group, among: Group) -> tuple[NDArray[np.float64], int]:
-        """Table of P(hits | X, among), clipped, and the fallback count."""
-        count = self.counts[:, self._index(among)]
-        total = self.counts[:, self._index(hits)].astype(np.float64)
+    def rate(self, hits: Group, among: Group) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
+        """Table of P(hits | X, among), clipped, and the per-dataset fallback counts (or 0)."""
+        count = self.counts[:, :, self._index(among)]
+        total = self.counts[:, :, self._index(hits)].astype(np.float64)
         return self._predict(
             count,
             total,
             binary=True,
-            cell_mean=lambda k: total[k].sum() / count[k].sum(),
-            empty_value=lambda k: 0.5,
+            cell_mean=lambda k, b: total[k, b].sum() / count[k, b].sum(),
+            empty_value=lambda k, b: 0.5,
         )
 
     def gather(self, tables: list[NDArray[np.float64]]) -> NDArray[np.float64]:
-        """``(len(tables), n)``: row ``t`` is table ``t``'s prediction for every unit."""
-        return np.take(np.reshape(tables, (len(tables), -1)), self.cell, axis=1)
+        """``(len(tables), B * n)``: row ``t`` is table ``t``'s prediction for every unit."""
+        return np.take(np.reshape(tables, (len(tables), -1)), self.cell.ravel(), axis=1)
 
     def _index(self, group: Group) -> int:
         return self.offsets[group[0]] + group[1]
 
-    def _training_y(self, k: int, group: Group | None = None) -> NDArray[np.float64]:
-        keep = self.fold_of != k if self.crossfit else np.ones(self.y.shape[0], dtype=bool)
+    def _training_y(self, k: int, b: int, group: Group | None = None) -> NDArray[np.float64]:
+        keep = self.fold_of[b] != k if self.crossfit else np.ones(self.y.shape[1], dtype=bool)
         if group is not None:
-            keep &= self.halves[group[0]] == group[1]
-        return self.y[keep]
+            half = self.halves[group[0]]
+            keep &= (half if half.ndim == 1 else half[b]) == group[1]
+        return self.y[b][keep]
+
+    def _basis(self, b: int) -> tuple[slice | NDArray[np.bool_], NDArray[np.float64]]:
+        """Dataset ``b``'s strata (a block's strata may be absent from it) and their basis."""
+        if b not in self.bases:
+            present = self.held[:, b].any(axis=0)
+            strata = slice(None) if present.all() else present
+            self.bases[b] = strata, _basis(self.levels[strata], self.spec.basis)
+        return self.bases[b]
 
     def _predict(self, count, total, binary, cell_mean, empty_value):
-        """Map each fold's (count, total) to S predictions.
+        """Map each fold's (count, total) to S predictions, for every dataset.
 
         A stratum-mean cell without training units takes the target's training
         mean; a target without any training units takes ``empty_value``. Both
-        count one fallback per predicted unit. Binary targets are clipped on
-        the table, each cell counting the units it predicts.
+        count one fallback per predicted unit. A ridge fit sees only the
+        strata of its own dataset. Binary targets are clipped on the table,
+        each cell counting the units it predicts.
         """
         kind = self.spec.kind
         if kind is LearnerKind.LOGISTIC_RIDGE and not binary:
@@ -377,26 +436,28 @@ class _StratumTable:
             unfit = count == 0
         else:
             table = np.zeros(total.shape)
-            empty = ~count.any(axis=1)
-            unfit = np.repeat(empty[:, None], count.shape[1], axis=1)
-            for k in np.flatnonzero(~empty):
+            empty = ~count.any(axis=-1)
+            unfit = np.broadcast_to(empty[..., None], count.shape)
+            for k, b in zip(*np.nonzero(~empty)):
+                strata, X = self._basis(b)
+                c, t = count[k, b, strata], total[k, b, strata]
                 if kind is LearnerKind.LOGISTIC_RIDGE:
-                    beta = _logistic_ridge_beta(self.X, count[k], total[k], self.spec.ridge_penalty)
-                    table[k] = _sigmoid(self.X @ beta)
+                    beta = _logistic_ridge_beta(X, c, t, self.spec.ridge_penalty)
+                    table[k, b, strata] = _sigmoid(X @ beta)
                 else:
-                    beta = _linear_ridge_beta(self.X, count[k], total[k], self.spec.ridge_penalty)
-                    table[k] = self.X @ beta
+                    beta = _linear_ridge_beta(X, c, t, self.spec.ridge_penalty)
+                    table[k, b, strata] = X @ beta
         fallbacks = 0
         if unfit.any():
-            missing = np.where(unfit, self.held, 0).sum(axis=1)
-            fallbacks = int(missing.sum())
-            for k in np.flatnonzero(missing):
-                table[k, unfit[k]] = cell_mean(k) if count[k].any() else empty_value(k)
+            missing = np.where(unfit, self.held, 0).sum(axis=-1)
+            fallbacks = missing.sum(axis=0)
+            for k, b in zip(*np.nonzero(missing)):
+                table[k, b, unfit[k, b]] = cell_mean(k, b) if count[k, b].any() else empty_value(k, b)
         if binary:
             lo, hi = self.clip, 1.0 - self.clip
             outside = (table < lo) | (table > hi)
             if outside.any():
-                self.clipped += int(self.held[outside].sum())
+                self.clipped += np.where(outside, self.held, 0).sum(axis=-1).sum(axis=0)
             np.clip(table, lo, hi, out=table)
         return table, fallbacks
 
@@ -418,6 +479,9 @@ def fit_crossfit(
     Propensity predictions are clipped to ``[clip, 1 - clip]``; empty
     stratum-mean cells fall back to the training-split marginal mean. Both
     events are counted on the returned fit.
+
+    A block of datasets with its block of fold assignments is fitted at
+    once; row ``b`` of the fit is bit for bit the fit of row ``b`` alone.
     """
     return _compute_fit(data, spec, clip, folds.fold_of, folds.num_folds, crossfit=True)
 
@@ -428,7 +492,7 @@ def fit_insample(data: Dataset, spec: LearnerSpec, clip: float = 0.0) -> Nuisanc
     Intended for diagnostics and for checking algebraic identities of the
     residual regression, where fold-splitting would break exactness.
     """
-    return _compute_fit(data, spec, clip, np.zeros(data.n, dtype=np.int64), 1, crossfit=False)
+    return _compute_fit(data, spec, clip, np.zeros(data.y.shape, dtype=np.int64), 1, crossfit=False)
 
 
 def _compute_fit(
@@ -442,21 +506,18 @@ def _compute_fit(
     n, K = data.n, data.num_treatments
     if n == 0:
         raise ValueError("dataset is empty")
-    if fold_of.shape[0] != n:
-        raise ValueError(f"fold assignment covers {fold_of.shape[0]} units, dataset has {n}")
+    if fold_of.shape != data.y.shape:
+        raise ValueError(f"fold assignment covers {fold_of.shape[-1]} units, dataset has {n}")
     if not 0.0 <= clip < 0.5:
         raise ValueError(f"clip must be in [0, 0.5), got {clip}")
     if data.assignment_mode is AssignmentMode.PARALLEL_BINARY:
         # family j: units split by treatment j's indicator
-        families = [(data.w[:, j], 2) for j in range(K)]
+        families = [(data.w[..., j], 2) for j in range(K)]
         table = _StratumTable(data, spec, fold_of, num_folds, crossfit, clip, families)
         targets = [table.outcome(POOLED)] + _treatment_major([
             (table.rate((j, 1), POOLED), table.outcome((j, 1)), table.outcome((j, 0)))
             for j in range(1, K + 1)
         ])
-        preds = table.gather([t for t, _ in targets])
-        y_hat, (p_hat, mu_treated, mu_control) = preds[0], _per_treatment(preds[1:], K)
-        restricted_y = restricted_p = control_p = None
     else:
         # family 1: units split by arm (0 = control); family 1 + j: units in
         # or out of treatment j's {0, j} comparison
@@ -470,9 +531,18 @@ def _compute_fit(
              table.outcome((1 + j, 1)), table.rate((1, j), (1 + j, 1)))
             for j in range(1, K + 1)
         ])
-        preds = table.gather([t for t, _ in targets])
+    lead = data.y.shape[:-1]  # () for one dataset, (B,) for a block
+    preds = table.gather([t for t, _ in targets]).reshape((len(targets),) + data.y.shape)
+    fallbacks = sum(fb for _, fb in targets) + np.zeros(table.clipped.shape, dtype=np.int64)
+    if data.assignment_mode is AssignmentMode.PARALLEL_BINARY:
+        y_hat, (p_hat, mu_treated, mu_control) = preds[0], _per_treatment(preds[1:], K)
+        restricted_y = restricted_p = control_p = None
+    else:
         y_hat, control_p = preds[0], preds[1]
         p_hat, mu_treated, mu_control, restricted_y, restricted_p = _per_treatment(preds[2:], K)
+
+    def per_dataset(counts: NDArray[np.int64]) -> int | NDArray[np.int64]:
+        return counts if lead else int(counts[0])
 
     return NuisanceFit(
         mode=data.assignment_mode,
@@ -484,8 +554,8 @@ def _compute_fit(
         restricted_y=restricted_y,
         restricted_p=restricted_p,
         control_p=control_p,
-        clipped_count=table.clipped,
-        fallback_count=sum(fb for _, fb in targets),
+        clipped_count=per_dataset(table.clipped),
+        fallback_count=per_dataset(fallbacks),
     )
 
 
@@ -500,11 +570,13 @@ def _treatment_major(per_treatment: list[tuple]) -> list:
 
 
 def _per_treatment(rows: NDArray[np.float64], K: int) -> list[NDArray[np.float64]]:
-    """Split ``rows`` into ``(n, K)`` arrays of ``K`` consecutive rows each.
+    """Split ``rows`` into ``(..., n, K)`` arrays of ``K`` consecutive rows each.
 
-    Each is a transposed view, so every treatment's column is contiguous.
+    Each is a view with the treatment axis moved last, so every treatment's
+    column is contiguous.
     """
-    return [rows[i : i + K].T for i in range(0, rows.shape[0], K)]
+    last = tuple(range(1, rows.ndim)) + (0,)
+    return [rows[i : i + K].transpose(last) for i in range(0, rows.shape[0], K)]
 
 
 # ---------------------------------------------------------------------------

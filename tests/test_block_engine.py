@@ -1,0 +1,255 @@
+"""The blocked Monte Carlo engine against the replicate-at-a-time loop.
+
+``run_scenario`` samples, fits and estimates a block of replicates at once.
+``loop_reference`` below is the engine's former loop: one replicate at a
+time through ``sample``, ``assign_folds``, ``fit_crossfit`` and
+``ESTIMATORS``. Every point and every failure count must match it bit for
+bit, whatever the block size and the worker count.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import treatrank as tr
+from treatrank import montecarlo, rng
+from treatrank.estimators import ESTIMATION_ERRORS, ESTIMATORS, Method, plm_estimate
+from treatrank.montecarlo import BLOCK_UNITS, BLOCKS_PER_WORKER, METHODS, _blocks
+
+FIT_FIELDS = ("y_hat", "p_hat", "mu_treated", "mu_control", "restricted_y", "restricted_p",
+              "control_p")
+DATA_STREAM, FOLD_STREAM = 0, 1
+CAP_200 = BLOCK_UNITS // 200  # replicates in a full block at n = 200
+
+
+def replicate_inputs(config, r):
+    data = tr.sample(config.dgp, config.n_per_rep, rng.child_seed(config.seed, r, DATA_STREAM))
+    folds = tr.assign_folds(data.n, config.num_folds, rng.child_seed(config.seed, r, FOLD_STREAM))
+    return data, folds
+
+
+def loop_reference(config):
+    """(points, failures) of the replicate-at-a-time engine."""
+    K = config.dgp.num_treatments
+    points = np.full((config.num_reps, len(METHODS), K), np.nan)
+    failures = 0
+    for r in range(config.num_reps):
+        data, folds = replicate_inputs(config, r)
+        try:
+            fit = tr.fit_crossfit(data, config.learner, folds, config.clip)
+        except ESTIMATION_ERRORS:
+            failures += points[r].size
+            continue
+        for m, estimator in enumerate(ESTIMATORS.values()):
+            for j in range(1, K + 1):
+                try:
+                    points[r, m, j - 1] = estimator(data, fit, j).point
+                except ESTIMATION_ERRORS:
+                    failures += 1
+    return points, failures
+
+
+def engine_points(result):
+    return np.stack([result.estimates[m] for m in METHODS], axis=1)
+
+
+def assert_engine_matches_loop(config, workers=1):
+    result = tr.run_scenario(config, workers=workers)
+    points, failures = loop_reference(config)
+    assert engine_points(result).tobytes() == points.tobytes()
+    assert result.failure_count == failures
+    return result
+
+
+def multinomial_config(n, num_reps, learner=tr.LearnerSpec()):
+    dgp = tr.random_dgp(7, num_treatments=3, min_strata=6, max_strata=6,
+                        propensity_range=(0.05, 0.3), assignment_mode=tr.AssignmentMode.MULTINOMIAL)
+    return tr.ScenarioConfig(name="multinomial", dgp=dgp, n_per_rep=n, num_reps=num_reps, seed=4,
+                             learner=learner)
+
+
+RIDGE_SPECS = [
+    tr.LearnerSpec(kind=kind, ridge_penalty=penalty, basis=basis)
+    for kind in (tr.LearnerKind.LINEAR_RIDGE, tr.LearnerKind.LOGISTIC_RIDGE)
+    for basis in tr.Basis
+    for penalty in (0.0, 0.5)
+]
+
+
+# ---------------------------------------------------------------------------
+# the kernels: row b of a block is dataset b alone
+
+
+class TestBlockKernels:
+    @pytest.mark.parametrize("name", ["extreme_heterogeneity", "balanced", "multinomial"])
+    def test_rows_equal_single_replicates(self, name):
+        if name == "multinomial":
+            config = multinomial_config(180, 7)
+        else:
+            config = tr.scaled(tr.preset(name), n_per_rep=150, num_reps=7, seed=9)
+        seeds = [rng.child_seed(config.seed, r, DATA_STREAM) for r in range(config.num_reps)]
+        fold_seeds = [rng.child_seed(config.seed, r, FOLD_STREAM) for r in range(config.num_reps)]
+        block = tr.sample(config.dgp, config.n_per_rep, seeds)
+        block_folds = tr.assign_folds(config.n_per_rep, config.num_folds, fold_seeds)
+        assert block.y.shape == (config.num_reps, config.n_per_rep)
+        fit = tr.fit_crossfit(block, config.learner, block_folds, config.clip)
+        estimates = [estimator(block, fit, j) for estimator in ESTIMATORS.values()
+                     for j in range(1, block.num_treatments + 1)]
+        for b in range(config.num_reps):
+            data, folds = replicate_inputs(config, b)
+            assert block.replicate(b) == data
+            assert np.array_equal(block.replicate(b).strata.codes, data.strata.codes)
+            assert np.array_equal(block.replicate(b).strata.position, data.strata.position)
+            assert np.array_equal(block_folds.fold_of[b], folds.fold_of)
+            single = tr.fit_crossfit(data, config.learner, folds, config.clip)
+            for name_ in FIT_FIELDS:
+                want = getattr(single, name_)
+                got = getattr(fit, name_)
+                assert (got is None) if want is None else got[b].tobytes() == want.tobytes()
+            assert fit.clipped_count[b] == single.clipped_count
+            assert fit.fallback_count[b] == single.fallback_count
+            alone = [estimator(data, single, j) for estimator in ESTIMATORS.values()
+                     for j in range(1, data.num_treatments + 1)]
+            for est, one in zip(estimates, alone):
+                assert (est.point[b], est.std_error[b], est.n_used[b]) == (
+                    one.point, one.std_error, one.n_used)
+
+    def test_block_grouping_covers_every_row(self):
+        # stratum 3 is rare: at n=6 some rows lack it, the block's grouping has it
+        dgp = tr.StratifiedDGP(strata=((5, 0.45), (-2, 0.45), (3, 0.1)), num_treatments=1,
+                               propensity=[[0.5, 0.5, 0.5]], effect=[[1.0, 2.0, 3.0]],
+                               baseline=[0.0, 0.0, 0.0])
+        block = tr.sample(dgp, 6, list(range(40)))
+        assert block.strata.codes.tolist() == [-2, 3, 5]
+        assert np.array_equal(block.strata.codes[block.strata.position], block.x)
+        for b in range(40):
+            row = block.replicate(b)
+            assert np.array_equal(row.strata.codes, np.unique(row.x))
+            assert np.array_equal(row.strata.codes[row.strata.position], row.x)
+        assert any(3 not in block.x[b] for b in range(40))
+
+
+# ---------------------------------------------------------------------------
+# the engine against the loop
+
+
+class TestEngineMatchesLoop:
+    @pytest.mark.parametrize("name", list(tr.ScenarioName))
+    def test_presets(self, name):
+        assert_engine_matches_loop(tr.scaled(tr.preset(name), n_per_rep=200, num_reps=90, seed=5))
+
+    def test_multinomial_random_dgp(self):
+        assert_engine_matches_loop(multinomial_config(150, 60))
+
+    @pytest.mark.parametrize(
+        "spec", RIDGE_SPECS, ids=lambda s: f"{s.kind.value}-{s.basis.value}-{s.ridge_penalty}")
+    def test_ridge_learners(self, spec):
+        assert_engine_matches_loop(tr.scaled(
+            tr.preset("extreme_heterogeneity"), n_per_rep=300, num_reps=30, seed=6, learner=spec))
+        assert_engine_matches_loop(multinomial_config(120, 30, learner=spec))
+
+    def test_empty_cell_fallbacks(self):
+        config = tr.scaled(tr.preset("extreme_heterogeneity"), n_per_rep=300, num_reps=40, seed=8)
+        fallbacks = 0
+        for r in range(config.num_reps):
+            data, folds = replicate_inputs(config, r)
+            fallbacks += tr.fit_crossfit(data, config.learner, folds, config.clip).fallback_count
+        assert fallbacks > 0
+        assert_engine_matches_loop(config)
+
+    def test_failed_fits(self):
+        # n=10 logistic fits hit single-class training splits in some replicates
+        config = tr.scaled(tr.preset("extreme_heterogeneity"), n_per_rep=10, num_reps=50,
+                           learner=tr.LearnerSpec(kind=tr.LearnerKind.LOGISTIC_RIDGE))
+        result = assert_engine_matches_loop(config)
+        failed = np.isnan(engine_points(result)).all(axis=(1, 2))
+        assert 0 < failed.sum() < config.num_reps
+
+    @pytest.mark.parametrize("num_reps", [1, CAP_200 - 1, CAP_200, CAP_200 + 1, 2 * CAP_200 + 1])
+    def test_replicate_counts_around_the_block_size(self, num_reps):
+        assert_engine_matches_loop(tr.scaled(tr.preset("balanced"), n_per_rep=200,
+                                             num_reps=num_reps, seed=2))
+
+    @pytest.mark.parametrize("n", [BLOCK_UNITS // 2 - 1, BLOCK_UNITS // 2, BLOCK_UNITS // 2 + 1,
+                                   BLOCK_UNITS - 1, BLOCK_UNITS, BLOCK_UNITS + 1])
+    def test_unit_counts_around_the_block_cap(self, n):
+        assert_engine_matches_loop(tr.scaled(tr.preset("selection_on_gains"), n_per_rep=n,
+                                             num_reps=3, seed=1))
+
+    def test_worker_counts(self):
+        config = tr.scaled(tr.preset("extreme_heterogeneity"), n_per_rep=200, num_reps=100, seed=3)
+        serial = assert_engine_matches_loop(config)
+        for workers in (2, 3):
+            assert tr.run_scenario(config, workers=workers).canonical_bytes() == \
+                serial.canonical_bytes()
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("num_reps", [1, 7, CAP_200, CAP_200 + 1, 500, 1000])
+    @pytest.mark.parametrize("n", [10, 200, 10_000, 20_000])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_partition(self, num_reps, n, workers):
+        blocks = _blocks(num_reps, n, workers)
+        assert [r for block in blocks for r in block] == list(range(num_reps))
+        sizes = [len(block) for block in blocks]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= max(1, BLOCK_UNITS // n)
+        if workers > 1:
+            assert len(blocks) >= min(num_reps, BLOCKS_PER_WORKER * workers)
+        else:
+            assert len(blocks) == -(-num_reps // max(1, BLOCK_UNITS // n))
+
+
+# ---------------------------------------------------------------------------
+# failures inside a block
+
+
+def replicate_marker(config, r):
+    """The first outcome of replicate ``r``, which identifies its dataset."""
+    return replicate_inputs(config, r)[0].y[0]
+
+
+class TestFailureInsideBlock:
+    CONFIG = tr.scaled(tr.preset("balanced"), n_per_rep=200, num_reps=12, seed=7)
+
+    def holds(self, data, marker):
+        return bool(np.any(np.atleast_2d(data.y)[:, 0] == marker))
+
+    def test_estimator_failure_in_one_row(self, monkeypatch):
+        marker = replicate_marker(self.CONFIG, 5)
+        calls = []
+
+        def flaky(data, fit, j):
+            calls.append(data.y.ndim)
+            if self.holds(data, marker):
+                raise tr.NoVariationError("row 5")
+            return plm_estimate(data, fit, j)
+
+        reference, _ = loop_reference(self.CONFIG)
+        monkeypatch.setitem(ESTIMATORS, Method.PLM, flaky)
+        result = tr.run_scenario(self.CONFIG)
+        points = engine_points(result)
+        K = self.CONFIG.dgp.num_treatments
+        assert result.failure_count == K
+        assert np.isnan(points[5, 0]).all()
+        keep = np.ones(points.shape, dtype=bool)
+        keep[5, 0] = False
+        assert points[keep].tobytes() == reference[keep].tobytes()
+        assert calls.count(2) == K and calls.count(1) == K * self.CONFIG.num_reps
+
+    def test_fit_failure_in_one_row(self, monkeypatch):
+        marker = replicate_marker(self.CONFIG, 9)
+        reference, _ = loop_reference(self.CONFIG)
+
+        def flaky_fit(data, *args):
+            if self.holds(data, marker):
+                raise tr.SingularFitError("row 9")
+            return tr.fit_crossfit(data, *args)
+
+        monkeypatch.setattr(montecarlo, "fit_crossfit", flaky_fit)
+        result = tr.run_scenario(self.CONFIG)
+        points = engine_points(result)
+        assert result.failure_count == points[9].size
+        assert np.isnan(points[9]).all()
+        assert np.delete(points, 9, axis=0).tobytes() == np.delete(reference, 9, axis=0).tobytes()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import treatrank as tr
-from treatrank import cli
+from treatrank import cli, nuisance
 from treatrank.estimators import ESTIMATORS, Method
 
 
@@ -223,6 +223,15 @@ class TestEstimateCommand:
         assert run_cli("estimate", "--data", path, "--learner", "logistic_ridge", "--out", out) == 1
         assert "single class" in capsys.readouterr().err
 
+    def test_newton_cap_exits_nonzero_with_message(self, tmp_path, dgp_config, monkeypatch, capsys):
+        # a failed fit leaves nothing to estimate, as with a single-class split
+        monkeypatch.setattr(nuisance, "NEWTON_MAX_ITER", 1)
+        out = tmp_path / "o"
+        assert run_cli("estimate", "--config", dgp_config, "--n", 500,
+                       "--learner", "logistic_ridge", "--out", out) == 1
+        assert "did not converge in 1 Newton steps" in capsys.readouterr().err
+        assert not (out / "estimates.csv").exists()
+
     def test_imported_data_without_controls_flags_treatment_only(self, tmp_path):
         # treatment 2 has no control condition: w2 is always 1
         gen = np.random.default_rng(5)
@@ -311,6 +320,9 @@ class TestMonteCarloCommand:
         assert all(r[header.index("mean")] == "" for r in rows)
         _, rows = read_csv(out / "estimate_histograms.csv")
         assert rows == []
+        # no replicate has every estimate, so no ranking rate
+        assert read_csv(out / "ranking_rates.csv")[1] == [[m, ""] for m in ("plm", "aipw", "ipw")]
+        assert summary["result"]["correct_ranking_rate"] == dict.fromkeys(("plm", "aipw", "ipw"))
 
     def test_unknown_preset_lists_names(self, tmp_path, capsys):
         assert run_cli("montecarlo", "--preset", "nope", "--out", tmp_path / "o") == 1

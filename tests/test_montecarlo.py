@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import treatrank as tr
+from treatrank import montecarlo, nuisance
+from treatrank.diagnostics import descending_order
 from treatrank.estimators import ESTIMATORS, Method
 from treatrank.montecarlo import METHODS
 
@@ -112,7 +114,7 @@ class TestRunScenario:
         result = tr.run_scenario(small(num_reps=3))
         assert result.failure_count == 6  # 3 replicates x 2 treatments
         assert np.all(np.isnan(result.estimates["plm"]))
-        assert result.correct_ranking_rate["plm"] == 0.0
+        assert result.correct_ranking_rate["plm"] is None  # no replicate estimated every treatment
         assert not np.any(np.isnan(result.estimates["aipw"]))
 
     def test_failed_fit_recorded_for_every_method_and_treatment(self):
@@ -136,6 +138,14 @@ class TestRunScenario:
         with pytest.raises(tr.UndefinedEstimateError):
             tr.EffectEstimate(treatment=1, method=tr.Method.IPW, point=0.0,
                               std_error=float("nan"), estimand=tr.Estimand.ATE, n_used=10)
+
+    def test_newton_cap_recorded_as_failure(self, monkeypatch):
+        monkeypatch.setattr(nuisance, "NEWTON_MAX_ITER", 1)
+        config = small(num_reps=4, learner=tr.LearnerSpec(kind=tr.LearnerKind.LOGISTIC_RIDGE))
+        result = tr.run_scenario(config)
+        assert result.failure_count == 4 * 3 * 2
+        assert all(np.isnan(points).all() for points in result.estimates.values())
+        assert result.correct_ranking_rate == dict.fromkeys(METHODS)
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(data, fit, j):
@@ -179,6 +189,25 @@ class TestRunScenario:
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             tr.run_scenario(small(num_reps=2), workers=0)
+
+
+class TestRankingRates:
+    def test_every_row_ordered_as_descending_order(self):
+        gen = np.random.default_rng(0)
+        points = gen.integers(-1, 2, size=(300, 3, 3)).astype(float)  # many ties
+        points[gen.random(points.shape) < 0.05] = np.nan
+        points[gen.random((300, 3)) < 0.02] *= -0.0
+        oracle = (2, 1, 3)
+        rates = montecarlo._ranking_rates(points, oracle)
+        for m in range(3):
+            rows = [row for row in points[:, m] if not np.isnan(row).any()]
+            correct = sum(descending_order(dict(zip((1, 2, 3), row))) == oracle for row in rows)
+            assert rates[m] == correct / len(rows)
+
+    def test_rate_over_complete_replicates_only(self):
+        points = np.array([[[2.0, 1.0]], [[np.nan, 1.0]], [[0.0, 1.0]], [[3.0, 3.0]]])
+        assert montecarlo._ranking_rates(points, (1, 2)) == [2 / 3]
+        assert montecarlo._ranking_rates(points[1:2], (1, 2)) == [None]
 
 
 class TestSummaries:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treatrank as tr
+from treatrank import nuisance
 
 from conftest import exact_cell_dataset, round_propensity_dgp
 
@@ -167,6 +168,31 @@ class TestRidgeLearners:
         spec = tr.LearnerSpec(kind=tr.LearnerKind.LOGISTIC_RIDGE, ridge_penalty=1.0)
         fit = tr.fit_insample(data, spec, clip=0.01)
         assert np.all(fit.p_hat <= 0.5)
+
+    def test_newton_cap_raises(self, monkeypatch):
+        data = tr.sample(round_propensity_dgp(noise_sd=1.0), 400, seed=22)
+        spec = tr.LearnerSpec(kind=tr.LearnerKind.LOGISTIC_RIDGE)
+        folds = tr.assign_folds(data.n, 5, seed=23)
+        tr.fit_crossfit(data, spec, folds)
+        monkeypatch.setattr(nuisance, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(tr.SingularFitError, match="did not converge in 1 Newton steps"):
+            tr.fit_crossfit(data, spec, folds)
+
+    def test_newton_converging_on_the_last_step_is_kept(self, monkeypatch):
+        X, count = np.eye(3), np.array([10.0, 20.0, 30.0])
+        total = np.array([3.0, 11.0, 25.0])
+        beta = nuisance._logistic_ridge_beta(X, count, total, 0.0)
+        for cap in range(1, nuisance.NEWTON_MAX_ITER):
+            monkeypatch.setattr(nuisance, "NEWTON_MAX_ITER", cap)
+            try:
+                capped = nuisance._logistic_ridge_beta(X, count, total, 0.0)
+            except tr.SingularFitError:
+                continue
+            break
+        assert cap > 1 and capped.tobytes() == beta.tobytes()
+        monkeypatch.setattr(nuisance, "NEWTON_MAX_ITER", cap - 1)
+        with pytest.raises(tr.SingularFitError, match="did not converge"):
+            nuisance._logistic_ridge_beta(X, count, total, 0.0)
 
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValueError):
