@@ -79,9 +79,26 @@ def dgp_to_dict(dgp: StratifiedDGP) -> dict:
     }
 
 
+def _mapping(value: Any, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context}: expected a mapping, got {type(value).__name__}")
+    return value
+
+
+def _stratum_row(value: Any, codes: list[int], context: str) -> list[float]:
+    """The per-stratum values of one table row, in stratum order."""
+    row = _mapping(value, context)
+    missing = [c for c in codes if c not in row]
+    if missing:
+        raise ConfigError(f"{context}: missing strata {missing}")
+    try:
+        return [float(row[c]) for c in codes]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}: {exc}") from None
+
+
 def dgp_from_dict(raw: dict, context: str = "dgp") -> StratifiedDGP:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{context}: expected a mapping, got {type(raw).__name__}")
+    raw = _mapping(raw, context)
     strata_raw = _require(raw, "strata", context)
     try:
         strata = tuple(
@@ -91,33 +108,30 @@ def dgp_from_dict(raw: dict, context: str = "dgp") -> StratifiedDGP:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}.strata: expected a list of {{id, probability}} entries ({exc})")
     codes = [s for s, _ in strata]
-    K = int(_require(raw, "num_treatments", context))
+    K = _require(raw, "num_treatments", context)
+    try:
+        K = int(K)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}.num_treatments: expected an integer ({exc})") from None
 
     def table(name: str) -> np.ndarray:
-        tab = _require(raw, name, context)
+        tab = _mapping(_require(raw, name, context), f"{context}.{name}")
         rows = []
         for j in range(1, K + 1):
             if j not in tab:
                 raise ConfigError(f"{context}.{name}: missing row for treatment {j}")
-            row = tab[j]
-            missing = [c for c in codes if c not in row]
-            if missing:
-                raise ConfigError(f"{context}.{name}[{j}]: missing strata {missing}")
-            rows.append([float(row[c]) for c in codes])
+            rows.append(_stratum_row(tab[j], codes, f"{context}.{name}[{j}]"))
         return np.array(rows)
 
-    baseline_raw = _require(raw, "baseline", context)
-    missing = [c for c in codes if c not in baseline_raw]
-    if missing:
-        raise ConfigError(f"{context}.baseline: missing strata {missing}")
-    baseline = np.array([float(baseline_raw[c]) for c in codes])
+    baseline = np.array(_stratum_row(_require(raw, "baseline", context), codes, f"{context}.baseline"))
+    propensity, effect = table("propensity"), table("effect")
 
     try:
         return StratifiedDGP(
             strata=strata,
             num_treatments=K,
-            propensity=table("propensity"),
-            effect=table("effect"),
+            propensity=propensity,
+            effect=effect,
             baseline=baseline,
             noise_sd=float(raw.get("noise_sd", 1.0)),
             assignment_mode=AssignmentMode(raw.get("assignment_mode", "parallel_binary")),

@@ -510,16 +510,3 @@ def random_dgp(
         assignment_mode=assignment_mode,
     )
 
-
-def extreme_heterogeneity_dgp() -> StratifiedDGP:
-    """Two-treatment DGP with a binary stratum, extreme propensities, and
-    opposite-sign effect heterogeneity; the canonical rank-reversal example."""
-    return StratifiedDGP(
-        strata=((0, 0.5), (1, 0.5)),
-        num_treatments=2,
-        propensity=np.array([[0.01, 0.5], [0.5, 0.01]]),
-        effect=np.array([[-3.0, 3.0], [-2.0, 3.0]]),
-        baseline=np.array([0.0, 1.0]),
-        noise_sd=1.0,
-        assignment_mode=AssignmentMode.PARALLEL_BINARY,
-    )

@@ -17,10 +17,12 @@ is the only dispatch table.
 Given a block of datasets and its fit (a leading block axis, see
 ``dgp.Dataset``), each estimator works along the unit axis and returns
 one :class:`EffectEstimate` whose numbers are per-dataset arrays, row ``b``
-bit for bit the estimate of dataset ``b`` alone: sums and means reduce
+bit for bit the estimate of dataset ``b`` alone. No per-unit sum goes
+through BLAS: every sum and mean is a reduction of an elementwise array
 over the contiguous last axis, which numpy adds pairwise row by row as it
-adds a single dataset, and every dot product is one BLAS dot per dataset.
-An estimate the data cannot support in any dataset of the block raises.
+adds a single dataset, so an estimate does not depend on the BLAS build or
+its thread count. An estimate the data cannot support in any dataset of
+the block raises.
 """
 
 from __future__ import annotations
@@ -89,54 +91,6 @@ class EffectEstimate:
             raise ValueError("WATE is the estimand of PLM and of PLM only")
 
 
-@dataclass(frozen=True)
-class PseudoOutcomes:
-    """Per-unit doubly-robust scores.
-
-    ``treated[:, j-1]`` estimates the potential-outcome mean under treatment
-    ``j``; ``control[:, j-1]`` the mean under treatment ``j``'s control
-    condition. Under MULTINOMIAL assignment all control columns coincide
-    (there is a single control arm); under PARALLEL_BINARY each treatment has
-    its own complement.
-    """
-
-    treated: NDArray[np.float64]
-    control: NDArray[np.float64]
-
-    @property
-    def n(self) -> int:
-        return self.treated.shape[0]
-
-    @property
-    def num_treatments(self) -> int:
-        return self.treated.shape[1]
-
-    def effect_score(self, j: int) -> NDArray[np.float64]:
-        """Per-unit score whose mean estimates treatment ``j``'s ATE."""
-        return self.treated[:, j - 1] - self.control[:, j - 1]
-
-    def contrast(self, a: int, b: int) -> NDArray[np.float64]:
-        """Per-unit score whose mean estimates ``ATE_a - ATE_b`` (index 0 = control)."""
-        return _contrast(self.effect_score, self.num_treatments, (self.n,), a, b)
-
-
-def _contrast(
-    effect_score: Callable[[int], NDArray[np.float64]], K: int, shape: tuple[int, ...],
-    a: int, b: int,
-) -> NDArray[np.float64]:
-    """``effect_score(a) - effect_score(b)``, where arm 0 (control) has no score."""
-    for arm in (a, b):
-        if not 0 <= arm <= K:
-            raise ValueError(f"arm index must be in 0..{K}, got {arm}")
-    if a == b:
-        return np.zeros(shape)
-    if b == 0:
-        return effect_score(a)
-    if a == 0:
-        return -effect_score(b)
-    return effect_score(a) - effect_score(b)
-
-
 def _dr_score(y: NDArray, d: NDArray, m: NDArray, q: NDArray) -> NDArray[np.float64]:
     """``m(X) + D * (Y - m(X)) / q(X)`` for membership ``D`` with probability ``q``."""
     score = np.subtract(y, m)
@@ -149,30 +103,13 @@ def _treated_score(data: Dataset, fit: NuisanceFit, j: int) -> NDArray[np.float6
     return _dr_score(data.y, data.indicator(j), fit.treated_outcome(j), fit.arm_probability(j))
 
 
-def _control_score(data: Dataset, fit: NuisanceFit, j: int) -> NDArray[np.float64]:
-    return _dr_score(
-        data.y, data.control_indicator(j), fit.control_outcome(j), fit.control_probability(j)
-    )
-
-
 def _effect_score(data: Dataset, fit: NuisanceFit, j: int) -> NDArray[np.float64]:
     """Treated minus control score of treatment ``j``, written over the treated one."""
     score = _treated_score(data, fit, j)
-    return np.subtract(score, _control_score(data, fit, j), out=score)
-
-
-def pseudo_outcomes(data: Dataset, fit: NuisanceFit) -> PseudoOutcomes:
-    """Doubly-robust pseudo-outcomes for every arm.
-
-    For arm membership indicator ``D`` with probability ``q`` and outcome
-    model ``m``: ``score = m(X) + D * (Y - m(X)) / q(X)``. Finiteness is
-    guaranteed by propensity clipping upstream (see ``fit.clipped_count``).
-    """
-    arms = range(1, data.num_treatments + 1)
-    return PseudoOutcomes(
-        treated=np.column_stack([_treated_score(data, fit, j) for j in arms]),
-        control=np.column_stack([_control_score(data, fit, j) for j in arms]),
+    control = _dr_score(
+        data.y, data.control_indicator(j), fit.control_outcome(j), fit.control_probability(j)
     )
+    return np.subtract(score, control, out=score)
 
 
 def _estimate(data: Dataset, method: Method, j: int, point: NDArray, se: NDArray,
@@ -191,11 +128,6 @@ def _estimate(data: Dataset, method: Method, j: int, point: NDArray, se: NDArray
                           estimand=estimand, n_used=n_used)
 
 
-def _row_dots(a: NDArray[np.float64], b: NDArray[np.float64], bounds: NDArray) -> NDArray:
-    """``a[lo:hi] @ b[lo:hi]`` for each dataset's slice ``lo:hi``: one BLAS dot each."""
-    return np.array([a[lo:hi] @ b[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])])
-
-
 def _mean_and_se(scores: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
     """Mean of each dataset's scores and its standard error ``sd / sqrt(n)``."""
     n = scores.shape[-1]
@@ -212,31 +144,27 @@ def plm_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
     slope SE. Under MULTINOMIAL assignment the regression runs on the
     {control, j} subsample with the conditional propensity.
     """
-    d, y = data.indicator(j), data.y
-    p, m = fit.plm_propensity(j), fit.plm_outcome(j)
-    # dataset b's units are bounds[b]:bounds[b + 1] of the flattened arrays
-    bounds = np.arange(y.size // data.n + 1) * data.n
+    w_res = np.subtract(data.indicator(j), fit.plm_propensity(j))
+    y_res = np.subtract(data.y, fit.plm_outcome(j))
+    used = None  # every unit
     if data.assignment_mode is AssignmentMode.MULTINOMIAL:
-        # each dataset's subsample, one after the other
-        units = np.flatnonzero(data.restriction_mask(j))
-        d, y, p, m = (np.take(a, units) for a in (d, y, p, m))
-        bounds = np.searchsorted(units, bounds)
-    used = np.diff(bounds)
-    w_res = np.subtract(d.astype(np.float64), p).reshape(-1)
-    y_res = np.subtract(y, m).reshape(-1)
+        # units outside {control, j} add zeros to every sum below
+        mask = data.restriction_mask(j)
+        np.multiply(w_res, mask, out=w_res)
+        np.multiply(y_res, mask, out=y_res)
+        used = mask.sum(axis=-1)
 
-    denom = _row_dots(w_res, w_res, bounds)
+    w_sq = np.square(w_res)
+    denom = w_sq.sum(axis=-1)
     if np.any(denom <= 0.0):
         raise NoVariationError(
             f"treatment {j} residuals have zero variation; cannot run the residual regression"
         )
-    point = _row_dots(w_res, y_res, bounds) / denom
-    # a dataset's slope scales each of its units: one slope broadcasts over all
-    scale = point if point.shape[0] == 1 else np.repeat(point, used)
-    # in place: resid = y_res - point * w_res, then both squared
-    resid = np.subtract(y_res, np.multiply(scale, w_res), out=y_res)
-    np.square(w_res, out=w_res)
-    se = np.sqrt(_row_dots(w_res, np.square(resid, out=resid), bounds)) / denom
+    point = np.multiply(w_res, y_res).sum(axis=-1) / denom
+    # in place: resid = y_res - point * w_res, then the sandwich sum of w_res**2 * resid**2
+    resid = np.subtract(y_res, np.multiply(point[..., None], w_res, out=w_res), out=y_res)
+    np.multiply(w_sq, np.square(resid, out=resid), out=w_sq)
+    se = np.sqrt(w_sq.sum(axis=-1)) / denom
     return _estimate(data, Method.PLM, j, point, se, used)
 
 
@@ -247,12 +175,18 @@ def aipw_estimate(data: Dataset, fit: NuisanceFit, a: int, b: int = 0) -> Effect
     is the mean pseudo-outcome contrast and the standard error its sample
     standard deviation over sqrt(n).
     """
-    scores = _contrast(
-        lambda j: _effect_score(data, fit, j), data.num_treatments, data.y.shape, a, b
-    )
-    point, se = _mean_and_se(scores)
+    K = data.num_treatments
+    for arm in (a, b):
+        if not 0 <= arm <= K:
+            raise ValueError(f"arm index must be in 0..{K}, got {arm}")
     if a == b:
-        point, se = np.zeros(point.shape), np.zeros(point.shape)
+        shape = data.y.shape[:-1]
+        return _estimate(data, Method.AIPW, a, np.zeros(shape), np.zeros(shape))
+    # arm 0 (control) has no score of its own: its effect versus control is 0
+    scores = _effect_score(data, fit, a) if a else np.zeros(data.y.shape)
+    if b:
+        np.subtract(scores, _effect_score(data, fit, b), out=scores)
+    point, se = _mean_and_se(scores)
     return _estimate(data, Method.AIPW, a, point, se)
 
 
@@ -278,13 +212,3 @@ ESTIMATORS: dict[Method, Callable[[Dataset, NuisanceFit, int], EffectEstimate]] 
     Method.IPW: ipw_estimate,
 }
 
-
-def estimate_all(
-    data: Dataset, fit: NuisanceFit, methods: tuple[Method, ...] = tuple(Method)
-) -> list[EffectEstimate]:
-    """Run the requested estimators for every treatment versus control."""
-    return [
-        ESTIMATORS[m](data, fit, j)
-        for m in methods
-        for j in range(1, data.num_treatments + 1)
-    ]

@@ -27,10 +27,11 @@ replicate still draws its own Philox streams, into one row of the block's
 the cross-fit and the estimators then run once per block along the unit
 axis. A block is exact, not an approximation: every step is elementwise,
 a table ``bincount`` whose key holds the replicate and adds each key's
-values in unit order, a reduction over the contiguous unit axis (numpy
-adds each row pairwise, as it adds one replicate's array), or one BLAS
-dot per replicate. Row ``b`` of a block is therefore bit for bit the
-replicate run alone, whatever ``B`` is. If a block's fit or an estimator
+values in unit order, or a reduction over the contiguous unit axis (numpy
+adds each row pairwise, as it adds one replicate's array); no per-unit sum
+goes through BLAS. Row ``b`` of a block is therefore bit for bit the
+replicate run alone, whatever ``B`` is and however many threads BLAS
+uses. If a block's fit or an estimator
 raises one of ``ESTIMATION_ERRORS``, that step is redone replicate by
 replicate, so only the replicates that fail on their own are NaN and
 counted.

@@ -12,7 +12,7 @@ from treatrank import rng
 
 @pytest.fixture
 def reversal_dgp() -> tr.StratifiedDGP:
-    return tr.extreme_heterogeneity_dgp()
+    return tr.preset("extreme_heterogeneity").dgp
 
 
 def exact_cell_dataset(dgp: tr.StratifiedDGP, units_per_stratum: int) -> tr.Dataset:

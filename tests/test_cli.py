@@ -68,6 +68,30 @@ class TestConfigRoundTrip:
         with pytest.raises(tr.ConfigError, match="propensity"):
             tr.load_dgp_config(bad)
 
+    GOOD_DGP = {
+        "strata": "[{id: 0, probability: 1.0}]",
+        "num_treatments": "1",
+        "baseline": "{0: 0.0}",
+        "propensity": "{1: {0: 0.5}}",
+        "effect": "{1: {0: 1.0}}",
+    }
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("propensity", "{1: 0.5}", "propensity[1]: expected a mapping, got float"),
+        ("baseline", "[0.0]", "baseline: expected a mapping, got list"),
+        ("num_treatments", "two", "num_treatments: expected an integer"),
+        ("effect", "[{0: 1.0}]", "effect: expected a mapping, got list"),
+    ])
+    def test_malformed_table_exits_with_named_field(self, tmp_path, capsys, field, value, named):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("".join(
+            f"{key}: {value if key == field else text}\n" for key, text in self.GOOD_DGP.items()
+        ))
+        assert run_cli("oracle", "--config", bad, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"treatrank oracle: error: {bad}.{named}")
+        assert "Traceback" not in err
+
     def test_yaml_syntax_error_has_location(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("strata: [{id: 0, probability: 1.0}\n")

@@ -27,7 +27,7 @@ N = 300
 
 def _dgps() -> dict[str, tr.StratifiedDGP]:
     return {
-        "reversal": tr.extreme_heterogeneity_dgp(),
+        "reversal": tr.preset("extreme_heterogeneity").dgp,
         "parallel": tr.random_dgp(11, num_treatments=3, max_strata=5),
         "multinomial": tr.random_dgp(
             12, num_treatments=3, max_strata=5, propensity_range=(0.1, 0.4),
@@ -122,65 +122,65 @@ PINS = {
     "estimate-multinomial-logistic_ridge-csv": {
         "decomposition.csv": "e212524e7cf2660a0f570f7d3621787357b778ba489a481dd71e1c9e2023dcfd",
         "decomposition_strata.csv": "28d2e3281b1feb5cabafd79065c13a913b7564aa0e60100161d90c59b786804f",
-        "estimates.csv": "456cacc2f3a1298e2f68eabc4731a26f1bf460f962a656d3b18ea12c036729b5",
+        "estimates.csv": "c683b543022b3d7b3e1c00333665fc1c6d488eebaa7fce75653972ff1d1efa44",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-multinomial-logistic_ridge-json": {
         "decomposition.json": "8a0ff5c2e39f8c1e5e01c224d625d04c0dacd2f0f399dbd6d5dae739245c2933",
-        "estimates.csv": "456cacc2f3a1298e2f68eabc4731a26f1bf460f962a656d3b18ea12c036729b5",
+        "estimates.csv": "c683b543022b3d7b3e1c00333665fc1c6d488eebaa7fce75653972ff1d1efa44",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-multinomial-stratum_mean-csv": {
         "decomposition.csv": "437ba9ea1674bab998b15077798a31370a439dc7ea605821f4ecaba7c2b11be1",
         "decomposition_strata.csv": "da456768d11c5a2ac51372c9f636c14d551dd94a7cbb3575142e8fe20aa8c9a6",
-        "estimates.csv": "0fcdc712fc06dd0b73616a161edbf6e82aec48d3f1341f637b26d6bdb3d61e2e",
+        "estimates.csv": "0924d5c837790ed692a6c08cd43b24413179b1608e137e2b7b651f1a0eb0ee7b",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-multinomial-stratum_mean-json": {
         "decomposition.json": "21a2e4341cc20a98075cda1d1af7dfd116a61cb05c98cfcb6b940c583e712eb0",
-        "estimates.csv": "0fcdc712fc06dd0b73616a161edbf6e82aec48d3f1341f637b26d6bdb3d61e2e",
+        "estimates.csv": "0924d5c837790ed692a6c08cd43b24413179b1608e137e2b7b651f1a0eb0ee7b",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-no-control-csv": {
         "decomposition.csv": "02e86dbc3eb43ed08ea14bb3b316b4caf7c5bbe75d6215302c6228aa4d92c7d1",
         "decomposition_strata.csv": "66265439dafd51c810207693c8ba1207a6327bf8a02991331fc66cb383821260",
-        "estimates.csv": "3263a01b16c83584dbec73e210f46e36fc60fb6005e7832aeca94e36e6ca6756",
+        "estimates.csv": "42d255459d0433f477341766c92e7ddc1040f4670130e6ac9ee6b303f08d29fd",
         "ranking.json": "91bd4416347c7114d877274f2b78836a5970686ce08a9d304f004027bc8b6df2",
     },
     "estimate-no-control-json": {
         "decomposition.json": "78f9deb0f6dd2c967f1648bbbe20949476972cddfb82571475f6aa44b6bb3cab",
-        "estimates.csv": "3263a01b16c83584dbec73e210f46e36fc60fb6005e7832aeca94e36e6ca6756",
+        "estimates.csv": "42d255459d0433f477341766c92e7ddc1040f4670130e6ac9ee6b303f08d29fd",
         "ranking.json": "91bd4416347c7114d877274f2b78836a5970686ce08a9d304f004027bc8b6df2",
     },
     "estimate-parallel-logistic_ridge-csv": {
         "decomposition.csv": "08965dcffc6b2128e4bedb5bf3d94995cacc87bf506fbc1153d1b96ebcd375a9",
         "decomposition_strata.csv": "894a23d8d68e6b95c3d09dc35cdae5f07851d877949c6485f2c0dbaaa03cffee",
-        "estimates.csv": "e0fe051f82d5c7eafd406365f5f68cca8a202f890d69f86e0f5e20b012ed1624",
+        "estimates.csv": "9fb2f57a03a8e43e81f4db1617c877a418d9c3a88aa4c0a9556fe2671b26d1b2",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-logistic_ridge-json": {
         "decomposition.json": "30d874bfb5a782db37900336382332ab91eaa1163514c85a12f570a110feadb0",
-        "estimates.csv": "e0fe051f82d5c7eafd406365f5f68cca8a202f890d69f86e0f5e20b012ed1624",
+        "estimates.csv": "9fb2f57a03a8e43e81f4db1617c877a418d9c3a88aa4c0a9556fe2671b26d1b2",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-stratum_mean-csv": {
         "decomposition.csv": "e0b665ebe850b3bfc01ae82f3cc393b4d6127aa945a4768ae51d5fb1c3851ceb",
         "decomposition_strata.csv": "0be7f02fdb80dd7504e83d3b4d092547a4ead214aee42c3cb4385f69af924997",
-        "estimates.csv": "45b0058f61272e07bb5ef002b4b5c3d956f66c57099bcc6117a24a88c46eca1e",
+        "estimates.csv": "bda23776f77b853cbcd6e2b530bef28f88bd12e5e25cfe5ff9c252fd05d5c934",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-stratum_mean-json": {
         "decomposition.json": "c61884c8d701cb5f2c209bf4a7bdda20e62e7805a217ad5e8b4ab9acfc6475b2",
-        "estimates.csv": "45b0058f61272e07bb5ef002b4b5c3d956f66c57099bcc6117a24a88c46eca1e",
+        "estimates.csv": "bda23776f77b853cbcd6e2b530bef28f88bd12e5e25cfe5ff9c252fd05d5c934",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "montecarlo-balanced": {
-        "estimate_histograms.csv": "88d10403be064780cbd3bd911ce09085837e31b8c7c2c83bbbf1dca795a980fe",
+        "estimate_histograms.csv": "d6f774ccd3fcea5a78d9329cf9bb784af2e410b4e1d4fa26409ec0532d76b605",
         "ranking_rates.csv": "6bf870ee682f6180dcaa3102c7f7399f1882b2f5d030f7f90aab869c873403b8",
-        "replicates.csv": "d24e1daa711a373793e7d3682d5691da348223e6f00624c9721ba496e8a8b732",
+        "replicates.csv": "7474dbeb27dcf884f7c8e6a124f4ea911f7556dd25b2c562a91cb98512e5f097",
         "resolved_config.yaml": "be634eb3ce00f0a48cedc9265d10cf94432af76961a463a64d3a5b3e0b5c6ad6",
-        "summary.csv": "e79c1f44773a4e0c8155cf2592dd44bba0a64140201ab4051f7293b3ffefce0b",
-        "summary.json": "cbae030d98e7d6c91b24467a49cf6d09dabff6bd1294b9e27e22698bd81597e4",
+        "summary.csv": "2e6c2142e8f1af5d7b5d16795b8bb18fd37a2f75e852119958e915a0782efc6e",
+        "summary.json": "1cee4886e603b389a41320365030288f69f1773d1fe597dc7a3447d72a2a57d4",
     },
     "oracle-multinomial-csv": {
         "oracle.csv": "1ddec046c98b641e53d5113f9200d60d44134b949826bb5e267c5716f4ad625b",

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import treatrank as tr
 from treatrank import rng
+from treatrank.estimators import _effect_score, _treated_score
 
 from conftest import exact_cell_dataset, round_propensity_dgp
 
@@ -76,46 +82,86 @@ class TestPlm:
         assert abs(est.point - 1.0) < 5 * est.std_error
 
 
-class TestPseudoOutcomes:
+def subsample_regression(d, p, y, m, mask):
+    """(slope, sandwich SE, units) of ``y - m`` on ``d - p`` through the origin,
+    fitted on the units in ``mask`` alone."""
+    keep = np.flatnonzero(mask)
+    w_res, y_res = d[keep] - p[keep], y[keep] - m[keep]
+    slope = np.linalg.lstsq(w_res[:, None], y_res, rcond=None)[0][0]
+    resid = y_res - slope * w_res
+    se = np.sqrt(np.sum(w_res**2 * resid**2)) / np.sum(w_res**2)
+    return slope, se, keep.size
+
+
+class TestPlmMultinomialReference:
+    """PLM under multinomial assignment is the {control, j} subsample regression."""
+
+    DGP = tr.random_dgp(12, num_treatments=3, max_strata=5, propensity_range=(0.1, 0.4),
+                        assignment_mode=tr.AssignmentMode.MULTINOMIAL)
+
+    @staticmethod
+    def inputs(data, fit, j):
+        return (data.indicator(j).astype(float), fit.plm_propensity(j), data.y,
+                fit.plm_outcome(j), data.restriction_mask(j))
+
+    @staticmethod
+    def check(point, se, used, reference):
+        slope, ref_se, ref_used = reference
+        assert point == pytest.approx(slope, rel=1e-12)
+        assert se == pytest.approx(ref_se, rel=1e-12)
+        assert used == ref_used
+
+    def test_single_dataset(self):
+        data = tr.sample(self.DGP, 3_000, seed=131)
+        fit = crossfit(data, seed=132)
+        for j in (1, 2, 3):
+            est = tr.plm_estimate(data, fit, j)
+            self.check(est.point, est.std_error, est.n_used,
+                       subsample_regression(*self.inputs(data, fit, j)))
+
+    def test_every_row_of_a_block(self):
+        seeds = [141, 142, 143, 144]
+        data = tr.sample(self.DGP, 400, seeds)
+        fit = tr.fit_crossfit(data, tr.LearnerSpec(), tr.assign_folds(400, 5, seeds))
+        for j in (1, 2, 3):
+            est = tr.plm_estimate(data, fit, j)
+            inputs = self.inputs(data, fit, j)
+            for b in range(len(seeds)):
+                self.check(est.point[b], est.std_error[b], est.n_used[b],
+                           subsample_regression(*(a[b] for a in inputs)))
+
+
+class TestScores:
     def test_formula_per_unit(self):
         dgp = round_propensity_dgp()
         data = exact_cell_dataset(dgp, 40)
         fit = tr.oracle_nuisance(data, dgp)
-        pseudo = tr.pseudo_outcomes(data, fit)
         j = 1
         treated = data.indicator(j) == 1
-        mu1 = fit.treated_outcome(j)
+        mu1, mu0 = fit.treated_outcome(j), fit.control_outcome(j)
+        score = _treated_score(data, fit, j)
         expected_treated = mu1 + (data.y - mu1) / fit.arm_probability(j)
-        assert np.allclose(pseudo.treated[treated, 0], expected_treated[treated])
+        assert np.allclose(score[treated], expected_treated[treated])
         # untreated units get the outcome-model prediction untouched
-        assert np.allclose(pseudo.treated[~treated, 0], mu1[~treated])
+        assert np.allclose(score[~treated], mu1[~treated])
+        expected_control = np.where(
+            treated, mu0, mu0 + (data.y - mu0) / fit.control_probability(j)
+        )
+        assert np.allclose(_effect_score(data, fit, j), score - expected_control)
 
     def test_noiseless_exact_nuisances_recover_potential_means(self):
         dgp = round_propensity_dgp()
         data = exact_cell_dataset(dgp, 40)
         fit = tr.oracle_nuisance(data, dgp)
-        pseudo = tr.pseudo_outcomes(data, fit)
         probs = dgp.stratum_probs
         for j in (1, 2):
             other = 2 if j == 1 else 1
-            target = float(
-                probs
-                @ (
-                    dgp.baseline
-                    + dgp.effect[j - 1]
-                    + dgp.propensity[other - 1] * dgp.effect[other - 1]
-                )
-            )
-            assert float(pseudo.treated[:, j - 1].mean()) == pytest.approx(target, abs=1e-8)
-
-    def test_contrast_arm_bounds(self):
-        dgp = round_propensity_dgp()
-        data = exact_cell_dataset(dgp, 40)
-        pseudo = tr.pseudo_outcomes(data, tr.oracle_nuisance(data, dgp))
-        with pytest.raises(ValueError):
-            pseudo.contrast(3, 0)
-        assert np.all(pseudo.contrast(1, 1) == 0.0)
-        assert np.allclose(pseudo.contrast(0, 2), -pseudo.effect_score(2))
+            # the other treatment is taken at its own propensity in both arms
+            untreated = dgp.baseline + dgp.propensity[other - 1] * dgp.effect[other - 1]
+            target = float(probs @ (untreated + dgp.effect[j - 1]))
+            assert float(_treated_score(data, fit, j).mean()) == pytest.approx(target, abs=1e-8)
+            ate = float(probs @ dgp.effect[j - 1])
+            assert float(_effect_score(data, fit, j).mean()) == pytest.approx(ate, abs=1e-8)
 
 
 class TestAipw:
@@ -127,6 +173,14 @@ class TestAipw:
         assert est1.estimand is tr.Estimand.ATE
         assert abs(est1.point - 0.0) < 5 * est1.std_error
         assert abs(est2.point - 0.5) < 5 * est2.std_error
+
+    def test_contrast_arm_bounds(self):
+        dgp = round_propensity_dgp()
+        data = exact_cell_dataset(dgp, 40)
+        fit = tr.oracle_nuisance(data, dgp)
+        with pytest.raises(ValueError):
+            tr.aipw_estimate(data, fit, 3, 0)
+        assert tr.aipw_estimate(data, fit, 0, 2).point == -tr.aipw_estimate(data, fit, 2, 0).point
 
     def test_same_arm_contrast_is_exactly_zero(self, reversal_dgp):
         data = tr.sample(reversal_dgp, 1_000, seed=109)
@@ -255,11 +309,34 @@ class TestEstimateContainers:
                 estimand=tr.Estimand.WATE, n_used=10,
             )
 
-    def test_estimate_all_covers_methods_and_treatments(self, reversal_dgp):
-        data = tr.sample(reversal_dgp, 2_000, seed=121)
-        fit = crossfit(data, seed=122)
-        ests = tr.estimate_all(data, fit)
-        assert len(ests) == 6
-        assert {(e.method, e.treatment) for e in ests} == {
-            (m, j) for m in tr.Method for j in (1, 2)
-        }
+
+# Prints one hash of a 20,000-unit study's canonical bytes and of PLM on a
+# 50,000-unit multinomial sample: sums that long are where a threaded BLAS
+# splits its work and rounds differently.
+THREAD_PROBE = """
+import hashlib
+import treatrank as tr
+h = hashlib.sha256()
+config = tr.scaled(tr.preset("extreme_heterogeneity"), n_per_rep=20_000, num_reps=6, seed=5)
+h.update(tr.run_scenario(config).canonical_bytes())
+dgp = tr.random_dgp(3, num_treatments=4, min_strata=24, max_strata=24,
+                    propensity_range=(0.03, 0.2), assignment_mode=tr.AssignmentMode.MULTINOMIAL)
+data = tr.sample(dgp, 50_000, seed=6)
+fit = tr.fit_crossfit(data, tr.LearnerSpec(), tr.assign_folds(data.n, 5, seed=7))
+for j in range(1, 5):
+    est = tr.plm_estimate(data, fit, j)
+    h.update(repr((est.point, est.std_error)).encode())
+print(h.hexdigest())
+"""
+
+
+def test_results_do_not_depend_on_blas_threads():
+    src = str(Path(tr.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]

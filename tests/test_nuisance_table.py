@@ -324,12 +324,12 @@ class TestSingularFits:
 # pinned studies
 
 PINNED = {
-    "extreme_heterogeneity": "a66944d620e9fc41674d8bc37a6cd2fcf43ef711342df0e7d4a46c29e333afcd",
-    "constant_effects": "b30d0e80446950a90174b6f587e4b3894a34dfeae7563d0aa5fe4d33103196c5",
-    "uncorrelated": "3fac80f9deba358d79104582df6d25c70380b6729d16465b2560af417bc8b7d2",
-    "selection_on_gains": "dfc5f053e8aab4eded2af1317cb54407c6476d72ff87e2563079ae0ec4ce67c1",
-    "balanced": "95f9d2c1d924baa5548fc5de48f0c20f914e6c9429bc929b68ed418ad45d9abd",
-    "multinomial_random": "c3d68a09bba94d39134fdfe0f44ef6dff68818db7619597cb4d3a6c16c8d30e1",
+    "extreme_heterogeneity": "7a67ee4e05ad65a2c5519afb8066dd3bafb859b1738f56518815d0626a7d3f29",
+    "constant_effects": "410743e4a1a7556f59dd06d610053cd68f4ad2378edad9ca0cd8a8776b8cb00d",
+    "uncorrelated": "bb5406e457c0936d1d97edc3ccf31a7b8e4f9cd2f78dd85f5897da008ea99c6a",
+    "selection_on_gains": "2994f8e8110c06e7c07f45c6e5515901ff4692fc7b9a69269ee535bd5dd8cc60",
+    "balanced": "898161de129bd67d5e38611b9c460f738b2a1255eb1804e4380e4240d7cb5bb5",
+    "multinomial_random": "4ccb8c56715d5261ed539fbf8423344e255937abe22ad94c1043ca453dd94504",
 }
 
 
