@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -424,12 +424,16 @@ def sample(dgp: StratifiedDGP, n: int, seed: int | Sequence[int]) -> Dataset:
     single = isinstance(seed, (int, np.integer))
     seeds = [seed] if single else list(seed)
     B, K = len(seeds), dgp.num_treatments
+    # every seed's three streams, keyed in one pass: B stratum streams, then
+    # B treatment streams, then B noise streams
+    tags = (rng.STRATUM, rng.TREATMENT, rng.NOISE)
+    streams = rng.substreams(seeds * len(tags), [t for t in tags for _ in seeds])
     parallel = dgp.assignment_mode is AssignmentMode.PARALLEL_BINARY
     # the B datasets are one axis of B * n units; each draw is made as late
     # as a single dataset would make it, so no draw is held longer
     cum = np.cumsum(dgp.stratum_probs)
     cum[-1] = 1.0
-    idx = np.searchsorted(cum, _uniforms(seeds, rng.STRATUM, n).reshape(-1), side="right")
+    idx = np.searchsorted(cum, _uniforms(streams, B, n).reshape(-1), side="right")
     # np.take gathers the same values as fancy indexing; along axis 1 of the
     # (K, S) tables it is several times faster
     x = np.take(dgp.stratum_codes, idx)
@@ -438,14 +442,14 @@ def sample(dgp: StratifiedDGP, n: int, seed: int | Sequence[int]) -> Dataset:
     if parallel:
         # treatment k's indicators, (K, B * n); w is a (B, n, K) view of them
         treated = np.empty((K, B, n), dtype=np.int8)
-        np.less(_uniforms(seeds, rng.TREATMENT, K, n).transpose(1, 0, 2), p.reshape(K, B, n),
+        np.less(_uniforms(streams, B, K, n).transpose(1, 0, 2), p.reshape(K, B, n),
                 out=treated)
         w = treated.transpose(1, 2, 0)
         treated = treated.reshape(K, -1)
     else:
         arm_cum = np.cumsum(p, axis=0)  # (K, B * n)
         # draws past all K arms -> control
-        below = np.sum(_uniforms(seeds, rng.TREATMENT, n).reshape(-1) >= arm_cum, axis=0)
+        below = np.sum(_uniforms(streams, B, n).reshape(-1) >= arm_cum, axis=0)
         arm = np.where(below < K, below + 1, 0)
         w = np.zeros((B * n, K), dtype=np.int8)
         units = np.flatnonzero(arm)
@@ -459,19 +463,19 @@ def sample(dgp: StratifiedDGP, n: int, seed: int | Sequence[int]) -> Dataset:
     y = np.take(dgp.baseline, idx) + effects.sum(axis=0)
     y, x, idx = y.reshape(B, n), x.reshape(B, n), idx.reshape(B, n)
     if dgp.noise_sd > 0:
-        for row, s in zip(y, seeds):
-            row += rng.substream(s, rng.NOISE).normal(0.0, dgp.noise_sd, size=n)
+        for row, gen in zip(y, streams):
+            row += gen.normal(0.0, dgp.noise_sd, size=n)
     if single:
         y, w, x, idx = y[0], w[0], x[0], idx[0]
     groups = StratumGroups.of_index(dgp.stratum_codes, idx)
     return Dataset(y=y, w=w, x=x, assignment_mode=dgp.assignment_mode, groups=groups)
 
 
-def _uniforms(seeds: list[int], tag: int, *shape: int) -> NDArray[np.float64]:
-    """Uniform draws of ``shape`` from each seed's ``tag`` substream, one row per seed."""
-    out = np.empty((len(seeds),) + shape)
-    for row, seed in zip(out, seeds):
-        rng.substream(seed, tag).random(out=row)
+def _uniforms(streams: Iterator[np.random.Generator], B: int, *shape: int) -> NDArray[np.float64]:
+    """Uniform draws of ``shape`` from each of the next ``B`` streams, one row per stream."""
+    out = np.empty((B,) + shape)
+    for row, gen in zip(out, streams):
+        gen.random(out=row)
     return out
 
 

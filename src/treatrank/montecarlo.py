@@ -23,15 +23,19 @@ is derived, not set: a block holds at most ``BLOCK_UNITS`` units, so
 n = 4,097 up), and a pool run splits the replicates into at least
 ``BLOCKS_PER_WORKER`` blocks per worker, which the pool maps. Each
 replicate still draws its own Philox streams, into one row of the block's
-``(B, n)`` arrays (``sample`` and ``assign_folds`` given a list of seeds);
-the cross-fit and the estimators then run once per block along the unit
-axis. A block is exact, not an approximation: every step is elementwise,
-a table ``bincount`` whose key holds the replicate and adds each key's
-values in unit order, or a reduction over the contiguous unit axis (numpy
-adds each row pairwise, as it adds one replicate's array); no per-unit sum
-goes through BLAS. Row ``b`` of a block is therefore bit for bit the
-replicate run alone, whatever ``B`` is and however many threads BLAS
-uses. If a block's fit or an estimator
+``(B, n)`` arrays (``sample`` and ``assign_folds`` given a list of seeds),
+but their seeds and keys are derived a block at a time: one
+``rng.child_seeds`` pass gives the block's data and fold seeds, one pass in
+``sample`` keys its three streams per replicate and one in
+``assign_folds`` its fold streams, each the numpy ``SeedSequence`` hash of
+the same path as before. The cross-fit and the estimators then run once
+per block along the unit axis. A block is exact, not an approximation:
+every step is elementwise, a table ``bincount`` whose key holds the
+replicate and adds each key's values in unit order, or a reduction over
+the contiguous unit axis (numpy adds each row pairwise, as it adds one
+replicate's array); no per-unit sum goes through BLAS. Row ``b`` of a
+block is therefore bit for bit the replicate run alone, whatever ``B`` is
+and however many threads BLAS uses. If a block's fit or an estimator
 raises one of ``ESTIMATION_ERRORS``, that step is redone replicate by
 replicate, so only the replicates that fail on their own are NaN and
 counted.
@@ -251,10 +255,11 @@ def _blocks(num_reps: int, n: int, workers: int) -> list[range]:
 
 def _run_block(config: ScenarioConfig, reps: range) -> tuple[NDArray[np.float64], int]:
     """Replicates ``reps``, sampled, fitted and estimated as one block of datasets."""
-    data = sample(config.dgp, config.n_per_rep,
-                  [rng.child_seed(config.seed, r, _DATA_STREAM) for r in reps])
-    folds = assign_folds(config.n_per_rep, config.num_folds,
-                         [rng.child_seed(config.seed, r, _FOLD_STREAM) for r in reps])
+    # the data seeds, then the fold seeds, hashed in one pass
+    seeds = rng.child_seeds(config.seed, list(reps) * 2,
+                            [_DATA_STREAM] * len(reps) + [_FOLD_STREAM] * len(reps))
+    data = sample(config.dgp, config.n_per_rep, seeds[:len(reps)])
+    folds = assign_folds(config.n_per_rep, config.num_folds, seeds[len(reps):])
     return _estimate(config, data, folds)
 
 

@@ -143,8 +143,8 @@ def assign_folds(n: int, num_folds: int, seed: int | Sequence[int]) -> FoldAssig
     labels[:] = np.arange(num_folds)
     labels = labels.ravel()[:n]
     fold_of = np.empty((len(seeds), n), dtype=np.int64)
-    for row, s in zip(fold_of, seeds):
-        row[rng.substream(s).permutation(n)] = labels
+    for row, gen in zip(fold_of, rng.substreams(seeds)):
+        row[gen.permutation(n)] = labels
     return FoldAssignment(num_folds=num_folds, fold_of=fold_of[0] if single else fold_of)
 
 

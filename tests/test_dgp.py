@@ -5,9 +5,35 @@ import pytest
 from hypothesis import given, settings
 
 import treatrank as tr
-from treatrank import rng
+from treatrank import cli, rng
 
 from conftest import dgp_sweep, dgp_tables
+
+
+def numpy_stream(*path: int) -> np.random.Generator:
+    """The Philox generator of ``path``, derived by numpy itself, not by ``rng``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(path))))
+
+
+def reference_sample(dgp: tr.StratifiedDGP, n: int, seed: int):
+    """(x, w, y) of ``sample(dgp, n, seed)``, by its formula and numpy's streams."""
+    K = dgp.num_treatments
+    cum = np.cumsum(dgp.stratum_probs)
+    cum[-1] = 1.0
+    idx = np.searchsorted(cum, numpy_stream(seed, rng.STRATUM).random(n), side="right")
+    p = dgp.propensity[:, idx]
+    treatment_rng = numpy_stream(seed, rng.TREATMENT)
+    if dgp.assignment_mode is tr.AssignmentMode.PARALLEL_BINARY:
+        w = (treatment_rng.random((K, n)) < p).T.astype(np.int8)
+    else:
+        below = np.sum(treatment_rng.random(n)[None, :] >= np.cumsum(p, axis=0), axis=0)
+        arm = np.where(below < K, below + 1, 0)
+        w = np.zeros((n, K), dtype=np.int8)
+        w[np.nonzero(arm > 0)[0], arm[arm > 0] - 1] = 1
+    y = dgp.baseline[idx] + (dgp.effect[:, idx] * w.T).sum(axis=0)
+    if dgp.noise_sd > 0:
+        y = y + numpy_stream(seed, rng.NOISE).normal(0.0, dgp.noise_sd, size=n)
+    return dgp.stratum_codes[idx], w, y
 
 
 class TestOracleWeights:
@@ -177,9 +203,10 @@ class TestSampling:
 
     @pytest.mark.parametrize("mode", list(tr.AssignmentMode))
     def test_matches_fancy_index_formula(self, mode):
-        # the gathers of ``sample`` against the fancy-indexing formula they
-        # replaced, bit for bit, with unsorted codes and K = 3 (three terms
-        # summed per unit)
+        # ``sample`` against the fancy-indexing formula its gathers replaced,
+        # bit for bit, with unsorted codes and K = 3 (three terms summed per
+        # unit), and with streams that numpy derives itself, at one-, two- and
+        # three-word seeds
         base = tr.random_dgp(5, num_treatments=3, min_strata=200, max_strata=200,
                              propensity_range=(0.02, 0.6), assignment_mode=mode)
         codes = np.random.default_rng(1).permutation(200) * 1_000 - 2**40
@@ -188,25 +215,22 @@ class TestSampling:
             num_treatments=3, propensity=base.propensity, effect=base.effect,
             baseline=base.baseline, noise_sd=0.7, assignment_mode=mode,
         )
-        n, seed, K = 5_000, 21, 3
-        cum = np.cumsum(dgp.stratum_probs)
-        cum[-1] = 1.0
-        idx = np.searchsorted(cum, rng.substream(seed, rng.STRATUM).random(n), side="right")
-        p = dgp.propensity[:, idx]
-        treatment_rng = rng.substream(seed, rng.TREATMENT)
-        if mode is tr.AssignmentMode.PARALLEL_BINARY:
-            w = (treatment_rng.random((K, n)) < p).T.astype(np.int8)
-        else:
-            below = np.sum(treatment_rng.random(n)[None, :] >= np.cumsum(p, axis=0), axis=0)
-            arm = np.where(below < K, below + 1, 0)
-            w = np.zeros((n, K), dtype=np.int8)
-            w[np.nonzero(arm > 0)[0], arm[arm > 0] - 1] = 1
-        y = dgp.baseline[idx] + (dgp.effect[:, idx] * w.T).sum(axis=0)
-        y = y + rng.substream(seed, rng.NOISE).normal(0.0, dgp.noise_sd, size=n)
+        for seed in (21, 2**32, 2**70):
+            x, w, y = reference_sample(dgp, 5_000, seed)
+            data = tr.sample(dgp, 5_000, seed)
+            assert np.array_equal(data.x, x)
+            assert np.array_equal(data.w, w) and data.w.dtype == np.int8
+            assert data.y.tobytes() == y.tobytes()
 
-        data = tr.sample(dgp, n, seed)
-        assert np.array_equal(data.x, dgp.stratum_codes[idx])
-        assert np.array_equal(data.w, w) and data.w.dtype == np.int8
+    def test_cli_sample_at_a_seed_past_64_bits(self, tmp_path, reversal_dgp):
+        config = tmp_path / "dgp.yaml"
+        tr.write_dgp_config(reversal_dgp, config)
+        out = tmp_path / "out"
+        assert cli.main(["sample", "--config", str(config), "--n", "300",
+                         "--seed", "1180591620717411303424", "--out", str(out)]) == 0
+        data = tr.load_dataset_csv(out / "dataset.csv")
+        x, w, y = reference_sample(reversal_dgp, 300, 2**70)
+        assert np.array_equal(data.x, x) and np.array_equal(data.w, w)
         assert data.y.tobytes() == y.tobytes()
 
     def test_outcome_assembly_noiseless(self):
