@@ -208,6 +208,12 @@ class ScenarioConfig:
             raise ValueError(f"n_per_rep must be >= 1, got {self.n_per_rep}")
         if self.num_reps < 1:
             raise ValueError(f"num_reps must be >= 1, got {self.num_reps}")
+        if not 2 <= self.num_folds <= self.n_per_rep:
+            raise ValueError(
+                f"num_folds must be in [2, n_per_rep={self.n_per_rep}], got {self.num_folds}"
+            )
+        if not 0.0 <= self.clip < 0.5:
+            raise ValueError(f"clip must be in [0, 0.5), got {self.clip}")
 
 
 def _scenario_from_dict(raw: dict, context: str) -> ScenarioConfig:

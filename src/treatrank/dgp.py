@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -226,23 +225,6 @@ class StratumGroups:
             index = np.take(np.cumsum(present) - 1, index)
         return cls(np.take(levels, order[present]), index)
 
-    @cached_property
-    def order(self) -> NDArray[np.intp]:
-        """Units sorted by stratum, each stratum's units in data order.
-
-        A stable sort of ``position``; narrowed to at most 16 bits it is a
-        radix sort, about ten times faster than a stable sort of the codes.
-        """
-        return np.argsort(
-            self.position.astype(np.min_scalar_type(self.codes.shape[0] - 1)), kind="stable"
-        )
-
-    @cached_property
-    def bounds(self) -> NDArray[np.int64]:
-        """Stratum ``s``'s units are ``order[bounds[s]:bounds[s + 1]]``."""
-        sizes = np.bincount(self.position, minlength=self.codes.shape[0])
-        return np.concatenate([[0], np.cumsum(sizes)])
-
 
 @dataclass(eq=False)
 class Dataset:
@@ -250,8 +232,8 @@ class Dataset:
 
     ``w`` has one 0/1 column per treatment. Under MULTINOMIAL assignment the
     rows are one-hot (all-zero rows are control units). The arrays are not
-    modified after construction: the control arm and the stratum grouping
-    are computed once and shared by every fit, estimator and decomposition.
+    modified after construction: the stratum grouping is computed once and
+    shared by every fit.
 
     A *block* of datasets, all of ``n`` units, stacks them along a leading
     axis: ``y`` and ``x`` are ``(B, n)`` and ``w`` is ``(B, n, K)``. Fits and
@@ -274,15 +256,8 @@ class Dataset:
         if self.y.ndim not in (1, 2) or not self.w.shape[:-1] == self.y.shape == self.x.shape:
             raise ValueError("y and x must share one shape, and w must add a treatment axis to it")
         self._strata = groups
-        # the control arm is computed once here and shared, read-only, by
-        # every treatment's control indicator and {0, j} restriction
-        self._control: NDArray[np.int8] | None = None
-        if self.assignment_mode is AssignmentMode.MULTINOMIAL:
-            received = _column_total(self.w)
-            if np.any(received > 1):
-                raise ValueError("multinomial datasets must have mutually exclusive arms")
-            self._control = (received == 0).view(np.int8)
-            self._control.flags.writeable = False
+        if self.assignment_mode is AssignmentMode.MULTINOMIAL and np.any(_column_total(self.w) > 1):
+            raise ValueError("multinomial datasets must have mutually exclusive arms")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
@@ -321,30 +296,6 @@ class Dataset:
         if self.assignment_mode is not AssignmentMode.MULTINOMIAL:
             raise ValueError("arm labels are only defined for multinomial datasets")
         return _column_total(self.w, np.arange(1, self.num_treatments + 1))
-
-    def indicator(self, j: int) -> NDArray[np.int8]:
-        """0/1 indicator of receiving treatment ``j``."""
-        return self.w[..., j - 1]
-
-    def control_indicator(self, j: int) -> NDArray[np.int8]:
-        """0/1 indicator of the control condition facing treatment ``j``.
-
-        PARALLEL_BINARY: not receiving treatment ``j``. MULTINOMIAL: being in
-        the control arm.
-        """
-        if self.assignment_mode is AssignmentMode.PARALLEL_BINARY:
-            return 1 - self.w[..., j - 1]
-        return self._control
-
-    def restriction_mask(self, j: int) -> NDArray[np.bool_]:
-        """Units entering treatment ``j``'s pairwise comparison.
-
-        All units under PARALLEL_BINARY; units with arm in {0, j} under
-        MULTINOMIAL.
-        """
-        if self.assignment_mode is AssignmentMode.PARALLEL_BINARY:
-            return np.ones(self.y.shape, dtype=bool)
-        return (self.indicator(j) == 1) | (self._control == 1)
 
 
 def _column_total(w: NDArray, scale: NDArray | None = None) -> NDArray[np.int64]:

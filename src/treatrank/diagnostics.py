@@ -7,7 +7,9 @@ the covariance terms are large enough, and of the right signs, to flip the
 regression-based ordering away from the true one. This module makes that
 arithmetic inspectable: per-stratum decomposition reports, an exact
 reversal check, a delta-parameterized sufficient condition, and pairwise
-ranking summaries.
+ranking summaries. The estimated decomposition reads the per-stratum
+means it needs from a fit's held-out cell moments (``NuisanceFit.cells``),
+not from the units.
 """
 
 from __future__ import annotations
@@ -150,30 +152,39 @@ def estimate_decomposition(data: Dataset, fit: NuisanceFit, j: int) -> Decomposi
     lacking treated or control units are dropped (counted on the report) and
     the stratum distribution renormalized; if every stratum is dropped the
     decomposition is not estimable.
+
+    Everything comes from the fit's cells of one dataset (``fit`` of a
+    single dataset, or ``fit.replicate(b)`` of a block): a stratum's treated
+    mean is its treated cells' summed outcomes (count times mean) over their
+    units, and its mean propensity ``sum_k n_k p_k / n`` over the folds
+    ``k``, ``n_k`` being the units fold ``k`` predicts. Sums over folds run
+    in fold order, so a stratum's numbers do not depend on the strata around
+    it; strata without units (a block's strata that this dataset lacks) are
+    skipped.
     """
-    # The dataset's stratum grouping (shared by every treatment) keeps each
-    # stratum's units in data order, so every cell mean adds the same values
-    # in the same order as a boolean mask over the full sample would.
-    groups = data.strata
-    order, bounds = groups.order, groups.bounds
-    y = np.take(data.y, order)
-    p_j = np.take(fit.arm_probability(j), order)
-    treated = np.take(data.indicator(j), order) == 1
-    control = np.take(data.control_indicator(j), order) == 1
+    (n_t, ybar_t, _), (n_c, ybar_c, _), n_o = fit.cells(j)
+    if n_t.shape[0] != 1:
+        raise ValueError("estimate_decomposition takes one dataset's fit; use fit.replicate(b)")
+    held = (n_t + n_c + n_o)[0]  # [fold, stratum]: the units each fold predicts
+    n_s, n_treated, n_control = held.sum(axis=0), n_t[0].sum(axis=0), n_c[0].sum(axis=0)
+    # sums over folds, in fold order
+    y_treated, y_control, p_sum = (np.cumsum(a[0], axis=0)[-1] for a in (
+        n_t * ybar_t, n_c * ybar_c, held * fit.propensities(j)[0]))
 
     tau_tab: dict[int, float] = {}
     var_tab: dict[int, float] = {}
     prob_tab: dict[int, float] = {}
     dropped = 0
-    for code, lo, hi in zip(groups.codes.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
-        cell_y, cell_t, cell_c = y[lo:hi], treated[lo:hi], control[lo:hi]
-        if not cell_t.any() or not cell_c.any():
+    for s, code in enumerate(fit.levels.tolist()):
+        if n_s[s] == 0:
+            continue
+        if n_treated[s] == 0 or n_control[s] == 0:
             dropped += 1
             continue
-        tau_tab[code] = float(cell_y[cell_t].mean() - cell_y[cell_c].mean())
-        p_bar = float(p_j[lo:hi].mean())
+        tau_tab[code] = float(y_treated[s] / n_treated[s] - y_control[s] / n_control[s])
+        p_bar = float(p_sum[s] / n_s[s])
         var_tab[code] = p_bar * (1.0 - p_bar)
-        prob_tab[code] = (hi - lo) / data.n
+        prob_tab[code] = int(n_s[s]) / data.n
 
     if not tau_tab:
         raise NotEstimableError(

@@ -14,15 +14,28 @@ All three are pure functions of (data, fit) and safe to evaluate
 concurrently. ``ESTIMATORS`` maps each :class:`Method` to its function and
 is the only dispatch table.
 
-Given a block of datasets and its fit (a leading block axis, see
-``dgp.Dataset``), each estimator works along the unit axis and returns
-one :class:`EffectEstimate` whose numbers are per-dataset arrays, row ``b``
-bit for bit the estimate of dataset ``b`` alone. No per-unit sum goes
-through BLAS: every sum and mean is a reduction of an elementwise array
-over the contiguous last axis, which numpy adds pairwise row by row as it
-adds a single dataset, so an estimate does not depend on the BLAS build or
-its thread count. An estimate the data cannot support in any dataset of
-the block raises.
+Every estimator reads the fit's held-out cell moments (see
+``nuisance.NuisanceFit``), not the units. In a cell every nuisance is
+constant, so each unit's score is linear in its outcome, ``a + b y``; AIPW
+and IPW (AIPW with a zero outcome model) share that one reduction. Written
+about the cell mean ``ybar``, with ``g = a + b ybar`` the cell's mean score,
+``n`` its units and ``M2`` its centred sum of squares, the mean score is
+``sum(n g) / N`` and its sample variance
+``sum(b**2 M2 + n (g - mean)**2) / (N - 1)``. The residual regression's
+residuals are constant in a cell too: with ``w`` the treatment residual and
+``yhat`` the outcome model, the slope is ``sum(n w (ybar - yhat)) /
+sum(n w**2)`` and the sandwich SE ``sqrt(sum(w**2 (M2 + n (ybar - yhat -
+slope w)**2))) / sum(n w**2)``. Under MULTINOMIAL assignment the
+regression takes only the cells of arms 0 and ``j``.
+
+Given a block of datasets and its fit, each estimator returns one
+:class:`EffectEstimate` whose numbers are per-dataset arrays, row ``b`` bit
+for bit the estimate of dataset ``b`` alone. A sum over cells adds each
+dataset's cells one after another (a cumulative sum, not numpy's pairwise
+sum), so the empty cells of strata that a dataset lacks but its block has
+add exact zeros, and nothing goes through BLAS: an estimate depends on
+neither the block nor the BLAS build or its thread count. An estimate the
+data cannot support in any dataset of the block raises.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .dgp import AssignmentMode, Dataset
+from .dgp import Dataset
 from .nuisance import NuisanceFit, SingularFitError
 
 
@@ -91,25 +104,9 @@ class EffectEstimate:
             raise ValueError("WATE is the estimand of PLM and of PLM only")
 
 
-def _dr_score(y: NDArray, d: NDArray, m: NDArray, q: NDArray) -> NDArray[np.float64]:
-    """``m(X) + D * (Y - m(X)) / q(X)`` for membership ``D`` with probability ``q``."""
-    score = np.subtract(y, m)
-    np.multiply(d.astype(np.float64), score, out=score)
-    np.divide(score, q, out=score)
-    return np.add(m, score, out=score)
-
-
-def _treated_score(data: Dataset, fit: NuisanceFit, j: int) -> NDArray[np.float64]:
-    return _dr_score(data.y, data.indicator(j), fit.treated_outcome(j), fit.arm_probability(j))
-
-
-def _effect_score(data: Dataset, fit: NuisanceFit, j: int) -> NDArray[np.float64]:
-    """Treated minus control score of treatment ``j``, written over the treated one."""
-    score = _treated_score(data, fit, j)
-    control = _dr_score(
-        data.y, data.control_indicator(j), fit.control_outcome(j), fit.control_probability(j)
-    )
-    return np.subtract(score, control, out=score)
+def _cell_sum(terms: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Per dataset, the sum of ``[dataset, fold, stratum]`` terms, added in sequence."""
+    return np.add.accumulate(terms.reshape(terms.shape[0], -1), axis=1)[:, -1]
 
 
 def _estimate(data: Dataset, method: Method, j: int, point: NDArray, se: NDArray,
@@ -128,12 +125,33 @@ def _estimate(data: Dataset, method: Method, j: int, point: NDArray, se: NDArray
                           estimand=estimand, n_used=n_used)
 
 
-def _mean_and_se(scores: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
-    """Mean of each dataset's scores and its standard error ``sd / sqrt(n)``."""
-    n = scores.shape[-1]
-    point = scores.mean(axis=-1)
-    se = scores.std(ddof=1, axis=-1) / np.sqrt(n) if n > 1 else np.zeros(point.shape)
-    return point, se
+def _score_estimate(data: Dataset, fit: NuisanceFit, j: int, method: Method) -> EffectEstimate:
+    """Mean and SE of treatment ``j``'s score ``mu1 - mu0 + D (y - mu1) / p - C (y - mu0) / q``.
+
+    The outcome models ``mu1`` and ``mu0`` are the fit's for AIPW and zero
+    for IPW. ``D`` and ``C`` mark the treated and control units, and a unit
+    in neither (another arm) scores ``mu1 - mu0``; see the module docstring
+    for the sums over cells. A fold and stratum without units adds nothing.
+    One with units and a propensity or control probability of 0 (possible
+    with ``clip=0``) makes the estimate undefined, as its units' scores
+    are: its treated or control cell then adds ``0 * inf`` or ``inf``.
+    """
+    (n_t, ybar_t, m2_t), (n_c, ybar_c, m2_c), n_o = fit.cells(j)
+    mu1, mu0 = fit.outcomes(j) if method is Method.AIPW else (0.0, 0.0)
+    p, q = fit.propensities(j)
+    n, occupied = data.n, n_t + n_c + n_o > 0
+    # an undefined estimate raises below; the cells left out need no warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        base = mu1 - mu0
+        score_t = base + (ybar_t - mu1) / p
+        score_c = base - (ybar_c - mu0) / q
+        point = _cell_sum(np.where(occupied, n_t * score_t + n_c * score_c + n_o * base, 0.0)) / n
+        mean = point[:, None, None]
+        spread = (m2_t / (p * p) + n_t * (score_t - mean) ** 2 + m2_c / (q * q)
+                  + n_c * (score_c - mean) ** 2 + n_o * (base - mean) ** 2)
+        variance = _cell_sum(np.where(occupied, spread, 0.0))
+    se = np.sqrt(variance / (n - 1) / n) if n > 1 else np.zeros(point.shape)
+    return _estimate(data, method, j, point, se)
 
 
 def plm_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
@@ -144,65 +162,43 @@ def plm_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
     slope SE. Under MULTINOMIAL assignment the regression runs on the
     {control, j} subsample with the conditional propensity.
     """
-    w_res = np.subtract(data.indicator(j), fit.plm_propensity(j))
-    y_res = np.subtract(data.y, fit.plm_outcome(j))
-    used = None  # every unit
-    if data.assignment_mode is AssignmentMode.MULTINOMIAL:
-        # units outside {control, j} add zeros to every sum below
-        mask = data.restriction_mask(j)
-        np.multiply(w_res, mask, out=w_res)
-        np.multiply(y_res, mask, out=y_res)
-        used = mask.sum(axis=-1)
-
-    w_sq = np.square(w_res)
-    denom = w_sq.sum(axis=-1)
+    (n_t, ybar_t, m2_t), (n_c, ybar_c, m2_c), _ = fit.cells(j)
+    y_hat, p = fit.plm_tables(j)
+    w_t, w_c = 1.0 - p, -p  # treatment residuals of the treated and control units
+    gap_t, gap_c = ybar_t - y_hat, ybar_c - y_hat
+    weight_t, weight_c = n_t * w_t, n_c * w_c
+    denom = _cell_sum(weight_t * w_t + weight_c * w_c)
     if np.any(denom <= 0.0):
         raise NoVariationError(
             f"treatment {j} residuals have zero variation; cannot run the residual regression"
         )
-    point = np.multiply(w_res, y_res).sum(axis=-1) / denom
-    # in place: resid = y_res - point * w_res, then the sandwich sum of w_res**2 * resid**2
-    resid = np.subtract(y_res, np.multiply(point[..., None], w_res, out=w_res), out=y_res)
-    np.multiply(w_sq, np.square(resid, out=resid), out=w_sq)
-    se = np.sqrt(w_sq.sum(axis=-1)) / denom
-    return _estimate(data, Method.PLM, j, point, se, used)
+    point = _cell_sum(weight_t * gap_t + weight_c * gap_c) / denom
+    slope = point[:, None, None]
+    resid_t, resid_c = gap_t - slope * w_t, gap_c - slope * w_c
+    sandwich = (w_t * w_t * (m2_t + n_t * resid_t * resid_t)
+                + w_c * w_c * (m2_c + n_c * resid_c * resid_c))
+    se = np.sqrt(_cell_sum(sandwich)) / denom
+    n_used = (n_t + n_c).sum(axis=(1, 2)).astype(np.int64)
+    return _estimate(data, Method.PLM, j, point, se, n_used)
 
 
-def aipw_estimate(data: Dataset, fit: NuisanceFit, a: int, b: int = 0) -> EffectEstimate:
-    """Augmented inverse-propensity estimate of ``ATE_a - ATE_b``.
+def aipw_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
+    """Augmented inverse-propensity estimate of treatment ``j``'s ATE versus control.
 
-    With ``b = 0`` this is treatment ``a``'s effect versus control. The point
-    is the mean pseudo-outcome contrast and the standard error its sample
-    standard deviation over sqrt(n).
+    The point is the mean pseudo-outcome contrast and the standard error
+    its sample standard deviation over sqrt(n).
     """
-    K = data.num_treatments
-    for arm in (a, b):
-        if not 0 <= arm <= K:
-            raise ValueError(f"arm index must be in 0..{K}, got {arm}")
-    if a == b:
-        shape = data.y.shape[:-1]
-        return _estimate(data, Method.AIPW, a, np.zeros(shape), np.zeros(shape))
-    # arm 0 (control) has no score of its own: its effect versus control is 0
-    scores = _effect_score(data, fit, a) if a else np.zeros(data.y.shape)
-    if b:
-        np.subtract(scores, _effect_score(data, fit, b), out=scores)
-    point, se = _mean_and_se(scores)
-    return _estimate(data, Method.AIPW, a, point, se)
+    return _score_estimate(data, fit, j, Method.AIPW)
 
 
 def ipw_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
     """Horvitz-Thompson inverse-propensity estimate of treatment ``j``'s ATE.
 
-    ``mean(1{arm j} Y / p_j) - mean(1{control} Y / p_control)`` with the
-    control condition as in :meth:`Dataset.control_indicator`.
+    ``mean(1{arm j} Y / p_j) - mean(1{control} Y / p_control)``, where the
+    control condition is not receiving ``j`` under PARALLEL_BINARY and the
+    control arm under MULTINOMIAL: the AIPW score with a zero outcome model.
     """
-    # d * y / p_j - c * y / p_control, each step written over its input
-    treated = np.multiply(data.indicator(j).astype(np.float64), data.y)
-    np.divide(treated, fit.arm_probability(j), out=treated)
-    control = np.multiply(data.control_indicator(j).astype(np.float64), data.y)
-    np.divide(control, fit.control_probability(j), out=control)
-    point, se = _mean_and_se(np.subtract(treated, control, out=treated))
-    return _estimate(data, Method.IPW, j, point, se)
+    return _score_estimate(data, fit, j, Method.IPW)
 
 
 # Callers dispatch in this order; it is the row order of the estimate outputs.

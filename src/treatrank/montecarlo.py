@@ -28,14 +28,18 @@ but their seeds and keys are derived a block at a time: one
 ``rng.child_seeds`` pass gives the block's data and fold seeds, one pass in
 ``sample`` keys its three streams per replicate and one in
 ``assign_folds`` its fold streams, each the numpy ``SeedSequence`` hash of
-the same path as before. The cross-fit and the estimators then run once
-per block along the unit axis. A block is exact, not an approximation:
-every step is elementwise, a table ``bincount`` whose key holds the
-replicate and adds each key's values in unit order, or a reduction over
-the contiguous unit axis (numpy adds each row pairwise, as it adds one
-replicate's array); no per-unit sum goes through BLAS. Row ``b`` of a
-block is therefore bit for bit the replicate run alone, whatever ``B`` is
-and however many threads BLAS uses. If a block's fit or an estimator
+the same path as before. The cross-fit then runs once per block, and the
+estimators once per block on its cell moments. A block is exact, not an
+approximation: every per-unit step is elementwise or a table
+``bincount`` whose key holds the replicate and adds each key's values in
+unit order, so each replicate's prediction tables and cell moments are
+those of its own fit; the block's strata cover every replicate, and a
+replicate's cells for a stratum it lacks are empty. Every sum over cells
+adds one replicate's cells one after another (a cumulative sum, where
+empty cells add exact zeros; numpy's pairwise sum would regroup the
+terms around them), and no sum goes through BLAS. Row ``b`` of a block
+is therefore bit for bit the replicate run alone, whatever ``B`` is and
+however many threads BLAS uses. If a block's fit or an estimator
 raises one of ``ESTIMATION_ERRORS``, that step is redone replicate by
 replicate, so only the replicates that fail on their own are NaN and
 counted.

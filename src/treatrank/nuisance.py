@@ -10,8 +10,8 @@ Because ``X`` is a stratum code, every learner is a function of a small
 table: for each (fold, target, stratum), the number of training units and
 the sum of their target values. ``_StratumTable`` builds that table once per
 fit, with one ``bincount`` per fold, and each target's learner maps its
-S-row slice to S predictions; one ``take`` gathers every target's
-predictions back to the units.
+S-row slice to a (fold, stratum) table of S predictions per fold. A fit is
+those prediction tables; no prediction is copied out to the units.
 
 Three learners are available. ``STRATUM_MEAN`` is the saturated
 nonparametric estimator (within-cell training means) and is exact for the
@@ -31,20 +31,28 @@ reproduces, so it is taken from the gathered units, only for a fold that
 predicts into an empty cell. 0/1 targets are counts and are exact in any
 order. Ridge fits agree with the unit-level solution to rounding.
 
-Propensities are clipped on the (fold, stratum) table before the gather:
-clipping a value and copying it commute, so every unit gets the same bits
-as a per-unit clip. ``clipped_count`` adds, over the cells outside
-``[clip, 1 - clip]``, the number of units the cell predicts (the held-out
-fold's units in that stratum; in-sample, every unit in it), which is the
-per-unit count of clipped predictions.
+Propensities are clipped on the (fold, stratum) table. ``clipped_count``
+adds, over the cells outside ``[clip, 1 - clip]``, the number of units the
+cell predicts (the held-out fold's units in that stratum; in-sample, every
+unit in it), which is the per-unit count of clipped predictions.
+
+The data enter the estimators only as held-out *cell moments*, built in
+the same pass as the training table. A cell is a (fold, stratum, arm
+group): under PARALLEL_BINARY, treatment ``j``'s treated or untreated
+units; under MULTINOMIAL, one arm. Every nuisance is constant in a cell, so
+each estimator's per-unit score is linear in ``y`` there, and its sums over
+units are sums over cells of the cell's count, its mean ``y`` (its sum of
+``y`` over the count) and its centred sum of squares
+``sum((y - cell mean)**2)`` (two passes, not ``sum(y**2) - sum(y)**2 / n``,
+which loses the digits of a large mean).
 
 A block of datasets (see ``dgp.Dataset``) is fitted by the same table with
 the dataset in the key: a key's units are still added in unit order, so
-every dataset's cells are bit for bit those of its own fit, and a block
-costs one ``bincount`` per fold instead of one per fold and dataset. Ridge
-fits stay per (fold, dataset) and see only the dataset's own strata. Newton
-iterations that end with the gradient above ``NEWTON_GRAD_TOL`` raise
-``SingularFitError``.
+every dataset's cells and moments are bit for bit those of its own fit,
+and a block costs one ``bincount`` per fold instead of one per fold and
+dataset. Ridge fits stay per (fold, dataset) and see only the dataset's
+own strata. Newton iterations that end with the gradient above
+``NEWTON_GRAD_TOL`` raise ``SingularFitError``.
 """
 
 from __future__ import annotations
@@ -150,74 +158,94 @@ def assign_folds(n: int, num_folds: int, seed: int | Sequence[int]) -> FoldAssig
 
 @dataclass
 class NuisanceFit:
-    """Cross-fitted nuisance predictions for every unit.
+    """Cross-fitted nuisance tables and the held-out cell moments they are read with.
 
-    All arrays are aligned with the dataset's unit order; in a fitted
-    ``(n, K)`` array each treatment's column is contiguous. ``restricted_*``
+    A prediction table holds, for each fold, the prediction for the units
+    of each stratum held out in that fold (in-sample, one fold of every
+    unit). Tables are indexed ``[dataset, fold, stratum]``, per-treatment
+    ones ``[treatment, dataset, fold, stratum]``; ``levels`` holds the
+    stratum codes of the last axis. A single dataset has a dataset axis of
+    length one, a block one row per dataset, and a block's strata cover all
+    its datasets, so a dataset may have no units in some. ``restricted_*``
     and ``control_p`` are only populated under MULTINOMIAL assignment, where
     the residual-on-residual regression runs on the {control, j} subsample
     with the conditional propensity ``p_j / (p_j + p_0)``.
 
-    The fit of a block of datasets has a leading block axis on every array
-    and on the two counts.
+    ``count``, ``mean`` and ``m2`` are the held-out moments of every cell,
+    indexed ``[cell, dataset, fold, stratum]``: its units (as a float, like
+    the other two), their mean outcome (0 without units) and their centred
+    sum of squares. Under
+    PARALLEL_BINARY, cells ``2j - 2`` and ``2j - 1`` hold treatment ``j``'s
+    untreated and treated units; under MULTINOMIAL, cell ``a`` holds arm
+    ``a`` (0 = control). ``cells`` selects a treatment's cells.
     """
 
     mode: AssignmentMode
     num_treatments: int
-    y_hat: NDArray[np.float64]          # (n,) pooled E[Y|X]
-    p_hat: NDArray[np.float64]          # (n, K) arm-membership probability
-    mu_treated: NDArray[np.float64]     # (n, K) E[Y | arm j, X]
-    mu_control: NDArray[np.float64]     # (n, K) E[Y | treatment j's control, X]
-    restricted_y: NDArray[np.float64] | None = None  # (n, K) E[Y | X, W in {0, j}]
-    restricted_p: NDArray[np.float64] | None = None  # (n, K) P(W=j | X, W in {0, j})
-    control_p: NDArray[np.float64] | None = None     # (n,) P(control arm | X)
+    levels: NDArray[np.int64]
+    count: NDArray[np.float64]
+    mean: NDArray[np.float64]
+    m2: NDArray[np.float64]
+    y_hat: NDArray[np.float64]          # pooled E[Y|X]
+    p_hat: NDArray[np.float64]          # per treatment: arm-membership probability
+    mu_treated: NDArray[np.float64]     # per treatment: E[Y | arm j, X]
+    mu_control: NDArray[np.float64]     # per treatment: E[Y | treatment j's control, X]
+    restricted_y: NDArray[np.float64] | None = None  # per treatment: E[Y | X, W in {0, j}]
+    restricted_p: NDArray[np.float64] | None = None  # per treatment: P(W=j | X, W in {0, j})
+    control_p: NDArray[np.float64] | None = None     # P(control arm | X)
     clipped_count: int | NDArray[np.int64] = 0
     fallback_count: int | NDArray[np.int64] = 0
 
-    @property
-    def n(self) -> int:
-        return self.y_hat.shape[-1]
-
     def replicate(self, b: int) -> "NuisanceFit":
         """Row ``b`` of a block's fit."""
-        arrays = ("y_hat", "p_hat", "mu_treated", "mu_control", "restricted_y", "restricted_p",
-                  "control_p")
+        arrays = ("count", "mean", "m2", "y_hat", "p_hat", "mu_treated", "mu_control",
+                  "restricted_y", "restricted_p", "control_p")
         return replace(
             self,
-            **{name: getattr(self, name)[b] for name in arrays if getattr(self, name) is not None},
+            **{name: getattr(self, name)[..., b : b + 1, :, :] for name in arrays
+               if getattr(self, name) is not None},
             clipped_count=int(self.clipped_count[b]),
             fallback_count=int(self.fallback_count[b]),
         )
 
-    def plm_outcome(self, j: int) -> NDArray[np.float64]:
-        """Outcome predictions entering treatment ``j``'s residual regression."""
-        if self.mode is AssignmentMode.PARALLEL_BINARY:
-            return self.y_hat
-        assert self.restricted_y is not None
-        return self.restricted_y[..., j - 1]
+    # A treatment's cells and tables, each a [dataset, fold, stratum] array.
 
-    def plm_propensity(self, j: int) -> NDArray[np.float64]:
-        """Propensities entering treatment ``j``'s residual regression."""
-        if self.mode is AssignmentMode.PARALLEL_BINARY:
-            return self.p_hat[..., j - 1]
-        assert self.restricted_p is not None
-        return self.restricted_p[..., j - 1]
+    def cells(self, j: int) -> tuple[tuple[NDArray, NDArray, NDArray],
+                                     tuple[NDArray, NDArray, NDArray], NDArray | int]:
+        """Treatment ``j``'s treated and control cells, and the units in neither.
 
-    def arm_probability(self, j: int) -> NDArray[np.float64]:
-        return self.p_hat[..., j - 1]
-
-    def control_probability(self, j: int) -> NDArray[np.float64]:
-        """Probability of treatment ``j``'s control condition."""
+        Each cell is ``(count, mean, m2)``. The units in neither are those of
+        the other arms under MULTINOMIAL, and none under PARALLEL_BINARY.
+        """
+        K = self.num_treatments
+        if not 1 <= j <= K:
+            raise ValueError(f"treatment index must be in 1..{K}, got {j}")
         if self.mode is AssignmentMode.PARALLEL_BINARY:
-            return 1.0 - self.p_hat[..., j - 1]
+            treated, control, others = 2 * j - 1, 2 * j - 2, 0
+        else:
+            treated, control = j, 0
+            others = self.count.sum(axis=0) - self.count[treated] - self.count[control]
+        return (tuple(a[treated] for a in (self.count, self.mean, self.m2)),
+                tuple(a[control] for a in (self.count, self.mean, self.m2)), others)
+
+    def propensities(self, j: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """Probabilities of treatment ``j`` and of its control condition."""
+        p = self.p_hat[j - 1]
+        if self.mode is AssignmentMode.PARALLEL_BINARY:
+            return p, 1.0 - p
         assert self.control_p is not None
-        return self.control_p
+        return p, self.control_p
 
-    def treated_outcome(self, j: int) -> NDArray[np.float64]:
-        return self.mu_treated[..., j - 1]
+    def outcomes(self, j: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """Treatment ``j``'s treated and control outcome models."""
+        return self.mu_treated[j - 1], self.mu_control[j - 1]
 
-    def control_outcome(self, j: int) -> NDArray[np.float64]:
-        return self.mu_control[..., j - 1]
+    def plm_tables(self, j: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """Outcome and propensity entering treatment ``j``'s residual regression."""
+        if self.mode is AssignmentMode.PARALLEL_BINARY:
+            return self.y_hat, self.p_hat[j - 1]
+        assert self.restricted_y is not None and self.restricted_p is not None
+        return self.restricted_y[j - 1], self.restricted_p[j - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +341,18 @@ class _StratumTable:
     A single dataset is a block of one. Every table is indexed ``[fold,
     dataset, ..., stratum]``.
 
+    The first ``observed`` families given are the estimators' cells. The
+    same keys, with the fold added, count every fold's held-out units per
+    group; for the groups of those families, two more ``bincount`` passes
+    in unit order add their outcomes (divided by the count, the group's
+    mean) and then their squared deviations from that mean, into
+    ``moments``, each ``[cell, dataset, fold, stratum]`` (see
+    ``NuisanceFit``).
+
     ``outcome`` and ``rate`` fit one target and return its (fold, dataset,
-    stratum) table of predictions and its per-dataset fallback counts;
-    ``gather`` maps tables to the units, one row per table. ``rate`` clips
-    its table to ``[clip, 1 - clip]`` and adds the units it clipped to
-    ``clipped``.
+    stratum) table of predictions and its per-dataset fallback counts.
+    ``rate`` clips its table to ``[clip, 1 - clip]`` and adds the units it
+    clipped to ``clipped``.
     """
 
     def __init__(
@@ -329,6 +364,7 @@ class _StratumTable:
         crossfit: bool,
         clip: float,
         families: list[tuple[NDArray, int]],
+        observed: int,
     ):
         n = data.n
         y = data.y.reshape(-1, n)
@@ -344,15 +380,13 @@ class _StratumTable:
         self.clipped = np.zeros(B, dtype=np.int64)
         self.bases: dict[int, tuple] = {}  # per dataset, from _basis
         self.halves = [half for half, _ in families]  # (n,) or, per dataset, (B, n)
-        self.offsets = np.cumsum([0] + [size for _, size in families[:-1]])
+        bounds = np.cumsum([0] + [size for _, size in families])
+        self.offsets = bounds[:-1]
         dataset = np.arange(B)[:, None]
-        self.cell = dataset * S + pos
-        if crossfit:
-            self.cell += self.fold_of * (B * S)
 
         # one (B, n) slice of keys per family; a half index is cast to int64
         # before it is scaled, since an int8 index times S overflows once S >= 128
-        groups = sum(size for _, size in families)
+        groups = int(bounds[-1])
         width = B * groups * S
         keys = np.empty((len(families), B, n), dtype=np.int64)
         for row, half in zip(keys, self.halves):
@@ -360,10 +394,21 @@ class _StratumTable:
         keys += self.offsets[:, None, None] + dataset * groups
         keys *= S
         keys += pos
-        held = np.bincount(
-            (keys + self.fold_of * width if crossfit else keys).ravel(),
-            minlength=num_folds * width,
-        ).reshape(num_folds, B, groups, S)
+        cells = keys + self.fold_of * width if crossfit else keys
+        held = np.bincount(cells.ravel(), minlength=num_folds * width)
+        # held-out moments of the observed families' groups, in unit order
+        seen = cells[1 : 1 + observed].ravel()
+        y_seen = np.broadcast_to(y, (observed, B, n)).ravel()
+        mean = np.bincount(seen, y_seen, minlength=held.size) / np.maximum(held, 1)
+        deviation = y_seen - np.take(mean, seen)
+        m2 = np.bincount(seen, deviation * deviation, minlength=held.size)
+        shape, observed_groups = (num_folds, B, groups, S), slice(1, bounds[1 + observed])
+        self.moments = tuple(
+            np.ascontiguousarray(a.reshape(shape)[:, :, observed_groups].transpose(2, 1, 0, 3),
+                                 dtype=np.float64)
+            for a in (held, mean, m2)
+        )
+        held = held.reshape(shape)
         self.counts = held.sum(axis=0) - held if crossfit else held
         self.held = held[:, :, 0]  # POOLED: units each fold predicts, per stratum
 
@@ -396,10 +441,6 @@ class _StratumTable:
             cell_mean=lambda k, b: total[k, b].sum() / count[k, b].sum(),
             empty_value=lambda k, b: 0.5,
         )
-
-    def gather(self, tables: list[NDArray[np.float64]]) -> NDArray[np.float64]:
-        """``(len(tables), B * n)``: row ``t`` is table ``t``'s prediction for every unit."""
-        return np.take(np.reshape(tables, (len(tables), -1)), self.cell.ravel(), axis=1)
 
     def _index(self, group: Group) -> int:
         return self.offsets[group[0]] + group[1]
@@ -495,6 +536,21 @@ def fit_insample(data: Dataset, spec: LearnerSpec, clip: float = 0.0) -> Nuisanc
     return _compute_fit(data, spec, clip, np.zeros(data.y.shape, dtype=np.int64), 1, crossfit=False)
 
 
+def _families(data: Dataset) -> tuple[list[tuple[NDArray, int]], int]:
+    """The dataset's families of units (see ``_StratumTable``) and how many are the cells.
+
+    PARALLEL_BINARY: family j splits the units by treatment j's indicator,
+    and all K are cells. MULTINOMIAL: family 1 splits them by arm (0 =
+    control) and is the cells; family 1 + j splits them into in or out of
+    treatment j's {0, j} comparison.
+    """
+    K = data.num_treatments
+    if data.assignment_mode is AssignmentMode.PARALLEL_BINARY:
+        return [(data.w[..., j], 2) for j in range(K)], K
+    arm = data.arm
+    return [(arm, K + 1)] + [((arm == j) | (arm == 0), 2) for j in range(1, K + 1)], 1
+
+
 def _compute_fit(
     data: Dataset,
     spec: LearnerSpec,
@@ -510,73 +566,47 @@ def _compute_fit(
         raise ValueError(f"fold assignment covers {fold_of.shape[-1]} units, dataset has {n}")
     if not 0.0 <= clip < 0.5:
         raise ValueError(f"clip must be in [0, 0.5), got {clip}")
+    table = _StratumTable(data, spec, fold_of, num_folds, crossfit, clip, *_families(data))
+    # targets are fitted treatment by treatment, in the order a failing fit
+    # reports first, then stacked target by target along a treatment axis
+    targets = {"y_hat": table.outcome(POOLED)}
     if data.assignment_mode is AssignmentMode.PARALLEL_BINARY:
-        # family j: units split by treatment j's indicator
-        families = [(data.w[..., j], 2) for j in range(K)]
-        table = _StratumTable(data, spec, fold_of, num_folds, crossfit, clip, families)
-        targets = [table.outcome(POOLED)] + _treatment_major([
+        names = ("p_hat", "mu_treated", "mu_control")
+        per_treatment = [
             (table.rate((j, 1), POOLED), table.outcome((j, 1)), table.outcome((j, 0)))
             for j in range(1, K + 1)
-        ])
+        ]
     else:
-        # family 1: units split by arm (0 = control); family 1 + j: units in
-        # or out of treatment j's {0, j} comparison
-        arm = data.arm
-        families = [(arm, K + 1)] + [((arm == j) | (arm == 0), 2) for j in range(1, K + 1)]
-        table = _StratumTable(data, spec, fold_of, num_folds, crossfit, clip, families)
-        targets = [table.outcome(POOLED), table.rate((1, 0), POOLED)]
+        targets["control_p"] = table.rate((1, 0), POOLED)
         control_y = table.outcome((1, 0))  # one control model, used by every treatment
-        targets += _treatment_major([
+        names = ("p_hat", "mu_treated", "mu_control", "restricted_y", "restricted_p")
+        per_treatment = [
             (table.rate((1, j), POOLED), table.outcome((1, j)), control_y,
              table.outcome((1 + j, 1)), table.rate((1, j), (1 + j, 1)))
             for j in range(1, K + 1)
-        ])
-    lead = data.y.shape[:-1]  # () for one dataset, (B,) for a block
-    preds = table.gather([t for t, _ in targets]).reshape((len(targets),) + data.y.shape)
-    fallbacks = sum(fb for _, fb in targets) + np.zeros(table.clipped.shape, dtype=np.int64)
-    if data.assignment_mode is AssignmentMode.PARALLEL_BINARY:
-        y_hat, (p_hat, mu_treated, mu_control) = preds[0], _per_treatment(preds[1:], K)
-        restricted_y = restricted_p = control_p = None
-    else:
-        y_hat, control_p = preds[0], preds[1]
-        p_hat, mu_treated, mu_control, restricted_y, restricted_p = _per_treatment(preds[2:], K)
+        ]
+    fallbacks = sum(fb for _, fb in targets.values()) + np.zeros_like(table.clipped)
+    tables = {name: predictions for name, (predictions, _) in targets.items()}
+    for name, column in zip(names, zip(*per_treatment)):
+        fallbacks += sum(fb for _, fb in column)
+        tables[name] = np.stack([predictions for predictions, _ in column])
 
     def per_dataset(counts: NDArray[np.int64]) -> int | NDArray[np.int64]:
-        return counts if lead else int(counts[0])
+        return counts if data.y.ndim > 1 else int(counts[0])
 
+    count, mean, m2 = table.moments
     return NuisanceFit(
         mode=data.assignment_mode,
         num_treatments=K,
-        y_hat=y_hat,
-        p_hat=p_hat,
-        mu_treated=mu_treated,
-        mu_control=mu_control,
-        restricted_y=restricted_y,
-        restricted_p=restricted_p,
-        control_p=control_p,
+        levels=table.levels,
+        count=count,
+        mean=mean,
+        m2=m2,
+        # the learners' [..., fold, dataset, stratum] tables, dataset first
+        **{name: np.ascontiguousarray(t.swapaxes(-3, -2)) for name, t in tables.items()},
         clipped_count=per_dataset(table.clipped),
         fallback_count=per_dataset(fallbacks),
     )
-
-
-def _treatment_major(per_treatment: list[tuple]) -> list:
-    """Per-treatment tuples of targets, reordered target by target.
-
-    The targets are fitted treatment by treatment, in the order a failing
-    fit reports first; ``_per_treatment`` then takes each target's ``K``
-    consecutive rows.
-    """
-    return [target for column in zip(*per_treatment) for target in column]
-
-
-def _per_treatment(rows: NDArray[np.float64], K: int) -> list[NDArray[np.float64]]:
-    """Split ``rows`` into ``(..., n, K)`` arrays of ``K`` consecutive rows each.
-
-    Each is a view with the treatment axis moved last, so every treatment's
-    column is contiguous.
-    """
-    last = tuple(range(1, rows.ndim)) + (0,)
-    return [rows[i : i + K].transpose(last) for i in range(0, rows.shape[0], K)]
 
 
 # ---------------------------------------------------------------------------
@@ -588,61 +618,66 @@ def oracle_nuisance(data: Dataset, dgp: StratifiedDGP) -> NuisanceFit:
 
     Decouples estimator behaviour from learner error: with this fit, any
     remaining deviation of an estimator from its closed-form target is pure
-    sampling noise.
+    sampling noise. The fit is in-sample (one fold) and, like any fit, holds
+    one row per dataset of a block.
     """
     if data.assignment_mode is not dgp.assignment_mode:
         raise ValueError("dataset and DGP assignment modes differ")
-    idx = dgp.stratum_index(data.x)
-    K = dgp.num_treatments
-    p = dgp.propensity[:, idx].T        # (n, K)
-    tau = dgp.effect[:, idx].T          # (n, K)
-    mu0 = dgp.baseline[idx]             # (n,)
+    levels = data.strata.codes
+    idx = dgp.stratum_index(levels)
+    p = dgp.propensity[:, idx]          # (K, S)
+    tau = dgp.effect[:, idx]            # (K, S)
+    mu0 = dgp.baseline[idx]             # (S,)
 
     # with exclusive arms and with independent parallel indicators alike,
     # E[Y | X] = mu0 + sum_k p_k tau_k
-    y_hat = mu0 + (p * tau).sum(axis=1)
-
+    mixed = (p * tau).sum(axis=0)
+    tables = {"y_hat": mu0 + mixed, "p_hat": p}
     if dgp.assignment_mode is AssignmentMode.PARALLEL_BINARY:
-        others = (p * tau).sum(axis=1)[:, None] - p * tau
-        mu_treated = mu0[:, None] + tau + others
-        mu_control = mu0[:, None] + others
-        restricted_y = restricted_p = control_p = None
+        others = mixed - p * tau
+        tables.update(mu_treated=mu0 + tau + others, mu_control=mu0 + others)
     else:
-        mu_treated = mu0[:, None] + tau
-        mu_control = np.repeat(mu0[:, None], K, axis=1)
-        control_p = 1.0 - p.sum(axis=1)
-        cond = p / (p + control_p[:, None])
-        restricted_p = cond
-        restricted_y = mu0[:, None] + tau * cond
+        control_p = 1.0 - p.sum(axis=0)
+        cond = p / (p + control_p)
+        tables.update(mu_treated=mu0 + tau, mu_control=np.repeat(mu0[None], p.shape[0], axis=0),
+                      control_p=control_p, restricted_p=cond, restricted_y=mu0 + tau * cond)
 
+    table = _StratumTable(data, LearnerSpec(), np.zeros(data.y.shape, dtype=np.int64), 1, False,
+                          0.0, *_families(data))
+    B = table.y.shape[0]
+    zero = np.zeros(B, dtype=np.int64) if data.y.ndim > 1 else 0
+    count, mean, m2 = table.moments
     return NuisanceFit(
         mode=dgp.assignment_mode,
-        num_treatments=K,
-        y_hat=y_hat,
-        p_hat=p,
-        mu_treated=mu_treated,
-        mu_control=mu_control,
-        restricted_y=restricted_y,
-        restricted_p=restricted_p,
-        control_p=control_p,
+        num_treatments=dgp.num_treatments,
+        levels=levels,
+        count=count,
+        mean=mean,
+        m2=m2,
+        # a (..., S) table as [..., dataset, fold, stratum], one fold
+        **{name: np.broadcast_to(t[..., None, None, :], t.shape[:-1] + (B, 1, t.shape[-1]))
+           for name, t in tables.items()},
+        clipped_count=zero,
+        fallback_count=zero,
     )
 
 
-def corrupt_outcome(fit: NuisanceFit, data: Dataset, bias: Mapping[int, float]) -> NuisanceFit:
+def corrupt_outcome(fit: NuisanceFit, bias: Mapping[int, float]) -> NuisanceFit:
     """Shift every outcome-model prediction by a fixed per-stratum offset.
 
     Leaves propensities untouched; the canonical "wrong outcome model, right
-    propensity model" configuration for double-robustness checks.
+    propensity model" configuration for double-robustness checks. ``bias``
+    must cover every stratum of the fit.
     """
     codes = np.fromiter(bias.keys(), dtype=np.int64, count=len(bias))
     values = np.array([float(v) for v in bias.values()])
-    offset = values[code_positions(codes, data.x)]
+    offset = values[code_positions(codes, fit.levels)]
     return replace(
         fit,
         y_hat=fit.y_hat + offset,
-        mu_treated=fit.mu_treated + offset[:, None],
-        mu_control=fit.mu_control + offset[:, None],
-        restricted_y=None if fit.restricted_y is None else fit.restricted_y + offset[:, None],
+        mu_treated=fit.mu_treated + offset,
+        mu_control=fit.mu_control + offset,
+        restricted_y=None if fit.restricted_y is None else fit.restricted_y + offset,
     )
 
 

@@ -123,7 +123,7 @@ def test_criterion_06_fwl_equivalence(reversal_dgp):
         levels = np.unique(data.x)
         dummies = (data.x[:, None] == levels[None, :]).astype(float)
         for j in (1, 2):
-            design = np.column_stack([data.indicator(j).astype(float), dummies])
+            design = np.column_stack([data.w[:, j - 1].astype(float), dummies])
             coef, *_ = np.linalg.lstsq(design, data.y, rcond=None)
             gap = abs(tr.plm_estimate(data, fit, j).point - float(coef[0]))
             worst = max(worst, gap)
@@ -186,12 +186,12 @@ def test_criterion_09_double_robustness():
         exact = tr.oracle_nuisance(data, dgp)
         bias = {int(c): 0.9 * (i + 1) * (-1) ** i for i, c in enumerate(dgp.stratum_codes)}
         corrupted = {
-            "outcome+bias": tr.corrupt_outcome(exact, data, bias),
+            "outcome+bias": tr.corrupt_outcome(exact, bias),
             "propensity*odds2": tr.corrupt_propensity(exact, odds_factor=2.0),
         }
         for fit in corrupted.values():
             for j in (1, 2):
-                est = tr.aipw_estimate(data, fit, j, 0)
+                est = tr.aipw_estimate(data, fit, j)
                 z = abs(est.point - tr.oracle_ate(dgp, j)) / est.std_error
                 worst_z = max(worst_z, z)
     ok = worst_z < 5.0

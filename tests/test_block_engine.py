@@ -17,8 +17,8 @@ from treatrank import montecarlo, rng
 from treatrank.estimators import ESTIMATION_ERRORS, ESTIMATORS, Method, plm_estimate
 from treatrank.montecarlo import BLOCK_UNITS, BLOCKS_PER_WORKER, METHODS, _blocks
 
-FIT_FIELDS = ("y_hat", "p_hat", "mu_treated", "mu_control", "restricted_y", "restricted_p",
-              "control_p")
+from unit_reference import FIELDS, unit_arrays
+
 DATA_STREAM, FOLD_STREAM = 0, 1
 CAP_200 = BLOCK_UNITS // 200  # replicates in a full block at n = 200
 
@@ -103,10 +103,17 @@ class TestBlockKernels:
             assert np.array_equal(block.replicate(b).strata.position, data.strata.position)
             assert np.array_equal(block_folds.fold_of[b], folds.fold_of)
             single = tr.fit_crossfit(data, config.learner, folds, config.clip)
-            for name_ in FIT_FIELDS:
-                want = getattr(single, name_)
-                got = getattr(fit, name_)
-                assert (got is None) if want is None else got[b].tobytes() == want.tobytes()
+            row = fit.replicate(b)
+            got, want = unit_arrays(data, row, folds), unit_arrays(data, single, folds)
+            for name_ in FIELDS:
+                assert (got[name_] is None) if want[name_] is None else \
+                    got[name_].tobytes() == want[name_].tobytes()
+            # the row's cells are the dataset's, plus empty ones for strata it lacks
+            own = np.isin(row.levels, single.levels)
+            for moment in ("count", "mean", "m2"):
+                assert getattr(row, moment)[..., own].tobytes() == \
+                    getattr(single, moment).tobytes()
+                assert not getattr(row, moment)[..., ~own].any()
             assert fit.clipped_count[b] == single.clipped_count
             assert fit.fallback_count[b] == single.fallback_count
             alone = [estimator(data, single, j) for estimator in ESTIMATORS.values()
@@ -157,6 +164,20 @@ class TestEngineMatchesLoop:
             fallbacks += tr.fit_crossfit(data, config.learner, folds, config.clip).fallback_count
         assert fallbacks > 0
         assert_engine_matches_loop(config)
+
+    def test_unclipped_rows_lacking_strata(self):
+        # stratum 9 is rare, so many rows lack it; unclipped, the block's
+        # propensity for it is 0 in those rows, and their empty cells there
+        # must leave the row's estimates as defined as the replicate's own
+        dgp = tr.StratifiedDGP(strata=((0, 0.5), (4, 0.495), (9, 0.005)), num_treatments=1,
+                               propensity=[[0.5, 0.4, 0.5]], effect=[[1.0, 2.0, 3.0]],
+                               baseline=[0.0, 1.0, 2.0])
+        config = tr.ScenarioConfig(name="rare", dgp=dgp, n_per_rep=200, num_reps=40, seed=3,
+                                   clip=0.0)
+        lacking = [9 not in replicate_inputs(config, r)[0].x for r in range(config.num_reps)]
+        assert 0 < sum(lacking) < config.num_reps
+        result = assert_engine_matches_loop(config)
+        assert np.isfinite(engine_points(result)[lacking]).all()
 
     def test_failed_fits(self):
         # n=10 logistic fits hit single-class training splits in some replicates

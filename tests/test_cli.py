@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -362,6 +363,24 @@ class TestMonteCarloCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["result"]["scenario"] == "balanced"
         assert summary["result"]["num_reps"] == 4
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("num_folds", 1, "num_folds must be in [2, n_per_rep=500], got 1"),
+        ("num_folds", 501, "num_folds must be in [2, n_per_rep=500], got 501"),
+        ("clip", 0.7, "clip must be in [0, 0.5), got 0.7"),
+        ("clip", -0.1, "clip must be in [0, 0.5), got -0.1"),
+    ])
+    def test_invalid_settings_rejected_at_load(self, tmp_path, capsys, field, value, message):
+        path = tmp_path / "scenario.yaml"
+        tr.write_scenario_config(tr.scaled(tr.preset("balanced"), num_reps=4, n_per_rep=500), path)
+        text = path.read_text()
+        line = next(ln for ln in text.splitlines() if ln.startswith(f"{field}:"))
+        path.write_text(text.replace(line, f"{field}: {value}"))
+        with pytest.raises(tr.ConfigError, match=re.escape(f"{path}: {message}")):
+            tr.load_scenario_config(path)
+        assert run_cli("montecarlo", "--config", path, "--out", tmp_path / "o") == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "summary.json").exists()
 
     def test_requires_preset_or_config(self, tmp_path, capsys):
         assert run_cli("montecarlo", "--out", tmp_path / "o") == 1

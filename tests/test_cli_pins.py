@@ -92,95 +92,95 @@ def run_case(argv: list[str], tmp: Path) -> dict[str, str]:
 
 PINS = {
     "decompose-multinomial-logistic_ridge-csv": {
-        "decomposition.csv": "e212524e7cf2660a0f570f7d3621787357b778ba489a481dd71e1c9e2023dcfd",
-        "decomposition_strata.csv": "28d2e3281b1feb5cabafd79065c13a913b7564aa0e60100161d90c59b786804f",
+        "decomposition.csv": "5e21ea8205e03dbb0043b4eb3ae1cec87e694a7f80db3de164bb3fc7572263d0",
+        "decomposition_strata.csv": "fd7a31c6b2b926d2eccf5452557fef3af9ec99e4960362e6920353fdae17cfe7",
     },
     "decompose-multinomial-logistic_ridge-json": {
-        "decomposition.json": "8a0ff5c2e39f8c1e5e01c224d625d04c0dacd2f0f399dbd6d5dae739245c2933",
+        "decomposition.json": "ca33b311e0deb1e644c9b68f3a2094a2e5764f6bda6c11da329941d5eb67ed0a",
     },
     "decompose-multinomial-stratum_mean-csv": {
-        "decomposition.csv": "437ba9ea1674bab998b15077798a31370a439dc7ea605821f4ecaba7c2b11be1",
-        "decomposition_strata.csv": "da456768d11c5a2ac51372c9f636c14d551dd94a7cbb3575142e8fe20aa8c9a6",
+        "decomposition.csv": "e4a9106a41c173cf1dea6faafb47c665e5d8c6847f60b9d2af911c20be0a462d",
+        "decomposition_strata.csv": "083127dbd8e019fa07281d45ebe6ed434371ad7be6d52e87605d776bd4c31d5a",
     },
     "decompose-multinomial-stratum_mean-json": {
-        "decomposition.json": "21a2e4341cc20a98075cda1d1af7dfd116a61cb05c98cfcb6b940c583e712eb0",
+        "decomposition.json": "adc10b054db5ad7beab508f408d2b46e4ae4f7bfd76ea24f11ce32d8b24e93a5",
     },
     "decompose-parallel-logistic_ridge-csv": {
-        "decomposition.csv": "08965dcffc6b2128e4bedb5bf3d94995cacc87bf506fbc1153d1b96ebcd375a9",
-        "decomposition_strata.csv": "894a23d8d68e6b95c3d09dc35cdae5f07851d877949c6485f2c0dbaaa03cffee",
+        "decomposition.csv": "adec800f8d70e1afa3c938e1d44589988ae19cae6d5af06254e86f4a5ef97414",
+        "decomposition_strata.csv": "ce95326cd71863c02b304560d790489aae0c26ef7f9ee298d5c5a3e56fee78af",
     },
     "decompose-parallel-logistic_ridge-json": {
-        "decomposition.json": "30d874bfb5a782db37900336382332ab91eaa1163514c85a12f570a110feadb0",
+        "decomposition.json": "2f3f55d16d21e6e5c6adad77c84055f659499aed5a00245ce1b1a73f7a16b1b1",
     },
     "decompose-parallel-stratum_mean-csv": {
-        "decomposition.csv": "e0b665ebe850b3bfc01ae82f3cc393b4d6127aa945a4768ae51d5fb1c3851ceb",
-        "decomposition_strata.csv": "0be7f02fdb80dd7504e83d3b4d092547a4ead214aee42c3cb4385f69af924997",
+        "decomposition.csv": "bbe974f8b03e49593b3d18fac99b6eef73bae6b4c85f3c31bcd50eab145b72b0",
+        "decomposition_strata.csv": "82c6397a1b5f8533c9cddcbfc3b14773ef54de7f5aa9e2e67114073b85f55836",
     },
     "decompose-parallel-stratum_mean-json": {
-        "decomposition.json": "c61884c8d701cb5f2c209bf4a7bdda20e62e7805a217ad5e8b4ab9acfc6475b2",
+        "decomposition.json": "4438335a1e5cced4fd1ba25030f2cd69025784c67337f2830109df89dc5c4541",
     },
     "estimate-multinomial-logistic_ridge-csv": {
-        "decomposition.csv": "e212524e7cf2660a0f570f7d3621787357b778ba489a481dd71e1c9e2023dcfd",
-        "decomposition_strata.csv": "28d2e3281b1feb5cabafd79065c13a913b7564aa0e60100161d90c59b786804f",
-        "estimates.csv": "c683b543022b3d7b3e1c00333665fc1c6d488eebaa7fce75653972ff1d1efa44",
+        "decomposition.csv": "5e21ea8205e03dbb0043b4eb3ae1cec87e694a7f80db3de164bb3fc7572263d0",
+        "decomposition_strata.csv": "fd7a31c6b2b926d2eccf5452557fef3af9ec99e4960362e6920353fdae17cfe7",
+        "estimates.csv": "34ab63d9152528b262aa608bf7ee33f5295fd3ac4872bda5568130549ad9be53",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-multinomial-logistic_ridge-json": {
-        "decomposition.json": "8a0ff5c2e39f8c1e5e01c224d625d04c0dacd2f0f399dbd6d5dae739245c2933",
-        "estimates.csv": "c683b543022b3d7b3e1c00333665fc1c6d488eebaa7fce75653972ff1d1efa44",
+        "decomposition.json": "ca33b311e0deb1e644c9b68f3a2094a2e5764f6bda6c11da329941d5eb67ed0a",
+        "estimates.csv": "34ab63d9152528b262aa608bf7ee33f5295fd3ac4872bda5568130549ad9be53",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-multinomial-stratum_mean-csv": {
-        "decomposition.csv": "437ba9ea1674bab998b15077798a31370a439dc7ea605821f4ecaba7c2b11be1",
-        "decomposition_strata.csv": "da456768d11c5a2ac51372c9f636c14d551dd94a7cbb3575142e8fe20aa8c9a6",
-        "estimates.csv": "0924d5c837790ed692a6c08cd43b24413179b1608e137e2b7b651f1a0eb0ee7b",
+        "decomposition.csv": "e4a9106a41c173cf1dea6faafb47c665e5d8c6847f60b9d2af911c20be0a462d",
+        "decomposition_strata.csv": "083127dbd8e019fa07281d45ebe6ed434371ad7be6d52e87605d776bd4c31d5a",
+        "estimates.csv": "5b70687ff6cc7dcde1f79690c1ee87078e5170d3f091c80d20bca368d393975f",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-multinomial-stratum_mean-json": {
-        "decomposition.json": "21a2e4341cc20a98075cda1d1af7dfd116a61cb05c98cfcb6b940c583e712eb0",
-        "estimates.csv": "0924d5c837790ed692a6c08cd43b24413179b1608e137e2b7b651f1a0eb0ee7b",
+        "decomposition.json": "adc10b054db5ad7beab508f408d2b46e4ae4f7bfd76ea24f11ce32d8b24e93a5",
+        "estimates.csv": "5b70687ff6cc7dcde1f79690c1ee87078e5170d3f091c80d20bca368d393975f",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-no-control-csv": {
         "decomposition.csv": "02e86dbc3eb43ed08ea14bb3b316b4caf7c5bbe75d6215302c6228aa4d92c7d1",
         "decomposition_strata.csv": "66265439dafd51c810207693c8ba1207a6327bf8a02991331fc66cb383821260",
-        "estimates.csv": "42d255459d0433f477341766c92e7ddc1040f4670130e6ac9ee6b303f08d29fd",
+        "estimates.csv": "929ecbed3969edb248f57c95c9c19ec6b9d5912dba39e5cb7e881ba48f727e32",
         "ranking.json": "91bd4416347c7114d877274f2b78836a5970686ce08a9d304f004027bc8b6df2",
     },
     "estimate-no-control-json": {
         "decomposition.json": "78f9deb0f6dd2c967f1648bbbe20949476972cddfb82571475f6aa44b6bb3cab",
-        "estimates.csv": "42d255459d0433f477341766c92e7ddc1040f4670130e6ac9ee6b303f08d29fd",
+        "estimates.csv": "929ecbed3969edb248f57c95c9c19ec6b9d5912dba39e5cb7e881ba48f727e32",
         "ranking.json": "91bd4416347c7114d877274f2b78836a5970686ce08a9d304f004027bc8b6df2",
     },
     "estimate-parallel-logistic_ridge-csv": {
-        "decomposition.csv": "08965dcffc6b2128e4bedb5bf3d94995cacc87bf506fbc1153d1b96ebcd375a9",
-        "decomposition_strata.csv": "894a23d8d68e6b95c3d09dc35cdae5f07851d877949c6485f2c0dbaaa03cffee",
-        "estimates.csv": "9fb2f57a03a8e43e81f4db1617c877a418d9c3a88aa4c0a9556fe2671b26d1b2",
+        "decomposition.csv": "adec800f8d70e1afa3c938e1d44589988ae19cae6d5af06254e86f4a5ef97414",
+        "decomposition_strata.csv": "ce95326cd71863c02b304560d790489aae0c26ef7f9ee298d5c5a3e56fee78af",
+        "estimates.csv": "aa98751ddaec2444a08b29de0915f0dad5485a7e3087142c41e90cce35f397bb",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-logistic_ridge-json": {
-        "decomposition.json": "30d874bfb5a782db37900336382332ab91eaa1163514c85a12f570a110feadb0",
-        "estimates.csv": "9fb2f57a03a8e43e81f4db1617c877a418d9c3a88aa4c0a9556fe2671b26d1b2",
+        "decomposition.json": "2f3f55d16d21e6e5c6adad77c84055f659499aed5a00245ce1b1a73f7a16b1b1",
+        "estimates.csv": "aa98751ddaec2444a08b29de0915f0dad5485a7e3087142c41e90cce35f397bb",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-stratum_mean-csv": {
-        "decomposition.csv": "e0b665ebe850b3bfc01ae82f3cc393b4d6127aa945a4768ae51d5fb1c3851ceb",
-        "decomposition_strata.csv": "0be7f02fdb80dd7504e83d3b4d092547a4ead214aee42c3cb4385f69af924997",
-        "estimates.csv": "bda23776f77b853cbcd6e2b530bef28f88bd12e5e25cfe5ff9c252fd05d5c934",
+        "decomposition.csv": "bbe974f8b03e49593b3d18fac99b6eef73bae6b4c85f3c31bcd50eab145b72b0",
+        "decomposition_strata.csv": "82c6397a1b5f8533c9cddcbfc3b14773ef54de7f5aa9e2e67114073b85f55836",
+        "estimates.csv": "5d3116805e954f83f2bfbd87ac5d4efd014ac36ca723ee0c2a70a4ea9a60f48a",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-stratum_mean-json": {
-        "decomposition.json": "c61884c8d701cb5f2c209bf4a7bdda20e62e7805a217ad5e8b4ab9acfc6475b2",
-        "estimates.csv": "bda23776f77b853cbcd6e2b530bef28f88bd12e5e25cfe5ff9c252fd05d5c934",
+        "decomposition.json": "4438335a1e5cced4fd1ba25030f2cd69025784c67337f2830109df89dc5c4541",
+        "estimates.csv": "5d3116805e954f83f2bfbd87ac5d4efd014ac36ca723ee0c2a70a4ea9a60f48a",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "montecarlo-balanced": {
-        "estimate_histograms.csv": "d6f774ccd3fcea5a78d9329cf9bb784af2e410b4e1d4fa26409ec0532d76b605",
+        "estimate_histograms.csv": "ceb494dda45c53d749590e640ef0ccaa545c2ac79f3449c79ae1621a294cb6db",
         "ranking_rates.csv": "6bf870ee682f6180dcaa3102c7f7399f1882b2f5d030f7f90aab869c873403b8",
-        "replicates.csv": "7474dbeb27dcf884f7c8e6a124f4ea911f7556dd25b2c562a91cb98512e5f097",
+        "replicates.csv": "b0e7dfda2ad90ba709111b1bd1518dbc90aa3682679c0f6eff091638c0589d95",
         "resolved_config.yaml": "be634eb3ce00f0a48cedc9265d10cf94432af76961a463a64d3a5b3e0b5c6ad6",
-        "summary.csv": "2e6c2142e8f1af5d7b5d16795b8bb18fd37a2f75e852119958e915a0782efc6e",
-        "summary.json": "1cee4886e603b389a41320365030288f69f1773d1fe597dc7a3447d72a2a57d4",
+        "summary.csv": "efda4b1ebe2c3c7af8770f1a5b863a7130d1734cfaa36338963144b2277f67f7",
+        "summary.json": "38a1f79f134fd988c28a7c04f3494349c5eac56608ef9b665c6aaf83da4230d8",
     },
     "oracle-multinomial-csv": {
         "oracle.csv": "1ddec046c98b641e53d5113f9200d60d44134b949826bb5e267c5716f4ad625b",

@@ -1,6 +1,6 @@
-"""The columnar dataset CSV path, the YAML loader and the stratum-grouped
+"""The columnar dataset CSV path, the YAML loader and the cell-table
 decomposition, each checked against a test-local copy of the per-row code
-they replaced."""
+they replaced (for the decomposition, ``unit_reference.decomposition``)."""
 
 from __future__ import annotations
 
@@ -14,11 +14,13 @@ import treatrank as tr
 from treatrank.configio import (
     ConfigError, _dump_yaml, _load_yaml, packaged_config_path, scenario_to_dict,
 )
-from treatrank.diagnostics import NotEstimableError, Source, decompose
+from treatrank.diagnostics import NotEstimableError
+
+from unit_reference import assert_reports_close, unit_arrays
+from unit_reference import decomposition as reference_decomposition
 
 
-# --- references: the csv-module reader and writer, the per-stratum-mask
-# decomposition ------------------------------------------------------------
+# --- references: the csv-module reader and writer ----------------------------
 
 
 def reference_load(path) -> tr.Dataset:
@@ -91,34 +93,6 @@ def reference_write(data: tr.Dataset, path) -> None:
                 writer.writerow(
                     [repr(float(data.y[i]))] + [int(v) for v in data.w[i]] + [int(data.x[i])]
                 )
-
-
-def reference_decomposition(data, fit, j):
-    treated = data.indicator(j) == 1
-    control = data.control_indicator(j) == 1
-    p_j = fit.arm_probability(j)
-    tau_tab, var_tab, prob_tab = {}, {}, {}
-    dropped = 0
-    for code in np.unique(data.x):
-        in_stratum = data.x == code
-        n_treated = int(np.sum(in_stratum & treated))
-        n_control = int(np.sum(in_stratum & control))
-        if n_treated == 0 or n_control == 0:
-            dropped += 1
-            continue
-        code = int(code)
-        tau_tab[code] = float(
-            data.y[in_stratum & treated].mean() - data.y[in_stratum & control].mean()
-        )
-        p_bar = float(p_j[in_stratum].mean())
-        var_tab[code] = p_bar * (1.0 - p_bar)
-        prob_tab[code] = float(in_stratum.mean())
-    if not tau_tab:
-        raise NotEstimableError(f"no stratum has both treated and control units for treatment {j}")
-    total = sum(prob_tab.values())
-    prob_tab = {s: p / total for s, p in prob_tab.items()}
-    return decompose(tau_tab, var_tab, prob_tab, treatment=j, source=Source.ESTIMATED,
-                     dropped_strata=dropped)
 
 
 def outcome(loader, path):
@@ -293,8 +267,10 @@ def decomposition_cases():
 def test_decomposition_equals_reference(name, data):
     folds = tr.assign_folds(data.n, 5, seed=1)
     fit = tr.fit_crossfit(data, tr.LearnerSpec(), folds, clip=0.01)
+    units = unit_arrays(data, fit, folds)
     for j in range(1, data.num_treatments + 1):
-        assert tr.estimate_decomposition(data, fit, j) == reference_decomposition(data, fit, j)
+        assert_reports_close(tr.estimate_decomposition(data, fit, j),
+                             reference_decomposition(data, units, j))
     if name == "dropped-stratum":
         assert tr.estimate_decomposition(data, fit, 1).dropped_strata == 1
 
@@ -306,7 +282,7 @@ def test_decomposition_not_estimable_like_reference():
     data = tr.Dataset(y=np.arange(20.0), w=w, x=x)
     fit = tr.fit_insample(data, tr.LearnerSpec(), clip=0.01)
     with pytest.raises(NotEstimableError, match="treatment 1"):
-        reference_decomposition(data, fit, 1)
+        reference_decomposition(data, unit_arrays(data, fit), 1)
     with pytest.raises(NotEstimableError, match="treatment 1"):
         tr.estimate_decomposition(data, fit, 1)
 

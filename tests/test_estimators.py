@@ -10,14 +10,20 @@ import pytest
 
 import treatrank as tr
 from treatrank import rng
-from treatrank.estimators import _effect_score, _treated_score
 
 from conftest import exact_cell_dataset, round_propensity_dgp
+from unit_reference import indicators, unit_arrays
 
 
 def crossfit(data, seed=0, **kwargs):
     folds = tr.assign_folds(data.n, 5, seed=seed)
     return tr.fit_crossfit(data, tr.LearnerSpec(), folds, **kwargs)
+
+
+def in_comparison(data, j):
+    """Units entering treatment ``j``'s comparison: arm j or control."""
+    treated, control = indicators(data, j)
+    return (treated == 1) | (control == 1)
 
 
 class TestPlm:
@@ -78,7 +84,7 @@ class TestPlm:
         data = tr.sample(dgp, 20_000, seed=105)
         fit = crossfit(data, seed=106)
         est = tr.plm_estimate(data, fit, 1)
-        assert est.n_used == int(data.restriction_mask(1).sum())
+        assert est.n_used == int(in_comparison(data, 1).sum())
         assert abs(est.point - 1.0) < 5 * est.std_error
 
 
@@ -100,9 +106,10 @@ class TestPlmMultinomialReference:
                         assignment_mode=tr.AssignmentMode.MULTINOMIAL)
 
     @staticmethod
-    def inputs(data, fit, j):
-        return (data.indicator(j).astype(float), fit.plm_propensity(j), data.y,
-                fit.plm_outcome(j), data.restriction_mask(j))
+    def inputs(data, fit, folds, j):
+        units = unit_arrays(data, fit, folds)
+        return (data.w[:, j - 1].astype(float), units["restricted_p"][:, j - 1], data.y,
+                units["restricted_y"][:, j - 1], in_comparison(data, j))
 
     @staticmethod
     def check(point, se, used, reference):
@@ -113,88 +120,50 @@ class TestPlmMultinomialReference:
 
     def test_single_dataset(self):
         data = tr.sample(self.DGP, 3_000, seed=131)
-        fit = crossfit(data, seed=132)
+        folds = tr.assign_folds(data.n, 5, seed=132)
+        fit = tr.fit_crossfit(data, tr.LearnerSpec(), folds)
         for j in (1, 2, 3):
             est = tr.plm_estimate(data, fit, j)
             self.check(est.point, est.std_error, est.n_used,
-                       subsample_regression(*self.inputs(data, fit, j)))
+                       subsample_regression(*self.inputs(data, fit, folds, j)))
 
     def test_every_row_of_a_block(self):
         seeds = [141, 142, 143, 144]
         data = tr.sample(self.DGP, 400, seeds)
-        fit = tr.fit_crossfit(data, tr.LearnerSpec(), tr.assign_folds(400, 5, seeds))
+        folds = tr.assign_folds(400, 5, seeds)
+        fit = tr.fit_crossfit(data, tr.LearnerSpec(), folds)
         for j in (1, 2, 3):
             est = tr.plm_estimate(data, fit, j)
-            inputs = self.inputs(data, fit, j)
             for b in range(len(seeds)):
+                inputs = self.inputs(data.replicate(b), fit.replicate(b), folds.replicate(b), j)
                 self.check(est.point[b], est.std_error[b], est.n_used[b],
-                           subsample_regression(*(a[b] for a in inputs)))
-
-
-class TestScores:
-    def test_formula_per_unit(self):
-        dgp = round_propensity_dgp()
-        data = exact_cell_dataset(dgp, 40)
-        fit = tr.oracle_nuisance(data, dgp)
-        j = 1
-        treated = data.indicator(j) == 1
-        mu1, mu0 = fit.treated_outcome(j), fit.control_outcome(j)
-        score = _treated_score(data, fit, j)
-        expected_treated = mu1 + (data.y - mu1) / fit.arm_probability(j)
-        assert np.allclose(score[treated], expected_treated[treated])
-        # untreated units get the outcome-model prediction untouched
-        assert np.allclose(score[~treated], mu1[~treated])
-        expected_control = np.where(
-            treated, mu0, mu0 + (data.y - mu0) / fit.control_probability(j)
-        )
-        assert np.allclose(_effect_score(data, fit, j), score - expected_control)
-
-    def test_noiseless_exact_nuisances_recover_potential_means(self):
-        dgp = round_propensity_dgp()
-        data = exact_cell_dataset(dgp, 40)
-        fit = tr.oracle_nuisance(data, dgp)
-        probs = dgp.stratum_probs
-        for j in (1, 2):
-            other = 2 if j == 1 else 1
-            # the other treatment is taken at its own propensity in both arms
-            untreated = dgp.baseline + dgp.propensity[other - 1] * dgp.effect[other - 1]
-            target = float(probs @ (untreated + dgp.effect[j - 1]))
-            assert float(_treated_score(data, fit, j).mean()) == pytest.approx(target, abs=1e-8)
-            ate = float(probs @ dgp.effect[j - 1])
-            assert float(_effect_score(data, fit, j).mean()) == pytest.approx(ate, abs=1e-8)
+                           subsample_regression(*inputs))
 
 
 class TestAipw:
     def test_reversal_example_recovers_ates(self, reversal_dgp):
         data = tr.sample(reversal_dgp, 10_000, seed=107)
         fit = crossfit(data, seed=108)
-        est1 = tr.aipw_estimate(data, fit, 1, 0)
-        est2 = tr.aipw_estimate(data, fit, 2, 0)
+        est1 = tr.aipw_estimate(data, fit, 1)
+        est2 = tr.aipw_estimate(data, fit, 2)
         assert est1.estimand is tr.Estimand.ATE
         assert abs(est1.point - 0.0) < 5 * est1.std_error
         assert abs(est2.point - 0.5) < 5 * est2.std_error
 
-    def test_contrast_arm_bounds(self):
+    def test_treatment_bounds(self):
         dgp = round_propensity_dgp()
         data = exact_cell_dataset(dgp, 40)
         fit = tr.oracle_nuisance(data, dgp)
-        with pytest.raises(ValueError):
-            tr.aipw_estimate(data, fit, 3, 0)
-        assert tr.aipw_estimate(data, fit, 0, 2).point == -tr.aipw_estimate(data, fit, 2, 0).point
-
-    def test_same_arm_contrast_is_exactly_zero(self, reversal_dgp):
-        data = tr.sample(reversal_dgp, 1_000, seed=109)
-        fit = crossfit(data, seed=110)
-        est = tr.aipw_estimate(data, fit, 1, 1)
-        assert est.point == 0.0
-        assert est.std_error == 0.0
+        for j in (0, 3):
+            with pytest.raises(ValueError, match=r"treatment index must be in 1\.\.2"):
+                tr.aipw_estimate(data, fit, j)
 
     def test_noiseless_exact_cells_recover_ate_exactly(self):
         dgp = round_propensity_dgp()
         data = exact_cell_dataset(dgp, 40)
         fit = tr.oracle_nuisance(data, dgp)
         for j in (1, 2):
-            est = tr.aipw_estimate(data, fit, j, 0)
+            est = tr.aipw_estimate(data, fit, j)
             assert est.point == pytest.approx(tr.oracle_ate(dgp, j), abs=1e-8)
 
     def test_oracle_nuisances_target_ate_at_scale(self):
@@ -203,18 +172,18 @@ class TestAipw:
             data = tr.sample(dgp, 100_000, seed=111)
             fit = tr.oracle_nuisance(data, dgp)
             for j in (1, 2):
-                est = tr.aipw_estimate(data, fit, j, 0)
+                est = tr.aipw_estimate(data, fit, j)
                 assert abs(est.point - tr.oracle_ate(dgp, j)) < 5 * est.std_error, name
 
     def test_double_robustness_light(self):
         dgp = tr.preset(tr.ScenarioName.SELECTION_ON_GAINS).dgp
         data = tr.sample(dgp, 20_000, seed=112)
         exact = tr.oracle_nuisance(data, dgp)
-        bad_mu = tr.corrupt_outcome(exact, data, bias={0: 0.7, 1: -1.3})
+        bad_mu = tr.corrupt_outcome(exact, bias={0: 0.7, 1: -1.3})
         bad_p = tr.corrupt_propensity(exact, odds_factor=2.0)
         for fit in (bad_mu, bad_p):
             for j in (1, 2):
-                est = tr.aipw_estimate(data, fit, j, 0)
+                est = tr.aipw_estimate(data, fit, j)
                 assert abs(est.point - tr.oracle_ate(dgp, j)) < 5 * est.std_error
 
 
@@ -239,7 +208,7 @@ class TestIpw:
         data = tr.sample(dgp, 5_000, seed=113)
         fit = tr.oracle_nuisance(data, dgp)
         est = tr.ipw_estimate(data, fit, 1)
-        d = data.indicator(1)
+        d = data.w[:, 0]
         mechanical = 2 * float(np.mean(d * data.y)) - 2 * float(np.mean((1 - d) * data.y))
         assert est.point == pytest.approx(mechanical, abs=1e-12)
 
@@ -258,7 +227,7 @@ class TestFwlEquivalence:
         levels = np.unique(data.x)
         dummies = (data.x[:, None] == levels[None, :]).astype(float)
         for j in (1, 2):
-            design = np.column_stack([data.indicator(j).astype(float), dummies])
+            design = np.column_stack([data.w[:, j - 1].astype(float), dummies])
             coef, *_ = np.linalg.lstsq(design, data.y, rcond=None)
             est = tr.plm_estimate(data, fit, j)
             assert est.point == pytest.approx(float(coef[0]), abs=1e-8)
@@ -286,8 +255,8 @@ class TestRankingFaithfulness:
         for r in range(reps):
             data = tr.sample(reversal_dgp, n, seed=rng.child_seed(119, r))
             fit = crossfit(data, seed=rng.child_seed(120, r))
-            a1 = tr.aipw_estimate(data, fit, 1, 0).point
-            a2 = tr.aipw_estimate(data, fit, 2, 0).point
+            a1 = tr.aipw_estimate(data, fit, 1).point
+            a2 = tr.aipw_estimate(data, fit, 2).point
             p1 = tr.plm_estimate(data, fit, 1).point
             p2 = tr.plm_estimate(data, fit, 2).point
             aipw_ok += int(np.sign(a2 - a1) == 1.0)  # oracle ATE order: 2 above 1

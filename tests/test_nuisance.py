@@ -9,6 +9,7 @@ import treatrank as tr
 from treatrank import nuisance
 
 from conftest import exact_cell_dataset, round_propensity_dgp
+from unit_reference import unit_arrays
 
 
 class TestAssignFolds:
@@ -57,16 +58,18 @@ class TestStratumMean:
             noise_sd=0.0,
         )
         data = tr.sample(dgp, 500, seed=2)
-        fit = tr.fit_crossfit(data, tr.LearnerSpec(), tr.assign_folds(500, 5, seed=3))
+        folds = tr.assign_folds(500, 5, seed=3)
+        fit = tr.fit_crossfit(data, tr.LearnerSpec(), folds)
         assert fit.fallback_count == 0
         idx = dgp.stratum_index(data.x)
-        assert np.allclose(fit.y_hat, dgp.baseline[idx], atol=0)
+        assert np.allclose(unit_arrays(data, fit, folds)["y_hat"], dgp.baseline[idx], atol=0)
 
     def test_crossfit_propensity_near_truth(self, reversal_dgp):
         data = tr.sample(reversal_dgp, 10_000, seed=5)
-        fit = tr.fit_crossfit(data, tr.LearnerSpec(), tr.assign_folds(data.n, 5, seed=6))
+        folds = tr.assign_folds(data.n, 5, seed=6)
+        fit = tr.fit_crossfit(data, tr.LearnerSpec(), folds)
         cell = data.x == 1
-        p_bar = float(fit.p_hat[cell, 0].mean())
+        p_bar = float(unit_arrays(data, fit, folds)["p_hat"][cell, 0].mean())
         sigma = np.sqrt(0.25 / cell.sum())
         assert abs(p_bar - 0.5) < 3 * sigma
 
@@ -77,21 +80,23 @@ class TestStratumMean:
         x = np.repeat([0, 1], 20)
         w[:10, 0] = 1  # treated only in stratum 0
         data = tr.Dataset(y=y, w=w, x=x)
-        fit = tr.fit_crossfit(data, tr.LearnerSpec(), tr.assign_folds(40, 4, seed=8), clip=0.01)
-        assert np.all(fit.p_hat[x == 1, 0] == 0.01)
+        folds = tr.assign_folds(40, 4, seed=8)
+        fit = tr.fit_crossfit(data, tr.LearnerSpec(), folds, clip=0.01)
+        assert np.all(unit_arrays(data, fit, folds)["p_hat"][x == 1, 0] == 0.01)
         assert fit.clipped_count > 0
         assert fit.fallback_count > 0  # mu_treated cells in stratum 1 are empty
 
     def test_converges_to_cell_means_at_scale(self, reversal_dgp):
         n = 100_000
         data = tr.sample(reversal_dgp, n, seed=31)
-        fit = tr.fit_crossfit(data, tr.LearnerSpec(), tr.assign_folds(n, 5, seed=32))
+        folds = tr.assign_folds(n, 5, seed=32)
+        y_hat = unit_arrays(data, tr.fit_crossfit(data, tr.LearnerSpec(), folds), folds)["y_hat"]
         idx = reversal_dgp.stratum_index(data.x)
         p, tau, mu0 = reversal_dgp.propensity, reversal_dgp.effect, reversal_dgp.baseline
         truth = mu0[idx] + (p[:, idx] * tau[:, idx]).sum(axis=0)
         for s in (0, 1):
             cell = data.x == s
-            resid = fit.y_hat[cell] - truth[cell]
+            resid = y_hat[cell] - truth[cell]
             se = float(data.y[cell].std(ddof=1) / np.sqrt(cell.sum()))
             assert abs(float(resid.mean())) < 5 * se
 
@@ -100,30 +105,29 @@ class TestOutOfFoldPurity:
     def test_fold_predictions_ignore_own_fold(self, reversal_dgp):
         data = tr.sample(reversal_dgp, 2_000, seed=13)
         folds = tr.assign_folds(data.n, 5, seed=14)
-        fit = tr.fit_crossfit(data, tr.LearnerSpec(), folds)
+        fit = unit_arrays(data, tr.fit_crossfit(data, tr.LearnerSpec(), folds), folds)
         k = 2
         mutated = tr.Dataset(y=data.y.copy(), w=data.w.copy(), x=data.x.copy())
         mutated.y[folds.fold_of == k] += 100.0
-        refit = tr.fit_crossfit(mutated, tr.LearnerSpec(), folds)
+        refit = unit_arrays(mutated, tr.fit_crossfit(mutated, tr.LearnerSpec(), folds), folds)
         inside = folds.fold_of == k
-        assert np.array_equal(fit.y_hat[inside], refit.y_hat[inside])
-        assert np.array_equal(fit.mu_treated[inside], refit.mu_treated[inside])
-        assert np.array_equal(fit.mu_control[inside], refit.mu_control[inside])
+        for name in ("y_hat", "mu_treated", "mu_control"):
+            assert np.array_equal(fit[name][inside], refit[name][inside])
         # outcome perturbation never touches propensities anywhere
-        assert np.array_equal(fit.p_hat, refit.p_hat)
+        assert np.array_equal(fit["p_hat"], refit["p_hat"])
         # but it must move outcome predictions in the other folds
-        assert not np.allclose(fit.y_hat[~inside], refit.y_hat[~inside])
+        assert not np.allclose(fit["y_hat"][~inside], refit["y_hat"][~inside])
 
 
 class TestRidgeLearners:
     def test_saturated_zero_penalty_reproduces_cell_means(self, reversal_dgp):
         data = tr.sample(reversal_dgp, 3_000, seed=17)
         spec = tr.LearnerSpec(kind=tr.LearnerKind.LINEAR_RIDGE, ridge_penalty=0.0)
-        fit = tr.fit_insample(data, spec)
+        fit = unit_arrays(data, tr.fit_insample(data, spec))
         for s in (0, 1):
             cell = data.x == s
-            assert np.allclose(fit.y_hat[cell], data.y[cell].mean(), atol=1e-8)
-            assert np.allclose(fit.p_hat[cell, 0], data.w[cell, 0].mean(), atol=1e-8)
+            assert np.allclose(fit["y_hat"][cell], data.y[cell].mean(), atol=1e-8)
+            assert np.allclose(fit["p_hat"][cell, 0], data.w[cell, 0].mean(), atol=1e-8)
 
     def test_penalty_shrinks_toward_zero(self):
         data = tr.sample(round_propensity_dgp(noise_sd=1.0), 2_000, seed=18)
@@ -144,10 +148,10 @@ class TestRidgeLearners:
     def test_logistic_matches_cell_rates_when_saturated(self):
         data = tr.sample(round_propensity_dgp(noise_sd=1.0), 4_000, seed=21)
         spec = tr.LearnerSpec(kind=tr.LearnerKind.LOGISTIC_RIDGE, ridge_penalty=0.0)
-        fit = tr.fit_insample(data, spec)
+        p_hat = unit_arrays(data, tr.fit_insample(data, spec))["p_hat"]
         for s in (0, 1):
             cell = data.x == s
-            assert fit.p_hat[cell, 0].mean() == pytest.approx(
+            assert p_hat[cell, 0].mean() == pytest.approx(
                 data.w[cell, 0].mean(), abs=1e-6
             )
 
@@ -203,16 +207,18 @@ class TestOracleNuisance:
     def test_parallel_binary_closed_forms(self):
         dgp = round_propensity_dgp()
         data = exact_cell_dataset(dgp, 40)
-        fit = tr.oracle_nuisance(data, dgp)
+        oracle = tr.oracle_nuisance(data, dgp)
+        fit = unit_arrays(data, oracle)
         idx = dgp.stratum_index(data.x)
         p1, p2 = dgp.propensity[0, idx], dgp.propensity[1, idx]
         t1, t2 = dgp.effect[0, idx], dgp.effect[1, idx]
         mu0 = dgp.baseline[idx]
-        assert np.allclose(fit.y_hat, mu0 + p1 * t1 + p2 * t2, atol=1e-12)
-        assert np.allclose(fit.treated_outcome(1), mu0 + t1 + p2 * t2, atol=1e-12)
-        assert np.allclose(fit.control_outcome(1), mu0 + p2 * t2, atol=1e-12)
-        assert np.allclose(fit.arm_probability(2), p2, atol=0)
-        assert np.allclose(fit.control_probability(2), 1 - p2, atol=1e-12)
+        assert np.allclose(fit["y_hat"], mu0 + p1 * t1 + p2 * t2, atol=1e-12)
+        assert np.allclose(fit["mu_treated"][:, 0], mu0 + t1 + p2 * t2, atol=1e-12)
+        assert np.allclose(fit["mu_control"][:, 0], mu0 + p2 * t2, atol=1e-12)
+        assert np.allclose(fit["p_hat"][:, 1], p2, atol=0)
+        p, q = oracle.propensities(2)
+        assert np.allclose(q, 1 - p, atol=0) and np.allclose(p[0, 0], dgp.propensity[1], atol=0)
 
     def test_multinomial_closed_forms(self):
         dgp = tr.StratifiedDGP(
@@ -225,13 +231,13 @@ class TestOracleNuisance:
             assignment_mode=tr.AssignmentMode.MULTINOMIAL,
         )
         data = exact_cell_dataset(dgp, 20)
-        fit = tr.oracle_nuisance(data, dgp)
+        fit = unit_arrays(data, tr.oracle_nuisance(data, dgp))
         idx = dgp.stratum_index(data.x)
         p0 = 1 - dgp.propensity[:, idx].sum(axis=0)
-        assert np.allclose(fit.control_probability(1), p0, atol=1e-12)
+        assert np.allclose(fit["control_p"], p0, atol=1e-12)
         q1 = dgp.propensity[0, idx] / (dgp.propensity[0, idx] + p0)
-        assert np.allclose(fit.plm_propensity(1), q1, atol=1e-12)
-        assert np.allclose(fit.control_outcome(2), dgp.baseline[idx], atol=0)
+        assert np.allclose(fit["restricted_p"][:, 0], q1, atol=1e-12)
+        assert np.allclose(fit["mu_control"][:, 1], dgp.baseline[idx], atol=0)
 
     def test_mode_mismatch_rejected(self):
         dgp = round_propensity_dgp()
@@ -253,18 +259,19 @@ class TestCorruption:
         dgp = round_propensity_dgp()
         data = exact_cell_dataset(dgp, 40)
         fit = tr.oracle_nuisance(data, dgp)
-        bad = tr.corrupt_outcome(fit, data, bias={0: 1.0, 1: -2.0})
+        bad = unit_arrays(data, tr.corrupt_outcome(fit, bias={0: 1.0, 1: -2.0}))
+        fit = unit_arrays(data, fit)
         offset = np.where(data.x == 0, 1.0, -2.0)
-        assert np.allclose(bad.y_hat, fit.y_hat + offset)
-        assert np.allclose(bad.mu_treated, fit.mu_treated + offset[:, None])
-        assert np.array_equal(bad.p_hat, fit.p_hat)
+        assert np.allclose(bad["y_hat"], fit["y_hat"] + offset)
+        assert np.allclose(bad["mu_treated"], fit["mu_treated"] + offset[:, None])
+        assert np.array_equal(bad["p_hat"], fit["p_hat"])
 
     def test_outcome_bias_needs_every_stratum(self):
         dgp = round_propensity_dgp()
         data = exact_cell_dataset(dgp, 40)
         fit = tr.oracle_nuisance(data, dgp)
         with pytest.raises(ValueError, match="unknown stratum code 1"):
-            tr.corrupt_outcome(fit, data, bias={0: 1.0})
+            tr.corrupt_outcome(fit, bias={0: 1.0})
 
     def test_propensity_odds_shift_formula(self):
         dgp = round_propensity_dgp()

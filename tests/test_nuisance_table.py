@@ -4,7 +4,9 @@ The reference below fits each target the direct way: gather the target's
 training units, then ``bincount`` them (stratum mean), solve least squares
 on the dense design, or run Newton on the dense design. Stratum means must
 match it bit for bit; the ridge learners solve the same equations in a
-different summation order and must match to rounding.
+different summation order and must match to rounding. A fit holds
+prediction tables; ``unit_arrays`` gathers them to the units
+for the comparison.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import pytest
 import treatrank as tr
 from treatrank.nuisance import DEFAULT_CLIP, NEWTON_GRAD_TOL, NEWTON_MAX_ITER
 
-FIELDS = ("y_hat", "p_hat", "mu_treated", "mu_control", "restricted_y", "restricted_p", "control_p")
+from unit_reference import FIELDS, indicators, unit_arrays
 
 RIDGE_SPECS = [
     tr.LearnerSpec(kind=kind, ridge_penalty=penalty, basis=basis)
@@ -120,14 +122,13 @@ def reference_fit(data, spec, folds=None):
         pooled = float(data.y[train].mean())
         out["y_hat"][pred] = fit(False, train, everyone, data.y, pred, pooled)
         for j in range(1, K + 1):
-            arm = data.indicator(j)
+            arm, control = indicators(data, j)
             arm_rate = float(arm[train].mean())
             out["p_hat"][pred, j - 1] = fit(True, train, everyone, arm, pred, arm_rate)
             out["mu_treated"][pred, j - 1] = fit(False, train, arm == 1, data.y, pred, pooled)
-            control = data.control_indicator(j) == 1
-            out["mu_control"][pred, j - 1] = fit(False, train, control, data.y, pred, pooled)
+            out["mu_control"][pred, j - 1] = fit(False, train, control == 1, data.y, pred, pooled)
             if multinomial:
-                restrict = data.restriction_mask(j)
+                restrict = (arm == 1) | (control == 1)
                 out["restricted_y"][pred, j - 1] = fit(False, train, restrict, data.y, pred, pooled)
                 out["restricted_p"][pred, j - 1] = fit(True, train, restrict, arm, pred, 0.5)
         if multinomial:
@@ -188,8 +189,9 @@ def assert_matches(data, spec, folds=None, exact=True, check_clipped=True):
     """The engine's fit equals the reference's (to rounding unless ``exact``)."""
     fit = engine_fit(data, spec, folds)
     arrays, clipped, fallbacks = reference_fit(data, spec, folds)
+    units = unit_arrays(data, fit, folds)
     for name in FIELDS:
-        got, want = getattr(fit, name), arrays[name]
+        got, want = units[name], arrays[name]
         if want is None:
             assert got is None, name
         elif exact:
@@ -257,7 +259,7 @@ class TestStratumMeanBitwise:
         folds = tr.assign_folds(n, 4, seed=1)
         fit = tr.fit_crossfit(data, tr.LearnerSpec(), folds)
         held = folds.fold_of == folds.fold_of[7]
-        assert np.all(fit.restricted_p[held, 1] == 0.5)
+        assert np.all(unit_arrays(data, fit, folds)["restricted_p"][held, 1] == 0.5)
         assert_matches(data, tr.LearnerSpec(), folds)
         assert_matches(data, tr.LearnerSpec())
 
@@ -324,12 +326,12 @@ class TestSingularFits:
 # pinned studies
 
 PINNED = {
-    "extreme_heterogeneity": "7a67ee4e05ad65a2c5519afb8066dd3bafb859b1738f56518815d0626a7d3f29",
-    "constant_effects": "410743e4a1a7556f59dd06d610053cd68f4ad2378edad9ca0cd8a8776b8cb00d",
-    "uncorrelated": "bb5406e457c0936d1d97edc3ccf31a7b8e4f9cd2f78dd85f5897da008ea99c6a",
-    "selection_on_gains": "2994f8e8110c06e7c07f45c6e5515901ff4692fc7b9a69269ee535bd5dd8cc60",
-    "balanced": "898161de129bd67d5e38611b9c460f738b2a1255eb1804e4380e4240d7cb5bb5",
-    "multinomial_random": "4ccb8c56715d5261ed539fbf8423344e255937abe22ad94c1043ca453dd94504",
+    "extreme_heterogeneity": "67e7e5aa580d98048ab905d00340b560aedcf6288061ea97174dcb55e8121a4f",
+    "constant_effects": "ec3f455475dd8d900a33d45a86d3c073b5bbf8f75292a91ef2b631d867d8bcd6",
+    "uncorrelated": "e5d6dbe96420bce6e5cf784f469b1cf17ac48799be8b71f3961babf0b24f7d2a",
+    "selection_on_gains": "c5f8b2ebd4c627ec9ce989dd4e38f5dcff3843fada1e2f6c419e7691d290176f",
+    "balanced": "2e8c8404f4ca9257d26c8b917d0c07ff3660ba863bc52ba3952f141db590c9a3",
+    "multinomial_random": "ce1483fd6057e670555424f52c046af257e12352beac8c94ef8d9f2b0bbb6943",
 }
 
 
@@ -386,11 +388,11 @@ class TestKeysBitwise:
         assert_matches(data, tr.LearnerSpec())
 
 
-def clipped_per_unit(fit, clip):
-    """Per-unit clip of an unclipped fit's propensities, and the units clipped."""
+def clipped_per_unit(units, clip):
+    """Per-unit clip of an unclipped fit's per-unit propensities, and the units clipped."""
     count, arrays = 0, {}
     for name in ("p_hat", "restricted_p", "control_p"):
-        raw = getattr(fit, name)
+        raw = units[name]
         if raw is None:
             arrays[name] = None
             continue
@@ -408,7 +410,8 @@ class TestClipOnTable:
         data = make_dataset(x, treated[:, None], np.arange(16.0), tr.AssignmentMode.PARALLEL_BINARY)
         fit = tr.fit_insample(data, tr.LearnerSpec(), clip=0.25)
         assert fit.clipped_count == 8
-        assert np.array_equal(fit.p_hat[:, 0], np.repeat([0.25, 0.75, 0.25], [4, 4, 8]))
+        assert np.array_equal(unit_arrays(data, fit)["p_hat"][:, 0],
+                              np.repeat([0.25, 0.75, 0.25], [4, 4, 8]))
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(6))
@@ -421,12 +424,13 @@ class TestClipOnTable:
                     return tr.fit_insample(data, tr.LearnerSpec(), clip)
                 return tr.fit_crossfit(data, tr.LearnerSpec(), split, clip)
 
-            raw = fit_at(0.0)
-            values = raw.p_hat[(raw.p_hat > 0.0) & (raw.p_hat < 0.5)]
+            raw = unit_arrays(data, fit_at(0.0), split)
+            values = raw["p_hat"][(raw["p_hat"] > 0.0) & (raw["p_hat"] < 0.5)]
             for clip in np.unique(np.append(values, [0.0, 0.01, 0.3]))[:4]:
                 fit = fit_at(clip)
                 arrays, count = clipped_per_unit(raw, clip)
                 assert fit.clipped_count == count
+                units = unit_arrays(data, fit, split)
                 for name, want in arrays.items():
-                    got = getattr(fit, name)
+                    got = units[name]
                     assert (got is None) if want is None else np.array_equal(got, want), name
