@@ -288,13 +288,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, config_required: bool = False) -> None:
+    def add_common(p: argparse.ArgumentParser, config_required: bool = False,
+                   formatted: bool = True) -> None:
         p.add_argument("--config", type=Path, required=config_required,
                        help="DGP or scenario config file (YAML)")
         p.add_argument("--out", type=Path, required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override for all substreams")
-        p.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="report format (default json)")
+        if formatted:
+            p.add_argument("--format", choices=("json", "csv"), default="json",
+                           help="report format (default json)")
 
     def add_fit_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--folds", type=int, default=None,
@@ -333,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None,
                    help="also evaluate the delta-sufficient conditions")
 
+    # montecarlo always writes both layouts, so it takes no --format
     p = sub.add_parser("montecarlo", help="run a replication scenario")
-    add_common(p)
+    add_common(p, formatted=False)
     p.add_argument("--preset", default=None, help="named scenario preset")
     p.add_argument("--n", type=int, default=None, help="override observations per replicate")
     p.add_argument("--reps", type=int, default=None, help="override replicate count")

@@ -9,9 +9,10 @@ other folds.
 Because ``X`` is a stratum code, every learner is a function of a small
 table: for each (fold, target, stratum), the number of training units and
 the sum of their target values. ``_StratumTable`` builds that table once per
-fit, with one ``bincount`` per fold, and each target's learner maps its
-S-row slice to a (fold, stratum) table of S predictions per fold. A fit is
-those prediction tables; no prediction is copied out to the units.
+fit from one key per unit (its fold, stratum and *base cell*: its pattern
+of treatments, or its arm), and each target's learner maps its S-row slice
+to a (fold, stratum) table of S predictions per fold. A fit is those
+prediction tables; no prediction is copied out to the units.
 
 Three learners are available. ``STRATUM_MEAN`` is the saturated
 nonparametric estimator (within-cell training means) and is exact for the
@@ -20,12 +21,17 @@ fit penalized linear/logistic models on a basis expansion of the stratum
 code, solved on the table with each stratum row weighted by its count
 (closed-form normal equations, Newton iterations).
 
-Exactness rule: ``np.bincount`` adds weights in input order, so a table sum
-equals the sum over the target's own training units only if the same
-values are added in the same order. The table therefore zeroes the
-held-out fold's outcomes instead of subtracting them from a total (which
-is off in the last bits), and stratum means are bit-identical to a
-per-target fit on the gathered training units. The training mean that an
+Exactness rule: ``np.bincount`` adds weights in input order, so the table
+takes every base cell's held-out sum over its units in unit order. A
+target is a fixed set of base cells (a treatment's treated half is the
+patterns that include it), and its held-out sum adds its base cells' in
+ascending order. Fold ``k``'s training sum adds the other folds' held-out
+sums in ascending fold order; no sum is a total minus the held-out part,
+which would be off in the last bits. So a stratum mean equals, bit for bit, a
+per-target fit that adds its gathered training units per (fold, base
+cell) in unit order, then over base cells, then over folds, and agrees
+with a plain unit-order sum to rounding (within 1e-13 relative in the
+tests). The training mean that an
 empty cell falls back to is a pairwise ``mean()``, which no table sum
 reproduces, so it is taken from the gathered units, only for a fold that
 predicts into an empty cell. 0/1 targets are counts and are exact in any
@@ -36,36 +42,41 @@ adds, over the cells outside ``[clip, 1 - clip]``, the number of units the
 cell predicts (the held-out fold's units in that stratum; in-sample, every
 unit in it), which is the per-unit count of clipped predictions.
 
-The data enter the estimators only as held-out *cell moments*, built in
-the same pass as the training table. A cell is a (fold, stratum, arm
+The data enter the estimators only as held-out *cell moments*, taken from
+the same base cells as the training table. A cell is a (fold, stratum, arm
 group): under PARALLEL_BINARY, treatment ``j``'s treated or untreated
 units; under MULTINOMIAL, one arm. Every nuisance is constant in a cell, so
 each estimator's per-unit score is linear in ``y`` there, and its sums over
 units are sums over cells of the cell's count, its mean ``y`` (its sum of
 ``y`` over the count) and its centred sum of squares
-``sum((y - cell mean)**2)`` (two passes, not ``sum(y**2) - sum(y)**2 / n``,
-which loses the digits of a large mean).
+``sum((y - cell mean)**2)``. A base cell's is taken in two passes, not as
+``sum(y**2) - sum(y)**2 / n``, which loses the digits of a large mean; a
+cell of several base cells adds theirs, each shifted to the cell mean (see
+``_StratumTable``). Multinomial arms are base cells, so their moments are
+the two-pass ones.
 
 A block of datasets (see ``dgp.Dataset``) is fitted by the same table with
-the dataset in the key: a key's units are still added in unit order, so
-every dataset's cells and moments are bit for bit those of its own fit,
-and a block costs one ``bincount`` per fold instead of one per fold and
-dataset. Ridge fits stay per (fold, dataset) and see only the dataset's
-own strata. Newton iterations that end with the gradient above
-``NEWTON_GRAD_TOL`` raise ``SingularFitError``.
+the dataset in the key: a key's units are still added in unit order and
+every later step is elementwise over datasets, so every dataset's cells
+and moments are bit for bit those of its own fit, and a block costs one
+set of ``bincount`` passes instead of one per dataset. Ridge fits stay per
+(fold, dataset) and see only the dataset's own strata. Newton iterations
+that end with the gradient above ``NEWTON_GRAD_TOL`` raise
+``SingularFitError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Sequence
+from functools import lru_cache
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from . import rng
-from .dgp import AssignmentMode, Dataset, StratifiedDGP, code_positions
+from .dgp import AssignmentMode, Dataset, StratifiedDGP, _column_total, code_positions
 
 NEWTON_MAX_ITER = 100
 NEWTON_GRAD_TOL = 1e-10
@@ -317,37 +328,130 @@ def _logistic_ridge_beta(
 # ---------------------------------------------------------------------------
 # the stratum table
 
+PATTERN_TREATMENTS = 4  # treatments keyed together: 2**4 base cells per chunk
+POOLED = 0  # the group of every unit
 
-Group = tuple[int, int]  # (family, half)
-POOLED: Group = (0, 0)
+
+def _base_cells(data: Dataset) -> NDArray[np.int64]:
+    """Each unit's base cell per chunk, shaped ``(chunks,) + data.y.shape`` (see ``_layout``)."""
+    K = data.num_treatments
+    if data.assignment_mode is AssignmentMode.MULTINOMIAL:
+        return data.arm[None]
+    cell_of = np.empty((-(-K // PATTERN_TREATMENTS),) + data.y.shape, dtype=np.int64)
+    for chunk, first in enumerate(range(0, K, PATTERN_TREATMENTS)):
+        width = min(PATTERN_TREATMENTS, K - first)
+        cell_of[chunk] = _column_total(data.w[..., first : first + width], 1 << np.arange(width))
+        if chunk:
+            cell_of[chunk] += chunk << PATTERN_TREATMENTS
+    return cell_of
+
+
+def _buckets(groups: tuple[tuple[int, ...], ...]) -> tuple[tuple[NDArray, NDArray], ...]:
+    """``groups`` of one size together: their positions, and their base cells as rows.
+
+    ``_grouped`` adds a bucket's groups at once, one base cell per step, so
+    each group still adds its own base cells in ascending order.
+    """
+    sizes: dict[int, list[int]] = {}
+    for g, members in enumerate(groups):
+        sizes.setdefault(len(members), []).append(g)
+    return tuple((np.array(rows), np.array([groups[g] for g in rows])) for rows in sizes.values())
+
+
+class _Layout(NamedTuple):
+    groups: tuple[tuple[int, ...], ...]  # each group's base cells, ascending; POOLED first
+    observed: int  # the groups after POOLED that are the estimators' cells
+    num_cells: int
+    chunk: tuple[int, ...]  # the chunk of each group's base cells
+    member: NDArray[np.bool_]  # [group, base cell]
+    buckets: tuple  # _buckets(groups)
+    cell_buckets: tuple  # _buckets of the estimators' cells
+
+
+@lru_cache(maxsize=32)
+def _layout(mode: AssignmentMode, K: int) -> _Layout:
+    """The groups of base cells of a design with ``K`` treatments.
+
+    PARALLEL_BINARY: the treatments are keyed in chunks of at most
+    ``PATTERN_TREATMENTS``, and a unit's base cell in a chunk is its pattern
+    of those treatments (treatment ``first + i`` adds ``2**i``), offset by
+    ``2**PATTERN_TREATMENTS`` per earlier chunk. Groups ``2j - 1`` and
+    ``2j`` are the patterns of treatment ``j``'s chunk without and with it,
+    and are the estimators' cells; ``POOLED`` is every pattern of chunk 0.
+    MULTINOMIAL: a unit's base cell is its arm. Group ``1 + a`` is arm
+    ``a`` (the estimators' cells) and group ``K + 1 + j`` is the {0, j}
+    comparison.
+    """
+    if mode is AssignmentMode.MULTINOMIAL:
+        arms = tuple((a,) for a in range(K + 1))
+        groups = (tuple(range(K + 1)),) + arms + tuple((0, j) for j in range(1, K + 1))
+        observed, chunks = K + 1, (0,) * len(groups)
+    else:
+        groups = (tuple(range(1 << min(PATTERN_TREATMENTS, K))),)
+        chunks = (0,) + tuple(j // PATTERN_TREATMENTS for j in range(K) for _ in range(2))
+        for j in range(K):
+            chunk, i = divmod(j, PATTERN_TREATMENTS)
+            first = chunk * PATTERN_TREATMENTS
+            patterns = np.arange(1 << min(PATTERN_TREATMENTS, K - first))
+            treated = patterns >> i & 1 == 1
+            offset = chunk << PATTERN_TREATMENTS
+            groups += (tuple((offset + patterns[~treated]).tolist()),
+                       tuple((offset + patterns[treated]).tolist()))
+        observed = 2 * K
+    num_cells = max(map(max, groups)) + 1
+    member = np.zeros((len(groups), num_cells), dtype=bool)
+    for g, members in enumerate(groups):
+        member[g, members] = True
+    return _Layout(groups, observed, num_cells, chunks, member, _buckets(groups),
+                   _buckets(groups[1 : 1 + observed]))
+
+
+def _grouped(cells: NDArray, layout: _Layout) -> NDArray:
+    """Each group's total of ``cells[c]`` over its base cells ``c``, added in ascending order."""
+    out = np.empty((len(layout.groups),) + cells.shape[1:], dtype=cells.dtype)
+    for rows, members in layout.buckets:
+        total = cells[members[:, 0]]
+        for c in members[:, 1:].T:
+            total += cells[c]
+        out[rows] = total
+    return out
 
 
 class _StratumTable:
     """Training counts and outcome sums of every target, per fold and stratum.
 
-    A *family* splits the units into halves (``families`` pairs a per-unit
-    half index with the number of halves): an arm indicator splits treated
-    from control, a {0, j} restriction splits in from out. Family 0, which
-    the table adds itself, is every unit in one half, so ``POOLED`` is the
-    pooled target. Group ``(family, half)`` is one outcome target. Indicator
-    targets need no sums of their own: their totals are another group's
-    counts.
+    Every unit lies in one *base cell* per chunk (see ``_layout``): its
+    pattern of a chunk's treatments under PARALLEL_BINARY, its arm under
+    MULTINOMIAL. The treatments are keyed in chunks of at most
+    ``PATTERN_TREATMENTS``, so K treatments take ``ceil(K / 4)`` keys per
+    unit and never a table of 2**K patterns; with K <= 4 there is one
+    chunk. Each learner target and each estimator cell is a *group*, a
+    fixed set of base cells of one chunk: ``POOLED`` is every pattern of
+    chunk 0, a treatment's treated or untreated half is the patterns of its
+    chunk with or without it, and the {0, j} comparison is two arms.
+    Indicator targets need no sums of their own: their totals are another
+    group's counts.
 
-    Fold ``k``'s training units are the units outside fold ``k`` (every unit
-    when fitting in-sample). Each fold's sums come from one ``bincount`` over
-    all families and all datasets of a block, keyed by ``(dataset * groups +
-    family offset + half) * S + stratum`` and weighted by the outcome with
-    the held-out fold zeroed; see the module docstring for why this is exact.
-    A single dataset is a block of one. Every table is indexed ``[fold,
-    dataset, ..., stratum]``.
+    One int64 key per unit and chunk, ``((cell * folds + fold) * B +
+    dataset) * S + stratum``, covers every dataset of a block (a single
+    dataset is a block of one). Four ``bincount`` passes over the keys in
+    unit order give every base cell's held-out count, sum of ``y``, sum of
+    deviations ``r`` from its mean (gathered per unit) and centred sum of
+    squares. A group's count and sum add its base cells' in ascending
+    order. Its centred sum of squares adds, in the same order, each base
+    cell's plus ``d * (2 r + count * d)``, ``d`` being the cell mean minus
+    the group mean. The ``r`` term makes the sum exact to second order in
+    the rounding of the cell means; without it, an outcome offset of 1e6
+    costs about 1e-11 relative. Fold ``k``'s training sum adds the other
+    folds' held-out sums in ascending fold order, and its training count
+    is the total count minus the fold's (integers, so exact); in-sample,
+    both are the one fold's own. Every table is indexed ``[fold, dataset,
+    ..., stratum]``.
 
-    The first ``observed`` families given are the estimators' cells. The
-    same keys, with the fold added, count every fold's held-out units per
-    group; for the groups of those families, two more ``bincount`` passes
-    in unit order add their outcomes (divided by the count, the group's
-    mean) and then their squared deviations from that mean, into
-    ``moments``, each ``[cell, dataset, fold, stratum]`` (see
-    ``NuisanceFit``).
+    The ``layout.observed`` groups after ``POOLED`` are the estimators' cells;
+    their held-out count, mean (sum over count, 0 without units) and
+    centred sum of squares are ``moments``, each ``[cell, dataset, fold,
+    stratum]`` (see ``NuisanceFit``).
 
     ``outcome`` and ``rate`` fit one target and return its (fold, dataset,
     stratum) table of predictions and its per-dataset fallback counts.
@@ -363,77 +467,83 @@ class _StratumTable:
         num_folds: int,
         crossfit: bool,
         clip: float,
-        families: list[tuple[NDArray, int]],
-        observed: int,
     ):
         n = data.n
         y = data.y.reshape(-1, n)
         B = y.shape[0]
-        families = [(np.zeros(n, dtype=np.int8), 1)] + families
         self.levels, pos = data.strata.codes, data.strata.position.reshape(B, n)
         S = self.levels.shape[0]
         self.spec = spec
         self.y = y
         self.fold_of = fold_of.reshape(B, n)
+        self.cell_of = _base_cells(data).reshape(-1, B, n)
+        self.layout = layout = _layout(data.assignment_mode, data.num_treatments)
         self.crossfit = crossfit
         self.clip = clip
         self.clipped = np.zeros(B, dtype=np.int64)
         self.bases: dict[int, tuple] = {}  # per dataset, from _basis
-        self.halves = [half for half, _ in families]  # (n,) or, per dataset, (B, n)
-        bounds = np.cumsum([0] + [size for _, size in families])
-        self.offsets = bounds[:-1]
-        dataset = np.arange(B)[:, None]
 
-        # one (B, n) slice of keys per family; a half index is cast to int64
-        # before it is scaled, since an int8 index times S overflows once S >= 128
-        groups = int(bounds[-1])
-        width = B * groups * S
-        keys = np.empty((len(families), B, n), dtype=np.int64)
-        for row, half in zip(keys, self.halves):
-            row[:] = half
-        keys += self.offsets[:, None, None] + dataset * groups
+        # base cell moments, keyed (cell, fold, dataset, stratum)
+        keys = self.cell_of * num_folds + self.fold_of
+        keys *= B
+        keys += np.arange(B)[:, None]
         keys *= S
         keys += pos
-        cells = keys + self.fold_of * width if crossfit else keys
-        held = np.bincount(cells.ravel(), minlength=num_folds * width)
-        # held-out moments of the observed families' groups, in unit order
-        seen = cells[1 : 1 + observed].ravel()
-        y_seen = np.broadcast_to(y, (observed, B, n)).ravel()
-        mean = np.bincount(seen, y_seen, minlength=held.size) / np.maximum(held, 1)
-        deviation = y_seen - np.take(mean, seen)
-        m2 = np.bincount(seen, deviation * deviation, minlength=held.size)
-        shape, observed_groups = (num_folds, B, groups, S), slice(1, bounds[1 + observed])
-        self.moments = tuple(
-            np.ascontiguousarray(a.reshape(shape)[:, :, observed_groups].transpose(2, 1, 0, 3),
-                                 dtype=np.float64)
-            for a in (held, mean, m2)
-        )
-        held = held.reshape(shape)
-        self.counts = held.sum(axis=0) - held if crossfit else held
-        self.held = held[:, :, 0]  # POOLED: units each fold predicts, per stratum
-
         keys = keys.ravel()
-        weights = np.empty((len(families), B, n))
-        sums = np.empty((num_folds, width))
-        for k in range(num_folds):
-            weights[:] = np.where(self.fold_of != k, y, 0.0) if crossfit else y
-            sums[k] = np.bincount(keys, weights.ravel(), minlength=width)
-        self.sums = sums.reshape(num_folds, B, groups, S)
+        y_all = np.broadcast_to(y, self.cell_of.shape).ravel()
+        shape = (layout.num_cells, num_folds, B, S)
+        size = layout.num_cells * num_folds * B * S
+        count = np.bincount(keys, minlength=size)
+        total = np.bincount(keys, y_all, minlength=size)
+        mean = total / np.maximum(count, 1)
+        deviation = y_all - np.take(mean, keys)
+        residual = np.bincount(keys, deviation, minlength=size)
+        m2 = np.bincount(keys, deviation * deviation, minlength=size)
+        count, total, mean, residual, m2 = (
+            a.reshape(shape) for a in (count, total, mean, residual, m2))
 
-    def outcome(self, group: Group) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
+        # the groups' held-out moments, then their training counts and sums
+        held, held_sums = _grouped(count, layout), _grouped(total, layout)
+        cells = slice(1, 1 + layout.observed)
+        cell_mean = held_sums[cells] / np.maximum(held[cells], 1)
+        cell_m2 = np.empty(cell_mean.shape)
+        for rows, members in layout.cell_buckets:
+            spread = np.zeros((rows.size,) + cell_mean.shape[1:])
+            for c in members.T:
+                shift = mean[c] - cell_mean[rows]
+                spread += m2[c] + shift * (2.0 * residual[c] + count[c] * shift)
+            cell_m2[rows] = spread
+        self.moments = tuple(
+            np.ascontiguousarray(a.transpose(0, 2, 1, 3), dtype=np.float64)
+            for a in (held[cells], cell_mean, cell_m2)
+        )
+        self.held = held[POOLED]  # units each fold predicts, per stratum
+        if not crossfit:
+            self.counts, self.sums = held, held_sums
+            return
+        # integer counts are exact in any order; the sums add the other
+        # folds' in ascending order
+        self.counts = held.sum(axis=1, keepdims=True) - held
+        folds = np.arange(num_folds)
+        self.sums = np.zeros_like(held_sums)
+        for other in folds:
+            np.add(self.sums, held_sums[:, other : other + 1], out=self.sums,
+                   where=(folds != other)[:, None, None])
+
+    def outcome(self, group: int) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
         """Table of E[Y | X, group], and the per-dataset fallback counts (or 0)."""
         return self._predict(
-            self.counts[:, :, self._index(group)],
-            self.sums[:, :, self._index(group)],
+            self.counts[group],
+            self.sums[group],
             binary=False,
             cell_mean=lambda k, b: float(self._training_y(k, b, group).mean()),
             empty_value=lambda k, b: float(self._training_y(k, b).mean()),
         )
 
-    def rate(self, hits: Group, among: Group) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
+    def rate(self, hits: int, among: int) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
         """Table of P(hits | X, among), clipped, and the per-dataset fallback counts (or 0)."""
-        count = self.counts[:, :, self._index(among)]
-        total = self.counts[:, :, self._index(hits)].astype(np.float64)
+        count = self.counts[among]
+        total = self.counts[hits].astype(np.float64)
         return self._predict(
             count,
             total,
@@ -442,14 +552,9 @@ class _StratumTable:
             empty_value=lambda k, b: 0.5,
         )
 
-    def _index(self, group: Group) -> int:
-        return self.offsets[group[0]] + group[1]
-
-    def _training_y(self, k: int, b: int, group: Group | None = None) -> NDArray[np.float64]:
+    def _training_y(self, k: int, b: int, group: int = POOLED) -> NDArray[np.float64]:
         keep = self.fold_of[b] != k if self.crossfit else np.ones(self.y.shape[1], dtype=bool)
-        if group is not None:
-            half = self.halves[group[0]]
-            keep &= (half if half.ndim == 1 else half[b]) == group[1]
+        keep &= self.layout.member[group][self.cell_of[self.layout.chunk[group], b]]
         return self.y[b][keep]
 
     def _basis(self, b: int) -> tuple[slice | NDArray[np.bool_], NDArray[np.float64]]:
@@ -536,21 +641,6 @@ def fit_insample(data: Dataset, spec: LearnerSpec, clip: float = 0.0) -> Nuisanc
     return _compute_fit(data, spec, clip, np.zeros(data.y.shape, dtype=np.int64), 1, crossfit=False)
 
 
-def _families(data: Dataset) -> tuple[list[tuple[NDArray, int]], int]:
-    """The dataset's families of units (see ``_StratumTable``) and how many are the cells.
-
-    PARALLEL_BINARY: family j splits the units by treatment j's indicator,
-    and all K are cells. MULTINOMIAL: family 1 splits them by arm (0 =
-    control) and is the cells; family 1 + j splits them into in or out of
-    treatment j's {0, j} comparison.
-    """
-    K = data.num_treatments
-    if data.assignment_mode is AssignmentMode.PARALLEL_BINARY:
-        return [(data.w[..., j], 2) for j in range(K)], K
-    arm = data.arm
-    return [(arm, K + 1)] + [((arm == j) | (arm == 0), 2) for j in range(1, K + 1)], 1
-
-
 def _compute_fit(
     data: Dataset,
     spec: LearnerSpec,
@@ -566,23 +656,24 @@ def _compute_fit(
         raise ValueError(f"fold assignment covers {fold_of.shape[-1]} units, dataset has {n}")
     if not 0.0 <= clip < 0.5:
         raise ValueError(f"clip must be in [0, 0.5), got {clip}")
-    table = _StratumTable(data, spec, fold_of, num_folds, crossfit, clip, *_families(data))
+    table = _StratumTable(data, spec, fold_of, num_folds, crossfit, clip)
     # targets are fitted treatment by treatment, in the order a failing fit
-    # reports first, then stacked target by target along a treatment axis
+    # reports first, then stacked target by target along a treatment axis;
+    # the group numbers are those of _layout
     targets = {"y_hat": table.outcome(POOLED)}
     if data.assignment_mode is AssignmentMode.PARALLEL_BINARY:
         names = ("p_hat", "mu_treated", "mu_control")
         per_treatment = [
-            (table.rate((j, 1), POOLED), table.outcome((j, 1)), table.outcome((j, 0)))
+            (table.rate(2 * j, POOLED), table.outcome(2 * j), table.outcome(2 * j - 1))
             for j in range(1, K + 1)
         ]
     else:
-        targets["control_p"] = table.rate((1, 0), POOLED)
-        control_y = table.outcome((1, 0))  # one control model, used by every treatment
+        targets["control_p"] = table.rate(1, POOLED)
+        control_y = table.outcome(1)  # one control model, used by every treatment
         names = ("p_hat", "mu_treated", "mu_control", "restricted_y", "restricted_p")
         per_treatment = [
-            (table.rate((1, j), POOLED), table.outcome((1, j)), control_y,
-             table.outcome((1 + j, 1)), table.rate((1, j), (1 + j, 1)))
+            (table.rate(1 + j, POOLED), table.outcome(1 + j), control_y,
+             table.outcome(K + 1 + j), table.rate(1 + j, K + 1 + j))
             for j in range(1, K + 1)
         ]
     fallbacks = sum(fb for _, fb in targets.values()) + np.zeros_like(table.clipped)
@@ -642,8 +733,8 @@ def oracle_nuisance(data: Dataset, dgp: StratifiedDGP) -> NuisanceFit:
         tables.update(mu_treated=mu0 + tau, mu_control=np.repeat(mu0[None], p.shape[0], axis=0),
                       control_p=control_p, restricted_p=cond, restricted_y=mu0 + tau * cond)
 
-    table = _StratumTable(data, LearnerSpec(), np.zeros(data.y.shape, dtype=np.int64), 1, False,
-                          0.0, *_families(data))
+    table = _StratumTable(data, LearnerSpec(), np.zeros(data.y.shape, dtype=np.int64), 1,
+                          crossfit=False, clip=0.0)
     B = table.y.shape[0]
     zero = np.zeros(B, dtype=np.int64) if data.y.ndim > 1 else 0
     count, mean, m2 = table.moments

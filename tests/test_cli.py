@@ -386,6 +386,16 @@ class TestMonteCarloCommand:
         assert run_cli("montecarlo", "--out", tmp_path / "o") == 1
         assert "--preset or --config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_format_rejected(self, tmp_path, capsys, fmt):
+        # a study writes both layouts; a --format that changed nothing is refused
+        with pytest.raises(SystemExit) as exc:
+            run_cli("montecarlo", "--preset", "balanced", "--reps", 2, "--n", 200,
+                    "--format", fmt, "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestSeedPropagation:
     def test_seed_override_changes_results(self, tmp_path, dgp_config):

@@ -106,39 +106,39 @@ PINS = {
         "decomposition.json": "adc10b054db5ad7beab508f408d2b46e4ae4f7bfd76ea24f11ce32d8b24e93a5",
     },
     "decompose-parallel-logistic_ridge-csv": {
-        "decomposition.csv": "adec800f8d70e1afa3c938e1d44589988ae19cae6d5af06254e86f4a5ef97414",
-        "decomposition_strata.csv": "ce95326cd71863c02b304560d790489aae0c26ef7f9ee298d5c5a3e56fee78af",
+        "decomposition.csv": "ccdcfb3af9fd00415c085eeea89b0fede182f074e87edea57f11d59dd4ab87c3",
+        "decomposition_strata.csv": "048eb648da6dcb7027a4c27252e659da01da07bcad86c43b8f41b5f07b3fea2d",
     },
     "decompose-parallel-logistic_ridge-json": {
-        "decomposition.json": "2f3f55d16d21e6e5c6adad77c84055f659499aed5a00245ce1b1a73f7a16b1b1",
+        "decomposition.json": "5d175f9d0f1e368851d0d42fe06f14622b4a91ecaa55ff4bea70ce2cf06ed1c1",
     },
     "decompose-parallel-stratum_mean-csv": {
-        "decomposition.csv": "bbe974f8b03e49593b3d18fac99b6eef73bae6b4c85f3c31bcd50eab145b72b0",
-        "decomposition_strata.csv": "82c6397a1b5f8533c9cddcbfc3b14773ef54de7f5aa9e2e67114073b85f55836",
+        "decomposition.csv": "2181c822413d77382ab28a358748994e34866792d75fe4f406c73c9ad779ca3d",
+        "decomposition_strata.csv": "6fd545cd3e13081039d70a91e71d3906e4e08db63b84331ab920a76bf8529bc8",
     },
     "decompose-parallel-stratum_mean-json": {
-        "decomposition.json": "4438335a1e5cced4fd1ba25030f2cd69025784c67337f2830109df89dc5c4541",
+        "decomposition.json": "432c557e8171c407a898da1808ba1c38f3bac4cf76e52ab89cfecdcdc5c2c163",
     },
     "estimate-multinomial-logistic_ridge-csv": {
         "decomposition.csv": "5e21ea8205e03dbb0043b4eb3ae1cec87e694a7f80db3de164bb3fc7572263d0",
         "decomposition_strata.csv": "fd7a31c6b2b926d2eccf5452557fef3af9ec99e4960362e6920353fdae17cfe7",
-        "estimates.csv": "34ab63d9152528b262aa608bf7ee33f5295fd3ac4872bda5568130549ad9be53",
+        "estimates.csv": "2c547efd47e147d9806ca4b20eccc6fec1d53f0815e7d16225f6cd7c1c3322e5",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-multinomial-logistic_ridge-json": {
         "decomposition.json": "ca33b311e0deb1e644c9b68f3a2094a2e5764f6bda6c11da329941d5eb67ed0a",
-        "estimates.csv": "34ab63d9152528b262aa608bf7ee33f5295fd3ac4872bda5568130549ad9be53",
+        "estimates.csv": "2c547efd47e147d9806ca4b20eccc6fec1d53f0815e7d16225f6cd7c1c3322e5",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-multinomial-stratum_mean-csv": {
         "decomposition.csv": "e4a9106a41c173cf1dea6faafb47c665e5d8c6847f60b9d2af911c20be0a462d",
         "decomposition_strata.csv": "083127dbd8e019fa07281d45ebe6ed434371ad7be6d52e87605d776bd4c31d5a",
-        "estimates.csv": "5b70687ff6cc7dcde1f79690c1ee87078e5170d3f091c80d20bca368d393975f",
+        "estimates.csv": "a8245a6a73e587801a11064b9cffebdc3e7306a15d4b9bc7d47c3a8003b6b2b2",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-multinomial-stratum_mean-json": {
         "decomposition.json": "adc10b054db5ad7beab508f408d2b46e4ae4f7bfd76ea24f11ce32d8b24e93a5",
-        "estimates.csv": "5b70687ff6cc7dcde1f79690c1ee87078e5170d3f091c80d20bca368d393975f",
+        "estimates.csv": "a8245a6a73e587801a11064b9cffebdc3e7306a15d4b9bc7d47c3a8003b6b2b2",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-no-control-csv": {
@@ -153,34 +153,34 @@ PINS = {
         "ranking.json": "91bd4416347c7114d877274f2b78836a5970686ce08a9d304f004027bc8b6df2",
     },
     "estimate-parallel-logistic_ridge-csv": {
-        "decomposition.csv": "adec800f8d70e1afa3c938e1d44589988ae19cae6d5af06254e86f4a5ef97414",
-        "decomposition_strata.csv": "ce95326cd71863c02b304560d790489aae0c26ef7f9ee298d5c5a3e56fee78af",
-        "estimates.csv": "aa98751ddaec2444a08b29de0915f0dad5485a7e3087142c41e90cce35f397bb",
+        "decomposition.csv": "ccdcfb3af9fd00415c085eeea89b0fede182f074e87edea57f11d59dd4ab87c3",
+        "decomposition_strata.csv": "048eb648da6dcb7027a4c27252e659da01da07bcad86c43b8f41b5f07b3fea2d",
+        "estimates.csv": "095501d27db8c721a5a43273edef2dae3f7c373b904e202d379903bf8bbba02f",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-logistic_ridge-json": {
-        "decomposition.json": "2f3f55d16d21e6e5c6adad77c84055f659499aed5a00245ce1b1a73f7a16b1b1",
-        "estimates.csv": "aa98751ddaec2444a08b29de0915f0dad5485a7e3087142c41e90cce35f397bb",
+        "decomposition.json": "5d175f9d0f1e368851d0d42fe06f14622b4a91ecaa55ff4bea70ce2cf06ed1c1",
+        "estimates.csv": "095501d27db8c721a5a43273edef2dae3f7c373b904e202d379903bf8bbba02f",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-stratum_mean-csv": {
-        "decomposition.csv": "bbe974f8b03e49593b3d18fac99b6eef73bae6b4c85f3c31bcd50eab145b72b0",
-        "decomposition_strata.csv": "82c6397a1b5f8533c9cddcbfc3b14773ef54de7f5aa9e2e67114073b85f55836",
-        "estimates.csv": "5d3116805e954f83f2bfbd87ac5d4efd014ac36ca723ee0c2a70a4ea9a60f48a",
+        "decomposition.csv": "2181c822413d77382ab28a358748994e34866792d75fe4f406c73c9ad779ca3d",
+        "decomposition_strata.csv": "6fd545cd3e13081039d70a91e71d3906e4e08db63b84331ab920a76bf8529bc8",
+        "estimates.csv": "bc79a63c47d2d94fad08ce07b89e76a1e37379e03ec3915c3223e468d7ff02bb",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-stratum_mean-json": {
-        "decomposition.json": "4438335a1e5cced4fd1ba25030f2cd69025784c67337f2830109df89dc5c4541",
-        "estimates.csv": "5d3116805e954f83f2bfbd87ac5d4efd014ac36ca723ee0c2a70a4ea9a60f48a",
+        "decomposition.json": "432c557e8171c407a898da1808ba1c38f3bac4cf76e52ab89cfecdcdc5c2c163",
+        "estimates.csv": "bc79a63c47d2d94fad08ce07b89e76a1e37379e03ec3915c3223e468d7ff02bb",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "montecarlo-balanced": {
-        "estimate_histograms.csv": "ceb494dda45c53d749590e640ef0ccaa545c2ac79f3449c79ae1621a294cb6db",
+        "estimate_histograms.csv": "b83d608e2510feed019f500b11d16fd5416e9eb6e7144e7460beb16acd0fe149",
         "ranking_rates.csv": "6bf870ee682f6180dcaa3102c7f7399f1882b2f5d030f7f90aab869c873403b8",
-        "replicates.csv": "b0e7dfda2ad90ba709111b1bd1518dbc90aa3682679c0f6eff091638c0589d95",
+        "replicates.csv": "81aedf7cc6b541a5aafdaacac52b343b9c82cb78215bf3f32123b3baac3ca74d",
         "resolved_config.yaml": "be634eb3ce00f0a48cedc9265d10cf94432af76961a463a64d3a5b3e0b5c6ad6",
-        "summary.csv": "efda4b1ebe2c3c7af8770f1a5b863a7130d1734cfaa36338963144b2277f67f7",
-        "summary.json": "38a1f79f134fd988c28a7c04f3494349c5eac56608ef9b665c6aaf83da4230d8",
+        "summary.csv": "243be155c78e341d9b7fa76f7a3d2651a2c5886e002858abc13696cfbf8d5a48",
+        "summary.json": "7c25a60cc3b78aa80f8871576703015a1db490aca6fdf696925911312e32a905",
     },
     "oracle-multinomial-csv": {
         "oracle.csv": "1ddec046c98b641e53d5113f9200d60d44134b949826bb5e267c5716f4ad625b",

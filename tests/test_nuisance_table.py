@@ -2,22 +2,25 @@
 
 The reference below fits each target the direct way: gather the target's
 training units, then ``bincount`` them (stratum mean), solve least squares
-on the dense design, or run Newton on the dense design. Stratum means must
-match it bit for bit; the ridge learners solve the same equations in a
-different summation order and must match to rounding. A fit holds
-prediction tables; ``unit_arrays`` gathers them to the units
-for the comparison.
+on the dense design, or run Newton on the dense design. Its stratum sums
+add in the engine's stated order: the units of each (fold, base cell,
+stratum) in unit order, then the target's base cells in ascending order,
+then the training folds in ascending order. Stratum means must match it
+bit for bit; the ridge learners solve the same equations in a different
+summation order and must match to rounding. A fit holds prediction
+tables; ``unit_arrays`` gathers them to the units for the comparison.
 """
 
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import treatrank as tr
-from treatrank.nuisance import DEFAULT_CLIP, NEWTON_GRAD_TOL, NEWTON_MAX_ITER
+from treatrank.nuisance import DEFAULT_CLIP, NEWTON_GRAD_TOL, NEWTON_MAX_ITER, PATTERN_TREATMENTS
 
 from unit_reference import FIELDS, indicators, unit_arrays
 
@@ -62,7 +65,25 @@ def _newton(X, t, penalty):
     return beta
 
 
-def _reference_target(spec, levels, binary, codes_tr, t_tr, codes_pred, empty_value):
+def stratum_sums(pos, t, fold, cell, S, plain=False):
+    """Per-stratum sums of ``t``: per (fold, base cell) in unit order, then cells, then folds.
+
+    ``plain`` adds every unit in unit order instead.
+    """
+    if plain:
+        return np.bincount(pos, weights=t, minlength=S)
+    sums = np.zeros(S)
+    for k in np.unique(fold):
+        in_fold = np.zeros(S)
+        for c in np.unique(cell):
+            unit = (fold == k) & (cell == c)
+            in_fold += np.bincount(pos[unit], weights=t[unit], minlength=S)
+        sums += in_fold
+    return sums
+
+
+def _reference_target(spec, levels, binary, codes_tr, t_tr, codes_pred, empty_value,
+                      fold_tr, cell_tr, plain=False):
     """(predictions for codes_pred, fallback count) from the target's own units."""
     kind = spec.kind
     if kind is tr.LearnerKind.LOGISTIC_RIDGE and not binary:
@@ -73,7 +94,7 @@ def _reference_target(spec, levels, binary, codes_tr, t_tr, codes_pred, empty_va
     if kind is tr.LearnerKind.STRATUM_MEAN:
         pos = np.searchsorted(levels, codes_tr)
         counts = np.bincount(pos, minlength=levels.shape[0])
-        sums = np.bincount(pos, weights=t, minlength=levels.shape[0])
+        sums = stratum_sums(pos, t, fold_tr, cell_tr, levels.shape[0], plain)
         has_cell = counts > 0
         means = np.where(has_cell, sums / np.maximum(counts, 1), float(t_tr.mean()))
         pred_pos = np.searchsorted(levels, codes_pred)
@@ -90,16 +111,31 @@ def _reference_target(spec, levels, binary, codes_tr, t_tr, codes_pred, empty_va
     return X_pred @ beta, 0
 
 
-def reference_fit(data, spec, folds=None):
+def base_cells(data, j):
+    """Each unit's base cell for treatment ``j``'s targets (``j = 1`` for the pooled one).
+
+    Its arm under MULTINOMIAL; under PARALLEL_BINARY its pattern of the
+    treatments keyed with ``j``: the ``PATTERN_TREATMENTS`` chunk holding it.
+    """
+    if data.assignment_mode is tr.AssignmentMode.MULTINOMIAL:
+        return data.w.astype(np.int64) @ np.arange(1, data.num_treatments + 1)
+    first = (j - 1) // PATTERN_TREATMENTS * PATTERN_TREATMENTS
+    chunk = data.w[:, first : first + PATTERN_TREATMENTS].astype(np.int64)
+    return chunk @ (1 << np.arange(chunk.shape[1]))
+
+
+def reference_fit(data, spec, folds=None, plain=False):
     """Per-target fit over (train, predict) splits; ``folds=None`` fits in-sample.
 
     Clips as the engine does by default: at ``DEFAULT_CLIP`` when cross-fitting
-    and not at all in-sample.
+    and not at all in-sample. ``plain`` sums each stratum's training units in
+    unit order (see ``stratum_sums``).
     """
     clip = 0.0 if folds is None else DEFAULT_CLIP
     n, K = data.n, data.num_treatments
     levels = np.unique(data.x)
     multinomial = data.assignment_mode is tr.AssignmentMode.MULTINOMIAL
+    fold = np.zeros(n, dtype=np.int64) if folds is None else folds.fold_of
     if folds is None:
         splits = [(np.ones(n, dtype=bool), np.ones(n, dtype=bool))]
     else:
@@ -108,11 +144,12 @@ def reference_fit(data, spec, folds=None):
     out["y_hat"], out["control_p"] = np.empty(n), np.empty(n)
     fallbacks = 0
 
-    def fit(binary, train, member, t, pred, empty_value):
+    def fit(binary, train, member, t, pred, empty_value, cell):
         nonlocal fallbacks
         keep = train & member
         values, fb = _reference_target(
-            spec, levels, binary, data.x[keep], t[keep], data.x[pred], empty_value
+            spec, levels, binary, data.x[keep], t[keep], data.x[pred], empty_value,
+            fold[keep], cell[keep], plain,
         )
         fallbacks += fb
         return values
@@ -120,21 +157,25 @@ def reference_fit(data, spec, folds=None):
     everyone = np.ones(n, dtype=bool)
     for train, pred in splits:
         pooled = float(data.y[train].mean())
-        out["y_hat"][pred] = fit(False, train, everyone, data.y, pred, pooled)
+        out["y_hat"][pred] = fit(False, train, everyone, data.y, pred, pooled, base_cells(data, 1))
         for j in range(1, K + 1):
             arm, control = indicators(data, j)
+            cell = base_cells(data, j)
             arm_rate = float(arm[train].mean())
-            out["p_hat"][pred, j - 1] = fit(True, train, everyone, arm, pred, arm_rate)
-            out["mu_treated"][pred, j - 1] = fit(False, train, arm == 1, data.y, pred, pooled)
-            out["mu_control"][pred, j - 1] = fit(False, train, control == 1, data.y, pred, pooled)
+            out["p_hat"][pred, j - 1] = fit(True, train, everyone, arm, pred, arm_rate, cell)
+            out["mu_treated"][pred, j - 1] = fit(False, train, arm == 1, data.y, pred, pooled, cell)
+            out["mu_control"][pred, j - 1] = fit(False, train, control == 1, data.y, pred, pooled,
+                                                 cell)
             if multinomial:
                 restrict = (arm == 1) | (control == 1)
-                out["restricted_y"][pred, j - 1] = fit(False, train, restrict, data.y, pred, pooled)
-                out["restricted_p"][pred, j - 1] = fit(True, train, restrict, arm, pred, 0.5)
+                out["restricted_y"][pred, j - 1] = fit(False, train, restrict, data.y, pred, pooled,
+                                                       cell)
+                out["restricted_p"][pred, j - 1] = fit(True, train, restrict, arm, pred, 0.5, cell)
         if multinomial:
             control = (data.w.sum(axis=1) == 0).astype(np.int8)
             control_rate = float(control[train].mean())
-            out["control_p"][pred] = fit(True, train, everyone, control, pred, control_rate)
+            out["control_p"][pred] = fit(True, train, everyone, control, pred, control_rate,
+                                         base_cells(data, 1))
     if not multinomial:
         for name in ("restricted_y", "restricted_p", "control_p"):
             out[name] = None
@@ -265,6 +306,122 @@ class TestStratumMeanBitwise:
 
 
 # ---------------------------------------------------------------------------
+# the summation order against plain unit-order sums
+
+
+def two_pass_moments(data, folds):
+    """Held-out (count, mean, M2) of every estimator cell, ``[cell, fold, stratum]``.
+
+    Each (cell, fold, stratum) gathers its units: the mean is their unit-order
+    sum over their count, M2 the sum of squared deviations from that mean.
+    """
+    K, levels = data.num_treatments, np.unique(data.x)
+    if data.assignment_mode is tr.AssignmentMode.PARALLEL_BINARY:
+        members = [side == 1 for j in range(1, K + 1) for side in indicators(data, j)[::-1]]
+    else:
+        arm = base_cells(data, 1)
+        members = [arm == a for a in range(K + 1)]
+    fold = np.zeros(data.n, dtype=np.int64) if folds is None else folds.fold_of
+    F = 1 if folds is None else folds.num_folds
+    out = np.zeros((3, len(members), F, levels.shape[0]))
+    for c, member in enumerate(members):
+        for k in range(F):
+            for s, code in enumerate(levels):
+                y = data.y[member & (fold == k) & (data.x == code)]
+                if y.size:
+                    mean = np.bincount(np.zeros(y.size, dtype=np.int64), y)[0] / y.size
+                    out[:, c, k, s] = y.size, mean, np.sum((y - mean) ** 2)
+    return out
+
+
+class TestSummationOrder:
+    """Sums in the stated order move only in the last bits; cell M2 stays centred."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("seed", range(15))
+    def test_close_to_unit_order_sums(self, seed, mode, offset):
+        data, folds = random_case(seed, mode)
+        data = tr.Dataset(data.y + offset, data.w, data.x, data.assignment_mode)
+        for split in (folds, None):
+            fit = engine_fit(data, tr.LearnerSpec(), split)
+            arrays, _, _ = reference_fit(data, tr.LearnerSpec(), split, plain=True)
+            units = unit_arrays(data, fit, split)
+            for name in FIELDS:
+                if arrays[name] is not None:
+                    np.testing.assert_allclose(units[name], arrays[name], rtol=1e-13, atol=0,
+                                               err_msg=name)
+            count, mean, m2 = two_pass_moments(data, split)
+            assert np.array_equal(fit.count[:, 0], count)
+            np.testing.assert_allclose(fit.mean[:, 0], mean, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(fit.m2[:, 0], m2, rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# many treatments: keyed in chunks, bit for bit
+
+
+def many_treatments(K, n, seed):
+    """A PARALLEL_BINARY dataset with ``K`` treatments, more patterns than units.
+
+    The last treatment is taken by three units, so its treated cells are
+    mostly empty and fall back to a mean over the last chunk's units.
+    """
+    gen = np.random.default_rng(seed)
+    x = gen.choice([-2, 0, 5, 9], size=n, p=[0.4, 0.3, 0.2, 0.1])
+    w = (gen.random((n, K)) < gen.uniform(0.05, 0.6, K)).astype(np.int8)
+    w[:, -1] = 0
+    w[:3, -1] = 1
+    y = gen.normal(size=n) * 5.0 + x + w @ gen.normal(size=K)
+    return make_dataset(x, w, y, tr.AssignmentMode.PARALLEL_BINARY)
+
+
+class TestManyTreatments:
+    def test_nine_treatments_match_reference(self):
+        data = many_treatments(9, 300, seed=1)
+        assert 2**9 > data.n and 9 > PATTERN_TREATMENTS
+        folds = tr.assign_folds(data.n, 5, seed=2)
+        assert tr.fit_crossfit(data, tr.LearnerSpec(), folds).fallback_count > 0
+        assert_matches(data, tr.LearnerSpec(), folds)
+        assert_matches(data, tr.LearnerSpec())
+
+    def test_nine_treatments_block_rows(self):
+        dgp = tr.random_dgp(4, num_treatments=9, min_strata=4, max_strata=4,
+                            propensity_range=(0.05, 0.6))
+        block = tr.sample(dgp, 300, [1, 2, 3])
+        folds = tr.assign_folds(300, 5, [4, 5, 6])
+        fit = tr.fit_crossfit(block, tr.LearnerSpec(), folds)
+        for b in range(3):
+            data, own_folds = block.replicate(b), folds.replicate(b)
+            single = tr.fit_crossfit(data, tr.LearnerSpec(), own_folds)
+            row = fit.replicate(b)
+            got, want = unit_arrays(data, row, own_folds), unit_arrays(data, single, own_folds)
+            for name in FIELDS:
+                assert (got[name] is None) if want[name] is None else \
+                    got[name].tobytes() == want[name].tobytes(), name
+            own = np.isin(row.levels, single.levels)
+            for moment in ("count", "mean", "m2"):
+                assert getattr(row, moment)[..., own].tobytes() == \
+                    getattr(single, moment).tobytes()
+            assert fit.fallback_count[b] == single.fallback_count
+            assert fit.clipped_count[b] == single.clipped_count
+
+    def test_twenty_treatments_build_no_pattern_table(self):
+        # 2**20 patterns per (fold, stratum) would take hundreds of MB
+        data = many_treatments(20, 500, seed=3)
+        folds = tr.assign_folds(data.n, 5, seed=4)
+        tracemalloc.start()
+        try:
+            fit = tr.fit_crossfit(data, tr.LearnerSpec(), folds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert fit.count.shape == (40, 1, 5, 4)
+        assert np.array_equal(fit.count.sum(axis=(0, 1, 3)), 20 * np.bincount(folds.fold_of))
+
+
+# ---------------------------------------------------------------------------
 # ridge learners: to rounding
 
 
@@ -326,12 +483,12 @@ class TestSingularFits:
 # pinned studies
 
 PINNED = {
-    "extreme_heterogeneity": "67e7e5aa580d98048ab905d00340b560aedcf6288061ea97174dcb55e8121a4f",
-    "constant_effects": "ec3f455475dd8d900a33d45a86d3c073b5bbf8f75292a91ef2b631d867d8bcd6",
-    "uncorrelated": "e5d6dbe96420bce6e5cf784f469b1cf17ac48799be8b71f3961babf0b24f7d2a",
-    "selection_on_gains": "c5f8b2ebd4c627ec9ce989dd4e38f5dcff3843fada1e2f6c419e7691d290176f",
-    "balanced": "2e8c8404f4ca9257d26c8b917d0c07ff3660ba863bc52ba3952f141db590c9a3",
-    "multinomial_random": "ce1483fd6057e670555424f52c046af257e12352beac8c94ef8d9f2b0bbb6943",
+    "extreme_heterogeneity": "f224e045b27ab9c45f6f4fc075af8e337e8458a9d43dcfd1e944b88167fa2e36",
+    "constant_effects": "781124a611a95f414cd9828ae817fbe27850c7d68310ac989d1f587423353d4e",
+    "uncorrelated": "218c700d1003857f6c8d120526ca211ea0e89aebf0d30cd317355c9e1df039ff",
+    "selection_on_gains": "f77c50280021c69b7dbfab2684f744a5980efe67876bb2d7d6917745731d27f3",
+    "balanced": "6ff917306598823c8c834eafa8815dc677b95e41cac3539440f3b66dfa8eb1b1",
+    "multinomial_random": "2e210df7b784f32afcd71f832548e6c4da24b55b55616e5292d41e009e5a4ea9",
 }
 
 
