@@ -312,8 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None,
                    help="also evaluate the delta-sufficient conditions")
 
+    # sample writes a dataset CSV and a YAML config, so it takes no --format
     p = sub.add_parser("sample", help="draw a dataset from a DGP config")
-    add_common(p, config_required=True)
+    add_common(p, config_required=True, formatted=False)
     p.add_argument("--n", type=int, required=True, help="sample size")
     p.set_defaults(seed=0)
 

@@ -143,7 +143,7 @@ def oracle_report(dgp: StratifiedDGP, j: int) -> DecompositionReport:
     )
 
 
-def estimate_decomposition(data: Dataset, fit: NuisanceFit, j: int) -> DecompositionReport:
+def estimate_decomposition(data: Dataset | None, fit: NuisanceFit, j: int) -> DecompositionReport:
     """Plug-in decomposition from a sampled dataset.
 
     Per-stratum effects are within-cell mean differences (treated j minus
@@ -154,10 +154,11 @@ def estimate_decomposition(data: Dataset, fit: NuisanceFit, j: int) -> Decomposi
     decomposition is not estimable.
 
     Everything comes from the fit's cells of one dataset (``fit`` of a
-    single dataset, or ``fit.replicate(b)`` of a block): a stratum's treated
-    mean is its treated cells' summed outcomes (count times mean) over their
-    units, and its mean propensity ``sum_k n_k p_k / n`` over the folds
-    ``k``, ``n_k`` being the units fold ``k`` predicts. Sums over folds run
+    single dataset, or ``fit.replicate(b)`` of a block); ``data``, the
+    dataset it was made from, is not read and may be None. A stratum's
+    treated mean is its treated cells' summed outcomes (count times mean)
+    over their units, and its mean propensity ``sum_k n_k p_k / n`` over
+    the folds ``k``, ``n_k`` being the units fold ``k`` predicts. Sums over folds run
     in fold order, so a stratum's numbers do not depend on the strata around
     it; strata without units (a block's strata that this dataset lacks) are
     skipped.
@@ -184,7 +185,7 @@ def estimate_decomposition(data: Dataset, fit: NuisanceFit, j: int) -> Decomposi
         tau_tab[code] = float(y_treated[s] / n_treated[s] - y_control[s] / n_control[s])
         p_bar = float(p_sum[s] / n_s[s])
         var_tab[code] = p_bar * (1.0 - p_bar)
-        prob_tab[code] = int(n_s[s]) / data.n
+        prob_tab[code] = int(n_s[s]) / fit.n
 
     if not tau_tab:
         raise NotEstimableError(

@@ -10,9 +10,12 @@ Three estimators with two distinct targets:
 * ``ipw_estimate``: Horvitz-Thompson inverse-propensity contrast, also
   ATE-targeting.
 
-All three are pure functions of (data, fit) and safe to evaluate
-concurrently. ``ESTIMATORS`` maps each :class:`Method` to its function and
-is the only dispatch table.
+All three are pure functions of a fit and safe to evaluate concurrently.
+Each takes ``(data, fit, j)``: ``data`` is the dataset the fit was made
+from, checked against the fit's size, or None, since a fit carries its
+cell moments, its number of units and whether it holds a block.
+``ESTIMATORS`` maps each :class:`Method` to its function and is the only
+dispatch table.
 
 Every estimator reads the fit's held-out cell moments (see
 ``nuisance.NuisanceFit``), not the units. In a cell every nuisance is
@@ -109,23 +112,29 @@ def _cell_sum(terms: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.add.accumulate(terms.reshape(terms.shape[0], -1), axis=1)[:, -1]
 
 
-def _estimate(data: Dataset, method: Method, j: int, point: NDArray, se: NDArray,
+def _check(data: Dataset | None, fit: NuisanceFit) -> None:
+    if data is not None and (data.n, data.y.ndim > 1) != (fit.n, fit.block):
+        raise ValueError("the fit was made from other data: its units or its block differ")
+
+
+def _estimate(fit: NuisanceFit, method: Method, j: int, point: NDArray, se: NDArray,
               n_used: NDArray | None = None) -> EffectEstimate:
     """An estimate from per-dataset arrays, made plain numbers for a single dataset.
 
     ``n_used`` defaults to every unit of each dataset.
     """
-    if data.y.ndim == 1:
+    if not fit.block:
         point, se = point.item(), se.item()
-        n_used = data.n if n_used is None else n_used.item()
+        n_used = fit.n if n_used is None else n_used.item()
     elif n_used is None:
-        n_used = np.full(point.shape, data.n)
+        n_used = np.full(point.shape, fit.n)
     estimand = Estimand.WATE if method is Method.PLM else Estimand.ATE
     return EffectEstimate(treatment=j, method=method, point=point, std_error=se,
                           estimand=estimand, n_used=n_used)
 
 
-def _score_estimate(data: Dataset, fit: NuisanceFit, j: int, method: Method) -> EffectEstimate:
+def _score_estimate(data: Dataset | None, fit: NuisanceFit, j: int,
+                    method: Method) -> EffectEstimate:
     """Mean and SE of treatment ``j``'s score ``mu1 - mu0 + D (y - mu1) / p - C (y - mu0) / q``.
 
     The outcome models ``mu1`` and ``mu0`` are the fit's for AIPW and zero
@@ -136,10 +145,11 @@ def _score_estimate(data: Dataset, fit: NuisanceFit, j: int, method: Method) -> 
     with ``clip=0``) makes the estimate undefined, as its units' scores
     are: its treated or control cell then adds ``0 * inf`` or ``inf``.
     """
+    _check(data, fit)
     (n_t, ybar_t, m2_t), (n_c, ybar_c, m2_c), n_o = fit.cells(j)
     mu1, mu0 = fit.outcomes(j) if method is Method.AIPW else (0.0, 0.0)
     p, q = fit.propensities(j)
-    n, occupied = data.n, n_t + n_c + n_o > 0
+    n, occupied = fit.n, n_t + n_c + n_o > 0
     # an undefined estimate raises below; the cells left out need no warning
     with np.errstate(divide="ignore", invalid="ignore"):
         base = mu1 - mu0
@@ -151,10 +161,10 @@ def _score_estimate(data: Dataset, fit: NuisanceFit, j: int, method: Method) -> 
                   + n_c * (score_c - mean) ** 2 + n_o * (base - mean) ** 2)
         variance = _cell_sum(np.where(occupied, spread, 0.0))
     se = np.sqrt(variance / (n - 1) / n) if n > 1 else np.zeros(point.shape)
-    return _estimate(data, method, j, point, se)
+    return _estimate(fit, method, j, point, se)
 
 
-def plm_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
+def plm_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstimate:
     """Residual-on-residual regression coefficient for treatment ``j``.
 
     Regresses ``Y - E_hat[Y|X]`` on ``W_j - p_hat_j(X)`` through the origin;
@@ -162,6 +172,7 @@ def plm_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
     slope SE. Under MULTINOMIAL assignment the regression runs on the
     {control, j} subsample with the conditional propensity.
     """
+    _check(data, fit)
     (n_t, ybar_t, m2_t), (n_c, ybar_c, m2_c), _ = fit.cells(j)
     y_hat, p = fit.plm_tables(j)
     w_t, w_c = 1.0 - p, -p  # treatment residuals of the treated and control units
@@ -179,10 +190,10 @@ def plm_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
                 + w_c * w_c * (m2_c + n_c * resid_c * resid_c))
     se = np.sqrt(_cell_sum(sandwich)) / denom
     n_used = (n_t + n_c).sum(axis=(1, 2)).astype(np.int64)
-    return _estimate(data, Method.PLM, j, point, se, n_used)
+    return _estimate(fit, Method.PLM, j, point, se, n_used)
 
 
-def aipw_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
+def aipw_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstimate:
     """Augmented inverse-propensity estimate of treatment ``j``'s ATE versus control.
 
     The point is the mean pseudo-outcome contrast and the standard error
@@ -191,7 +202,7 @@ def aipw_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
     return _score_estimate(data, fit, j, Method.AIPW)
 
 
-def ipw_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
+def ipw_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstimate:
     """Horvitz-Thompson inverse-propensity estimate of treatment ``j``'s ATE.
 
     ``mean(1{arm j} Y / p_j) - mean(1{control} Y / p_control)``, where the
@@ -202,7 +213,7 @@ def ipw_estimate(data: Dataset, fit: NuisanceFit, j: int) -> EffectEstimate:
 
 
 # Callers dispatch in this order; it is the row order of the estimate outputs.
-ESTIMATORS: dict[Method, Callable[[Dataset, NuisanceFit, int], EffectEstimate]] = {
+ESTIMATORS: dict[Method, Callable[[Dataset | None, NuisanceFit, int], EffectEstimate]] = {
     Method.PLM: plm_estimate,
     Method.AIPW: aipw_estimate,
     Method.IPW: ipw_estimate,

@@ -17,32 +17,42 @@ Replicates are independent work items keyed by index: replicate ``r``
 derives its sampling and fold seeds as ``child_seed(seed, r, purpose)``,
 so results are bit-identical for any worker count.
 
-The engine runs consecutive replicates in blocks of ``B``. The block size
-is derived, not set: a block holds at most ``BLOCK_UNITS`` units, so
-``B = max(1, BLOCK_UNITS // n_per_rep)`` (one replicate per block from
-n = 4,097 up), and a pool run splits the replicates into at least
-``BLOCKS_PER_WORKER`` blocks per worker, which the pool maps. Each
+The engine runs consecutive replicates as *tasks*, and a task's
+unit-level work in *blocks*. A task holds at most ``TASK_REPLICATES``
+replicates, so a serial run of up to that many is one task; a pool run
+splits the replicates into at least ``TASKS_PER_WORKER`` tasks per
+worker, which the pool maps. A block holds at most ``BLOCK_UNITS`` units,
+so a task draws its replicates ``max(1, BLOCK_UNITS // n_per_rep)`` at a
+time (one replicate per block from n = 4,097 up), and peak memory does
+not grow with the task. Each
 replicate still draws its own Philox streams, into one row of the block's
 ``(B, n)`` arrays (``sample`` and ``assign_folds`` given a list of seeds),
 but their seeds and keys are derived a block at a time: one
 ``rng.child_seeds`` pass gives the block's data and fold seeds, one pass in
 ``sample`` keys its three streams per replicate and one in
 ``assign_folds`` its fold streams, each the numpy ``SeedSequence`` hash of
-the same path as before. The cross-fit then runs once per block, and the
-estimators once per block on its cell moments. A block is exact, not an
-approximation: every per-unit step is elementwise or a table
-``bincount`` whose key holds the replicate and adds each key's values in
-unit order, so each replicate's prediction tables and cell moments are
-those of its own fit; the block's strata cover every replicate, and a
-replicate's cells for a stratum it lacks are empty. Every sum over cells
-adds one replicate's cells one after another (a cumulative sum, where
-empty cells add exact zeros; numpy's pairwise sum would regroup the
-terms around them), and no sum goes through BLAS. Row ``b`` of a block
-is therefore bit for bit the replicate run alone, whatever ``B`` is and
-however many threads BLAS uses. If a block's fit or an estimator
-raises one of ``ESTIMATION_ERRORS``, that step is redone replicate by
-replicate, so only the replicates that fail on their own are NaN and
-counted.
+the same path as before. Each block ends in its cell table
+(``nuisance.cell_table``) on the DGP's full stratum list; the task stacks
+those tables along the dataset axis, fits them once (``fit_table``) and
+runs each estimator once per treatment on the stacked fit. So a task pays
+the fixed cost of a fit and of each estimator call once, whatever its
+number of replicates.
+
+Stacking is exact, not an approximation: every per-unit step is
+elementwise or a table ``bincount`` whose key holds the replicate and adds
+each key's values in unit order, and every step after the table is
+elementwise along the dataset axis, so each replicate's prediction tables
+and cell moments are those of its own fit; a replicate's cells for a
+stratum it lacks are empty. Every sum over cells adds one replicate's
+cells one after another (a cumulative sum, where empty cells add exact
+zeros; numpy's pairwise sum would regroup the terms around them), and no
+sum goes through BLAS. Row ``b`` of a task is therefore bit for bit the
+replicate run alone (``sample``, ``assign_folds``, ``fit_crossfit``, the
+estimators), whatever the task and block sizes are and however many
+threads BLAS uses. If a task's fit or an estimator raises one of
+``ESTIMATION_ERRORS``, that step is redone replicate by replicate, on
+each replicate's rows of the tables or of the fit, so only the replicates
+that fail on their own are NaN and counted.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ import functools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterator
 
@@ -60,10 +70,12 @@ from numpy.typing import NDArray
 
 from . import rng
 from .configio import ScenarioConfig, learner_to_dict, load_scenario_config, packaged_config_path
-from .dgp import Dataset, oracle_ate, oracle_decomposition, oracle_wate, sample
+from .dgp import oracle_ate, oracle_decomposition, oracle_wate, sample
 from .diagnostics import descending_order
 from .estimators import ESTIMATION_ERRORS, ESTIMATORS
-from .nuisance import FoldAssignment, LearnerSpec, NuisanceFit, assign_folds, fit_crossfit
+from .nuisance import (
+    CellTable, LearnerSpec, NuisanceFit, assign_folds, cell_table, fit_table, stack_tables,
+)
 
 # plain strings: the keys of ``MonteCarloResult.estimates``
 METHODS = tuple(m.value for m in ESTIMATORS)
@@ -74,7 +86,12 @@ _FOLD_STREAM = 1
 # a block holds at most this many units (replicates x n_per_rep); twice as
 # many made the workers' peak memory grow by a few MB for ~3% less time
 BLOCK_UNITS = 8_192
-BLOCKS_PER_WORKER = 4
+# a task holds at most this many replicates' tables. On a 2-vCPU VM the fit
+# and estimators took ~940 us per replicate alone, ~45 us each in a task of
+# 25 and ~12 us in one of 250; 500 saved 1 us more, 1,000 none, and the
+# arrays grow with the task
+TASK_REPLICATES = 250
+TASKS_PER_WORKER = 4
 
 _COV_ZERO_TOL = 1e-9
 
@@ -98,6 +115,10 @@ class MonteCarloResult:
     ordering of the oracle ATEs; None when there is no such replicate.
     ``runtime_seconds`` and ``workers`` are volatile: they are excluded from
     :meth:`canonical_bytes`, which is the determinism-relevant serialization.
+    ``diagnostics`` holds what happened inside the fits: ``clipped_count``
+    and ``fallback_count`` summed over every replicate whose fit succeeded.
+    It is volatile too, and neither :meth:`to_dict` nor
+    :meth:`canonical_bytes` writes it.
     """
 
     scenario: str
@@ -115,6 +136,7 @@ class MonteCarloResult:
     failure_count: int
     runtime_seconds: float
     workers: int
+    diagnostics: dict[str, int] = field(default_factory=dict)
 
     @property
     def methods(self) -> tuple[str, ...]:
@@ -243,64 +265,88 @@ def validate_scenario(config: ScenarioConfig) -> None:
             fail("expected heterogeneous effects")
 
 
-def _blocks(num_reps: int, n: int, workers: int) -> list[range]:
-    """Replicate indices split into consecutive blocks of at most ``BLOCK_UNITS // n``.
-
-    A pool run gets at least ``BLOCKS_PER_WORKER`` blocks per worker (when
-    there are that many replicates), so that no worker waits on the last
-    big block; block sizes differ by at most one.
-    """
-    count = -(-num_reps // max(1, BLOCK_UNITS // n))
-    if workers > 1:
-        count = max(count, min(num_reps, BLOCKS_PER_WORKER * workers))
-    edges = [num_reps * i // count for i in range(count + 1)]
+def _split(reps: range, count: int) -> list[range]:
+    """``reps`` in ``count`` consecutive runs whose sizes differ by at most one."""
+    edges = [reps.start + len(reps) * i // count for i in range(count + 1)]
     return [range(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-def _run_block(config: ScenarioConfig, reps: range) -> tuple[NDArray[np.float64], int]:
-    """Replicates ``reps``, sampled, fitted and estimated as one block of datasets."""
+def _tasks(num_reps: int, workers: int) -> list[range]:
+    """Replicate indices split into tasks of at most ``TASK_REPLICATES``.
+
+    A pool run gets at least ``TASKS_PER_WORKER`` tasks per worker (when
+    there are that many replicates), so that no worker waits on the last
+    big task.
+    """
+    count = -(-num_reps // TASK_REPLICATES)
+    if workers > 1:
+        count = max(count, min(num_reps, TASKS_PER_WORKER * workers))
+    return _split(range(num_reps), count)
+
+
+def _blocks(reps: range, n: int) -> list[range]:
+    """A task's replicates in blocks of at most ``BLOCK_UNITS // n`` (at least one)."""
+    return _split(reps, -(-len(reps) // max(1, BLOCK_UNITS // n)))
+
+
+def _block_table(config: ScenarioConfig, reps: range, levels: NDArray[np.int64]) -> CellTable:
+    """Replicates ``reps``, sampled, split into folds and tabled as one block of datasets."""
     # the data seeds, then the fold seeds, hashed in one pass
     seeds = rng.child_seeds(config.seed, list(reps) * 2,
                             [_DATA_STREAM] * len(reps) + [_FOLD_STREAM] * len(reps))
     data = sample(config.dgp, config.n_per_rep, seeds[:len(reps)])
     folds = assign_folds(config.n_per_rep, config.num_folds, seeds[len(reps):])
-    return _estimate(config, data, folds)
+    return cell_table(data, folds, levels)
 
 
-def _estimate(config: ScenarioConfig, data: Dataset,
-              folds: FoldAssignment) -> tuple[NDArray[np.float64], int]:
-    """Cross-fit and estimate a dataset or a block: ((..., methods, K) points, failures).
+def _run_task(config: ScenarioConfig,
+              reps: range) -> tuple[NDArray[np.float64], int, NDArray[np.int64]]:
+    """Replicates ``reps``: tabled block by block, then fitted and estimated at once.
+
+    Returns their ``(reps, methods, K)`` points, the failure count and the
+    summed (clipped, fallback) counts of their fits.
+    """
+    levels = np.sort(config.dgp.stratum_codes)  # distinct codes, ascending
+    return _estimate(config, stack_tables([_block_table(config, block, levels)
+                                           for block in _blocks(reps, config.n_per_rep)]))
+
+
+def _estimate(config: ScenarioConfig,
+              table: CellTable) -> tuple[NDArray[np.float64], int, NDArray[np.int64]]:
+    """Fit and estimate every dataset of a table: (points, failures, fit counts), as ``_run_task``.
 
     A fit or estimate the data cannot support (``ESTIMATION_ERRORS``) is NaN
     and counted; a failed fit counts for every method and treatment. When a
-    block's fit or estimate fails, that step is redone dataset by dataset,
-    so only the datasets that fail on their own are NaN.
+    block's fit or estimate fails, that step is redone dataset by dataset
+    on its table or fit, so only the datasets that fail on their own are
+    NaN.
     """
-    points = np.full(data.y.shape[:-1] + (len(METHODS), data.num_treatments), np.nan)
+    B, K = table.count.shape[2], table.num_treatments
+    points = np.full((B, len(METHODS), K), np.nan)
     try:
-        fit = fit_crossfit(data, config.learner, folds, config.clip)
+        fit = fit_table(table, config.learner, config.clip)
     except ESTIMATION_ERRORS:
-        if data.y.ndim == 1:
-            return points, points.size
-        rows = [_estimate(config, data.replicate(b), folds.replicate(b)) for b in range(len(points))]
-        return np.stack([p for p, _ in rows]), sum(f for _, f in rows)
+        if not table.block:
+            return points, points.size, np.zeros(2, dtype=np.int64)
+        rows = [_estimate(config, table.replicate(b)) for b in range(B)]
+        return (np.concatenate([p for p, _, _ in rows]), sum(f for _, f, _ in rows),
+                sum(c for _, _, c in rows))
     failures = 0
     for m, estimator in enumerate(ESTIMATORS.values()):
-        for j in range(1, data.num_treatments + 1):
-            points[..., m, j - 1], failed = _points(estimator, data, fit, j)
+        for j in range(1, K + 1):
+            points[:, m, j - 1], failed = _points(estimator, fit, j)
             failures += failed
-    return points, failures
+    return points, failures, np.array([np.sum(fit.clipped_count), np.sum(fit.fallback_count)])
 
 
-def _points(estimator: Callable, data: Dataset, fit: NuisanceFit, j: int) -> tuple[NDArray, int]:
+def _points(estimator: Callable, fit: NuisanceFit, j: int) -> tuple[NDArray | float, int]:
     """Treatment ``j``'s point per dataset (NaN where it fails), and the failure count."""
     try:
-        return estimator(data, fit, j).point, 0
+        return estimator(None, fit, j).point, 0
     except ESTIMATION_ERRORS:
-        if data.y.ndim == 1:
+        if not fit.block:
             return np.nan, 1
-        rows = [_points(estimator, data.replicate(b), fit.replicate(b), j)
-                for b in range(data.y.shape[0])]
+        rows = [_points(estimator, fit.replicate(b), j) for b in range(fit.count.shape[1])]
         return np.array([p for p, _ in rows]), sum(f for _, f in rows)
 
 
@@ -323,7 +369,7 @@ def _ranking_rates(points: NDArray[np.float64], oracle_order: tuple[int, ...]) -
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloResult:
     """Run every replicate of a scenario, optionally on a process pool.
 
-    Replicates run in blocks (see the module docstring) and are aggregated
+    Replicates run in tasks (see the module docstring) and are aggregated
     by index, so the result is identical for any worker count. Fits and
     estimates the data cannot support are recorded as NaN and counted, not
     raised; any other error propagates.
@@ -331,17 +377,17 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloResult:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     t0 = time.perf_counter()
-    job = functools.partial(_run_block, config)
-    blocks = _blocks(config.num_reps, config.n_per_rep, workers)
+    job = functools.partial(_run_task, config)
+    tasks = _tasks(config.num_reps, workers)
     if workers == 1:
-        outcomes = [job(reps) for reps in blocks]
+        outcomes = [job(reps) for reps in tasks]
     else:
-        chunk = max(1, len(blocks) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, blocks, chunksize=chunk))
+            outcomes = list(pool.map(job, tasks))
 
-    points = np.concatenate([p for p, _ in outcomes])  # (reps, methods, K)
-    failure_count = int(sum(f for _, f in outcomes))
+    points = np.concatenate([p for p, _, _ in outcomes])  # (reps, methods, K)
+    failure_count = int(sum(f for _, f, _ in outcomes))
+    clipped, fallbacks = sum(c for _, _, c in outcomes)
     K = config.dgp.num_treatments
     treatments = tuple(range(1, K + 1))
     ate = tuple(oracle_ate(config.dgp, j) for j in treatments)
@@ -365,6 +411,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloResult:
         failure_count=failure_count,
         runtime_seconds=time.perf_counter() - t0,
         workers=workers,
+        diagnostics={"clipped_count": int(clipped), "fallback_count": int(fallbacks)},
     )
 
 

@@ -7,12 +7,14 @@ fit fold-wise: a unit's prediction always comes from models trained on the
 other folds.
 
 Because ``X`` is a stratum code, every learner is a function of a small
-table: for each (fold, target, stratum), the number of training units and
-the sum of their target values. ``_StratumTable`` builds that table once per
-fit from one key per unit (its fold, stratum and *base cell*: its pattern
-of treatments, or its arm), and each target's learner maps its S-row slice
-to a (fold, stratum) table of S predictions per fold. A fit is those
-prediction tables; no prediction is copied out to the units.
+table, built in two steps. ``cell_table`` keys every unit by its fold,
+stratum and *base cell* (its pattern of treatments, or its arm) and gives
+each base cell's held-out count, sum of ``y``, residual sum and centred sum
+of squares (a ``CellTable``). ``fit_table`` reads only that table: it adds
+base cells into each target's training counts and sums per (fold,
+stratum), and each target's learner maps them to a (fold, stratum) table
+of predictions. A fit is those prediction tables; no prediction is copied
+out to the units. ``fit_crossfit`` is the two steps in turn.
 
 Three learners are available. ``STRATUM_MEAN`` is the saturated
 nonparametric estimator (within-cell training means) and is exact for the
@@ -31,11 +33,12 @@ which would be off in the last bits. So a stratum mean equals, bit for bit, a
 per-target fit that adds its gathered training units per (fold, base
 cell) in unit order, then over base cells, then over folds, and agrees
 with a plain unit-order sum to rounding (within 1e-13 relative in the
-tests). The training mean that an
-empty cell falls back to is a pairwise ``mean()``, which no table sum
-reproduces, so it is taken from the gathered units, only for a fold that
-predicts into an empty cell. 0/1 targets are counts and are exact in any
-order. Ridge fits agree with the unit-level solution to rounding.
+tests). An empty cell falls back to the target's training mean: its
+training sums added over the strata in ascending order, over its training
+count. That is a sum of the same table, so it differs from a pairwise
+``mean()`` of the training units only by rounding (within 1e-12 relative
+in the tests). 0/1 targets are counts and are exact in any order. Ridge
+fits agree with the unit-level solution to rounding.
 
 Propensities are clipped on the (fold, stratum) table. ``clipped_count``
 adds, over the cells outside ``[clip, 1 - clip]``, the number of units the
@@ -52,14 +55,16 @@ units are sums over cells of the cell's count, its mean ``y`` (its sum of
 ``sum((y - cell mean)**2)``. A base cell's is taken in two passes, not as
 ``sum(y**2) - sum(y)**2 / n``, which loses the digits of a large mean; a
 cell of several base cells adds theirs, each shifted to the cell mean (see
-``_StratumTable``). Multinomial arms are base cells, so their moments are
+``_held_out``). Multinomial arms are base cells, so their moments are
 the two-pass ones.
 
-A block of datasets (see ``dgp.Dataset``) is fitted by the same table with
-the dataset in the key: a key's units are still added in unit order and
-every later step is elementwise over datasets, so every dataset's cells
-and moments are bit for bit those of its own fit, and a block costs one
-set of ``bincount`` passes instead of one per dataset. Ridge fits stay per
+A block of datasets (see ``dgp.Dataset``) is tabled with the dataset in
+the key: a key's units are still added in unit order and every later step
+is elementwise over datasets, so every dataset's cells and moments are bit
+for bit those of its own fit, and a block costs one set of ``bincount``
+passes instead of one per dataset. Tables made on one stratum axis (the
+``levels`` of ``cell_table``) stack into a larger block (``stack_tables``)
+on the same terms, so one fit can serve many blocks. Ridge fits stay per
 (fold, dataset) and see only the dataset's own strata. Newton iterations
 that end with the gradient above ``NEWTON_GRAD_TOL`` raise
 ``SingularFitError``.
@@ -177,7 +182,10 @@ class NuisanceFit:
     ones ``[treatment, dataset, fold, stratum]``; ``levels`` holds the
     stratum codes of the last axis. A single dataset has a dataset axis of
     length one, a block one row per dataset, and a block's strata cover all
-    its datasets, so a dataset may have no units in some. ``restricted_*``
+    its datasets, so a dataset may have no units in some. ``n`` is each
+    dataset's units, and ``block`` tells a block (whose estimates are
+    per-dataset arrays) from one dataset (plain numbers), so the estimators
+    need nothing but the fit. ``restricted_*``
     and ``control_p`` are only populated under MULTINOMIAL assignment, where
     the residual-on-residual regression runs on the {control, j} subsample
     with the conditional propensity ``p_j / (p_j + p_0)``.
@@ -193,6 +201,8 @@ class NuisanceFit:
 
     mode: AssignmentMode
     num_treatments: int
+    n: int  # units per dataset
+    block: bool  # a block of datasets (per-dataset results), not one dataset
     levels: NDArray[np.int64]
     count: NDArray[np.float64]
     mean: NDArray[np.float64]
@@ -215,6 +225,7 @@ class NuisanceFit:
             self,
             **{name: getattr(self, name)[..., b : b + 1, :, :] for name in arrays
                if getattr(self, name) is not None},
+            block=False,
             clipped_count=int(self.clipped_count[b]),
             fallback_count=int(self.fallback_count[b]),
         )
@@ -326,7 +337,7 @@ def _logistic_ridge_beta(
 
 
 # ---------------------------------------------------------------------------
-# the stratum table
+# the cell table
 
 PATTERN_TREATMENTS = 4  # treatments keyed together: 2**4 base cells per chunk
 POOLED = 0  # the group of every unit
@@ -362,8 +373,6 @@ class _Layout(NamedTuple):
     groups: tuple[tuple[int, ...], ...]  # each group's base cells, ascending; POOLED first
     observed: int  # the groups after POOLED that are the estimators' cells
     num_cells: int
-    chunk: tuple[int, ...]  # the chunk of each group's base cells
-    member: NDArray[np.bool_]  # [group, base cell]
     buckets: tuple  # _buckets(groups)
     cell_buckets: tuple  # _buckets of the estimators' cells
 
@@ -385,10 +394,9 @@ def _layout(mode: AssignmentMode, K: int) -> _Layout:
     if mode is AssignmentMode.MULTINOMIAL:
         arms = tuple((a,) for a in range(K + 1))
         groups = (tuple(range(K + 1)),) + arms + tuple((0, j) for j in range(1, K + 1))
-        observed, chunks = K + 1, (0,) * len(groups)
+        observed = K + 1
     else:
         groups = (tuple(range(1 << min(PATTERN_TREATMENTS, K))),)
-        chunks = (0,) + tuple(j // PATTERN_TREATMENTS for j in range(K) for _ in range(2))
         for j in range(K):
             chunk, i = divmod(j, PATTERN_TREATMENTS)
             first = chunk * PATTERN_TREATMENTS
@@ -398,11 +406,7 @@ def _layout(mode: AssignmentMode, K: int) -> _Layout:
             groups += (tuple((offset + patterns[~treated]).tolist()),
                        tuple((offset + patterns[treated]).tolist()))
         observed = 2 * K
-    num_cells = max(map(max, groups)) + 1
-    member = np.zeros((len(groups), num_cells), dtype=bool)
-    for g, members in enumerate(groups):
-        member[g, members] = True
-    return _Layout(groups, observed, num_cells, chunks, member, _buckets(groups),
+    return _Layout(groups, observed, max(map(max, groups)) + 1, _buckets(groups),
                    _buckets(groups[1 : 1 + observed]))
 
 
@@ -417,106 +421,165 @@ def _grouped(cells: NDArray, layout: _Layout) -> NDArray:
     return out
 
 
-class _StratumTable:
-    """Training counts and outcome sums of every target, per fold and stratum.
+@dataclass
+class CellTable:
+    """The held-out moments of every base cell: all that a fit reads of the data.
 
-    Every unit lies in one *base cell* per chunk (see ``_layout``): its
-    pattern of a chunk's treatments under PARALLEL_BINARY, its arm under
-    MULTINOMIAL. The treatments are keyed in chunks of at most
-    ``PATTERN_TREATMENTS``, so K treatments take ``ceil(K / 4)`` keys per
-    unit and never a table of 2**K patterns; with K <= 4 there is one
-    chunk. Each learner target and each estimator cell is a *group*, a
-    fixed set of base cells of one chunk: ``POOLED`` is every pattern of
-    chunk 0, a treatment's treated or untreated half is the patterns of its
-    chunk with or without it, and the {0, j} comparison is two arms.
-    Indicator targets need no sums of their own: their totals are another
-    group's counts.
-
-    One int64 key per unit and chunk, ``((cell * folds + fold) * B +
-    dataset) * S + stratum``, covers every dataset of a block (a single
-    dataset is a block of one). Four ``bincount`` passes over the keys in
-    unit order give every base cell's held-out count, sum of ``y``, sum of
-    deviations ``r`` from its mean (gathered per unit) and centred sum of
-    squares. A group's count and sum add its base cells' in ascending
-    order. Its centred sum of squares adds, in the same order, each base
-    cell's plus ``d * (2 r + count * d)``, ``d`` being the cell mean minus
-    the group mean. The ``r`` term makes the sum exact to second order in
-    the rounding of the cell means; without it, an outcome offset of 1e6
-    costs about 1e-11 relative. Fold ``k``'s training sum adds the other
-    folds' held-out sums in ascending fold order, and its training count
-    is the total count minus the fold's (integers, so exact); in-sample,
-    both are the one fold's own. Every table is indexed ``[fold, dataset,
-    ..., stratum]``.
-
-    The ``layout.observed`` groups after ``POOLED`` are the estimators' cells;
-    their held-out count, mean (sum over count, 0 without units) and
-    centred sum of squares are ``moments``, each ``[cell, dataset, fold,
-    stratum]`` (see ``NuisanceFit``).
-
-    ``outcome`` and ``rate`` fit one target and return its (fold, dataset,
-    stratum) table of predictions and its per-dataset fallback counts.
-    ``rate`` clips its table to ``[clip, 1 - clip]`` and adds the units it
-    clipped to ``clipped``.
+    ``count`` (units), ``total`` (their sum of ``y``), ``residual`` (their
+    sum of deviations from the cell mean ``total / count``, which rounding
+    leaves near zero) and ``m2`` (their centred sum of squares) are indexed
+    ``[base cell, fold, dataset, stratum]``. The base cells are those of
+    ``_layout(mode, num_treatments)`` and ``levels`` holds the stratum codes
+    of the last axis, in ascending order. Every dataset has ``n`` units.
+    ``block`` tells a block of datasets, whose fits and estimates are
+    per-dataset arrays, from one dataset, whose are plain numbers; either
+    way the dataset axis is there.
     """
 
-    def __init__(
-        self,
-        data: Dataset,
-        spec: LearnerSpec,
-        fold_of: NDArray[np.int64],
-        num_folds: int,
-        crossfit: bool,
-        clip: float,
-    ):
-        n = data.n
-        y = data.y.reshape(-1, n)
-        B = y.shape[0]
-        self.levels, pos = data.strata.codes, data.strata.position.reshape(B, n)
-        S = self.levels.shape[0]
+    mode: AssignmentMode
+    num_treatments: int
+    levels: NDArray[np.int64]
+    n: int
+    block: bool
+    count: NDArray[np.int64]
+    total: NDArray[np.float64]
+    residual: NDArray[np.float64]
+    m2: NDArray[np.float64]
+
+    _ARRAYS = ("count", "total", "residual", "m2")
+
+    def replicate(self, b: int) -> "CellTable":
+        """Dataset ``b`` of a block, as the table of one dataset."""
+        return replace(self, block=False,
+                       **{name: getattr(self, name)[:, :, b : b + 1] for name in self._ARRAYS})
+
+
+def stack_tables(tables: Sequence[CellTable]) -> CellTable:
+    """Tables of one design, size and stratum axis, joined along the dataset axis as a block.
+
+    Every step of a fit and of the estimators is elementwise along that
+    axis, so each dataset's rows are bit for bit those of its own table.
+    """
+    first = tables[0]
+    design = (first.mode, first.num_treatments, first.n, first.levels.tolist())
+    if any((t.mode, t.num_treatments, t.n, t.levels.tolist()) != design for t in tables[1:]):
+        raise ValueError("stacked tables must share the design, n and the stratum axis")
+    return replace(first, block=True, **{
+        name: np.concatenate([getattr(t, name) for t in tables], axis=2) for name in first._ARRAYS})
+
+
+def cell_table(data: Dataset, folds: FoldAssignment,
+               levels: NDArray[np.int64] | None = None) -> CellTable:
+    """Each base cell's held-out moments, per fold, dataset and stratum.
+
+    Every unit lies in one base cell per chunk (see ``_layout``), so it
+    gets one int64 key per chunk, ``((cell * folds + fold) * B + dataset) *
+    S + stratum``, which covers every dataset of a block (a single dataset
+    is a block of one). Four ``bincount`` passes over the keys in unit
+    order give each key's count, sum of ``y``, sum of deviations from its
+    mean (gathered per unit) and centred sum of squares.
+
+    The stratum axis is the dataset's own strata, or ``levels``: distinct
+    codes in ascending order that cover them, some perhaps without units.
+    Tables made on one ``levels`` can be stacked (``stack_tables``).
+    """
+    n = data.n
+    if n == 0:
+        raise ValueError("dataset is empty")
+    if folds.fold_of.shape != data.y.shape:
+        raise ValueError(f"fold assignment covers {folds.fold_of.shape[-1]} units, dataset has {n}")
+    y = data.y.reshape(-1, n)
+    B = y.shape[0]
+    groups = data.strata
+    pos = groups.position
+    if levels is None:
+        levels = groups.codes
+    else:
+        levels = np.asarray(levels, dtype=np.int64)
+        if np.any(levels[1:] <= levels[:-1]):
+            raise ValueError("levels must be distinct stratum codes in ascending order")
+        if not np.array_equal(levels, groups.codes):
+            pos = np.take(code_positions(levels, groups.codes), pos)
+    S = levels.shape[0]
+    layout = _layout(data.assignment_mode, data.num_treatments)
+    cell_of = _base_cells(data).reshape(-1, B, n)
+    keys = cell_of * folds.num_folds + folds.fold_of.reshape(B, n)
+    keys *= B
+    keys += np.arange(B)[:, None]
+    keys *= S
+    keys += pos.reshape(B, n)
+    keys = keys.ravel()
+    y_all = np.broadcast_to(y, cell_of.shape).ravel()
+    shape = (layout.num_cells, folds.num_folds, B, S)
+    size = layout.num_cells * folds.num_folds * B * S
+    count = np.bincount(keys, minlength=size)
+    total = np.bincount(keys, y_all, minlength=size)
+    deviation = y_all - np.take(total / np.maximum(count, 1), keys)
+    residual = np.bincount(keys, deviation, minlength=size)
+    m2 = np.bincount(keys, deviation * deviation, minlength=size)
+    return CellTable(data.assignment_mode, data.num_treatments, levels, n, data.y.ndim > 1,
+                     *(a.reshape(shape) for a in (count, total, residual, m2)))
+
+
+def _held_out(table: CellTable, layout: _Layout):
+    """Each group's held-out counts and sums, and the estimators' cell moments.
+
+    A group's count and sum add its base cells' in ascending order. Its
+    centred sum of squares adds, in the same order, each base cell's plus
+    ``d * (2 r + count * d)``, ``d`` being the cell mean minus the group
+    mean and ``r`` the cell's residual sum. The ``r`` term makes the sum
+    exact to second order in the rounding of the cell means; without it,
+    an outcome offset of 1e6 costs about 1e-11 relative. The moments are
+    the ``layout.observed`` groups after ``POOLED``: their count, mean (sum
+    over count, 0 without units) and centred sum of squares, each
+    ``[cell, dataset, fold, stratum]`` (see ``NuisanceFit``).
+    """
+    count = table.count
+    held, held_sums = _grouped(count, layout), _grouped(table.total, layout)
+    mean = table.total / np.maximum(count, 1)
+    cells = slice(1, 1 + layout.observed)
+    cell_mean = held_sums[cells] / np.maximum(held[cells], 1)
+    cell_m2 = np.empty(cell_mean.shape)
+    for rows, members in layout.cell_buckets:
+        spread = np.zeros((rows.size,) + cell_mean.shape[1:])
+        for c in members.T:
+            shift = mean[c] - cell_mean[rows]
+            spread += table.m2[c] + shift * (2.0 * table.residual[c] + count[c] * shift)
+        cell_m2[rows] = spread
+    moments = tuple(np.ascontiguousarray(a.transpose(0, 2, 1, 3), dtype=np.float64)
+                    for a in (held[cells], cell_mean, cell_m2))
+    return held, held_sums, moments
+
+
+class _Learners:
+    """Training counts and sums of every target, per fold, dataset and stratum.
+
+    Each learner target and each estimator cell is a *group*, a fixed set
+    of base cells of one chunk (see ``_layout``): ``POOLED`` is every
+    pattern of chunk 0, a treatment's treated or untreated half is the
+    patterns of its chunk with or without it, and the {0, j} comparison is
+    two arms. Indicator targets need no sums of their own: their totals are
+    another group's counts. Fold ``k``'s training sum adds the other folds'
+    held-out sums in ascending fold order, and its training count is the
+    total count minus the fold's (integers, so exact); in-sample, both are
+    the one fold's own. Every table is indexed ``[group, fold, dataset,
+    stratum]``.
+
+    ``outcomes`` and ``rates`` fit a list of targets at once (the learners
+    act elementwise, or per target, fold and dataset) and return their
+    ``[target, fold, dataset, stratum]`` predictions. Their fallbacks are
+    added to ``fallbacks``; ``rates`` clips its tables to ``[clip, 1 -
+    clip]`` and adds the units it clipped to ``clipped``, each per dataset.
+    """
+
+    def __init__(self, held: NDArray, held_sums: NDArray, levels: NDArray[np.int64],
+                 spec: LearnerSpec, crossfit: bool, clip: float):
+        self.levels = levels
         self.spec = spec
-        self.y = y
-        self.fold_of = fold_of.reshape(B, n)
-        self.cell_of = _base_cells(data).reshape(-1, B, n)
-        self.layout = layout = _layout(data.assignment_mode, data.num_treatments)
-        self.crossfit = crossfit
         self.clip = clip
-        self.clipped = np.zeros(B, dtype=np.int64)
+        self.clipped = np.zeros(held.shape[2], dtype=np.int64)
+        self.fallbacks = np.zeros(held.shape[2], dtype=np.int64)
         self.bases: dict[int, tuple] = {}  # per dataset, from _basis
-
-        # base cell moments, keyed (cell, fold, dataset, stratum)
-        keys = self.cell_of * num_folds + self.fold_of
-        keys *= B
-        keys += np.arange(B)[:, None]
-        keys *= S
-        keys += pos
-        keys = keys.ravel()
-        y_all = np.broadcast_to(y, self.cell_of.shape).ravel()
-        shape = (layout.num_cells, num_folds, B, S)
-        size = layout.num_cells * num_folds * B * S
-        count = np.bincount(keys, minlength=size)
-        total = np.bincount(keys, y_all, minlength=size)
-        mean = total / np.maximum(count, 1)
-        deviation = y_all - np.take(mean, keys)
-        residual = np.bincount(keys, deviation, minlength=size)
-        m2 = np.bincount(keys, deviation * deviation, minlength=size)
-        count, total, mean, residual, m2 = (
-            a.reshape(shape) for a in (count, total, mean, residual, m2))
-
-        # the groups' held-out moments, then their training counts and sums
-        held, held_sums = _grouped(count, layout), _grouped(total, layout)
-        cells = slice(1, 1 + layout.observed)
-        cell_mean = held_sums[cells] / np.maximum(held[cells], 1)
-        cell_m2 = np.empty(cell_mean.shape)
-        for rows, members in layout.cell_buckets:
-            spread = np.zeros((rows.size,) + cell_mean.shape[1:])
-            for c in members.T:
-                shift = mean[c] - cell_mean[rows]
-                spread += m2[c] + shift * (2.0 * residual[c] + count[c] * shift)
-            cell_m2[rows] = spread
-        self.moments = tuple(
-            np.ascontiguousarray(a.transpose(0, 2, 1, 3), dtype=np.float64)
-            for a in (held[cells], cell_mean, cell_m2)
-        )
         self.held = held[POOLED]  # units each fold predicts, per stratum
         if not crossfit:
             self.counts, self.sums = held, held_sums
@@ -524,38 +587,21 @@ class _StratumTable:
         # integer counts are exact in any order; the sums add the other
         # folds' in ascending order
         self.counts = held.sum(axis=1, keepdims=True) - held
-        folds = np.arange(num_folds)
+        folds = np.arange(held.shape[1])
         self.sums = np.zeros_like(held_sums)
         for other in folds:
             np.add(self.sums, held_sums[:, other : other + 1], out=self.sums,
                    where=(folds != other)[:, None, None])
 
-    def outcome(self, group: int) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
-        """Table of E[Y | X, group], and the per-dataset fallback counts (or 0)."""
-        return self._predict(
-            self.counts[group],
-            self.sums[group],
-            binary=False,
-            cell_mean=lambda k, b: float(self._training_y(k, b, group).mean()),
-            empty_value=lambda k, b: float(self._training_y(k, b).mean()),
-        )
+    def outcomes(self, groups: list[int]) -> NDArray[np.float64]:
+        """Tables of E[Y | X, group] for each of ``groups``."""
+        return self._predict(self.counts[groups], self.sums[groups], binary=False,
+                             empty=lambda: _mean(self.counts[POOLED], self.sums[POOLED], np.nan))
 
-    def rate(self, hits: int, among: int) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
-        """Table of P(hits | X, among), clipped, and the per-dataset fallback counts (or 0)."""
-        count = self.counts[among]
-        total = self.counts[hits].astype(np.float64)
-        return self._predict(
-            count,
-            total,
-            binary=True,
-            cell_mean=lambda k, b: total[k, b].sum() / count[k, b].sum(),
-            empty_value=lambda k, b: 0.5,
-        )
-
-    def _training_y(self, k: int, b: int, group: int = POOLED) -> NDArray[np.float64]:
-        keep = self.fold_of[b] != k if self.crossfit else np.ones(self.y.shape[1], dtype=bool)
-        keep &= self.layout.member[group][self.cell_of[self.layout.chunk[group], b]]
-        return self.y[b][keep]
+    def rates(self, hits: list[int], among: list[int]) -> NDArray[np.float64]:
+        """Tables of P(hits | X, among) for each pair of ``hits`` and ``among``, clipped."""
+        return self._predict(self.counts[among], self.counts[hits].astype(np.float64),
+                             binary=True, empty=lambda: 0.5)
 
     def _basis(self, b: int) -> tuple[slice | NDArray[np.bool_], NDArray[np.float64]]:
         """Dataset ``b``'s strata (a block's strata may be absent from it) and their basis."""
@@ -565,14 +611,15 @@ class _StratumTable:
             self.bases[b] = strata, _basis(self.levels[strata], self.spec.basis)
         return self.bases[b]
 
-    def _predict(self, count, total, binary, cell_mean, empty_value):
-        """Map each fold's (count, total) to S predictions, for every dataset.
+    def _predict(self, count, total, binary, empty):
+        """Map each target's and fold's (count, total) to S predictions, for every dataset.
 
-        A stratum-mean cell without training units takes the target's training
-        mean; a target without any training units takes ``empty_value``. Both
-        count one fallback per predicted unit. A ridge fit sees only the
-        strata of its own dataset. Binary targets are clipped on the table,
-        each cell counting the units it predicts.
+        A stratum-mean cell without training units takes the target's
+        training mean, and a target without any training units ``empty()``;
+        each counts one fallback per unit it predicts. A ridge fit sees only
+        the strata of its own dataset, and the fits run target by target,
+        so the first target that cannot be fitted raises. Binary targets are
+        clipped on the table, each cell counting the units it predicts.
         """
         kind = self.spec.kind
         if kind is LearnerKind.LOGISTIC_RIDGE and not binary:
@@ -582,34 +629,94 @@ class _StratumTable:
             unfit = count == 0
         else:
             table = np.zeros(total.shape)
-            empty = ~count.any(axis=-1)
-            unfit = np.broadcast_to(empty[..., None], count.shape)
-            for k, b in zip(*np.nonzero(~empty)):
+            empty_split = ~count.any(axis=-1)
+            unfit = np.broadcast_to(empty_split[..., None], count.shape)
+            for t, k, b in zip(*np.nonzero(~empty_split)):
                 strata, X = self._basis(b)
-                c, t = count[k, b, strata], total[k, b, strata]
+                c, y = count[t, k, b, strata], total[t, k, b, strata]
                 if kind is LearnerKind.LOGISTIC_RIDGE:
-                    beta = _logistic_ridge_beta(X, c, t, self.spec.ridge_penalty)
-                    table[k, b, strata] = _sigmoid(X @ beta)
+                    beta = _logistic_ridge_beta(X, c, y, self.spec.ridge_penalty)
+                    table[t, k, b, strata] = _sigmoid(X @ beta)
                 else:
-                    beta = _linear_ridge_beta(X, c, t, self.spec.ridge_penalty)
-                    table[k, b, strata] = X @ beta
-        fallbacks = 0
+                    beta = _linear_ridge_beta(X, c, y, self.spec.ridge_penalty)
+                    table[t, k, b, strata] = X @ beta
         if unfit.any():
-            missing = np.where(unfit, self.held, 0).sum(axis=-1)
-            fallbacks = missing.sum(axis=0)
-            for k, b in zip(*np.nonzero(missing)):
-                table[k, b, unfit[k, b]] = cell_mean(k, b) if count[k, b].any() else empty_value(k, b)
+            self.fallbacks += np.where(unfit, self.held, 0).sum(axis=(0, 1, 3))
+            table = np.where(unfit, _mean(count, total, empty())[..., None], table)
         if binary:
             lo, hi = self.clip, 1.0 - self.clip
             outside = (table < lo) | (table > hi)
             if outside.any():
-                self.clipped += np.where(outside, self.held, 0).sum(axis=-1).sum(axis=0)
+                self.clipped += np.where(outside, self.held, 0).sum(axis=(0, 1, 3))
             np.clip(table, lo, hi, out=table)
-        return table, fallbacks
+        return table
+
+
+def _mean(count: NDArray, total: NDArray, empty) -> NDArray[np.float64]:
+    """Per (fold, dataset), the total over the count, each added over strata in order.
+
+    ``empty`` (a number, or a (fold, dataset) array) where there are no units.
+    """
+    units = count.sum(axis=-1)
+    in_order = np.add.accumulate(total, axis=-1)[..., -1]  # no pairwise regrouping
+    return np.where(units > 0, in_order / np.maximum(units, 1), empty)
 
 
 # ---------------------------------------------------------------------------
 # cross-fitting
+
+
+def fit_table(table: CellTable, spec: LearnerSpec, clip: float = DEFAULT_CLIP,
+              crossfit: bool = True) -> NuisanceFit:
+    """Fit every nuisance function from a cell table, for each of its datasets.
+
+    Cross-fitted, fold ``k``'s predictions come from the other folds' cells;
+    in-sample (``crossfit=False``, a one-fold table), from the fold's own.
+    Row ``b`` of the fit of a block is bit for bit the fit of
+    ``table.replicate(b)``.
+    """
+    if not 0.0 <= clip < 0.5:
+        raise ValueError(f"clip must be in [0, 0.5), got {clip}")
+    K = table.num_treatments
+    layout = _layout(table.mode, K)
+    held, held_sums, (count, mean, m2) = _held_out(table, layout)
+    learners = _Learners(held, held_sums, table.levels, spec, crossfit, clip)
+    # each kind of target is fitted in one call, treatment by treatment, so
+    # a logistic fit that fails reports the first treatment's; the group
+    # numbers are those of _layout
+    treatments = range(1, K + 1)
+    if table.mode is AssignmentMode.PARALLEL_BINARY:
+        tables = {"p_hat": learners.rates([2 * j for j in treatments], [POOLED] * K)}
+        outcomes = learners.outcomes([POOLED] + [g for j in treatments for g in (2 * j, 2 * j - 1)])
+        tables.update(y_hat=outcomes[0], mu_treated=outcomes[1::2], mu_control=outcomes[2::2])
+    else:
+        # control_p, then p_hat and restricted_p of each treatment in turn
+        rates = learners.rates([1] + [1 + j for j in treatments for _ in range(2)],
+                               [POOLED] + [g for j in treatments for g in (POOLED, K + 1 + j)])
+        # the one control model serves every treatment, and counts for each
+        outcomes = learners.outcomes([POOLED] + [1 + j for j in treatments] + [1] * K
+                                     + [K + 1 + j for j in treatments])
+        tables = {"control_p": rates[0], "p_hat": rates[1::2], "restricted_p": rates[2::2],
+                  "y_hat": outcomes[0], "mu_treated": outcomes[1 : 1 + K],
+                  "mu_control": outcomes[1 + K : 1 + 2 * K], "restricted_y": outcomes[1 + 2 * K :]}
+
+    def per_dataset(counts: NDArray[np.int64]) -> int | NDArray[np.int64]:
+        return counts if table.block else int(counts[0])
+
+    return NuisanceFit(
+        mode=table.mode,
+        num_treatments=K,
+        n=table.n,
+        block=table.block,
+        levels=table.levels,
+        count=count,
+        mean=mean,
+        m2=m2,
+        # the learners' [..., fold, dataset, stratum] tables, dataset first
+        **{name: np.ascontiguousarray(t.swapaxes(-3, -2)) for name, t in tables.items()},
+        clipped_count=per_dataset(learners.clipped),
+        fallback_count=per_dataset(learners.fallbacks),
+    )
 
 
 def fit_crossfit(
@@ -628,8 +735,9 @@ def fit_crossfit(
 
     A block of datasets with its block of fold assignments is fitted at
     once; row ``b`` of the fit is bit for bit the fit of row ``b`` alone.
+    This is ``fit_table`` of ``cell_table(data, folds)``.
     """
-    return _compute_fit(data, spec, clip, folds.fold_of, folds.num_folds, crossfit=True)
+    return fit_table(cell_table(data, folds), spec, clip)
 
 
 def fit_insample(data: Dataset, spec: LearnerSpec, clip: float = 0.0) -> NuisanceFit:
@@ -638,66 +746,11 @@ def fit_insample(data: Dataset, spec: LearnerSpec, clip: float = 0.0) -> Nuisanc
     Intended for diagnostics and for checking algebraic identities of the
     residual regression, where fold-splitting would break exactness.
     """
-    return _compute_fit(data, spec, clip, np.zeros(data.y.shape, dtype=np.int64), 1, crossfit=False)
+    return fit_table(cell_table(data, _one_fold(data)), spec, clip, crossfit=False)
 
 
-def _compute_fit(
-    data: Dataset,
-    spec: LearnerSpec,
-    clip: float,
-    fold_of: NDArray[np.int64],
-    num_folds: int,
-    crossfit: bool,
-) -> NuisanceFit:
-    n, K = data.n, data.num_treatments
-    if n == 0:
-        raise ValueError("dataset is empty")
-    if fold_of.shape != data.y.shape:
-        raise ValueError(f"fold assignment covers {fold_of.shape[-1]} units, dataset has {n}")
-    if not 0.0 <= clip < 0.5:
-        raise ValueError(f"clip must be in [0, 0.5), got {clip}")
-    table = _StratumTable(data, spec, fold_of, num_folds, crossfit, clip)
-    # targets are fitted treatment by treatment, in the order a failing fit
-    # reports first, then stacked target by target along a treatment axis;
-    # the group numbers are those of _layout
-    targets = {"y_hat": table.outcome(POOLED)}
-    if data.assignment_mode is AssignmentMode.PARALLEL_BINARY:
-        names = ("p_hat", "mu_treated", "mu_control")
-        per_treatment = [
-            (table.rate(2 * j, POOLED), table.outcome(2 * j), table.outcome(2 * j - 1))
-            for j in range(1, K + 1)
-        ]
-    else:
-        targets["control_p"] = table.rate(1, POOLED)
-        control_y = table.outcome(1)  # one control model, used by every treatment
-        names = ("p_hat", "mu_treated", "mu_control", "restricted_y", "restricted_p")
-        per_treatment = [
-            (table.rate(1 + j, POOLED), table.outcome(1 + j), control_y,
-             table.outcome(K + 1 + j), table.rate(1 + j, K + 1 + j))
-            for j in range(1, K + 1)
-        ]
-    fallbacks = sum(fb for _, fb in targets.values()) + np.zeros_like(table.clipped)
-    tables = {name: predictions for name, (predictions, _) in targets.items()}
-    for name, column in zip(names, zip(*per_treatment)):
-        fallbacks += sum(fb for _, fb in column)
-        tables[name] = np.stack([predictions for predictions, _ in column])
-
-    def per_dataset(counts: NDArray[np.int64]) -> int | NDArray[np.int64]:
-        return counts if data.y.ndim > 1 else int(counts[0])
-
-    count, mean, m2 = table.moments
-    return NuisanceFit(
-        mode=data.assignment_mode,
-        num_treatments=K,
-        levels=table.levels,
-        count=count,
-        mean=mean,
-        m2=m2,
-        # the learners' [..., fold, dataset, stratum] tables, dataset first
-        **{name: np.ascontiguousarray(t.swapaxes(-3, -2)) for name, t in tables.items()},
-        clipped_count=per_dataset(table.clipped),
-        fallback_count=per_dataset(fallbacks),
-    )
+def _one_fold(data: Dataset) -> FoldAssignment:
+    return FoldAssignment(1, np.zeros(data.y.shape, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -733,14 +786,15 @@ def oracle_nuisance(data: Dataset, dgp: StratifiedDGP) -> NuisanceFit:
         tables.update(mu_treated=mu0 + tau, mu_control=np.repeat(mu0[None], p.shape[0], axis=0),
                       control_p=control_p, restricted_p=cond, restricted_y=mu0 + tau * cond)
 
-    table = _StratumTable(data, LearnerSpec(), np.zeros(data.y.shape, dtype=np.int64), 1,
-                          crossfit=False, clip=0.0)
-    B = table.y.shape[0]
-    zero = np.zeros(B, dtype=np.int64) if data.y.ndim > 1 else 0
-    count, mean, m2 = table.moments
+    table = cell_table(data, _one_fold(data))
+    B = table.count.shape[2]
+    zero = np.zeros(B, dtype=np.int64) if table.block else 0
+    _, _, (count, mean, m2) = _held_out(table, _layout(table.mode, table.num_treatments))
     return NuisanceFit(
         mode=dgp.assignment_mode,
         num_treatments=dgp.num_treatments,
+        n=table.n,
+        block=table.block,
         levels=levels,
         count=count,
         mean=mean,

@@ -1,10 +1,11 @@
-"""The blocked Monte Carlo engine against the replicate-at-a-time loop.
+"""The Monte Carlo engine against the replicate-at-a-time loop.
 
-``run_scenario`` samples, fits and estimates a block of replicates at once.
-``loop_reference`` below is the engine's former loop: one replicate at a
-time through ``sample``, ``assign_folds``, ``fit_crossfit`` and
-``ESTIMATORS``. Every point and every failure count must match it bit for
-bit, whatever the block size and the worker count.
+``run_scenario`` samples and tables a block of replicates at once, and
+fits and estimates a task's stacked tables at once. ``loop_reference``
+below is the engine's former loop: one replicate at a time through
+``sample``, ``assign_folds``, ``fit_crossfit`` and ``ESTIMATORS``. Every
+point and every failure count must match it bit for bit, whatever the task
+and block sizes and the worker count.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import pytest
 import treatrank as tr
 from treatrank import montecarlo, rng
 from treatrank.estimators import ESTIMATION_ERRORS, ESTIMATORS, Method, plm_estimate
-from treatrank.montecarlo import BLOCK_UNITS, BLOCKS_PER_WORKER, METHODS, _blocks
+from treatrank.montecarlo import (
+    BLOCK_UNITS, METHODS, TASK_REPLICATES, TASKS_PER_WORKER, _blocks, _tasks,
+)
 
 from unit_reference import FIELDS, unit_arrays
 
@@ -211,39 +214,97 @@ class TestBlocks:
     @pytest.mark.parametrize("n", [10, 200, 10_000, 20_000])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_partition(self, num_reps, n, workers):
-        blocks = _blocks(num_reps, n, workers)
-        assert [r for block in blocks for r in block] == list(range(num_reps))
-        sizes = [len(block) for block in blocks]
+        tasks = _tasks(num_reps, workers)
+        assert [r for task in tasks for r in task] == list(range(num_reps))
+        sizes = [len(task) for task in tasks]
         assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
-        assert max(sizes) <= max(1, BLOCK_UNITS // n)
+        assert max(sizes) <= TASK_REPLICATES
         if workers > 1:
-            assert len(blocks) >= min(num_reps, BLOCKS_PER_WORKER * workers)
+            assert len(tasks) >= min(num_reps, TASKS_PER_WORKER * workers)
         else:
-            assert len(blocks) == -(-num_reps // max(1, BLOCK_UNITS // n))
+            assert len(tasks) == -(-num_reps // TASK_REPLICATES)
+        for task in tasks:
+            blocks = _blocks(task, n)
+            assert [r for block in blocks for r in block] == list(task)
+            sizes = [len(block) for block in blocks]
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+            assert max(sizes) <= max(1, BLOCK_UNITS // n)
+            assert len(blocks) == -(-len(task) // max(1, BLOCK_UNITS // n))
+
+
+class TestTaskAndBlockSplits:
+    """Rows do not depend on how replicates are split into tasks and blocks."""
+
+    @pytest.mark.parametrize("block_units", [200, 1_000, 10**6])
+    @pytest.mark.parametrize("task_replicates", [1, 7, 250])
+    def test_splits(self, monkeypatch, block_units, task_replicates):
+        config = tr.scaled(tr.preset("extreme_heterogeneity"), n_per_rep=200, num_reps=30, seed=12)
+        want = tr.run_scenario(config)
+        monkeypatch.setattr(montecarlo, "BLOCK_UNITS", block_units)
+        monkeypatch.setattr(montecarlo, "TASK_REPLICATES", task_replicates)
+        for workers in (1, 2):
+            got = tr.run_scenario(config, workers=workers)
+            assert engine_points(got).tobytes() == engine_points(want).tobytes()
+            assert got.canonical_bytes() == want.canonical_bytes()
+            assert got.diagnostics == want.diagnostics
+
+    @pytest.mark.parametrize("name, n, num_reps", [("extreme_heterogeneity", 10_000, 6),
+                                                   ("balanced", 200, 125)])
+    def test_benchmark_presets_match_the_loop(self, name, n, num_reps):
+        # the sizes of the benchmark's Monte Carlo workloads: one replicate
+        # per block at n = 10,000, and a task of several blocks at n = 200
+        config = tr.scaled(tr.preset(name), n_per_rep=n, num_reps=num_reps, seed=21)
+        assert len(_blocks(range(num_reps), n)) > 1
+        assert_engine_matches_loop(config)
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("config", [
+        tr.scaled(tr.preset("extreme_heterogeneity"), n_per_rep=300, num_reps=40, seed=8),
+        # n=10 logistic fits fail in some replicates, which add no counts
+        tr.scaled(tr.preset("extreme_heterogeneity"), n_per_rep=10, num_reps=50,
+                  learner=tr.LearnerSpec(kind=tr.LearnerKind.LOGISTIC_RIDGE)),
+    ], ids=["fallbacks", "failed_fits"])
+    def test_totals_are_the_replicate_fits(self, config):
+        clipped = fallbacks = 0
+        for r in range(config.num_reps):
+            data, folds = replicate_inputs(config, r)
+            try:
+                fit = tr.fit_crossfit(data, config.learner, folds, config.clip)
+            except ESTIMATION_ERRORS:
+                continue
+            clipped += fit.clipped_count
+            fallbacks += fit.fallback_count
+        assert clipped > 0
+        assert (fallbacks > 0) == (config.learner.kind is tr.LearnerKind.STRATUM_MEAN)
+        result = tr.run_scenario(config)
+        assert result.diagnostics == {"clipped_count": clipped, "fallback_count": fallbacks}
+        assert tr.run_scenario(config, workers=2).diagnostics == result.diagnostics
+        assert "diagnostics" not in result.to_dict()
+        assert b"diagnostics" not in result.canonical_bytes()
 
 
 # ---------------------------------------------------------------------------
-# failures inside a block
+# failures inside a stacked task
 
 
-def replicate_marker(config, r):
-    """The first outcome of replicate ``r``, which identifies its dataset."""
-    return replicate_inputs(config, r)[0].y[0]
+def replicate_table(config, r):
+    """Replicate ``r``'s cell table on the engine's stratum axis, which identifies it."""
+    data, folds = replicate_inputs(config, r)
+    return tr.cell_table(data, folds, np.unique(config.dgp.stratum_codes))
 
 
-class TestFailureInsideBlock:
+class TestFailureInsideTask:
     CONFIG = tr.scaled(tr.preset("balanced"), n_per_rep=200, num_reps=12, seed=7)
 
-    def holds(self, data, marker):
-        return bool(np.any(np.atleast_2d(data.y)[:, 0] == marker))
-
     def test_estimator_failure_in_one_row(self, monkeypatch):
-        marker = replicate_marker(self.CONFIG, 5)
+        marker = tr.fit_table(replicate_table(self.CONFIG, 5), self.CONFIG.learner,
+                              self.CONFIG.clip).mean[:, 0]
         calls = []
 
         def flaky(data, fit, j):
-            calls.append(data.y.ndim)
-            if self.holds(data, marker):
+            calls.append(fit.block)
+            if any(np.array_equal(fit.mean[:, b], marker) for b in range(fit.mean.shape[1])):
                 raise tr.NoVariationError("row 5")
             return plm_estimate(data, fit, j)
 
@@ -257,20 +318,27 @@ class TestFailureInsideBlock:
         keep = np.ones(points.shape, dtype=bool)
         keep[5, 0] = False
         assert points[keep].tobytes() == reference[keep].tobytes()
-        assert calls.count(2) == K and calls.count(1) == K * self.CONFIG.num_reps
+        # one stacked call per treatment, then each replicate of the task alone
+        assert calls.count(True) == K and calls.count(False) == K * self.CONFIG.num_reps
 
     def test_fit_failure_in_one_row(self, monkeypatch):
-        marker = replicate_marker(self.CONFIG, 9)
+        # blocks of five replicates: the task stacks three block tables
+        monkeypatch.setattr(montecarlo, "BLOCK_UNITS", 5 * self.CONFIG.n_per_rep)
+        marker = replicate_table(self.CONFIG, 9).total[:, :, 0]
         reference, _ = loop_reference(self.CONFIG)
+        fits = []
 
-        def flaky_fit(data, *args):
-            if self.holds(data, marker):
+        def flaky_fit(table, *args):
+            fits.append(table.count.shape[2])
+            if any(np.array_equal(table.total[:, :, b], marker)
+                   for b in range(table.total.shape[2])):
                 raise tr.SingularFitError("row 9")
-            return tr.fit_crossfit(data, *args)
+            return tr.fit_table(table, *args)
 
-        monkeypatch.setattr(montecarlo, "fit_crossfit", flaky_fit)
+        monkeypatch.setattr(montecarlo, "fit_table", flaky_fit)
         result = tr.run_scenario(self.CONFIG)
         points = engine_points(result)
+        assert fits == [self.CONFIG.num_reps] + [1] * self.CONFIG.num_reps
         assert result.failure_count == points[9].size
         assert np.isnan(points[9]).all()
         assert np.delete(points, 9, axis=0).tobytes() == np.delete(reference, 9, axis=0).tobytes()

@@ -196,6 +196,16 @@ class TestSampleCommand:
         run_cli("sample", "--config", dgp_config, "--n", 50, "--seed", 4, "--out", out)
         assert tr.load_dataset_csv(out / "dataset.csv") == tr.sample(reversal_dgp, 50, seed=4)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_format_rejected(self, tmp_path, capsys, dgp_config, fmt):
+        # sample writes one CSV and one YAML; a --format that changed nothing is refused
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sample", "--config", dgp_config, "--n", 50, "--format", fmt,
+                    "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestEstimateCommand:
     def test_full_run_outputs(self, tmp_path, dgp_config):

@@ -316,3 +316,27 @@ class TestFitValidation:
                 tr.fit_crossfit(data, spec, folds, clip=clip)
             with pytest.raises(ValueError, match=message):
                 tr.fit_insample(data, spec, clip=clip)
+
+    def test_table_levels_and_stacking(self, reversal_dgp):
+        data = tr.sample(reversal_dgp, 100, seed=1)
+        folds = tr.assign_folds(100, 5, seed=1)
+        codes = np.unique(reversal_dgp.stratum_codes)
+        with pytest.raises(ValueError, match="ascending"):
+            tr.cell_table(data, folds, codes[::-1])
+        with pytest.raises(ValueError, match="unknown stratum code"):
+            tr.cell_table(data, folds, codes[1:])
+        wide = tr.cell_table(data, folds, np.append(codes, codes[-1] + 1))
+        with pytest.raises(ValueError, match="stratum axis"):
+            tr.stack_tables([wide, tr.cell_table(data, folds, codes)])
+        other = tr.sample(reversal_dgp, 99, seed=2)
+        with pytest.raises(ValueError, match="stratum axis"):
+            tr.stack_tables([wide, tr.cell_table(other, tr.assign_folds(99, 5, seed=2), wide.levels)])
+
+    def test_estimators_check_the_data_against_the_fit(self, reversal_dgp):
+        data = tr.sample(reversal_dgp, 100, seed=1)
+        fit = tr.fit_crossfit(data, tr.LearnerSpec(), tr.assign_folds(100, 5, seed=1))
+        other = tr.sample(reversal_dgp, 99, seed=1)
+        for estimator in (tr.plm_estimate, tr.aipw_estimate, tr.ipw_estimate):
+            assert estimator(None, fit, 1) == estimator(data, fit, 1)
+            with pytest.raises(ValueError, match="other data"):
+                estimator(other, fit, 1)

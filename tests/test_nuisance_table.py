@@ -7,8 +7,12 @@ add in the engine's stated order: the units of each (fold, base cell,
 stratum) in unit order, then the target's base cells in ascending order,
 then the training folds in ascending order. Stratum means must match it
 bit for bit; the ridge learners solve the same equations in a different
-summation order and must match to rounding. A fit holds prediction
-tables; ``unit_arrays`` gathers them to the units for the comparison.
+summation order and must match to rounding. An empty cell falls back to
+the target's training mean, which the reference takes as the engine does:
+its stratum sums in that order, added over the strata in ascending order,
+over the training count. A pairwise ``mean()`` of the training units
+agrees with it to rounding. A fit holds prediction tables;
+``unit_arrays`` gathers them to the units for the comparison.
 """
 
 from __future__ import annotations
@@ -82,8 +86,18 @@ def stratum_sums(pos, t, fold, cell, S, plain=False):
     return sums
 
 
+def training_mean(pos, t, fold, cell, S, plain=False, pairwise=False):
+    """The fallback of an empty cell: ``stratum_sums`` added over strata in order, over the units.
+
+    ``pairwise`` takes numpy's pairwise ``mean()`` of the units instead.
+    """
+    if pairwise:
+        return float(t.mean())
+    return float(np.cumsum(stratum_sums(pos, t, fold, cell, S, plain))[-1] / t.shape[0])
+
+
 def _reference_target(spec, levels, binary, codes_tr, t_tr, codes_pred, empty_value,
-                      fold_tr, cell_tr, plain=False):
+                      fold_tr, cell_tr, plain=False, pairwise=False):
     """(predictions for codes_pred, fallback count) from the target's own units."""
     kind = spec.kind
     if kind is tr.LearnerKind.LOGISTIC_RIDGE and not binary:
@@ -96,7 +110,8 @@ def _reference_target(spec, levels, binary, codes_tr, t_tr, codes_pred, empty_va
         counts = np.bincount(pos, minlength=levels.shape[0])
         sums = stratum_sums(pos, t, fold_tr, cell_tr, levels.shape[0], plain)
         has_cell = counts > 0
-        means = np.where(has_cell, sums / np.maximum(counts, 1), float(t_tr.mean()))
+        fallback = training_mean(pos, t, fold_tr, cell_tr, levels.shape[0], plain, pairwise)
+        means = np.where(has_cell, sums / np.maximum(counts, 1), fallback)
         pred_pos = np.searchsorted(levels, codes_pred)
         return means[pred_pos], int(np.sum(~has_cell[pred_pos]))
     X_tr = _design(codes_tr, levels, spec.basis)
@@ -124,12 +139,13 @@ def base_cells(data, j):
     return chunk @ (1 << np.arange(chunk.shape[1]))
 
 
-def reference_fit(data, spec, folds=None, plain=False):
+def reference_fit(data, spec, folds=None, plain=False, pairwise=False):
     """Per-target fit over (train, predict) splits; ``folds=None`` fits in-sample.
 
     Clips as the engine does by default: at ``DEFAULT_CLIP`` when cross-fitting
     and not at all in-sample. ``plain`` sums each stratum's training units in
-    unit order (see ``stratum_sums``).
+    unit order (see ``stratum_sums``); ``pairwise`` takes the fallback
+    training means as pairwise means (see ``training_mean``).
     """
     clip = 0.0 if folds is None else DEFAULT_CLIP
     n, K = data.n, data.num_treatments
@@ -149,14 +165,15 @@ def reference_fit(data, spec, folds=None, plain=False):
         keep = train & member
         values, fb = _reference_target(
             spec, levels, binary, data.x[keep], t[keep], data.x[pred], empty_value,
-            fold[keep], cell[keep], plain,
+            fold[keep], cell[keep], plain, pairwise,
         )
         fallbacks += fb
         return values
 
     everyone = np.ones(n, dtype=bool)
     for train, pred in splits:
-        pooled = float(data.y[train].mean())
+        pooled = training_mean(np.searchsorted(levels, data.x[train]), data.y[train], fold[train],
+                               base_cells(data, 1)[train], levels.shape[0], plain, pairwise)
         out["y_hat"][pred] = fit(False, train, everyone, data.y, pred, pooled, base_cells(data, 1))
         for j in range(1, K + 1):
             arm, control = indicators(data, j)
@@ -305,6 +322,42 @@ class TestStratumMeanBitwise:
         assert_matches(data, tr.LearnerSpec())
 
 
+class TestFallbackMean:
+    """An empty cell's training mean from the table is the pairwise mean to rounding."""
+
+    CASES = ([("random", mode, seed) for mode in MODES for seed in range(15)]
+             + [("many_treatments", tr.AssignmentMode.PARALLEL_BINARY, 9)]
+             + [("two_hundred_strata", mode, 12) for mode in MODES])
+
+    @staticmethod
+    def case(kind, mode, seed):
+        if kind == "random":
+            return random_case(seed, mode)
+        if kind == "many_treatments":
+            data = many_treatments(seed, 300, seed=1)
+            return data, tr.assign_folds(data.n, 5, seed=2)
+        codes = np.random.default_rng(3).permutation(np.arange(-50, 150)) * 3
+        return coded_case(seed, mode, codes)
+
+    @pytest.mark.parametrize("kind, mode, seed", CASES)
+    def test_within_rounding_of_pairwise_mean(self, kind, mode, seed):
+        data, folds = self.case(kind, mode, seed)
+        for split in (folds, None):
+            fit = engine_fit(data, tr.LearnerSpec(), split)
+            arrays, _, fallbacks = reference_fit(data, tr.LearnerSpec(), split, pairwise=True)
+            assert fit.fallback_count == fallbacks
+            units = unit_arrays(data, fit, split)
+            for name in FIELDS:
+                if arrays[name] is not None:
+                    np.testing.assert_allclose(units[name], arrays[name], rtol=1e-12, atol=0,
+                                               err_msg=name)
+
+    def test_cases_have_fallbacks(self):
+        total = sum(tr.fit_crossfit(data, tr.LearnerSpec(), folds).fallback_count
+                    for data, folds in (self.case(*c) for c in self.CASES))
+        assert total > 0
+
+
 # ---------------------------------------------------------------------------
 # the summation order against plain unit-order sums
 
@@ -386,10 +439,20 @@ class TestManyTreatments:
         assert_matches(data, tr.LearnerSpec())
 
     def test_nine_treatments_block_rows(self):
-        dgp = tr.random_dgp(4, num_treatments=9, min_strata=4, max_strata=4,
+        self.assert_block_rows(9, 300)
+
+    @pytest.mark.parametrize("K, n", [(5, 200), (20, 500)])
+    def test_block_rows_at_five_and_twenty_treatments(self, K, n):
+        fit = self.assert_block_rows(K, n)
+        assert fit.fallback_count.sum() > 0
+
+    @staticmethod
+    def assert_block_rows(K, n):
+        """Each row of a (3, n) block's fit is bit for bit the fit of that dataset alone."""
+        dgp = tr.random_dgp(4, num_treatments=K, min_strata=4, max_strata=4,
                             propensity_range=(0.05, 0.6))
-        block = tr.sample(dgp, 300, [1, 2, 3])
-        folds = tr.assign_folds(300, 5, [4, 5, 6])
+        block = tr.sample(dgp, n, [1, 2, 3])
+        folds = tr.assign_folds(n, 5, [4, 5, 6])
         fit = tr.fit_crossfit(block, tr.LearnerSpec(), folds)
         for b in range(3):
             data, own_folds = block.replicate(b), folds.replicate(b)
@@ -405,6 +468,7 @@ class TestManyTreatments:
                     getattr(single, moment).tobytes()
             assert fit.fallback_count[b] == single.fallback_count
             assert fit.clipped_count[b] == single.clipped_count
+        return fit
 
     def test_twenty_treatments_build_no_pattern_table(self):
         # 2**20 patterns per (fold, stratum) would take hundreds of MB
@@ -483,12 +547,12 @@ class TestSingularFits:
 # pinned studies
 
 PINNED = {
-    "extreme_heterogeneity": "f224e045b27ab9c45f6f4fc075af8e337e8458a9d43dcfd1e944b88167fa2e36",
+    "extreme_heterogeneity": "5eddbb892ba8e3f8184454479ea0d9f2049993b7e98c594074a00fc0e6ae60d4",
     "constant_effects": "781124a611a95f414cd9828ae817fbe27850c7d68310ac989d1f587423353d4e",
     "uncorrelated": "218c700d1003857f6c8d120526ca211ea0e89aebf0d30cd317355c9e1df039ff",
     "selection_on_gains": "f77c50280021c69b7dbfab2684f744a5980efe67876bb2d7d6917745731d27f3",
     "balanced": "6ff917306598823c8c834eafa8815dc677b95e41cac3539440f3b66dfa8eb1b1",
-    "multinomial_random": "2e210df7b784f32afcd71f832548e6c4da24b55b55616e5292d41e009e5a4ea9",
+    "multinomial_random": "25a41d3f58096729f2f154493919788501140ddc0d11c97a7f6578066a483d99",
 }
 
 
