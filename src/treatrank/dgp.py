@@ -117,8 +117,8 @@ class StratifiedDGP:
         if len(set(codes)) != S:
             raise ValueError(f"duplicate stratum codes: {codes}")
         probs = np.array([p for _, p in strata])
-        if np.any(probs < 0):
-            raise ValueError("stratum probabilities must be non-negative")
+        if not np.all(np.isfinite(probs) & (probs >= 0)):
+            raise ValueError(f"stratum probabilities must be finite and non-negative, got {probs}")
         if abs(probs.sum() - 1.0) > PROB_TOL:
             raise ValueError(
                 f"stratum probabilities must sum to 1 within {PROB_TOL}, got {probs.sum()!r}"
@@ -131,9 +131,13 @@ class StratifiedDGP:
             raise ValueError(f"effect table must have shape ({K}, {S}), got {self.effect.shape}")
         if self.baseline.shape != (S,):
             raise ValueError(f"baseline must have shape ({S},), got {self.baseline.shape}")
-        if self.noise_sd < 0:
-            raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
-        if np.any(self.propensity <= 0.0) or np.any(self.propensity >= 1.0):
+        for name in ("effect", "baseline"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} table must be finite, got {getattr(self, name)}")
+        if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0):
+            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
+        # a NaN propensity fails both comparisons
+        if not np.all((self.propensity > 0.0) & (self.propensity < 1.0)):
             raise OverlapError("all propensities must lie strictly in (0, 1)")
         if self.assignment_mode is AssignmentMode.MULTINOMIAL:
             totals = self.propensity.sum(axis=0)
@@ -192,10 +196,10 @@ class OracleQuantities:
 class StratumGroups:
     """Units grouped by their stratum codes.
 
-    ``codes`` holds the distinct codes that occur, in ascending order, and
-    ``position`` (the shape of the codes) is each unit's index into
-    ``codes``. For a block of datasets ``codes`` covers every row, so a code
-    may be absent from some rows.
+    ``codes`` holds distinct codes in ascending order that cover every unit,
+    and ``position`` (the shape of the codes) is each unit's index into
+    ``codes``. A code may have no units: a sampled dataset keeps its DGP's
+    stratum list, and a block's codes cover every row.
     """
 
     def __init__(self, codes: NDArray[np.int64], position: NDArray[np.intp]):
@@ -203,27 +207,9 @@ class StratumGroups:
 
     @classmethod
     def of_codes(cls, x: NDArray[np.int64]) -> "StratumGroups":
-        """Group by sorting the codes."""
+        """Group by sorting the codes; only codes that occur are kept."""
         codes, position = np.unique(x, return_inverse=True)
         return cls(codes, position.reshape(x.shape))
-
-    @classmethod
-    def of_index(cls, levels: NDArray[np.int64], index: NDArray[np.intp]) -> "StratumGroups":
-        """Group units whose codes are ``levels[index]``, without sorting them.
-
-        ``levels`` are distinct codes in any order, some perhaps unused; the
-        result equals ``of_codes(levels[index])``.
-        """
-        S = levels.shape[0]
-        order = np.argsort(levels, kind="stable")
-        if np.any(order != np.arange(S)):
-            rank = np.empty(S, dtype=np.intp)
-            rank[order] = np.arange(S)
-            index = np.take(rank, index)
-        present = np.bincount(index.ravel(), minlength=S) > 0
-        if not present.all():
-            index = np.take(np.cumsum(present) - 1, index)
-        return cls(np.take(levels, order[present]), index)
 
 
 @dataclass(eq=False)
@@ -288,7 +274,7 @@ class Dataset:
         """Row ``b`` of a block, as a dataset of its own."""
         groups = self.strata
         return Dataset(self.y[b], self.w[b], self.x[b], self.assignment_mode,
-                       StratumGroups.of_index(groups.codes, groups.position[b]))
+                       StratumGroups(groups.codes, groups.position[b]))
 
     @property
     def arm(self) -> NDArray[np.int64]:
@@ -367,8 +353,9 @@ def sample(dgp: StratifiedDGP, n: int, seed: int | Sequence[int]) -> Dataset:
     A sequence of ``B`` seeds draws a block of ``B`` datasets (see
     :class:`Dataset`): each seed's streams fill one row of the ``(B, n)``
     draws, every later step is elementwise, and row ``b`` is bit for bit
-    ``sample(dgp, n, seed[b])``. The stratum index of the draw is kept as the
-    block's stratum grouping, so the codes are never sorted.
+    ``sample(dgp, n, seed[b])``. The units are grouped on the DGP's stratum
+    codes in ascending order, some perhaps without units, through the
+    stratum index of the draw, so the codes of the units are never sorted.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -418,7 +405,10 @@ def sample(dgp: StratifiedDGP, n: int, seed: int | Sequence[int]) -> Dataset:
             row += gen.normal(0.0, dgp.noise_sd, size=n)
     if single:
         y, w, x, idx = y[0], w[0], x[0], idx[0]
-    groups = StratumGroups.of_index(dgp.stratum_codes, idx)
+    order = np.argsort(dgp.stratum_codes)
+    if np.any(order != np.arange(order.shape[0])):
+        idx = np.take(np.argsort(order), idx)
+    groups = StratumGroups(dgp.stratum_codes[order], idx)
     return Dataset(y=y, w=w, x=x, assignment_mode=dgp.assignment_mode, groups=groups)
 
 

@@ -8,8 +8,8 @@ regression-based ordering away from the true one. This module makes that
 arithmetic inspectable: per-stratum decomposition reports, an exact
 reversal check, a delta-parameterized sufficient condition, and pairwise
 ranking summaries. The estimated decomposition reads the per-stratum
-means it needs from a fit's held-out cell moments (``NuisanceFit.cells``),
-not from the units.
+sums it needs from the held-out base cells of a fit's table
+(``NuisanceFit.cells``), not from the units.
 """
 
 from __future__ import annotations
@@ -153,30 +153,36 @@ def estimate_decomposition(data: Dataset | None, fit: NuisanceFit, j: int) -> De
     the stratum distribution renormalized; if every stratum is dropped the
     decomposition is not estimable.
 
-    Everything comes from the fit's cells of one dataset (``fit`` of a
-    single dataset, or ``fit.replicate(b)`` of a block); ``data``, the
+    Everything comes from the base cells of one dataset's table (``fit``
+    of a single dataset, or ``fit.replicate(b)`` of a block); ``data``, the
     dataset it was made from, is not read and may be None. A stratum's
-    treated mean is its treated cells' summed outcomes (count times mean)
-    over their units, and its mean propensity ``sum_k n_k p_k / n`` over
-    the folds ``k``, ``n_k`` being the units fold ``k`` predicts. Sums over folds run
-    in fold order, so a stratum's numbers do not depend on the strata around
-    it; strata without units (a block's strata that this dataset lacks) are
-    skipped.
+    treated mean is its treated base cells' sums of ``y`` over their
+    units, and its mean propensity ``sum_k n_k p_k / n`` over the folds
+    ``k``, ``n_k`` being the units fold ``k`` predicts. Each sum adds its
+    terms one after another (base cell by base cell, each over the folds
+    in order), so a stratum's numbers do not depend on the strata around
+    it; strata without units (those of the DGP or of a block that this
+    dataset lacks) are skipped.
     """
-    (n_t, ybar_t, _), (n_c, ybar_c, _), n_o = fit.cells(j)
-    if n_t.shape[0] != 1:
+    table = fit.table
+    if table.count.shape[1] != 1:
         raise ValueError("estimate_decomposition takes one dataset's fit; use fit.replicate(b)")
-    held = (n_t + n_c + n_o)[0]  # [fold, stratum]: the units each fold predicts
-    n_s, n_treated, n_control = held.sum(axis=0), n_t[0].sum(axis=0), n_c[0].sum(axis=0)
-    # sums over folds, in fold order
-    y_treated, y_control, p_sum = (np.cumsum(a[0], axis=0)[-1] for a in (
-        n_t * ybar_t, n_c * ybar_c, held * fit.propensities(j)[0]))
+    treated, control, others = fit.cells(j)
+    count, total = table.count[:, 0], table.total[:, 0]  # [base cell, fold, stratum]
+    n_t, n_c = count[treated].sum(axis=0), count[control].sum(axis=0)
+    held = n_t + n_c + count[others].sum(axis=0)  # [fold, stratum]: the units each fold predicts
+    n_s, n_treated, n_control = held.sum(axis=0), n_t.sum(axis=0), n_c.sum(axis=0)
+    S = held.shape[1]
+    y_treated, y_control = (np.add.accumulate(total[cells].reshape(-1, S), axis=0)[-1]
+                            for cells in (treated, control))
+    p = fit.propensities(j)[0][0]  # [fold, stratum]
+    p_sum = np.cumsum(held * p, axis=0)[-1]
 
     tau_tab: dict[int, float] = {}
     var_tab: dict[int, float] = {}
     prob_tab: dict[int, float] = {}
     dropped = 0
-    for s, code in enumerate(fit.levels.tolist()):
+    for s, code in enumerate(table.levels.tolist()):
         if n_s[s] == 0:
             continue
         if n_treated[s] == 0 or n_control[s] == 0:
@@ -185,7 +191,7 @@ def estimate_decomposition(data: Dataset | None, fit: NuisanceFit, j: int) -> De
         tau_tab[code] = float(y_treated[s] / n_treated[s] - y_control[s] / n_control[s])
         p_bar = float(p_sum[s] / n_s[s])
         var_tab[code] = p_bar * (1.0 - p_bar)
-        prob_tab[code] = int(n_s[s]) / fit.n
+        prob_tab[code] = int(n_s[s]) / table.n
 
     if not tau_tab:
         raise NotEstimableError(

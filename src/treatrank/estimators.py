@@ -13,32 +13,36 @@ Three estimators with two distinct targets:
 All three are pure functions of a fit and safe to evaluate concurrently.
 Each takes ``(data, fit, j)``: ``data`` is the dataset the fit was made
 from, checked against the fit's size, or None, since a fit carries its
-cell moments, its number of units and whether it holds a block.
+cell table, and with it its number of units and whether it holds a block.
 ``ESTIMATORS`` maps each :class:`Method` to its function and is the only
 dispatch table.
 
-Every estimator reads the fit's held-out cell moments (see
-``nuisance.NuisanceFit``), not the units. In a cell every nuisance is
-constant, so each unit's score is linear in its outcome, ``a + b y``; AIPW
-and IPW (AIPW with a zero outcome model) share that one reduction. Written
-about the cell mean ``ybar``, with ``g = a + b ybar`` the cell's mean score,
-``n`` its units and ``M2`` its centred sum of squares, the mean score is
+Every estimator reads the held-out base cells of the fit's table (see
+``nuisance.NuisanceFit``), not the units: treatment ``j``'s treated and
+control halves and, under MULTINOMIAL, the other arms. Every nuisance is
+constant on a half, so on each of its base cells too, and each unit's
+score is linear in its outcome there, ``a + b y``; AIPW and IPW (AIPW
+with a zero outcome model) share that one reduction. Written about the
+base cell's mean ``ybar``, with ``g = a + b ybar`` its mean score, ``n``
+its units and ``M2`` its centred sum of squares, the mean score is
 ``sum(n g) / N`` and its sample variance
-``sum(b**2 M2 + n (g - mean)**2) / (N - 1)``. The residual regression's
-residuals are constant in a cell too: with ``w`` the treatment residual and
-``yhat`` the outcome model, the slope is ``sum(n w (ybar - yhat)) /
-sum(n w**2)`` and the sandwich SE ``sqrt(sum(w**2 (M2 + n (ybar - yhat -
-slope w)**2))) / sum(n w**2)``. Under MULTINOMIAL assignment the
-regression takes only the cells of arms 0 and ``j``.
+``sum(b**2 M2 + n (g - mean)**2) / (N - 1)``, both sums over base cells.
+The residual regression's residuals are constant on a base cell too: with
+``w`` the treatment residual and ``yhat`` the outcome model, the slope is
+``sum(n w (ybar - yhat)) / sum(n w**2)`` and the sandwich SE
+``sqrt(sum(w**2 (M2 + n (ybar - yhat - slope w)**2))) / sum(n w**2)``.
+Under MULTINOMIAL assignment the regression takes only arms 0 and ``j``.
 
 Given a block of datasets and its fit, each estimator returns one
 :class:`EffectEstimate` whose numbers are per-dataset arrays, row ``b`` bit
-for bit the estimate of dataset ``b`` alone. A sum over cells adds each
-dataset's cells one after another (a cumulative sum, not numpy's pairwise
-sum), so the empty cells of strata that a dataset lacks but its block has
-add exact zeros, and nothing goes through BLAS: an estimate depends on
-neither the block nor the BLAS build or its thread count. An estimate the
-data cannot support in any dataset of the block raises.
+for bit the estimate of dataset ``b`` alone. Every sum is taken in a fixed
+order, one term after another (a cumulative sum, not numpy's pairwise
+sum): per (dataset, fold, stratum), the base cells' terms in turn, then
+each dataset's (fold, stratum) sums. So the empty cells of strata that a
+dataset lacks but its block has add exact zeros, and nothing goes through
+BLAS: an estimate depends on neither the block nor the BLAS build or its
+thread count. An estimate the data cannot support in any dataset of the
+block raises.
 """
 
 from __future__ import annotations
@@ -112,8 +116,21 @@ def _cell_sum(terms: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.add.accumulate(terms.reshape(terms.shape[0], -1), axis=1)[:, -1]
 
 
+def _added(*terms: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Per (dataset, fold, stratum), ``[base cell, dataset, fold, stratum]`` terms added in turn.
+
+    Each term's cells are added one after another, in order; numpy's sum
+    over the cell axis could regroup them.
+    """
+    cells = iter([cell for term in terms for cell in term])
+    total = next(cells).copy()
+    for cell in cells:
+        total += cell
+    return total
+
+
 def _check(data: Dataset | None, fit: NuisanceFit) -> None:
-    if data is not None and (data.n, data.y.ndim > 1) != (fit.n, fit.block):
+    if data is not None and (data.n, data.y.ndim > 1) != (fit.table.n, fit.table.block):
         raise ValueError("the fit was made from other data: its units or its block differ")
 
 
@@ -123,11 +140,12 @@ def _estimate(fit: NuisanceFit, method: Method, j: int, point: NDArray, se: NDAr
 
     ``n_used`` defaults to every unit of each dataset.
     """
-    if not fit.block:
+    n = fit.table.n
+    if not fit.table.block:
         point, se = point.item(), se.item()
-        n_used = fit.n if n_used is None else n_used.item()
+        n_used = n if n_used is None else n_used.item()
     elif n_used is None:
-        n_used = np.full(point.shape, fit.n)
+        n_used = np.full(point.shape, n)
     estimand = Estimand.WATE if method is Method.PLM else Estimand.ATE
     return EffectEstimate(treatment=j, method=method, point=point, std_error=se,
                           estimand=estimand, n_used=n_used)
@@ -140,25 +158,31 @@ def _score_estimate(data: Dataset | None, fit: NuisanceFit, j: int,
     The outcome models ``mu1`` and ``mu0`` are the fit's for AIPW and zero
     for IPW. ``D`` and ``C`` mark the treated and control units, and a unit
     in neither (another arm) scores ``mu1 - mu0``; see the module docstring
-    for the sums over cells. A fold and stratum without units adds nothing.
-    One with units and a propensity or control probability of 0 (possible
-    with ``clip=0``) makes the estimate undefined, as its units' scores
-    are: its treated or control cell then adds ``0 * inf`` or ``inf``.
+    for the sums over base cells. A fold and stratum without units adds
+    nothing. One with units and a propensity or control probability of 0
+    (possible with ``clip=0``) makes the estimate undefined, as its units'
+    scores are: its treated or control cells then add ``0 * inf`` or
+    ``inf``.
     """
     _check(data, fit)
-    (n_t, ybar_t, m2_t), (n_c, ybar_c, m2_c), n_o = fit.cells(j)
+    treated, control, others = fit.cells(j)
+    (n_t, ybar_t, m2_t), (n_c, ybar_c, m2_c) = fit.moments(treated), fit.moments(control)
+    # the other arms' units (none under PARALLEL_BINARY) all score mu1 - mu0: one term
+    n_o = [fit.table.count[others].sum(axis=0, keepdims=True)] if others.size else []
     mu1, mu0 = fit.outcomes(j) if method is Method.AIPW else (0.0, 0.0)
     p, q = fit.propensities(j)
-    n, occupied = fit.n, n_t + n_c + n_o > 0
+    n, occupied = fit.table.n, fit.table.count.any(axis=0)
     # an undefined estimate raises below; the cells left out need no warning
     with np.errstate(divide="ignore", invalid="ignore"):
         base = mu1 - mu0
         score_t = base + (ybar_t - mu1) / p
         score_c = base - (ybar_c - mu0) / q
-        point = _cell_sum(np.where(occupied, n_t * score_t + n_c * score_c + n_o * base, 0.0)) / n
+        point = _cell_sum(np.where(occupied, _added(n_t * score_t, n_c * score_c,
+                                                    *(units * base for units in n_o)), 0.0)) / n
         mean = point[:, None, None]
-        spread = (m2_t / (p * p) + n_t * (score_t - mean) ** 2 + m2_c / (q * q)
-                  + n_c * (score_c - mean) ** 2 + n_o * (base - mean) ** 2)
+        spread = _added((_added(m2_t) / (p * p))[None], n_t * (score_t - mean) ** 2,
+                        (_added(m2_c) / (q * q))[None], n_c * (score_c - mean) ** 2,
+                        *(units * (base - mean) ** 2 for units in n_o))
         variance = _cell_sum(np.where(occupied, spread, 0.0))
     se = np.sqrt(variance / (n - 1) / n) if n > 1 else np.zeros(point.shape)
     return _estimate(fit, method, j, point, se)
@@ -173,23 +197,25 @@ def plm_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstima
     {control, j} subsample with the conditional propensity.
     """
     _check(data, fit)
-    (n_t, ybar_t, m2_t), (n_c, ybar_c, m2_c), _ = fit.cells(j)
+    treated, control, _ = fit.cells(j)
+    (n_t, ybar_t, m2_t), (n_c, ybar_c, m2_c) = fit.moments(treated), fit.moments(control)
     y_hat, p = fit.plm_tables(j)
     w_t, w_c = 1.0 - p, -p  # treatment residuals of the treated and control units
     gap_t, gap_c = ybar_t - y_hat, ybar_c - y_hat
     weight_t, weight_c = n_t * w_t, n_c * w_c
-    denom = _cell_sum(weight_t * w_t + weight_c * w_c)
+    units_t, units_c = n_t.sum(axis=0), n_c.sum(axis=0)  # whole numbers: exact in any order
+    denom = _cell_sum(units_t * w_t * w_t + units_c * w_c * w_c)
     if np.any(denom <= 0.0):
         raise NoVariationError(
             f"treatment {j} residuals have zero variation; cannot run the residual regression"
         )
-    point = _cell_sum(weight_t * gap_t + weight_c * gap_c) / denom
+    point = _cell_sum(_added(weight_t * gap_t, weight_c * gap_c)) / denom
     slope = point[:, None, None]
     resid_t, resid_c = gap_t - slope * w_t, gap_c - slope * w_c
-    sandwich = (w_t * w_t * (m2_t + n_t * resid_t * resid_t)
-                + w_c * w_c * (m2_c + n_c * resid_c * resid_c))
+    sandwich = (w_t * w_t * _added(m2_t + n_t * resid_t * resid_t)
+                + w_c * w_c * _added(m2_c + n_c * resid_c * resid_c))
     se = np.sqrt(_cell_sum(sandwich)) / denom
-    n_used = (n_t + n_c).sum(axis=(1, 2)).astype(np.int64)
+    n_used = (units_t.sum(axis=(1, 2)) + units_c.sum(axis=(1, 2))).astype(np.int64)
     return _estimate(fit, Method.PLM, j, point, se, n_used)
 
 

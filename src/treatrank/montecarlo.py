@@ -32,7 +32,8 @@ but their seeds and keys are derived a block at a time: one
 ``sample`` keys its three streams per replicate and one in
 ``assign_folds`` its fold streams, each the numpy ``SeedSequence`` hash of
 the same path as before. Each block ends in its cell table
-(``nuisance.cell_table``) on the DGP's full stratum list; the task stacks
+(``nuisance.cell_table``) on the DGP's stratum list, which ``sample``
+keeps as every dataset's stratum grouping; the task stacks
 those tables along the dataset axis, fits them once (``fit_table``) and
 runs each estimator once per treatment on the stacked fit. So a task pays
 the fixed cost of a fit and of each estimator call once, whatever its
@@ -42,9 +43,9 @@ Stacking is exact, not an approximation: every per-unit step is
 elementwise or a table ``bincount`` whose key holds the replicate and adds
 each key's values in unit order, and every step after the table is
 elementwise along the dataset axis, so each replicate's prediction tables
-and cell moments are those of its own fit; a replicate's cells for a
-stratum it lacks are empty. Every sum over cells adds one replicate's
-cells one after another (a cumulative sum, where empty cells add exact
+and cells are those of its own fit; a replicate's cells for a stratum
+it lacks are empty. Every sum over cells adds one replicate's cells one
+after another (a cumulative sum, where empty cells add exact
 zeros; numpy's pairwise sum would regroup the terms around them), and no
 sum goes through BLAS. Row ``b`` of a task is therefore bit for bit the
 replicate run alone (``sample``, ``assign_folds``, ``fit_crossfit``, the
@@ -289,14 +290,14 @@ def _blocks(reps: range, n: int) -> list[range]:
     return _split(reps, -(-len(reps) // max(1, BLOCK_UNITS // n)))
 
 
-def _block_table(config: ScenarioConfig, reps: range, levels: NDArray[np.int64]) -> CellTable:
+def _block_table(config: ScenarioConfig, reps: range) -> CellTable:
     """Replicates ``reps``, sampled, split into folds and tabled as one block of datasets."""
     # the data seeds, then the fold seeds, hashed in one pass
     seeds = rng.child_seeds(config.seed, list(reps) * 2,
                             [_DATA_STREAM] * len(reps) + [_FOLD_STREAM] * len(reps))
     data = sample(config.dgp, config.n_per_rep, seeds[:len(reps)])
     folds = assign_folds(config.n_per_rep, config.num_folds, seeds[len(reps):])
-    return cell_table(data, folds, levels)
+    return cell_table(data, folds)
 
 
 def _run_task(config: ScenarioConfig,
@@ -306,8 +307,7 @@ def _run_task(config: ScenarioConfig,
     Returns their ``(reps, methods, K)`` points, the failure count and the
     summed (clipped, fallback) counts of their fits.
     """
-    levels = np.sort(config.dgp.stratum_codes)  # distinct codes, ascending
-    return _estimate(config, stack_tables([_block_table(config, block, levels)
+    return _estimate(config, stack_tables([_block_table(config, block)
                                            for block in _blocks(reps, config.n_per_rep)]))
 
 
@@ -321,7 +321,7 @@ def _estimate(config: ScenarioConfig,
     on its table or fit, so only the datasets that fail on their own are
     NaN.
     """
-    B, K = table.count.shape[2], table.num_treatments
+    B, K = table.count.shape[1], table.num_treatments
     points = np.full((B, len(METHODS), K), np.nan)
     try:
         fit = fit_table(table, config.learner, config.clip)
@@ -344,9 +344,9 @@ def _points(estimator: Callable, fit: NuisanceFit, j: int) -> tuple[NDArray | fl
     try:
         return estimator(None, fit, j).point, 0
     except ESTIMATION_ERRORS:
-        if not fit.block:
+        if not fit.table.block:
             return np.nan, 1
-        rows = [_points(estimator, fit.replicate(b), j) for b in range(fit.count.shape[1])]
+        rows = [_points(estimator, fit.replicate(b), j) for b in range(fit.table.count.shape[1])]
         return np.array([p for p, _ in rows]), sum(f for _, f in rows)
 
 

@@ -7,14 +7,15 @@ fit fold-wise: a unit's prediction always comes from models trained on the
 other folds.
 
 Because ``X`` is a stratum code, every learner is a function of a small
-table, built in two steps. ``cell_table`` keys every unit by its fold,
-stratum and *base cell* (its pattern of treatments, or its arm) and gives
-each base cell's held-out count, sum of ``y``, residual sum and centred sum
-of squares (a ``CellTable``). ``fit_table`` reads only that table: it adds
-base cells into each target's training counts and sums per (fold,
-stratum), and each target's learner maps them to a (fold, stratum) table
-of predictions. A fit is those prediction tables; no prediction is copied
-out to the units. ``fit_crossfit`` is the two steps in turn.
+table, built in two steps. ``cell_table`` keys every unit by its *base
+cell* (its pattern of treatments, or its arm), dataset, fold and stratum
+and gives each base cell's held-out count, sum of ``y`` and centred sum of
+squares (a ``CellTable``). ``fit_table`` reads only that table: it adds
+base cells into each target's training counts and sums per (dataset,
+fold, stratum), and each target's learner maps them to a (dataset, fold,
+stratum) table of predictions. A fit is those prediction tables and the
+cell table; no prediction is copied out to the units. ``fit_crossfit`` is
+the two steps in turn.
 
 Three learners are available. ``STRATUM_MEAN`` is the saturated
 nonparametric estimator (within-cell training means) and is exact for the
@@ -40,34 +41,33 @@ count. That is a sum of the same table, so it differs from a pairwise
 in the tests). 0/1 targets are counts and are exact in any order. Ridge
 fits agree with the unit-level solution to rounding.
 
-Propensities are clipped on the (fold, stratum) table. ``clipped_count``
-adds, over the cells outside ``[clip, 1 - clip]``, the number of units the
-cell predicts (the held-out fold's units in that stratum; in-sample, every
-unit in it), which is the per-unit count of clipped predictions.
+Propensities are clipped on the (dataset, fold, stratum) table.
+``clipped_count`` adds, over the cells outside ``[clip, 1 - clip]``, the
+number of units the cell predicts (the held-out fold's units in that
+stratum; in-sample, every unit in it), which is the per-unit count of
+clipped predictions.
 
-The data enter the estimators only as held-out *cell moments*, taken from
-the same base cells as the training table. A cell is a (fold, stratum, arm
-group): under PARALLEL_BINARY, treatment ``j``'s treated or untreated
-units; under MULTINOMIAL, one arm. Every nuisance is constant in a cell, so
-each estimator's per-unit score is linear in ``y`` there, and its sums over
-units are sums over cells of the cell's count, its mean ``y`` (its sum of
-``y`` over the count) and its centred sum of squares
-``sum((y - cell mean)**2)``. A base cell's is taken in two passes, not as
-``sum(y**2) - sum(y)**2 / n``, which loses the digits of a large mean; a
-cell of several base cells adds theirs, each shifted to the cell mean (see
-``_held_out``). Multinomial arms are base cells, so their moments are
-the two-pass ones.
+The estimators read the data only as the table's held-out base cells.
+Treatment ``j``'s treated and control halves are fixed sets of base cells
+(``NuisanceFit.cells``); under MULTINOMIAL each is one arm, and the other
+arms are in neither. Every nuisance is constant on a half, so it is
+constant on each base cell in it, and each estimator's per-unit sums split
+over base cells exactly as they would over halves: into each base cell's
+count, mean ``y`` (its sum over its count) and centred sum of squares
+``sum((y - mean)**2)``. That last is taken in two passes, not as
+``sum(y**2) - sum(y)**2 / n``, which loses the digits of a large mean.
 
 A block of datasets (see ``dgp.Dataset``) is tabled with the dataset in
 the key: a key's units are still added in unit order and every later step
-is elementwise over datasets, so every dataset's cells and moments are bit
-for bit those of its own fit, and a block costs one set of ``bincount``
-passes instead of one per dataset. Tables made on one stratum axis (the
-``levels`` of ``cell_table``) stack into a larger block (``stack_tables``)
-on the same terms, so one fit can serve many blocks. Ridge fits stay per
-(fold, dataset) and see only the dataset's own strata. Newton iterations
-that end with the gradient above ``NEWTON_GRAD_TOL`` raise
-``SingularFitError``.
+is elementwise over datasets, so every dataset's cells are bit for bit
+those of its own table, and a block costs one set of ``bincount`` passes
+instead of one per dataset. Tables on one stratum axis (a sampled
+dataset's is its DGP's stratum list) stack into a larger block
+(``stack_tables``) on the same terms, so one fit can serve many blocks.
+Every array of a table and of a fit is indexed ``[..., dataset, fold,
+stratum]``. Ridge fits stay per (dataset, fold) and see only the
+dataset's own strata. Newton iterations that end with the gradient above
+``NEWTON_GRAD_TOL`` raise ``SingularFitError``.
 """
 
 from __future__ import annotations
@@ -174,39 +174,27 @@ def assign_folds(n: int, num_folds: int, seed: int | Sequence[int]) -> FoldAssig
 
 @dataclass
 class NuisanceFit:
-    """Cross-fitted nuisance tables and the held-out cell moments they are read with.
+    """Cross-fitted nuisance tables, with the cell table they were fitted from.
 
     A prediction table holds, for each fold, the prediction for the units
     of each stratum held out in that fold (in-sample, one fold of every
     unit). Tables are indexed ``[dataset, fold, stratum]``, per-treatment
-    ones ``[treatment, dataset, fold, stratum]``; ``levels`` holds the
-    stratum codes of the last axis. A single dataset has a dataset axis of
-    length one, a block one row per dataset, and a block's strata cover all
-    its datasets, so a dataset may have no units in some. ``n`` is each
-    dataset's units, and ``block`` tells a block (whose estimates are
-    per-dataset arrays) from one dataset (plain numbers), so the estimators
-    need nothing but the fit. ``restricted_*``
-    and ``control_p`` are only populated under MULTINOMIAL assignment, where
-    the residual-on-residual regression runs on the {control, j} subsample
-    with the conditional propensity ``p_j / (p_j + p_0)``.
+    ones ``[treatment, dataset, fold, stratum]``, as the cell table's
+    arrays are after their base-cell axis; the table's ``levels`` are the
+    stratum codes of the last axis, and its ``n``, ``block`` and design
+    are the fit's, so the estimators need nothing but the fit. A block's
+    strata cover all its datasets, so a dataset may have no units in
+    some. ``restricted_*`` and ``control_p`` are only populated under
+    MULTINOMIAL assignment, where the residual-on-residual regression runs
+    on the {control, j} subsample with the conditional propensity
+    ``p_j / (p_j + p_0)``.
 
-    ``count``, ``mean`` and ``m2`` are the held-out moments of every cell,
-    indexed ``[cell, dataset, fold, stratum]``: its units (as a float, like
-    the other two), their mean outcome (0 without units) and their centred
-    sum of squares. Under
-    PARALLEL_BINARY, cells ``2j - 2`` and ``2j - 1`` hold treatment ``j``'s
-    untreated and treated units; under MULTINOMIAL, cell ``a`` holds arm
-    ``a`` (0 = control). ``cells`` selects a treatment's cells.
+    The estimators read the data as the table's held-out base cells:
+    ``cells`` names treatment ``j``'s, and every nuisance is constant on
+    each of them (see the module docstring).
     """
 
-    mode: AssignmentMode
-    num_treatments: int
-    n: int  # units per dataset
-    block: bool  # a block of datasets (per-dataset results), not one dataset
-    levels: NDArray[np.int64]
-    count: NDArray[np.float64]
-    mean: NDArray[np.float64]
-    m2: NDArray[np.float64]
+    table: CellTable
     y_hat: NDArray[np.float64]          # pooled E[Y|X]
     p_hat: NDArray[np.float64]          # per treatment: arm-membership probability
     mu_treated: NDArray[np.float64]     # per treatment: E[Y | arm j, X]
@@ -219,41 +207,41 @@ class NuisanceFit:
 
     def replicate(self, b: int) -> "NuisanceFit":
         """Row ``b`` of a block's fit."""
-        arrays = ("count", "mean", "m2", "y_hat", "p_hat", "mu_treated", "mu_control",
-                  "restricted_y", "restricted_p", "control_p")
+        arrays = ("y_hat", "p_hat", "mu_treated", "mu_control", "restricted_y", "restricted_p",
+                  "control_p")
         return replace(
             self,
+            table=self.table.replicate(b),
             **{name: getattr(self, name)[..., b : b + 1, :, :] for name in arrays
                if getattr(self, name) is not None},
-            block=False,
             clipped_count=int(self.clipped_count[b]),
             fallback_count=int(self.fallback_count[b]),
         )
 
-    # A treatment's cells and tables, each a [dataset, fold, stratum] array.
+    def cells(self, j: int) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.intp]]:
+        """Treatment ``j``'s treated and control base cells, and those in neither.
 
-    def cells(self, j: int) -> tuple[tuple[NDArray, NDArray, NDArray],
-                                     tuple[NDArray, NDArray, NDArray], NDArray | int]:
-        """Treatment ``j``'s treated and control cells, and the units in neither.
-
-        Each cell is ``(count, mean, m2)``. The units in neither are those of
-        the other arms under MULTINOMIAL, and none under PARALLEL_BINARY.
+        Base cells of the fit's table, in ascending order. The cells in
+        neither are the other arms under MULTINOMIAL, and none under
+        PARALLEL_BINARY (the two halves of ``j``'s chunk hold every unit).
         """
-        K = self.num_treatments
+        K = self.table.num_treatments
         if not 1 <= j <= K:
             raise ValueError(f"treatment index must be in 1..{K}, got {j}")
-        if self.mode is AssignmentMode.PARALLEL_BINARY:
-            treated, control, others = 2 * j - 1, 2 * j - 2, 0
-        else:
-            treated, control = j, 0
-            others = self.count.sum(axis=0) - self.count[treated] - self.count[control]
-        return (tuple(a[treated] for a in (self.count, self.mean, self.m2)),
-                tuple(a[control] for a in (self.count, self.mean, self.m2)), others)
+        return _layout(self.table.mode, K).sides[j - 1]
+
+    def moments(self, cells: NDArray[np.intp]) -> tuple[NDArray, NDArray, NDArray]:
+        """The held-out count, mean ``y`` (0 without units) and M2 of ``cells``.
+
+        Each is a float array indexed ``[cell, dataset, fold, stratum]``.
+        """
+        count = self.table.count[cells].astype(np.float64)  # exact; float arithmetic is faster
+        return count, self.table.total[cells] / np.maximum(count, 1.0), self.table.m2[cells]
 
     def propensities(self, j: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         """Probabilities of treatment ``j`` and of its control condition."""
         p = self.p_hat[j - 1]
-        if self.mode is AssignmentMode.PARALLEL_BINARY:
+        if self.table.mode is AssignmentMode.PARALLEL_BINARY:
             return p, 1.0 - p
         assert self.control_p is not None
         return p, self.control_p
@@ -264,7 +252,7 @@ class NuisanceFit:
 
     def plm_tables(self, j: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         """Outcome and propensity entering treatment ``j``'s residual regression."""
-        if self.mode is AssignmentMode.PARALLEL_BINARY:
+        if self.table.mode is AssignmentMode.PARALLEL_BINARY:
             return self.y_hat, self.p_hat[j - 1]
         assert self.restricted_y is not None and self.restricted_p is not None
         return self.restricted_y[j - 1], self.restricted_p[j - 1]
@@ -371,10 +359,9 @@ def _buckets(groups: tuple[tuple[int, ...], ...]) -> tuple[tuple[NDArray, NDArra
 
 class _Layout(NamedTuple):
     groups: tuple[tuple[int, ...], ...]  # each group's base cells, ascending; POOLED first
-    observed: int  # the groups after POOLED that are the estimators' cells
     num_cells: int
     buckets: tuple  # _buckets(groups)
-    cell_buckets: tuple  # _buckets of the estimators' cells
+    sides: tuple  # per treatment: its treated, control and other base cells, as index arrays
 
 
 @lru_cache(maxsize=32)
@@ -385,16 +372,18 @@ def _layout(mode: AssignmentMode, K: int) -> _Layout:
     ``PATTERN_TREATMENTS``, and a unit's base cell in a chunk is its pattern
     of those treatments (treatment ``first + i`` adds ``2**i``), offset by
     ``2**PATTERN_TREATMENTS`` per earlier chunk. Groups ``2j - 1`` and
-    ``2j`` are the patterns of treatment ``j``'s chunk without and with it,
-    and are the estimators' cells; ``POOLED`` is every pattern of chunk 0.
-    MULTINOMIAL: a unit's base cell is its arm. Group ``1 + a`` is arm
-    ``a`` (the estimators' cells) and group ``K + 1 + j`` is the {0, j}
-    comparison.
+    ``2j`` are the patterns of treatment ``j``'s chunk without and with it
+    (its control and treated halves); ``POOLED`` is every pattern of chunk
+    0. MULTINOMIAL: a unit's base cell is its arm. Group ``1 + a`` is arm
+    ``a`` and group ``K + 1 + j`` is the {0, j} comparison; treatment
+    ``j``'s treated and control cells are arms ``j`` and 0, and the other
+    arms are in neither.
     """
     if mode is AssignmentMode.MULTINOMIAL:
         arms = tuple((a,) for a in range(K + 1))
         groups = (tuple(range(K + 1)),) + arms + tuple((0, j) for j in range(1, K + 1))
-        observed = K + 1
+        sides = tuple(((j,), (0,), tuple(a for a in range(1, K + 1) if a != j))
+                      for j in range(1, K + 1))
     else:
         groups = (tuple(range(1 << min(PATTERN_TREATMENTS, K))),)
         for j in range(K):
@@ -405,9 +394,9 @@ def _layout(mode: AssignmentMode, K: int) -> _Layout:
             offset = chunk << PATTERN_TREATMENTS
             groups += (tuple((offset + patterns[~treated]).tolist()),
                        tuple((offset + patterns[treated]).tolist()))
-        observed = 2 * K
-    return _Layout(groups, observed, max(map(max, groups)) + 1, _buckets(groups),
-                   _buckets(groups[1 : 1 + observed]))
+        sides = tuple((groups[2 * j], groups[2 * j - 1], ()) for j in range(1, K + 1))
+    sides = tuple(tuple(np.array(cells, dtype=np.intp) for cells in side) for side in sides)
+    return _Layout(groups, max(map(max, groups)) + 1, _buckets(groups), sides)
 
 
 def _grouped(cells: NDArray, layout: _Layout) -> NDArray:
@@ -425,10 +414,9 @@ def _grouped(cells: NDArray, layout: _Layout) -> NDArray:
 class CellTable:
     """The held-out moments of every base cell: all that a fit reads of the data.
 
-    ``count`` (units), ``total`` (their sum of ``y``), ``residual`` (their
-    sum of deviations from the cell mean ``total / count``, which rounding
-    leaves near zero) and ``m2`` (their centred sum of squares) are indexed
-    ``[base cell, fold, dataset, stratum]``. The base cells are those of
+    ``count`` (units), ``total`` (their sum of ``y``) and ``m2`` (their
+    centred sum of squares, ``sum((y - total / count)**2)``) are indexed
+    ``[base cell, dataset, fold, stratum]``. The base cells are those of
     ``_layout(mode, num_treatments)`` and ``levels`` holds the stratum codes
     of the last axis, in ascending order. Every dataset has ``n`` units.
     ``block`` tells a block of datasets, whose fits and estimates are
@@ -443,15 +431,14 @@ class CellTable:
     block: bool
     count: NDArray[np.int64]
     total: NDArray[np.float64]
-    residual: NDArray[np.float64]
     m2: NDArray[np.float64]
 
-    _ARRAYS = ("count", "total", "residual", "m2")
+    _ARRAYS = ("count", "total", "m2")
 
     def replicate(self, b: int) -> "CellTable":
         """Dataset ``b`` of a block, as the table of one dataset."""
         return replace(self, block=False,
-                       **{name: getattr(self, name)[:, :, b : b + 1] for name in self._ARRAYS})
+                       **{name: getattr(self, name)[:, b : b + 1] for name in self._ARRAYS})
 
 
 def stack_tables(tables: Sequence[CellTable]) -> CellTable:
@@ -465,23 +452,20 @@ def stack_tables(tables: Sequence[CellTable]) -> CellTable:
     if any((t.mode, t.num_treatments, t.n, t.levels.tolist()) != design for t in tables[1:]):
         raise ValueError("stacked tables must share the design, n and the stratum axis")
     return replace(first, block=True, **{
-        name: np.concatenate([getattr(t, name) for t in tables], axis=2) for name in first._ARRAYS})
+        name: np.concatenate([getattr(t, name) for t in tables], axis=1) for name in first._ARRAYS})
 
 
-def cell_table(data: Dataset, folds: FoldAssignment,
-               levels: NDArray[np.int64] | None = None) -> CellTable:
-    """Each base cell's held-out moments, per fold, dataset and stratum.
+def cell_table(data: Dataset, folds: FoldAssignment) -> CellTable:
+    """Each base cell's held-out moments, per dataset, fold and stratum.
 
     Every unit lies in one base cell per chunk (see ``_layout``), so it
-    gets one int64 key per chunk, ``((cell * folds + fold) * B + dataset) *
+    gets one int64 key per chunk, ``((cell * B + dataset) * folds + fold) *
     S + stratum``, which covers every dataset of a block (a single dataset
-    is a block of one). Four ``bincount`` passes over the keys in unit
-    order give each key's count, sum of ``y``, sum of deviations from its
-    mean (gathered per unit) and centred sum of squares.
-
-    The stratum axis is the dataset's own strata, or ``levels``: distinct
-    codes in ascending order that cover them, some perhaps without units.
-    Tables made on one ``levels`` can be stacked (``stack_tables``).
+    is a block of one). Three ``bincount`` passes over the keys in unit
+    order give each key's count, sum of ``y`` and sum of squared
+    deviations from its mean (gathered per unit). The stratum axis is the
+    dataset's grouping (``Dataset.strata``); a sampled dataset's is the
+    DGP's stratum list, so its tables stack with any other's of that DGP.
     """
     n = data.n
     if n == 0:
@@ -489,66 +473,26 @@ def cell_table(data: Dataset, folds: FoldAssignment,
     if folds.fold_of.shape != data.y.shape:
         raise ValueError(f"fold assignment covers {folds.fold_of.shape[-1]} units, dataset has {n}")
     y = data.y.reshape(-1, n)
-    B = y.shape[0]
+    B, F = y.shape[0], folds.num_folds
     groups = data.strata
-    pos = groups.position
-    if levels is None:
-        levels = groups.codes
-    else:
-        levels = np.asarray(levels, dtype=np.int64)
-        if np.any(levels[1:] <= levels[:-1]):
-            raise ValueError("levels must be distinct stratum codes in ascending order")
-        if not np.array_equal(levels, groups.codes):
-            pos = np.take(code_positions(levels, groups.codes), pos)
-    S = levels.shape[0]
+    S = groups.codes.shape[0]
     layout = _layout(data.assignment_mode, data.num_treatments)
     cell_of = _base_cells(data).reshape(-1, B, n)
-    keys = cell_of * folds.num_folds + folds.fold_of.reshape(B, n)
-    keys *= B
-    keys += np.arange(B)[:, None]
+    keys = cell_of * B + np.arange(B)[:, None]
+    keys *= F
+    keys += folds.fold_of.reshape(B, n)
     keys *= S
-    keys += pos.reshape(B, n)
+    keys += groups.position.reshape(B, n)
     keys = keys.ravel()
     y_all = np.broadcast_to(y, cell_of.shape).ravel()
-    shape = (layout.num_cells, folds.num_folds, B, S)
-    size = layout.num_cells * folds.num_folds * B * S
+    shape = (layout.num_cells, B, F, S)
+    size = layout.num_cells * B * F * S
     count = np.bincount(keys, minlength=size)
     total = np.bincount(keys, y_all, minlength=size)
     deviation = y_all - np.take(total / np.maximum(count, 1), keys)
-    residual = np.bincount(keys, deviation, minlength=size)
     m2 = np.bincount(keys, deviation * deviation, minlength=size)
-    return CellTable(data.assignment_mode, data.num_treatments, levels, n, data.y.ndim > 1,
-                     *(a.reshape(shape) for a in (count, total, residual, m2)))
-
-
-def _held_out(table: CellTable, layout: _Layout):
-    """Each group's held-out counts and sums, and the estimators' cell moments.
-
-    A group's count and sum add its base cells' in ascending order. Its
-    centred sum of squares adds, in the same order, each base cell's plus
-    ``d * (2 r + count * d)``, ``d`` being the cell mean minus the group
-    mean and ``r`` the cell's residual sum. The ``r`` term makes the sum
-    exact to second order in the rounding of the cell means; without it,
-    an outcome offset of 1e6 costs about 1e-11 relative. The moments are
-    the ``layout.observed`` groups after ``POOLED``: their count, mean (sum
-    over count, 0 without units) and centred sum of squares, each
-    ``[cell, dataset, fold, stratum]`` (see ``NuisanceFit``).
-    """
-    count = table.count
-    held, held_sums = _grouped(count, layout), _grouped(table.total, layout)
-    mean = table.total / np.maximum(count, 1)
-    cells = slice(1, 1 + layout.observed)
-    cell_mean = held_sums[cells] / np.maximum(held[cells], 1)
-    cell_m2 = np.empty(cell_mean.shape)
-    for rows, members in layout.cell_buckets:
-        spread = np.zeros((rows.size,) + cell_mean.shape[1:])
-        for c in members.T:
-            shift = mean[c] - cell_mean[rows]
-            spread += table.m2[c] + shift * (2.0 * table.residual[c] + count[c] * shift)
-        cell_m2[rows] = spread
-    moments = tuple(np.ascontiguousarray(a.transpose(0, 2, 1, 3), dtype=np.float64)
-                    for a in (held[cells], cell_mean, cell_m2))
-    return held, held_sums, moments
+    return CellTable(data.assignment_mode, data.num_treatments, groups.codes, n, data.y.ndim > 1,
+                     *(a.reshape(shape) for a in (count, total, m2)))
 
 
 class _Learners:
@@ -562,12 +506,12 @@ class _Learners:
     another group's counts. Fold ``k``'s training sum adds the other folds'
     held-out sums in ascending fold order, and its training count is the
     total count minus the fold's (integers, so exact); in-sample, both are
-    the one fold's own. Every table is indexed ``[group, fold, dataset,
+    the one fold's own. Every table is indexed ``[group, dataset, fold,
     stratum]``.
 
     ``outcomes`` and ``rates`` fit a list of targets at once (the learners
-    act elementwise, or per target, fold and dataset) and return their
-    ``[target, fold, dataset, stratum]`` predictions. Their fallbacks are
+    act elementwise, or per target, dataset and fold) and return their
+    ``[target, dataset, fold, stratum]`` predictions. Their fallbacks are
     added to ``fallbacks``; ``rates`` clips its tables to ``[clip, 1 -
     clip]`` and adds the units it clipped to ``clipped``, each per dataset.
     """
@@ -577,8 +521,8 @@ class _Learners:
         self.levels = levels
         self.spec = spec
         self.clip = clip
-        self.clipped = np.zeros(held.shape[2], dtype=np.int64)
-        self.fallbacks = np.zeros(held.shape[2], dtype=np.int64)
+        self.clipped = np.zeros(held.shape[1], dtype=np.int64)
+        self.fallbacks = np.zeros(held.shape[1], dtype=np.int64)
         self.bases: dict[int, tuple] = {}  # per dataset, from _basis
         self.held = held[POOLED]  # units each fold predicts, per stratum
         if not crossfit:
@@ -586,12 +530,12 @@ class _Learners:
             return
         # integer counts are exact in any order; the sums add the other
         # folds' in ascending order
-        self.counts = held.sum(axis=1, keepdims=True) - held
-        folds = np.arange(held.shape[1])
+        self.counts = held.sum(axis=2, keepdims=True) - held
+        folds = np.arange(held.shape[2])
         self.sums = np.zeros_like(held_sums)
         for other in folds:
-            np.add(self.sums, held_sums[:, other : other + 1], out=self.sums,
-                   where=(folds != other)[:, None, None])
+            np.add(self.sums, held_sums[:, :, other : other + 1], out=self.sums,
+                   where=(folds != other)[:, None])
 
     def outcomes(self, groups: list[int]) -> NDArray[np.float64]:
         """Tables of E[Y | X, group] for each of ``groups``."""
@@ -606,7 +550,7 @@ class _Learners:
     def _basis(self, b: int) -> tuple[slice | NDArray[np.bool_], NDArray[np.float64]]:
         """Dataset ``b``'s strata (a block's strata may be absent from it) and their basis."""
         if b not in self.bases:
-            present = self.held[:, b].any(axis=0)
+            present = self.held[b].any(axis=0)
             strata = slice(None) if present.all() else present
             self.bases[b] = strata, _basis(self.levels[strata], self.spec.basis)
         return self.bases[b]
@@ -631,31 +575,31 @@ class _Learners:
             table = np.zeros(total.shape)
             empty_split = ~count.any(axis=-1)
             unfit = np.broadcast_to(empty_split[..., None], count.shape)
-            for t, k, b in zip(*np.nonzero(~empty_split)):
+            for t, b, k in zip(*np.nonzero(~empty_split)):
                 strata, X = self._basis(b)
-                c, y = count[t, k, b, strata], total[t, k, b, strata]
+                c, y = count[t, b, k, strata], total[t, b, k, strata]
                 if kind is LearnerKind.LOGISTIC_RIDGE:
                     beta = _logistic_ridge_beta(X, c, y, self.spec.ridge_penalty)
-                    table[t, k, b, strata] = _sigmoid(X @ beta)
+                    table[t, b, k, strata] = _sigmoid(X @ beta)
                 else:
                     beta = _linear_ridge_beta(X, c, y, self.spec.ridge_penalty)
-                    table[t, k, b, strata] = X @ beta
+                    table[t, b, k, strata] = X @ beta
         if unfit.any():
-            self.fallbacks += np.where(unfit, self.held, 0).sum(axis=(0, 1, 3))
+            self.fallbacks += np.where(unfit, self.held, 0).sum(axis=(0, 2, 3))
             table = np.where(unfit, _mean(count, total, empty())[..., None], table)
         if binary:
             lo, hi = self.clip, 1.0 - self.clip
             outside = (table < lo) | (table > hi)
             if outside.any():
-                self.clipped += np.where(outside, self.held, 0).sum(axis=(0, 1, 3))
+                self.clipped += np.where(outside, self.held, 0).sum(axis=(0, 2, 3))
             np.clip(table, lo, hi, out=table)
         return table
 
 
 def _mean(count: NDArray, total: NDArray, empty) -> NDArray[np.float64]:
-    """Per (fold, dataset), the total over the count, each added over strata in order.
+    """Per (dataset, fold), the total over the count, each added over strata in order.
 
-    ``empty`` (a number, or a (fold, dataset) array) where there are no units.
+    ``empty`` (a number, or a (dataset, fold) array) where there are no units.
     """
     units = count.sum(axis=-1)
     in_order = np.add.accumulate(total, axis=-1)[..., -1]  # no pairwise regrouping
@@ -679,8 +623,8 @@ def fit_table(table: CellTable, spec: LearnerSpec, clip: float = DEFAULT_CLIP,
         raise ValueError(f"clip must be in [0, 0.5), got {clip}")
     K = table.num_treatments
     layout = _layout(table.mode, K)
-    held, held_sums, (count, mean, m2) = _held_out(table, layout)
-    learners = _Learners(held, held_sums, table.levels, spec, crossfit, clip)
+    learners = _Learners(_grouped(table.count, layout), _grouped(table.total, layout),
+                         table.levels, spec, crossfit, clip)
     # each kind of target is fitted in one call, treatment by treatment, so
     # a logistic fit that fails reports the first treatment's; the group
     # numbers are those of _layout
@@ -704,16 +648,8 @@ def fit_table(table: CellTable, spec: LearnerSpec, clip: float = DEFAULT_CLIP,
         return counts if table.block else int(counts[0])
 
     return NuisanceFit(
-        mode=table.mode,
-        num_treatments=K,
-        n=table.n,
-        block=table.block,
-        levels=table.levels,
-        count=count,
-        mean=mean,
-        m2=m2,
-        # the learners' [..., fold, dataset, stratum] tables, dataset first
-        **{name: np.ascontiguousarray(t.swapaxes(-3, -2)) for name, t in tables.items()},
+        table=table,
+        **tables,
         clipped_count=per_dataset(learners.clipped),
         fallback_count=per_dataset(learners.fallbacks),
     )
@@ -767,8 +703,8 @@ def oracle_nuisance(data: Dataset, dgp: StratifiedDGP) -> NuisanceFit:
     """
     if data.assignment_mode is not dgp.assignment_mode:
         raise ValueError("dataset and DGP assignment modes differ")
-    levels = data.strata.codes
-    idx = dgp.stratum_index(levels)
+    table = cell_table(data, _one_fold(data))
+    idx = dgp.stratum_index(table.levels)
     p = dgp.propensity[:, idx]          # (K, S)
     tau = dgp.effect[:, idx]            # (K, S)
     mu0 = dgp.baseline[idx]             # (S,)
@@ -786,19 +722,10 @@ def oracle_nuisance(data: Dataset, dgp: StratifiedDGP) -> NuisanceFit:
         tables.update(mu_treated=mu0 + tau, mu_control=np.repeat(mu0[None], p.shape[0], axis=0),
                       control_p=control_p, restricted_p=cond, restricted_y=mu0 + tau * cond)
 
-    table = cell_table(data, _one_fold(data))
-    B = table.count.shape[2]
+    B = table.count.shape[1]
     zero = np.zeros(B, dtype=np.int64) if table.block else 0
-    _, _, (count, mean, m2) = _held_out(table, _layout(table.mode, table.num_treatments))
     return NuisanceFit(
-        mode=dgp.assignment_mode,
-        num_treatments=dgp.num_treatments,
-        n=table.n,
-        block=table.block,
-        levels=levels,
-        count=count,
-        mean=mean,
-        m2=m2,
+        table=table,
         # a (..., S) table as [..., dataset, fold, stratum], one fold
         **{name: np.broadcast_to(t[..., None, None, :], t.shape[:-1] + (B, 1, t.shape[-1]))
            for name, t in tables.items()},
@@ -816,7 +743,7 @@ def corrupt_outcome(fit: NuisanceFit, bias: Mapping[int, float]) -> NuisanceFit:
     """
     codes = np.fromiter(bias.keys(), dtype=np.int64, count=len(bias))
     values = np.array([float(v) for v in bias.values()])
-    offset = values[code_positions(codes, fit.levels)]
+    offset = values[code_positions(codes, fit.table.levels)]
     return replace(
         fit,
         y_hat=fit.y_hat + offset,

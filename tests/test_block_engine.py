@@ -111,12 +111,13 @@ class TestBlockKernels:
             for name_ in FIELDS:
                 assert (got[name_] is None) if want[name_] is None else \
                     got[name_].tobytes() == want[name_].tobytes()
-            # the row's cells are the dataset's, plus empty ones for strata it lacks
-            own = np.isin(row.levels, single.levels)
-            for moment in ("count", "mean", "m2"):
-                assert getattr(row, moment)[..., own].tobytes() == \
-                    getattr(single, moment).tobytes()
-                assert not getattr(row, moment)[..., ~own].any()
+            # the row's table is the dataset's, on the DGP's strata: empty
+            # cells for the strata it lacks
+            assert np.array_equal(row.table.levels, single.table.levels)
+            lacks = ~np.isin(single.table.levels, data.x)
+            for name in ("count", "total", "m2"):
+                assert getattr(row.table, name).tobytes() == getattr(single.table, name).tobytes()
+                assert not getattr(single.table, name)[..., lacks].any()
             assert fit.clipped_count[b] == single.clipped_count
             assert fit.fallback_count[b] == single.fallback_count
             alone = [estimator(data, single, j) for estimator in ESTIMATORS.values()
@@ -126,7 +127,8 @@ class TestBlockKernels:
                     one.point, one.std_error, one.n_used)
 
     def test_block_grouping_covers_every_row(self):
-        # stratum 3 is rare: at n=6 some rows lack it, the block's grouping has it
+        # stratum 3 is rare: at n=6 some rows lack it; every row's grouping,
+        # like a single sample's, is the DGP's codes in ascending order
         dgp = tr.StratifiedDGP(strata=((5, 0.45), (-2, 0.45), (3, 0.1)), num_treatments=1,
                                propensity=[[0.5, 0.5, 0.5]], effect=[[1.0, 2.0, 3.0]],
                                baseline=[0.0, 0.0, 0.0])
@@ -135,8 +137,9 @@ class TestBlockKernels:
         assert np.array_equal(block.strata.codes[block.strata.position], block.x)
         for b in range(40):
             row = block.replicate(b)
-            assert np.array_equal(row.strata.codes, np.unique(row.x))
+            assert row.strata.codes.tolist() == [-2, 3, 5]
             assert np.array_equal(row.strata.codes[row.strata.position], row.x)
+            assert tr.sample(dgp, 6, b).strata.codes.tolist() == [-2, 3, 5]
         assert any(3 not in block.x[b] for b in range(40))
 
 
@@ -289,22 +292,22 @@ class TestDiagnostics:
 
 
 def replicate_table(config, r):
-    """Replicate ``r``'s cell table on the engine's stratum axis, which identifies it."""
+    """Replicate ``r``'s cell table, on the DGP's strata as in the engine; it identifies ``r``."""
     data, folds = replicate_inputs(config, r)
-    return tr.cell_table(data, folds, np.unique(config.dgp.stratum_codes))
+    return tr.cell_table(data, folds)
 
 
 class TestFailureInsideTask:
     CONFIG = tr.scaled(tr.preset("balanced"), n_per_rep=200, num_reps=12, seed=7)
 
     def test_estimator_failure_in_one_row(self, monkeypatch):
-        marker = tr.fit_table(replicate_table(self.CONFIG, 5), self.CONFIG.learner,
-                              self.CONFIG.clip).mean[:, 0]
+        marker = replicate_table(self.CONFIG, 5).total[:, 0]
         calls = []
 
         def flaky(data, fit, j):
-            calls.append(fit.block)
-            if any(np.array_equal(fit.mean[:, b], marker) for b in range(fit.mean.shape[1])):
+            total = fit.table.total
+            calls.append(fit.table.block)
+            if any(np.array_equal(total[:, b], marker) for b in range(total.shape[1])):
                 raise tr.NoVariationError("row 5")
             return plm_estimate(data, fit, j)
 
@@ -324,14 +327,13 @@ class TestFailureInsideTask:
     def test_fit_failure_in_one_row(self, monkeypatch):
         # blocks of five replicates: the task stacks three block tables
         monkeypatch.setattr(montecarlo, "BLOCK_UNITS", 5 * self.CONFIG.n_per_rep)
-        marker = replicate_table(self.CONFIG, 9).total[:, :, 0]
+        marker = replicate_table(self.CONFIG, 9).total[:, 0]
         reference, _ = loop_reference(self.CONFIG)
         fits = []
 
         def flaky_fit(table, *args):
-            fits.append(table.count.shape[2])
-            if any(np.array_equal(table.total[:, :, b], marker)
-                   for b in range(table.total.shape[2])):
+            fits.append(table.count.shape[1])
+            if any(np.array_equal(table.total[:, b], marker) for b in range(table.total.shape[1])):
                 raise tr.SingularFitError("row 9")
             return tr.fit_table(table, *args)
 

@@ -126,23 +126,29 @@ def test_clip_zero_errors_match():
 # second moments far from zero
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_standard_errors_with_a_large_baseline(mode):
+@pytest.mark.parametrize("mode, K", [(mode, 2) for mode in MODES]
+                         + [(tr.AssignmentMode.PARALLEL_BINARY, 4)],
+                         ids=[mode.value for mode in MODES] + ["parallel_binary-four_treatments"])
+def test_standard_errors_with_a_large_baseline(mode, K):
     """A baseline of 1e6 leaves every SE within 1e-9 of the per-unit one.
 
-    Each cell's sum of squares is centred on the cell mean; the shortcut
-    ``sum(y**2) - sum(y)**2 / n`` loses about 1e-4 of it here.
+    Each base cell's sum of squares is centred on its mean; the shortcut
+    ``sum(y**2) - sum(y)**2 / n`` loses about 1e-4 of it here. With four
+    parallel treatments each half of a treatment is eight base cells, whose
+    means differ, and the sums over them must stay as close.
     """
-    base = tr.random_dgp(5, num_treatments=2, min_strata=3, max_strata=3,
+    base = tr.random_dgp(5, num_treatments=K, min_strata=3, max_strata=3,
                          propensity_range=(0.2, 0.5), assignment_mode=mode)
-    dgp = tr.StratifiedDGP(strata=base.strata, num_treatments=2, propensity=base.propensity,
+    dgp = tr.StratifiedDGP(strata=base.strata, num_treatments=K, propensity=base.propensity,
                            effect=base.effect, baseline=base.baseline + 1e6, noise_sd=1.0,
                            assignment_mode=mode)
     data = tr.sample(dgp, 3_000, seed=6)
     folds = tr.assign_folds(data.n, 5, seed=7)
     fit = tr.fit_crossfit(data, tr.LearnerSpec(), folds)
     units = unit_arrays(data, fit, folds)
-    for j in (1, 2):
+    if K == 4:
+        assert all(cells.size == 8 for j in range(1, K + 1) for cells in fit.cells(j)[:2])
+    for j in range(1, K + 1):
         for method, estimator in ESTIMATORS.items():
             se = REFERENCE[method](data, units, j)[1]
             assert estimator(data, fit, j).std_error == pytest.approx(se, rel=1e-9, abs=0), method

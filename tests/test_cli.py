@@ -93,6 +93,20 @@ class TestConfigRoundTrip:
         assert err.startswith(f"treatrank oracle: error: {bad}.{named}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("propensity", "{1: {0: .nan}}", "all propensities must lie strictly in (0, 1)"),
+        ("effect", "{1: {0: .inf}}", "effect table must be finite"),
+        ("noise_sd", ".nan", "noise_sd must be finite and >= 0, got nan"),
+    ])
+    def test_non_finite_table_named_with_the_file(self, tmp_path, capsys, field, value, message):
+        bad = tmp_path / "bad.yaml"
+        fields = {**self.GOOD_DGP, field: value}
+        bad.write_text("".join(f"{key}: {text}\n" for key, text in fields.items()))
+        with pytest.raises(tr.ConfigError, match=re.escape(f"{bad}: {message}")):
+            tr.load_dgp_config(bad)
+        assert run_cli("oracle", "--config", bad, "--out", tmp_path / "o") == 1
+        assert f"{bad}: {message}" in capsys.readouterr().err
+
     def test_yaml_syntax_error_has_location(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("strata: [{id: 0, probability: 1.0}\n")

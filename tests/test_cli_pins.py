@@ -106,18 +106,18 @@ PINS = {
         "decomposition.json": "adc10b054db5ad7beab508f408d2b46e4ae4f7bfd76ea24f11ce32d8b24e93a5",
     },
     "decompose-parallel-logistic_ridge-csv": {
-        "decomposition.csv": "ccdcfb3af9fd00415c085eeea89b0fede182f074e87edea57f11d59dd4ab87c3",
-        "decomposition_strata.csv": "048eb648da6dcb7027a4c27252e659da01da07bcad86c43b8f41b5f07b3fea2d",
+        "decomposition.csv": "19086e244c84fa96fce8dfe4c292de619a8e0e6e0329956b3f0fed4763b1e21c",
+        "decomposition_strata.csv": "0237ed32ad7cdd2b84f1b3788a68df376a349cec6000a647a29a1c4e3ca90471",
     },
     "decompose-parallel-logistic_ridge-json": {
-        "decomposition.json": "5d175f9d0f1e368851d0d42fe06f14622b4a91ecaa55ff4bea70ce2cf06ed1c1",
+        "decomposition.json": "e8940af093babdefdaa035410f6e5d02a656ea99d22c09acf913641811d2e0e8",
     },
     "decompose-parallel-stratum_mean-csv": {
-        "decomposition.csv": "2181c822413d77382ab28a358748994e34866792d75fe4f406c73c9ad779ca3d",
-        "decomposition_strata.csv": "6fd545cd3e13081039d70a91e71d3906e4e08db63b84331ab920a76bf8529bc8",
+        "decomposition.csv": "f0e2c09d167b363998bc2768c9d2037cc2e0e286b5cbbf9e00145626a1d6f1ea",
+        "decomposition_strata.csv": "7692fa569ebd03fb5b63763c1261b2a8dc0a1f06cb2b7d13b230a6e94b0f2bd5",
     },
     "decompose-parallel-stratum_mean-json": {
-        "decomposition.json": "432c557e8171c407a898da1808ba1c38f3bac4cf76e52ab89cfecdcdc5c2c163",
+        "decomposition.json": "4c6510466a197b20d4dc74e74fe88dfc240086a305d190965b12ded7160a6072",
     },
     "estimate-multinomial-logistic_ridge-csv": {
         "decomposition.csv": "5e21ea8205e03dbb0043b4eb3ae1cec87e694a7f80db3de164bb3fc7572263d0",
@@ -153,34 +153,34 @@ PINS = {
         "ranking.json": "91bd4416347c7114d877274f2b78836a5970686ce08a9d304f004027bc8b6df2",
     },
     "estimate-parallel-logistic_ridge-csv": {
-        "decomposition.csv": "ccdcfb3af9fd00415c085eeea89b0fede182f074e87edea57f11d59dd4ab87c3",
-        "decomposition_strata.csv": "048eb648da6dcb7027a4c27252e659da01da07bcad86c43b8f41b5f07b3fea2d",
-        "estimates.csv": "095501d27db8c721a5a43273edef2dae3f7c373b904e202d379903bf8bbba02f",
+        "decomposition.csv": "19086e244c84fa96fce8dfe4c292de619a8e0e6e0329956b3f0fed4763b1e21c",
+        "decomposition_strata.csv": "0237ed32ad7cdd2b84f1b3788a68df376a349cec6000a647a29a1c4e3ca90471",
+        "estimates.csv": "5cab76c4f99f8fdb2f4c8e45026c68c0e35474f3c33506c02f226cf907f7bb9c",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-logistic_ridge-json": {
-        "decomposition.json": "5d175f9d0f1e368851d0d42fe06f14622b4a91ecaa55ff4bea70ce2cf06ed1c1",
-        "estimates.csv": "095501d27db8c721a5a43273edef2dae3f7c373b904e202d379903bf8bbba02f",
+        "decomposition.json": "e8940af093babdefdaa035410f6e5d02a656ea99d22c09acf913641811d2e0e8",
+        "estimates.csv": "5cab76c4f99f8fdb2f4c8e45026c68c0e35474f3c33506c02f226cf907f7bb9c",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-stratum_mean-csv": {
-        "decomposition.csv": "2181c822413d77382ab28a358748994e34866792d75fe4f406c73c9ad779ca3d",
-        "decomposition_strata.csv": "6fd545cd3e13081039d70a91e71d3906e4e08db63b84331ab920a76bf8529bc8",
-        "estimates.csv": "bc79a63c47d2d94fad08ce07b89e76a1e37379e03ec3915c3223e468d7ff02bb",
+        "decomposition.csv": "f0e2c09d167b363998bc2768c9d2037cc2e0e286b5cbbf9e00145626a1d6f1ea",
+        "decomposition_strata.csv": "7692fa569ebd03fb5b63763c1261b2a8dc0a1f06cb2b7d13b230a6e94b0f2bd5",
+        "estimates.csv": "177f5701cebc1e228b6acc3d2d74a98222bb4c22b6a24433edd63d8872d19c34",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-stratum_mean-json": {
-        "decomposition.json": "432c557e8171c407a898da1808ba1c38f3bac4cf76e52ab89cfecdcdc5c2c163",
-        "estimates.csv": "bc79a63c47d2d94fad08ce07b89e76a1e37379e03ec3915c3223e468d7ff02bb",
+        "decomposition.json": "4c6510466a197b20d4dc74e74fe88dfc240086a305d190965b12ded7160a6072",
+        "estimates.csv": "177f5701cebc1e228b6acc3d2d74a98222bb4c22b6a24433edd63d8872d19c34",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "montecarlo-balanced": {
-        "estimate_histograms.csv": "b83d608e2510feed019f500b11d16fd5416e9eb6e7144e7460beb16acd0fe149",
+        "estimate_histograms.csv": "4284c9bd94795af75c6317406a26d753dd2de4a5defe3a141e9774dd82c97db3",
         "ranking_rates.csv": "6bf870ee682f6180dcaa3102c7f7399f1882b2f5d030f7f90aab869c873403b8",
-        "replicates.csv": "81aedf7cc6b541a5aafdaacac52b343b9c82cb78215bf3f32123b3baac3ca74d",
+        "replicates.csv": "101f930740eabf6a841af43b09c2dc3843fc445463d4867fa0095c8a7b70a514",
         "resolved_config.yaml": "be634eb3ce00f0a48cedc9265d10cf94432af76961a463a64d3a5b3e0b5c6ad6",
-        "summary.csv": "243be155c78e341d9b7fa76f7a3d2651a2c5886e002858abc13696cfbf8d5a48",
-        "summary.json": "7c25a60cc3b78aa80f8871576703015a1db490aca6fdf696925911312e32a905",
+        "summary.csv": "60ddf1d5981d2102c2ffedba4070c920ea49d21aada3481858f5b0d630be952a",
+        "summary.json": "cc63e2c5cc35b1807dbc455a8074950dfd4a074a78142fc3dcffd9d78632d35b",
     },
     "oracle-multinomial-csv": {
         "oracle.csv": "1ddec046c98b641e53d5113f9200d60d44134b949826bb5e267c5716f4ad625b",

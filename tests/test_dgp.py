@@ -172,6 +172,31 @@ class TestValidation:
                 assignment_mode=tr.AssignmentMode.MULTINOMIAL,
             )
 
+    GOOD = dict(strata=((0, 0.5), (1, 0.5)), num_treatments=1, propensity=[[0.3, 0.6]],
+                effect=[[1.0, 2.0]], baseline=[0.0, 1.0], noise_sd=1.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("strata", ((0, np.nan), (1, 0.5)), "stratum probabilities must be finite"),
+        ("strata", ((0, np.inf), (1, 0.5)), "stratum probabilities must be finite"),
+        ("propensity", [[np.nan, 0.6]], r"strictly in \(0, 1\)"),
+        ("noise_sd", np.nan, "noise_sd must be finite"),
+        ("noise_sd", np.inf, "noise_sd must be finite"),
+        ("effect", [[np.nan, 2.0]], "effect table must be finite"),
+        ("effect", [[1.0, -np.inf]], "effect table must be finite"),
+        ("baseline", [np.nan, 1.0], "baseline table must be finite"),
+        ("baseline", [0.0, np.inf], "baseline table must be finite"),
+    ])
+    def test_non_finite_tables_rejected(self, field, value, message):
+        # NaN passes every comparison-based check, so each field is checked for finiteness
+        tr.StratifiedDGP(**self.GOOD)
+        with pytest.raises(ValueError, match=message):
+            tr.StratifiedDGP(**{**self.GOOD, field: value})
+
+    def test_nan_propensity_rejected_under_multinomial(self):
+        with pytest.raises(tr.OverlapError):
+            tr.StratifiedDGP(**{**self.GOOD, "propensity": [[np.nan, 0.6]],
+                                "assignment_mode": tr.AssignmentMode.MULTINOMIAL})
+
     def test_random_dgps_are_valid(self):
         for dgp in dgp_sweep(seed=7, count=30):
             assert 2 <= dgp.num_strata <= 10

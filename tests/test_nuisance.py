@@ -317,20 +317,24 @@ class TestFitValidation:
             with pytest.raises(ValueError, match=message):
                 tr.fit_insample(data, spec, clip=clip)
 
-    def test_table_levels_and_stacking(self, reversal_dgp):
+    def test_table_stacking(self, reversal_dgp):
+        # sampled tables are on the DGP's strata and stack into the block's table
+        tables = [tr.cell_table(tr.sample(reversal_dgp, 100, seed),
+                                tr.assign_folds(100, 5, seed + 10)) for seed in (1, 2)]
+        block = tr.cell_table(tr.sample(reversal_dgp, 100, [1, 2]), tr.assign_folds(100, 5, [11, 12]))
+        stacked = tr.stack_tables(tables)
+        assert stacked.block and np.array_equal(stacked.levels, block.levels)
+        for name in ("count", "total", "m2"):
+            assert getattr(stacked, name).tobytes() == getattr(block, name).tobytes()
+        # the same units grouped on the codes that occur, without the first stratum
         data = tr.sample(reversal_dgp, 100, seed=1)
-        folds = tr.assign_folds(100, 5, seed=1)
-        codes = np.unique(reversal_dgp.stratum_codes)
-        with pytest.raises(ValueError, match="ascending"):
-            tr.cell_table(data, folds, codes[::-1])
-        with pytest.raises(ValueError, match="unknown stratum code"):
-            tr.cell_table(data, folds, codes[1:])
-        wide = tr.cell_table(data, folds, np.append(codes, codes[-1] + 1))
+        codes = data.strata.codes
+        merged = tr.Dataset(data.y, data.w, np.where(data.x == codes[0], codes[1], data.x))
         with pytest.raises(ValueError, match="stratum axis"):
-            tr.stack_tables([wide, tr.cell_table(data, folds, codes)])
+            tr.stack_tables([tables[0], tr.cell_table(merged, tr.assign_folds(100, 5, seed=11))])
         other = tr.sample(reversal_dgp, 99, seed=2)
         with pytest.raises(ValueError, match="stratum axis"):
-            tr.stack_tables([wide, tr.cell_table(other, tr.assign_folds(99, 5, seed=2), wide.levels)])
+            tr.stack_tables([tables[0], tr.cell_table(other, tr.assign_folds(99, 5, seed=2))])
 
     def test_estimators_check_the_data_against_the_fit(self, reversal_dgp):
         data = tr.sample(reversal_dgp, 100, seed=1)

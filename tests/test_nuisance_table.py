@@ -362,25 +362,21 @@ class TestFallbackMean:
 # the summation order against plain unit-order sums
 
 
-def two_pass_moments(data, folds):
-    """Held-out (count, mean, M2) of every estimator cell, ``[cell, fold, stratum]``.
+def two_pass_moments(data, folds, num_cells):
+    """Held-out (count, mean, M2) of every base cell, ``[cell, fold, stratum]``.
 
-    Each (cell, fold, stratum) gathers its units: the mean is their unit-order
-    sum over their count, M2 the sum of squared deviations from that mean.
+    Each (base cell, fold, stratum) gathers its units: the mean is their
+    unit-order sum over their count, M2 the sum of squared deviations from
+    that mean. The dataset has at most ``PATTERN_TREATMENTS`` treatments.
     """
-    K, levels = data.num_treatments, np.unique(data.x)
-    if data.assignment_mode is tr.AssignmentMode.PARALLEL_BINARY:
-        members = [side == 1 for j in range(1, K + 1) for side in indicators(data, j)[::-1]]
-    else:
-        arm = base_cells(data, 1)
-        members = [arm == a for a in range(K + 1)]
+    levels, cell = np.unique(data.x), base_cells(data, 1)
     fold = np.zeros(data.n, dtype=np.int64) if folds is None else folds.fold_of
     F = 1 if folds is None else folds.num_folds
-    out = np.zeros((3, len(members), F, levels.shape[0]))
-    for c, member in enumerate(members):
+    out = np.zeros((3, num_cells, F, levels.shape[0]))
+    for c in range(num_cells):
         for k in range(F):
             for s, code in enumerate(levels):
-                y = data.y[member & (fold == k) & (data.x == code)]
+                y = data.y[(cell == c) & (fold == k) & (data.x == code)]
                 if y.size:
                     mean = np.bincount(np.zeros(y.size, dtype=np.int64), y)[0] / y.size
                     out[:, c, k, s] = y.size, mean, np.sum((y - mean) ** 2)
@@ -388,7 +384,7 @@ def two_pass_moments(data, folds):
 
 
 class TestSummationOrder:
-    """Sums in the stated order move only in the last bits; cell M2 stays centred."""
+    """Sums in the stated order move only in the last bits; base-cell M2 stays centred."""
 
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     @pytest.mark.parametrize("mode", MODES)
@@ -404,10 +400,12 @@ class TestSummationOrder:
                 if arrays[name] is not None:
                     np.testing.assert_allclose(units[name], arrays[name], rtol=1e-13, atol=0,
                                                err_msg=name)
-            count, mean, m2 = two_pass_moments(data, split)
-            assert np.array_equal(fit.count[:, 0], count)
-            np.testing.assert_allclose(fit.mean[:, 0], mean, rtol=1e-13, atol=0)
-            np.testing.assert_allclose(fit.m2[:, 0], m2, rtol=1e-12, atol=1e-12)
+            cells = np.arange(fit.table.count.shape[0])
+            count, mean, m2 = (a[:, 0] for a in fit.moments(cells))
+            want_count, want_mean, want_m2 = two_pass_moments(data, split, cells.size)
+            assert np.array_equal(count, want_count)
+            np.testing.assert_allclose(mean, want_mean, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(m2, want_m2, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +460,9 @@ class TestManyTreatments:
             for name in FIELDS:
                 assert (got[name] is None) if want[name] is None else \
                     got[name].tobytes() == want[name].tobytes(), name
-            own = np.isin(row.levels, single.levels)
-            for moment in ("count", "mean", "m2"):
-                assert getattr(row, moment)[..., own].tobytes() == \
-                    getattr(single, moment).tobytes()
+            assert np.array_equal(row.table.levels, single.table.levels)
+            for name in ("count", "total", "m2"):
+                assert getattr(row.table, name).tobytes() == getattr(single.table, name).tobytes()
             assert fit.fallback_count[b] == single.fallback_count
             assert fit.clipped_count[b] == single.clipped_count
         return fit
@@ -481,8 +478,16 @@ class TestManyTreatments:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert fit.count.shape == (40, 1, 5, 4)
-        assert np.array_equal(fit.count.sum(axis=(0, 1, 3)), 20 * np.bincount(folds.fold_of))
+        table, chunks = fit.table, 20 // PATTERN_TREATMENTS
+        assert table.count.shape == (chunks << PATTERN_TREATMENTS, 1, 5, 4)
+        # every unit lies in one base cell of each chunk
+        assert np.array_equal(table.count.sum(axis=(0, 1, 3)), chunks * np.bincount(folds.fold_of))
+        for j in range(1, 21):
+            treated, control, others = fit.cells(j)
+            assert treated.size == control.size == 1 << (PATTERN_TREATMENTS - 1)
+            assert others.size == 0
+            assert table.count[treated].sum() == data.w[:, j - 1].sum()
+            assert table.count[treated].sum() + table.count[control].sum() == data.n
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +552,11 @@ class TestSingularFits:
 # pinned studies
 
 PINNED = {
-    "extreme_heterogeneity": "5eddbb892ba8e3f8184454479ea0d9f2049993b7e98c594074a00fc0e6ae60d4",
-    "constant_effects": "781124a611a95f414cd9828ae817fbe27850c7d68310ac989d1f587423353d4e",
-    "uncorrelated": "218c700d1003857f6c8d120526ca211ea0e89aebf0d30cd317355c9e1df039ff",
-    "selection_on_gains": "f77c50280021c69b7dbfab2684f744a5980efe67876bb2d7d6917745731d27f3",
-    "balanced": "6ff917306598823c8c834eafa8815dc677b95e41cac3539440f3b66dfa8eb1b1",
+    "extreme_heterogeneity": "e5d227aeb9a1824202aecaf54262fb27b60d3de0f9b4d5ffde7938f7d0cf555d",
+    "constant_effects": "805939cbd048ddf851694a783904e2e1f84bf3c81aaaa785fe06fd620f72ac6e",
+    "uncorrelated": "bc2f6d531d25abeffc4119c85fa708adf4ba47014344ee8cbe07e4cb51fa38ee",
+    "selection_on_gains": "fe81238f2b3663898abbce4efcc40a977946a8db93caf4e0ccf78ce12af218dd",
+    "balanced": "13f4276466f567796f996601aa4f0c4b54c2f901f7a1964dfb2f528b3a46a584",
     "multinomial_random": "25a41d3f58096729f2f154493919788501140ddc0d11c97a7f6578066a483d99",
 }
 

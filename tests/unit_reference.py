@@ -1,11 +1,12 @@
 """Per-unit reference for the nuisance tables, the estimators and the decomposition.
 
-A fit holds (fold, dataset, stratum) tables and held-out cell moments; the
-estimators and ``estimate_decomposition`` sum over cells. This module keeps
-the direct per-unit route as a test-local reference: ``unit_arrays`` gathers
-a fit's tables back to one prediction per unit, and the estimator functions
-below are the per-unit formulas over those arrays (scores, residuals and
-boolean masks over every unit).
+A fit holds (dataset, fold, stratum) tables and the cell table of held-out
+base cells it was fitted from; the estimators and ``estimate_decomposition``
+sum over base cells. This module keeps the direct per-unit route as a
+test-local reference: ``unit_arrays`` gathers a fit's tables back to one
+prediction per unit, and the estimator functions below are the per-unit
+formulas over those arrays (scores, residuals and boolean masks over every
+unit).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ def unit_arrays(data, fit, folds=None):
     Per-treatment fields are ``(n, K)``; absent multinomial fields are None.
     """
     fold = np.zeros(data.n, dtype=np.int64) if folds is None else folds.fold_of
-    stratum = np.searchsorted(fit.levels, data.x)
-    assert np.array_equal(fit.levels[stratum], data.x)
+    stratum = np.searchsorted(fit.table.levels, data.x)
+    assert np.array_equal(fit.table.levels[stratum], data.x)
     out = {}
     for name in FIELDS:
         table = getattr(fit, name)
