@@ -22,6 +22,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import rng
 from .configio import (
     ConfigError,
     load_dataset_csv,
@@ -180,11 +181,14 @@ def _fitted(args) -> tuple[Dataset, NuisanceFit]:
     """The ``--data`` or sampled dataset and its cross-fitted nuisances."""
     if args.data is not None:
         data = load_dataset_csv(args.data)
+        fold_seed = args.seed
     elif args.config is None:
         raise ConfigError("provide either --data or --config with --n/--seed")
     else:
         data, _ = _sampled(args)
-    folds = assign_folds(data.n, args.folds, args.seed)
+        # the fold stream of --seed itself is the sample's stratum stream
+        fold_seed = rng.child_seed(args.seed, rng.FOLD)
+    folds = assign_folds(data.n, args.folds, fold_seed)
     return data, fit_crossfit(data, LearnerSpec(kind=args.learner), folds, args.clip)
 
 

@@ -24,16 +24,20 @@ splits the replicates into at least ``TASKS_PER_WORKER`` tasks per
 worker, which the pool maps. A block holds at most ``BLOCK_UNITS`` units,
 so a task draws its replicates ``max(1, BLOCK_UNITS // n_per_rep)`` at a
 time (one replicate per block from n = 4,097 up), and peak memory does
-not grow with the task. Each
-replicate still draws its own Philox streams, into one row of the block's
-``(B, n)`` arrays (``sample`` and ``assign_folds`` given a list of seeds),
-but their seeds and keys are derived a block at a time: one
-``rng.child_seeds`` pass gives the block's data and fold seeds, one pass in
-``sample`` keys its three streams per replicate and one in
-``assign_folds`` its fold streams, each the numpy ``SeedSequence`` hash of
-the same path as before. Each block ends in its cell table
-(``nuisance.cell_table``) on the DGP's stratum list, which ``sample``
-keeps as every dataset's stratum grouping; the task stacks
+not grow with the task. Each replicate still draws its own Philox
+streams, into one row of the block's ``(B, n)`` arrays, but their seeds
+and keys are derived once per task: one ``rng.child_seeds`` pass gives
+every replicate's data and fold seeds, and one ``rng.streams`` pass keys
+every stratum, treatment, noise and fold stream, each the numpy
+``SeedSequence`` hash of the same path as before. Each block hands its
+slice of those streams to ``sample`` and ``assign_folds`` in place of
+seeds. A fold stream is keyed as the path ``(fold seed, 0)``, which is
+the fold seed's own path ``(fold seed,)``, the one ``assign_folds`` of
+that seed draws, because a trailing zero does not change a key (see
+``rng``). Each block ends in its cell table (``nuisance.cell_table``) on
+the DGP's stratum list, which ``sample`` keeps as every dataset's stratum
+grouping, keyed from the cell-table keys ``sample`` kept while drawing
+(``Dataset.cell_keys``); the task stacks
 those tables along the dataset axis, fits them once (``fit_table``) and
 runs each estimator once per treatment on the stacked fit. So a task pays
 the fixed cost of a fit and of each estimator call once, whatever its
@@ -94,6 +98,9 @@ BLOCK_UNITS = 8_192
 TASK_REPLICATES = 250
 TASKS_PER_WORKER = 4
 
+# the layers whose seconds ``MonteCarloResult.diagnostics`` sums over tasks
+LAYER_SECONDS = ("unit_seconds", "fit_seconds", "estimator_seconds")
+
 _COV_ZERO_TOL = 1e-9
 
 
@@ -116,10 +123,14 @@ class MonteCarloResult:
     ordering of the oracle ATEs; None when there is no such replicate.
     ``runtime_seconds`` and ``workers`` are volatile: they are excluded from
     :meth:`canonical_bytes`, which is the determinism-relevant serialization.
-    ``diagnostics`` holds what happened inside the fits: ``clipped_count``
-    and ``fallback_count`` summed over every replicate whose fit succeeded.
-    It is volatile too, and neither :meth:`to_dict` nor
-    :meth:`canonical_bytes` writes it.
+    ``diagnostics`` holds what happened inside the study:
+    ``clipped_count`` and ``fallback_count`` summed over every replicate
+    whose fit succeeded, and the seconds spent in each layer
+    (``LAYER_SECONDS``), summed over tasks: the unit pass (seeds,
+    ``sample``, ``assign_folds``, ``cell_table`` and stacking),
+    ``fit_table`` and the estimators. In a pool the tasks run at once, so
+    the seconds can add up to more than ``runtime_seconds``. It is volatile
+    too, and neither :meth:`to_dict` nor :meth:`canonical_bytes` writes it.
     """
 
     scenario: str
@@ -137,7 +148,7 @@ class MonteCarloResult:
     failure_count: int
     runtime_seconds: float
     workers: int
-    diagnostics: dict[str, int] = field(default_factory=dict)
+    diagnostics: dict[str, int | float] = field(default_factory=dict)
 
     @property
     def methods(self) -> tuple[str, ...]:
@@ -290,52 +301,66 @@ def _blocks(reps: range, n: int) -> list[range]:
     return _split(reps, -(-len(reps) // max(1, BLOCK_UNITS // n)))
 
 
-def _block_table(config: ScenarioConfig, reps: range) -> CellTable:
-    """Replicates ``reps``, sampled, split into folds and tabled as one block of datasets."""
-    # the data seeds, then the fold seeds, hashed in one pass
-    seeds = rng.child_seeds(config.seed, list(reps) * 2,
-                            [_DATA_STREAM] * len(reps) + [_FOLD_STREAM] * len(reps))
-    data = sample(config.dgp, config.n_per_rep, seeds[:len(reps)])
-    folds = assign_folds(config.n_per_rep, config.num_folds, seeds[len(reps):])
+def _block_table(config: ScenarioConfig, data_streams: rng.Streams,
+                 fold_streams: rng.Streams) -> CellTable:
+    """One block of replicates, sampled, split into folds and tabled, from their streams."""
+    data = sample(config.dgp, config.n_per_rep, data_streams)
+    folds = assign_folds(config.n_per_rep, config.num_folds, fold_streams)
     return cell_table(data, folds)
 
 
-def _run_task(config: ScenarioConfig,
-              reps: range) -> tuple[NDArray[np.float64], int, NDArray[np.int64]]:
+def _run_task(config: ScenarioConfig, reps: range
+              ) -> tuple[NDArray[np.float64], int, NDArray[np.int64], NDArray[np.float64]]:
     """Replicates ``reps``: tabled block by block, then fitted and estimated at once.
 
-    Returns their ``(reps, methods, K)`` points, the failure count and the
-    summed (clipped, fallback) counts of their fits.
+    Returns their ``(reps, methods, K)`` points, the failure count, the
+    summed (clipped, fallback) counts of their fits and the seconds spent
+    in the unit pass, in ``fit_table`` and in the estimators.
     """
-    return _estimate(config, stack_tables([_block_table(config, block)
-                                           for block in _blocks(reps, config.n_per_rep)]))
+    start = time.perf_counter()
+    R, n = len(reps), config.n_per_rep
+    # the data seeds, then the fold seeds, hashed in one pass; then every
+    # stream they address, keyed in one more
+    seeds = rng.child_seeds(config.seed, list(reps) * 2, [_DATA_STREAM] * R + [_FOLD_STREAM] * R)
+    data_streams, fold_streams = rng.streams((seeds[:R], 3), (seeds[R:], 1))
+    table = stack_tables([_block_table(config, data_streams[block.start:block.stop],
+                                       fold_streams[block.start:block.stop])
+                          for block in _blocks(range(R), n)])
+    seconds = np.array([time.perf_counter() - start, 0.0, 0.0])
+    return (*_estimate(config, table, seconds), seconds)
 
 
-def _estimate(config: ScenarioConfig,
-              table: CellTable) -> tuple[NDArray[np.float64], int, NDArray[np.int64]]:
+def _estimate(config: ScenarioConfig, table: CellTable,
+              seconds: NDArray[np.float64]) -> tuple[NDArray[np.float64], int, NDArray[np.int64]]:
     """Fit and estimate every dataset of a table: (points, failures, fit counts), as ``_run_task``.
 
     A fit or estimate the data cannot support (``ESTIMATION_ERRORS``) is NaN
     and counted; a failed fit counts for every method and treatment. When a
     block's fit or estimate fails, that step is redone dataset by dataset
     on its table or fit, so only the datasets that fail on their own are
-    NaN.
+    NaN. The seconds of the fits and of the estimators are added to
+    ``seconds[1]`` and ``seconds[2]``.
     """
     B, K = table.count.shape[1], table.num_treatments
     points = np.full((B, len(METHODS), K), np.nan)
+    start = time.perf_counter()
     try:
         fit = fit_table(table, config.learner, config.clip)
     except ESTIMATION_ERRORS:
+        seconds[1] += time.perf_counter() - start
         if not table.block:
             return points, points.size, np.zeros(2, dtype=np.int64)
-        rows = [_estimate(config, table.replicate(b)) for b in range(B)]
+        rows = [_estimate(config, table.replicate(b), seconds) for b in range(B)]
         return (np.concatenate([p for p, _, _ in rows]), sum(f for _, f, _ in rows),
                 sum(c for _, _, c in rows))
+    seconds[1] += time.perf_counter() - start
+    start = time.perf_counter()
     failures = 0
     for m, estimator in enumerate(ESTIMATORS.values()):
         for j in range(1, K + 1):
             points[:, m, j - 1], failed = _points(estimator, fit, j)
             failures += failed
+    seconds[2] += time.perf_counter() - start
     return points, failures, np.array([np.sum(fit.clipped_count), np.sum(fit.fallback_count)])
 
 
@@ -385,9 +410,10 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(job, tasks))
 
-    points = np.concatenate([p for p, _, _ in outcomes])  # (reps, methods, K)
-    failure_count = int(sum(f for _, f, _ in outcomes))
-    clipped, fallbacks = sum(c for _, _, c in outcomes)
+    points = np.concatenate([p for p, _, _, _ in outcomes])  # (reps, methods, K)
+    failure_count = int(sum(f for _, f, _, _ in outcomes))
+    clipped, fallbacks = sum(c for _, _, c, _ in outcomes)
+    seconds = sum(t for _, _, _, t in outcomes)
     K = config.dgp.num_treatments
     treatments = tuple(range(1, K + 1))
     ate = tuple(oracle_ate(config.dgp, j) for j in treatments)
@@ -411,7 +437,8 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloResult:
         failure_count=failure_count,
         runtime_seconds=time.perf_counter() - t0,
         workers=workers,
-        diagnostics={"clipped_count": int(clipped), "fallback_count": int(fallbacks)},
+        diagnostics={"clipped_count": int(clipped), "fallback_count": int(fallbacks),
+                     **{key: float(t) for key, t in zip(LAYER_SECONDS, seconds)}},
     )
 
 

@@ -81,7 +81,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import rng
-from .dgp import AssignmentMode, Dataset, StratifiedDGP, _column_total, code_positions
+from .dgp import PATTERN_TREATMENTS, AssignmentMode, Dataset, StratifiedDGP, code_positions
 
 NEWTON_MAX_ITER = 100
 NEWTON_GRAD_TOL = 1e-10
@@ -149,25 +149,40 @@ class FoldAssignment:
         return FoldAssignment(self.num_folds, self.fold_of[b])
 
 
-def assign_folds(n: int, num_folds: int, seed: int | Sequence[int]) -> FoldAssignment:
+@lru_cache(maxsize=8)
+def _fold_labels(n: int, num_folds: int) -> NDArray[np.int64]:
+    """The fold of the unit at each place of a permutation: place ``i`` joins ``i % num_folds``."""
+    # rows of 0..num_folds-1 are faster to build than an integer modulo
+    labels = np.empty((-(-n // num_folds), num_folds), dtype=np.int64)
+    labels[:] = np.arange(num_folds)
+    labels = labels.ravel()[:n]
+    labels.flags.writeable = False
+    return labels
+
+
+def assign_folds(n: int, num_folds: int,
+                 seed: int | Sequence[int] | rng.Streams) -> FoldAssignment:
     """Randomly partition ``n`` units into folds whose sizes differ by at most one.
 
     A sequence of seeds partitions a block of datasets: row ``b`` is bit for
-    bit ``assign_folds(n, num_folds, seed[b])``.
+    bit ``assign_folds(n, num_folds, seed[b])``. ``rng.Streams`` may stand
+    in for the seeds; their stream 0 is drawn, the path ``(seed, 0)``,
+    which is the seed's own path ``(seed,)`` for a seed below 2**96 (a
+    trailing zero does not change a key; see ``rng``).
     """
     if num_folds < 2:
         raise ValueError(f"num_folds must be >= 2, got {num_folds}")
     if n < num_folds:
         raise ValueError(f"need at least one unit per fold: n={n} < num_folds={num_folds}")
     single = isinstance(seed, (int, np.integer))
-    seeds = [seed] if single else list(seed)
-    # unit order[i] joins fold i % num_folds; the labels are built as rows of
-    # 0..num_folds-1, which is faster than an integer modulo
-    labels = np.empty((-(-n // num_folds), num_folds), dtype=np.int64)
-    labels[:] = np.arange(num_folds)
-    labels = labels.ravel()[:n]
-    fold_of = np.empty((len(seeds), n), dtype=np.int64)
-    for row, gen in zip(fold_of, rng.substreams(seeds)):
+    if isinstance(seed, rng.Streams):
+        B, generators = len(seed), seed.generators(0)
+    else:
+        seeds = [seed] if single else list(seed)
+        B, generators = len(seeds), rng.substreams(seeds)
+    labels = _fold_labels(n, num_folds)
+    fold_of = np.empty((B, n), dtype=np.int64)
+    for row, gen in zip(fold_of, generators):
         row[gen.permutation(n)] = labels
     return FoldAssignment(num_folds=num_folds, fold_of=fold_of[0] if single else fold_of)
 
@@ -327,22 +342,7 @@ def _logistic_ridge_beta(
 # ---------------------------------------------------------------------------
 # the cell table
 
-PATTERN_TREATMENTS = 4  # treatments keyed together: 2**4 base cells per chunk
 POOLED = 0  # the group of every unit
-
-
-def _base_cells(data: Dataset) -> NDArray[np.int64]:
-    """Each unit's base cell per chunk, shaped ``(chunks,) + data.y.shape`` (see ``_layout``)."""
-    K = data.num_treatments
-    if data.assignment_mode is AssignmentMode.MULTINOMIAL:
-        return data.arm[None]
-    cell_of = np.empty((-(-K // PATTERN_TREATMENTS),) + data.y.shape, dtype=np.int64)
-    for chunk, first in enumerate(range(0, K, PATTERN_TREATMENTS)):
-        width = min(PATTERN_TREATMENTS, K - first)
-        cell_of[chunk] = _column_total(data.w[..., first : first + width], 1 << np.arange(width))
-        if chunk:
-            cell_of[chunk] += chunk << PATTERN_TREATMENTS
-    return cell_of
 
 
 def _buckets(groups: tuple[tuple[int, ...], ...]) -> tuple[tuple[NDArray, NDArray], ...]:
@@ -459,13 +459,16 @@ def cell_table(data: Dataset, folds: FoldAssignment) -> CellTable:
     """Each base cell's held-out moments, per dataset, fold and stratum.
 
     Every unit lies in one base cell per chunk (see ``_layout``), so it
-    gets one int64 key per chunk, ``((cell * B + dataset) * folds + fold) *
-    S + stratum``, which covers every dataset of a block (a single dataset
-    is a block of one). Three ``bincount`` passes over the keys in unit
-    order give each key's count, sum of ``y`` and sum of squared
-    deviations from its mean (gathered per unit). The stratum axis is the
-    dataset's grouping (``Dataset.strata``); a sampled dataset's is the
-    DGP's stratum list, so its tables stack with any other's of that DGP.
+    gets one int64 key per chunk: ``((dataset * folds + fold) * cells +
+    cell) * S + stratum``, which covers every dataset of a block (a single
+    dataset is a block of one). Its last two terms are the dataset's
+    ``cell_keys``, which a sampled dataset brings from the draw. Three
+    ``bincount`` passes over the keys in unit order give each key's count,
+    sum of ``y`` and sum of squared deviations from its mean (gathered per
+    unit), and the small tables are then laid out ``[cell, dataset, fold,
+    stratum]``. The stratum axis is the dataset's grouping
+    (``Dataset.strata``); a sampled dataset's is the DGP's stratum list, so
+    its tables stack with any other's of that DGP.
     """
     n = data.n
     if n == 0:
@@ -476,23 +479,23 @@ def cell_table(data: Dataset, folds: FoldAssignment) -> CellTable:
     B, F = y.shape[0], folds.num_folds
     groups = data.strata
     S = groups.codes.shape[0]
-    layout = _layout(data.assignment_mode, data.num_treatments)
-    cell_of = _base_cells(data).reshape(-1, B, n)
-    keys = cell_of * B + np.arange(B)[:, None]
-    keys *= F
-    keys += folds.fold_of.reshape(B, n)
-    keys *= S
-    keys += groups.position.reshape(B, n)
-    keys = keys.ravel()
-    y_all = np.broadcast_to(y, cell_of.shape).ravel()
-    shape = (layout.num_cells, B, F, S)
-    size = layout.num_cells * B * F * S
+    C = _layout(data.assignment_mode, data.num_treatments).num_cells
+    cell_keys = data.cell_keys.reshape(-1, B, n)
+    keys = np.multiply(folds.fold_of.reshape(B, n), C * S)
+    if B > 1:
+        keys += np.arange(0, B * F * C * S, F * C * S)[:, None]
+    keys = np.add(cell_keys, keys).ravel()
+    # y once per chunk: a unit is in one base cell of each
+    y_all = y.ravel() if cell_keys.shape[0] == 1 else np.tile(y.ravel(), cell_keys.shape[0])
+    size = B * F * C * S
     count = np.bincount(keys, minlength=size)
     total = np.bincount(keys, y_all, minlength=size)
-    deviation = y_all - np.take(total / np.maximum(count, 1), keys)
-    m2 = np.bincount(keys, deviation * deviation, minlength=size)
+    deviation = (total / np.maximum(count, 1)).take(keys)
+    np.subtract(y_all, deviation, out=deviation)
+    m2 = np.bincount(keys, np.square(deviation, out=deviation), minlength=size)
     return CellTable(data.assignment_mode, data.num_treatments, groups.codes, n, data.y.ndim > 1,
-                     *(a.reshape(shape) for a in (count, total, m2)))
+                     *(np.ascontiguousarray(a.reshape(B, F, C, S).transpose(2, 0, 1, 3))
+                       for a in (count, total, m2)))
 
 
 class _Learners:

@@ -9,22 +9,33 @@ paths yield statistically independent streams.
 A path is hashed exactly as numpy's ``SeedSequence(list(path))`` hashes it:
 a stream's Philox key is that sequence's ``generate_state(2, np.uint64)``,
 and ``child_seed`` is the first of those two words. The hashing is this
-module's own, so that many paths can be hashed at once: ``child_seeds`` and
-``substreams`` take path entries that are either an int, shared by every
-path, or a sequence with one int per path, and hash all the paths in one
-pass whose every step acts on every path at once. ``child_seed`` and
-``substream`` are the one-path case of the same pass. numpy's
-``SeedSequence`` is the reference the tests hold every key to; the package
-itself never builds one.
+module's own, so that many paths can be hashed at once: ``child_seeds``,
+``substreams`` and ``streams`` take path entries that are either an int,
+shared by every path, or a sequence with one int per path, and hash all the
+paths in one pass whose every step acts on every path at once.
+``child_seed`` and ``substream`` are the one-path case of the same pass.
+numpy's ``SeedSequence`` is the reference the tests hold every key to; the
+package itself never builds one.
+
+A path's trailing zero entries do not change its key while the path fits
+in four 32-bit words (numpy pads a shorter path with zero words): for any
+seed below 2**96, ``substream(seed)`` and ``substream(seed, 0)`` are the
+same stream. Two streams that must differ therefore never take paths that
+differ only by trailing zeros.
 
 Path conventions used elsewhere in the package:
 
 * dataset sampling uses tags ``STRATUM``, ``TREATMENT``, ``NOISE`` under the
-  dataset seed (``sample`` derives a block's three tags in one pass);
-* fold assignment hashes its own seed directly;
+  dataset seed;
+* fold assignment hashes its own seed directly, the path ``(seed,)``, which
+  is that seed's ``STRATUM`` path, so a fold seed must not also be a
+  dataset seed: the Monte Carlo runner derives each replicate's two from
+  different paths, and the CLI draws the folds of a dataset it samples
+  itself with the seed ``child_seed(seed, FOLD)``;
 * the Monte Carlo runner derives per-replicate seeds as
-  ``child_seed(scenario_seed, replicate_index, purpose)``, a block's in one
-  ``child_seeds`` call.
+  ``child_seed(scenario_seed, replicate_index, purpose)``, a task's in one
+  ``child_seeds`` call, and keys every stream of the task in one
+  ``streams`` call; each block of the task draws from its slice of them.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from numpy.typing import NDArray
 STRATUM = 0
 TREATMENT = 1
 NOISE = 2
+FOLD = 3
 
 PathEntry = int | Sequence[int]
 
@@ -82,9 +94,12 @@ def _generate_state(words: NDArray[np.uint64], lengths: NDArray[np.intp] | None)
     2**64, so no product reaches the next lane, and ``& low`` keeps every
     lane's low 32 bits, as uint32 arithmetic wraps. A hash is ~50 dependent
     steps, and a numpy ufunc call per step costs about as much for one path
-    as for a hundred: on a 2-vCPU VM, ~40 us for the pass. These ints take
-    ~20 us for a few paths (a replicate run alone hashes three such passes)
-    and ~100-150 us for 120 paths (a block of 40 replicates' streams).
+    as for a hundred. On a 2-vCPU VM a pass over these ints, ``_entropy``
+    included, takes 45-54 us for a few paths (a replicate run alone through
+    ``sample`` and ``assign_folds`` hashes three such passes) and ~170-200
+    us for 100 paths; a Monte Carlo task of 25 replicates hashes its 50
+    child seeds and then its 100 streams in ~300-330 us, ~13 us per
+    replicate.
     """
     P = words.shape[1]
     width = 8 * P
@@ -205,24 +220,77 @@ def substreams(*path: PathEntry) -> Iterator[np.random.Generator]:
     so a generator is valid until the next one is drawn: draw from each
     before the next.
     """
-    return _generators(_generate_state(*_entropy(path)).T.tolist())
+    return _generators(_generate_state(*_entropy(path)).T.tolist(), [None])
 
 
-def _generators(keys: list[list[int]]) -> Iterator[np.random.Generator]:
-    """A Philox generator per ``[key0, key1]``: one generator, re-keyed after the first."""
-    if not keys:
-        return
-    # numpy.random is imported on first use, not with the package
-    np.random.bit_generator.ISeedSequence.register(_PhiloxKey)
-    gen = np.random.Generator(np.random.Philox(_PhiloxKey(keys[0])))
-    yield gen
-    # the state of a new Philox: zero counter and an empty output buffer
-    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for key in keys[1:]:
-        state["state"]["key"] = key
-        gen.bit_generator.state = state
-        yield gen
+class Streams:
+    """Numbered streams of a list of seeds, keyed ahead of the draws.
+
+    ``keys[t, i]`` is the Philox key of stream ``t`` of seed ``i``, the path
+    ``(seed_i, t)``. ``dgp.sample`` and ``nuisance.assign_folds`` take a
+    ``Streams`` in place of a list of seeds, so a caller can key the streams
+    of many blocks of seeds in one pass (:func:`streams`) and hand each
+    block its slice, ``streams[lo:hi]``. Every slice of one :func:`streams`
+    call re-keys one generator, so, as with :func:`substreams`, a generator
+    is valid until the next one is drawn.
+    """
+
+    __slots__ = ("keys", "_shared")
+
+    def __init__(self, keys: NDArray[np.uint64], shared: list) -> None:
+        self.keys = keys
+        self._shared = shared  # [the generator, or None before the first draw]
+
+    def __len__(self) -> int:
+        return self.keys.shape[1]
+
+    def __getitem__(self, rows: slice) -> "Streams":
+        return Streams(self.keys[:, rows], self._shared)
+
+    def generators(self, stream: int) -> Iterator[np.random.Generator]:
+        """The generator of stream ``stream`` of each seed, in order."""
+        keyed = self.keys.shape[0]
+        if not 0 <= stream < keyed:
+            raise ValueError(f"stream {stream} was not keyed; streams 0..{keyed - 1} were")
+        return _generators(self.keys[stream].tolist(), self._shared)
+
+
+def streams(*groups: tuple[Sequence[int], int]) -> list[Streams]:
+    """Streams ``0 .. count - 1`` of each ``(seeds, count)`` group's seeds, keyed in one pass.
+
+    Group ``g``'s ``Streams`` holds the keys of the paths ``(seed, t)`` for
+    its seeds and ``t < count``, as ``substreams`` derives them.
+    """
+    seeds: list[int] = []
+    tags: list[int] = []
+    for group, count in groups:
+        group = list(group)
+        for t in range(count):
+            seeds += group
+            tags += [t] * len(group)
+    keys = _generate_state(*_entropy((seeds, tags))).T
+    shared: list = [None]
+    out, start = [], 0
+    for group, count in groups:
+        size = len(group)
+        out.append(Streams(keys[start : start + count * size].reshape(count, size, 2), shared))
+        start += count * size
+    return out
+
+
+def _generators(keys: list[list[int]], shared: list) -> Iterator[np.random.Generator]:
+    """A Philox generator per ``[key0, key1]``: ``shared[0]``, made on first use, then re-keyed."""
+    for key in keys:
+        if shared[0] is None:
+            # numpy.random is imported on first use, not with the package
+            np.random.bit_generator.ISeedSequence.register(_PhiloxKey)
+            shared[0] = np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+        else:
+            # the state of a new Philox: zero counter and an empty output buffer
+            shared[0].bit_generator.state = {
+                "bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+                "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        yield shared[0]
 
 
 def substream(*path: int) -> np.random.Generator:

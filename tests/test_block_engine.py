@@ -10,6 +10,8 @@ and block sizes and the worker count.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,11 @@ def loop_reference(config):
 
 def engine_points(result):
     return np.stack([result.estimates[m] for m in METHODS], axis=1)
+
+
+def fit_counts(result):
+    """The diagnostics that are counts; the rest are seconds."""
+    return {key: result.diagnostics[key] for key in ("clipped_count", "fallback_count")}
 
 
 def assert_engine_matches_loop(config, workers=1):
@@ -249,7 +256,7 @@ class TestTaskAndBlockSplits:
             got = tr.run_scenario(config, workers=workers)
             assert engine_points(got).tobytes() == engine_points(want).tobytes()
             assert got.canonical_bytes() == want.canonical_bytes()
-            assert got.diagnostics == want.diagnostics
+            assert fit_counts(got) == fit_counts(want)
 
     @pytest.mark.parametrize("name, n, num_reps", [("extreme_heterogeneity", 10_000, 6),
                                                    ("balanced", 200, 125)])
@@ -259,6 +266,51 @@ class TestTaskAndBlockSplits:
         config = tr.scaled(tr.preset(name), n_per_rep=n, num_reps=num_reps, seed=21)
         assert len(_blocks(range(num_reps), n)) > 1
         assert_engine_matches_loop(config)
+
+
+def edge_design(name):
+    """A DGP that takes one of the sampler's less common paths."""
+    base = tr.random_dgp(31, num_treatments=2, min_strata=4, max_strata=4,
+                         propensity_range=(0.1, 0.9))
+    strata = base.strata
+    tables = dict(num_treatments=2, propensity=base.propensity, effect=base.effect,
+                  baseline=base.baseline)
+    if name == "five_treatments":  # two pattern chunks
+        return tr.random_dgp(32, num_treatments=5, min_strata=4, max_strata=4,
+                             propensity_range=(0.1, 0.9))
+    if name == "many_strata":  # binary search, not counting
+        return tr.random_dgp(33, min_strata=tr.dgp.COUNT_STRATA + 6,
+                             max_strata=tr.dgp.COUNT_STRATA + 6, propensity_range=(0.1, 0.9))
+    if name == "unsorted_codes":
+        strata = tuple((code, p) for code, (_, p) in zip([7, -3, 12, 0], strata))
+    if name == "zero_probability_stratum":
+        strata = ((0, 0.5), (1, 0.0), (2, 0.3), (3, 0.2))
+    return tr.StratifiedDGP(strata=strata, noise_sd=0.0 if name == "no_noise" else 1.0,
+                            **tables)
+
+
+EDGE_DESIGNS = ["five_treatments", "unsorted_codes", "zero_probability_stratum", "no_noise",
+                "many_strata"]
+
+
+class TestEdgeDesigns:
+    @pytest.mark.parametrize("n, num_reps", [(BLOCK_UNITS // 2 + 1, 3), (200, 50)],
+                             ids=["one_per_block", "several_per_block"])
+    @pytest.mark.parametrize("name", EDGE_DESIGNS)
+    def test_engine_matches_the_loop(self, name, n, num_reps):
+        dgp = edge_design(name)
+        config = tr.ScenarioConfig(name=name, dgp=dgp, n_per_rep=n, num_reps=num_reps, seed=23)
+        blocks = _blocks(range(num_reps), n)
+        assert len(blocks) > 1 and max(map(len, blocks)) == (1 if n > 200 else 25)
+        assert_engine_matches_loop(config)
+
+    def test_designs_take_their_paths(self):
+        tables = {name: edge_design(name)._sampling for name in EDGE_DESIGNS}
+        assert tables["five_treatments"].means.shape[0] == 2**tr.dgp.PATTERN_TREATMENTS
+        assert tables["unsorted_codes"].rank is not None
+        assert np.diff(tables["zero_probability_stratum"].cum).min() == 0.0
+        assert edge_design("no_noise").noise_sd == 0.0
+        assert tables["many_strata"].cum.shape[0] > tr.dgp.COUNT_STRATA
 
 
 class TestDiagnostics:
@@ -281,10 +333,29 @@ class TestDiagnostics:
         assert clipped > 0
         assert (fallbacks > 0) == (config.learner.kind is tr.LearnerKind.STRATUM_MEAN)
         result = tr.run_scenario(config)
-        assert result.diagnostics == {"clipped_count": clipped, "fallback_count": fallbacks}
-        assert tr.run_scenario(config, workers=2).diagnostics == result.diagnostics
+        assert fit_counts(result) == {"clipped_count": clipped, "fallback_count": fallbacks}
+        assert fit_counts(tr.run_scenario(config, workers=2)) == fit_counts(result)
         assert "diagnostics" not in result.to_dict()
         assert b"diagnostics" not in result.canonical_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_layer_seconds(self, workers):
+        # the fit fails in some replicates, so the task redoes it one by one
+        config = tr.scaled(tr.preset("extreme_heterogeneity"), n_per_rep=10, num_reps=50,
+                           learner=tr.LearnerSpec(kind=tr.LearnerKind.LOGISTIC_RIDGE))
+        result = tr.run_scenario(config, workers=workers)
+        assert set(result.diagnostics) == {"clipped_count", "fallback_count",
+                                           *montecarlo.LAYER_SECONDS}
+        for key in montecarlo.LAYER_SECONDS:
+            assert isinstance(result.diagnostics[key], float) and result.diagnostics[key] >= 0
+        assert result.diagnostics["unit_seconds"] > 0
+        if workers == 1:
+            assert sum(result.diagnostics[k] for k in montecarlo.LAYER_SECONDS) <= \
+                result.runtime_seconds
+        # seconds are volatile: the canonical bytes are those of another run
+        again = tr.run_scenario(config, workers=3 - workers)
+        assert again.canonical_bytes() == result.canonical_bytes()
+        assert "seconds" not in json.dumps(result.to_dict(include_volatile=False))
 
 
 # ---------------------------------------------------------------------------

@@ -92,53 +92,53 @@ def run_case(argv: list[str], tmp: Path) -> dict[str, str]:
 
 PINS = {
     "decompose-multinomial-logistic_ridge-csv": {
-        "decomposition.csv": "5e21ea8205e03dbb0043b4eb3ae1cec87e694a7f80db3de164bb3fc7572263d0",
-        "decomposition_strata.csv": "fd7a31c6b2b926d2eccf5452557fef3af9ec99e4960362e6920353fdae17cfe7",
+        "decomposition.csv": "a8511b5d1f76460c0b2d1ff14da3d8b229f83cff75cdda54a71af6513e379c82",
+        "decomposition_strata.csv": "52a769d1dd413ba7e601a1f4ae2331658e837960967a04a11cd86a47486ac438",
     },
     "decompose-multinomial-logistic_ridge-json": {
-        "decomposition.json": "ca33b311e0deb1e644c9b68f3a2094a2e5764f6bda6c11da329941d5eb67ed0a",
+        "decomposition.json": "ce9a9a0c90fef0d177bd8be3d334b07a547995471fa4d781a8f7ab65aef3bed4",
     },
     "decompose-multinomial-stratum_mean-csv": {
-        "decomposition.csv": "e4a9106a41c173cf1dea6faafb47c665e5d8c6847f60b9d2af911c20be0a462d",
-        "decomposition_strata.csv": "083127dbd8e019fa07281d45ebe6ed434371ad7be6d52e87605d776bd4c31d5a",
+        "decomposition.csv": "4f4ca2f9ea107b8c05021c56b2b40616c403eb5425bbc6c5d921116292e785fb",
+        "decomposition_strata.csv": "b292f42e897cdaeedcba70c96ff767e3d41004350a72a87b56f43b26dedacf1d",
     },
     "decompose-multinomial-stratum_mean-json": {
-        "decomposition.json": "adc10b054db5ad7beab508f408d2b46e4ae4f7bfd76ea24f11ce32d8b24e93a5",
+        "decomposition.json": "c14e8119e2419576a7a3ea33902439084a59087139231ab821a15976dd8de471",
     },
     "decompose-parallel-logistic_ridge-csv": {
-        "decomposition.csv": "19086e244c84fa96fce8dfe4c292de619a8e0e6e0329956b3f0fed4763b1e21c",
-        "decomposition_strata.csv": "0237ed32ad7cdd2b84f1b3788a68df376a349cec6000a647a29a1c4e3ca90471",
+        "decomposition.csv": "6b17fe9051424dfffe8e42cd38309103ffe9afb67b8f5f23fad1dc56b3022330",
+        "decomposition_strata.csv": "0a2d6c9d2159722d55651c230b24036c004e7dfbc7e11be8b223a73297355a33",
     },
     "decompose-parallel-logistic_ridge-json": {
-        "decomposition.json": "e8940af093babdefdaa035410f6e5d02a656ea99d22c09acf913641811d2e0e8",
+        "decomposition.json": "80733edb3ba3add90b5e20041ad908bf7626d88a9b7294bd0876da5431991a5b",
     },
     "decompose-parallel-stratum_mean-csv": {
-        "decomposition.csv": "f0e2c09d167b363998bc2768c9d2037cc2e0e286b5cbbf9e00145626a1d6f1ea",
-        "decomposition_strata.csv": "7692fa569ebd03fb5b63763c1261b2a8dc0a1f06cb2b7d13b230a6e94b0f2bd5",
+        "decomposition.csv": "965c039935543c71996b2f46702639969dc875f8e43c6b410452923591e9f506",
+        "decomposition_strata.csv": "ce8f259a666c63b909bfe8d05e95288b781f4f4d81787368d914c038e37ac88a",
     },
     "decompose-parallel-stratum_mean-json": {
-        "decomposition.json": "4c6510466a197b20d4dc74e74fe88dfc240086a305d190965b12ded7160a6072",
+        "decomposition.json": "ebcd02ff4d8ceb6d4dddeea1e0c1052f8b988da6189ebee21c4056f9a723a4a6",
     },
     "estimate-multinomial-logistic_ridge-csv": {
-        "decomposition.csv": "5e21ea8205e03dbb0043b4eb3ae1cec87e694a7f80db3de164bb3fc7572263d0",
-        "decomposition_strata.csv": "fd7a31c6b2b926d2eccf5452557fef3af9ec99e4960362e6920353fdae17cfe7",
-        "estimates.csv": "2c547efd47e147d9806ca4b20eccc6fec1d53f0815e7d16225f6cd7c1c3322e5",
+        "decomposition.csv": "a8511b5d1f76460c0b2d1ff14da3d8b229f83cff75cdda54a71af6513e379c82",
+        "decomposition_strata.csv": "52a769d1dd413ba7e601a1f4ae2331658e837960967a04a11cd86a47486ac438",
+        "estimates.csv": "4ff823c52a9a65acbc5841d0ba3596d9f706f7437c283bd51fbda738be760e39",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-multinomial-logistic_ridge-json": {
-        "decomposition.json": "ca33b311e0deb1e644c9b68f3a2094a2e5764f6bda6c11da329941d5eb67ed0a",
-        "estimates.csv": "2c547efd47e147d9806ca4b20eccc6fec1d53f0815e7d16225f6cd7c1c3322e5",
+        "decomposition.json": "ce9a9a0c90fef0d177bd8be3d334b07a547995471fa4d781a8f7ab65aef3bed4",
+        "estimates.csv": "4ff823c52a9a65acbc5841d0ba3596d9f706f7437c283bd51fbda738be760e39",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-multinomial-stratum_mean-csv": {
-        "decomposition.csv": "e4a9106a41c173cf1dea6faafb47c665e5d8c6847f60b9d2af911c20be0a462d",
-        "decomposition_strata.csv": "083127dbd8e019fa07281d45ebe6ed434371ad7be6d52e87605d776bd4c31d5a",
-        "estimates.csv": "a8245a6a73e587801a11064b9cffebdc3e7306a15d4b9bc7d47c3a8003b6b2b2",
+        "decomposition.csv": "4f4ca2f9ea107b8c05021c56b2b40616c403eb5425bbc6c5d921116292e785fb",
+        "decomposition_strata.csv": "b292f42e897cdaeedcba70c96ff767e3d41004350a72a87b56f43b26dedacf1d",
+        "estimates.csv": "4059cf764acb5645ce41bbc1c97d0136f1e33d35e6e113328b05d031be671db4",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-multinomial-stratum_mean-json": {
-        "decomposition.json": "adc10b054db5ad7beab508f408d2b46e4ae4f7bfd76ea24f11ce32d8b24e93a5",
-        "estimates.csv": "a8245a6a73e587801a11064b9cffebdc3e7306a15d4b9bc7d47c3a8003b6b2b2",
+        "decomposition.json": "c14e8119e2419576a7a3ea33902439084a59087139231ab821a15976dd8de471",
+        "estimates.csv": "4059cf764acb5645ce41bbc1c97d0136f1e33d35e6e113328b05d031be671db4",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-no-control-csv": {
@@ -153,25 +153,25 @@ PINS = {
         "ranking.json": "91bd4416347c7114d877274f2b78836a5970686ce08a9d304f004027bc8b6df2",
     },
     "estimate-parallel-logistic_ridge-csv": {
-        "decomposition.csv": "19086e244c84fa96fce8dfe4c292de619a8e0e6e0329956b3f0fed4763b1e21c",
-        "decomposition_strata.csv": "0237ed32ad7cdd2b84f1b3788a68df376a349cec6000a647a29a1c4e3ca90471",
-        "estimates.csv": "5cab76c4f99f8fdb2f4c8e45026c68c0e35474f3c33506c02f226cf907f7bb9c",
+        "decomposition.csv": "6b17fe9051424dfffe8e42cd38309103ffe9afb67b8f5f23fad1dc56b3022330",
+        "decomposition_strata.csv": "0a2d6c9d2159722d55651c230b24036c004e7dfbc7e11be8b223a73297355a33",
+        "estimates.csv": "731858c5769c2fe671ddb082612fa0163b4ca00744eb73bb5f75ae6159b697f5",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-logistic_ridge-json": {
-        "decomposition.json": "e8940af093babdefdaa035410f6e5d02a656ea99d22c09acf913641811d2e0e8",
-        "estimates.csv": "5cab76c4f99f8fdb2f4c8e45026c68c0e35474f3c33506c02f226cf907f7bb9c",
+        "decomposition.json": "80733edb3ba3add90b5e20041ad908bf7626d88a9b7294bd0876da5431991a5b",
+        "estimates.csv": "731858c5769c2fe671ddb082612fa0163b4ca00744eb73bb5f75ae6159b697f5",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-stratum_mean-csv": {
-        "decomposition.csv": "f0e2c09d167b363998bc2768c9d2037cc2e0e286b5cbbf9e00145626a1d6f1ea",
-        "decomposition_strata.csv": "7692fa569ebd03fb5b63763c1261b2a8dc0a1f06cb2b7d13b230a6e94b0f2bd5",
-        "estimates.csv": "177f5701cebc1e228b6acc3d2d74a98222bb4c22b6a24433edd63d8872d19c34",
+        "decomposition.csv": "965c039935543c71996b2f46702639969dc875f8e43c6b410452923591e9f506",
+        "decomposition_strata.csv": "ce8f259a666c63b909bfe8d05e95288b781f4f4d81787368d914c038e37ac88a",
+        "estimates.csv": "339713640cd8ed0158f931cde44ea2130640a225973179d4f78a0b423dc81e8a",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-stratum_mean-json": {
-        "decomposition.json": "4c6510466a197b20d4dc74e74fe88dfc240086a305d190965b12ded7160a6072",
-        "estimates.csv": "177f5701cebc1e228b6acc3d2d74a98222bb4c22b6a24433edd63d8872d19c34",
+        "decomposition.json": "ebcd02ff4d8ceb6d4dddeea1e0c1052f8b988da6189ebee21c4056f9a723a4a6",
+        "estimates.csv": "339713640cd8ed0158f931cde44ea2130640a225973179d4f78a0b423dc81e8a",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "montecarlo-balanced": {

@@ -226,18 +226,34 @@ class TestSampling:
         c = tr.sample(reversal_dgp, 500, seed=10)
         assert a != c
 
-    @pytest.mark.parametrize("mode", list(tr.AssignmentMode))
-    def test_matches_fancy_index_formula(self, mode):
+    @pytest.mark.parametrize("mode, design", [
+        pytest.param(mode, design, id=mode.value if design == "200_unsorted"
+                     else f"{mode.value}-{design}")
+        for mode in tr.AssignmentMode
+        for design in ("200_unsorted", "24_unsorted", "zero_probability", "one_stratum",
+                       "five_treatments")])
+    def test_matches_fancy_index_formula(self, mode, design):
         # ``sample`` against the fancy-indexing formula its gathers replaced,
-        # bit for bit, with unsorted codes and K = 3 (three terms summed per
-        # unit), and with streams that numpy derives itself, at one-, two- and
-        # three-word seeds
-        base = tr.random_dgp(5, num_treatments=3, min_strata=200, max_strata=200,
-                             propensity_range=(0.02, 0.6), assignment_mode=mode)
-        codes = np.random.default_rng(1).permutation(200) * 1_000 - 2**40
+        # bit for bit, with K = 3 (three terms summed per unit), and with
+        # streams that numpy derives itself, at one-, two- and three-word
+        # seeds. The designs: unsorted codes above and below
+        # ``COUNT_STRATA`` (binary search and counting), a stratum of
+        # probability zero (a repeated cumulative entry), one stratum, and
+        # K = 5 (two pattern chunks under parallel assignment)
+        S = {"200_unsorted": 200, "24_unsorted": 24, "zero_probability": 6, "one_stratum": 1,
+             "five_treatments": 8}[design]
+        K = 5 if design == "five_treatments" else 3
+        base = tr.random_dgp(5, num_treatments=K, min_strata=S, max_strata=S,
+                             propensity_range=(0.02, 0.6 if K == 3 else 0.19),
+                             assignment_mode=mode)
+        codes = np.random.default_rng(1).permutation(S) * 1_000 - 2**40
+        probs = base.stratum_probs
+        if design == "zero_probability":
+            codes = np.arange(S)
+            probs = np.array([0.3, 0.0, 0.2, 0.0, 0.5, 0.0])
         dgp = tr.StratifiedDGP(
-            strata=tuple((int(c), p) for c, (_, p) in zip(codes, base.strata)),
-            num_treatments=3, propensity=base.propensity, effect=base.effect,
+            strata=tuple((int(c), float(p)) for c, p in zip(codes, probs)),
+            num_treatments=K, propensity=base.propensity, effect=base.effect,
             baseline=base.baseline, noise_sd=0.7, assignment_mode=mode,
         )
         for seed in (21, 2**32, 2**70):
@@ -246,6 +262,23 @@ class TestSampling:
             assert np.array_equal(data.x, x)
             assert np.array_equal(data.w, w) and data.w.dtype == np.int8
             assert data.y.tobytes() == y.tobytes()
+            if design == "zero_probability":
+                assert not np.isin(data.x, [1, 3, 5]).any()
+
+    @pytest.mark.parametrize("S", [1, 2, 5, tr.dgp.COUNT_STRATA, tr.dgp.COUNT_STRATA + 1])
+    def test_stratum_index_is_searchsorted(self, S):
+        # draws on and next to every edge, with repeated (zero-probability) edges
+        probs = np.random.default_rng(S).dirichlet(np.ones(S))
+        probs[1::3] = 0.0
+        cum = np.cumsum(probs / probs.sum())
+        cum[-1] = 1.0
+        edges = cum[:-1]
+        u = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 1), [0.0],
+                            np.random.default_rng(0).random(500)])
+        u = u[u < 1.0]
+        got = tr.dgp._stratum_index(cum, u.reshape(1, -1))
+        assert got.dtype == np.intp
+        assert np.array_equal(got[0], np.searchsorted(cum, u, side="right"))
 
     def test_cli_sample_at_a_seed_past_64_bits(self, tmp_path, reversal_dgp):
         config = tmp_path / "dgp.yaml"

@@ -107,6 +107,90 @@ class TestBlocks:
             rng.child_seeds([1, 2.0])
 
 
+def philox_key(gen: np.random.Generator) -> list[int]:
+    return [int(k) for k in gen.bit_generator.state["state"]["key"]]
+
+
+class TestStreams:
+    """Streams keyed ahead: every key is the one ``substreams`` derives for its path."""
+
+    @pytest.mark.parametrize("B", [1, 7, 40])
+    def test_groups_in_one_pass(self, B):
+        data, folds, none = rng.streams((block_seeds(B), 3), (block_seeds(B + 1), 1), ([], 2))
+        assert (len(data), len(folds), len(none)) == (B, B + 1, 0)
+        for streams, seeds, count in ((data, block_seeds(B), 3), (folds, block_seeds(B + 1), 1)):
+            for t in range(count):
+                for seed, gen in zip(seeds, streams.generators(t)):
+                    assert_same_stream(gen, [seed, t])
+        assert list(none.generators(1)) == []
+
+    def test_slices(self):
+        seeds = block_seeds(10)
+        (streams,) = rng.streams((seeds, 3))
+        for lo, hi in [(0, 1), (3, 7), (9, 10)]:
+            part = streams[lo:hi]
+            assert len(part) == hi - lo
+            for seed, gen in zip(seeds[lo:hi], part.generators(rng.NOISE)):
+                assert_same_stream(gen, [seed, rng.NOISE])
+
+    def test_stream_not_keyed(self):
+        (streams,) = rng.streams(([1, 2], 1))
+        with pytest.raises(ValueError, match="stream 1 was not keyed"):
+            streams.generators(1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed path entries must be non-negative"):
+            rng.streams(([4], 3), ([3, -1], 1))
+
+    def test_sample_and_folds_take_streams(self, reversal_dgp):
+        seeds, fold_seeds = block_seeds(6), [s + 1 for s in block_seeds(6)]
+        data, folds = rng.streams((seeds, 3), (fold_seeds, 1))
+        block = tr.sample(reversal_dgp, 40, data[2:5])
+        assert block == tr.sample(reversal_dgp, 40, seeds[2:5])
+        assert np.array_equal(block.cell_keys, tr.sample(reversal_dgp, 40, seeds[2:5]).cell_keys)
+        # stream 0 of a seed below 2**96 is its own path, the one assign_folds hashes
+        assert np.array_equal(tr.assign_folds(40, 5, folds[1:4]).fold_of,
+                              tr.assign_folds(40, 5, fold_seeds[1:4]).fold_of)
+
+
+class TestTrailingZeros:
+    """A path's trailing zeros leave its key unchanged while it fits in four words."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40, 2**64 - 1, 2**96 - 1])
+    def test_own_path_is_the_stratum_path(self, seed):
+        key = philox_key(rng.substream(seed))
+        assert key == philox_key(rng.substream(seed, rng.STRATUM))
+        assert key == philox_key(numpy_generator([seed, 0]))
+        assert key != philox_key(rng.substream(seed, rng.TREATMENT))
+
+    @pytest.mark.parametrize("seed", [2**96, 2**100])
+    def test_past_four_words_the_zero_counts(self, seed):
+        assert philox_key(rng.substream(seed, 0)) == philox_key(numpy_generator([seed, 0]))
+        assert philox_key(rng.substream(seed)) != philox_key(rng.substream(seed, 0))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    @pytest.mark.parametrize("command", ["estimate", "decompose"])
+    def test_cli_folds_of_a_sampled_dataset(self, seed, command, monkeypatch, tmp_path,
+                                            reversal_dgp):
+        # the folds of --config --n --seed S must not be drawn from the stream
+        # that drew the strata: path (S,) keys as (S, STRATUM)
+        config = tmp_path / "dgp.yaml"
+        tr.write_dgp_config(reversal_dgp, config)
+        fold_seeds = []
+
+        def recording(n, num_folds, fold_seed):
+            fold_seeds.append(fold_seed)
+            return tr.assign_folds(n, num_folds, fold_seed)
+
+        monkeypatch.setattr(cli, "assign_folds", recording)
+        assert cli.main([command, "--config", str(config), "--n", "200", "--seed", str(seed),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert fold_seeds == [rng.child_seed(seed, rng.FOLD)]
+        stratum = philox_key(rng.substream(seed, rng.STRATUM))
+        assert philox_key(rng.substream(fold_seeds[0])) != stratum
+        assert philox_key(rng.substream(seed)) == stratum
+
+
 class TestNegativeSeeds:
     """A negative entry anywhere is the same ValueError, before any uint64 conversion."""
 
