@@ -237,7 +237,9 @@ class Dataset:
     axis: ``y`` and ``x`` are ``(B, n)`` and ``w`` is ``(B, n, K)``. Fits and
     estimators work along the unit axis, so row ``b`` of their output is
     that of :meth:`replicate` ``(b)``. ``groups`` passes a stratum grouping
-    already known (the sampler's); without it one is made from ``x``.
+    already known (the sampler's), and ``keys`` the units'
+    :attr:`cell_keys` under it; without them both are made from ``x`` and
+    ``w`` when asked for.
     """
 
     y: NDArray[np.float64]
@@ -245,8 +247,10 @@ class Dataset:
     x: NDArray[np.int64]
     assignment_mode: AssignmentMode = AssignmentMode.PARALLEL_BINARY
     groups: InitVar[StratumGroups | None] = None
+    keys: InitVar[NDArray[np.signedinteger] | None] = None
 
-    def __post_init__(self, groups: StratumGroups | None) -> None:
+    def __post_init__(self, groups: StratumGroups | None,
+                      keys: NDArray[np.signedinteger] | None) -> None:
         self.y = np.asarray(self.y, dtype=np.float64)
         self.w = np.asarray(self.w, dtype=np.int8)
         self.x = np.asarray(self.x, dtype=np.int64)
@@ -254,7 +258,7 @@ class Dataset:
         if self.y.ndim not in (1, 2) or not self.w.shape[:-1] == self.y.shape == self.x.shape:
             raise ValueError("y and x must share one shape, and w must add a treatment axis to it")
         self._strata = groups
-        self._cell_keys: NDArray[np.intp] | None = None
+        self._cell_keys = keys
         if self.assignment_mode is AssignmentMode.MULTINOMIAL and np.any(_column_total(self.w) > 1):
             raise ValueError("multinomial datasets must have mutually exclusive arms")
 
@@ -284,17 +288,18 @@ class Dataset:
         return self._strata
 
     @property
-    def cell_keys(self) -> NDArray[np.intp]:
+    def cell_keys(self) -> NDArray[np.signedinteger]:
         """Each unit's base cell times the number of strata, plus its stratum position.
 
         Shaped ``(chunks,) + y.shape``: a unit has one base cell per chunk.
+        The keys take the smallest signed integer type that holds them all.
         Under MULTINOMIAL there is one chunk and the base cell is the arm.
         Under PARALLEL_BINARY the treatments are keyed in chunks of at most
         ``PATTERN_TREATMENTS``; a unit's base cell in a chunk is its pattern
         of those treatments (treatment ``first + i`` adds ``2**i``), plus
         ``2**PATTERN_TREATMENTS`` per earlier chunk. The stratum position
         is the unit's index into ``strata.codes``. ``nuisance.cell_table``
-        keys its units by these. ``sample`` keeps the ones it drew by;
+        keys its units by these. ``sample`` passes the ones it drew by;
         other datasets derive them on each call.
         """
         if self._cell_keys is not None:
@@ -305,11 +310,9 @@ class Dataset:
     def replicate(self, b: int) -> "Dataset":
         """Row ``b`` of a block, as a dataset of its own."""
         groups = self.strata
-        row = Dataset(self.y[b], self.w[b], self.x[b], self.assignment_mode,
-                      StratumGroups(groups.codes, groups.position[b]))
-        if self._cell_keys is not None:
-            row._cell_keys = self._cell_keys[:, b]
-        return row
+        return Dataset(self.y[b], self.w[b], self.x[b], self.assignment_mode,
+                       StratumGroups(groups.codes, groups.position[b]),
+                       None if self._cell_keys is None else self._cell_keys[:, b])
 
     @property
     def arm(self) -> NDArray[np.int64]:
@@ -332,19 +335,22 @@ def _column_total(w: NDArray, scale: NDArray | None = None) -> NDArray[np.int64]
 
 
 def _cell_keys(w: NDArray[np.int8], arm: NDArray | None, position: NDArray,
-               S: int) -> NDArray[np.intp]:
+               S: int) -> NDArray[np.signedinteger]:
     """``Dataset.cell_keys`` of indicators ``w`` (or, under MULTINOMIAL, of the ``arm`` labels)."""
+    K = w.shape[-1]
+    chunks = 1 if arm is not None else -(-K // PATTERN_TREATMENTS)
+    cells = K + 1 if arm is not None else chunks << PATTERN_TREATMENTS
+    dtype = np.min_scalar_type(-cells * S)  # holds every key, 0 .. cells * S - 1
     if arm is not None:
-        keys = np.multiply(arm, S, dtype=np.intp)[None]
+        keys = np.multiply(arm, S, dtype=dtype)[None]
         keys[0] += position
         return keys
-    K = w.shape[-1]
-    keys = np.empty((-(-K // PATTERN_TREATMENTS),) + position.shape, dtype=np.intp)
+    keys = np.empty((chunks,) + position.shape, dtype=dtype)
     for chunk, first in enumerate(range(0, K, PATTERN_TREATMENTS)):
         pattern = w[..., first].copy()  # int8: a pattern is below 2**PATTERN_TREATMENTS
         for i in range(1, min(PATTERN_TREATMENTS, K - first)):
             pattern += w[..., first + i] << i
-        np.multiply(pattern, S, out=keys[chunk], dtype=np.intp)
+        np.multiply(pattern, S, out=keys[chunk], dtype=dtype)
         keys[chunk] += position
         if chunk:
             keys[chunk] += (chunk << PATTERN_TREATMENTS) * S
@@ -399,22 +405,11 @@ def oracle_decomposition(dgp: StratifiedDGP, j: int) -> OracleQuantities:
     return OracleQuantities(treatment=j, ate=ate, wate=wate, cov_tau_gamma=cov, gamma=gamma)
 
 
-# up to this many strata, a unit's stratum is found by counting the
-# cumulative probabilities its uniform draw reaches, one pass per stratum;
-# above it, by binary search (np.searchsorted). On a 2-vCPU VM, over 10,000
-# draws: 2 strata 13 us against 106 us, 64 strata 388 against 583, 128
-# strata 754 against 725; over 50,000 draws the count still wins at 128
-# (2.2 ms against 3.9 ms). Over a few hundred draws binary search is faster
-# at any S (200 draws, 64 strata: 164 us against 7 us), a cost that only a
-# small single sample pays: the Monte Carlo draws whole blocks at once
-COUNT_STRATA = 64
-
-
 class _SamplerTables(NamedTuple):
     """A DGP's tables as ``sample`` reads them, strata in ascending code order."""
 
     codes: NDArray[np.int64]
-    rank: NDArray[np.intp] | None  # each stratum's place in ``codes``; None if already there
+    rank: NDArray[np.intp]  # each stratum's place in ``codes``
     cum: NDArray[np.float64]  # cumulative stratum probabilities, in the DGP's order; last 1
     propensity: NDArray[np.float64]  # (K, S); under MULTINOMIAL, cumulated over the arms
     means: NDArray[np.float64]  # (cells, S): see _sampler_tables
@@ -450,21 +445,27 @@ def _sampler_tables(dgp: StratifiedDGP) -> _SamplerTables:
         means += effect[k] * column[:, None]
     if indicators.shape[1] == K:
         means = baseline + means
-    rank = None if np.array_equal(order, np.arange(order.shape[0])) else np.argsort(order)
-    return _SamplerTables(dgp.stratum_codes[order], rank, cum, propensity, means, effect, baseline)
+    return _SamplerTables(dgp.stratum_codes[order], np.argsort(order), cum, propensity, means,
+                          effect, baseline)
 
 
-def _stratum_index(cum: NDArray[np.float64], u: NDArray[np.float64]) -> NDArray[np.intp]:
-    """``np.searchsorted(cum, u, side="right")``: the number of entries of ``cum`` at most ``u``."""
-    if cum.shape[0] > COUNT_STRATA:
-        return np.searchsorted(cum, u, side="right")
+def _stratum_index(cum: NDArray[np.float64], u: NDArray[np.float64]) -> NDArray[np.unsignedinteger]:
+    """``np.searchsorted(cum, u, side="right")``: the number of entries of ``cum`` at most ``u``.
+
+    Counted one pass per entry, in the smallest unsigned type that holds
+    the count. Over 10,000 draws on a 2-vCPU VM this takes 13 us against
+    binary search's 106 us at 2 strata and 388 against 583 us at 64, but
+    754 against 725 us at 128; over a few hundred draws binary search is
+    the faster at any number of strata. The Monte Carlo draws whole
+    blocks, and no preset or benchmark design has more than 24 strata.
+    """
     # u < 1 = cum[-1], so the last entry never counts
-    count = np.zeros(u.shape, dtype=np.uint8)
+    count = np.zeros(u.shape, dtype=np.min_scalar_type(cum.shape[0] - 1))
     reached = np.empty(u.shape, dtype=bool)
     for edge in cum[:-1]:
         np.greater_equal(u, edge, out=reached)
         count += reached
-    return count.astype(np.intp)
+    return count
 
 
 def sample(dgp: StratifiedDGP, n: int, seed: int | Sequence[int] | rng.Streams) -> Dataset:
@@ -498,9 +499,8 @@ def sample(dgp: StratifiedDGP, n: int, seed: int | Sequence[int] | rng.Streams) 
     B, K = len(streams), dgp.num_treatments
     tables = dgp._sampling
     S = tables.codes.shape[0]
-    position = _stratum_index(tables.cum, _uniforms(streams.generators(rng.STRATUM), B, n))
-    if tables.rank is not None:
-        position = tables.rank.take(position)
+    position = tables.rank.take(
+        _stratum_index(tables.cum, _uniforms(streams.generators(rng.STRATUM), B, n)))
     x = tables.codes.take(position)
     treatment = streams.generators(rng.TREATMENT)
     if dgp.assignment_mode is AssignmentMode.PARALLEL_BINARY:
@@ -530,10 +530,9 @@ def sample(dgp: StratifiedDGP, n: int, seed: int | Sequence[int] | rng.Streams) 
         for row, gen in zip(y, streams.generators(rng.NOISE)):
             row += gen.normal(0.0, dgp.noise_sd, size=n)
     groups = StratumGroups(tables.codes, position[0] if single else position)
-    data = Dataset(y=y[0] if single else y, w=w[0] if single else w, x=x[0] if single else x,
-                   assignment_mode=dgp.assignment_mode, groups=groups)
-    data._cell_keys = keys[:, 0] if single else keys
-    return data
+    return Dataset(y=y[0] if single else y, w=w[0] if single else w, x=x[0] if single else x,
+                   assignment_mode=dgp.assignment_mode, groups=groups,
+                   keys=keys[:, 0] if single else keys)
 
 
 def _uniforms(streams: Iterator[np.random.Generator], B: int, *shape: int) -> NDArray[np.float64]:

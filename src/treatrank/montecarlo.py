@@ -31,10 +31,8 @@ every replicate's data and fold seeds, and one ``rng.streams`` pass keys
 every stratum, treatment, noise and fold stream, each the numpy
 ``SeedSequence`` hash of the same path as before. Each block hands its
 slice of those streams to ``sample`` and ``assign_folds`` in place of
-seeds. A fold stream is keyed as the path ``(fold seed, 0)``, which is
-the fold seed's own path ``(fold seed,)``, the one ``assign_folds`` of
-that seed draws, because a trailing zero does not change a key (see
-``rng``). Each block ends in its cell table (``nuisance.cell_table``) on
+seeds; a fold stream is keyed on the fold seed's own path ``(fold
+seed,)``, the one ``assign_folds`` of that seed draws. Each block ends in its cell table (``nuisance.cell_table``) on
 the DGP's stratum list, which ``sample`` keeps as every dataset's stratum
 grouping, keyed from the cell-table keys ``sample`` kept while drawing
 (``Dataset.cell_keys``); the task stacks
@@ -322,7 +320,7 @@ def _run_task(config: ScenarioConfig, reps: range
     # the data seeds, then the fold seeds, hashed in one pass; then every
     # stream they address, keyed in one more
     seeds = rng.child_seeds(config.seed, list(reps) * 2, [_DATA_STREAM] * R + [_FOLD_STREAM] * R)
-    data_streams, fold_streams = rng.streams((seeds[:R], 3), (seeds[R:], 1))
+    data_streams, fold_streams = rng.streams((seeds[:R], 3), (seeds[R:], None))
     table = stack_tables([_block_table(config, data_streams[block.start:block.stop],
                                        fold_streams[block.start:block.stop])
                           for block in _blocks(range(R), n)])

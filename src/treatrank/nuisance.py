@@ -165,10 +165,9 @@ def assign_folds(n: int, num_folds: int,
     """Randomly partition ``n`` units into folds whose sizes differ by at most one.
 
     A sequence of seeds partitions a block of datasets: row ``b`` is bit for
-    bit ``assign_folds(n, num_folds, seed[b])``. ``rng.Streams`` may stand
-    in for the seeds; their stream 0 is drawn, the path ``(seed, 0)``,
-    which is the seed's own path ``(seed,)`` for a seed below 2**96 (a
-    trailing zero does not change a key; see ``rng``).
+    bit ``assign_folds(n, num_folds, seed[b])``. ``rng.Streams`` of the
+    seeds' own paths (``rng.streams((seeds, None))``) may stand in for the
+    seeds.
     """
     if num_folds < 2:
         raise ValueError(f"num_folds must be >= 2, got {num_folds}")
@@ -176,7 +175,7 @@ def assign_folds(n: int, num_folds: int,
         raise ValueError(f"need at least one unit per fold: n={n} < num_folds={num_folds}")
     single = isinstance(seed, (int, np.integer))
     if isinstance(seed, rng.Streams):
-        B, generators = len(seed), seed.generators(0)
+        B, generators = len(seed), seed.generators(None)
     else:
         seeds = [seed] if single else list(seed)
         B, generators = len(seeds), rng.substreams(seeds)

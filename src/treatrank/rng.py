@@ -35,7 +35,8 @@ Path conventions used elsewhere in the package:
 * the Monte Carlo runner derives per-replicate seeds as
   ``child_seed(scenario_seed, replicate_index, purpose)``, a task's in one
   ``child_seeds`` call, and keys every stream of the task in one
-  ``streams`` call; each block of the task draws from its slice of them.
+  ``streams`` call, the data seeds' numbered streams and the fold seeds'
+  own paths; each block of the task draws from its slice of them.
 """
 
 from __future__ import annotations
@@ -224,57 +225,66 @@ def substreams(*path: PathEntry) -> Iterator[np.random.Generator]:
 
 
 class Streams:
-    """Numbered streams of a list of seeds, keyed ahead of the draws.
+    """Streams of a list of seeds, keyed ahead of the draws.
 
-    ``keys[t, i]`` is the Philox key of stream ``t`` of seed ``i``, the path
-    ``(seed_i, t)``. ``dgp.sample`` and ``nuisance.assign_folds`` take a
-    ``Streams`` in place of a list of seeds, so a caller can key the streams
-    of many blocks of seeds in one pass (:func:`streams`) and hand each
-    block its slice, ``streams[lo:hi]``. Every slice of one :func:`streams`
-    call re-keys one generator, so, as with :func:`substreams`, a generator
-    is valid until the next one is drawn.
+    When ``numbered``, ``keys[t, i]`` is the Philox key of stream ``t`` of
+    seed ``i``, the path ``(seed_i, t)``; otherwise ``keys[0, i]`` is the
+    key of seed ``i``'s own path ``(seed_i,)``. ``dgp.sample`` takes numbered
+    streams and ``nuisance.assign_folds`` own-path ones in place of a list
+    of seeds, so a caller can key the streams of many blocks of seeds in one
+    pass (:func:`streams`) and hand each block its slice,
+    ``streams[lo:hi]``. Every slice of one :func:`streams` call re-keys one
+    generator, so, as with :func:`substreams`, a generator is valid until
+    the next one is drawn.
     """
 
-    __slots__ = ("keys", "_shared")
+    __slots__ = ("keys", "numbered", "_shared")
 
-    def __init__(self, keys: NDArray[np.uint64], shared: list) -> None:
+    def __init__(self, keys: NDArray[np.uint64], numbered: bool, shared: list) -> None:
         self.keys = keys
+        self.numbered = numbered
         self._shared = shared  # [the generator, or None before the first draw]
 
     def __len__(self) -> int:
         return self.keys.shape[1]
 
     def __getitem__(self, rows: slice) -> "Streams":
-        return Streams(self.keys[:, rows], self._shared)
+        return Streams(self.keys[:, rows], self.numbered, self._shared)
 
-    def generators(self, stream: int) -> Iterator[np.random.Generator]:
-        """The generator of stream ``stream`` of each seed, in order."""
-        keyed = self.keys.shape[0]
-        if not 0 <= stream < keyed:
-            raise ValueError(f"stream {stream} was not keyed; streams 0..{keyed - 1} were")
-        return _generators(self.keys[stream].tolist(), self._shared)
+    def generators(self, stream: int | None) -> Iterator[np.random.Generator]:
+        """The generator of each seed's stream ``stream``, in order; None for its own path."""
+        if not self.numbered:
+            if stream is not None:
+                raise ValueError(f"stream {stream} was not keyed; these are the seeds' own paths")
+        elif stream is None or not 0 <= stream < self.keys.shape[0]:
+            raise ValueError(f"stream {stream} was not keyed; streams "
+                             f"0..{self.keys.shape[0] - 1} were")
+        return _generators(self.keys[stream or 0].tolist(), self._shared)
 
 
-def streams(*groups: tuple[Sequence[int], int]) -> list[Streams]:
-    """Streams ``0 .. count - 1`` of each ``(seeds, count)`` group's seeds, keyed in one pass.
+def streams(*groups: tuple[Sequence[int], int | None]) -> list[Streams]:
+    """The streams of each ``(seeds, count)`` group's seeds, all keyed in one pass.
 
     Group ``g``'s ``Streams`` holds the keys of the paths ``(seed, t)`` for
-    its seeds and ``t < count``, as ``substreams`` derives them.
+    its seeds and ``t < count``, as ``substreams`` derives them, or, when
+    ``count`` is None, of each seed's own path ``(seed,)``.
     """
-    seeds: list[int] = []
-    tags: list[int] = []
-    for group, count in groups:
-        group = list(group)
-        for t in range(count):
-            seeds += group
-            tags += [t] * len(group)
-    keys = _generate_state(*_entropy((seeds, tags))).T
+    parts = [_entropy((list(group),)) if count is None
+             else _entropy((list(group) * count, [t for t in range(count) for _ in group]))
+             for group, count in groups]
+    # every path's words in one (W, P) array, zero past each path's end
+    width = max(words.shape[0] for words, _ in parts)
+    words = np.concatenate([np.pad(w, ((0, width - w.shape[0]), (0, 0))) for w, _ in parts], axis=1)
+    lengths = np.concatenate([np.full(w.shape[1], w.shape[0]) if length is None else length
+                              for w, length in parts])
+    keys = _generate_state(words, None if np.all(lengths == width) else lengths).T
     shared: list = [None]
     out, start = [], 0
     for group, count in groups:
-        size = len(group)
-        out.append(Streams(keys[start : start + count * size].reshape(count, size, 2), shared))
-        start += count * size
+        size, rows = len(group), 1 if count is None else count
+        out.append(Streams(keys[start:start + rows * size].reshape(rows, size, 2),
+                           count is not None, shared))
+        start += rows * size
     return out
 
 

@@ -278,9 +278,8 @@ def edge_design(name):
     if name == "five_treatments":  # two pattern chunks
         return tr.random_dgp(32, num_treatments=5, min_strata=4, max_strata=4,
                              propensity_range=(0.1, 0.9))
-    if name == "many_strata":  # binary search, not counting
-        return tr.random_dgp(33, min_strata=tr.dgp.COUNT_STRATA + 6,
-                             max_strata=tr.dgp.COUNT_STRATA + 6, propensity_range=(0.1, 0.9))
+    if name == "many_strata":  # one counting pass per stratum
+        return tr.random_dgp(33, min_strata=70, max_strata=70, propensity_range=(0.1, 0.9))
     if name == "unsorted_codes":
         strata = tuple((code, p) for code, (_, p) in zip([7, -3, 12, 0], strata))
     if name == "zero_probability_stratum":
@@ -307,10 +306,10 @@ class TestEdgeDesigns:
     def test_designs_take_their_paths(self):
         tables = {name: edge_design(name)._sampling for name in EDGE_DESIGNS}
         assert tables["five_treatments"].means.shape[0] == 2**tr.dgp.PATTERN_TREATMENTS
-        assert tables["unsorted_codes"].rank is not None
+        assert not np.array_equal(tables["unsorted_codes"].rank, np.arange(4))
         assert np.diff(tables["zero_probability_stratum"].cum).min() == 0.0
         assert edge_design("no_noise").noise_sd == 0.0
-        assert tables["many_strata"].cum.shape[0] > tr.dgp.COUNT_STRATA
+        assert tables["many_strata"].cum.shape[0] == 70
 
 
 class TestDiagnostics:

@@ -236,8 +236,7 @@ class TestSampling:
         # ``sample`` against the fancy-indexing formula its gathers replaced,
         # bit for bit, with K = 3 (three terms summed per unit), and with
         # streams that numpy derives itself, at one-, two- and three-word
-        # seeds. The designs: unsorted codes above and below
-        # ``COUNT_STRATA`` (binary search and counting), a stratum of
+        # seeds. The designs: unsorted codes (200 and 24 strata), a stratum of
         # probability zero (a repeated cumulative entry), one stratum, and
         # K = 5 (two pattern chunks under parallel assignment)
         S = {"200_unsorted": 200, "24_unsorted": 24, "zero_probability": 6, "one_stratum": 1,
@@ -265,7 +264,7 @@ class TestSampling:
             if design == "zero_probability":
                 assert not np.isin(data.x, [1, 3, 5]).any()
 
-    @pytest.mark.parametrize("S", [1, 2, 5, tr.dgp.COUNT_STRATA, tr.dgp.COUNT_STRATA + 1])
+    @pytest.mark.parametrize("S", [1, 2, 5, 64, 256, 257])
     def test_stratum_index_is_searchsorted(self, S):
         # draws on and next to every edge, with repeated (zero-probability) edges
         probs = np.random.default_rng(S).dirichlet(np.ones(S))
@@ -277,8 +276,27 @@ class TestSampling:
                             np.random.default_rng(0).random(500)])
         u = u[u < 1.0]
         got = tr.dgp._stratum_index(cum, u.reshape(1, -1))
-        assert got.dtype == np.intp
+        assert got.dtype == np.min_scalar_type(S - 1)  # 257 strata need 16 bits
         assert np.array_equal(got[0], np.searchsorted(cum, u, side="right"))
+
+    @pytest.mark.parametrize("mode, K, S, dtype", [
+        (tr.AssignmentMode.PARALLEL_BINARY, 2, 4, np.int8),
+        (tr.AssignmentMode.PARALLEL_BINARY, 5, 24, np.int16),  # 32 cells
+        (tr.AssignmentMode.MULTINOMIAL, 3, 40, np.int16),  # 4 cells, 160 keys
+        (tr.AssignmentMode.MULTINOMIAL, 2, 1, np.int8)])
+    def test_sampled_cell_keys_are_derived_ones(self, mode, K, S, dtype):
+        # the keys ``sample`` passes are those a dataset of the same units
+        # derives, in the smallest signed type that holds every key
+        dgp = tr.random_dgp(9, num_treatments=K, min_strata=S, max_strata=S,
+                            propensity_range=(0.05, 0.3), assignment_mode=mode)
+        block = tr.sample(dgp, 300, [4, 5, 6])
+        for b in range(3):
+            keys = block.replicate(b).cell_keys
+            derived = tr.Dataset(block.y[b], block.w[b], block.x[b], mode).cell_keys
+            assert keys.dtype == derived.dtype == dtype
+            if np.unique(block.x[b]).size == S:  # the same stratum list
+                assert np.array_equal(keys, derived)
+            assert np.array_equal(keys, tr.sample(dgp, 300, 4 + b).cell_keys)
 
     def test_cli_sample_at_a_seed_past_64_bits(self, tmp_path, reversal_dgp):
         config = tmp_path / "dgp.yaml"

@@ -116,13 +116,25 @@ class TestStreams:
 
     @pytest.mark.parametrize("B", [1, 7, 40])
     def test_groups_in_one_pass(self, B):
-        data, folds, none = rng.streams((block_seeds(B), 3), (block_seeds(B + 1), 1), ([], 2))
-        assert (len(data), len(folds), len(none)) == (B, B + 1, 0)
+        data, folds, none, own = rng.streams((block_seeds(B), 3), (block_seeds(B + 1), 1),
+                                             ([], 2), (block_seeds(B + 2), None))
+        assert (len(data), len(folds), len(none), len(own)) == (B, B + 1, 0, B + 2)
         for streams, seeds, count in ((data, block_seeds(B), 3), (folds, block_seeds(B + 1), 1)):
             for t in range(count):
                 for seed, gen in zip(seeds, streams.generators(t)):
                     assert_same_stream(gen, [seed, t])
         assert list(none.generators(1)) == []
+        for seed, gen in zip(block_seeds(B + 2), own.generators(None)):
+            assert_same_stream(gen, [seed])
+
+    def test_own_paths_past_four_words(self):
+        # (seed,) and (seed, 0) differ from 2**96 up; own paths are keyed as (seed,)
+        seeds = [3, 2**64 - 1, 2**96, 2**100, 2**200]
+        numbered, own = rng.streams((seeds, 1), (seeds, None))
+        for seed, gen in zip(seeds, own.generators(None)):
+            assert_same_stream(gen, [seed])
+        for seed, gen in zip(seeds, numbered.generators(0)):
+            assert_same_stream(gen, [seed, 0])
 
     def test_slices(self):
         seeds = block_seeds(10)
@@ -134,9 +146,13 @@ class TestStreams:
                 assert_same_stream(gen, [seed, rng.NOISE])
 
     def test_stream_not_keyed(self):
-        (streams,) = rng.streams(([1, 2], 1))
+        numbered, own = rng.streams(([1, 2], 1), ([1, 2], None))
         with pytest.raises(ValueError, match="stream 1 was not keyed"):
-            streams.generators(1)
+            numbered.generators(1)
+        with pytest.raises(ValueError, match="stream None was not keyed"):
+            numbered.generators(None)
+        with pytest.raises(ValueError, match="stream 0 was not keyed; these are the seeds' own"):
+            own.generators(0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed path entries must be non-negative"):
@@ -144,13 +160,17 @@ class TestStreams:
 
     def test_sample_and_folds_take_streams(self, reversal_dgp):
         seeds, fold_seeds = block_seeds(6), [s + 1 for s in block_seeds(6)]
-        data, folds = rng.streams((seeds, 3), (fold_seeds, 1))
+        data, folds = rng.streams((seeds, 3), (fold_seeds, None))
         block = tr.sample(reversal_dgp, 40, data[2:5])
         assert block == tr.sample(reversal_dgp, 40, seeds[2:5])
         assert np.array_equal(block.cell_keys, tr.sample(reversal_dgp, 40, seeds[2:5]).cell_keys)
-        # stream 0 of a seed below 2**96 is its own path, the one assign_folds hashes
         assert np.array_equal(tr.assign_folds(40, 5, folds[1:4]).fold_of,
                               tr.assign_folds(40, 5, fold_seeds[1:4]).fold_of)
+        # the sampler's streams are numbered, the folds' are own paths
+        with pytest.raises(ValueError, match="not keyed"):
+            tr.sample(reversal_dgp, 40, folds[2:5])
+        with pytest.raises(ValueError, match="not keyed"):
+            tr.assign_folds(40, 5, data[1:4])
 
 
 class TestTrailingZeros:
