@@ -149,17 +149,6 @@ class FoldAssignment:
         return FoldAssignment(self.num_folds, self.fold_of[b])
 
 
-@lru_cache(maxsize=8)
-def _fold_labels(n: int, num_folds: int) -> NDArray[np.int64]:
-    """The fold of the unit at each place of a permutation: place ``i`` joins ``i % num_folds``."""
-    # rows of 0..num_folds-1 are faster to build than an integer modulo
-    labels = np.empty((-(-n // num_folds), num_folds), dtype=np.int64)
-    labels[:] = np.arange(num_folds)
-    labels = labels.ravel()[:n]
-    labels.flags.writeable = False
-    return labels
-
-
 def assign_folds(n: int, num_folds: int,
                  seed: int | Sequence[int] | rng.Streams) -> FoldAssignment:
     """Randomly partition ``n`` units into folds whose sizes differ by at most one.
@@ -179,7 +168,11 @@ def assign_folds(n: int, num_folds: int,
     else:
         seeds = [seed] if single else list(seed)
         B, generators = len(seeds), rng.substreams(seeds)
-    labels = _fold_labels(n, num_folds)
+    # unit order[i] joins fold i % num_folds; the labels are built as rows of
+    # 0..num_folds-1, which is faster than an integer modulo
+    labels = np.empty((-(-n // num_folds), num_folds), dtype=np.int64)
+    labels[:] = np.arange(num_folds)
+    labels = labels.ravel()[:n]
     fold_of = np.empty((B, n), dtype=np.int64)
     for row, gen in zip(fold_of, generators):
         row[gen.permutation(n)] = labels
