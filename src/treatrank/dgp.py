@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -291,16 +291,13 @@ class Dataset:
     def cell_keys(self) -> NDArray[np.signedinteger]:
         """Each unit's base cell times the number of strata, plus its stratum position.
 
-        Shaped ``(chunks,) + y.shape``: a unit has one base cell per chunk.
-        The keys take the smallest signed integer type that holds them all.
-        Under MULTINOMIAL there is one chunk and the base cell is the arm.
-        Under PARALLEL_BINARY the treatments are keyed in chunks of at most
-        ``PATTERN_TREATMENTS``; a unit's base cell in a chunk is its pattern
-        of those treatments (treatment ``first + i`` adds ``2**i``), plus
-        ``2**PATTERN_TREATMENTS`` per earlier chunk. The stratum position
-        is the unit's index into ``strata.codes``. ``nuisance.cell_table``
-        keys its units by these. ``sample`` passes the ones it drew by;
-        other datasets derive them on each call.
+        Shaped ``(chunks,) + y.shape``: a unit has one base cell per chunk
+        of ``cell_layout(assignment_mode, num_treatments)``, whose
+        ``num_cells`` sets the key type, the smallest signed integer type
+        that holds every key. The stratum position is the unit's index into
+        ``strata.codes``. ``nuisance.cell_table`` keys its units by these.
+        ``sample`` passes the ones it drew by; other datasets derive them on
+        each call.
         """
         if self._cell_keys is not None:
             return self._cell_keys
@@ -334,18 +331,70 @@ def _column_total(w: NDArray, scale: NDArray | None = None) -> NDArray[np.int64]
     return total
 
 
+class CellLayout(NamedTuple):
+    """The base cells of a design, as ``cell_layout`` gives them."""
+
+    indicators: NDArray[np.int8]  # (cells of the first chunk, its treatments): 1 where taken
+    num_cells: int
+    sides: tuple[tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.intp]], ...]
+
+    @property
+    def every(self) -> NDArray[np.intp]:
+        """The first chunk's base cells, which hold every unit once."""
+        return np.arange(self.indicators.shape[0])
+
+
+@lru_cache(maxsize=32)
+def cell_layout(mode: AssignmentMode, K: int) -> CellLayout:
+    """The base cells of a design with ``K`` treatments: the one place that decides them.
+
+    MULTINOMIAL: a unit's base cell is its arm, 0 for control, in one chunk.
+    PARALLEL_BINARY: the treatments are keyed in chunks of at most
+    ``PATTERN_TREATMENTS``, and a unit's base cell in a chunk is its pattern
+    of those treatments (treatment ``first + i`` adds ``2**i``), plus
+    ``2**PATTERN_TREATMENTS`` per earlier chunk. ``num_cells`` is one past
+    the last base cell. ``indicators[c, i]`` is 1 where base cell ``c`` of
+    the first chunk takes the chunk's treatment ``i`` (under MULTINOMIAL,
+    row ``a`` is arm ``a``'s indicator vector). ``sides[j - 1]`` holds
+    treatment ``j``'s treated, control and other base cells in its chunk,
+    each ascending and read-only: the treated cells take ``j``, the control
+    cells do not (PARALLEL_BINARY) or are arm 0 (MULTINOMIAL), and the
+    other arms are in neither.
+    """
+    parallel = mode is AssignmentMode.PARALLEL_BINARY
+    if parallel:
+        width = min(K, PATTERN_TREATMENTS)
+        indicators = (np.arange(1 << width)[:, None] >> np.arange(width) & 1).astype(np.int8)
+    else:
+        width = K
+        indicators = np.eye(K + 1, K, k=-1, dtype=np.int8)  # arm a takes treatment a
+    sides = []
+    for chunk, first in enumerate(range(0, K, width)):
+        t = min(width, K - first)
+        # a later chunk's patterns are the first chunk's first 2**t, on their first t columns
+        taken = indicators[: 1 << t, :t] if parallel else indicators
+        offset = chunk << PATTERN_TREATMENTS
+        for i in range(t):
+            treated = taken[:, i] == 1
+            control = ~treated if parallel else ~taken.any(axis=1)
+            sides.append(tuple(offset + np.flatnonzero(cells)
+                               for cells in (treated, control, ~(treated | control))))
+    for array in (indicators, *(cells for side in sides for cells in side)):
+        array.flags.writeable = False
+    return CellLayout(indicators, offset + taken.shape[0], tuple(sides))
+
+
 def _cell_keys(w: NDArray[np.int8], arm: NDArray | None, position: NDArray,
                S: int) -> NDArray[np.signedinteger]:
     """``Dataset.cell_keys`` of indicators ``w`` (or, under MULTINOMIAL, of the ``arm`` labels)."""
     K = w.shape[-1]
-    chunks = 1 if arm is not None else -(-K // PATTERN_TREATMENTS)
-    cells = K + 1 if arm is not None else chunks << PATTERN_TREATMENTS
-    dtype = np.min_scalar_type(-cells * S)  # holds every key, 0 .. cells * S - 1
+    mode = AssignmentMode.PARALLEL_BINARY if arm is None else AssignmentMode.MULTINOMIAL
+    dtype = np.min_scalar_type(-cell_layout(mode, K).num_cells * S)  # holds every key
     if arm is not None:
         keys = np.multiply(arm, S, dtype=dtype)[None]
         keys[0] += position
         return keys
-    keys = np.empty((chunks,) + position.shape, dtype=dtype)
+    keys = np.empty((-(-K // PATTERN_TREATMENTS),) + position.shape, dtype=dtype)
     for chunk, first in enumerate(range(0, K, PATTERN_TREATMENTS)):
         pattern = w[..., first].copy()  # int8: a pattern is below 2**PATTERN_TREATMENTS
         for i in range(1, min(PATTERN_TREATMENTS, K - first)):
@@ -363,10 +412,7 @@ def oracle_weights(dgp: StratifiedDGP, j: int) -> NDArray[np.float64]:
     ``gamma_j(x) = p_j(x)(1 - p_j(x)) / sum_x Pr(x) p_j(x)(1 - p_j(x))``; the
     probability-weighted mean of the result is one.
     """
-    j = dgp._check_treatment(j)
-    p = dgp.propensity[j - 1]
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise OverlapError(f"treatment {j} has degenerate propensities: {p}")
+    p = dgp.propensity[dgp._check_treatment(j) - 1]
     variance = p * (1.0 - p)
     return variance / float(dgp.stratum_probs @ variance)
 
@@ -421,7 +467,7 @@ def _sampler_tables(dgp: StratifiedDGP) -> _SamplerTables:
     """The tables ``sample`` gathers from, with each unit's outcome mean per base cell.
 
     ``means[c, s]`` is the outcome mean of a unit of stratum ``s`` in base
-    cell ``c`` of the first chunk (see ``Dataset.cell_keys``), computed as
+    cell ``c`` of the first chunk (see ``cell_layout``), computed as
     a unit's is: the products ``effect * indicator`` summed in treatment
     order from zero, then the baseline added. When the first chunk does not
     hold every treatment (over ``PATTERN_TREATMENTS`` parallel ones),
@@ -432,18 +478,15 @@ def _sampler_tables(dgp: StratifiedDGP) -> _SamplerTables:
     cum = np.cumsum(dgp.stratum_probs)
     cum[-1] = 1.0
     effect, baseline = dgp.effect[:, order], dgp.baseline[order]
-    K = dgp.num_treatments
     if dgp.assignment_mode is AssignmentMode.MULTINOMIAL:
         propensity = np.cumsum(dgp.propensity[:, order], axis=0)
-        indicators = np.eye(K + 1, K, k=-1, dtype=np.int8)  # arm a treats a - 1
     else:
         propensity = dgp.propensity[:, order]
-        width = min(K, PATTERN_TREATMENTS)
-        indicators = (np.arange(1 << width)[:, None] >> np.arange(width) & 1).astype(np.int8)
+    indicators = cell_layout(dgp.assignment_mode, dgp.num_treatments).indicators
     means = np.zeros((indicators.shape[0], order.shape[0]))
     for k, column in enumerate(indicators.T):
         means += effect[k] * column[:, None]
-    if indicators.shape[1] == K:
+    if indicators.shape[1] == dgp.num_treatments:
         means = baseline + means
     return _SamplerTables(dgp.stratum_codes[order], np.argsort(order), cum, propensity, means,
                           effect, baseline)

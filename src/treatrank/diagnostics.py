@@ -25,7 +25,8 @@ from .estimators import EffectEstimate, Estimand
 from .nuisance import NuisanceFit
 
 class NotEstimableError(RuntimeError):
-    """Raised when no stratum has both treated and control units."""
+    """Raised when no stratum has both treated and control units, or when a
+    stratum's estimated effect is not finite (a non-finite outcome in its cells)."""
 
 
 class Source(str, Enum):
@@ -95,6 +96,8 @@ def decompose(
 
     The weight table is renormalized to probability-weighted mean one; the
     three terms then come from :func:`~treatrank.dgp.decomposition_terms`.
+    A negative or non-finite probability or weight, or a non-finite
+    effect, raises ``ValueError``.
     """
     keys = sorted(tau_by_stratum)
     if sorted(gamma_by_stratum) != keys or sorted(strata_probs) != keys:
@@ -104,12 +107,16 @@ def decompose(
     if not keys:
         raise ValueError("empty tables")
     probs = np.array([strata_probs[s] for s in keys], dtype=np.float64)
+    if not np.all(np.isfinite(probs) & (probs >= 0)):
+        raise ValueError(f"stratum probabilities must be finite and non-negative, got {probs}")
     if abs(probs.sum() - 1.0) > 1e-8:
         raise ValueError(f"stratum probabilities must sum to 1, got {probs.sum()!r}")
     tau = np.array([tau_by_stratum[s] for s in keys], dtype=np.float64)
     gamma = np.array([gamma_by_stratum[s] for s in keys], dtype=np.float64)
-    if np.any(gamma < 0):
-        raise ValueError("weights must be non-negative")
+    if not np.isfinite(tau).all():
+        raise ValueError(f"effects must be finite, got {tau}")
+    if not np.all(np.isfinite(gamma) & (gamma >= 0)):
+        raise ValueError(f"weights must be finite and non-negative, got {gamma}")
     total = float(probs @ gamma)
     if total <= 0:
         raise ValueError("weights must have positive probability-weighted mean")
@@ -150,8 +157,8 @@ def estimate_decomposition(data: Dataset | None, fit: NuisanceFit, j: int) -> De
     control), the saturated nonparametric estimator on discrete strata;
     weights come from cell means of the cross-fitted propensities. Strata
     lacking treated or control units are dropped (counted on the report) and
-    the stratum distribution renormalized; if every stratum is dropped the
-    decomposition is not estimable.
+    the stratum distribution renormalized; if every stratum is dropped, or a
+    stratum's effect is not finite, the decomposition is not estimable.
 
     Everything comes from the base cells of one dataset's table (``fit``
     of a single dataset, or ``fit.replicate(b)`` of a block); ``data``, the
@@ -189,6 +196,9 @@ def estimate_decomposition(data: Dataset | None, fit: NuisanceFit, j: int) -> De
             dropped += 1
             continue
         tau_tab[code] = float(y_treated[s] / n_treated[s] - y_control[s] / n_control[s])
+        if not np.isfinite(tau_tab[code]):
+            raise NotEstimableError(f"treatment {j}'s estimated effect in stratum {code} "
+                                    f"is not finite: {tau_tab[code]}")
         p_bar = float(p_sum[s] / n_s[s])
         var_tab[code] = p_bar * (1.0 - p_bar)
         prob_tab[code] = int(n_s[s]) / table.n
@@ -239,7 +249,7 @@ def sufficient_condition_check(
 
     Together with ``ate_j > ate_k`` these imply ``wate_j < wate_k``.
     """
-    if delta <= 0:
+    if not delta > 0:  # also rejects NaN
         raise ValueError(f"delta must be > 0, got {delta}")
     return (
         dec_j.cov_tau_gamma < -delta

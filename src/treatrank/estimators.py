@@ -37,7 +37,8 @@ Given a block of datasets and its fit, each estimator returns one
 :class:`EffectEstimate` whose numbers are per-dataset arrays, row ``b`` bit
 for bit the estimate of dataset ``b`` alone. Every sum is taken in a fixed
 order, one term after another (a cumulative sum, not numpy's pairwise
-sum): per (dataset, fold, stratum), the base cells' terms in turn, then
+sum): per (dataset, fold, stratum), the base cells' terms in turn
+(``nuisance.add_in_turn``, the rule of the fit's target sums), then
 each dataset's (fold, stratum) sums. So the empty cells of strata that a
 dataset lacks but its block has add exact zeros, and nothing goes through
 BLAS: an estimate depends on neither the block nor the BLAS build or its
@@ -55,7 +56,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .dgp import Dataset
-from .nuisance import NuisanceFit, SingularFitError
+from .nuisance import NuisanceFit, SingularFitError, add_in_turn
 
 
 class NoVariationError(RuntimeError):
@@ -116,19 +117,6 @@ def _cell_sum(terms: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.add.accumulate(terms.reshape(terms.shape[0], -1), axis=1)[:, -1]
 
 
-def _added(*terms: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Per (dataset, fold, stratum), ``[base cell, dataset, fold, stratum]`` terms added in turn.
-
-    Each term's cells are added one after another, in order; numpy's sum
-    over the cell axis could regroup them.
-    """
-    cells = iter([cell for term in terms for cell in term])
-    total = next(cells).copy()
-    for cell in cells:
-        total += cell
-    return total
-
-
 def _check(data: Dataset | None, fit: NuisanceFit) -> None:
     if data is not None and (data.n, data.y.ndim > 1) != (fit.table.n, fit.table.block):
         raise ValueError("the fit was made from other data: its units or its block differ")
@@ -177,12 +165,12 @@ def _score_estimate(data: Dataset | None, fit: NuisanceFit, j: int,
         base = mu1 - mu0
         score_t = base + (ybar_t - mu1) / p
         score_c = base - (ybar_c - mu0) / q
-        point = _cell_sum(np.where(occupied, _added(n_t * score_t, n_c * score_c,
-                                                    *(units * base for units in n_o)), 0.0)) / n
+        scores = add_in_turn(n_t * score_t, n_c * score_c, *(units * base for units in n_o))
+        point = _cell_sum(np.where(occupied, scores, 0.0)) / n
         mean = point[:, None, None]
-        spread = _added((_added(m2_t) / (p * p))[None], n_t * (score_t - mean) ** 2,
-                        (_added(m2_c) / (q * q))[None], n_c * (score_c - mean) ** 2,
-                        *(units * (base - mean) ** 2 for units in n_o))
+        spread = add_in_turn((add_in_turn(m2_t) / (p * p))[None], n_t * (score_t - mean) ** 2,
+                             (add_in_turn(m2_c) / (q * q))[None], n_c * (score_c - mean) ** 2,
+                             *(units * (base - mean) ** 2 for units in n_o))
         variance = _cell_sum(np.where(occupied, spread, 0.0))
     se = np.sqrt(variance / (n - 1) / n) if n > 1 else np.zeros(point.shape)
     return _estimate(fit, method, j, point, se)
@@ -209,11 +197,11 @@ def plm_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstima
         raise NoVariationError(
             f"treatment {j} residuals have zero variation; cannot run the residual regression"
         )
-    point = _cell_sum(_added(weight_t * gap_t, weight_c * gap_c)) / denom
+    point = _cell_sum(add_in_turn(weight_t * gap_t, weight_c * gap_c)) / denom
     slope = point[:, None, None]
     resid_t, resid_c = gap_t - slope * w_t, gap_c - slope * w_c
-    sandwich = (w_t * w_t * _added(m2_t + n_t * resid_t * resid_t)
-                + w_c * w_c * _added(m2_c + n_c * resid_c * resid_c))
+    sandwich = (w_t * w_t * add_in_turn(m2_t + n_t * resid_t * resid_t)
+                + w_c * w_c * add_in_turn(m2_c + n_c * resid_c * resid_c))
     se = np.sqrt(_cell_sum(sandwich)) / denom
     n_used = (units_t.sum(axis=(1, 2)) + units_c.sum(axis=(1, 2))).astype(np.int64)
     return _estimate(fit, Method.PLM, j, point, se, n_used)

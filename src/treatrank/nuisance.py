@@ -8,9 +8,10 @@ other folds.
 
 Because ``X`` is a stratum code, every learner is a function of a small
 table, built in two steps. ``cell_table`` keys every unit by its *base
-cell* (its pattern of treatments, or its arm), dataset, fold and stratum
-and gives each base cell's held-out count, sum of ``y`` and centred sum of
-squares (a ``CellTable``). ``fit_table`` reads only that table: it adds
+cell* (its pattern of treatments, or its arm; ``dgp.cell_layout`` is the
+one place that decides them), dataset, fold and stratum and gives each
+base cell's held-out count, sum of ``y`` and centred sum of squares (a
+``CellTable``). ``fit_table`` reads only that table: it adds
 base cells into each target's training counts and sums per (dataset,
 fold, stratum), and each target's learner maps them to a (dataset, fold,
 stratum) table of predictions. A fit is those prediction tables and the
@@ -26,11 +27,13 @@ code, solved on the table with each stratum row weighted by its count
 
 Exactness rule: ``np.bincount`` adds weights in input order, so the table
 takes every base cell's held-out sum over its units in unit order. A
-target is a fixed set of base cells (a treatment's treated half is the
-patterns that include it), and its held-out sum adds its base cells' in
-ascending order. Fold ``k``'s training sum adds the other folds' held-out
-sums in ascending fold order; no sum is a total minus the held-out part,
-which would be off in the last bits. So a stratum mean equals, bit for bit, a
+target is named by its set of base cells (every unit; treatment ``j``'s
+treated cells ``T_j`` or control cells ``C_j``; their union; arm 0), and
+its held-out sum adds its base cells' in ascending order through
+``add_in_turn``, as the estimators' per-cell sums do. Fold ``k``'s
+training sum adds the other folds' held-out sums in ascending fold order;
+no sum is a total minus the held-out part, which would be off in the last
+bits. So a stratum mean equals, bit for bit, a
 per-target fit that adds its gathered training units per (fold, base
 cell) in unit order, then over base cells, then over folds, and agrees
 with a plain unit-order sum to rounding (within 1e-13 relative in the
@@ -48,9 +51,9 @@ stratum; in-sample, every unit in it), which is the per-unit count of
 clipped predictions.
 
 The estimators read the data only as the table's held-out base cells.
-Treatment ``j``'s treated and control halves are fixed sets of base cells
-(``NuisanceFit.cells``); under MULTINOMIAL each is one arm, and the other
-arms are in neither. Every nuisance is constant on a half, so it is
+Treatment ``j``'s treated and control halves are its base cells ``T_j``
+and ``C_j`` (``NuisanceFit.cells``); under MULTINOMIAL each is one arm,
+and the other arms are in neither. Every nuisance is constant on a half, so it is
 constant on each base cell in it, and each estimator's per-unit sums split
 over base cells exactly as they would over halves: into each base cell's
 count, mean ``y`` (its sum over its count) and centred sum of squares
@@ -74,14 +77,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from . import rng
-from .dgp import PATTERN_TREATMENTS, AssignmentMode, Dataset, StratifiedDGP, code_positions
+from .dgp import AssignmentMode, Dataset, StratifiedDGP, cell_layout, code_positions
 
 NEWTON_MAX_ITER = 100
 NEWTON_GRAD_TOL = 1e-10
@@ -139,10 +141,6 @@ class FoldAssignment:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fold_of", np.asarray(self.fold_of, dtype=np.int64))
-
-    @property
-    def n(self) -> int:
-        return self.fold_of.shape[-1]
 
     def replicate(self, b: int) -> "FoldAssignment":
         """Row ``b`` of a block's assignment."""
@@ -235,7 +233,7 @@ class NuisanceFit:
         K = self.table.num_treatments
         if not 1 <= j <= K:
             raise ValueError(f"treatment index must be in 1..{K}, got {j}")
-        return _layout(self.table.mode, K).sides[j - 1]
+        return cell_layout(self.table.mode, K).sides[j - 1]
 
     def moments(self, cells: NDArray[np.intp]) -> tuple[NDArray, NDArray, NDArray]:
         """The held-out count, mean ``y`` (0 without units) and M2 of ``cells``.
@@ -334,72 +332,19 @@ def _logistic_ridge_beta(
 # ---------------------------------------------------------------------------
 # the cell table
 
-POOLED = 0  # the group of every unit
+def add_in_turn(*terms: NDArray) -> NDArray:
+    """Per (dataset, fold, stratum), ``[base cell, dataset, fold, stratum]`` terms added in turn.
 
-
-def _buckets(groups: tuple[tuple[int, ...], ...]) -> tuple[tuple[NDArray, NDArray], ...]:
-    """``groups`` of one size together: their positions, and their base cells as rows.
-
-    ``_grouped`` adds a bucket's groups at once, one base cell per step, so
-    each group still adds its own base cells in ascending order.
+    Each term's cells are added one after another, in order; numpy's sum
+    over the cell axis could regroup them. A target's held-out sum in the
+    fit and every per-cell sum of the estimators add their base cells
+    through this one rule.
     """
-    sizes: dict[int, list[int]] = {}
-    for g, members in enumerate(groups):
-        sizes.setdefault(len(members), []).append(g)
-    return tuple((np.array(rows), np.array([groups[g] for g in rows])) for rows in sizes.values())
-
-
-class _Layout(NamedTuple):
-    groups: tuple[tuple[int, ...], ...]  # each group's base cells, ascending; POOLED first
-    num_cells: int
-    buckets: tuple  # _buckets(groups)
-    sides: tuple  # per treatment: its treated, control and other base cells, as index arrays
-
-
-@lru_cache(maxsize=32)
-def _layout(mode: AssignmentMode, K: int) -> _Layout:
-    """The groups of base cells of a design with ``K`` treatments.
-
-    PARALLEL_BINARY: the treatments are keyed in chunks of at most
-    ``PATTERN_TREATMENTS``, and a unit's base cell in a chunk is its pattern
-    of those treatments (treatment ``first + i`` adds ``2**i``), offset by
-    ``2**PATTERN_TREATMENTS`` per earlier chunk. Groups ``2j - 1`` and
-    ``2j`` are the patterns of treatment ``j``'s chunk without and with it
-    (its control and treated halves); ``POOLED`` is every pattern of chunk
-    0. MULTINOMIAL: a unit's base cell is its arm. Group ``1 + a`` is arm
-    ``a`` and group ``K + 1 + j`` is the {0, j} comparison; treatment
-    ``j``'s treated and control cells are arms ``j`` and 0, and the other
-    arms are in neither.
-    """
-    if mode is AssignmentMode.MULTINOMIAL:
-        arms = tuple((a,) for a in range(K + 1))
-        groups = (tuple(range(K + 1)),) + arms + tuple((0, j) for j in range(1, K + 1))
-        sides = tuple(((j,), (0,), tuple(a for a in range(1, K + 1) if a != j))
-                      for j in range(1, K + 1))
-    else:
-        groups = (tuple(range(1 << min(PATTERN_TREATMENTS, K))),)
-        for j in range(K):
-            chunk, i = divmod(j, PATTERN_TREATMENTS)
-            first = chunk * PATTERN_TREATMENTS
-            patterns = np.arange(1 << min(PATTERN_TREATMENTS, K - first))
-            treated = patterns >> i & 1 == 1
-            offset = chunk << PATTERN_TREATMENTS
-            groups += (tuple((offset + patterns[~treated]).tolist()),
-                       tuple((offset + patterns[treated]).tolist()))
-        sides = tuple((groups[2 * j], groups[2 * j - 1], ()) for j in range(1, K + 1))
-    sides = tuple(tuple(np.array(cells, dtype=np.intp) for cells in side) for side in sides)
-    return _Layout(groups, max(map(max, groups)) + 1, _buckets(groups), sides)
-
-
-def _grouped(cells: NDArray, layout: _Layout) -> NDArray:
-    """Each group's total of ``cells[c]`` over its base cells ``c``, added in ascending order."""
-    out = np.empty((len(layout.groups),) + cells.shape[1:], dtype=cells.dtype)
-    for rows, members in layout.buckets:
-        total = cells[members[:, 0]]
-        for c in members[:, 1:].T:
-            total += cells[c]
-        out[rows] = total
-    return out
+    cells = iter([cell for term in terms for cell in term])
+    total = next(cells).copy()
+    for cell in cells:
+        total += cell
+    return total
 
 
 @dataclass
@@ -409,11 +354,11 @@ class CellTable:
     ``count`` (units), ``total`` (their sum of ``y``) and ``m2`` (their
     centred sum of squares, ``sum((y - total / count)**2)``) are indexed
     ``[base cell, dataset, fold, stratum]``. The base cells are those of
-    ``_layout(mode, num_treatments)`` and ``levels`` holds the stratum codes
-    of the last axis, in ascending order. Every dataset has ``n`` units.
-    ``block`` tells a block of datasets, whose fits and estimates are
-    per-dataset arrays, from one dataset, whose are plain numbers; either
-    way the dataset axis is there.
+    ``dgp.cell_layout(mode, num_treatments)``, and ``levels`` holds the
+    stratum codes of the last axis, in ascending order. Every dataset has
+    ``n`` units. ``block`` tells a block of datasets, whose fits and
+    estimates are per-dataset arrays, from one dataset, whose are plain
+    numbers; either way the dataset axis is there.
     """
 
     mode: AssignmentMode
@@ -450,11 +395,13 @@ def stack_tables(tables: Sequence[CellTable]) -> CellTable:
 def cell_table(data: Dataset, folds: FoldAssignment) -> CellTable:
     """Each base cell's held-out moments, per dataset, fold and stratum.
 
-    Every unit lies in one base cell per chunk (see ``_layout``), so it
-    gets one int64 key per chunk: ``((dataset * folds + fold) * cells +
-    cell) * S + stratum``, which covers every dataset of a block (a single
-    dataset is a block of one). Its last two terms are the dataset's
-    ``cell_keys``, which a sampled dataset brings from the draw. Three
+    Every unit lies in one base cell per chunk of
+    ``dgp.cell_layout(mode, K)``, so it gets one int64 key per chunk:
+    ``((dataset * folds + fold) * num_cells + cell) * S + stratum``, which
+    covers every dataset of a block (a single dataset is a block of one).
+    Its last two terms are the dataset's ``cell_keys``, in the smallest
+    signed type that holds them, which a sampled dataset brings from the
+    draw; the keys become int64 only here. Three
     ``bincount`` passes over the keys in unit order give each key's count,
     sum of ``y`` and sum of squared deviations from its mean (gathered per
     unit), and the small tables are then laid out ``[cell, dataset, fold,
@@ -471,7 +418,7 @@ def cell_table(data: Dataset, folds: FoldAssignment) -> CellTable:
     B, F = y.shape[0], folds.num_folds
     groups = data.strata
     S = groups.codes.shape[0]
-    C = _layout(data.assignment_mode, data.num_treatments).num_cells
+    C = cell_layout(data.assignment_mode, data.num_treatments).num_cells
     cell_keys = data.cell_keys.reshape(-1, B, n)
     keys = np.multiply(folds.fold_of.reshape(B, n), C * S)
     if B > 1:
@@ -491,55 +438,59 @@ def cell_table(data: Dataset, folds: FoldAssignment) -> CellTable:
 
 
 class _Learners:
-    """Training counts and sums of every target, per fold, dataset and stratum.
-
-    Each learner target and each estimator cell is a *group*, a fixed set
-    of base cells of one chunk (see ``_layout``): ``POOLED`` is every
-    pattern of chunk 0, a treatment's treated or untreated half is the
-    patterns of its chunk with or without it, and the {0, j} comparison is
-    two arms. Indicator targets need no sums of their own: their totals are
-    another group's counts. Fold ``k``'s training sum adds the other folds'
-    held-out sums in ascending fold order, and its training count is the
-    total count minus the fold's (integers, so exact); in-sample, both are
-    the one fold's own. Every table is indexed ``[group, dataset, fold,
-    stratum]``.
+    """Fits of learner targets, each named by its set of base cells, from one cell table.
 
     ``outcomes`` and ``rates`` fit a list of targets at once (the learners
     act elementwise, or per target, dataset and fold) and return their
-    ``[target, dataset, fold, stratum]`` predictions. Their fallbacks are
-    added to ``fallbacks``; ``rates`` clips its tables to ``[clip, 1 -
-    clip]`` and adds the units it clipped to ``clipped``, each per dataset.
+    ``[target, dataset, fold, stratum]`` predictions. A target's held-out
+    count and sum per (dataset, fold, stratum) add its base cells' (the sum
+    through ``add_in_turn``). Fold ``k``'s training sum adds the other
+    folds' held-out sums in ascending fold order, and its training count is
+    the total count minus the fold's (integers, so exact); in-sample, both
+    are the one fold's own. Indicator targets need no sums of their own:
+    their totals are another target's counts. Fallbacks are added to
+    ``fallbacks``; ``rates`` clips its tables to ``[clip, 1 - clip]`` and
+    adds the units it clipped to ``clipped``, each per dataset.
     """
 
-    def __init__(self, held: NDArray, held_sums: NDArray, levels: NDArray[np.int64],
-                 spec: LearnerSpec, crossfit: bool, clip: float):
-        self.levels = levels
+    def __init__(self, table: CellTable, spec: LearnerSpec, crossfit: bool, clip: float):
+        self.table = table
         self.spec = spec
+        self.crossfit = crossfit
         self.clip = clip
-        self.clipped = np.zeros(held.shape[1], dtype=np.int64)
-        self.fallbacks = np.zeros(held.shape[1], dtype=np.int64)
+        self.every = cell_layout(table.mode, table.num_treatments).every
+        self.clipped = np.zeros(table.count.shape[1], dtype=np.int64)
+        self.fallbacks = np.zeros(table.count.shape[1], dtype=np.int64)
         self.bases: dict[int, tuple] = {}  # per dataset, from _basis
-        self.held = held[POOLED]  # units each fold predicts, per stratum
-        if not crossfit:
-            self.counts, self.sums = held, held_sums
-            return
-        # integer counts are exact in any order; the sums add the other
-        # folds' in ascending order
-        self.counts = held.sum(axis=2, keepdims=True) - held
-        folds = np.arange(held.shape[2])
-        self.sums = np.zeros_like(held_sums)
-        for other in folds:
-            np.add(self.sums, held_sums[:, :, other : other + 1], out=self.sums,
-                   where=(folds != other)[:, None])
+        self.held = table.count[self.every].sum(axis=0)  # units each fold predicts, per stratum
 
-    def outcomes(self, groups: list[int]) -> NDArray[np.float64]:
-        """Tables of E[Y | X, group] for each of ``groups``."""
-        return self._predict(self.counts[groups], self.sums[groups], binary=False,
-                             empty=lambda: _mean(self.counts[POOLED], self.sums[POOLED], np.nan))
+    def _training(self, targets: list[NDArray[np.intp]],
+                  sums: bool = True) -> tuple[NDArray[np.int64], NDArray[np.float64] | None]:
+        """The ``targets``' training counts and, if ``sums``, training sums of ``y``."""
+        table = self.table
+        count = np.stack([table.count[cells].sum(axis=0) for cells in targets])  # exact
+        total = np.stack([add_in_turn(table.total[cells]) for cells in targets]) if sums else None
+        if not self.crossfit:
+            return count, total
+        if total is not None:
+            folds = np.arange(total.shape[2])
+            held, total = total, np.zeros_like(total)
+            for other in folds:
+                np.add(total, held[:, :, other : other + 1], out=total,
+                       where=(folds != other)[:, None])
+        return count.sum(axis=2, keepdims=True) - count, total
 
-    def rates(self, hits: list[int], among: list[int]) -> NDArray[np.float64]:
+    def outcomes(self, targets: list[NDArray[np.intp]]) -> NDArray[np.float64]:
+        """Tables of E[Y | X] (every unit), then of E[Y | X, target] for each of ``targets``."""
+        count, total = self._training([self.every] + targets)
+        return self._predict(count, total, binary=False,
+                             empty=lambda: _mean(count[0], total[0], np.nan))
+
+    def rates(self, hits: list[NDArray[np.intp]],
+              among: list[NDArray[np.intp]]) -> NDArray[np.float64]:
         """Tables of P(hits | X, among) for each pair of ``hits`` and ``among``, clipped."""
-        return self._predict(self.counts[among], self.counts[hits].astype(np.float64),
+        count = self._training(hits + among, sums=False)[0]
+        return self._predict(count[len(hits):], count[: len(hits)].astype(np.float64),
                              binary=True, empty=lambda: 0.5)
 
     def _basis(self, b: int) -> tuple[slice | NDArray[np.bool_], NDArray[np.float64]]:
@@ -547,7 +498,7 @@ class _Learners:
         if b not in self.bases:
             present = self.held[b].any(axis=0)
             strata = slice(None) if present.all() else present
-            self.bases[b] = strata, _basis(self.levels[strata], self.spec.basis)
+            self.bases[b] = strata, _basis(self.table.levels[strata], self.spec.basis)
         return self.bases[b]
 
     def _predict(self, count, total, binary, empty):
@@ -616,25 +567,26 @@ def fit_table(table: CellTable, spec: LearnerSpec, clip: float = DEFAULT_CLIP,
     """
     if not 0.0 <= clip < 0.5:
         raise ValueError(f"clip must be in [0, 0.5), got {clip}")
-    K = table.num_treatments
-    layout = _layout(table.mode, K)
-    learners = _Learners(_grouped(table.count, layout), _grouped(table.total, layout),
-                         table.levels, spec, crossfit, clip)
-    # each kind of target is fitted in one call, treatment by treatment, so
-    # a logistic fit that fails reports the first treatment's; the group
-    # numbers are those of _layout
-    treatments = range(1, K + 1)
+    learners = _Learners(table, spec, crossfit, clip)
+    # each target is a set of base cells: every unit, treatment j's treated
+    # and control cells T_j and C_j, their union, and arm 0. Each kind of
+    # target is fitted in one call, treatment by treatment, so a logistic
+    # fit that fails reports the first treatment's
+    layout = cell_layout(table.mode, table.num_treatments)
+    every, K = layout.every, table.num_treatments
+    treated, control = ([side[half] for side in layout.sides] for half in (0, 1))
     if table.mode is AssignmentMode.PARALLEL_BINARY:
-        tables = {"p_hat": learners.rates([2 * j for j in treatments], [POOLED] * K)}
-        outcomes = learners.outcomes([POOLED] + [g for j in treatments for g in (2 * j, 2 * j - 1)])
+        tables = {"p_hat": learners.rates(treated, [every] * K)}
+        outcomes = learners.outcomes([cells for pair in zip(treated, control) for cells in pair])
         tables.update(y_hat=outcomes[0], mu_treated=outcomes[1::2], mu_control=outcomes[2::2])
     else:
+        arm0 = control[0]
+        pairs = [np.sort(np.concatenate(pair)) for pair in zip(treated, control)]  # arms 0, j
         # control_p, then p_hat and restricted_p of each treatment in turn
-        rates = learners.rates([1] + [1 + j for j in treatments for _ in range(2)],
-                               [POOLED] + [g for j in treatments for g in (POOLED, K + 1 + j)])
+        rates = learners.rates([arm0] + [t for t in treated for _ in range(2)],
+                               [every] + [cells for pair in pairs for cells in (every, pair)])
         # the one control model serves every treatment, and counts for each
-        outcomes = learners.outcomes([POOLED] + [1 + j for j in treatments] + [1] * K
-                                     + [K + 1 + j for j in treatments])
+        outcomes = learners.outcomes(treated + [arm0] * K + pairs)
         tables = {"control_p": rates[0], "p_hat": rates[1::2], "restricted_p": rates[2::2],
                   "y_hat": outcomes[0], "mu_treated": outcomes[1 : 1 + K],
                   "mu_control": outcomes[1 + K : 1 + 2 * K], "restricted_y": outcomes[1 + 2 * K :]}

@@ -301,6 +301,19 @@ class TestEstimateCommand:
         assert by_treatment[1][header.index("error")] == ""
         assert "treated and control" in by_treatment[2][header.index("error")]
 
+    def test_non_finite_outcome_becomes_error_rows(self, tmp_path):
+        data = tr.sample(tr.preset("balanced").dgp, 400, seed=1)
+        data.y[3] = np.nan
+        path = tmp_path / "data.csv"
+        tr.write_dataset_csv(data, path)
+        out = tmp_path / "out"
+        assert run_cli("estimate", "--data", path, "--out", out, "--format", "csv") == 0
+        for name in ("estimates.csv", "decomposition.csv"):
+            header, rows = read_csv(out / name)
+            assert rows and all(row[header.index("error")] for row in rows), name
+        header, rows = read_csv(out / "decomposition.csv")
+        assert all("not finite" in row[header.index("error")] for row in rows)
+
     def test_csv_decomposition_headers(self, tmp_path, dgp_config):
         out = tmp_path / "out"
         assert run_cli(
@@ -322,6 +335,13 @@ class TestReversalCommand:
         payload = json.loads((out / "reversal.json").read_text())
         assert payload["pairs"][0]["reversed"] is True
         assert payload["pairs"][0]["sufficient_condition"] is True
+
+    @pytest.mark.parametrize("command", ["reversal", "oracle"])
+    @pytest.mark.parametrize("delta", ["nan", "0"])
+    def test_delta_not_positive_exits_nonzero(self, tmp_path, dgp_config, capsys, command, delta):
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", dgp_config, "--out", out, "--delta", delta) == 1
+        assert "delta must be > 0" in capsys.readouterr().err
 
 
 class TestMonteCarloCommand:

@@ -62,6 +62,21 @@ class TestDecompose:
         with pytest.raises(ValueError, match="sum to 1"):
             tr.decompose({0: 1.0}, {0: 1.0}, {0: 0.9})
 
+    @pytest.mark.parametrize("probs", [{0: 1.5, 1: -0.5}, {0: np.nan, 1: 0.5},
+                                       {0: np.inf, 1: 0.5}])
+    def test_bad_probabilities_rejected(self, probs):
+        # {1.5, -0.5} sums to one; a NaN fails the sum check's comparison
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            tr.decompose({0: 1.0, 1: 2.0}, {0: 1.0, 1: 1.0}, probs)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_effects_and_weights_rejected(self, value):
+        probs = {0: 0.5, 1: 0.5}
+        with pytest.raises(ValueError, match="effects must be finite"):
+            tr.decompose({0: value, 1: 2.0}, {0: 1.0, 1: 1.0}, probs)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            tr.decompose({0: 1.0, 1: 2.0}, {0: value, 1: 1.0}, probs)
+
 
 class TestEstimateDecomposition:
     def test_reversal_example_close_to_oracle(self, reversal_dgp):
@@ -124,6 +139,18 @@ class TestEstimateDecomposition:
         fit = tr.fit_insample(data, tr.LearnerSpec(), clip=0.01)
         with pytest.raises(tr.NotEstimableError):
             tr.estimate_decomposition(data, fit, 1)
+
+    @pytest.mark.parametrize("mode", list(tr.AssignmentMode))
+    def test_non_finite_outcome_is_not_estimable(self, mode):
+        dgp = tr.random_dgp(3, num_treatments=2, max_strata=3, propensity_range=(0.2, 0.4),
+                            assignment_mode=mode)
+        data = tr.sample(dgp, 400, seed=1)
+        # a unit that takes no treatment is in every treatment's control cells
+        data.y[np.flatnonzero(data.w.sum(axis=1) == 0)[0]] = np.nan
+        fit = tr.fit_crossfit(data, tr.LearnerSpec(), tr.assign_folds(data.n, 5, seed=2))
+        for j in (1, 2):
+            with pytest.raises(tr.NotEstimableError, match="not finite"):
+                tr.estimate_decomposition(data, fit, j)
 
 
 class TestCovariancePanels:
@@ -210,8 +237,9 @@ class TestSufficientConditions:
 
     def test_delta_must_be_positive(self, reversal_dgp):
         r1 = tr.oracle_report(reversal_dgp, 1)
-        with pytest.raises(ValueError):
-            tr.sufficient_condition_check(r1, r1, delta=0.0)
+        for delta in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="delta must be > 0"):
+                tr.sufficient_condition_check(r1, r1, delta=delta)
 
     def test_sufficient_implies_reversed_sweep(self):
         gen = rng.substream(207)

@@ -24,7 +24,8 @@ import numpy as np
 import pytest
 
 import treatrank as tr
-from treatrank.nuisance import DEFAULT_CLIP, NEWTON_GRAD_TOL, NEWTON_MAX_ITER, PATTERN_TREATMENTS
+from treatrank.dgp import PATTERN_TREATMENTS
+from treatrank.nuisance import DEFAULT_CLIP, NEWTON_GRAD_TOL, NEWTON_MAX_ITER
 
 from unit_reference import FIELDS, indicators, unit_arrays
 
@@ -488,6 +489,43 @@ class TestManyTreatments:
             assert others.size == 0
             assert table.count[treated].sum() == data.w[:, j - 1].sum()
             assert table.count[treated].sum() + table.count[control].sum() == data.n
+
+
+class TestCellLayout:
+    @pytest.mark.parametrize("mode, K", [(tr.AssignmentMode.PARALLEL_BINARY, K) for K in
+                                         (1, 3, 4, 5, 9)]
+                             + [(tr.AssignmentMode.MULTINOMIAL, K) for K in (1, 3)])
+    def test_units_base_cells_match_their_treatments(self, tmp_path, mode, K):
+        dgp = tr.random_dgp(6, num_treatments=K, max_strata=5, propensity_range=(0.1, 0.5),
+                            assignment_mode=mode)
+        block = tr.sample(dgp, 300, [1, 2, 3])
+        path = tmp_path / "data.csv"
+        tr.write_dataset_csv(block.replicate(1), path)
+        read_back = tr.load_dataset_csv(path)  # its keys are derived from w and x
+        layout = tr.dgp.cell_layout(mode, K)
+        parallel = mode is tr.AssignmentMode.PARALLEL_BINARY
+        # 2**PATTERN_TREATMENTS per full chunk, then the last chunk's patterns; or the arms
+        last = (K - 1) // PATTERN_TREATMENTS
+        assert layout.num_cells == (
+            (last << PATTERN_TREATMENTS) + (1 << K - last * PATTERN_TREATMENTS) if parallel
+            else K + 1)
+        for side in layout.sides:
+            cells = np.concatenate(side)
+            assert np.unique(cells).size == cells.size and cells.max() < layout.num_cells
+        for data in (block, read_back):
+            keys, S = data.cell_keys, data.strata.codes.shape[0]
+            assert keys.dtype == np.min_scalar_type(-layout.num_cells * S)
+            assert keys.min() >= 0 and keys.max() < layout.num_cells * S
+            taken = data.w.astype(bool)
+            arm0 = ~taken.any(axis=-1)
+            for j in range(1, K + 1):
+                cell = keys[(j - 1) // PATTERN_TREATMENTS if parallel else 0] // S
+                treated, control, others = (np.isin(cell, cells) for cells in layout.sides[j - 1])
+                takes_j = taken[..., j - 1]
+                assert np.array_equal(treated, takes_j)
+                assert np.array_equal(control, ~takes_j if parallel else arm0)
+                assert np.array_equal(others, np.zeros_like(arm0) if parallel
+                                      else ~takes_j & ~arm0)
 
 
 # ---------------------------------------------------------------------------
