@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default=None, help="named scenario preset")
     p.add_argument("--n", type=int, default=None, help="override observations per replicate")
     p.add_argument("--reps", type=int, default=None, help="override replicate count")
-    p.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--workers", type=int, default=1, help="processes, this one included (default 1)")
     add_fit_flags(p)
 
     return parser

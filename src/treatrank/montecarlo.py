@@ -17,11 +17,15 @@ Replicates are independent work items keyed by index: replicate ``r``
 derives its sampling and fold seeds as ``child_seed(seed, r, purpose)``,
 so results are bit-identical for any worker count.
 
-The engine runs consecutive replicates as *tasks*, and a task's
+A run of ``workers`` processes splits the replicates into
+``min(workers, num_reps)`` consecutive *shares* whose sizes differ by at
+most one. The calling process runs the first share itself; one child
+process per other share, started before it, runs that share and sends its
+outcomes back over a pipe, and the caller collects them in share order.
+A share runs its consecutive replicates as *tasks*, and a task's
 unit-level work in *blocks*. A task holds at most ``TASK_REPLICATES``
-replicates, so a serial run of up to that many is one task; a pool run
-splits the replicates into at least ``TASKS_PER_WORKER`` tasks per
-worker, which the pool maps. A block holds at most ``BLOCK_UNITS`` units,
+replicates, so a share of up to that many is one task (a serial run is
+one share). A block holds at most ``BLOCK_UNITS`` units,
 so a task draws its replicates ``max(1, BLOCK_UNITS // n_per_rep)`` at a
 time (one replicate per block from n = 4,097 up), and peak memory does
 not grow with the task. Each replicate still draws its own Philox
@@ -60,12 +64,13 @@ that fail on their own are NaN and counted.
 
 from __future__ import annotations
 
-import functools
 import json
+import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from multiprocessing.connection import Connection
 from typing import Callable, Iterator
 
 import numpy as np
@@ -94,7 +99,6 @@ BLOCK_UNITS = 8_192
 # 25 and ~12 us in one of 250; 500 saved 1 us more, 1,000 none, and the
 # arrays grow with the task
 TASK_REPLICATES = 250
-TASKS_PER_WORKER = 4
 
 # the layers whose seconds ``MonteCarloResult.diagnostics`` sums over tasks
 LAYER_SECONDS = ("unit_seconds", "fit_seconds", "estimator_seconds")
@@ -126,8 +130,9 @@ class MonteCarloResult:
     whose fit succeeded, and the seconds spent in each layer
     (``LAYER_SECONDS``), summed over tasks: the unit pass (seeds,
     ``sample``, ``assign_folds``, ``cell_table`` and stacking),
-    ``fit_table`` and the estimators. In a pool the tasks run at once, so
-    the seconds can add up to more than ``runtime_seconds``. It is volatile
+    ``fit_table`` and the estimators. With more than one worker the shares
+    run at once, so the seconds can add up to more than
+    ``runtime_seconds``. It is volatile
     too, and neither :meth:`to_dict` nor :meth:`canonical_bytes` writes it.
     """
 
@@ -281,17 +286,14 @@ def _split(reps: range, count: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-def _tasks(num_reps: int, workers: int) -> list[range]:
-    """Replicate indices split into tasks of at most ``TASK_REPLICATES``.
+def _shares(num_reps: int, workers: int) -> list[range]:
+    """Replicate indices split into one share per process, at most one per replicate."""
+    return _split(range(num_reps), min(workers, num_reps))
 
-    A pool run gets at least ``TASKS_PER_WORKER`` tasks per worker (when
-    there are that many replicates), so that no worker waits on the last
-    big task.
-    """
-    count = -(-num_reps // TASK_REPLICATES)
-    if workers > 1:
-        count = max(count, min(num_reps, TASKS_PER_WORKER * workers))
-    return _split(range(num_reps), count)
+
+def _tasks(reps: range) -> list[range]:
+    """A share's replicates split into tasks of at most ``TASK_REPLICATES``."""
+    return _split(reps, -(-len(reps) // TASK_REPLICATES))
 
 
 def _blocks(reps: range, n: int) -> list[range]:
@@ -305,6 +307,45 @@ def _block_table(config: ScenarioConfig, data_streams: rng.Streams,
     data = sample(config.dgp, config.n_per_rep, data_streams)
     folds = assign_folds(config.n_per_rep, config.num_folds, fold_streams)
     return cell_table(data, folds)
+
+
+def _run_share(config: ScenarioConfig, reps: range) -> list[tuple]:
+    """The outcomes of a share's tasks, in order (see ``_run_task``)."""
+    return [_run_task(config, task) for task in _tasks(reps)]
+
+
+def _child(config: ScenarioConfig, reps: range, writer: Connection) -> None:
+    """A child process's body: run a share and send ``(ok, outcomes or exception)``.
+
+    An exception that cannot be pickled fails the send, so the child exits
+    without a message, and the parent reports that.
+    """
+    try:
+        message = (True, _run_share(config, reps))
+    except BaseException as exc:  # re-raised in the parent, KeyboardInterrupt included
+        if hasattr(exc, "add_note"):  # Python >= 3.11
+            exc.add_note(f"raised in the child process of replicates {_span(reps)}:\n"
+                         + traceback.format_exc())
+        message = (False, exc)
+    writer.send(message)
+    writer.close()
+
+
+def _receive(child: multiprocessing.Process, reader: Connection, reps: range) -> list[tuple]:
+    """A child's outcomes; its exception re-raised, or RuntimeError if it sent none."""
+    try:
+        ok, value = reader.recv()
+    except Exception as exc:  # EOF (the child died) or a message that cannot be unpickled
+        child.join()
+        raise RuntimeError(f"the child process of replicates {_span(reps)} exited with code "
+                           f"{child.exitcode} without sending its outcomes") from exc
+    if not ok:
+        raise value
+    return value
+
+
+def _span(reps: range) -> str:
+    return f"{reps.start}-{reps.stop - 1}"
 
 
 def _run_task(config: ScenarioConfig, reps: range
@@ -390,23 +431,40 @@ def _ranking_rates(points: NDArray[np.float64], oracle_order: tuple[int, ...]) -
 
 
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloResult:
-    """Run every replicate of a scenario, optionally on a process pool.
+    """Run every replicate of a scenario in ``workers`` processes, this one included.
 
-    Replicates run in tasks (see the module docstring) and are aggregated
-    by index, so the result is identical for any worker count. Fits and
-    estimates the data cannot support are recorded as NaN and counted, not
-    raised; any other error propagates.
+    The replicates are split into one share per process; this process runs
+    the first share while ``workers - 1`` child processes run the others
+    (see the module docstring). Outcomes are aggregated by index, so the
+    result is identical for any worker count. Fits and estimates the data
+    cannot support are recorded as NaN and counted, not raised; any other
+    error propagates, a child's with its own type and message. A child
+    that exits without sending its outcomes raises RuntimeError. No child
+    outlives the call, whether it returns or raises.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     t0 = time.perf_counter()
-    job = functools.partial(_run_task, config)
-    tasks = _tasks(config.num_reps, workers)
-    if workers == 1:
-        outcomes = [job(reps) for reps in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, tasks))
+    first, *rest = _shares(config.num_reps, workers)
+    children: list[tuple[multiprocessing.Process, Connection, range]] = []
+    try:
+        for reps in rest:
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_child, args=(config, reps, writer),
+                                            daemon=True)
+            child.start()
+            # the child holds the only write end, so its death ends the parent's recv
+            writer.close()
+            children.append((child, reader, reps))
+        outcomes = _run_share(config, first)
+        for child, reader, reps in children:
+            outcomes += _receive(child, reader, reps)
+    finally:
+        for child, reader, _ in children:
+            if child.is_alive():
+                child.terminate()
+            child.join()
+            reader.close()
 
     points = np.concatenate([p for p, _, _, _ in outcomes])  # (reps, methods, K)
     failure_count = int(sum(f for _, f, _, _ in outcomes))

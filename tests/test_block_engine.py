@@ -18,9 +18,7 @@ import pytest
 import treatrank as tr
 from treatrank import montecarlo, rng
 from treatrank.estimators import ESTIMATION_ERRORS, ESTIMATORS, Method, plm_estimate
-from treatrank.montecarlo import (
-    BLOCK_UNITS, METHODS, TASK_REPLICATES, TASKS_PER_WORKER, _blocks, _tasks,
-)
+from treatrank.montecarlo import BLOCK_UNITS, METHODS, TASK_REPLICATES, _blocks, _shares, _tasks
 
 from unit_reference import FIELDS, unit_arrays
 
@@ -211,35 +209,42 @@ class TestEngineMatchesLoop:
         assert_engine_matches_loop(tr.scaled(tr.preset("selection_on_gains"), n_per_rep=n,
                                              num_reps=3, seed=1))
 
-    def test_worker_counts(self):
-        config = tr.scaled(tr.preset("extreme_heterogeneity"), n_per_rep=200, num_reps=100, seed=3)
+    # 1 and 3 replicates ask for more processes than there are replicates
+    @pytest.mark.parametrize("num_reps", [1, 3, 100])
+    def test_worker_counts(self, num_reps):
+        config = tr.scaled(tr.preset("extreme_heterogeneity"), n_per_rep=200, num_reps=num_reps,
+                           seed=3)
         serial = assert_engine_matches_loop(config)
-        for workers in (2, 3):
+        for workers in (2, 3, 5):
             assert tr.run_scenario(config, workers=workers).canonical_bytes() == \
                 serial.canonical_bytes()
 
 
+def assert_even_split(parts, reps):
+    """``parts`` are ``reps`` in consecutive runs whose sizes differ by at most one."""
+    assert [r for part in parts for r in part] == list(reps)
+    sizes = [len(part) for part in parts]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+
 class TestBlocks:
-    @pytest.mark.parametrize("num_reps", [1, 7, CAP_200, CAP_200 + 1, 500, 1000])
+    @pytest.mark.parametrize("num_reps", [1, 3, 7, CAP_200, CAP_200 + 1, 500, 1000])
     @pytest.mark.parametrize("n", [10, 200, 10_000, 20_000])
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_partition(self, num_reps, n, workers):
-        tasks = _tasks(num_reps, workers)
-        assert [r for task in tasks for r in task] == list(range(num_reps))
-        sizes = [len(task) for task in tasks]
-        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
-        assert max(sizes) <= TASK_REPLICATES
-        if workers > 1:
-            assert len(tasks) >= min(num_reps, TASKS_PER_WORKER * workers)
-        else:
-            assert len(tasks) == -(-num_reps // TASK_REPLICATES)
-        for task in tasks:
-            blocks = _blocks(task, n)
-            assert [r for block in blocks for r in block] == list(task)
-            sizes = [len(block) for block in blocks]
-            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
-            assert max(sizes) <= max(1, BLOCK_UNITS // n)
-            assert len(blocks) == -(-len(task) // max(1, BLOCK_UNITS // n))
+        shares = _shares(num_reps, workers)
+        assert len(shares) == min(workers, num_reps)
+        assert_even_split(shares, range(num_reps))
+        for share in shares:
+            tasks = _tasks(share)
+            assert_even_split(tasks, share)
+            assert max(len(task) for task in tasks) <= TASK_REPLICATES
+            assert len(tasks) == -(-len(share) // TASK_REPLICATES)
+            for task in tasks:
+                blocks = _blocks(task, n)
+                assert_even_split(blocks, task)
+                assert max(len(block) for block in blocks) <= max(1, BLOCK_UNITS // n)
+                assert len(blocks) == -(-len(task) // max(1, BLOCK_UNITS // n))
 
 
 class TestTaskAndBlockSplits:

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +195,89 @@ class TestRunScenario:
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             tr.run_scenario(small(num_reps=2), workers=0)
+
+
+SPAWN_PROBE = """
+import multiprocessing
+import treatrank as tr
+multiprocessing.set_start_method("spawn")
+config = tr.scaled(tr.preset("balanced"), num_reps=6, n_per_rep=200, seed=4)
+serial = tr.run_scenario(config, workers=1).canonical_bytes()
+print(tr.run_scenario(config, workers=2).canonical_bytes() == serial,
+      multiprocessing.active_children())
+"""
+
+
+class TestChildProcesses:
+    """A child's failure reaches the caller, and no child outlives ``run_scenario``."""
+
+    @staticmethod
+    def failing_share(monkeypatch, share, fail):
+        """A 4-replicate study whose tasks call ``fail`` on the replicates of ``share``."""
+        config = small(num_reps=4)
+        reps = montecarlo._shares(config.num_reps, 2)[share]
+        run_task = montecarlo._run_task
+
+        def task(config, task_reps):
+            if task_reps.start in reps:
+                fail()
+            return run_task(config, task_reps)
+
+        monkeypatch.setattr(montecarlo, "_run_task", task)
+        return config
+
+    def test_child_error_keeps_its_type(self, monkeypatch):
+        def fail():
+            raise TypeError("not a data problem")
+
+        config = self.failing_share(monkeypatch, 1, fail)
+        with pytest.raises(TypeError, match="not a data problem"):
+            tr.run_scenario(config, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_child_that_exits_without_outcomes(self, monkeypatch):
+        config = self.failing_share(monkeypatch, 1, lambda: os._exit(3))
+        with pytest.raises(RuntimeError, match="replicates 2-3 exited with code 3"):
+            tr.run_scenario(config, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_child_error(self, monkeypatch):
+        class Local(Exception):  # a local class cannot be pickled
+            pass
+
+        def fail():
+            raise Local("cannot travel")
+
+        config = self.failing_share(monkeypatch, 1, fail)
+        with pytest.raises(RuntimeError, match="replicates 2-3 exited with code 1"):
+            tr.run_scenario(config, workers=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", [TypeError, KeyboardInterrupt])
+    def test_error_in_own_share_stops_the_children(self, monkeypatch, error):
+        # the child would sleep for a minute; the caller's error must end it
+        config = self.failing_share(monkeypatch, 1, lambda: time.sleep(60))
+        run_share = montecarlo._run_share
+
+        def own_share(config, reps):
+            if reps.start == 0:
+                raise error("own share")
+            return run_share(config, reps)
+
+        monkeypatch.setattr(montecarlo, "_run_share", own_share)
+        start = time.perf_counter()
+        with pytest.raises(error):
+            tr.run_scenario(config, workers=2)
+        assert multiprocessing.active_children() == []
+        assert time.perf_counter() - start < 30
+
+    def test_spawn_start_method(self):
+        src = str(Path(tr.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", SPAWN_PROBE], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["True", "[]"]
 
 
 class TestRankingRates:
