@@ -450,8 +450,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloResult:
     try:
         for reps in rest:
             reader, writer = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(target=_child, args=(config, reps, writer),
-                                            daemon=True)
+            child = multiprocessing.Process(target=_child, args=(config, reps, writer))
             child.start()
             # the child holds the only write end, so its death ends the parent's recv
             writer.close()
