@@ -208,6 +208,9 @@ print(tr.run_scenario(config, workers=2).canonical_bytes() == serial,
 """
 
 
+# the children must inherit the patched ``_run_task``, which only a forked child does
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="needs the fork start method")
 class TestChildProcesses:
     """A child's failure reaches the caller, and no child outlives ``run_scenario``."""
 
@@ -271,13 +274,14 @@ class TestChildProcesses:
         assert multiprocessing.active_children() == []
         assert time.perf_counter() - start < 30
 
-    def test_spawn_start_method(self):
-        src = str(Path(tr.__file__).resolve().parents[1])
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", SPAWN_PROBE], env=env, check=True,
-                             capture_output=True, text=True, timeout=120)
-        assert out.stdout.split() == ["True", "[]"]
+
+def test_spawn_start_method():
+    src = str(Path(tr.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", SPAWN_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["True", "[]"]
 
 
 class TestRankingRates:
