@@ -228,10 +228,11 @@ class StratumGroups:
 class Dataset:
     """Sampled units: outcome, treatment indicator matrix, stratum codes.
 
-    ``w`` has one 0/1 column per treatment. Under MULTINOMIAL assignment the
-    rows are one-hot (all-zero rows are control units). The arrays are not
-    modified after construction: the stratum grouping is computed once and
-    shared by every fit.
+    ``w`` has one 0/1 column per treatment, and at least one column. Under
+    MULTINOMIAL assignment the rows are one-hot (all-zero rows are control
+    units). Any other indicator, and a stratum code that is not an integer,
+    raises ``ValueError``. The arrays are not modified after construction:
+    the stratum grouping is computed once and shared by every fit.
 
     A *block* of datasets, all of ``n`` units, stacks them along a leading
     axis: ``y`` and ``x`` are ``(B, n)`` and ``w`` is ``(B, n, K)``. Fits and
@@ -251,12 +252,20 @@ class Dataset:
 
     def __post_init__(self, groups: StratumGroups | None,
                       keys: NDArray[np.signedinteger] | None) -> None:
+        w, x = np.asarray(self.w), np.asarray(self.x)
+        # checked before the casts, which would truncate 0.7 or 0.5 to 0
+        if np.any((w != 0) & (w != 1)):
+            raise ValueError("treatment indicators must be 0/1")
+        if x.dtype.kind not in "biu" and not np.all(np.isfinite(x) & (x == np.round(x))):
+            raise ValueError("stratum codes must be integers")
         self.y = np.asarray(self.y, dtype=np.float64)
-        self.w = np.asarray(self.w, dtype=np.int8)
-        self.x = np.asarray(self.x, dtype=np.int64)
+        self.w = w.astype(np.int8, copy=False)
+        self.x = x.astype(np.int64, copy=False)
         self.assignment_mode = AssignmentMode(self.assignment_mode)
         if self.y.ndim not in (1, 2) or not self.w.shape[:-1] == self.y.shape == self.x.shape:
             raise ValueError("y and x must share one shape, and w must add a treatment axis to it")
+        if self.w.shape[-1] == 0:
+            raise ValueError("w must have at least one treatment column")
         self._strata = groups
         self._cell_keys = keys
         if self.assignment_mode is AssignmentMode.MULTINOMIAL and np.any(_column_total(self.w) > 1):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dgp import Dataset, StratifiedDGP, decomposition_terms, oracle_weights
 from .estimators import EffectEstimate, Estimand
-from .nuisance import NuisanceFit
+from .nuisance import NuisanceFit, add_in_turn
 
 class NotEstimableError(RuntimeError):
     """Raised when no stratum has both treated and control units, or when a
@@ -166,9 +166,9 @@ def estimate_decomposition(data: Dataset | None, fit: NuisanceFit, j: int) -> De
     treated mean is its treated base cells' sums of ``y`` over their
     units, and its mean propensity ``sum_k n_k p_k / n`` over the folds
     ``k``, ``n_k`` being the units fold ``k`` predicts. Each sum adds its
-    terms one after another (base cell by base cell, each over the folds
-    in order), so a stratum's numbers do not depend on the strata around
-    it; strata without units (those of the DGP or of a block that this
+    terms one after another through ``nuisance.add_in_turn`` (base cell
+    by base cell, each over the folds in order), so a stratum's numbers do
+    not depend on the strata around it; strata without units (those of the DGP or of a block that this
     dataset lacks) are skipped.
     """
     table = fit.table
@@ -180,10 +180,9 @@ def estimate_decomposition(data: Dataset | None, fit: NuisanceFit, j: int) -> De
     held = n_t + n_c + count[others].sum(axis=0)  # [fold, stratum]: the units each fold predicts
     n_s, n_treated, n_control = held.sum(axis=0), n_t.sum(axis=0), n_c.sum(axis=0)
     S = held.shape[1]
-    y_treated, y_control = (np.add.accumulate(total[cells].reshape(-1, S), axis=0)[-1]
-                            for cells in (treated, control))
+    y_treated, y_control = (add_in_turn(total[cells].reshape(-1, S)) for cells in (treated, control))
     p = fit.propensities(j)[0][0]  # [fold, stratum]
-    p_sum = np.cumsum(held * p, axis=0)[-1]
+    p_sum = add_in_turn(held * p)
 
     tau_tab: dict[int, float] = {}
     var_tab: dict[int, float] = {}

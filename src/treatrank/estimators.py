@@ -90,7 +90,7 @@ class Estimand(str, Enum):
 
 @dataclass(frozen=True)
 class EffectEstimate:
-    """Point estimate with its standard error and declared target.
+    """Point estimate with its standard error; ``estimand`` is its method's target.
 
     For a block of datasets, ``point``, ``std_error`` and ``n_used`` are
     arrays with one entry per dataset.
@@ -100,7 +100,6 @@ class EffectEstimate:
     method: Method
     point: float | NDArray[np.float64]
     std_error: float | NDArray[np.float64]
-    estimand: Estimand
     n_used: int | NDArray[np.int64]
 
     def __post_init__(self) -> None:
@@ -108,8 +107,11 @@ class EffectEstimate:
             raise UndefinedEstimateError(f"std_error must be finite and >= 0, got {self.std_error}")
         if np.less(self.std_error, 0).any():
             raise ValueError(f"std_error must be finite and >= 0, got {self.std_error}")
-        if (self.estimand is Estimand.WATE) != (self.method is Method.PLM):
-            raise ValueError("WATE is the estimand of PLM and of PLM only")
+
+    @property
+    def estimand(self) -> Estimand:
+        """WATE for PLM, ATE for the other methods."""
+        return Estimand.WATE if self.method is Method.PLM else Estimand.ATE
 
 
 def _cell_sum(terms: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -134,9 +136,7 @@ def _estimate(fit: NuisanceFit, method: Method, j: int, point: NDArray, se: NDAr
         n_used = n if n_used is None else n_used.item()
     elif n_used is None:
         n_used = np.full(point.shape, n)
-    estimand = Estimand.WATE if method is Method.PLM else Estimand.ATE
-    return EffectEstimate(treatment=j, method=method, point=point, std_error=se,
-                          estimand=estimand, n_used=n_used)
+    return EffectEstimate(treatment=j, method=method, point=point, std_error=se, n_used=n_used)
 
 
 def _score_estimate(data: Dataset | None, fit: NuisanceFit, j: int,

@@ -105,6 +105,8 @@ LAYER_SECONDS = ("unit_seconds", "fit_seconds", "estimator_seconds")
 
 _COV_ZERO_TOL = 1e-9
 
+HISTOGRAM_BINS = 40
+
 
 class ScenarioName(str, Enum):
     EXTREME_HETEROGENEITY = "extreme_heterogeneity"
@@ -553,14 +555,14 @@ def replicate_rows(result: MonteCarloResult) -> Iterator[dict]:
                 }
 
 
-def histogram_rows(result: MonteCarloResult, bins: int = 40) -> Iterator[dict]:
-    """Binned estimate counts per method x treatment (histogram plot data)."""
+def histogram_rows(result: MonteCarloResult) -> Iterator[dict]:
+    """Estimate counts in ``HISTOGRAM_BINS`` bins per method x treatment (histogram plot data)."""
     for method, arr in result.estimates.items():
         for idx, j in enumerate(result.treatments):
             finite = arr[:, idx][np.isfinite(arr[:, idx])]
             if finite.size == 0:
                 continue
-            counts, edges = np.histogram(finite, bins=bins)
+            counts, edges = np.histogram(finite, bins=HISTOGRAM_BINS)
             for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
                 yield {
                     "method": method,

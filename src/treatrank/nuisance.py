@@ -77,13 +77,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from . import rng
-from .dgp import AssignmentMode, Dataset, StratifiedDGP, cell_layout, code_positions
+from .dgp import AssignmentMode, Dataset, StratifiedDGP, cell_layout
 
 NEWTON_MAX_ITER = 100
 NEWTON_GRAD_TOL = 1e-10
@@ -333,12 +333,12 @@ def _logistic_ridge_beta(
 # the cell table
 
 def add_in_turn(*terms: NDArray) -> NDArray:
-    """Per (dataset, fold, stratum), ``[base cell, dataset, fold, stratum]`` terms added in turn.
+    """The rows of every term (``[base cell, dataset, fold, stratum]``, say), added in turn.
 
-    Each term's cells are added one after another, in order; numpy's sum
-    over the cell axis could regroup them. A target's held-out sum in the
-    fit and every per-cell sum of the estimators add their base cells
-    through this one rule.
+    Each term's rows are added one after another, in order; numpy's sum
+    over the first axis could regroup them. A target's held-out sum in the
+    fit, every per-cell sum of the estimators and every sum of the
+    estimated decomposition go through this one rule.
     """
     cells = iter([cell for term in terms for cell in term])
     total = next(cells).copy()
@@ -446,17 +446,16 @@ class _Learners:
     count and sum per (dataset, fold, stratum) add its base cells' (the sum
     through ``add_in_turn``). Fold ``k``'s training sum adds the other
     folds' held-out sums in ascending fold order, and its training count is
-    the total count minus the fold's (integers, so exact); in-sample, both
-    are the one fold's own. Indicator targets need no sums of their own:
-    their totals are another target's counts. Fallbacks are added to
+    the total count minus the fold's (integers, so exact). A table with one
+    fold is in-sample: both are the fold's own. Indicator targets need no
+    sums of their own: their totals are another target's counts. Fallbacks are added to
     ``fallbacks``; ``rates`` clips its tables to ``[clip, 1 - clip]`` and
     adds the units it clipped to ``clipped``, each per dataset.
     """
 
-    def __init__(self, table: CellTable, spec: LearnerSpec, crossfit: bool, clip: float):
+    def __init__(self, table: CellTable, spec: LearnerSpec, clip: float):
         self.table = table
         self.spec = spec
-        self.crossfit = crossfit
         self.clip = clip
         self.every = cell_layout(table.mode, table.num_treatments).every
         self.clipped = np.zeros(table.count.shape[1], dtype=np.int64)
@@ -470,7 +469,7 @@ class _Learners:
         table = self.table
         count = np.stack([table.count[cells].sum(axis=0) for cells in targets])  # exact
         total = np.stack([add_in_turn(table.total[cells]) for cells in targets]) if sums else None
-        if not self.crossfit:
+        if count.shape[2] == 1:  # one fold: in-sample
             return count, total
         if total is not None:
             folds = np.arange(total.shape[2])
@@ -556,18 +555,18 @@ def _mean(count: NDArray, total: NDArray, empty) -> NDArray[np.float64]:
 # cross-fitting
 
 
-def fit_table(table: CellTable, spec: LearnerSpec, clip: float = DEFAULT_CLIP,
-              crossfit: bool = True) -> NuisanceFit:
+def fit_table(table: CellTable, spec: LearnerSpec, clip: float = DEFAULT_CLIP) -> NuisanceFit:
     """Fit every nuisance function from a cell table, for each of its datasets.
 
-    Cross-fitted, fold ``k``'s predictions come from the other folds' cells;
-    in-sample (``crossfit=False``, a one-fold table), from the fold's own.
-    Row ``b`` of the fit of a block is bit for bit the fit of
-    ``table.replicate(b)``.
+    The table's folds decide the kind of fit. With several folds it is
+    cross-fitted: fold ``k``'s predictions come from the other folds'
+    cells. A one-fold table (``fit_insample``'s) is fitted in-sample: the
+    fold predicts itself from its own cells. Row ``b`` of the fit of a
+    block is bit for bit the fit of ``table.replicate(b)``.
     """
     if not 0.0 <= clip < 0.5:
         raise ValueError(f"clip must be in [0, 0.5), got {clip}")
-    learners = _Learners(table, spec, crossfit, clip)
+    learners = _Learners(table, spec, clip)
     # each target is a set of base cells: every unit, treatment j's treated
     # and control cells T_j and C_j, their union, and arm 0. Each kind of
     # target is fitted in one call, treatment by treatment, so a logistic
@@ -627,9 +626,10 @@ def fit_insample(data: Dataset, spec: LearnerSpec, clip: float = 0.0) -> Nuisanc
     """Fit on the full sample and predict in-sample (no cross-fitting).
 
     Intended for diagnostics and for checking algebraic identities of the
-    residual regression, where fold-splitting would break exactness.
+    residual regression, where fold-splitting would break exactness. This
+    is ``fit_table`` of a one-fold ``cell_table``.
     """
-    return fit_table(cell_table(data, _one_fold(data)), spec, clip, crossfit=False)
+    return fit_table(cell_table(data, _one_fold(data)), spec, clip)
 
 
 def _one_fold(data: Dataset) -> FoldAssignment:
@@ -637,7 +637,7 @@ def _one_fold(data: Dataset) -> FoldAssignment:
 
 
 # ---------------------------------------------------------------------------
-# oracle injection and controlled corruption
+# oracle injection
 
 
 def oracle_nuisance(data: Dataset, dgp: StratifiedDGP) -> NuisanceFit:
@@ -678,46 +678,4 @@ def oracle_nuisance(data: Dataset, dgp: StratifiedDGP) -> NuisanceFit:
            for name, t in tables.items()},
         clipped_count=zero,
         fallback_count=zero,
-    )
-
-
-def corrupt_outcome(fit: NuisanceFit, bias: Mapping[int, float]) -> NuisanceFit:
-    """Shift every outcome-model prediction by a fixed per-stratum offset.
-
-    Leaves propensities untouched; the canonical "wrong outcome model, right
-    propensity model" configuration for double-robustness checks. ``bias``
-    must cover every stratum of the fit.
-    """
-    codes = np.fromiter(bias.keys(), dtype=np.int64, count=len(bias))
-    values = np.array([float(v) for v in bias.values()])
-    offset = values[code_positions(codes, fit.table.levels)]
-    return replace(
-        fit,
-        y_hat=fit.y_hat + offset,
-        mu_treated=fit.mu_treated + offset,
-        mu_control=fit.mu_control + offset,
-        restricted_y=None if fit.restricted_y is None else fit.restricted_y + offset,
-    )
-
-
-def corrupt_propensity(fit: NuisanceFit, odds_factor: float) -> NuisanceFit:
-    """Multiply the odds of every propensity prediction by a constant.
-
-    ``p -> f p / (1 - p + f p)``. Leaves outcome models untouched; the
-    "right outcome model, wrong propensity model" configuration for
-    double-robustness checks.
-    """
-    if odds_factor <= 0:
-        raise ValueError(f"odds_factor must be > 0, got {odds_factor}")
-
-    def shift(p: NDArray | None) -> NDArray | None:
-        if p is None:
-            return None
-        return odds_factor * p / (1.0 - p + odds_factor * p)
-
-    return replace(
-        fit,
-        p_hat=shift(fit.p_hat),
-        restricted_p=shift(fit.restricted_p),
-        control_p=shift(fit.control_p),
     )

@@ -16,6 +16,7 @@ import treatrank as tr
 from treatrank import rng
 
 from conftest import reversal_prone_dgp
+from test_corruption import corrupt_outcome, corrupt_propensity
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -186,8 +187,8 @@ def test_criterion_09_double_robustness():
         exact = tr.oracle_nuisance(data, dgp)
         bias = {int(c): 0.9 * (i + 1) * (-1) ** i for i, c in enumerate(dgp.stratum_codes)}
         corrupted = {
-            "outcome+bias": tr.corrupt_outcome(exact, bias),
-            "propensity*odds2": tr.corrupt_propensity(exact, odds_factor=2.0),
+            "outcome+bias": corrupt_outcome(exact, bias),
+            "propensity*odds2": corrupt_propensity(exact, odds_factor=2.0),
         }
         for fit in corrupted.values():
             for j in (1, 2):

@@ -16,6 +16,7 @@ import pytest
 import treatrank as tr
 from treatrank.estimators import ESTIMATORS
 
+from test_corruption import corrupt_outcome, corrupt_propensity
 from unit_reference import REFERENCE, assert_reports_close, close, decomposition, unit_arrays
 
 # the unclipped in-sample fits divide by propensities of 0 and 1 on purpose
@@ -167,8 +168,8 @@ def test_oracle_and_corrupted_fits_of_a_block(mode):
     bias = {int(code): 0.1 * code - 0.4 for code in dgp.stratum_codes}
     variants = [
         (lambda fit: fit),
-        (lambda fit: tr.corrupt_outcome(fit, bias)),
-        (lambda fit: tr.corrupt_propensity(fit, odds_factor=1.7)),
+        (lambda fit: corrupt_outcome(fit, bias)),
+        (lambda fit: corrupt_propensity(fit, odds_factor=1.7)),
     ]
     for corrupt in variants:
         fit = corrupt(oracle)

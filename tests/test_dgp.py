@@ -414,6 +414,17 @@ class TestDatasetGrouping:
             tr.Dataset(y=np.zeros(2), w=np.array([[1, 1], [0, 0]]), x=np.zeros(2),
                        assignment_mode=tr.AssignmentMode.MULTINOMIAL)
 
+    @pytest.mark.parametrize("w, x, message", [
+        # a 2 would key the unit into another fold's cell
+        (np.array([[2, 0], [0, 1]], dtype=np.int8), np.zeros(2), "treatment indicators must be 0/1"),
+        (np.array([[0.7], [1.0]]), np.zeros(2), "treatment indicators must be 0/1"),
+        (np.array([[0], [1]]), np.array([0.5, 1.0]), "stratum codes must be integers"),
+        (np.zeros((2, 0)), np.zeros(2), "w must have at least one treatment column"),
+    ], ids=["indicator-2", "indicator-0.7", "code-0.5", "no-treatment-column"])
+    def test_bad_indicators_and_codes_rejected(self, w, x, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tr.Dataset(y=np.zeros(2), w=w, x=x)
+
 
 class TestRngDerivation:
     def test_substreams_differ(self):

@@ -16,13 +16,13 @@ def oracle_estimates(dgp) -> list[tr.EffectEstimate]:
         out.append(
             tr.EffectEstimate(
                 treatment=j, method=tr.Method.PLM, point=tr.oracle_wate(dgp, j),
-                std_error=0.0, estimand=tr.Estimand.WATE, n_used=0,
+                std_error=0.0, n_used=0,
             )
         )
         out.append(
             tr.EffectEstimate(
                 treatment=j, method=tr.Method.AIPW, point=tr.oracle_ate(dgp, j),
-                std_error=0.0, estimand=tr.Estimand.ATE, n_used=0,
+                std_error=0.0, n_used=0,
             )
         )
     return out
@@ -284,11 +284,11 @@ class TestRankTreatments:
         for j in (1, 2):
             ests.append(
                 tr.EffectEstimate(treatment=j, method=tr.Method.PLM, point=1.0,
-                                  std_error=0.0, estimand=tr.Estimand.WATE, n_used=0)
+                                  std_error=0.0, n_used=0)
             )
             ests.append(
                 tr.EffectEstimate(treatment=j, method=tr.Method.AIPW, point=1.0,
-                                  std_error=0.0, estimand=tr.Estimand.ATE, n_used=0)
+                                  std_error=0.0, n_used=0)
             )
         result = tr.rank_treatments(ests)
         assert result.ordering_by_ate == (1, 2)
@@ -306,7 +306,7 @@ class TestRankTreatments:
         ests = oracle_estimates(reversal_dgp)
         ests.append(
             tr.EffectEstimate(treatment=1, method=tr.Method.IPW, point=0.1,
-                              std_error=0.0, estimand=tr.Estimand.ATE, n_used=0)
+                              std_error=0.0, n_used=0)
         )
         with pytest.raises(ValueError):
             tr.rank_treatments(ests)

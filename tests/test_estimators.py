@@ -12,6 +12,7 @@ import treatrank as tr
 from treatrank import rng
 
 from conftest import exact_cell_dataset, round_propensity_dgp
+from test_corruption import corrupt_outcome, corrupt_propensity
 from unit_reference import indicators, unit_arrays
 
 
@@ -179,8 +180,8 @@ class TestAipw:
         dgp = tr.preset(tr.ScenarioName.SELECTION_ON_GAINS).dgp
         data = tr.sample(dgp, 20_000, seed=112)
         exact = tr.oracle_nuisance(data, dgp)
-        bad_mu = tr.corrupt_outcome(exact, bias={0: 0.7, 1: -1.3})
-        bad_p = tr.corrupt_propensity(exact, odds_factor=2.0)
+        bad_mu = corrupt_outcome(exact, bias={0: 0.7, 1: -1.3})
+        bad_p = corrupt_propensity(exact, odds_factor=2.0)
         for fit in (bad_mu, bad_p):
             for j in (1, 2):
                 est = tr.aipw_estimate(data, fit, j)
@@ -267,15 +268,15 @@ class TestRankingFaithfulness:
 
 class TestEstimateContainers:
     def test_estimand_method_pairing_enforced(self):
-        with pytest.raises(ValueError):
-            tr.EffectEstimate(
-                treatment=1, method=tr.Method.AIPW, point=0.0, std_error=0.0,
-                estimand=tr.Estimand.WATE, n_used=10,
-            )
+        # the estimand is the method's: WATE for PLM and for PLM only
+        for method in tr.Method:
+            est = tr.EffectEstimate(treatment=1, method=method, point=0.0, std_error=0.0,
+                                    n_used=10)
+            assert (est.estimand is tr.Estimand.WATE) == (method is tr.Method.PLM)
         with pytest.raises(ValueError):
             tr.EffectEstimate(
                 treatment=1, method=tr.Method.PLM, point=0.0, std_error=np.inf,
-                estimand=tr.Estimand.WATE, n_used=10,
+                n_used=10,
             )
 
 

@@ -143,7 +143,7 @@ class TestRunScenario:
         assert tr.run_scenario(config).failure_count > 0
         with pytest.raises(tr.UndefinedEstimateError):
             tr.EffectEstimate(treatment=1, method=tr.Method.IPW, point=0.0,
-                              std_error=float("nan"), estimand=tr.Estimand.ATE, n_used=10)
+                              std_error=float("nan"), n_used=10)
 
     def test_newton_cap_recorded_as_failure(self, monkeypatch):
         monkeypatch.setattr(nuisance, "NEWTON_MAX_ITER", 1)
@@ -364,7 +364,7 @@ class TestSummaries:
 
     def test_histogram_rows_count_all_estimates(self):
         result = tr.run_scenario(small(num_reps=10))
-        rows = list(tr.histogram_rows(result, bins=7))
+        rows = list(tr.histogram_rows(result))
         total = sum(r["count"] for r in rows if r["method"] == "plm")
         assert total == 10 * 2
 

@@ -9,7 +9,7 @@ import treatrank as tr
 from treatrank import nuisance
 
 from conftest import exact_cell_dataset, round_propensity_dgp
-from unit_reference import unit_arrays
+from unit_reference import FIELDS, unit_arrays
 
 
 class TestAssignFolds:
@@ -254,37 +254,6 @@ class TestOracleNuisance:
             tr.oracle_nuisance(data, other)
 
 
-class TestCorruption:
-    def test_outcome_bias_shifts_outcome_models_only(self):
-        dgp = round_propensity_dgp()
-        data = exact_cell_dataset(dgp, 40)
-        fit = tr.oracle_nuisance(data, dgp)
-        bad = unit_arrays(data, tr.corrupt_outcome(fit, bias={0: 1.0, 1: -2.0}))
-        fit = unit_arrays(data, fit)
-        offset = np.where(data.x == 0, 1.0, -2.0)
-        assert np.allclose(bad["y_hat"], fit["y_hat"] + offset)
-        assert np.allclose(bad["mu_treated"], fit["mu_treated"] + offset[:, None])
-        assert np.array_equal(bad["p_hat"], fit["p_hat"])
-
-    def test_outcome_bias_needs_every_stratum(self):
-        dgp = round_propensity_dgp()
-        data = exact_cell_dataset(dgp, 40)
-        fit = tr.oracle_nuisance(data, dgp)
-        with pytest.raises(ValueError, match="unknown stratum code 1"):
-            tr.corrupt_outcome(fit, bias={0: 1.0})
-
-    def test_propensity_odds_shift_formula(self):
-        dgp = round_propensity_dgp()
-        data = exact_cell_dataset(dgp, 40)
-        fit = tr.oracle_nuisance(data, dgp)
-        bad = tr.corrupt_propensity(fit, odds_factor=2.0)
-        p = fit.p_hat
-        assert np.allclose(bad.p_hat, 2 * p / (1 - p + 2 * p))
-        assert np.array_equal(bad.mu_treated, fit.mu_treated)
-        with pytest.raises(ValueError):
-            tr.corrupt_propensity(fit, odds_factor=0.0)
-
-
 class TestFitValidation:
     def test_clip_range(self, reversal_dgp):
         data = tr.sample(reversal_dgp, 100, seed=1)
@@ -316,6 +285,24 @@ class TestFitValidation:
                 tr.fit_crossfit(data, spec, folds, clip=clip)
             with pytest.raises(ValueError, match=message):
                 tr.fit_insample(data, spec, clip=clip)
+
+    @pytest.mark.parametrize("mode", list(tr.AssignmentMode))
+    def test_one_fold_table_is_fitted_in_sample(self, mode):
+        # the table's folds decide the fit: one fold predicts itself, as fit_insample does
+        dgp = tr.random_dgp(7, num_treatments=2, max_strata=5, propensity_range=(0.1, 0.4),
+                            assignment_mode=mode)
+        data = tr.sample(dgp, 200, seed=3)
+        table = tr.cell_table(data, tr.FoldAssignment(1, np.zeros(data.n, dtype=np.int64)))
+        for spec in (tr.LearnerSpec(),
+                     tr.LearnerSpec(kind=tr.LearnerKind.LOGISTIC_RIDGE, ridge_penalty=1.0)):
+            fit, reference = tr.fit_table(table, spec, clip=0.01), tr.fit_insample(data, spec, 0.01)
+            for name in FIELDS:
+                a, b = getattr(fit, name), getattr(reference, name)
+                assert (a is None) == (b is None), name
+                assert a is None or (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
+            assert (fit.clipped_count, fit.fallback_count) == (
+                reference.clipped_count, reference.fallback_count)
+            assert np.isfinite(fit.y_hat).all()
 
     def test_table_stacking(self, reversal_dgp):
         # sampled tables are on the DGP's strata and stack into the block's table
