@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+from itertools import combinations
 from pathlib import Path
 
 from . import rng
@@ -32,7 +33,7 @@ from .configio import (
     write_dgp_config,
     write_scenario_config,
 )
-from .dgp import Dataset, StratifiedDGP, oracle_decomposition, sample
+from .dgp import Dataset, StratifiedDGP, sample
 from .diagnostics import (
     DecompositionReport,
     NotEstimableError,
@@ -104,44 +105,42 @@ def _strata_csv_rows(reports) -> list[dict]:
 
 def _pairwise_reversals(reports, delta: float | None) -> list[dict]:
     rows = []
-    for i, rj in enumerate(reports):
-        for rk in reports[i + 1 :]:
-            res = check_reversal(rj, rk)
-            sufficient = None
-            if delta is not None:
-                high, low = (rj, rk) if rj.ate >= rk.ate else (rk, rj)
-                sufficient = sufficient_condition_check(high, low, delta)
-            rows.append(
-                {
-                    "treatment_j": rj.treatment,
-                    "treatment_k": rk.treatment,
-                    "reversed": res.reversed,
-                    "margin": res.margin,
-                    "sufficient_condition": sufficient,
-                }
-            )
+    for rj, rk in combinations(reports, 2):
+        res = check_reversal(rj, rk)
+        sufficient = None
+        if delta is not None:
+            high, low = (rj, rk) if rj.ate >= rk.ate else (rk, rj)
+            sufficient = sufficient_condition_check(high, low, delta)
+        rows.append(
+            {
+                "treatment_j": rj.treatment,
+                "treatment_k": rk.treatment,
+                "reversed": res.reversed,
+                "margin": res.margin,
+                "sufficient_condition": sufficient,
+            }
+        )
     return rows
 
 
-def _oracle_pairs(args) -> tuple[StratifiedDGP, list[DecompositionReport], list[dict]]:
-    """The ``--config`` DGP, its oracle reports and their pairwise reversal rows."""
+def _oracle_pairs(args) -> tuple[list[DecompositionReport], list[dict]]:
+    """The oracle reports of the ``--config`` DGP and their pairwise reversal rows."""
     dgp = load_dgp_config(args.config)
     reports = [oracle_report(dgp, j) for j in range(1, dgp.num_treatments + 1)]
-    return dgp, reports, _pairwise_reversals(reports, args.delta)
+    return reports, _pairwise_reversals(reports, args.delta)
 
 
 def cmd_oracle(args: argparse.Namespace) -> None:
-    dgp, reports, pairs = _oracle_pairs(args)
-    quantities = [oracle_decomposition(dgp, j) for j in range(1, dgp.num_treatments + 1)]
+    reports, pairs = _oracle_pairs(args)
     rows = [
-        {"treatment": q.treatment, "ate": q.ate, "wate": q.wate, "cov_tau_gamma": q.cov_tau_gamma}
-        for q in quantities
+        {"treatment": r.treatment, "ate": r.ate, "wate": r.wate, "cov_tau_gamma": r.cov_tau_gamma}
+        for r in reports
     ]
     if args.format == "json":
         payload = {
             "treatments": [
-                {**row, "gamma": {int(c): float(g) for c, g in zip(dgp.stratum_codes, q.gamma)}}
-                for row, q in zip(rows, quantities)
+                {**row, "gamma": {s.stratum: s.gamma for s in r.per_stratum}}
+                for row, r in zip(rows, reports)
             ],
             "reversed_pairs": [
                 [row["treatment_j"], row["treatment_k"]] for row in pairs if row["reversed"]
@@ -156,7 +155,7 @@ def cmd_oracle(args: argparse.Namespace) -> None:
 
 
 def cmd_reversal(args: argparse.Namespace) -> None:
-    _, _, pairs = _oracle_pairs(args)
+    _, pairs = _oracle_pairs(args)
     if args.format == "json":
         _write_json(args.out / "reversal.json", {"pairs": pairs})
     else:

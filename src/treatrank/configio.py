@@ -136,7 +136,7 @@ def dgp_from_dict(raw: dict, context: str = "dgp") -> StratifiedDGP:
             noise_sd=float(raw.get("noise_sd", 1.0)),
             assignment_mode=AssignmentMode(raw.get("assignment_mode", "parallel_binary")),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # float(None) raises TypeError
         raise ConfigError(f"{context}: {exc}") from exc
 
 
@@ -149,7 +149,7 @@ def learner_from_dict(raw: dict, context: str = "learner") -> LearnerSpec:
             ridge_penalty=float(raw.get("ridge_penalty", 0.0)),
             basis=Basis(raw.get("basis", "stratum_dummies")),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
@@ -228,7 +228,7 @@ def _scenario_from_dict(raw: dict, context: str) -> ScenarioConfig:
             num_folds=int(raw.get("num_folds", DEFAULT_NUM_FOLDS)),
             clip=float(raw.get("clip", DEFAULT_CLIP)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"{context}: {exc}") from exc

@@ -12,9 +12,11 @@ estimators chase are available in closed form:
   mean one, which up-weight strata with propensities near one half;
 * ``oracle_wate``: the variance-weighted mean effect
   ``E[gamma_j(X) tau_j(X)]``, the probability limit of the
-  residual-on-residual regression coefficient;
-* ``oracle_decomposition``: the additive split
-  ``WATE = ATE + Cov(tau_j(X), gamma_j(X))``.
+  residual-on-residual regression coefficient.
+
+``regression_variance`` writes ``p(1 - p)`` once, for these weights and
+the estimated ones, and :func:`treatrank.diagnostics.oracle_report` gives
+the split ``WATE = ATE + Cov(tau_j(X), gamma_j(X))``, bit for bit these.
 
 Sampling is deterministic given ``(dgp, n, seed)`` and uses separate Philox
 substreams for the stratum draw, treatment draw, and outcome noise.
@@ -192,17 +194,6 @@ class StratifiedDGP:
         if not 1 <= j <= self.num_treatments:
             raise ValueError(f"treatment index must be in 1..{self.num_treatments}, got {j}")
         return int(j)
-
-
-@dataclass(frozen=True)
-class OracleQuantities:
-    """Closed-form estimands of one treatment: ATE, WATE, and their gap."""
-
-    treatment: int
-    ate: float
-    wate: float
-    cov_tau_gamma: float
-    gamma: NDArray[np.float64]
 
 
 class StratumGroups:
@@ -415,25 +406,31 @@ def _cell_keys(w: NDArray[np.int8], arm: NDArray | None, position: NDArray,
     return keys
 
 
+def regression_variance(p):
+    """``p(1 - p)`` of a float or array ``p``: a stratum's regression weight is proportional to it."""
+    return p * (1.0 - p)
+
+
 def oracle_weights(dgp: StratifiedDGP, j: int) -> NDArray[np.float64]:
     """Per-stratum regression weights for treatment ``j``.
 
     ``gamma_j(x) = p_j(x)(1 - p_j(x)) / sum_x Pr(x) p_j(x)(1 - p_j(x))``; the
     probability-weighted mean of the result is one.
     """
-    p = dgp.propensity[dgp._check_treatment(j) - 1]
-    variance = p * (1.0 - p)
+    variance = regression_variance(dgp.propensity[dgp._check_treatment(j) - 1])
     return variance / float(dgp.stratum_probs @ variance)
 
 
 def oracle_ate(dgp: StratifiedDGP, j: int) -> float:
     """Average treatment effect of ``j``: ``sum_x Pr(x) tau_j(x)``."""
-    return oracle_decomposition(dgp, j).ate
+    gamma = oracle_weights(dgp, j)  # checks j
+    return decomposition_terms(dgp.stratum_probs, dgp.effect[j - 1], gamma)[0]
 
 
 def oracle_wate(dgp: StratifiedDGP, j: int) -> float:
     """Weighted ATE of ``j``: ``sum_x Pr(x) gamma_j(x) tau_j(x)``."""
-    return oracle_decomposition(dgp, j).wate
+    gamma = oracle_weights(dgp, j)  # checks j
+    return decomposition_terms(dgp.stratum_probs, dgp.effect[j - 1], gamma)[1]
 
 
 def decomposition_terms(
@@ -450,14 +447,6 @@ def decomposition_terms(
     wate = float(probs @ (gamma * tau))
     cov = float(probs @ (gamma * tau)) - float(probs @ gamma) * ate
     return ate, wate, cov
-
-
-def oracle_decomposition(dgp: StratifiedDGP, j: int) -> OracleQuantities:
-    """ATE, WATE, and their covariance gap (see :func:`decomposition_terms`)."""
-    j = dgp._check_treatment(j)
-    gamma = oracle_weights(dgp, j)
-    ate, wate, cov = decomposition_terms(dgp.stratum_probs, dgp.effect[j - 1], gamma)
-    return OracleQuantities(treatment=j, ate=ate, wate=wate, cov_tau_gamma=cov, gamma=gamma)
 
 
 class _SamplerTables(NamedTuple):

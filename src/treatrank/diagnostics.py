@@ -7,20 +7,23 @@ the covariance terms are large enough, and of the right signs, to flip the
 regression-based ordering away from the true one. This module makes that
 arithmetic inspectable: per-stratum decomposition reports, an exact
 reversal check, a delta-parameterized sufficient condition, and pairwise
-ranking summaries. The estimated decomposition reads the per-stratum
-sums it needs from the held-out base cells of a fit's table
-(``NuisanceFit.cells``), not from the units.
+ranking summaries. The oracle and the estimated reports both hand
+:func:`decompose` raw regression variances, which it normalizes once. The
+estimated decomposition reads the per-stratum sums it needs from the
+held-out base cells of a fit's table (``NuisanceFit.cells``), not from the
+units. :func:`reverses` is the one reversal rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dgp import Dataset, StratifiedDGP, decomposition_terms, oracle_weights
+from .dgp import Dataset, StratifiedDGP, decomposition_terms, regression_variance
 from .estimators import EffectEstimate, Estimand
 from .nuisance import NuisanceFit, add_in_turn
 
@@ -94,13 +97,14 @@ def decompose(
 ) -> DecompositionReport:
     """Split the weighted effect into ATE plus an effect-weight covariance.
 
-    The weight table is renormalized to probability-weighted mean one; the
+    The weight table is normalized to probability-weighted mean one; the
     three terms then come from :func:`~treatrank.dgp.decomposition_terms`.
-    A negative or non-finite probability or weight, or a non-finite
-    effect, raises ``ValueError``.
+    The strata are taken, and summed over, in the order of
+    ``tau_by_stratum``. A negative or non-finite probability or weight, or
+    a non-finite effect, raises ``ValueError``.
     """
-    keys = sorted(tau_by_stratum)
-    if sorted(gamma_by_stratum) != keys or sorted(strata_probs) != keys:
+    keys = list(tau_by_stratum)
+    if set(gamma_by_stratum) != set(keys) or set(strata_probs) != set(keys):
         raise ValueError(
             "misaligned tables: tau, gamma, and probabilities must cover the same strata"
         )
@@ -138,13 +142,18 @@ def decompose(
 
 
 def oracle_report(dgp: StratifiedDGP, j: int) -> DecompositionReport:
-    """Decomposition report straight from the DGP tables."""
-    codes = dgp.stratum_codes
-    probs = dgp.stratum_probs
+    """The closed-form decomposition of ``j``, strata in the DGP's order.
+
+    ``ate``, ``wate`` and the weights are bit for bit ``oracle_ate``,
+    ``oracle_wate`` and ``oracle_weights``, which normalize the same
+    ``p(1 - p)`` once, in the same order.
+    """
+    codes = dgp.stratum_codes.tolist()
+    variance = regression_variance(dgp.propensity[dgp._check_treatment(j) - 1])
     return decompose(
-        {int(c): float(t) for c, t in zip(codes, dgp.effect[j - 1])},
-        {int(c): float(g) for c, g in zip(codes, oracle_weights(dgp, j))},
-        {int(c): float(p) for c, p in zip(codes, probs)},
+        dict(zip(codes, dgp.effect[j - 1].tolist())),
+        dict(zip(codes, variance.tolist())),
+        dict(zip(codes, dgp.stratum_probs.tolist())),
         treatment=j,
         source=Source.ORACLE,
     )
@@ -198,8 +207,7 @@ def estimate_decomposition(data: Dataset | None, fit: NuisanceFit, j: int) -> De
         if not np.isfinite(tau_tab[code]):
             raise NotEstimableError(f"treatment {j}'s estimated effect in stratum {code} "
                                     f"is not finite: {tau_tab[code]}")
-        p_bar = float(p_sum[s] / n_s[s])
-        var_tab[code] = p_bar * (1.0 - p_bar)
+        var_tab[code] = regression_variance(float(p_sum[s] / n_s[s]))
         prob_tab[code] = int(n_s[s]) / table.n
 
     if not tau_tab:
@@ -218,13 +226,19 @@ def estimate_decomposition(data: Dataset | None, fit: NuisanceFit, j: int) -> De
     )
 
 
-def check_reversal(dec_j: DecompositionReport, dec_k: DecompositionReport) -> ReversalCheck:
-    """Test whether the WATE ordering contradicts the ATE ordering.
+def reverses(ate_j: float, wate_j: float, ate_k: float, wate_k: float) -> bool:
+    """The reversal rule: the strictly higher-ATE of ``j`` and ``k`` has the strictly lower WATE."""
+    if ate_j < ate_k:
+        ate_j, wate_j, ate_k, wate_k = ate_k, wate_k, ate_j, wate_j
+    return bool(ate_j > ate_k and wate_j < wate_k)
 
-    Reversed iff the strictly higher-ATE treatment has the strictly lower
-    WATE; exact ATE ties are never reversals and report zero margin.
+
+def check_reversal(dec_j: DecompositionReport, dec_k: DecompositionReport) -> ReversalCheck:
+    """Test whether the WATE ordering contradicts the ATE ordering (see :func:`reverses`).
+
+    Exact ATE ties are never reversals and report zero margin.
     """
-    if dec_j.per_stratum and dec_k.per_stratum and dec_j.strata != dec_k.strata:
+    if dec_j.per_stratum and dec_k.per_stratum and set(dec_j.strata) != set(dec_k.strata):
         raise ValueError(
             f"reports cover different strata: {dec_j.strata} vs {dec_k.strata}"
         )
@@ -232,7 +246,8 @@ def check_reversal(dec_j: DecompositionReport, dec_k: DecompositionReport) -> Re
         return ReversalCheck(reversed=False, margin=0.0)
     high, low = (dec_j, dec_k) if dec_j.ate > dec_k.ate else (dec_k, dec_j)
     margin = (high.ate - low.ate) + min(0.0, high.wate - low.wate)
-    return ReversalCheck(reversed=bool(high.wate < low.wate), margin=float(margin))
+    return ReversalCheck(reversed=reverses(high.ate, high.wate, low.ate, low.wate),
+                         margin=float(margin))
 
 
 def sufficient_condition_check(
@@ -292,21 +307,13 @@ def rank_treatments(estimates: Sequence[EffectEstimate]) -> RankingResult:
             f"treatment sets differ between estimands: {sorted(ate_pts)} vs {sorted(wate_pts)}"
         )
 
-    treatments = sorted(ate_pts)
-    reversed_pairs = []
-    concordant = 0
-    num_pairs = 0
-    for i, j in ((a, b) for idx, a in enumerate(treatments) for b in treatments[idx + 1 :]):
-        num_pairs += 1
-        da = np.sign(ate_pts[i] - ate_pts[j])
-        dw = np.sign(wate_pts[i] - wate_pts[j])
-        if da == dw:
-            concordant += 1
-        if da * dw < 0:
-            reversed_pairs.append((i, j))
+    pairs = list(combinations(sorted(ate_pts), 2))
+    concordant = sum(bool(np.sign(ate_pts[i] - ate_pts[j]) == np.sign(wate_pts[i] - wate_pts[j]))
+                     for i, j in pairs)
     return RankingResult(
         ordering_by_ate=descending_order(ate_pts),
         ordering_by_wate=descending_order(wate_pts),
-        reversed_pairs=tuple(reversed_pairs),
-        agreement=concordant / num_pairs if num_pairs else 1.0,
+        reversed_pairs=tuple((i, j) for i, j in pairs
+                             if reverses(ate_pts[i], wate_pts[i], ate_pts[j], wate_pts[j])),
+        agreement=concordant / len(pairs) if pairs else 1.0,
     )

@@ -70,6 +70,7 @@ import time
 import traceback
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import combinations
 from multiprocessing.connection import Connection
 from typing import Callable, Iterator
 
@@ -78,8 +79,8 @@ from numpy.typing import NDArray
 
 from . import rng
 from .configio import ScenarioConfig, learner_to_dict, load_scenario_config, packaged_config_path
-from .dgp import oracle_ate, oracle_decomposition, oracle_wate, sample
-from .diagnostics import descending_order
+from .dgp import oracle_ate, oracle_wate, sample
+from .diagnostics import check_reversal, descending_order, oracle_report
 from .estimators import ESTIMATION_ERRORS, ESTIMATORS
 from .nuisance import (
     CellTable, LearnerSpec, NuisanceFit, assign_folds, cell_table, fit_table, stack_tables,
@@ -235,7 +236,8 @@ def validate_scenario(config: ScenarioConfig) -> None:
         return
     dgp = config.dgp
     K = dgp.num_treatments
-    decs = [oracle_decomposition(dgp, j) for j in range(1, K + 1)]
+    decs = [oracle_report(dgp, j) for j in range(1, K + 1)]
+    pairs = list(combinations(decs, 2))
     covs = np.array([d.cov_tau_gamma for d in decs])
     effects_constant = [float(np.ptp(dgp.effect[j - 1])) == 0.0 for j in range(1, K + 1)]
     props_constant = [float(np.ptp(dgp.propensity[j - 1])) == 0.0 for j in range(1, K + 1)]
@@ -246,12 +248,7 @@ def validate_scenario(config: ScenarioConfig) -> None:
     if scenario is ScenarioName.EXTREME_HETEROGENEITY:
         if float(dgp.propensity.min()) > 0.05:
             fail("expected extreme propensity scores (min <= 0.05)")
-        flips = [
-            (a.ate - b.ate) * (a.wate - b.wate) < 0
-            for i, a in enumerate(decs)
-            for b in decs[i + 1 :]
-        ]
-        if not any(flips):
+        if not any(check_reversal(a, b).reversed for a, b in pairs):
             fail("expected at least one oracle rank reversal")
     elif scenario is ScenarioName.CONSTANT_EFFECTS:
         if not all(effects_constant):
@@ -268,12 +265,7 @@ def validate_scenario(config: ScenarioConfig) -> None:
     elif scenario is ScenarioName.SELECTION_ON_GAINS:
         if np.min(np.abs(covs)) < 0.01 or len(set(np.sign(covs))) != 1:
             fail(f"expected same-sign, nonzero covariances, got {covs}")
-        gaps = [
-            (abs(a.ate - b.ate), abs(a.cov_tau_gamma - b.cov_tau_gamma))
-            for i, a in enumerate(decs)
-            for b in decs[i + 1 :]
-        ]
-        if any(gap <= spread for gap, spread in gaps):
+        if any(abs(a.ate - b.ate) <= abs(a.cov_tau_gamma - b.cov_tau_gamma) for a, b in pairs):
             fail("expected every ATE gap to exceed the covariance spread")
     elif scenario is ScenarioName.BALANCED:
         if not all(props_constant):

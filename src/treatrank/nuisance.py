@@ -69,8 +69,14 @@ dataset's is its DGP's stratum list) stack into a larger block
 (``stack_tables``) on the same terms, so one fit can serve many blocks.
 Every array of a table and of a fit is indexed ``[..., dataset, fold,
 stratum]``. Ridge fits stay per (dataset, fold) and see only the
-dataset's own strata. Newton iterations that end with the gradient above
-``NEWTON_GRAD_TOL`` raise ``SingularFitError``.
+dataset's own strata. A logistic fit's Newton iterations stop once the
+gradient is at most ``NEWTON_GRAD_TOL``, or once they stall: a step of
+at most ``NEWTON_STALL_TOL`` times ``max(1, max|beta|)`` that is not
+below half the step before it. Newton steps shrink quadratically until
+they reach the rounding floor of the gradient, which grows with the
+counts (and with an ill-conditioned basis), so at large n the stall
+comes first. ``NEWTON_MAX_ITER`` steps without either raise
+``SingularFitError``.
 """
 
 from __future__ import annotations
@@ -87,6 +93,7 @@ from .dgp import AssignmentMode, Dataset, StratifiedDGP, cell_layout
 
 NEWTON_MAX_ITER = 100
 NEWTON_GRAD_TOL = 1e-10
+NEWTON_STALL_TOL = 1e-8  # relative to max(1, max|beta|)
 
 DEFAULT_NUM_FOLDS = 5
 DEFAULT_CLIP = 0.01
@@ -308,6 +315,7 @@ def _logistic_ridge_beta(
         )
     d = X.shape[1]
     beta = np.zeros(d)
+    last = np.inf  # the previous step's largest entry
     for step_count in range(NEWTON_MAX_ITER + 1):
         mu = _sigmoid(X @ beta)
         grad = X.T @ (total - count * mu) - penalty * beta
@@ -323,6 +331,10 @@ def _logistic_ridge_beta(
                 "singular Hessian in logistic fit; set ridge_penalty > 0"
             ) from exc
         beta = beta + step
+        size = np.max(np.abs(step))
+        if last / 2 <= size <= NEWTON_STALL_TOL * max(1.0, np.max(np.abs(beta))):
+            return beta  # stalled at the rounding floor
+        last = size
     raise SingularFitError(
         f"logistic fit did not converge in {NEWTON_MAX_ITER} Newton steps "
         f"(gradient {np.max(np.abs(grad)):.3g} > {NEWTON_GRAD_TOL:g})"

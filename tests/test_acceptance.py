@@ -64,7 +64,7 @@ def test_criterion_03_decomposition_identity():
     worst = 0.0
     for dgp in _sweep_dgps(seed=3001, count=1_000):
         for j in (1, 2):
-            q = tr.oracle_decomposition(dgp, j)
+            q = tr.oracle_report(dgp, j)
             worst = max(worst, abs(q.wate - q.ate - q.cov_tau_gamma))
     ok = worst < 1e-10
     report(3, "additive identity over 1,000 random DGPs", ok,
@@ -76,8 +76,8 @@ def test_criterion_04_necessary_and_sufficient_condition():
     agree = 0
     total = 0
     for dgp in _sweep_dgps(seed=3002, count=1_000):
-        q1 = tr.oracle_decomposition(dgp, 1)
-        q2 = tr.oracle_decomposition(dgp, 2)
+        q1 = tr.oracle_report(dgp, 1)
+        q2 = tr.oracle_report(dgp, 2)
         condition = (q1.ate + q1.cov_tau_gamma) < (q2.ate + q2.cov_tau_gamma)
         direct = tr.oracle_wate(dgp, 1) < tr.oracle_wate(dgp, 2)
         # orient on the higher-ATE treatment: with that premise, the

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+import yaml
 
 import treatrank as tr
 from treatrank import cli, nuisance
@@ -187,6 +188,22 @@ class TestOracleCommand:
         assert run_cli("oracle", "--config", cfg, "--out", out) == 0
         payload = json.loads((out / "oracle.json").read_text())
         assert all(t["cov_tau_gamma"] == pytest.approx(0.0, abs=1e-12) for t in payload["treatments"])
+
+    @pytest.mark.parametrize("name", ["extreme_heterogeneity", "panel_negative_covariance",
+                                      "panel_zero_covariance", "panel_positive_covariance"])
+    def test_json_and_csv_weights_are_the_same_text(self, tmp_path, name):
+        # both layouts write the one oracle report: every gamma, ate and wate prints alike
+        cfg = tr.packaged_config_path(f"{name}.yaml")
+        assert run_cli("oracle", "--config", cfg, "--out", tmp_path / "j") == 0
+        assert run_cli("oracle", "--config", cfg, "--format", "csv", "--out", tmp_path / "c") == 0
+        payload = json.loads((tmp_path / "j" / "oracle.json").read_text(), parse_float=str)
+        from_json = {(t["treatment"], int(s)): g for t in payload["treatments"]
+                     for s, g in t["gamma"].items()}
+        _, rows = read_csv(tmp_path / "c" / "oracle_weights.csv")
+        assert from_json == {(int(t), int(s)): g for t, s, _, _, g in rows}
+        _, rows = read_csv(tmp_path / "c" / "oracle.csv")
+        assert [[str(t["treatment"]), t["ate"], t["wate"], t["cov_tau_gamma"]]
+                for t in payload["treatments"]] == rows
 
     def test_malformed_config_exits_nonzero(self, tmp_path, dgp_config, capsys):
         text = dgp_config.read_text().replace("probability: 0.5", "probability: 0.45", 1)
@@ -425,6 +442,32 @@ class TestMonteCarloCommand:
         assert run_cli("montecarlo", "--config", path, "--out", tmp_path / "o") == 1
         assert f"{path}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o" / "summary.json").exists()
+
+    @pytest.mark.parametrize("command,field,value,context", [
+        ("montecarlo", "dgp.noise_sd", None, ".dgp: "),
+        ("montecarlo", "clip", None, ": "),
+        ("montecarlo", "num_reps", [3], ": "),
+        ("montecarlo", "learner.ridge_penalty", None, ".learner: "),
+        ("oracle", "dgp.noise_sd", None, ": "),
+    ])
+    def test_mistyped_setting_is_a_config_error(self, tmp_path, capsys, command, field, value,
+                                                 context):
+        # float(None) and int([3]) raise TypeError; the loader reports it as ConfigError
+        raw = yaml.safe_load(tr.packaged_config_path("balanced.yaml").read_text())
+        *parents, key = field.split(".")
+        table = raw
+        for parent in parents:
+            table = table[parent]
+        table[key] = value
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        loader = tr.load_scenario_config if command == "montecarlo" else tr.load_dgp_config
+        with pytest.raises(tr.ConfigError):
+            loader(path)
+        assert run_cli(command, "--config", path, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"treatrank {command}: error: {path}{context}")
+        assert "NoneType" in err or "list" in err
 
     def test_requires_preset_or_config(self, tmp_path, capsys):
         assert run_cli("montecarlo", "--out", tmp_path / "o") == 1

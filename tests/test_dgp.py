@@ -92,8 +92,8 @@ class TestOracleEstimands:
         assert tr.oracle_wate(dgp, 1) == pytest.approx(1.7, abs=1e-12)
 
     def test_decomposition_triples(self, reversal_dgp):
-        q1 = tr.oracle_decomposition(reversal_dgp, 1)
-        q2 = tr.oracle_decomposition(reversal_dgp, 2)
+        q1 = tr.oracle_report(reversal_dgp, 1)
+        q2 = tr.oracle_report(reversal_dgp, 2)
         assert (q1.ate, q1.wate) == (0.0, pytest.approx(2.7714, abs=1e-4))
         assert q1.cov_tau_gamma == pytest.approx(2.7714, abs=1e-4)
         assert q2.cov_tau_gamma == pytest.approx(-1.8095 - 0.5, abs=1e-4)
@@ -106,7 +106,7 @@ class TestOracleEstimands:
             effect=np.array([[-1.0, 5.0]]),
             baseline=np.zeros(2),
         )
-        q = tr.oracle_decomposition(dgp, 1)
+        q = tr.oracle_report(dgp, 1)
         assert q.cov_tau_gamma == pytest.approx(0.0, abs=1e-15)
         assert q.wate == pytest.approx(q.ate, abs=1e-15)
 
@@ -116,7 +116,7 @@ class TestOracleProperties:
     @given(dgp_tables())
     def test_decomposition_identity(self, dgp):
         for j in (1, 2):
-            q = tr.oracle_decomposition(dgp, j)
+            q = tr.oracle_report(dgp, j)
             assert abs(q.wate - q.ate - q.cov_tau_gamma) < 1e-10
 
     @settings(max_examples=100, deadline=None)

@@ -34,8 +34,7 @@ class TestDecompose:
         assert rep.ate == pytest.approx(0.0, abs=1e-12)
         assert rep.wate == pytest.approx(2.7714, abs=1e-4)
         assert rep.cov_tau_gamma == pytest.approx(2.7714, abs=1e-4)
-        q = tr.oracle_decomposition(reversal_dgp, 1)
-        assert rep.wate == pytest.approx(q.wate, abs=1e-12)
+        assert rep.wate == tr.oracle_wate(reversal_dgp, 1)
 
     def test_unit_weights_mean_zero_covariance(self):
         rep = tr.decompose(
@@ -94,7 +93,7 @@ class TestEstimateDecomposition:
         fit = tr.oracle_nuisance(data, dgp)
         for j in (1, 2):
             rep = tr.estimate_decomposition(data, fit, j)
-            oracle = tr.oracle_decomposition(dgp, j)
+            oracle = tr.oracle_report(dgp, j)
             assert rep.ate == pytest.approx(oracle.ate, abs=1e-8)
             assert rep.wate == pytest.approx(oracle.wate, abs=1e-8)
             assert rep.cov_tau_gamma == pytest.approx(oracle.cov_tau_gamma, abs=1e-8)
@@ -166,7 +165,7 @@ class TestCovariancePanels:
     )
     def test_covariance_sign_and_identity(self, name, sign):
         dgp = tr.load_dgp_config(tr.packaged_config_path(f"{name}.yaml"))
-        q = tr.oracle_decomposition(dgp, 1)
+        q = tr.oracle_report(dgp, 1)
         assert np.sign(round(q.cov_tau_gamma, 6)) == sign
         assert abs(q.wate - q.ate - q.cov_tau_gamma) < 1e-12
         # brute-force recomputation straight from the tables
@@ -180,15 +179,71 @@ class TestCovariancePanels:
         negative = tr.load_dgp_config(
             tr.packaged_config_path("panel_negative_covariance.yaml")
         )
-        q = tr.oracle_decomposition(negative, 1)
+        q = tr.oracle_report(negative, 1)
         assert q.ate == pytest.approx(1.56, abs=1e-12)
         assert q.cov_tau_gamma == pytest.approx(-0.2914, abs=1e-3)
         positive = tr.load_dgp_config(
             tr.packaged_config_path("panel_positive_covariance.yaml")
         )
-        q = tr.oracle_decomposition(positive, 1)
+        q = tr.oracle_report(positive, 1)
         assert q.ate == pytest.approx(0.64, abs=1e-12)
         assert q.cov_tau_gamma == pytest.approx(0.2914, abs=1e-3)
+
+
+def _packaged_dgps() -> dict[str, tr.StratifiedDGP]:
+    """Every DGP the package ships: the scenario presets' and the panels'."""
+    configs = tr.packaged_config_path("balanced.yaml").parent
+    return {path.stem: tr.load_dgp_config(path) for path in sorted(configs.glob("*.yaml"))}
+
+
+def _unsorted_codes(dgp: tr.StratifiedDGP, seed: int) -> tr.StratifiedDGP:
+    """``dgp`` with its strata relabelled by shuffled, spread-out codes, in the same rows."""
+    codes = 7 * np.random.default_rng(seed).permutation(dgp.num_strata) - 3
+    return tr.StratifiedDGP(
+        strata=tuple((int(c), p) for c, (_, p) in zip(codes, dgp.strata)),
+        num_treatments=dgp.num_treatments, propensity=dgp.propensity, effect=dgp.effect,
+        baseline=dgp.baseline, assignment_mode=dgp.assignment_mode,
+    )
+
+
+def _random_dgps() -> list[tr.StratifiedDGP]:
+    """Random DGPs in both modes, with 1-4 treatments and up to 40 strata, half with unsorted codes."""
+    dgps = []
+    for i in range(150):
+        for mode in tr.AssignmentMode:
+            dgp = tr.random_dgp(400 + i, num_treatments=1 + i % 4, max_strata=2 + i % 39,
+                                assignment_mode=mode)
+            dgps.append(_unsorted_codes(dgp, i) if i % 2 else dgp)
+    return dgps
+
+
+class TestOracleReport:
+    """The oracle report is the one closed-form decomposition: bit for bit the dgp oracles."""
+
+    @staticmethod
+    def assert_bitwise_oracle(dgp):
+        for j in range(1, dgp.num_treatments + 1):
+            rep = tr.oracle_report(dgp, j)
+            assert rep.source is tr.Source.ORACLE and rep.treatment == j
+            assert rep.ate == tr.oracle_ate(dgp, j)
+            assert rep.wate == tr.oracle_wate(dgp, j)
+            assert rep.strata == tuple(dgp.stratum_codes.tolist())
+            assert [row.gamma for row in rep.per_stratum] == tr.oracle_weights(dgp, j).tolist()
+            assert [row.probability for row in rep.per_stratum] == dgp.stratum_probs.tolist()
+            assert [row.tau for row in rep.per_stratum] == dgp.effect[j - 1].tolist()
+
+    @pytest.mark.parametrize("name", sorted(_packaged_dgps()))
+    def test_packaged_configs(self, name):
+        self.assert_bitwise_oracle(_packaged_dgps()[name])
+
+    def test_random_dgps_in_both_modes(self):
+        for dgp in _random_dgps():
+            self.assert_bitwise_oracle(dgp)
+
+    def test_treatment_checked(self, reversal_dgp):
+        for j in (0, 3):
+            with pytest.raises(ValueError, match="treatment index"):
+                tr.oracle_report(reversal_dgp, j)
 
 
 class TestCheckReversal:
@@ -211,6 +266,23 @@ class TestCheckReversal:
         other = tr.decompose({5: 1.0}, {5: 1.0}, {5: 1.0}, treatment=2)
         with pytest.raises(ValueError, match="strata"):
             tr.check_reversal(r1, other)
+
+    def test_unsorted_codes_compare_as_a_set(self, reversal_dgp):
+        # an oracle report keeps the DGP's stratum order, an estimated one ascending codes
+        shuffled = tr.StratifiedDGP(
+            strata=((1, 0.5), (0, 0.5)), num_treatments=2,
+            propensity=reversal_dgp.propensity[:, ::-1], effect=reversal_dgp.effect[:, ::-1],
+            baseline=reversal_dgp.baseline[::-1],
+        )
+        r1 = tr.oracle_report(shuffled, 1)
+        rows = sorted(tr.oracle_report(shuffled, 2).per_stratum, key=lambda row: row.stratum)
+        sorted_r2 = tr.decompose({r.stratum: r.tau for r in rows}, {r.stratum: r.gamma for r in rows},
+                                 {r.stratum: r.probability for r in rows}, treatment=2)
+        assert r1.strata == (1, 0) and sorted_r2.strata == (0, 1)
+        res = tr.check_reversal(r1, sorted_r2)
+        expected = tr.check_reversal(tr.oracle_report(reversal_dgp, 1),
+                                     tr.oracle_report(reversal_dgp, 2))
+        assert res.reversed and res.margin == pytest.approx(expected.margin, abs=1e-12)
 
     def test_sweep_matches_direct_ordering_comparison(self):
         for dgp in dgp_sweep(seed=206, count=200):
@@ -310,6 +382,26 @@ class TestRankTreatments:
         )
         with pytest.raises(ValueError):
             tr.rank_treatments(ests)
+
+    def test_reversed_pairs_agree_with_check_reversal(self):
+        # one reversal rule: on the same numbers, a pair is reversed in the ranking
+        # iff check_reversal flags it; the draws come from a few values, so ties occur
+        gen = rng.substream(209)
+        for _ in range(300):
+            K = int(gen.integers(2, 6))
+            ate, wate = gen.choice([-1.0, 0.0, 0.5, 2.0], size=(2, K))
+            ests = [tr.EffectEstimate(treatment=j, method=method, point=float(points[j - 1]),
+                                      std_error=0.0, n_used=0)
+                    for j in range(1, K + 1)
+                    for method, points in ((tr.Method.AIPW, ate), (tr.Method.PLM, wate))]
+            reports = {j: tr.DecompositionReport(treatment=j, ate=float(ate[j - 1]),
+                                                 cov_tau_gamma=float(wate[j - 1] - ate[j - 1]),
+                                                 wate=float(wate[j - 1]), per_stratum=(),
+                                                 source=tr.Source.ESTIMATED)
+                       for j in range(1, K + 1)}
+            flagged = tuple((i, j) for i in range(1, K + 1) for j in range(i + 1, K + 1)
+                            if tr.check_reversal(reports[i], reports[j]).reversed)
+            assert tr.rank_treatments(ests).reversed_pairs == flagged
 
     def test_agreement_one_when_weights_flat(self):
         gen = rng.substream(208)

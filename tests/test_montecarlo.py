@@ -34,11 +34,11 @@ class TestPresets:
     def test_constant_effects_has_zero_covariance(self):
         dgp = tr.preset(tr.ScenarioName.CONSTANT_EFFECTS).dgp
         for j in (1, 2):
-            assert tr.oracle_decomposition(dgp, j).cov_tau_gamma == pytest.approx(0.0, abs=1e-12)
+            assert tr.oracle_report(dgp, j).cov_tau_gamma == pytest.approx(0.0, abs=1e-12)
 
     def test_selection_on_gains_has_same_sign_covariances(self):
         dgp = tr.preset(tr.ScenarioName.SELECTION_ON_GAINS).dgp
-        covs = [tr.oracle_decomposition(dgp, j).cov_tau_gamma for j in (1, 2)]
+        covs = [tr.oracle_report(dgp, j).cov_tau_gamma for j in (1, 2)]
         assert all(c < -0.01 for c in covs)
 
     def test_unknown_preset_lists_valid_names(self):

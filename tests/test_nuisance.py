@@ -198,6 +198,60 @@ class TestRidgeLearners:
         with pytest.raises(tr.SingularFitError, match="did not converge"):
             nuisance._logistic_ridge_beta(X, count, total, 0.0)
 
+    @pytest.mark.parametrize("basis", list(tr.Basis))
+    @pytest.mark.parametrize("n", [1e7, 1e8, 1e9])
+    def test_logistic_converges_at_large_n(self, basis, n):
+        # a 5-stratum (count, total) table scaled up: the gradient's rounding floor
+        # grows with the counts past NEWTON_GRAD_TOL, so the stall test ends the fit
+        count = np.array([7.0, 11.0, 13.0, 5.0, 9.0]) * (n / 45.0)
+        total = np.round(np.array([2.0, 5.0, 6.0, 1.0, 3.0]) * (n / 45.0))
+        X = nuisance._basis(np.arange(5), basis)
+        beta = nuisance._logistic_ridge_beta(X, count, total, 0.0)
+        mu = nuisance._sigmoid(X @ beta)
+        # the score is zero up to the rounding of its sums of about n terms
+        assert np.max(np.abs(X.T @ (total - count * mu))) <= 1e-13 * n * np.abs(X).max()
+        if basis is tr.Basis.STRATUM_DUMMIES:  # saturated: the cell rates
+            np.testing.assert_allclose(mu, total / count, rtol=1e-12)
+
+    def test_logistic_converges_on_close_raw_codes(self):
+        # codes 32 and 34: the intercept and the code nearly cancel, and the
+        # gradient's floor is above NEWTON_GRAD_TOL already at n = 120,000
+        X = nuisance._basis(np.array([32, 34]), tr.Basis.RAW_CODE)
+        count, total = np.array([55_000.0, 65_000.0]), np.array([35_000.0, 22_000.0])
+        mu = nuisance._sigmoid(X @ nuisance._logistic_ridge_beta(X, count, total, 0.0))
+        np.testing.assert_allclose(mu, total / count, rtol=1e-12)
+
+    def test_stall_test_never_ends_a_fit_later(self, monkeypatch):
+        # up to n = 10,000, on the tables the gradient test alone ends, the fit
+        # with the stall test takes no more Newton steps and returns the same bits
+        solve, calls = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
+        stall_tol, compared = nuisance.NEWTON_STALL_TOL, 0
+
+        def fit(tol):
+            monkeypatch.setattr(nuisance, "NEWTON_STALL_TOL", tol)
+            calls.clear()
+            try:
+                beta = nuisance._logistic_ridge_beta(X, count, total, penalty)
+            except tr.SingularFitError:
+                return None, len(calls)
+            return beta.tobytes(), len(calls)
+
+        gen = np.random.default_rng(24)
+        for i in range(400):
+            S = int(gen.integers(2, 9))
+            count = np.maximum(np.round(gen.dirichlet(np.ones(S)) * 10 ** gen.uniform(1, 4)), 2)
+            total = np.clip(np.round(gen.uniform(0.02, 0.98, size=S) * count), 1, count - 1)
+            levels = np.sort(gen.choice(60, S, replace=False)) if i % 2 else np.arange(S)
+            X = nuisance._basis(levels, tr.Basis.RAW_CODE if i % 4 < 2 else tr.Basis.STRATUM_DUMMIES)
+            penalty = 0.5 if i % 3 == 0 else 0.0
+            (beta, steps), (alone, alone_steps) = fit(stall_tol), fit(-1.0)  # -1: never stalls
+            assert beta is not None
+            if alone is not None:
+                assert beta == alone and steps <= alone_steps
+                compared += 1
+        assert compared > 350
+
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValueError):
             tr.LearnerSpec(ridge_penalty=-1.0)
