@@ -79,6 +79,13 @@ def dgp_to_dict(dgp: StratifiedDGP) -> dict:
     }
 
 
+def _whole(value: Any, name: str) -> int:
+    """``int(value)``, but a bool or a float that is not a whole number is refused, not truncated."""
+    if isinstance(value, (bool, np.bool_)) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _mapping(value: Any, context: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{context}: expected a mapping, got {type(value).__name__}")
@@ -102,7 +109,7 @@ def dgp_from_dict(raw: dict, context: str = "dgp") -> StratifiedDGP:
     strata_raw = _require(raw, "strata", context)
     try:
         strata = tuple(
-            (int(_require(s, "id", f"{context}.strata")), float(_require(s, "probability", f"{context}.strata")))
+            (_whole(_require(s, "id", f"{context}.strata"), "id"), float(_require(s, "probability", f"{context}.strata")))
             for s in strata_raw
         )
     except (TypeError, ValueError) as exc:
@@ -110,7 +117,7 @@ def dgp_from_dict(raw: dict, context: str = "dgp") -> StratifiedDGP:
     codes = [s for s, _ in strata]
     K = _require(raw, "num_treatments", context)
     try:
-        K = int(K)
+        K = _whole(K, "num_treatments")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}.num_treatments: expected an integer ({exc})") from None
 
@@ -221,11 +228,11 @@ def _scenario_from_dict(raw: dict, context: str) -> ScenarioConfig:
         return ScenarioConfig(
             name=str(raw.get("name", "custom")),
             dgp=dgp_from_dict(_require(raw, "dgp", context), context=f"{context}.dgp"),
-            n_per_rep=int(raw.get("n_per_rep", 10_000)),
-            num_reps=int(raw.get("num_reps", 1_000)),
-            seed=int(raw.get("seed", 0)),
+            n_per_rep=_whole(raw.get("n_per_rep", 10_000), "n_per_rep"),
+            num_reps=_whole(raw.get("num_reps", 1_000), "num_reps"),
+            seed=_whole(raw.get("seed", 0), "seed"),
             learner=learner_from_dict(raw.get("learner", {}), context=f"{context}.learner"),
-            num_folds=int(raw.get("num_folds", DEFAULT_NUM_FOLDS)),
+            num_folds=_whole(raw.get("num_folds", DEFAULT_NUM_FOLDS), "num_folds"),
             clip=float(raw.get("clip", DEFAULT_CLIP)),
         )
     except (TypeError, ValueError) as exc:

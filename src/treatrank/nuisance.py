@@ -307,38 +307,86 @@ def _linear_ridge_beta(
 def _logistic_ridge_beta(
     X: NDArray, count: NDArray, total: NDArray, penalty: float
 ) -> NDArray[np.float64]:
-    hits = total.sum()
-    if penalty == 0.0 and (hits == 0 or hits == count.sum()):
-        raise SingularFitError(
-            "logistic training split contains a single class; "
-            "set ridge_penalty > 0 to regularize the fit"
-        )
-    d = X.shape[1]
-    beta = np.zeros(d)
-    last = np.inf  # the previous step's largest entry
+    """The betas of ``_newton``'s fits ((d,) for one row), or its first row's error."""
+    beta, _, errors = _newton(X, np.atleast_2d(count), np.atleast_2d(total), penalty)
+    if errors:
+        raise errors[min(errors)]
+    return beta if count.ndim > 1 else beta[0]
+
+
+def _newton(
+    X: NDArray, count: NDArray, total: NDArray, penalty: float
+) -> tuple[NDArray[np.float64], NDArray[np.int64], dict[int, SingularFitError]]:
+    """Newton fits of every (count, total) row on the one basis ``X``, in one loop.
+
+    Returns the ``(G, d)`` betas, each fit's number of Newton steps and
+    ``{row: error}`` for the fits that fail. Each fit stops on its own
+    gradient, stall or step cap and then leaves the active set; every step
+    stacks the active fits' products and solves their Hessians in one
+    ``np.linalg.solve``. A stacked product or solve makes, per fit, the
+    same BLAS or LAPACK call on the same operands as a fit on its own, so
+    every beta is bit for bit that fit's.
+    """
+    G, d = count.shape[0], X.shape[1]
+    beta = np.zeros((G, d))
+    steps = np.zeros(G, dtype=np.int64)
+    hits = total.sum(axis=-1)
+    single = (hits == 0) | (hits == count.sum(axis=-1)) if penalty == 0.0 else np.zeros(G, bool)
+    errors = {int(g): SingularFitError("logistic training split contains a single class; "
+                                       "set ridge_penalty > 0 to regularize the fit")
+              for g in np.flatnonzero(single)}
+    active = np.flatnonzero(~single)
+    last = np.full(G, np.inf)  # each fit's previous step's largest entry
+    ridge = penalty * np.eye(d)
     for step_count in range(NEWTON_MAX_ITER + 1):
-        mu = _sigmoid(X @ beta)
-        grad = X.T @ (total - count * mu) - penalty * beta
-        if np.max(np.abs(grad)) <= NEWTON_GRAD_TOL:
-            return beta
-        if step_count == NEWTON_MAX_ITER:
+        b, c = beta[active], count[active]
+        mu = _sigmoid((X[None] @ b[..., None])[..., 0])
+        resid = total[active] - c * mu
+        grad = (X.T[None] @ resid[..., None])[..., 0] - penalty * b
+        size = np.max(np.abs(grad), axis=1)
+        going = ~(size <= NEWTON_GRAD_TOL)  # a NaN gradient goes on
+        active, b, c, mu, grad, size = (a[going] for a in (active, b, c, mu, grad, size))
+        if not active.size:
             break
-        H = (X * (count * mu * (1.0 - mu))[:, None]).T @ X + penalty * np.eye(d)
+        if step_count == NEWTON_MAX_ITER:
+            for g, top in zip(active, size):
+                errors[int(g)] = SingularFitError(
+                    f"logistic fit did not converge in {NEWTON_MAX_ITER} Newton steps "
+                    f"(gradient {top:.3g} > {NEWTON_GRAD_TOL:g})"
+                )
+            break
+        H = np.matmul((X[None] * (c * mu * (1.0 - mu))[..., None]).transpose(0, 2, 1), X) + ridge
         try:
-            step = np.linalg.solve(H, grad)
+            step = np.linalg.solve(H, grad[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            step, solved = _solve_each(H, grad, active, errors)
+            active, b, step = active[solved], b[solved], step[solved]
+        b = b + step
+        beta[active] = b
+        steps[active] += 1
+        size = np.max(np.abs(step), axis=1)
+        # fmax mirrors max(1.0, x): 1.0 for a NaN beta
+        stalled = (last[active] / 2 <= size) & (
+            size <= NEWTON_STALL_TOL * np.fmax(1.0, np.max(np.abs(b), axis=1)))
+        last[active] = size
+        active = active[~stalled]  # stalled at the rounding floor
+    return beta, steps, errors
+
+
+def _solve_each(H, grad, active, errors):
+    """Each system on its own, after a stacked solve found one singular: steps, solved mask.
+
+    A singular system's fit gets its error in ``errors``.
+    """
+    step, solved = np.zeros(grad.shape), np.ones(active.shape[0], dtype=bool)
+    for i, g in enumerate(active):
+        try:
+            step[i] = np.linalg.solve(H[i : i + 1], grad[i : i + 1, :, None])[0, :, 0]
         except np.linalg.LinAlgError as exc:
-            raise SingularFitError(
-                "singular Hessian in logistic fit; set ridge_penalty > 0"
-            ) from exc
-        beta = beta + step
-        size = np.max(np.abs(step))
-        if last / 2 <= size <= NEWTON_STALL_TOL * max(1.0, np.max(np.abs(beta))):
-            return beta  # stalled at the rounding floor
-        last = size
-    raise SingularFitError(
-        f"logistic fit did not converge in {NEWTON_MAX_ITER} Newton steps "
-        f"(gradient {np.max(np.abs(grad)):.3g} > {NEWTON_GRAD_TOL:g})"
-    )
+            error = SingularFitError("singular Hessian in logistic fit; set ridge_penalty > 0")
+            error.__cause__ = exc
+            errors[int(g)], solved[i] = error, False
+    return step, solved
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +552,10 @@ class _Learners:
         return self._predict(count[len(hits):], count[: len(hits)].astype(np.float64),
                              binary=True, empty=lambda: 0.5)
 
-    def _basis(self, b: int) -> tuple[slice | NDArray[np.bool_], NDArray[np.float64]]:
+    def _basis(self, b: int) -> tuple[NDArray[np.intp], NDArray[np.float64]]:
         """Dataset ``b``'s strata (a block's strata may be absent from it) and their basis."""
         if b not in self.bases:
-            present = self.held[b].any(axis=0)
-            strata = slice(None) if present.all() else present
+            strata = np.flatnonzero(self.held[b].any(axis=0))
             self.bases[b] = strata, _basis(self.table.levels[strata], self.spec.basis)
         return self.bases[b]
 
@@ -518,9 +565,11 @@ class _Learners:
         A stratum-mean cell without training units takes the target's
         training mean, and a target without any training units ``empty()``;
         each counts one fallback per unit it predicts. A ridge fit sees only
-        the strata of its own dataset, and the fits run target by target,
-        so the first target that cannot be fitted raises. Binary targets are
-        clipped on the table, each cell counting the units it predicts.
+        the strata of its own dataset. A dataset's logistic fits run in one
+        Newton loop (``_newton``), each stopping on its own; the error
+        raised is that of the first fit, in (target, dataset, fold) order,
+        that cannot be fitted. Binary targets are clipped on the table,
+        each cell counting the units it predicts.
         """
         kind = self.spec.kind
         if kind is LearnerKind.LOGISTIC_RIDGE and not binary:
@@ -532,15 +581,23 @@ class _Learners:
             table = np.zeros(total.shape)
             empty_split = ~count.any(axis=-1)
             unfit = np.broadcast_to(empty_split[..., None], count.shape)
-            for t, b, k in zip(*np.nonzero(~empty_split)):
+            fits = np.nonzero(~empty_split)  # (target, dataset, fold), in that order
+            errors = {}
+            for b in np.unique(fits[1]):
+                t, k = (axis[fits[1] == b] for axis in fits[::2])
                 strata, X = self._basis(b)
-                c, y = count[t, b, k, strata], total[t, b, k, strata]
+                cells = t[:, None], b, k[:, None], strata
+                c, y = count[cells], total[cells]
                 if kind is LearnerKind.LOGISTIC_RIDGE:
-                    beta = _logistic_ridge_beta(X, c, y, self.spec.ridge_penalty)
-                    table[t, b, k, strata] = _sigmoid(X @ beta)
+                    beta, _, failed = _newton(X, c, y, self.spec.ridge_penalty)
+                    errors.update(((t[g], b, k[g]), error) for g, error in failed.items())
+                    table[cells] = _sigmoid((X[None] @ beta[..., None])[..., 0])
                 else:
-                    beta = _linear_ridge_beta(X, c, y, self.spec.ridge_penalty)
-                    table[t, b, k, strata] = X @ beta
+                    for g in range(t.shape[0]):
+                        beta = _linear_ridge_beta(X, c[g], y[g], self.spec.ridge_penalty)
+                        table[t[g], b, k[g], strata] = X @ beta
+            if errors:
+                raise errors[min(errors)]
         if unfit.any():
             self.fallbacks += np.where(unfit, self.held, 0).sum(axis=(0, 2, 3))
             table = np.where(unfit, _mean(count, total, empty())[..., None], table)
