@@ -68,15 +68,21 @@ instead of one per dataset. Tables on one stratum axis (a sampled
 dataset's is its DGP's stratum list) stack into a larger block
 (``stack_tables``) on the same terms, so one fit can serve many blocks.
 Every array of a table and of a fit is indexed ``[..., dataset, fold,
-stratum]``. Ridge fits stay per (dataset, fold) and see only the
-dataset's own strata. A logistic fit's Newton iterations stop once the
-gradient is at most ``NEWTON_GRAD_TOL``, or once they stall: a step of
-at most ``NEWTON_STALL_TOL`` times ``max(1, max|beta|)`` that is not
-below half the step before it. Newton steps shrink quadratically until
-they reach the rounding floor of the gradient, which grows with the
-counts (and with an ill-conditioned basis), so at large n the stall
-comes first. ``NEWTON_MAX_ITER`` steps without either raise
-``SingularFitError``.
+stratum]``. A ridge fit is one (target, dataset, fold) and sees only the
+dataset's own strata. Linear ridge fits are solved one by one; all the
+logistic fits of a dataset share its basis and run in one Newton loop
+(``_newton``), which stacks each step's products and Hessian solves over
+the fits still running. Each fit stops on its own: once its gradient is
+at most ``NEWTON_GRAD_TOL``, or once it stalls: a step of at most
+``NEWTON_STALL_TOL`` times ``max(1, max|beta|)`` that is not below half
+its step before. Newton steps shrink quadratically until they reach the
+rounding floor of the gradient, which grows with the counts (and with an
+ill-conditioned basis), so at large n the stall comes first.
+``NEWTON_MAX_ITER`` steps without either raise ``SingularFitError``. A
+stacked product or solve makes, per fit, the BLAS or LAPACK call that the
+fit alone makes, so every fit ends with the same bits after the same
+steps as on its own, and the error raised is the first failing fit's in
+(target, dataset, fold) order.
 """
 
 from __future__ import annotations
@@ -338,6 +344,7 @@ def _newton(
     active = np.flatnonzero(~single)
     last = np.full(G, np.inf)  # each fit's previous step's largest entry
     ridge = penalty * np.eye(d)
+    XW, hessians = np.empty((G, *X.shape)), np.empty((G, d, d))  # every step's, reused
     for step_count in range(NEWTON_MAX_ITER + 1):
         b, c = beta[active], count[active]
         mu = _sigmoid((X[None] @ b[..., None])[..., 0])
@@ -355,7 +362,10 @@ def _newton(
                     f"(gradient {top:.3g} > {NEWTON_GRAD_TOL:g})"
                 )
             break
-        H = np.matmul((X[None] * (c * mu * (1.0 - mu))[..., None]).transpose(0, 2, 1), X) + ridge
+        weighted, H = XW[: active.size], hessians[: active.size]
+        np.multiply(X[None], (c * mu * (1.0 - mu))[..., None], out=weighted)
+        np.matmul(weighted.transpose(0, 2, 1), X, out=H)
+        H += ridge
         try:
             step = np.linalg.solve(H, grad[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -584,7 +594,8 @@ class _Learners:
             fits = np.nonzero(~empty_split)  # (target, dataset, fold), in that order
             errors = {}
             for b in np.unique(fits[1]):
-                t, k = (axis[fits[1] == b] for axis in fits[::2])
+                mine = fits[1] == b
+                t, k = fits[0][mine], fits[2][mine]
                 strata, X = self._basis(b)
                 cells = t[:, None], b, k[:, None], strata
                 c, y = count[cells], total[cells]

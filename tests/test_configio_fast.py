@@ -5,6 +5,7 @@ they replaced (for the decomposition, ``unit_reference.decomposition``)."""
 from __future__ import annotations
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -310,3 +311,36 @@ def test_yaml_helpers_match_safe_functions(tmp_path, name, doc):
 def test_packaged_configs_load_like_safe_load(name):
     path = packaged_config_path(f"{name.value}.yaml")
     assert _load_yaml(path) == yaml.safe_load(path.read_text())
+
+
+# --- counts: a float that is not a whole number, or a bool, is refused --------
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_reps", 3.7), ("n_per_rep", 200.9), ("num_folds", 5.5), ("seed", 1.5),
+    ("num_reps", True), ("num_folds", float("nan")), ("n_per_rep", float("inf")),
+    ("dgp.num_treatments", 2.9), ("dgp.num_treatments", True), ("dgp.strata.id", 0.5),
+])
+def test_counts_are_not_truncated(tmp_path, field, value):
+    doc = scenario_to_dict(tr.preset(tr.ScenarioName.BALANCED))
+    if field == "dgp.strata.id":
+        doc["dgp"]["strata"][0]["id"] = value
+    elif field == "dgp.num_treatments":
+        doc["dgp"]["num_treatments"] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "scenario.yaml"
+    _dump_yaml(doc, path)
+    name = field.rsplit(".", 1)[-1]
+    with pytest.raises(ConfigError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        tr.load_scenario_config(path)
+
+
+def test_whole_float_counts_load(tmp_path):
+    doc = scenario_to_dict(tr.preset(tr.ScenarioName.BALANCED))
+    doc.update(num_reps=4.0, n_per_rep=200.0)
+    path = tmp_path / "scenario.yaml"
+    _dump_yaml(doc, path)
+    config = tr.load_scenario_config(path)
+    assert (config.num_reps, config.n_per_rep) == (4, 200)
+    assert type(config.num_reps) is int and type(config.n_per_rep) is int

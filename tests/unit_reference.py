@@ -1,4 +1,5 @@
-"""Per-unit reference for the nuisance tables, the estimators and the decomposition.
+"""Per-unit reference for the nuisance tables, the estimators and the decomposition,
+and the per-fit reference for the logistic Newton fits.
 
 A fit holds (dataset, fold, stratum) tables and the cell table of held-out
 base cells it was fitted from; the estimators and ``estimate_decomposition``
@@ -14,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 import treatrank as tr
+from treatrank import nuisance
 from treatrank.diagnostics import NotEstimableError, Source, decompose
 
 FIELDS = ("y_hat", "p_hat", "mu_treated", "mu_control", "restricted_y", "restricted_p", "control_p")
@@ -39,6 +41,62 @@ def unit_arrays(data, fit, folds=None):
         else:  # [treatment, dataset, fold, stratum]
             out[name] = table[:, 0, fold, stratum].T
     return out
+
+
+def newton(X, count, total, penalty):
+    """One logistic fit on its own: (beta, Newton steps, "gradient" or "stall"), or its error.
+
+    The stopping rules and caps are read from ``nuisance`` when called.
+    """
+    hits = total.sum()
+    if penalty == 0.0 and (hits == 0 or hits == count.sum()):
+        raise tr.SingularFitError(
+            "logistic training split contains a single class; "
+            "set ridge_penalty > 0 to regularize the fit"
+        )
+    d = X.shape[1]
+    beta = np.zeros(d)
+    last = np.inf
+    for steps in range(nuisance.NEWTON_MAX_ITER + 1):
+        mu = nuisance._sigmoid(X @ beta)
+        grad = X.T @ (total - count * mu) - penalty * beta
+        if np.max(np.abs(grad)) <= nuisance.NEWTON_GRAD_TOL:
+            return beta, steps, "gradient"
+        if steps == nuisance.NEWTON_MAX_ITER:
+            break
+        H = (X * (count * mu * (1.0 - mu))[:, None]).T @ X + penalty * np.eye(d)
+        try:
+            step = np.linalg.solve(H, grad)
+        except np.linalg.LinAlgError as exc:
+            raise tr.SingularFitError(
+                "singular Hessian in logistic fit; set ridge_penalty > 0"
+            ) from exc
+        beta = beta + step
+        size = np.max(np.abs(step))
+        if last / 2 <= size <= nuisance.NEWTON_STALL_TOL * max(1.0, np.max(np.abs(beta))):
+            return beta, steps + 1, "stall"
+        last = size
+    raise tr.SingularFitError(
+        f"logistic fit did not converge in {nuisance.NEWTON_MAX_ITER} Newton steps "
+        f"(gradient {np.max(np.abs(grad)):.3g} > {nuisance.NEWTON_GRAD_TOL:g})"
+    )
+
+
+def logistic_tables(learners, count, total):
+    """``[target, dataset, fold, stratum]`` logistic predictions, fit by fit.
+
+    ``learners`` is a ``nuisance._Learners``; ``count`` and ``total`` are
+    the training tables its ``_predict`` takes. Each (target, dataset,
+    fold) with training units is fitted on its dataset's strata in that
+    order, so the first fit that fails raises; other cells stay 0.
+    """
+    table = np.zeros(total.shape)
+    for t, b, k in zip(*np.nonzero(count.any(axis=-1))):
+        strata, X = learners._basis(b)
+        beta = newton(X, count[t, b, k, strata], total[t, b, k, strata],
+                      learners.spec.ridge_penalty)[0]
+        table[t, b, k, strata] = nuisance._sigmoid(X @ beta)
+    return table
 
 
 def indicators(data, j):
