@@ -593,8 +593,10 @@ class _Learners:
             unfit = np.broadcast_to(empty_split[..., None], count.shape)
             fits = np.nonzero(~empty_split)  # (target, dataset, fold), in that order
             errors = {}
-            for b in np.unique(fits[1]):
+            for b in range(count.shape[1]):
                 mine = fits[1] == b
+                if not mine.any():
+                    continue
                 t, k = fits[0][mine], fits[2][mine]
                 strata, X = self._basis(b)
                 cells = t[:, None], b, k[:, None], strata
