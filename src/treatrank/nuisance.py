@@ -344,7 +344,6 @@ def _newton(
     active = np.flatnonzero(~single)
     last = np.full(G, np.inf)  # each fit's previous step's largest entry
     ridge = penalty * np.eye(d)
-    XW, hessians = np.empty((G, *X.shape)), np.empty((G, d, d))  # every step's, reused
     for step_count in range(NEWTON_MAX_ITER + 1):
         b, c = beta[active], count[active]
         mu = _sigmoid((X[None] @ b[..., None])[..., 0])
@@ -362,9 +361,7 @@ def _newton(
                     f"(gradient {top:.3g} > {NEWTON_GRAD_TOL:g})"
                 )
             break
-        weighted, H = XW[: active.size], hessians[: active.size]
-        np.multiply(X[None], (c * mu * (1.0 - mu))[..., None], out=weighted)
-        np.matmul(weighted.transpose(0, 2, 1), X, out=H)
+        H = np.matmul((X[None] * (c * mu * (1.0 - mu))[..., None]).transpose(0, 2, 1), X)
         H += ridge
         try:
             step = np.linalg.solve(H, grad[..., None])[..., 0]
