@@ -93,9 +93,6 @@ def test_large_n_tables_end_on_the_stall_test(basis):
     assert ended[0] == "gradient" and ended[1:] == ["stall"] * (len(sizes) - 1)
 
 
-LOGISTIC = tr.LearnerSpec(kind=tr.LearnerKind.LOGISTIC_RIDGE, ridge_penalty=0.5)
-
-
 @pytest.mark.parametrize("basis", list(tr.Basis))
 def test_block_with_different_present_strata(monkeypatch, basis):
     # stratum 7 is rare: a dataset of the block may lack it, and then its
@@ -119,7 +116,7 @@ def test_block_with_different_present_strata(monkeypatch, basis):
         return got
 
     monkeypatch.setattr(nuisance._Learners, "_predict", recorded)
-    spec = tr.LearnerSpec(kind=LOGISTIC.kind, ridge_penalty=LOGISTIC.ridge_penalty, basis=basis)
+    spec = tr.LearnerSpec(kind=tr.LearnerKind.LOGISTIC_RIDGE, ridge_penalty=0.5, basis=basis)
     nuisance.fit_table(table, spec, clip=0.0)  # unclipped: the tables as fitted
     (learners, count, total, got), = calls
     assert len({learners._basis(b)[0].size for b in range(12)}) == 2
