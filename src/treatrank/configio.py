@@ -86,6 +86,13 @@ def _whole(value: Any, name: str) -> int:
     return int(value)
 
 
+def _real(value: Any, name: str) -> float:
+    """``float(value)``, but a bool (YAML's ``true``, ``on`` or ``yes``) is refused, not read as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _mapping(value: Any, context: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{context}: expected a mapping, got {type(value).__name__}")
@@ -99,7 +106,7 @@ def _stratum_row(value: Any, codes: list[int], context: str) -> list[float]:
     if missing:
         raise ConfigError(f"{context}: missing strata {missing}")
     try:
-        return [float(row[c]) for c in codes]
+        return [_real(row[c], f"stratum {c}") for c in codes]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from None
 
@@ -109,7 +116,8 @@ def dgp_from_dict(raw: dict, context: str = "dgp") -> StratifiedDGP:
     strata_raw = _require(raw, "strata", context)
     try:
         strata = tuple(
-            (_whole(_require(s, "id", f"{context}.strata"), "id"), float(_require(s, "probability", f"{context}.strata")))
+            (_whole(_require(s, "id", f"{context}.strata"), "id"),
+             _real(_require(s, "probability", f"{context}.strata"), "probability"))
             for s in strata_raw
         )
     except (TypeError, ValueError) as exc:
@@ -140,7 +148,7 @@ def dgp_from_dict(raw: dict, context: str = "dgp") -> StratifiedDGP:
             propensity=propensity,
             effect=effect,
             baseline=baseline,
-            noise_sd=float(raw.get("noise_sd", 1.0)),
+            noise_sd=_real(raw.get("noise_sd", 1.0), "noise_sd"),
             assignment_mode=AssignmentMode(raw.get("assignment_mode", "parallel_binary")),
         )
     except (TypeError, ValueError) as exc:  # float(None) raises TypeError
@@ -153,7 +161,7 @@ def learner_from_dict(raw: dict, context: str = "learner") -> LearnerSpec:
     try:
         return LearnerSpec(
             kind=LearnerKind(raw.get("kind", "stratum_mean")),
-            ridge_penalty=float(raw.get("ridge_penalty", 0.0)),
+            ridge_penalty=_real(raw.get("ridge_penalty", 0.0), "ridge_penalty"),
             basis=Basis(raw.get("basis", "stratum_dummies")),
         )
     except (TypeError, ValueError) as exc:
@@ -233,7 +241,7 @@ def _scenario_from_dict(raw: dict, context: str) -> ScenarioConfig:
             seed=_whole(raw.get("seed", 0), "seed"),
             learner=learner_from_dict(raw.get("learner", {}), context=f"{context}.learner"),
             num_folds=_whole(raw.get("num_folds", DEFAULT_NUM_FOLDS), "num_folds"),
-            clip=float(raw.get("clip", DEFAULT_CLIP)),
+            clip=_real(raw.get("clip", DEFAULT_CLIP), "clip"),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):

@@ -190,7 +190,7 @@ def estimate_decomposition(data: Dataset | None, fit: NuisanceFit, j: int) -> De
     n_s, n_treated, n_control = held.sum(axis=0), n_t.sum(axis=0), n_c.sum(axis=0)
     S = held.shape[1]
     y_treated, y_control = (add_in_turn(total[cells].reshape(-1, S)) for cells in (treated, control))
-    p = fit.propensities(j)[0][0]  # [fold, stratum]
+    p = fit.p_treated[j - 1, 0]  # [fold, stratum]
     p_sum = add_in_turn(held * p)
 
     tau_tab: dict[int, float] = {}

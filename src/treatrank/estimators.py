@@ -17,9 +17,14 @@ cell table, and with it its number of units and whether it holds a block.
 ``ESTIMATORS`` maps each :class:`Method` to its function and is the only
 dispatch table.
 
-Every estimator reads the held-out base cells of the fit's table (see
-``nuisance.NuisanceFit``), not the units: treatment ``j``'s treated and
-control halves and, under MULTINOMIAL, the other arms. Every nuisance is
+Each estimator reads row ``j - 1`` of the fit's role tables (see
+``nuisance.NuisanceFit``) and never the assignment mode: AIPW and IPW the
+treated and control sides' probabilities (``p_treated``, ``p_control``),
+AIPW also their outcome models (``mu_treated``, ``mu_control``), and PLM
+its residual regression's ``plm_outcome`` and ``plm_rate``. It reads the
+data as the held-out base cells of the fit's table, not the units:
+treatment ``j``'s treated and control halves and, under MULTINOMIAL, the
+other arms, which the residual regression leaves out. Every nuisance is
 constant on a half, so on each of its base cells too, and each unit's
 score is linear in its outcome there, ``a + b y``; AIPW and IPW (AIPW
 with a zero outcome model) share that one reduction. Written about the
@@ -31,7 +36,6 @@ The residual regression's residuals are constant on a base cell too: with
 ``w`` the treatment residual and ``yhat`` the outcome model, the slope is
 ``sum(n w (ybar - yhat)) / sum(n w**2)`` and the sandwich SE
 ``sqrt(sum(w**2 (M2 + n (ybar - yhat - slope w)**2))) / sum(n w**2)``.
-Under MULTINOMIAL assignment the regression takes only arms 0 and ``j``.
 
 Given a block of datasets and its fit, each estimator returns one
 :class:`EffectEstimate` whose numbers are per-dataset arrays, row ``b`` bit
@@ -157,8 +161,9 @@ def _score_estimate(data: Dataset | None, fit: NuisanceFit, j: int,
     (n_t, ybar_t, m2_t), (n_c, ybar_c, m2_c) = fit.moments(treated), fit.moments(control)
     # the other arms' units (none under PARALLEL_BINARY) all score mu1 - mu0: one term
     n_o = [fit.table.count[others].sum(axis=0, keepdims=True)] if others.size else []
-    mu1, mu0 = fit.outcomes(j) if method is Method.AIPW else (0.0, 0.0)
-    p, q = fit.propensities(j)
+    aipw = method is Method.AIPW
+    mu1, mu0 = (fit.mu_treated[j - 1], fit.mu_control[j - 1]) if aipw else (0.0, 0.0)
+    p, q = fit.p_treated[j - 1], fit.p_control[j - 1]
     n, occupied = fit.table.n, fit.table.count.any(axis=0)
     # an undefined estimate raises below; the cells left out need no warning
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -179,15 +184,16 @@ def _score_estimate(data: Dataset | None, fit: NuisanceFit, j: int,
 def plm_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstimate:
     """Residual-on-residual regression coefficient for treatment ``j``.
 
-    Regresses ``Y - E_hat[Y|X]`` on ``W_j - p_hat_j(X)`` through the origin;
+    Regresses ``Y - plm_outcome`` on ``W_j - plm_rate`` through the origin;
     the reported standard error is the heteroskedasticity-robust (sandwich)
-    slope SE. Under MULTINOMIAL assignment the regression runs on the
-    {control, j} subsample with the conditional propensity.
+    slope SE. The regression takes ``j``'s treated and control halves only,
+    so under MULTINOMIAL assignment it runs on the {control, j} subsample,
+    with the fit's conditional propensity as ``plm_rate``.
     """
     _check(data, fit)
     treated, control, _ = fit.cells(j)
     (n_t, ybar_t, m2_t), (n_c, ybar_c, m2_c) = fit.moments(treated), fit.moments(control)
-    y_hat, p = fit.plm_tables(j)
+    y_hat, p = fit.plm_outcome[j - 1], fit.plm_rate[j - 1]
     w_t, w_c = 1.0 - p, -p  # treatment residuals of the treated and control units
     gap_t, gap_c = ybar_t - y_hat, ybar_c - y_hat
     weight_t, weight_c = n_t * w_t, n_c * w_c

@@ -1,10 +1,11 @@
 """Cross-fitted nuisance estimation on discrete strata.
 
-The estimators need two kinds of conditional expectations: outcome
-regressions ``E[Y | X]`` (pooled, per arm and, under multinomial assignment,
-on each {control, j} subsample) and propensities ``E[W | X]``. Everything is
-fit fold-wise: a unit's prediction always comes from models trained on the
-other folds.
+The estimators need, per treatment ``j``, the probabilities of its treated
+and control sides, an outcome model on each, and the outcome and treatment
+rate its residual-on-residual regression takes out: the six roles of a
+``NuisanceFit``. ``fit_table`` alone maps an assignment mode to the models
+that fill them, and fits each model once. Everything is fit fold-wise: a
+unit's prediction always comes from models trained on the other folds.
 
 Because ``X`` is a stratum code, every learner is a function of a small
 table, built in two steps. ``cell_table`` keys every unit by its *base
@@ -192,20 +193,21 @@ def assign_folds(n: int, num_folds: int,
 
 @dataclass
 class NuisanceFit:
-    """Cross-fitted nuisance tables, with the cell table they were fitted from.
+    """Cross-fitted nuisance tables by role, with the cell table they were fitted from.
 
     A prediction table holds, for each fold, the prediction for the units
     of each stratum held out in that fold (in-sample, one fold of every
-    unit). Tables are indexed ``[dataset, fold, stratum]``, per-treatment
-    ones ``[treatment, dataset, fold, stratum]``, as the cell table's
-    arrays are after their base-cell axis; the table's ``levels`` are the
-    stratum codes of the last axis, and its ``n``, ``block`` and design
-    are the fit's, so the estimators need nothing but the fit. A block's
-    strata cover all its datasets, so a dataset may have no units in
-    some. ``restricted_*`` and ``control_p`` are only populated under
-    MULTINOMIAL assignment, where the residual-on-residual regression runs
-    on the {control, j} subsample with the conditional propensity
-    ``p_j / (p_j + p_0)``.
+    unit). Each role table is indexed ``[treatment, dataset, fold,
+    stratum]``, as the cell table's arrays are after their base-cell axis;
+    the table's ``levels`` are the stratum codes of the last axis, and its
+    ``n``, ``block`` and design are the fit's, so the estimators need
+    nothing but the fit. A block's strata cover all its datasets, so a
+    dataset may have no units in some. Under PARALLEL_BINARY ``p_control``
+    is ``1 - p_treated``, ``plm_rate`` is ``p_treated`` and ``plm_outcome``
+    the pooled ``E[Y | X]``. Under MULTINOMIAL the control side is arm 0,
+    whose two models serve every treatment, and the residual regression's
+    are fitted on arms 0 and ``j``. A model that serves every treatment is
+    one table broadcast over the treatment axis.
 
     The estimators read the data as the table's held-out base cells:
     ``cells`` names treatment ``j``'s, and every nuisance is constant on
@@ -213,25 +215,23 @@ class NuisanceFit:
     """
 
     table: CellTable
-    y_hat: NDArray[np.float64]          # pooled E[Y|X]
-    p_hat: NDArray[np.float64]          # per treatment: arm-membership probability
-    mu_treated: NDArray[np.float64]     # per treatment: E[Y | arm j, X]
-    mu_control: NDArray[np.float64]     # per treatment: E[Y | treatment j's control, X]
-    restricted_y: NDArray[np.float64] | None = None  # per treatment: E[Y | X, W in {0, j}]
-    restricted_p: NDArray[np.float64] | None = None  # per treatment: P(W=j | X, W in {0, j})
-    control_p: NDArray[np.float64] | None = None     # P(control arm | X)
+    p_treated: NDArray[np.float64]    # P(treated side of j | X)
+    p_control: NDArray[np.float64]    # P(control side of j | X)
+    mu_treated: NDArray[np.float64]   # E[Y | treated side of j, X]
+    mu_control: NDArray[np.float64]   # E[Y | control side of j, X]
+    plm_outcome: NDArray[np.float64]  # E[Y | X, either side of j]
+    plm_rate: NDArray[np.float64]     # P(treated side of j | X, either side of j)
     clipped_count: int | NDArray[np.int64] = 0
     fallback_count: int | NDArray[np.int64] = 0
 
+    _ROLES = ("p_treated", "p_control", "mu_treated", "mu_control", "plm_outcome", "plm_rate")
+
     def replicate(self, b: int) -> "NuisanceFit":
         """Row ``b`` of a block's fit."""
-        arrays = ("y_hat", "p_hat", "mu_treated", "mu_control", "restricted_y", "restricted_p",
-                  "control_p")
         return replace(
             self,
             table=self.table.replicate(b),
-            **{name: getattr(self, name)[..., b : b + 1, :, :] for name in arrays
-               if getattr(self, name) is not None},
+            **{name: getattr(self, name)[:, b : b + 1] for name in self._ROLES},
             clipped_count=int(self.clipped_count[b]),
             fallback_count=int(self.fallback_count[b]),
         )
@@ -255,25 +255,6 @@ class NuisanceFit:
         """
         count = self.table.count[cells].astype(np.float64)  # exact; float arithmetic is faster
         return count, self.table.total[cells] / np.maximum(count, 1.0), self.table.m2[cells]
-
-    def propensities(self, j: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """Probabilities of treatment ``j`` and of its control condition."""
-        p = self.p_hat[j - 1]
-        if self.table.mode is AssignmentMode.PARALLEL_BINARY:
-            return p, 1.0 - p
-        assert self.control_p is not None
-        return p, self.control_p
-
-    def outcomes(self, j: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """Treatment ``j``'s treated and control outcome models."""
-        return self.mu_treated[j - 1], self.mu_control[j - 1]
-
-    def plm_tables(self, j: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """Outcome and propensity entering treatment ``j``'s residual regression."""
-        if self.table.mode is AssignmentMode.PARALLEL_BINARY:
-            return self.y_hat, self.p_hat[j - 1]
-        assert self.restricted_y is not None and self.restricted_p is not None
-        return self.restricted_y[j - 1], self.restricted_p[j - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +527,15 @@ class _Learners:
                        where=(folds != other)[:, None])
         return count.sum(axis=2, keepdims=True) - count, total
 
-    def outcomes(self, targets: list[NDArray[np.intp]]) -> NDArray[np.float64]:
-        """Tables of E[Y | X] (every unit), then of E[Y | X, target] for each of ``targets``."""
+    def outcomes(self, targets: list[NDArray[np.intp]],
+                 pooled: bool = False) -> NDArray[np.float64]:
+        """Tables of E[Y | X] if ``pooled``, then of E[Y | X, target] for each of ``targets``.
+
+        A target without training units takes every unit's training mean.
+        """
         count, total = self._training([self.every] + targets)
-        return self._predict(count, total, binary=False,
+        first = 0 if pooled else 1
+        return self._predict(count[first:], total[first:], binary=False,
                              empty=lambda: _mean(count[0], total[0], np.nan))
 
     def rates(self, hits: list[NDArray[np.intp]],
@@ -647,34 +633,35 @@ def fit_table(table: CellTable, spec: LearnerSpec, clip: float = DEFAULT_CLIP) -
         raise ValueError(f"clip must be in [0, 0.5), got {clip}")
     learners = _Learners(table, spec, clip)
     # each target is a set of base cells: every unit, treatment j's treated
-    # and control cells T_j and C_j, their union, and arm 0. Each kind of
-    # target is fitted in one call, treatment by treatment, so a logistic
-    # fit that fails reports the first treatment's
+    # and control cells T_j and C_j, their union, and arm 0. Each is fitted
+    # once, each kind in one call, treatment by treatment, so a logistic fit
+    # that fails reports the first treatment's; a model that serves every
+    # treatment is broadcast over the treatment axis
     layout = cell_layout(table.mode, table.num_treatments)
     every, K = layout.every, table.num_treatments
     treated, control = ([side[half] for side in layout.sides] for half in (0, 1))
     if table.mode is AssignmentMode.PARALLEL_BINARY:
-        tables = {"p_hat": learners.rates(treated, [every] * K)}
-        outcomes = learners.outcomes([cells for pair in zip(treated, control) for cells in pair])
-        tables.update(y_hat=outcomes[0], mu_treated=outcomes[1::2], mu_control=outcomes[2::2])
+        p = learners.rates(treated, [every] * K)
+        mu = learners.outcomes([c for pair in zip(treated, control) for c in pair], pooled=True)
+        roles = dict(p_treated=p, p_control=1.0 - p, mu_treated=mu[1::2], mu_control=mu[2::2],
+                     plm_outcome=np.broadcast_to(mu[0], p.shape), plm_rate=p)
     else:
         arm0 = control[0]
         pairs = [np.sort(np.concatenate(pair)) for pair in zip(treated, control)]  # arms 0, j
-        # control_p, then p_hat and restricted_p of each treatment in turn
+        # arm 0 among every unit, then arm j among every unit and among arms 0 and j, in turn
         rates = learners.rates([arm0] + [t for t in treated for _ in range(2)],
                                [every] + [cells for pair in pairs for cells in (every, pair)])
-        # the one control model serves every treatment, and counts for each
-        outcomes = learners.outcomes(treated + [arm0] * K + pairs)
-        tables = {"control_p": rates[0], "p_hat": rates[1::2], "restricted_p": rates[2::2],
-                  "y_hat": outcomes[0], "mu_treated": outcomes[1 : 1 + K],
-                  "mu_control": outcomes[1 + K : 1 + 2 * K], "restricted_y": outcomes[1 + 2 * K :]}
+        mu, p = learners.outcomes([arm0] + treated + pairs), rates[1::2]
+        roles = dict(p_treated=p, p_control=np.broadcast_to(rates[0], p.shape),
+                     mu_treated=mu[1 : 1 + K], mu_control=np.broadcast_to(mu[0], p.shape),
+                     plm_outcome=mu[1 + K :], plm_rate=rates[2::2])
 
     def per_dataset(counts: NDArray[np.int64]) -> int | NDArray[np.int64]:
         return counts if table.block else int(counts[0])
 
     return NuisanceFit(
         table=table,
-        **tables,
+        **roles,
         clipped_count=per_dataset(learners.clipped),
         fallback_count=per_dataset(learners.fallbacks),
     )
@@ -692,7 +679,10 @@ def fit_crossfit(
     fold's units, so no unit's prediction depends on its own fold's data.
     Propensity predictions are clipped to ``[clip, 1 - clip]``; empty
     stratum-mean cells fall back to the training-split marginal mean. Both
-    events are counted on the returned fit.
+    events are counted on the returned fit, once per unit and fitted model:
+    a model that serves every treatment (the control arm's under
+    MULTINOMIAL) counts once, and a role derived from another model (one
+    minus a propensity) does not count.
 
     A block of datasets with its block of fold assignments is fitted at
     once; row ``b`` of the fit is bit for bit the fit of row ``b`` alone.
@@ -735,26 +725,23 @@ def oracle_nuisance(data: Dataset, dgp: StratifiedDGP) -> NuisanceFit:
     tau = dgp.effect[:, idx]            # (K, S)
     mu0 = dgp.baseline[idx]             # (S,)
 
-    # with exclusive arms and with independent parallel indicators alike,
-    # E[Y | X] = mu0 + sum_k p_k tau_k
-    mixed = (p * tau).sum(axis=0)
-    tables = {"y_hat": mu0 + mixed, "p_hat": p}
     if dgp.assignment_mode is AssignmentMode.PARALLEL_BINARY:
+        mixed = (p * tau).sum(axis=0)  # E[Y | X] - mu0
         others = mixed - p * tau
-        tables.update(mu_treated=mu0 + tau + others, mu_control=mu0 + others)
+        roles = dict(p_treated=p, p_control=1.0 - p, mu_treated=mu0 + tau + others,
+                     mu_control=mu0 + others, plm_outcome=mu0 + mixed, plm_rate=p)
     else:
         control_p = 1.0 - p.sum(axis=0)
         cond = p / (p + control_p)
-        tables.update(mu_treated=mu0 + tau, mu_control=np.repeat(mu0[None], p.shape[0], axis=0),
-                      control_p=control_p, restricted_p=cond, restricted_y=mu0 + tau * cond)
+        roles = dict(p_treated=p, p_control=control_p, mu_treated=mu0 + tau, mu_control=mu0,
+                     plm_outcome=mu0 + tau * cond, plm_rate=cond)
 
-    B = table.count.shape[1]
+    B, (K, S) = table.count.shape[1], p.shape
     zero = np.zeros(B, dtype=np.int64) if table.block else 0
     return NuisanceFit(
         table=table,
-        # a (..., S) table as [..., dataset, fold, stratum], one fold
-        **{name: np.broadcast_to(t[..., None, None, :], t.shape[:-1] + (B, 1, t.shape[-1]))
-           for name, t in tables.items()},
+        # an (S,) or (K, S) table as [treatment, dataset, fold, stratum], one fold
+        **{name: np.broadcast_to(t[..., None, None, :], (K, B, 1, S)) for name, t in roles.items()},
         clipped_count=zero,
         fallback_count=zero,
     )

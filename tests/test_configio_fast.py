@@ -344,3 +344,26 @@ def test_whole_float_counts_load(tmp_path):
     config = tr.load_scenario_config(path)
     assert (config.num_reps, config.n_per_rep) == (4, 200)
     assert type(config.num_reps) is int and type(config.n_per_rep) is int
+
+
+# --- reals: a bool (YAML 1.1 reads true, on and yes as one) is refused -------
+
+
+@pytest.mark.parametrize("keys, literal, name", [
+    (("dgp", "noise_sd"), "true", "noise_sd"), (("clip",), "on", "clip"),
+    (("learner", "ridge_penalty"), "yes", "ridge_penalty"),
+    (("dgp", "strata", 0, "probability"), "false", "probability"),
+    (("dgp", "propensity", 1, 0), "off", "stratum 0"), (("dgp", "baseline", 0), "no", "stratum 0"),
+])
+def test_reals_refuse_booleans(tmp_path, keys, literal, name):
+    doc = scenario_to_dict(tr.preset(tr.ScenarioName.BALANCED))
+    assert doc["dgp"]["strata"][0]["id"] == 0
+    entry = doc
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = "SENTINEL"
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False).replace("SENTINEL", literal))
+    value = yaml.safe_load(literal)
+    with pytest.raises(ConfigError, match=re.escape(f"{name} must be a number, got {value!r}")):
+        tr.load_scenario_config(path)

@@ -31,34 +31,27 @@ def corrupt_outcome(fit: tr.NuisanceFit, bias: Mapping[int, float]) -> tr.Nuisan
     codes = np.fromiter(bias.keys(), dtype=np.int64, count=len(bias))
     values = np.array([float(v) for v in bias.values()])
     offset = values[code_positions(codes, fit.table.levels)]
-    return replace(
-        fit,
-        y_hat=fit.y_hat + offset,
-        mu_treated=fit.mu_treated + offset,
-        mu_control=fit.mu_control + offset,
-        restricted_y=None if fit.restricted_y is None else fit.restricted_y + offset,
-    )
+    return replace(fit, **{name: getattr(fit, name) + offset
+                           for name in ("mu_treated", "mu_control", "plm_outcome")})
 
 
 def corrupt_propensity(fit: tr.NuisanceFit, odds_factor: float) -> tr.NuisanceFit:
-    """Multiply the odds of every propensity prediction by a constant.
+    """Multiply the odds of each treated side against its control side by a constant.
 
-    ``p -> f p / (1 - p + f p)``. Leaves outcome models untouched.
+    ``p -> f p / (1 - p + f p)`` for the treated side's probabilities, and
+    the control side's odds over ``f``. Under PARALLEL_BINARY the control
+    side's probability stays one minus the treated side's, to rounding.
+    Leaves outcome models untouched.
     """
     if odds_factor <= 0:
         raise ValueError(f"odds_factor must be > 0, got {odds_factor}")
 
-    def shift(p: NDArray | None) -> NDArray | None:
-        if p is None:
-            return None
-        return odds_factor * p / (1.0 - p + odds_factor * p)
+    def shift(p: NDArray, f: float) -> NDArray:
+        return f * p / (1.0 - p + f * p)
 
-    return replace(
-        fit,
-        p_hat=shift(fit.p_hat),
-        restricted_p=shift(fit.restricted_p),
-        control_p=shift(fit.control_p),
-    )
+    return replace(fit, p_treated=shift(fit.p_treated, odds_factor),
+                   p_control=shift(fit.p_control, 1.0 / odds_factor),
+                   plm_rate=shift(fit.plm_rate, odds_factor))
 
 
 class TestCorruption:
@@ -69,9 +62,10 @@ class TestCorruption:
         bad = unit_arrays(data, corrupt_outcome(fit, bias={0: 1.0, 1: -2.0}))
         fit = unit_arrays(data, fit)
         offset = np.where(data.x == 0, 1.0, -2.0)
-        assert np.allclose(bad["y_hat"], fit["y_hat"] + offset)
-        assert np.allclose(bad["mu_treated"], fit["mu_treated"] + offset[:, None])
-        assert np.array_equal(bad["p_hat"], fit["p_hat"])
+        for name in ("mu_treated", "mu_control", "plm_outcome"):
+            assert np.allclose(bad[name], fit[name] + offset[:, None])
+        for name in ("p_treated", "p_control", "plm_rate"):
+            assert np.array_equal(bad[name], fit[name])
 
     def test_outcome_bias_needs_every_stratum(self):
         dgp = round_propensity_dgp()
@@ -85,8 +79,10 @@ class TestCorruption:
         data = exact_cell_dataset(dgp, 40)
         fit = tr.oracle_nuisance(data, dgp)
         bad = corrupt_propensity(fit, odds_factor=2.0)
-        p = fit.p_hat
-        assert np.allclose(bad.p_hat, 2 * p / (1 - p + 2 * p))
+        p = fit.p_treated
+        assert np.allclose(bad.p_treated, 2 * p / (1 - p + 2 * p))
+        assert np.allclose(bad.p_control, 1 - bad.p_treated, rtol=1e-15, atol=1e-15)
+        assert np.array_equal(bad.plm_rate, bad.p_treated)
         assert np.array_equal(bad.mu_treated, fit.mu_treated)
         with pytest.raises(ValueError):
             corrupt_propensity(fit, odds_factor=0.0)

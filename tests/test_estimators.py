@@ -109,8 +109,8 @@ class TestPlmMultinomialReference:
     @staticmethod
     def inputs(data, fit, folds, j):
         units = unit_arrays(data, fit, folds)
-        return (data.w[:, j - 1].astype(float), units["restricted_p"][:, j - 1], data.y,
-                units["restricted_y"][:, j - 1], in_comparison(data, j))
+        return (data.w[:, j - 1].astype(float), units["plm_rate"][:, j - 1], data.y,
+                units["plm_outcome"][:, j - 1], in_comparison(data, j))
 
     @staticmethod
     def check(point, se, used, reference):

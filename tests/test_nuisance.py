@@ -62,14 +62,14 @@ class TestStratumMean:
         fit = tr.fit_crossfit(data, tr.LearnerSpec(), folds)
         assert fit.fallback_count == 0
         idx = dgp.stratum_index(data.x)
-        assert np.allclose(unit_arrays(data, fit, folds)["y_hat"], dgp.baseline[idx], atol=0)
+        assert np.allclose(unit_arrays(data, fit, folds)["plm_outcome"][:, 0], dgp.baseline[idx], atol=0)
 
     def test_crossfit_propensity_near_truth(self, reversal_dgp):
         data = tr.sample(reversal_dgp, 10_000, seed=5)
         folds = tr.assign_folds(data.n, 5, seed=6)
         fit = tr.fit_crossfit(data, tr.LearnerSpec(), folds)
         cell = data.x == 1
-        p_bar = float(unit_arrays(data, fit, folds)["p_hat"][cell, 0].mean())
+        p_bar = float(unit_arrays(data, fit, folds)["p_treated"][cell, 0].mean())
         sigma = np.sqrt(0.25 / cell.sum())
         assert abs(p_bar - 0.5) < 3 * sigma
 
@@ -82,7 +82,7 @@ class TestStratumMean:
         data = tr.Dataset(y=y, w=w, x=x)
         folds = tr.assign_folds(40, 4, seed=8)
         fit = tr.fit_crossfit(data, tr.LearnerSpec(), folds, clip=0.01)
-        assert np.all(unit_arrays(data, fit, folds)["p_hat"][x == 1, 0] == 0.01)
+        assert np.all(unit_arrays(data, fit, folds)["p_treated"][x == 1, 0] == 0.01)
         assert fit.clipped_count > 0
         assert fit.fallback_count > 0  # mu_treated cells in stratum 1 are empty
 
@@ -90,7 +90,8 @@ class TestStratumMean:
         n = 100_000
         data = tr.sample(reversal_dgp, n, seed=31)
         folds = tr.assign_folds(n, 5, seed=32)
-        y_hat = unit_arrays(data, tr.fit_crossfit(data, tr.LearnerSpec(), folds), folds)["y_hat"]
+        fit = tr.fit_crossfit(data, tr.LearnerSpec(), folds)
+        y_hat = unit_arrays(data, fit, folds)["plm_outcome"][:, 0]
         idx = reversal_dgp.stratum_index(data.x)
         p, tau, mu0 = reversal_dgp.propensity, reversal_dgp.effect, reversal_dgp.baseline
         truth = mu0[idx] + (p[:, idx] * tau[:, idx]).sum(axis=0)
@@ -111,12 +112,12 @@ class TestOutOfFoldPurity:
         mutated.y[folds.fold_of == k] += 100.0
         refit = unit_arrays(mutated, tr.fit_crossfit(mutated, tr.LearnerSpec(), folds), folds)
         inside = folds.fold_of == k
-        for name in ("y_hat", "mu_treated", "mu_control"):
+        for name in ("plm_outcome", "mu_treated", "mu_control"):
             assert np.array_equal(fit[name][inside], refit[name][inside])
         # outcome perturbation never touches propensities anywhere
-        assert np.array_equal(fit["p_hat"], refit["p_hat"])
+        assert np.array_equal(fit["p_treated"], refit["p_treated"])
         # but it must move outcome predictions in the other folds
-        assert not np.allclose(fit["y_hat"][~inside], refit["y_hat"][~inside])
+        assert not np.allclose(fit["plm_outcome"][~inside], refit["plm_outcome"][~inside])
 
 
 class TestRidgeLearners:
@@ -126,8 +127,8 @@ class TestRidgeLearners:
         fit = unit_arrays(data, tr.fit_insample(data, spec))
         for s in (0, 1):
             cell = data.x == s
-            assert np.allclose(fit["y_hat"][cell], data.y[cell].mean(), atol=1e-8)
-            assert np.allclose(fit["p_hat"][cell, 0], data.w[cell, 0].mean(), atol=1e-8)
+            assert np.allclose(fit["plm_outcome"][cell], data.y[cell].mean(), atol=1e-8)
+            assert np.allclose(fit["p_treated"][cell, 0], data.w[cell, 0].mean(), atol=1e-8)
 
     def test_penalty_shrinks_toward_zero(self):
         data = tr.sample(round_propensity_dgp(noise_sd=1.0), 2_000, seed=18)
@@ -135,7 +136,7 @@ class TestRidgeLearners:
         tight = tr.fit_insample(
             data, tr.LearnerSpec(kind=tr.LearnerKind.LINEAR_RIDGE, ridge_penalty=1e6)
         )
-        assert np.all(np.abs(tight.y_hat) < np.abs(loose.y_hat).max())
+        assert np.all(np.abs(tight.plm_outcome) < np.abs(loose.plm_outcome).max())
 
     def test_raw_code_basis_runs(self):
         data = tr.sample(round_propensity_dgp(noise_sd=1.0), 1_000, seed=19)
@@ -143,12 +144,12 @@ class TestRidgeLearners:
             kind=tr.LearnerKind.LINEAR_RIDGE, ridge_penalty=1e-8, basis=tr.Basis.RAW_CODE
         )
         fit = tr.fit_crossfit(data, spec, tr.assign_folds(data.n, 5, seed=20))
-        assert np.all(np.isfinite(fit.y_hat))
+        assert np.all(np.isfinite(fit.plm_outcome))
 
     def test_logistic_matches_cell_rates_when_saturated(self):
         data = tr.sample(round_propensity_dgp(noise_sd=1.0), 4_000, seed=21)
         spec = tr.LearnerSpec(kind=tr.LearnerKind.LOGISTIC_RIDGE, ridge_penalty=0.0)
-        p_hat = unit_arrays(data, tr.fit_insample(data, spec))["p_hat"]
+        p_hat = unit_arrays(data, tr.fit_insample(data, spec))["p_treated"]
         for s in (0, 1):
             cell = data.x == s
             assert p_hat[cell, 0].mean() == pytest.approx(
@@ -171,7 +172,7 @@ class TestRidgeLearners:
         data = tr.Dataset(y=y, w=w, x=x)
         spec = tr.LearnerSpec(kind=tr.LearnerKind.LOGISTIC_RIDGE, ridge_penalty=1.0)
         fit = tr.fit_insample(data, spec, clip=0.01)
-        assert np.all(fit.p_hat <= 0.5)
+        assert np.all(fit.p_treated <= 0.5)
 
     def test_newton_cap_raises(self, monkeypatch):
         data = tr.sample(round_propensity_dgp(noise_sd=1.0), 400, seed=22)
@@ -267,11 +268,13 @@ class TestOracleNuisance:
         p1, p2 = dgp.propensity[0, idx], dgp.propensity[1, idx]
         t1, t2 = dgp.effect[0, idx], dgp.effect[1, idx]
         mu0 = dgp.baseline[idx]
-        assert np.allclose(fit["y_hat"], mu0 + p1 * t1 + p2 * t2, atol=1e-12)
+        for j in (0, 1):
+            assert np.allclose(fit["plm_outcome"][:, j], mu0 + p1 * t1 + p2 * t2, atol=1e-12)
         assert np.allclose(fit["mu_treated"][:, 0], mu0 + t1 + p2 * t2, atol=1e-12)
         assert np.allclose(fit["mu_control"][:, 0], mu0 + p2 * t2, atol=1e-12)
-        assert np.allclose(fit["p_hat"][:, 1], p2, atol=0)
-        p, q = oracle.propensities(2)
+        assert np.allclose(fit["p_treated"][:, 1], p2, atol=0)
+        assert np.array_equal(fit["plm_rate"], fit["p_treated"])
+        p, q = oracle.p_treated[1], oracle.p_control[1]
         assert np.allclose(q, 1 - p, atol=0) and np.allclose(p[0, 0], dgp.propensity[1], atol=0)
 
     def test_multinomial_closed_forms(self):
@@ -288,10 +291,13 @@ class TestOracleNuisance:
         fit = unit_arrays(data, tr.oracle_nuisance(data, dgp))
         idx = dgp.stratum_index(data.x)
         p0 = 1 - dgp.propensity[:, idx].sum(axis=0)
-        assert np.allclose(fit["control_p"], p0, atol=1e-12)
+        for j in (0, 1):
+            assert np.allclose(fit["p_control"][:, j], p0, atol=1e-12)
+            assert np.allclose(fit["mu_control"][:, j], dgp.baseline[idx], atol=0)
         q1 = dgp.propensity[0, idx] / (dgp.propensity[0, idx] + p0)
-        assert np.allclose(fit["restricted_p"][:, 0], q1, atol=1e-12)
-        assert np.allclose(fit["mu_control"][:, 1], dgp.baseline[idx], atol=0)
+        assert np.allclose(fit["plm_rate"][:, 0], q1, atol=1e-12)
+        assert np.allclose(fit["plm_outcome"][:, 0], dgp.baseline[idx] + q1 * dgp.effect[0, idx],
+                           atol=1e-12)
 
     def test_mode_mismatch_rejected(self):
         dgp = round_propensity_dgp()
@@ -352,11 +358,10 @@ class TestFitValidation:
             fit, reference = tr.fit_table(table, spec, clip=0.01), tr.fit_insample(data, spec, 0.01)
             for name in FIELDS:
                 a, b = getattr(fit, name), getattr(reference, name)
-                assert (a is None) == (b is None), name
-                assert a is None or (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
+                assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
+                assert np.isfinite(a).all(), name
             assert (fit.clipped_count, fit.fallback_count) == (
                 reference.clipped_count, reference.fallback_count)
-            assert np.isfinite(fit.y_hat).all()
 
     def test_table_stacking(self, reversal_dgp):
         # sampled tables are on the DGP's strata and stack into the block's table

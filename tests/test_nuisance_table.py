@@ -143,10 +143,12 @@ def base_cells(data, j):
 def reference_fit(data, spec, folds=None, plain=False, pairwise=False):
     """Per-target fit over (train, predict) splits; ``folds=None`` fits in-sample.
 
-    Clips as the engine does by default: at ``DEFAULT_CLIP`` when cross-fitting
-    and not at all in-sample. ``plain`` sums each stratum's training units in
-    unit order (see ``stratum_sums``); ``pairwise`` takes the fallback
-    training means as pairwise means (see ``training_mean``).
+    Fits each target once and counts its fallbacks once. Clips as the engine
+    does by default: at ``DEFAULT_CLIP`` when cross-fitting and not at all
+    in-sample. ``plain`` sums each stratum's training units in unit order
+    (see ``stratum_sums``); ``pairwise`` takes the fallback training means
+    as pairwise means (see ``training_mean``). Returns the per-unit role
+    arrays, the clipped count and the fallback count.
     """
     clip = 0.0 if folds is None else DEFAULT_CLIP
     n, K = data.n, data.num_treatments
@@ -157,8 +159,10 @@ def reference_fit(data, spec, folds=None, plain=False, pairwise=False):
         splits = [(np.ones(n, dtype=bool), np.ones(n, dtype=bool))]
     else:
         splits = [(folds.fold_of != k, folds.fold_of == k) for k in range(folds.num_folds)]
-    out = {name: np.empty((n, K)) for name in FIELDS}
-    out["y_hat"], out["control_p"] = np.empty(n), np.empty(n)
+    # the fitted models: per treatment (n, K), and the shared ones (n,)
+    fitted = {name: np.empty((n, K)) for name in ("p", "mu_treated", "mu_control", "pair_y",
+                                                   "pair_p")}
+    fitted.update(pooled=np.empty(n), control_p=np.empty(n), mu0=np.empty(n))
     fallbacks = 0
 
     def fit(binary, train, member, t, pred, empty_value, cell):
@@ -172,37 +176,68 @@ def reference_fit(data, spec, folds=None, plain=False, pairwise=False):
         return values
 
     everyone = np.ones(n, dtype=bool)
+    arm0 = (data.w.sum(axis=1) == 0).astype(np.int8)
     for train, pred in splits:
         pooled = training_mean(np.searchsorted(levels, data.x[train]), data.y[train], fold[train],
                                base_cells(data, 1)[train], levels.shape[0], plain, pairwise)
-        out["y_hat"][pred] = fit(False, train, everyone, data.y, pred, pooled, base_cells(data, 1))
+        if multinomial:
+            fitted["control_p"][pred] = fit(True, train, everyone, arm0, pred,
+                                            float(arm0[train].mean()), base_cells(data, 1))
+            fitted["mu0"][pred] = fit(False, train, arm0 == 1, data.y, pred, pooled,
+                                      base_cells(data, 1))
+        else:
+            fitted["pooled"][pred] = fit(False, train, everyone, data.y, pred, pooled,
+                                         base_cells(data, 1))
         for j in range(1, K + 1):
             arm, control = indicators(data, j)
             cell = base_cells(data, j)
             arm_rate = float(arm[train].mean())
-            out["p_hat"][pred, j - 1] = fit(True, train, everyone, arm, pred, arm_rate, cell)
-            out["mu_treated"][pred, j - 1] = fit(False, train, arm == 1, data.y, pred, pooled, cell)
-            out["mu_control"][pred, j - 1] = fit(False, train, control == 1, data.y, pred, pooled,
-                                                 cell)
+            fitted["p"][pred, j - 1] = fit(True, train, everyone, arm, pred, arm_rate, cell)
+            fitted["mu_treated"][pred, j - 1] = fit(False, train, arm == 1, data.y, pred, pooled,
+                                                    cell)
             if multinomial:
                 restrict = (arm == 1) | (control == 1)
-                out["restricted_y"][pred, j - 1] = fit(False, train, restrict, data.y, pred, pooled,
-                                                       cell)
-                out["restricted_p"][pred, j - 1] = fit(True, train, restrict, arm, pred, 0.5, cell)
-        if multinomial:
-            control = (data.w.sum(axis=1) == 0).astype(np.int8)
-            control_rate = float(control[train].mean())
-            out["control_p"][pred] = fit(True, train, everyone, control, pred, control_rate,
-                                         base_cells(data, 1))
-    if not multinomial:
-        for name in ("restricted_y", "restricted_p", "control_p"):
-            out[name] = None
-    clipped = 0
-    for name in ("p_hat", "restricted_p", "control_p"):
-        if out[name] is not None:
-            clipped += int(np.sum((out[name] < clip) | (out[name] > 1.0 - clip)))
-            out[name] = np.clip(out[name], clip, 1.0 - clip)
-    return out, clipped, fallbacks
+                fitted["pair_y"][pred, j - 1] = fit(False, train, restrict, data.y, pred, pooled,
+                                                    cell)
+                fitted["pair_p"][pred, j - 1] = fit(True, train, restrict, arm, pred, 0.5, cell)
+            else:
+                fitted["mu_control"][pred, j - 1] = fit(False, train, control == 1, data.y, pred,
+                                                        pooled, cell)
+    arrays, clipped = roles(data, fitted, clip)
+    return arrays, clipped, fallbacks
+
+
+def roles(data, fitted, clip):
+    """The per-unit role arrays of the fitted models, clipped at ``clip``, and the units clipped.
+
+    ``fitted`` holds the per-unit predictions of each model the engine
+    fits: under PARALLEL_BINARY ``p``, ``mu_treated``, ``mu_control`` and
+    ``pooled``; under MULTINOMIAL ``p``, ``mu_treated``, ``pair_y`` and
+    ``pair_p`` (on arms 0 and j), ``control_p`` and ``mu0``. Each fitted
+    rate's clipped predictions count once.
+    """
+    K = data.num_treatments
+    rates = ("p", "pair_p", "control_p") if data.assignment_mode is tr.AssignmentMode.MULTINOMIAL \
+        else ("p",)
+    clipped, fitted = 0, dict(fitted)
+    for name in rates:
+        clipped += int(np.sum((fitted[name] < clip) | (fitted[name] > 1.0 - clip)))
+        fitted[name] = np.clip(fitted[name], clip, 1.0 - clip)
+    p = fitted["p"]
+    if data.assignment_mode is tr.AssignmentMode.MULTINOMIAL:
+        arrays = dict(p_treated=p, p_control=across(fitted["control_p"], K),
+                      mu_treated=fitted["mu_treated"], mu_control=across(fitted["mu0"], K),
+                      plm_outcome=fitted["pair_y"], plm_rate=fitted["pair_p"])
+    else:
+        arrays = dict(p_treated=p, p_control=1.0 - p, mu_treated=fitted["mu_treated"],
+                      mu_control=fitted["mu_control"],
+                      plm_outcome=across(fitted["pooled"], K), plm_rate=p)
+    return arrays, clipped
+
+
+def across(column, K):
+    """One model's ``(n,)`` predictions as every treatment's, ``(n, K)``."""
+    return np.repeat(column[:, None], K, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +286,7 @@ def assert_matches(data, spec, folds=None, exact=True, check_clipped=True):
     units = unit_arrays(data, fit, folds)
     for name in FIELDS:
         got, want = units[name], arrays[name]
-        if want is None:
-            assert got is None, name
-        elif exact:
+        if exact:
             assert np.array_equal(got, want), name
         else:
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12, err_msg=name)
@@ -318,7 +351,7 @@ class TestStratumMeanBitwise:
         folds = tr.assign_folds(n, 4, seed=1)
         fit = tr.fit_crossfit(data, tr.LearnerSpec(), folds)
         held = folds.fold_of == folds.fold_of[7]
-        assert np.all(unit_arrays(data, fit, folds)["restricted_p"][held, 1] == 0.5)
+        assert np.all(unit_arrays(data, fit, folds)["plm_rate"][held, 1] == 0.5)
         assert_matches(data, tr.LearnerSpec(), folds)
         assert_matches(data, tr.LearnerSpec())
 
@@ -349,9 +382,8 @@ class TestFallbackMean:
             assert fit.fallback_count == fallbacks
             units = unit_arrays(data, fit, split)
             for name in FIELDS:
-                if arrays[name] is not None:
-                    np.testing.assert_allclose(units[name], arrays[name], rtol=1e-12, atol=0,
-                                               err_msg=name)
+                np.testing.assert_allclose(units[name], arrays[name], rtol=1e-12, atol=0,
+                                           err_msg=name)
 
     def test_cases_have_fallbacks(self):
         total = sum(tr.fit_crossfit(data, tr.LearnerSpec(), folds).fallback_count
@@ -398,9 +430,8 @@ class TestSummationOrder:
             arrays, _, _ = reference_fit(data, tr.LearnerSpec(), split, plain=True)
             units = unit_arrays(data, fit, split)
             for name in FIELDS:
-                if arrays[name] is not None:
-                    np.testing.assert_allclose(units[name], arrays[name], rtol=1e-13, atol=0,
-                                               err_msg=name)
+                np.testing.assert_allclose(units[name], arrays[name], rtol=1e-13, atol=0,
+                                           err_msg=name)
             cells = np.arange(fit.table.count.shape[0])
             count, mean, m2 = (a[:, 0] for a in fit.moments(cells))
             want_count, want_mean, want_m2 = two_pass_moments(data, split, cells.size)
@@ -459,8 +490,7 @@ class TestManyTreatments:
             row = fit.replicate(b)
             got, want = unit_arrays(data, row, own_folds), unit_arrays(data, single, own_folds)
             for name in FIELDS:
-                assert (got[name] is None) if want[name] is None else \
-                    got[name].tobytes() == want[name].tobytes(), name
+                assert got[name].tobytes() == want[name].tobytes(), name
             assert np.array_equal(row.table.levels, single.table.levels)
             for name in ("count", "total", "m2"):
                 assert getattr(row.table, name).tobytes() == getattr(single.table, name).tobytes()
@@ -587,6 +617,56 @@ class TestSingularFits:
 
 
 # ---------------------------------------------------------------------------
+# each learner target fitted once
+
+
+class TestOneFitPerTarget:
+    """Each distinct target is fitted once; a model that serves every treatment is shared."""
+
+    K, F = 4, 5
+
+    def fitted(self, mode, spec, monkeypatch):
+        """A fit where every target's every training split has every stratum, and its lstsq calls."""
+        dgp = tr.random_dgp(5, num_treatments=self.K, min_strata=4, max_strata=4,
+                            propensity_range=(0.1, 0.2), assignment_mode=mode)
+        data = tr.sample(dgp, 8_000, seed=6)
+        table = tr.cell_table(data, tr.assign_folds(data.n, self.F, seed=7))
+        # every fold holds every stratum, and no stratum-mean cell falls back
+        assert table.count.sum(axis=0).all()
+        assert tr.fit_table(table, tr.LearnerSpec()).fallback_count == 0
+        lstsq, calls = np.linalg.lstsq, []
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        return tr.fit_table(table, spec), len(calls)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kind", [tr.LearnerKind.LINEAR_RIDGE, tr.LearnerKind.LOGISTIC_RIDGE])
+    def test_lstsq_calls(self, mode, kind, monkeypatch):
+        # outcome targets: T_j and {0, j} per treatment and the control arm (MULTINOMIAL),
+        # or T_j and C_j per treatment and every unit (PARALLEL_BINARY); each is a
+        # least-squares fit per fold at zero penalty, as are the rates of LINEAR_RIDGE:
+        # arm j among every unit and among {0, j}, and arm 0 (MULTINOMIAL), or T_j
+        _, calls = self.fitted(mode, tr.LearnerSpec(kind=kind), monkeypatch)
+        outcomes = 2 * self.K + 1
+        rates = 2 * self.K + 1 if mode is tr.AssignmentMode.MULTINOMIAL else self.K
+        linear = kind is tr.LearnerKind.LINEAR_RIDGE
+        assert calls == (outcomes + (rates if linear else 0)) * self.F
+
+    def test_multinomial_control_models_are_shared(self, monkeypatch):
+        fit, _ = self.fitted(tr.AssignmentMode.MULTINOMIAL, tr.LearnerSpec(), monkeypatch)
+        for name in ("p_control", "mu_control"):
+            table = getattr(fit, name)
+            assert table.strides[0] == 0  # one table, broadcast over the treatments
+            assert all(np.array_equal(table[j], table[0]) for j in range(self.K)), name
+        assert not np.array_equal(fit.mu_treated[0], fit.mu_treated[1])
+
+    def test_parallel_control_side_is_the_complement(self, monkeypatch):
+        fit, _ = self.fitted(tr.AssignmentMode.PARALLEL_BINARY, tr.LearnerSpec(), monkeypatch)
+        assert fit.p_control.tobytes() == (1.0 - fit.p_treated).tobytes()
+        assert fit.plm_rate.tobytes() == fit.p_treated.tobytes()
+        assert fit.plm_outcome.strides[0] == 0  # the pooled model serves every treatment
+
+
+# ---------------------------------------------------------------------------
 # pinned studies
 
 PINNED = {
@@ -652,16 +732,23 @@ class TestKeysBitwise:
         assert_matches(data, tr.LearnerSpec())
 
 
-def clipped_per_unit(units, clip):
-    """Per-unit clip of an unclipped fit's per-unit propensities, and the units clipped."""
-    count, arrays = 0, {}
-    for name in ("p_hat", "restricted_p", "control_p"):
-        raw = units[name]
-        if raw is None:
-            arrays[name] = None
-            continue
-        count += int(np.sum((raw < clip) | (raw > 1.0 - clip)))
-        arrays[name] = np.clip(raw, clip, 1.0 - clip)
+def clipped_per_unit(data, units, clip):
+    """Per-unit clip of an unclipped fit's per-unit propensities, and the units clipped.
+
+    Each fitted rate counts once: under MULTINOMIAL the control arm's
+    model serves every treatment, and under PARALLEL_BINARY both sides and
+    the residual regression read the one treatment model.
+    """
+    rates = {"p_treated": units["p_treated"]}
+    multinomial = data.assignment_mode is tr.AssignmentMode.MULTINOMIAL
+    if multinomial:
+        rates.update(plm_rate=units["plm_rate"], p_control=units["p_control"][:, 0])
+    count = sum(int(np.sum((raw < clip) | (raw > 1.0 - clip))) for raw in rates.values())
+    arrays = {name: np.clip(raw, clip, 1.0 - clip) for name, raw in rates.items()}
+    if multinomial:
+        arrays["p_control"] = across(arrays["p_control"], data.num_treatments)
+    else:
+        arrays.update(p_control=1.0 - arrays["p_treated"], plm_rate=arrays["p_treated"])
     return arrays, count
 
 
@@ -674,7 +761,7 @@ class TestClipOnTable:
         data = make_dataset(x, treated[:, None], np.arange(16.0), tr.AssignmentMode.PARALLEL_BINARY)
         fit = tr.fit_insample(data, tr.LearnerSpec(), clip=0.25)
         assert fit.clipped_count == 8
-        assert np.array_equal(unit_arrays(data, fit)["p_hat"][:, 0],
+        assert np.array_equal(unit_arrays(data, fit)["p_treated"][:, 0],
                               np.repeat([0.25, 0.75, 0.25], [4, 4, 8]))
 
     @pytest.mark.parametrize("mode", MODES)
@@ -689,12 +776,11 @@ class TestClipOnTable:
                 return tr.fit_crossfit(data, tr.LearnerSpec(), split, clip)
 
             raw = unit_arrays(data, fit_at(0.0), split)
-            values = raw["p_hat"][(raw["p_hat"] > 0.0) & (raw["p_hat"] < 0.5)]
+            values = raw["p_treated"][(raw["p_treated"] > 0.0) & (raw["p_treated"] < 0.5)]
             for clip in np.unique(np.append(values, [0.0, 0.01, 0.3]))[:4]:
                 fit = fit_at(clip)
-                arrays, count = clipped_per_unit(raw, clip)
+                arrays, count = clipped_per_unit(data, raw, clip)
                 assert fit.clipped_count == count
                 units = unit_arrays(data, fit, split)
                 for name, want in arrays.items():
-                    got = units[name]
-                    assert (got is None) if want is None else np.array_equal(got, want), name
+                    assert np.array_equal(units[name], want), name

@@ -18,7 +18,7 @@ import treatrank as tr
 from treatrank import nuisance
 from treatrank.diagnostics import NotEstimableError, Source, decompose
 
-FIELDS = ("y_hat", "p_hat", "mu_treated", "mu_control", "restricted_y", "restricted_p", "control_p")
+FIELDS = ("p_treated", "p_control", "mu_treated", "mu_control", "plm_outcome", "plm_rate")
 
 
 def unit_arrays(data, fit, folds=None):
@@ -26,21 +26,13 @@ def unit_arrays(data, fit, folds=None):
 
     ``fit`` is the dataset's fit (or row ``b`` of a block's, with ``data``
     row ``b``); ``folds`` is its fold assignment, None for a one-fold fit.
-    Per-treatment fields are ``(n, K)``; absent multinomial fields are None.
+    Each field is ``(n, K)``.
     """
     fold = np.zeros(data.n, dtype=np.int64) if folds is None else folds.fold_of
     stratum = np.searchsorted(fit.table.levels, data.x)
     assert np.array_equal(fit.table.levels[stratum], data.x)
-    out = {}
-    for name in FIELDS:
-        table = getattr(fit, name)
-        if table is None:
-            out[name] = None
-        elif table.ndim == 3:  # [dataset, fold, stratum]
-            out[name] = table[0, fold, stratum]
-        else:  # [treatment, dataset, fold, stratum]
-            out[name] = table[:, 0, fold, stratum].T
-    return out
+    # each table is [treatment, dataset, fold, stratum]
+    return {name: getattr(fit, name)[:, 0, fold, stratum].T for name in FIELDS}
 
 
 def newton(X, count, total, penalty):
@@ -107,11 +99,8 @@ def indicators(data, j):
     return treated, (data.w.sum(axis=1) == 0).astype(np.int8)
 
 
-def _propensities(data, arrays, j):
-    p = arrays["p_hat"][:, j - 1]
-    if data.assignment_mode is tr.AssignmentMode.PARALLEL_BINARY:
-        return p, 1.0 - p
-    return p, arrays["control_p"]
+def _propensities(arrays, j):
+    return arrays["p_treated"][:, j - 1], arrays["p_control"][:, j - 1]
 
 
 def _dr_score(y, d, m, q):
@@ -134,12 +123,8 @@ def _checked(point, se, n_used):
 def plm(data, arrays, j):
     """(point, SE, units used) of the residual-on-residual regression."""
     treated, control = indicators(data, j)
-    if data.assignment_mode is tr.AssignmentMode.PARALLEL_BINARY:
-        p, m = arrays["p_hat"][:, j - 1], arrays["y_hat"]
-        mask = np.ones(data.n, dtype=bool)
-    else:
-        p, m = arrays["restricted_p"][:, j - 1], arrays["restricted_y"][:, j - 1]
-        mask = (treated == 1) | (control == 1)
+    p, m = arrays["plm_rate"][:, j - 1], arrays["plm_outcome"][:, j - 1]
+    mask = (treated == 1) | (control == 1)
     w_res = np.where(mask, treated - p, 0.0)
     y_res = np.where(mask, data.y - m, 0.0)
     denom = np.sum(w_res**2)
@@ -153,7 +138,7 @@ def plm(data, arrays, j):
 
 def aipw(data, arrays, j):
     treated, control = indicators(data, j)
-    p, q = _propensities(data, arrays, j)
+    p, q = _propensities(arrays, j)
     scores = (_dr_score(data.y, treated, arrays["mu_treated"][:, j - 1], p)
               - _dr_score(data.y, control, arrays["mu_control"][:, j - 1], q))
     return _checked(*_mean_and_se(scores), data.n)
@@ -161,7 +146,7 @@ def aipw(data, arrays, j):
 
 def ipw(data, arrays, j):
     treated, control = indicators(data, j)
-    p, q = _propensities(data, arrays, j)
+    p, q = _propensities(arrays, j)
     return _checked(*_mean_and_se(treated * data.y / p - control * data.y / q), data.n)
 
 
@@ -171,7 +156,7 @@ REFERENCE = {tr.Method.PLM: plm, tr.Method.AIPW: aipw, tr.Method.IPW: ipw}
 def decomposition(data, arrays, j):
     """The per-stratum-mask plug-in decomposition."""
     treated, control = (side == 1 for side in indicators(data, j))
-    p_j = arrays["p_hat"][:, j - 1]
+    p_j = arrays["p_treated"][:, j - 1]
     tau_tab, var_tab, prob_tab = {}, {}, {}
     dropped = 0
     for code in np.unique(data.x):
