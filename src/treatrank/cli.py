@@ -296,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, required=config_required,
                        help="DGP or scenario config file (YAML)")
         p.add_argument("--out", type=Path, required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override for all substreams")
         if formatted:
             p.add_argument("--format", choices=("json", "csv"), default="json",
                            help="report format (default json)")
@@ -319,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw a dataset from a DGP config")
     add_common(p, config_required=True, formatted=False)
     p.add_argument("--n", type=int, required=True, help="sample size")
-    p.set_defaults(seed=0)
+    p.add_argument("--seed", type=int, default=0, help="dataset seed (default 0)")
 
     for name, helptext in (
         ("estimate", "PLM/AIPW/IPW estimates, decompositions, and ranking"),
@@ -329,9 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(p)
         p.add_argument("--data", type=Path, default=None, help="dataset CSV to import")
         p.add_argument("--n", type=int, default=None, help="sample size (with --config)")
+        p.add_argument("--seed", type=int, default=0,
+                       help="dataset seed with --config, fold seed with --data (default 0)")
         add_fit_flags(p)
         # montecarlo keeps None for these: "use the scenario's own setting"
-        p.set_defaults(seed=0, folds=DEFAULT_NUM_FOLDS, learner=LearnerKind.STRATUM_MEAN.value,
+        p.set_defaults(folds=DEFAULT_NUM_FOLDS, learner=LearnerKind.STRATUM_MEAN.value,
                        clip=DEFAULT_CLIP)
 
     p = sub.add_parser("reversal", help="pairwise rank-reversal checks from a DGP config")
@@ -346,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="override observations per replicate")
     p.add_argument("--reps", type=int, default=None, help="override replicate count")
     p.add_argument("--workers", type=int, default=1, help="processes, this one included (default 1)")
+    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     add_fit_flags(p)
 
     return parser

@@ -407,7 +407,8 @@ def load_dataset_csv(path: str | Path) -> Dataset:
         raise _row_fault(path, len(header), first_line, exc) from None
     if arr.shape[1] != len(header):
         raise _row_fault(path, len(header), first_line, "rows do not match the header")
-    y = arr[:, 0]
+    # a copy: a column view would keep the whole parsed block alive with the dataset
+    y = arr[:, 0].copy()
     x = arr[:, -1]
     if np.any(x != np.round(x)):
         raise ConfigError(f"{path}: stratum codes must be integers")

@@ -518,9 +518,9 @@ def sample(dgp: StratifiedDGP, n: int, seed: int | Sequence[int] | rng.Streams) 
     A sequence of ``B`` seeds draws a block of ``B`` datasets (see
     :class:`Dataset`): each seed's streams fill one row of the ``(B, n)``
     draws, every later step is elementwise, and row ``b`` is bit for bit
-    ``sample(dgp, n, seed[b])``. ``rng.Streams`` with streams ``STRATUM``,
-    ``TREATMENT`` and ``NOISE`` keyed may stand in for the seeds
-    (``rng.streams((seeds, 3))`` keys them).
+    ``sample(dgp, n, seed[b])``. The seeds' three streams ``STRATUM``,
+    ``TREATMENT`` and ``NOISE``, keyed by ``rng.streams(seeds, 3)``, may
+    stand in for them; streams with another number of rows are refused.
 
     The units are grouped on the DGP's stratum codes in ascending order,
     some perhaps without units, through the stratum index of the draw, so
@@ -533,10 +533,7 @@ def sample(dgp: StratifiedDGP, n: int, seed: int | Sequence[int] | rng.Streams) 
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     single = isinstance(seed, (int, np.integer))
-    if isinstance(seed, rng.Streams):
-        streams = seed
-    else:
-        (streams,) = rng.streams(([seed] if single else seed, 3))
+    streams = rng.as_streams(seed, 3)
     B, K = len(streams), dgp.num_treatments
     tables = dgp._sampling
     S = tables.codes.shape[0]

@@ -31,12 +31,12 @@ time (one replicate per block from n = 4,097 up), and peak memory does
 not grow with the task. Each replicate still draws its own Philox
 streams, into one row of the block's ``(B, n)`` arrays, but their seeds
 and keys are derived once per task: one ``rng.child_seeds`` pass gives
-every replicate's data and fold seeds, and one ``rng.streams`` pass keys
-every stratum, treatment, noise and fold stream, each the numpy
-``SeedSequence`` hash of the same path as before. Each block hands its
-slice of those streams to ``sample`` and ``assign_folds`` in place of
-seeds; a fold stream is keyed on the fold seed's own path ``(fold
-seed,)``, the one ``assign_folds`` of that seed draws. Each block ends in its cell table (``nuisance.cell_table``) on
+every replicate's data and fold seeds, and two ``rng.streams`` passes key
+the data seeds' stratum, treatment and noise streams and the fold seeds'
+fold stream, each the numpy ``SeedSequence`` hash of the path that
+``sample`` or ``assign_folds`` of that one seed draws. Each block hands
+its slice of those streams to ``sample`` and ``assign_folds`` in place of
+seeds. Each block ends in its cell table (``nuisance.cell_table``) on
 the DGP's stratum list, which ``sample`` keeps as every dataset's stratum
 grouping, keyed from the cell-table keys ``sample`` kept while drawing
 (``Dataset.cell_keys``); the task stacks
@@ -352,10 +352,10 @@ def _run_task(config: ScenarioConfig, reps: range
     """
     start = time.perf_counter()
     R, n = len(reps), config.n_per_rep
-    # the data seeds, then the fold seeds, hashed in one pass; then every
-    # stream they address, keyed in one more
+    # the data seeds, then the fold seeds, hashed in one pass; then the
+    # streams of each
     seeds = rng.child_seeds(config.seed, list(reps) * 2, [_DATA_STREAM] * R + [_FOLD_STREAM] * R)
-    data_streams, fold_streams = rng.streams((seeds[:R], 3), (seeds[R:], None))
+    data_streams, fold_streams = rng.streams(seeds[:R], 3), rng.streams(seeds[R:], 1)
     table = stack_tables([_block_table(config, data_streams[block.start:block.stop],
                                        fold_streams[block.start:block.stop])
                           for block in _blocks(range(R), n)])

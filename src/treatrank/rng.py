@@ -9,13 +9,13 @@ paths yield statistically independent streams.
 A path is hashed exactly as numpy's ``SeedSequence(list(path))`` hashes it:
 a stream's Philox key is that sequence's ``generate_state(2, np.uint64)``,
 and ``child_seed`` is the first of those two words. The hashing is this
-module's own, so that many paths can be hashed at once: ``child_seeds``,
-``substreams`` and ``streams`` take path entries that are either an int,
-shared by every path, or a sequence with one int per path, and hash all the
-paths in one pass whose every step acts on every path at once.
-``child_seed`` and ``substream`` are the one-path case of the same pass.
-numpy's ``SeedSequence`` is the reference the tests hold every key to; the
-package itself never builds one.
+module's own, so that many paths can be hashed at once: one function,
+``_keys``, hashes a block of paths in one pass whose every step acts on
+every path at once, and ``child_seeds``, ``substreams`` and ``streams`` all
+read it. Their path entries are either an int, shared by every path, or a
+sequence with one int per path; ``child_seed`` and ``substream`` are the
+one-path case. numpy's ``SeedSequence`` is the reference the tests hold
+every key to; the package never hashes a path through one.
 
 A path's trailing zero entries do not change its key while the path fits
 in four 32-bit words (numpy pads a shorter path with zero words): for any
@@ -25,18 +25,20 @@ differ only by trailing zeros.
 
 Path conventions used elsewhere in the package:
 
-* dataset sampling uses tags ``STRATUM``, ``TREATMENT``, ``NOISE`` under the
-  dataset seed;
-* fold assignment hashes its own seed directly, the path ``(seed,)``, which
-  is that seed's ``STRATUM`` path, so a fold seed must not also be a
-  dataset seed: the Monte Carlo runner derives each replicate's two from
-  different paths, and the CLI draws the folds of a dataset it samples
-  itself with the seed ``child_seed(seed, FOLD)``;
+* dataset sampling uses streams ``STRATUM``, ``TREATMENT``, ``NOISE`` of the
+  dataset seed, the paths ``(seed, tag)``;
+* fold assignment uses stream 0 of its seed, the path ``(seed, 0)``. That
+  is the seed's ``STRATUM`` path, so a fold seed must not also be a dataset
+  seed: the Monte Carlo runner derives each replicate's two from different
+  paths, and the CLI draws the folds of a dataset it samples itself with
+  the seed ``child_seed(seed, FOLD)``. Below 2**96 it is also the seed's
+  own path ``(seed,)``, the key ``substream(seed)`` draws from; from 2**96
+  up the two differ, and the folds draw ``(seed, 0)``;
 * the Monte Carlo runner derives per-replicate seeds as
   ``child_seed(scenario_seed, replicate_index, purpose)``, a task's in one
-  ``child_seeds`` call, and keys every stream of the task in one
-  ``streams`` call, the data seeds' numbered streams and the fold seeds'
-  own paths; each block of the task draws from its slice of them.
+  ``child_seeds`` call, and keys the data seeds' three streams in one
+  ``streams`` call and the fold seeds' one stream in another; each block of
+  the task draws from its slice of them.
 """
 
 from __future__ import annotations
@@ -96,11 +98,11 @@ def _generate_state(words: NDArray[np.uint64], lengths: NDArray[np.intp] | None)
     lane's low 32 bits, as uint32 arithmetic wraps. A hash is ~50 dependent
     steps, and a numpy ufunc call per step costs about as much for one path
     as for a hundred. On a 2-vCPU VM a pass over these ints, ``_entropy``
-    included, takes 45-54 us for a few paths (a replicate run alone through
-    ``sample`` and ``assign_folds`` hashes three such passes) and ~170-200
-    us for 100 paths; a Monte Carlo task of 25 replicates hashes its 50
-    child seeds and then its 100 streams in ~300-330 us, ~13 us per
-    replicate.
+    included, takes 25-30 us for a few paths (a replicate run alone through
+    ``sample`` and ``assign_folds`` hashes three such passes), ~110 us for
+    100 paths and ~440 us for 500; a Monte Carlo task hashes its child
+    seeds and then its streams, in three passes, in 0.3-0.4 ms at 25
+    replicates and 1.7-2.5 ms at 250, 7-16 us per replicate.
     """
     P = words.shape[1]
     width = 8 * P
@@ -185,6 +187,11 @@ def _entropy(path: tuple[PathEntry, ...]) -> tuple[NDArray[np.uint64], NDArray[n
     return words, valid.sum(axis=0)
 
 
+def _keys(*path: PathEntry) -> NDArray[np.uint64]:
+    """The Philox key of every path, as (P, 2); entries as in :func:`child_seeds`."""
+    return _generate_state(*_entropy(path)).T
+
+
 def child_seeds(*path: PathEntry) -> list[int]:
     """Hash every path into a single derived seed, in one pass.
 
@@ -192,24 +199,12 @@ def child_seeds(*path: PathEntry) -> list[int]:
     each entry is an int shared by every path or a sequence with one int per
     path.
     """
-    return _generate_state(*_entropy(path))[0].tolist()
+    return _keys(*path)[:, 0].tolist()
 
 
 def child_seed(*path: int) -> int:
     """Hash an integer path into a single derived seed."""
     return child_seeds(*path)[0]
-
-
-class _PhiloxKey:
-    """Hands Philox a precomputed key where it would ask a SeedSequence for one."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: list[int]) -> None:
-        self.key = key
-
-    def generate_state(self, n_words: int, dtype: object = None) -> NDArray[np.uint64]:
-        return np.array(self.key, dtype=np.uint64)
 
 
 def substreams(*path: PathEntry) -> Iterator[np.random.Generator]:
@@ -221,71 +216,53 @@ def substreams(*path: PathEntry) -> Iterator[np.random.Generator]:
     so a generator is valid until the next one is drawn: draw from each
     before the next.
     """
-    return _generators(_generate_state(*_entropy(path)).T.tolist(), [None])
+    return _generators(_keys(*path).tolist(), [None])
 
 
 class Streams:
     """Streams of a list of seeds, keyed ahead of the draws.
 
-    When ``numbered``, ``keys[t, i]`` is the Philox key of stream ``t`` of
-    seed ``i``, the path ``(seed_i, t)``; otherwise ``keys[0, i]`` is the
-    key of seed ``i``'s own path ``(seed_i,)``. ``dgp.sample`` takes numbered
-    streams and ``nuisance.assign_folds`` own-path ones in place of a list
-    of seeds, so a caller can key the streams of many blocks of seeds in one
-    pass (:func:`streams`) and hand each block its slice,
-    ``streams[lo:hi]``. Every slice of one :func:`streams` call re-keys one
-    generator, so, as with :func:`substreams`, a generator is valid until
-    the next one is drawn.
+    ``keys[t, i]`` is the Philox key of stream ``t`` of seed ``i``, the path
+    ``(seed_i, t)``. ``dgp.sample`` takes three rows and
+    ``nuisance.assign_folds`` one in place of a list of seeds, so a caller
+    can key the streams of many blocks of seeds in one pass
+    (:func:`streams`) and hand each block its slice, ``streams[lo:hi]``.
+    Every slice of one :func:`streams` call re-keys one generator, so, as
+    with :func:`substreams`, a generator is valid until the next one is
+    drawn.
     """
 
-    __slots__ = ("keys", "numbered", "_shared")
+    __slots__ = ("keys", "_shared")
 
-    def __init__(self, keys: NDArray[np.uint64], numbered: bool, shared: list) -> None:
+    def __init__(self, keys: NDArray[np.uint64], shared: list) -> None:
         self.keys = keys
-        self.numbered = numbered
         self._shared = shared  # [the generator, or None before the first draw]
 
     def __len__(self) -> int:
         return self.keys.shape[1]
 
-    def __getitem__(self, rows: slice) -> "Streams":
-        return Streams(self.keys[:, rows], self.numbered, self._shared)
+    def __getitem__(self, seeds: slice) -> "Streams":
+        return Streams(self.keys[:, seeds], self._shared)
 
-    def generators(self, stream: int | None) -> Iterator[np.random.Generator]:
-        """The generator of each seed's stream ``stream``, in order; None for its own path."""
-        if not self.numbered:
-            if stream is not None:
-                raise ValueError(f"stream {stream} was not keyed; these are the seeds' own paths")
-        elif stream is None or not 0 <= stream < self.keys.shape[0]:
-            raise ValueError(f"stream {stream} was not keyed; streams "
-                             f"0..{self.keys.shape[0] - 1} were")
-        return _generators(self.keys[stream or 0].tolist(), self._shared)
+    def generators(self, stream: int) -> Iterator[np.random.Generator]:
+        """The generator of each seed's stream ``stream``, in order."""
+        return _generators(self.keys[stream].tolist(), self._shared)
 
 
-def streams(*groups: tuple[Sequence[int], int | None]) -> list[Streams]:
-    """The streams of each ``(seeds, count)`` group's seeds, all keyed in one pass.
+def streams(seeds: Sequence[int], count: int) -> Streams:
+    """The streams ``0..count-1`` of every seed, keyed in one pass: the paths ``(seed, t)``."""
+    seeds = list(seeds)
+    keys = _keys(seeds * count, [t for t in range(count) for _ in seeds])
+    return Streams(keys.reshape(count, len(seeds), 2), [None])
 
-    Group ``g``'s ``Streams`` holds the keys of the paths ``(seed, t)`` for
-    its seeds and ``t < count``, as ``substreams`` derives them, or, when
-    ``count`` is None, of each seed's own path ``(seed,)``.
-    """
-    parts = [_entropy((list(group),)) if count is None
-             else _entropy((list(group) * count, [t for t in range(count) for _ in group]))
-             for group, count in groups]
-    # every path's words in one (W, P) array, zero past each path's end
-    width = max(words.shape[0] for words, _ in parts)
-    words = np.concatenate([np.pad(w, ((0, width - w.shape[0]), (0, 0))) for w, _ in parts], axis=1)
-    lengths = np.concatenate([np.full(w.shape[1], w.shape[0]) if length is None else length
-                              for w, length in parts])
-    keys = _generate_state(words, None if np.all(lengths == width) else lengths).T
-    shared: list = [None]
-    out, start = [], 0
-    for group, count in groups:
-        size, rows = len(group), 1 if count is None else count
-        out.append(Streams(keys[start:start + rows * size].reshape(rows, size, 2),
-                           count is not None, shared))
-        start += rows * size
-    return out
+
+def as_streams(seed: int | Sequence[int] | Streams, count: int) -> Streams:
+    """``count`` streams of a seed or a list of seeds, or ``seed`` itself if it is such streams."""
+    if not isinstance(seed, Streams):
+        return streams([seed] if isinstance(seed, (int, np.integer)) else seed, count)
+    if seed.keys.shape[0] != count:
+        raise ValueError(f"need {count} streams of each seed, got {seed.keys.shape[0]}")
+    return seed
 
 
 def _generators(keys: list[list[int]], shared: list) -> Iterator[np.random.Generator]:
@@ -293,8 +270,7 @@ def _generators(keys: list[list[int]], shared: list) -> Iterator[np.random.Gener
     for key in keys:
         if shared[0] is None:
             # numpy.random is imported on first use, not with the package
-            np.random.bit_generator.ISeedSequence.register(_PhiloxKey)
-            shared[0] = np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+            shared[0] = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
         else:
             # the state of a new Philox: zero counter and an empty output buffer
             shared[0].bit_generator.state = {

@@ -494,3 +494,11 @@ class TestSeedPropagation:
         read = lambda p: (p / "estimates.csv").read_text()
         assert read(out_a) == read(out_b)
         assert read(out_a) != read(out_c)
+
+    @pytest.mark.parametrize("command", ["oracle", "reversal"])
+    def test_closed_form_commands_take_no_seed(self, tmp_path, dgp_config, command, capsys):
+        # their output is a function of the config alone
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--config", dgp_config, "--seed", 1, "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err

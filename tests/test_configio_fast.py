@@ -355,9 +355,21 @@ def test_sample_round_trip_exact(tmp_path, mode):
     assert_same_dataset(tr.load_dataset_csv(path), data)
 
 
+@pytest.mark.parametrize("mode", list(tr.AssignmentMode))
+def test_loaded_columns_own_their_data(tmp_path, mode):
+    # a column view of the parsed block would keep all of it alive with the dataset
+    data = tr.sample(tr.random_dgp(7, num_treatments=4, assignment_mode=mode), 300, seed=11)
+    path = tmp_path / "data.csv"
+    tr.write_dataset_csv(data, path)
+    loaded = tr.load_dataset_csv(path)
+    for column in (loaded.y, loaded.w, loaded.x):
+        assert column.base is None and column.flags.c_contiguous
+
+
 # Transient memory per row, traced, at four treatments: the whole-file text
 # took 145-200 bytes per row on each side; the blocked writer takes 10-20
-# and the reader 55-70, most of it numpy's one array of 8 bytes per column.
+# and the reader 60-80, most of it numpy's one array of 8 bytes per column
+# and the copy of its y column.
 PEAK_BYTES_PER_ROW = 96
 
 

@@ -368,7 +368,7 @@ class TestFitValidation:
         tables = [tr.cell_table(tr.sample(reversal_dgp, 100, seed),
                                 tr.assign_folds(100, 5, seed + 10)) for seed in (1, 2)]
         block = tr.cell_table(tr.sample(reversal_dgp, 100, [1, 2]), tr.assign_folds(100, 5, [11, 12]))
-        stacked = tr.stack_tables(tables)
+        stacked = nuisance.stack_tables(tables)
         assert stacked.block and np.array_equal(stacked.levels, block.levels)
         for name in ("count", "total", "m2"):
             assert getattr(stacked, name).tobytes() == getattr(block, name).tobytes()
@@ -377,10 +377,10 @@ class TestFitValidation:
         codes = data.strata.codes
         merged = tr.Dataset(data.y, data.w, np.where(data.x == codes[0], codes[1], data.x))
         with pytest.raises(ValueError, match="stratum axis"):
-            tr.stack_tables([tables[0], tr.cell_table(merged, tr.assign_folds(100, 5, seed=11))])
+            nuisance.stack_tables([tables[0], tr.cell_table(merged, tr.assign_folds(100, 5, seed=11))])
         other = tr.sample(reversal_dgp, 99, seed=2)
         with pytest.raises(ValueError, match="stratum axis"):
-            tr.stack_tables([tables[0], tr.cell_table(other, tr.assign_folds(99, 5, seed=2))])
+            nuisance.stack_tables([tables[0], tr.cell_table(other, tr.assign_folds(99, 5, seed=2))])
 
     def test_estimators_check_the_data_against_the_fit(self, reversal_dgp):
         data = tr.sample(reversal_dgp, 100, seed=1)

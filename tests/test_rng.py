@@ -112,65 +112,71 @@ def philox_key(gen: np.random.Generator) -> list[int]:
 
 
 class TestStreams:
-    """Streams keyed ahead: every key is the one ``substreams`` derives for its path."""
+    """Streams keyed ahead: row ``t`` of seed ``i`` is the path ``(seed_i, t)``."""
 
-    @pytest.mark.parametrize("B", [1, 7, 40])
-    def test_groups_in_one_pass(self, B):
-        data, folds, none, own = rng.streams((block_seeds(B), 3), (block_seeds(B + 1), 1),
-                                             ([], 2), (block_seeds(B + 2), None))
-        assert (len(data), len(folds), len(none), len(own)) == (B, B + 1, 0, B + 2)
-        for streams, seeds, count in ((data, block_seeds(B), 3), (folds, block_seeds(B + 1), 1)):
-            for t in range(count):
-                for seed, gen in zip(seeds, streams.generators(t)):
-                    assert_same_stream(gen, [seed, t])
-        assert list(none.generators(1)) == []
-        for seed, gen in zip(block_seeds(B + 2), own.generators(None)):
-            assert_same_stream(gen, [seed])
-
-    def test_own_paths_past_four_words(self):
-        # (seed,) and (seed, 0) differ from 2**96 up; own paths are keyed as (seed,)
-        seeds = [3, 2**64 - 1, 2**96, 2**100, 2**200]
-        numbered, own = rng.streams((seeds, 1), (seeds, None))
-        for seed, gen in zip(seeds, own.generators(None)):
-            assert_same_stream(gen, [seed])
-        for seed, gen in zip(seeds, numbered.generators(0)):
-            assert_same_stream(gen, [seed, 0])
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("B", [0, 1, 7, 40])
+    def test_rows_match_numpy(self, B, count):
+        seeds = block_seeds(B)
+        streams = rng.streams(seeds, count)
+        assert len(streams) == B and streams.keys.shape == (count, B, 2)
+        for t in range(count):
+            assert streams.keys[t].tolist() == [
+                np.random.SeedSequence([seed, t]).generate_state(2, np.uint64).tolist()
+                for seed in seeds]
+            drawn = 0
+            for seed, gen in zip(seeds, streams.generators(t)):
+                assert_same_stream(gen, [seed, t])
+                drawn += 1
+            assert drawn == B
 
     def test_slices(self):
         seeds = block_seeds(10)
-        (streams,) = rng.streams((seeds, 3))
+        streams = rng.streams(seeds, 3)
         for lo, hi in [(0, 1), (3, 7), (9, 10)]:
             part = streams[lo:hi]
             assert len(part) == hi - lo
             for seed, gen in zip(seeds[lo:hi], part.generators(rng.NOISE)):
                 assert_same_stream(gen, [seed, rng.NOISE])
 
-    def test_stream_not_keyed(self):
-        numbered, own = rng.streams(([1, 2], 1), ([1, 2], None))
-        with pytest.raises(ValueError, match="stream 1 was not keyed"):
-            numbered.generators(1)
-        with pytest.raises(ValueError, match="stream None was not keyed"):
-            numbered.generators(None)
-        with pytest.raises(ValueError, match="stream 0 was not keyed; these are the seeds' own"):
-            own.generators(0)
+    def test_slices_share_one_generator(self):
+        streams = rng.streams(block_seeds(5), 3)
+        first = next(streams[0:2].generators(rng.STRATUM))
+        assert next(streams[2:5].generators(rng.NOISE)) is first
+        assert next(streams.generators(rng.TREATMENT)) is first
+        # another call keys its own generator
+        assert next(rng.streams([1], 1).generators(0)) is not first
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed path entries must be non-negative"):
-            rng.streams(([4], 3), ([3, -1], 1))
+            rng.streams([3, -1], 1)
 
     def test_sample_and_folds_take_streams(self, reversal_dgp):
         seeds, fold_seeds = block_seeds(6), [s + 1 for s in block_seeds(6)]
-        data, folds = rng.streams((seeds, 3), (fold_seeds, None))
+        data, folds = rng.streams(seeds, 3), rng.streams(fold_seeds, 1)
         block = tr.sample(reversal_dgp, 40, data[2:5])
         assert block == tr.sample(reversal_dgp, 40, seeds[2:5])
         assert np.array_equal(block.cell_keys, tr.sample(reversal_dgp, 40, seeds[2:5]).cell_keys)
         assert np.array_equal(tr.assign_folds(40, 5, folds[1:4]).fold_of,
                               tr.assign_folds(40, 5, fold_seeds[1:4]).fold_of)
-        # the sampler's streams are numbered, the folds' are own paths
-        with pytest.raises(ValueError, match="not keyed"):
+
+    def test_sample_and_folds_refuse_each_others_streams(self, reversal_dgp):
+        data, folds = rng.streams(block_seeds(6), 3), rng.streams(block_seeds(6), 1)
+        with pytest.raises(ValueError, match="need 3 streams of each seed, got 1"):
             tr.sample(reversal_dgp, 40, folds[2:5])
-        with pytest.raises(ValueError, match="not keyed"):
+        with pytest.raises(ValueError, match="need 1 streams of each seed, got 3"):
             tr.assign_folds(40, 5, data[1:4])
+
+    @pytest.mark.parametrize("seed", [2**96, 2**100])
+    def test_fold_seed_past_four_words_draws_stream_0(self, seed):
+        # below 2**96 the paths (seed,) and (seed, 0) are one key; from
+        # there up a fold seed draws (seed, 0), no longer (seed,)
+        expected = np.empty(30, dtype=np.int64)
+        expected[numpy_generator([seed, 0]).permutation(30)] = np.arange(30) % 5
+        for folds in (tr.assign_folds(30, 5, seed), tr.assign_folds(30, 5, [seed, 3])):
+            assert np.array_equal(folds.fold_of.reshape(-1, 30)[0], expected)
+        assert not np.array_equal(numpy_generator([seed]).permutation(30),
+                                  numpy_generator([seed, 0]).permutation(30))
 
 
 class TestTrailingZeros:
