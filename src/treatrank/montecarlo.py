@@ -68,6 +68,7 @@ import json
 import multiprocessing
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import combinations
@@ -130,7 +131,10 @@ class MonteCarloResult:
     :meth:`canonical_bytes`, which is the determinism-relevant serialization.
     ``diagnostics`` holds what happened inside the study:
     ``clipped_count`` and ``fallback_count`` summed over every replicate
-    whose fit succeeded, and the seconds spent in each layer
+    whose fit succeeded; ``failures``, the ``failure_count`` split by
+    cause as ``{(method, treatment, exception type name): count}`` (a
+    failed fit counts once for every method and treatment, with the fit's
+    exception type); and the seconds spent in each layer
     (``LAYER_SECONDS``), summed over tasks: the unit pass (seeds,
     ``sample``, ``assign_folds``, ``cell_table`` and stacking),
     ``fit_table`` and the estimators. With more than one worker the shares
@@ -154,7 +158,8 @@ class MonteCarloResult:
     failure_count: int
     runtime_seconds: float
     workers: int
-    diagnostics: dict[str, int | float] = field(default_factory=dict)
+    diagnostics: dict[str, int | float | dict[tuple[str, int, str], int]] = field(
+        default_factory=dict)
 
     @property
     def methods(self) -> tuple[str, ...]:
@@ -343,12 +348,13 @@ def _span(reps: range) -> str:
 
 
 def _run_task(config: ScenarioConfig, reps: range
-              ) -> tuple[NDArray[np.float64], int, NDArray[np.int64], NDArray[np.float64]]:
+              ) -> tuple[NDArray[np.float64], Counter, NDArray[np.int64], NDArray[np.float64]]:
     """Replicates ``reps``: tabled block by block, then fitted and estimated at once.
 
-    Returns their ``(reps, methods, K)`` points, the failure count, the
-    summed (clipped, fallback) counts of their fits and the seconds spent
-    in the unit pass, in ``fit_table`` and in the estimators.
+    Returns their ``(reps, methods, K)`` points, their failures counted by
+    (method, treatment, exception type name), the summed (clipped,
+    fallback) counts of their fits and the seconds spent in the unit pass,
+    in ``fit_table`` and in the estimators.
     """
     start = time.perf_counter()
     R, n = len(reps), config.n_per_rep
@@ -360,15 +366,18 @@ def _run_task(config: ScenarioConfig, reps: range
                                        fold_streams[block.start:block.stop])
                           for block in _blocks(range(R), n)])
     seconds = np.array([time.perf_counter() - start, 0.0, 0.0])
-    return (*_estimate(config, table, seconds), seconds)
+    failures: Counter = Counter()
+    points, counts = _estimate(config, table, seconds, failures)
+    return points, failures, counts, seconds
 
 
-def _estimate(config: ScenarioConfig, table: CellTable,
-              seconds: NDArray[np.float64]) -> tuple[NDArray[np.float64], int, NDArray[np.int64]]:
-    """Fit and estimate every dataset of a table: (points, failures, fit counts), as ``_run_task``.
+def _estimate(config: ScenarioConfig, table: CellTable, seconds: NDArray[np.float64],
+              failures: Counter) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
+    """Fit and estimate every dataset of a table: (points, fit counts), as ``_run_task``.
 
     A fit or estimate the data cannot support (``ESTIMATION_ERRORS``) is NaN
-    and counted; a failed fit counts for every method and treatment. When a
+    and counted in ``failures`` by (method, treatment, exception type
+    name); a failed fit counts for every method and treatment. When a
     block's fit or estimate fails, that step is redone dataset by dataset
     on its table or fit, so only the datasets that fail on their own are
     NaN. The seconds of the fits and of the estimators are added to
@@ -379,33 +388,35 @@ def _estimate(config: ScenarioConfig, table: CellTable,
     start = time.perf_counter()
     try:
         fit = fit_table(table, config.learner, config.clip)
-    except ESTIMATION_ERRORS:
+    except ESTIMATION_ERRORS as exc:
         seconds[1] += time.perf_counter() - start
         if not table.block:
-            return points, points.size, np.zeros(2, dtype=np.int64)
-        rows = [_estimate(config, table.replicate(b), seconds) for b in range(B)]
-        return (np.concatenate([p for p, _, _ in rows]), sum(f for _, f, _ in rows),
-                sum(c for _, _, c in rows))
+            for method in METHODS:
+                for j in range(1, K + 1):
+                    failures[method, j, type(exc).__name__] += B
+            return points, np.zeros(2, dtype=np.int64)
+        rows = [_estimate(config, table.replicate(b), seconds, failures) for b in range(B)]
+        return np.concatenate([p for p, _ in rows]), sum(c for _, c in rows)
     seconds[1] += time.perf_counter() - start
     start = time.perf_counter()
-    failures = 0
-    for m, estimator in enumerate(ESTIMATORS.values()):
+    for m, (method, estimator) in enumerate(zip(METHODS, ESTIMATORS.values())):
         for j in range(1, K + 1):
-            points[:, m, j - 1], failed = _points(estimator, fit, j)
-            failures += failed
+            points[:, m, j - 1] = _points(estimator, method, fit, j, failures)
     seconds[2] += time.perf_counter() - start
-    return points, failures, np.array([np.sum(fit.clipped_count), np.sum(fit.fallback_count)])
+    return points, np.array([np.sum(fit.clipped_count), np.sum(fit.fallback_count)])
 
 
-def _points(estimator: Callable, fit: NuisanceFit, j: int) -> tuple[NDArray | float, int]:
-    """Treatment ``j``'s point per dataset (NaN where it fails), and the failure count."""
+def _points(estimator: Callable, method: str, fit: NuisanceFit, j: int,
+            failures: Counter) -> NDArray | float:
+    """Treatment ``j``'s point per dataset (NaN where it fails), failures counted in ``failures``."""
     try:
-        return estimator(None, fit, j).point, 0
-    except ESTIMATION_ERRORS:
+        return estimator(None, fit, j).point
+    except ESTIMATION_ERRORS as exc:
         if not fit.table.block:
-            return np.nan, 1
-        rows = [_points(estimator, fit.replicate(b), j) for b in range(fit.table.count.shape[1])]
-        return np.array([p for p, _ in rows]), sum(f for _, f in rows)
+            failures[method, j, type(exc).__name__] += 1
+            return np.nan
+        return np.array([_points(estimator, method, fit.replicate(b), j, failures)
+                         for b in range(fit.table.count.shape[1])])
 
 
 def _ranking_rates(points: NDArray[np.float64], oracle_order: tuple[int, ...]) -> list[float | None]:
@@ -460,7 +471,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloResult:
             reader.close()
 
     points = np.concatenate([p for p, _, _, _ in outcomes])  # (reps, methods, K)
-    failure_count = int(sum(f for _, f, _, _ in outcomes))
+    failures = sum((f for _, f, _, _ in outcomes), Counter())
     clipped, fallbacks = sum(c for _, _, c, _ in outcomes)
     seconds = sum(t for _, _, _, t in outcomes)
     K = config.dgp.num_treatments
@@ -483,10 +494,11 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloResult:
         oracle_wate=wate,
         estimates=estimates,
         correct_ranking_rate=rates,
-        failure_count=failure_count,
+        failure_count=sum(failures.values()),
         runtime_seconds=time.perf_counter() - t0,
         workers=workers,
         diagnostics={"clipped_count": int(clipped), "fallback_count": int(fallbacks),
+                     "failures": dict(sorted(failures.items())),
                      **{key: float(t) for key, t in zip(LAYER_SECONDS, seconds)}},
     )
 

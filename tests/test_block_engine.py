@@ -11,12 +11,13 @@ and block sizes and the worker count.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import treatrank as tr
-from treatrank import montecarlo, rng
+from treatrank import montecarlo, nuisance, rng
 from treatrank.estimators import ESTIMATION_ERRORS, ESTIMATORS, Method, plm_estimate
 from treatrank.montecarlo import BLOCK_UNITS, METHODS, TASK_REPLICATES, _blocks, _shares, _tasks
 
@@ -33,23 +34,24 @@ def replicate_inputs(config, r):
 
 
 def loop_reference(config):
-    """(points, failures) of the replicate-at-a-time engine."""
+    """(points, failures by (method, treatment, exception type name)) of the
+    replicate-at-a-time engine."""
     K = config.dgp.num_treatments
     points = np.full((config.num_reps, len(METHODS), K), np.nan)
-    failures = 0
+    failures = Counter()
     for r in range(config.num_reps):
         data, folds = replicate_inputs(config, r)
         try:
             fit = tr.fit_crossfit(data, config.learner, folds, config.clip)
-        except ESTIMATION_ERRORS:
-            failures += points[r].size
+        except ESTIMATION_ERRORS as exc:
+            failures.update((m, j, type(exc).__name__) for m in METHODS for j in range(1, K + 1))
             continue
-        for m, estimator in enumerate(ESTIMATORS.values()):
+        for m, (method, estimator) in enumerate(zip(METHODS, ESTIMATORS.values())):
             for j in range(1, K + 1):
                 try:
                     points[r, m, j - 1] = estimator(data, fit, j).point
-                except ESTIMATION_ERRORS:
-                    failures += 1
+                except ESTIMATION_ERRORS as exc:
+                    failures[method, j, type(exc).__name__] += 1
     return points, failures
 
 
@@ -66,7 +68,8 @@ def assert_engine_matches_loop(config, workers=1):
     result = tr.run_scenario(config, workers=workers)
     points, failures = loop_reference(config)
     assert engine_points(result).tobytes() == points.tobytes()
-    assert result.failure_count == failures
+    assert result.failure_count == sum(failures.values())
+    assert result.diagnostics["failures"] == failures
     return result
 
 
@@ -348,7 +351,7 @@ class TestDiagnostics:
         config = tr.scaled(tr.preset("extreme_heterogeneity"), n_per_rep=10, num_reps=50,
                            learner=tr.LearnerSpec(kind=tr.LearnerKind.LOGISTIC_RIDGE))
         result = tr.run_scenario(config, workers=workers)
-        assert set(result.diagnostics) == {"clipped_count", "fallback_count",
+        assert set(result.diagnostics) == {"clipped_count", "fallback_count", "failures",
                                            *montecarlo.LAYER_SECONDS}
         for key in montecarlo.LAYER_SECONDS:
             assert isinstance(result.diagnostics[key], float) and result.diagnostics[key] >= 0
@@ -419,3 +422,67 @@ class TestFailureInsideTask:
         assert result.failure_count == points[9].size
         assert np.isnan(points[9]).all()
         assert np.delete(points, 9, axis=0).tobytes() == np.delete(reference, 9, axis=0).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# failures counted by cause
+
+
+class TestFailureCauses:
+    """``diagnostics["failures"]`` splits ``failure_count`` by (method, treatment,
+    exception type name), summed over tasks and child processes."""
+
+    CONFIG = tr.scaled(tr.preset("balanced"), n_per_rep=200, num_reps=12, seed=7)
+
+    @staticmethod
+    def run_both(config):
+        serial, pooled = (tr.run_scenario(config, workers=w) for w in (1, 2))
+        causes = serial.diagnostics["failures"]
+        assert sum(causes.values()) == serial.failure_count
+        assert pooled.diagnostics["failures"] == causes
+        assert pooled.failure_count == serial.failure_count
+        assert "failures" not in json.dumps(serial.to_dict())
+        assert serial.canonical_bytes() == pooled.canonical_bytes()
+        return causes
+
+    def test_chosen_replicates(self, monkeypatch):
+        # AIPW fails for treatment 2 in replicates 3 and 10 (one in each
+        # process at workers 2), and the fit of replicate 8 fails
+        aipw_rows = [replicate_table(self.CONFIG, r).total[:, 0] for r in (3, 10)]
+        fit_row = replicate_table(self.CONFIG, 8).total[:, 0]
+
+        def holds(table, rows):
+            return any(np.array_equal(table.total[:, b], row)
+                       for b in range(table.total.shape[1]) for row in rows)
+
+        def flaky_aipw(data, fit, j):
+            if j == 2 and holds(fit.table, aipw_rows):
+                raise tr.NoVariationError("chosen replicate")
+            return tr.aipw_estimate(data, fit, j)
+
+        def flaky_fit(table, *args):
+            if holds(table, [fit_row]):
+                raise tr.SingularFitError("chosen replicate")
+            return tr.fit_table(table, *args)
+
+        monkeypatch.setitem(ESTIMATORS, Method.AIPW, flaky_aipw)
+        monkeypatch.setattr(montecarlo, "fit_table", flaky_fit)
+        causes = self.run_both(self.CONFIG)
+        K = self.CONFIG.dgp.num_treatments
+        want = {(m, j, "SingularFitError"): 1 for m in METHODS for j in range(1, K + 1)}
+        want["aipw", 2, "NoVariationError"] = 2
+        assert causes == want
+        assert list(causes) == sorted(want)
+
+    def test_newton_cap(self, monkeypatch):
+        # one Newton step converges nowhere: every fit fails, once per method and treatment
+        monkeypatch.setattr(nuisance, "NEWTON_MAX_ITER", 1)
+        config = tr.scaled(self.CONFIG, num_reps=6,
+                           learner=tr.LearnerSpec(kind=tr.LearnerKind.LOGISTIC_RIDGE))
+        causes = self.run_both(config)
+        K = config.dgp.num_treatments
+        assert causes == {(m, j, "SingularFitError"): config.num_reps
+                          for m in METHODS for j in range(1, K + 1)}
+
+    def test_none_when_nothing_fails(self):
+        assert self.run_both(tr.scaled(self.CONFIG, num_reps=4)) == {}

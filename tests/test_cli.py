@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ import yaml
 import treatrank as tr
 from treatrank import cli, nuisance
 from treatrank.estimators import ESTIMATORS, Method
+
+from test_cli_pins import PINS, run_case
 
 
 def run_cli(*args) -> int:
@@ -502,3 +508,50 @@ class TestSeedPropagation:
             run_cli(command, "--config", dgp_config, "--seed", 1, "--out", tmp_path / "out")
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+class TestInProcessCalls:
+    """``main`` parses every call with one parser: no call sees another's arguments."""
+
+    # the pinned default case: stratum-mean learner, default folds and clip
+    DEFAULT = ["estimate", "--config", "{tmp}/parallel.yaml", "--n", "300", "--seed", "4"]
+    PIN = PINS["estimate-parallel-stratum_mean-json"]
+    OVERRIDES = ["--learner", "logistic_ridge", "--folds", "3", "--clip", "0.05"]
+
+    def run(self, tmp, *flags):
+        """Inputs in ``tmp``, outputs in ``tmp/out``; {file name: sha256}."""
+        tmp.mkdir()
+        return run_case(self.DEFAULT + list(flags), tmp)
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_defaults_after_overridden_flags(self, tmp_path):
+        self.run(tmp_path / "first", *self.OVERRIDES)
+        assert self.run(tmp_path / "second") == self.PIN
+        args = cli.build_parser().parse_args(["estimate", "--out", "o"])
+        assert (args.learner, args.folds, args.clip) == (
+            tr.LearnerKind.STRATUM_MEAN.value, nuisance.DEFAULT_NUM_FOLDS, nuisance.DEFAULT_CLIP)
+
+    def test_same_bytes_as_a_fresh_process(self, tmp_path):
+        self.run(tmp_path / "first", *self.OVERRIDES)
+        self.run(tmp_path / "second")
+        here = tmp_path / "second"
+        argv = [a.format(tmp=here) for a in self.DEFAULT] + ["--out", str(here / "fresh")]
+        src = str(Path(tr.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-m", "treatrank.cli", *argv], check=True,
+                       env={**os.environ, "PYTHONPATH": path})
+        written = sorted(p.name for p in (here / "out").iterdir())
+        assert sorted(p.name for p in (here / "fresh").iterdir()) == written
+        for name in written:
+            assert (here / "fresh" / name).read_bytes() == (here / "out" / name).read_bytes()
+
+    def test_usage_error_between_calls(self, tmp_path, capsys):
+        before = self.run(tmp_path / "before")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("estimate", "--learner", "logistic_ridge", "--folds", "three",
+                    "--out", tmp_path / "bad")
+        assert exc.value.code == 2
+        assert "invalid int value: 'three'" in capsys.readouterr().err
+        assert self.run(tmp_path / "after") == before == self.PIN
