@@ -2,12 +2,14 @@
 
 Subcommands:
 
-* ``oracle``      closed-form estimands and reversal flags for a DGP config
+* ``oracle``      closed-form estimands and pairwise reversal checks (plus
+                  the delta-sufficient conditions) for a DGP config
 * ``sample``      draw a dataset from a DGP config and write it as CSV
 * ``estimate``    PLM/AIPW/IPW estimates, decompositions, and ranking
-* ``decompose``   estimated WATE = ATE + Cov reports only
-* ``reversal``    pairwise reversal checks (plus sufficient conditions)
 * ``montecarlo``  run a replication scenario and emit summary/plot data
+
+Each output has one producer: only ``oracle`` writes reversal rows, and
+only ``estimate`` writes decompositions.
 
 Command-level errors (bad config, bad flags, a nuisance fit the data cannot
 support) exit nonzero; per-estimator failures inside ``estimate`` are
@@ -124,15 +126,10 @@ def _pairwise_reversals(reports, delta: float | None) -> list[dict]:
     return rows
 
 
-def _oracle_pairs(args) -> tuple[list[DecompositionReport], list[dict]]:
-    """The oracle reports of the ``--config`` DGP and their pairwise reversal rows."""
+def cmd_oracle(args: argparse.Namespace) -> None:
     dgp = load_dgp_config(args.config)
     reports = [oracle_report(dgp, j) for j in range(1, dgp.num_treatments + 1)]
-    return reports, _pairwise_reversals(reports, args.delta)
-
-
-def cmd_oracle(args: argparse.Namespace) -> None:
-    reports, pairs = _oracle_pairs(args)
+    pairs = _pairwise_reversals(reports, args.delta)
     rows = [
         {"treatment": r.treatment, "ate": r.ate, "wate": r.wate, "cov_tau_gamma": r.cov_tau_gamma}
         for r in reports
@@ -155,14 +152,6 @@ def cmd_oracle(args: argparse.Namespace) -> None:
         _write_csv(args.out / "reversal.csv", REVERSAL_HEADER, pairs)
 
 
-def cmd_reversal(args: argparse.Namespace) -> None:
-    _, pairs = _oracle_pairs(args)
-    if args.format == "json":
-        _write_json(args.out / "reversal.json", {"pairs": pairs})
-    else:
-        _write_csv(args.out / "reversal.csv", REVERSAL_HEADER, pairs)
-
-
 def _sampled(args) -> tuple[Dataset, StratifiedDGP]:
     """``--n`` units drawn from the ``--config`` DGP with ``--seed``."""
     dgp = load_dgp_config(args.config)
@@ -182,8 +171,6 @@ def _fitted(args) -> tuple[Dataset, NuisanceFit]:
     if args.data is not None:
         data = load_dataset_csv(args.data)
         fold_seed = args.seed
-    elif args.config is None:
-        raise ConfigError("provide either --data or --config with --n/--seed")
     else:
         data, _ = _sampled(args)
         # the fold stream of --seed itself is the sample's stratum stream
@@ -246,10 +233,6 @@ def cmd_estimate(args: argparse.Namespace) -> None:
     _write_json(args.out / "ranking.json", payload)
 
 
-def cmd_decompose(args: argparse.Namespace) -> None:
-    _write_decompositions(args, *_fitted(args))
-
-
 def cmd_montecarlo(args: argparse.Namespace) -> None:
     if args.preset is not None:
         config = preset(args.preset)
@@ -285,15 +268,30 @@ def cmd_montecarlo(args: argparse.Namespace) -> None:
     _write_csv(out / "estimate_histograms.csv", HISTOGRAM_HEADER, histogram_rows(result))
 
 
+class _DataExcludesN(argparse.Action):
+    """``estimate``'s ``--data`` or ``--n``: the two together are a usage error.
+
+    ``--data`` is already in ``--config``'s mutually exclusive group, and
+    argparse puts an option in one group at most, so this action checks the
+    pair as argparse checks a group: when the second of them is parsed.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        other = "n" if self.dest == "data" else "data"
+        if getattr(namespace, other) is not None:
+            parser.error(f"argument {option_string}: not allowed with argument --{other}")
+        setattr(namespace, self.dest, values)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``treatrank`` argument parser, built on the first call and shared after.
 
-    Building it (six subcommands, about 50 arguments) takes 1.5-2.5 ms,
-    about 40% of a ``sample`` at n = 200, so ``main`` parses every argv of
-    a process with this one parser. ``parse_args`` only reads a parser and
-    fills a fresh namespace, so no call sees another's arguments; do not
-    add to the returned parser.
+    Building it (four subcommands, about 30 arguments) takes about 1.5 ms,
+    as long as a third of a ``sample`` at n = 200, so ``main`` parses every
+    argv of a process with this one parser. ``parse_args`` only reads a
+    parser and fills a fresh namespace, so no call sees another's
+    arguments; do not add to the returned parser.
     """
     parser = argparse.ArgumentParser(
         prog="treatrank",
@@ -302,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, config_required: bool = False,
-                   formatted: bool = True) -> None:
-        p.add_argument("--config", type=Path, required=config_required,
-                       help="DGP or scenario config file (YAML)")
+                   formatted: bool = True, source=None) -> None:
+        (source or p).add_argument("--config", type=Path, required=config_required,
+                                   help="DGP or scenario config file (YAML)")
         p.add_argument("--out", type=Path, required=True, help="output directory")
         if formatted:
             p.add_argument("--format", choices=("json", "csv"), default="json",
@@ -330,25 +328,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="sample size")
     p.add_argument("--seed", type=int, default=0, help="dataset seed (default 0)")
 
-    for name, helptext in (
-        ("estimate", "PLM/AIPW/IPW estimates, decompositions, and ranking"),
-        ("decompose", "estimated decomposition reports"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        add_common(p)
-        p.add_argument("--data", type=Path, default=None, help="dataset CSV to import")
-        p.add_argument("--n", type=int, default=None, help="sample size (with --config)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="dataset seed with --config, fold seed with --data (default 0)")
-        add_fit_flags(p)
-        # montecarlo keeps None for these: "use the scenario's own setting"
-        p.set_defaults(folds=DEFAULT_NUM_FOLDS, learner=LearnerKind.STRATUM_MEAN.value,
-                       clip=DEFAULT_CLIP)
-
-    p = sub.add_parser("reversal", help="pairwise rank-reversal checks from a DGP config")
-    add_common(p, config_required=True)
-    p.add_argument("--delta", type=float, default=None,
-                   help="also evaluate the delta-sufficient conditions")
+    # estimate samples --n units from --config, or imports --data
+    p = sub.add_parser("estimate", help="PLM/AIPW/IPW estimates, decompositions, and ranking")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", type=Path, default=None, action=_DataExcludesN,
+                        help="dataset CSV to import")
+    add_common(p, source=source)
+    p.add_argument("--n", type=int, default=None, action=_DataExcludesN,
+                   help="sample size (with --config)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="dataset seed with --config, fold seed with --data (default 0)")
+    add_fit_flags(p)
+    # montecarlo keeps None for these: "use the scenario's own setting"
+    p.set_defaults(folds=DEFAULT_NUM_FOLDS, learner=LearnerKind.STRATUM_MEAN.value,
+                   clip=DEFAULT_CLIP)
 
     # montecarlo always writes both layouts, so it takes no --format
     p = sub.add_parser("montecarlo", help="run a replication scenario")
@@ -367,8 +360,6 @@ COMMANDS = {
     "oracle": cmd_oracle,
     "sample": cmd_sample,
     "estimate": cmd_estimate,
-    "decompose": cmd_decompose,
-    "reversal": cmd_reversal,
     "montecarlo": cmd_montecarlo,
 }
 

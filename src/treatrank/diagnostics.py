@@ -257,16 +257,18 @@ def sufficient_condition_check(
 
     Convention: ``dec_j`` is the higher-ATE treatment. Returns True iff
 
-    1. ``Cov(tau_j, gamma_j) < -delta``,
-    2. ``Cov(tau_k, gamma_k) > delta``, and
-    3. ``ate_j - ate_k < 2 delta``.
+    1. ``ate_j > ate_k`` (a tied pair is never a reversal),
+    2. ``Cov(tau_j, gamma_j) < -delta``,
+    3. ``Cov(tau_k, gamma_k) > delta``, and
+    4. ``ate_j - ate_k < 2 delta``.
 
-    Together with ``ate_j > ate_k`` these imply ``wate_j < wate_k``.
+    Together these imply ``wate_j < wate_k``.
     """
     if not delta > 0:  # also rejects NaN
         raise ValueError(f"delta must be > 0, got {delta}")
     return (
-        dec_j.cov_tau_gamma < -delta
+        dec_j.ate > dec_k.ate
+        and dec_j.cov_tau_gamma < -delta
         and dec_k.cov_tau_gamma > delta
         and dec_j.ate - dec_k.ate < 2.0 * delta
     )

@@ -15,6 +15,18 @@ def reversal_dgp() -> tr.StratifiedDGP:
     return tr.preset("extreme_heterogeneity").dgp
 
 
+@pytest.fixture
+def tied_dgp() -> tr.StratifiedDGP:
+    """Equal effects, mirrored propensities: equal ATEs, Cov_1 = -0.68 and Cov_2 = 0.68."""
+    return tr.StratifiedDGP(
+        strata=((0, 0.5), (1, 0.5)),
+        num_treatments=2,
+        propensity=np.array([[0.05, 0.5], [0.5, 0.05]]),
+        effect=np.array([[2.0, 0.0], [2.0, 0.0]]),
+        baseline=np.zeros(2),
+    )
+
+
 def exact_cell_dataset(dgp: tr.StratifiedDGP, units_per_stratum: int) -> tr.Dataset:
     """Deterministic noiseless dataset whose cell counts exactly match the DGP.
 

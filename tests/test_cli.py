@@ -218,6 +218,35 @@ class TestOracleCommand:
         assert run_cli("oracle", "--config", bad, "--out", tmp_path / "o") == 1
         assert "sum to 1" in capsys.readouterr().err
 
+    def test_reports_pair_flags(self, tmp_path, dgp_config):
+        for out, delta in ((tmp_path / "d", ["--delta", 1.0]), (tmp_path / "n", [])):
+            assert run_cli("oracle", "--config", dgp_config, "--out", out, *delta) == 0
+        with_delta, without = (json.loads((tmp_path / d / "oracle.json").read_text())["pairs"]
+                               for d in ("d", "n"))
+        assert with_delta[0]["reversed"] is without[0]["reversed"] is True
+        assert with_delta[0]["sufficient_condition"] is True
+        assert without[0]["sufficient_condition"] is None
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_tied_pair_not_sufficient(self, tmp_path, tied_dgp, fmt):
+        # Cov_1 < -delta and Cov_2 > delta, but a tie is no reversal
+        cfg, out = tmp_path / "tied.yaml", tmp_path / "out"
+        tr.write_dgp_config(tied_dgp, cfg)
+        assert run_cli("oracle", "--config", cfg, "--delta", 0.1, "--format", fmt, "--out", out) == 0
+        if fmt == "csv":
+            assert read_csv(out / "reversal.csv")[1] == [["1", "2", "False", "0.0", "False"]]
+        else:
+            payload = json.loads((out / "oracle.json").read_text())
+            assert payload["reversed_pairs"] == []
+            assert payload["pairs"] == [{"treatment_j": 1, "treatment_k": 2, "reversed": False,
+                                         "margin": 0.0, "sufficient_condition": False}]
+
+    @pytest.mark.parametrize("delta", ["nan", "0"])
+    def test_delta_not_positive_exits_nonzero(self, tmp_path, dgp_config, capsys, delta):
+        out = tmp_path / "out"
+        assert run_cli("oracle", "--config", dgp_config, "--out", out, "--delta", delta) == 1
+        assert "delta must be > 0" in capsys.readouterr().err
+
 
 class TestSampleCommand:
     def test_writes_dataset_and_resolved_config(self, tmp_path, dgp_config):
@@ -337,10 +366,36 @@ class TestEstimateCommand:
         header, rows = read_csv(out / "decomposition.csv")
         assert all("not finite" in row[header.index("error")] for row in rows)
 
+    @pytest.mark.parametrize("flags", [
+        ["--data", "{data}", "--config", "{config}"],
+        ["--config", "{config}", "--data", "{data}"],
+        ["--data", "{data}", "--n", "99999"],
+        ["--n", "99999", "--data", "{data}"],
+        ["--data", "{data}", "--config", "{config}", "--n", "99999"],
+    ])
+    def test_data_excludes_config_and_n(self, tmp_path, dgp_config, reversal_dgp, capsys, flags):
+        # an imported dataset is estimated as it is: a --config or --n is not silently dropped
+        data = tmp_path / "data.csv"
+        tr.write_dataset_csv(tr.sample(reversal_dgp, 200, seed=1), data)
+        argv = [f.format(data=data, config=dgp_config) for f in flags]
+        with pytest.raises(SystemExit) as exc:
+            run_cli("estimate", *argv, "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert re.search(r"treatrank estimate: error: argument --(data|config|n): "
+                         r"not allowed with argument --(data|config|n)", capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    def test_requires_data_or_config(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("estimate", "--n", 200, "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert "one of the arguments --data --config is required" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_csv_decomposition_headers(self, tmp_path, dgp_config):
         out = tmp_path / "out"
         assert run_cli(
-            "decompose", "--config", dgp_config, "--n", 2_000, "--seed", 7,
+            "estimate", "--config", dgp_config, "--n", 2_000, "--seed", 7,
             "--out", out, "--format", "csv",
         ) == 0
         header, rows = read_csv(out / "decomposition.csv")
@@ -349,22 +404,6 @@ class TestEstimateCommand:
         header, rows = read_csv(out / "decomposition_strata.csv")
         assert header == cli.DECOMPOSITION_STRATA_HEADER
         assert len(rows) == 4
-
-
-class TestReversalCommand:
-    def test_reports_pair_flags(self, tmp_path, dgp_config):
-        out = tmp_path / "out"
-        assert run_cli("reversal", "--config", dgp_config, "--out", out, "--delta", 1.0) == 0
-        payload = json.loads((out / "reversal.json").read_text())
-        assert payload["pairs"][0]["reversed"] is True
-        assert payload["pairs"][0]["sufficient_condition"] is True
-
-    @pytest.mark.parametrize("command", ["reversal", "oracle"])
-    @pytest.mark.parametrize("delta", ["nan", "0"])
-    def test_delta_not_positive_exits_nonzero(self, tmp_path, dgp_config, capsys, command, delta):
-        out = tmp_path / "out"
-        assert run_cli(command, "--config", dgp_config, "--out", out, "--delta", delta) == 1
-        assert "delta must be > 0" in capsys.readouterr().err
 
 
 class TestMonteCarloCommand:
@@ -490,6 +529,27 @@ class TestMonteCarloCommand:
         assert not (tmp_path / "o").exists()
 
 
+class TestCommands:
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--help")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: treatrank {command}")
+
+    @pytest.mark.parametrize("command", ["reversal", "decompose"])
+    def test_removed_commands_are_usage_errors(self, tmp_path, dgp_config, capsys, command):
+        # oracle writes the reversal rows, estimate the decompositions
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--config", dgp_config, "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{command}'" in err
+        choices = re.findall(r"\w+", err.split("choose from", 1)[1])
+        assert choices == ["oracle", "sample", "estimate", "montecarlo"]
+        assert not (tmp_path / "o").exists()
+
+
 class TestSeedPropagation:
     def test_seed_override_changes_results(self, tmp_path, dgp_config):
         out_a, out_b, out_c = (tmp_path / s for s in ("a", "b", "c"))
@@ -501,11 +561,10 @@ class TestSeedPropagation:
         assert read(out_a) == read(out_b)
         assert read(out_a) != read(out_c)
 
-    @pytest.mark.parametrize("command", ["oracle", "reversal"])
-    def test_closed_form_commands_take_no_seed(self, tmp_path, dgp_config, command, capsys):
-        # their output is a function of the config alone
+    def test_closed_form_commands_take_no_seed(self, tmp_path, dgp_config, capsys):
+        # oracle's output is a function of the config alone
         with pytest.raises(SystemExit) as exc:
-            run_cli(command, "--config", dgp_config, "--seed", 1, "--out", tmp_path / "out")
+            run_cli("oracle", "--config", dgp_config, "--seed", 1, "--out", tmp_path / "out")
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
@@ -529,7 +588,7 @@ class TestInProcessCalls:
     def test_defaults_after_overridden_flags(self, tmp_path):
         self.run(tmp_path / "first", *self.OVERRIDES)
         assert self.run(tmp_path / "second") == self.PIN
-        args = cli.build_parser().parse_args(["estimate", "--out", "o"])
+        args = cli.build_parser().parse_args(["estimate", "--data", "d.csv", "--out", "o"])
         assert (args.learner, args.folds, args.clip) == (
             tr.LearnerKind.STRATUM_MEAN.value, nuisance.DEFAULT_NUM_FOLDS, nuisance.DEFAULT_CLIP)
 

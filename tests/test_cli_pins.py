@@ -50,17 +50,17 @@ def _cases() -> dict[str, list[str]]:
         cfg = f"{{tmp}}/{name}.yaml"
         for fmt in ("json", "csv"):
             cases[f"oracle-{name}-{fmt}"] = ["oracle", "--config", cfg, "--format", fmt, "--delta", "0.1"]
-            cases[f"reversal-{name}-{fmt}"] = ["reversal", "--config", cfg, "--format", fmt]
+            # without --delta the sufficient_condition column is empty
+            cases[f"oracle-{name}-{fmt}-no-delta"] = ["oracle", "--config", cfg, "--format", fmt]
         if name == "reversal":
             continue  # extreme propensities: sampled only through the montecarlo presets
         cases[f"sample-{name}"] = ["sample", "--config", cfg, "--n", str(N), "--seed", "3"]
-        for cmd in ("estimate", "decompose"):
-            for learner in ("stratum_mean", "logistic_ridge"):
-                for fmt in ("json", "csv"):
-                    cases[f"{cmd}-{name}-{learner}-{fmt}"] = [
-                        cmd, "--config", cfg, "--n", str(N), "--seed", "4",
-                        "--learner", learner, "--format", fmt,
-                    ]
+        for learner in ("stratum_mean", "logistic_ridge"):
+            for fmt in ("json", "csv"):
+                cases[f"estimate-{name}-{learner}-{fmt}"] = [
+                    "estimate", "--config", cfg, "--n", str(N), "--seed", "4",
+                    "--learner", learner, "--format", fmt,
+                ]
     for fmt in ("json", "csv"):
         cases[f"estimate-no-control-{fmt}"] = [
             "estimate", "--data", "{tmp}/no_control.csv", "--clip", "0", "--format", fmt,
@@ -91,34 +91,6 @@ def run_case(argv: list[str], tmp: Path) -> dict[str, str]:
 
 
 PINS = {
-    "decompose-multinomial-logistic_ridge-csv": {
-        "decomposition.csv": "a8511b5d1f76460c0b2d1ff14da3d8b229f83cff75cdda54a71af6513e379c82",
-        "decomposition_strata.csv": "52a769d1dd413ba7e601a1f4ae2331658e837960967a04a11cd86a47486ac438",
-    },
-    "decompose-multinomial-logistic_ridge-json": {
-        "decomposition.json": "ce9a9a0c90fef0d177bd8be3d334b07a547995471fa4d781a8f7ab65aef3bed4",
-    },
-    "decompose-multinomial-stratum_mean-csv": {
-        "decomposition.csv": "4f4ca2f9ea107b8c05021c56b2b40616c403eb5425bbc6c5d921116292e785fb",
-        "decomposition_strata.csv": "b292f42e897cdaeedcba70c96ff767e3d41004350a72a87b56f43b26dedacf1d",
-    },
-    "decompose-multinomial-stratum_mean-json": {
-        "decomposition.json": "c14e8119e2419576a7a3ea33902439084a59087139231ab821a15976dd8de471",
-    },
-    "decompose-parallel-logistic_ridge-csv": {
-        "decomposition.csv": "6b17fe9051424dfffe8e42cd38309103ffe9afb67b8f5f23fad1dc56b3022330",
-        "decomposition_strata.csv": "0a2d6c9d2159722d55651c230b24036c004e7dfbc7e11be8b223a73297355a33",
-    },
-    "decompose-parallel-logistic_ridge-json": {
-        "decomposition.json": "80733edb3ba3add90b5e20041ad908bf7626d88a9b7294bd0876da5431991a5b",
-    },
-    "decompose-parallel-stratum_mean-csv": {
-        "decomposition.csv": "965c039935543c71996b2f46702639969dc875f8e43c6b410452923591e9f506",
-        "decomposition_strata.csv": "ce8f259a666c63b909bfe8d05e95288b781f4f4d81787368d914c038e37ac88a",
-    },
-    "decompose-parallel-stratum_mean-json": {
-        "decomposition.json": "ebcd02ff4d8ceb6d4dddeea1e0c1052f8b988da6189ebee21c4056f9a723a4a6",
-    },
     "estimate-multinomial-logistic_ridge-csv": {
         "decomposition.csv": "a8511b5d1f76460c0b2d1ff14da3d8b229f83cff75cdda54a71af6513e379c82",
         "decomposition_strata.csv": "52a769d1dd413ba7e601a1f4ae2331658e837960967a04a11cd86a47486ac438",
@@ -187,42 +159,48 @@ PINS = {
         "oracle_weights.csv": "d0adaad9fc66a9d78bdd88e8663b842df991ebbcf19446804de3f38dc5450aae",
         "reversal.csv": "8fcb878e631e39d00af3cd43f2e3b89f231f0b6ea10376a567a14991f69ab7e8",
     },
+    "oracle-multinomial-csv-no-delta": {
+        "oracle.csv": "1ddec046c98b641e53d5113f9200d60d44134b949826bb5e267c5716f4ad625b",
+        "oracle_weights.csv": "d0adaad9fc66a9d78bdd88e8663b842df991ebbcf19446804de3f38dc5450aae",
+        "reversal.csv": "4f255d36ceb617baa908aeef93fee07cf53a31b7cba1d5c41d85a9cfa5bf3611",
+    },
     "oracle-multinomial-json": {
         "oracle.json": "5a68e00ad053a8c123c1234d27191d1006d5a51229c511f33ef0aaaa6b335fa7",
+    },
+    "oracle-multinomial-json-no-delta": {
+        "oracle.json": "f8d7e6b1961e6af764af3d8de4a77f4918a489b0f846df8a2912890fbc0443bb",
     },
     "oracle-parallel-csv": {
         "oracle.csv": "713309b8107aba7bc5b3c08e6eba89b53cdce7ba15c057dd4376fbf956dc4012",
         "oracle_weights.csv": "67650e94131e40cf4507d9e23c7868baa9da9bb45a72f089fd47d22002d7552e",
         "reversal.csv": "042c468d3eca65e057a0adb7989c9579e577df0ed1617b8f2e0d52c7b1482965",
     },
+    "oracle-parallel-csv-no-delta": {
+        "oracle.csv": "713309b8107aba7bc5b3c08e6eba89b53cdce7ba15c057dd4376fbf956dc4012",
+        "oracle_weights.csv": "67650e94131e40cf4507d9e23c7868baa9da9bb45a72f089fd47d22002d7552e",
+        "reversal.csv": "5c8424f78da6a22ba82e6f5bf5bed7419bd2431f2138ecfc153b765491ada886",
+    },
     "oracle-parallel-json": {
         "oracle.json": "8813eab346cb3dbe3d128590ee69ed1f25f9bb0cbc702d805f415db4258e7a63",
+    },
+    "oracle-parallel-json-no-delta": {
+        "oracle.json": "dbd8a29094060ef473f928e7a9729cd8c12c647e630705d70bad0855790809e8",
     },
     "oracle-reversal-csv": {
         "oracle.csv": "9a2aa9b26f62f078ba47cbdf5833d4913a4407ea346daecf04c111f6b35ef95b",
         "oracle_weights.csv": "e83dd48818323e27cf04f771441cefded0b675557a52f5a3a4780280b56c1cac",
         "reversal.csv": "17f5b5e80b1cf5cf6e5348b72ac77fc832762081a180dd981a64122e74b91727",
     },
+    "oracle-reversal-csv-no-delta": {
+        "oracle.csv": "9a2aa9b26f62f078ba47cbdf5833d4913a4407ea346daecf04c111f6b35ef95b",
+        "oracle_weights.csv": "e83dd48818323e27cf04f771441cefded0b675557a52f5a3a4780280b56c1cac",
+        "reversal.csv": "239fe21adcb344203792c0851a3e3d22262c5de66b40c5a9709f4406f0f3a3be",
+    },
     "oracle-reversal-json": {
         "oracle.json": "053cac918bedb457ca814a46377361a121ca7d746861bde6d836d539d388753c",
     },
-    "reversal-multinomial-csv": {
-        "reversal.csv": "4f255d36ceb617baa908aeef93fee07cf53a31b7cba1d5c41d85a9cfa5bf3611",
-    },
-    "reversal-multinomial-json": {
-        "reversal.json": "2cd7bd1cff9ce839ca8ced1c504e41c0e2727b63888c1701bef87b5077dbc4d7",
-    },
-    "reversal-parallel-csv": {
-        "reversal.csv": "5c8424f78da6a22ba82e6f5bf5bed7419bd2431f2138ecfc153b765491ada886",
-    },
-    "reversal-parallel-json": {
-        "reversal.json": "c9b50b5a4f50db942a6cbc72065e9a9936a652f2664c7982dcdd1f3089198fca",
-    },
-    "reversal-reversal-csv": {
-        "reversal.csv": "239fe21adcb344203792c0851a3e3d22262c5de66b40c5a9709f4406f0f3a3be",
-    },
-    "reversal-reversal-json": {
-        "reversal.json": "acbccece4834c6e263f2a61ddc77ece976408f03c74611c2c706bf611e7fca5c",
+    "oracle-reversal-json-no-delta": {
+        "oracle.json": "462e728acbf446400fb8bd2c81e7862937754da286907cf7a90412b42644fb38",
     },
     "sample-multinomial": {
         "dataset.csv": "c424bd363f546c4b22558817f6c1c8eb24154f6472a564abf20078100cd3aa58",
@@ -234,11 +212,27 @@ PINS = {
     },
 }
 
+# oracle.json's "pairs" serialised alone as {"pairs": ...}: the bytes of the
+# reversal.json that the removed ``reversal`` command wrote, under its pins
+PAIRS_PINS = {
+    "multinomial": "2cd7bd1cff9ce839ca8ced1c504e41c0e2727b63888c1701bef87b5077dbc4d7",
+    "parallel": "c9b50b5a4f50db942a6cbc72065e9a9936a652f2664c7982dcdd1f3089198fca",
+    "reversal": "acbccece4834c6e263f2a61ddc77ece976408f03c74611c2c706bf611e7fca5c",
+}
+
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(_cases()))
 def test_cli_output_bytes_pinned(case, tmp_path):
     assert run_case(_cases()[case], tmp_path) == PINS[case]
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS_PINS))
+def test_oracle_pairs_pinned(name, tmp_path):
+    run_case(_cases()[f"oracle-{name}-json-no-delta"], tmp_path)
+    pairs = json.loads((tmp_path / "out" / "oracle.json").read_text())["pairs"]
+    text = json.dumps({"pairs": pairs}, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == PAIRS_PINS[name]
 
 
 if __name__ == "__main__":

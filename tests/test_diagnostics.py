@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -313,19 +315,30 @@ class TestSufficientConditions:
             with pytest.raises(ValueError, match="delta must be > 0"):
                 tr.sufficient_condition_check(r1, r1, delta=delta)
 
+    def test_tied_ates_never_sufficient(self, tied_dgp):
+        r1, r2 = tr.oracle_report(tied_dgp, 1), tr.oracle_report(tied_dgp, 2)
+        assert r1.ate == r2.ate
+        assert r1.cov_tau_gamma < -0.1 and r2.cov_tau_gamma > 0.1
+        assert not tr.check_reversal(r1, r2).reversed
+        assert not tr.sufficient_condition_check(r1, r2, delta=0.1)
+
     def test_sufficient_implies_reversed_sweep(self):
         gen = rng.substream(207)
         hits = 0
         for i in range(2_000):
             dgp = tr.random_dgp(gen, max_strata=6) if i % 2 else reversal_prone_dgp(gen)
-            high, low = sorted(
-                (tr.oracle_report(dgp, 1), tr.oracle_report(dgp, 2)),
-                key=lambda r: -r.ate,
-            )
+            # a tied copy: treatment 2 takes treatment 1's effects, so equal ATEs
+            tied = dataclasses.replace(dgp, effect=dgp.effect[[0, 0]])
             delta = float(gen.uniform(0.01, 0.5))
-            if tr.sufficient_condition_check(high, low, delta):
-                hits += 1
-                assert tr.check_reversal(high, low).reversed
+            for d in (dgp, tied):
+                high, low = sorted(
+                    (tr.oracle_report(d, 1), tr.oracle_report(d, 2)),
+                    key=lambda r: -r.ate,
+                )
+                if tr.sufficient_condition_check(high, low, delta):
+                    hits += 1
+                    assert tr.check_reversal(high, low).reversed
+            assert tr.oracle_report(tied, 1).ate == tr.oracle_report(tied, 2).ate
         assert hits > 100  # the sweep must actually exercise the implication
 
 
