@@ -22,6 +22,7 @@ import argparse
 import csv
 import functools
 import json
+import shutil
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -54,7 +55,7 @@ from .nuisance import (
 
 ESTIMATES_HEADER = ["treatment", "method", "estimand", "point", "std_error", "n_used", "error"]
 DECOMPOSITION_HEADER = [
-    "treatment", "source", "ate", "cov_tau_gamma", "wate", "dropped_strata", "error",
+    "treatment", "source", "ate", "cov_tau_gamma", "wate", "remainder", "error",
 ]
 DECOMPOSITION_STRATA_HEADER = ["treatment", "stratum", "probability", "tau", "gamma"]
 REVERSAL_HEADER = ["treatment_j", "treatment_k", "reversed", "margin", "sufficient_condition"]
@@ -91,7 +92,7 @@ def _report_row(r: DecompositionReport) -> dict:
         "ate": r.ate,
         "cov_tau_gamma": r.cov_tau_gamma,
         "wate": r.wate,
-        "dropped_strata": r.dropped_strata,
+        "remainder": r.remainder,
     }
 
 
@@ -368,13 +369,19 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command on ``argv`` (default ``sys.argv[1:]``) and return its exit code.
 
     It may be called any number of times in one process; the parser is
-    built on the first call (``build_parser``).
+    built on the first call (``build_parser``). A command that fails
+    removes the ``--out`` directory if this call made it, with the parents
+    it made; a directory that was there before is left as it is.
     """
     args = build_parser().parse_args(argv)
+    # the outermost directory that mkdir makes, if any
+    made = next((d for d in (*reversed(args.out.parents), args.out) if not d.exists()), None)
     try:
         args.out.mkdir(parents=True, exist_ok=True)
         COMMANDS[args.command](args)
     except (ConfigError, NotEstimableError, ValueError, OSError, *ESTIMATION_ERRORS) as exc:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
         print(f"treatrank {args.command}: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -7,16 +7,15 @@ mean ``mu0(x)``. Because everything is tabular, the estimands that the
 estimators chase are available in closed form:
 
 * ``oracle_ate``: the unweighted mean effect ``E[tau_j(X)]``;
-* ``oracle_weights``: the regression weights
-  ``gamma_j(x) = p_j(x)(1 - p_j(x)) / E[p_j(X)(1 - p_j(X))]``, normalized to
-  mean one, which up-weight strata with propensities near one half;
+* ``oracle_weights``: the regression weights ``gamma_j(x) = v_j(x) / E[v_j(X)]``,
+  normalized to mean one, with ``v_j`` the ``regression_variance``:
+  ``p_j(1 - p_j)``, or ``p_j p_0 / (p_j + p_0)`` under MULTINOMIAL;
 * ``oracle_wate``: the variance-weighted mean effect
   ``E[gamma_j(X) tau_j(X)]``, the probability limit of the
   residual-on-residual regression coefficient.
 
-``regression_variance`` writes ``p(1 - p)`` once, for these weights and
-the estimated ones, and :func:`treatrank.diagnostics.oracle_report` gives
-the split ``WATE = ATE + Cov(tau_j(X), gamma_j(X))``, bit for bit these.
+:func:`treatrank.diagnostics.oracle_report` gives the split
+``WATE = ATE + Cov(tau_j(X), gamma_j(X))``, bit for bit these.
 
 Sampling is deterministic given ``(dgp, n, seed)`` and uses separate Philox
 substreams for the stratum draw, treatment draw, and outcome noise.
@@ -406,18 +405,27 @@ def _cell_keys(w: NDArray[np.int8], arm: NDArray | None, position: NDArray,
     return keys
 
 
-def regression_variance(p):
-    """``p(1 - p)`` of a float or array ``p``: a stratum's regression weight is proportional to it."""
-    return p * (1.0 - p)
+def regression_variance(dgp: StratifiedDGP, j: int) -> NDArray[np.float64]:
+    """Per stratum, the variance of ``j``'s treatment residual in the residual regression.
+
+    ``p_j(1 - p_j)``; under MULTINOMIAL the regression takes the {0, j}
+    units, a share ``p_j + p_0`` treated with probability ``q = p_j / (p_j + p_0)``
+    (``p_0 = 1 - sum_k p_k``), so ``(p_j + p_0) q (1 - q) = p_j p_0 / (p_j + p_0)``.
+    """
+    p = dgp.propensity[dgp._check_treatment(j) - 1]
+    if dgp.assignment_mode is AssignmentMode.PARALLEL_BINARY:
+        return p * (1.0 - p)
+    p_0 = 1.0 - dgp.propensity.sum(axis=0)
+    return p * p_0 / (p + p_0)
 
 
 def oracle_weights(dgp: StratifiedDGP, j: int) -> NDArray[np.float64]:
     """Per-stratum regression weights for treatment ``j``.
 
-    ``gamma_j(x) = p_j(x)(1 - p_j(x)) / sum_x Pr(x) p_j(x)(1 - p_j(x))``; the
-    probability-weighted mean of the result is one.
+    ``gamma_j(x) = v_j(x) / sum_x Pr(x) v_j(x)``, ``v_j`` the ``regression_variance``;
+    the probability-weighted mean of the result is one.
     """
-    variance = regression_variance(dgp.propensity[dgp._check_treatment(j) - 1])
+    variance = regression_variance(dgp, j)
     return variance / float(dgp.stratum_probs @ variance)
 
 

@@ -8,15 +8,17 @@ regression-based ordering away from the true one. This module makes that
 arithmetic inspectable: per-stratum decomposition reports, an exact
 reversal check, a delta-parameterized sufficient condition, and pairwise
 ranking summaries. The oracle and the estimated reports both hand
-:func:`decompose` raw regression variances, which it normalizes once. The
-estimated decomposition reads the per-stratum sums it needs from the
-held-out base cells of a fit's table (``NuisanceFit.cells``), not from the
-units. :func:`reverses` is the one reversal rule.
+:func:`decompose` raw weights, which it normalizes once: the oracle
+``dgp.regression_variance``, the estimated report PLM's mean squared
+treatment residual per stratum. The estimated report splits the PLM and
+AIPW points that ``estimate`` reports, from the estimators' own
+per-(fold, stratum) sums, and carries what the split leaves over as its
+``remainder``. :func:`reverses` is the one reversal rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -24,12 +26,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dgp import Dataset, StratifiedDGP, decomposition_terms, regression_variance
-from .estimators import EffectEstimate, Estimand
+from .estimators import ESTIMATION_ERRORS, EffectEstimate, Estimand, Method, _plm, _score_estimate
 from .nuisance import NuisanceFit, add_in_turn
 
+
 class NotEstimableError(RuntimeError):
-    """Raised when no stratum has both treated and control units, or when a
-    stratum's estimated effect is not finite (a non-finite outcome in its cells)."""
+    """Raised when the PLM or AIPW estimate that a decomposition splits raises
+    (no variation in the treatment residuals, or a point or SE that is not finite)."""
 
 
 class Source(str, Enum):
@@ -47,8 +50,12 @@ class StratumRow:
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """Additive WATE = ATE + Cov split for one treatment, with the
-    per-stratum effect and weight tables it was computed from."""
+    """Additive WATE = ATE + Cov + remainder split for one treatment, with
+    the per-stratum effect and weight tables it was computed from.
+
+    ``remainder`` is 0.0 on an oracle report; on an estimated one it is
+    what the PLM point holds beyond the AIPW point and the covariance.
+    """
 
     treatment: int
     ate: float
@@ -56,7 +63,7 @@ class DecompositionReport:
     wate: float
     per_stratum: tuple[StratumRow, ...]
     source: Source
-    dropped_strata: int = 0
+    remainder: float = 0.0
 
     @property
     def strata(self) -> tuple[int, ...]:
@@ -93,7 +100,6 @@ def decompose(
     strata_probs: Mapping[int, float],
     treatment: int = 0,
     source: Source = Source.ORACLE,
-    dropped_strata: int = 0,
 ) -> DecompositionReport:
     """Split the weighted effect into ATE plus an effect-weight covariance.
 
@@ -130,15 +136,8 @@ def decompose(
         StratumRow(stratum=s, probability=float(p), tau=float(t), gamma=float(g))
         for s, p, t, g in zip(keys, probs, tau, gamma)
     )
-    return DecompositionReport(
-        treatment=treatment,
-        ate=ate,
-        cov_tau_gamma=cov,
-        wate=wate,
-        per_stratum=rows,
-        source=source,
-        dropped_strata=dropped_strata,
-    )
+    return DecompositionReport(treatment=treatment, ate=ate, cov_tau_gamma=cov, wate=wate,
+                               per_stratum=rows, source=source)
 
 
 def oracle_report(dgp: StratifiedDGP, j: int) -> DecompositionReport:
@@ -146,10 +145,10 @@ def oracle_report(dgp: StratifiedDGP, j: int) -> DecompositionReport:
 
     ``ate``, ``wate`` and the weights are bit for bit ``oracle_ate``,
     ``oracle_wate`` and ``oracle_weights``, which normalize the same
-    ``p(1 - p)`` once, in the same order.
+    ``regression_variance`` once, in the same order.
     """
     codes = dgp.stratum_codes.tolist()
-    variance = regression_variance(dgp.propensity[dgp._check_treatment(j) - 1])
+    variance = regression_variance(dgp, j)  # checks j
     return decompose(
         dict(zip(codes, dgp.effect[j - 1].tolist())),
         dict(zip(codes, variance.tolist())),
@@ -160,70 +159,43 @@ def oracle_report(dgp: StratifiedDGP, j: int) -> DecompositionReport:
 
 
 def estimate_decomposition(data: Dataset | None, fit: NuisanceFit, j: int) -> DecompositionReport:
-    """Plug-in decomposition from a sampled dataset.
+    """The split of the PLM and AIPW points of ``j`` that ``fit`` gives.
 
-    Per-stratum effects are within-cell mean differences (treated j minus
-    control), the saturated nonparametric estimator on discrete strata;
-    weights come from cell means of the cross-fitted propensities. Strata
-    lacking treated or control units are dropped (counted on the report) and
-    the stratum distribution renormalized; if every stratum is dropped, or a
-    stratum's effect is not finite, the decomposition is not estimable.
+    ``wate`` and ``ate`` are those points, bit for bit. Per stratum, ``tau``
+    is the mean AIPW score and the raw weight PLM's mean squared treatment
+    residual ``sum(n w**2) / n_s`` (the {0, j} units' under MULTINOMIAL):
+    the estimators' own (fold, stratum) terms, added over the folds in
+    turn. ``remainder = wate - ate - cov_tau_gamma`` is the weighted gap
+    between each stratum's regression slope and its mean score: zero
+    in-sample with ``stratum_mean``, shrinking with ``n`` cross-fitted.
+    Every stratum with units is in the points, so in their split.
 
-    Everything comes from the base cells of one dataset's table (``fit``
-    of a single dataset, or ``fit.replicate(b)`` of a block); ``data``, the
-    dataset it was made from, is not read and may be None. A stratum's
-    treated mean is its treated base cells' sums of ``y`` over their
-    units, and its mean propensity ``sum_k n_k p_k / n`` over the folds
-    ``k``, ``n_k`` being the units fold ``k`` predicts. Each sum adds its
-    terms one after another through ``nuisance.add_in_turn`` (base cell
-    by base cell, each over the folds in order), so a stratum's numbers do
-    not depend on the strata around it; strata without units (those of the DGP or of a block that this
-    dataset lacks) are skipped.
+    ``fit`` is one dataset's fit (``fit.replicate(b)`` of a block), and
+    ``data`` the dataset it was made from, or None. The decomposition is
+    not estimable exactly when PLM or AIPW raises.
     """
-    table = fit.table
-    if table.count.shape[1] != 1:
+    if fit.table.block:
         raise ValueError("estimate_decomposition takes one dataset's fit; use fit.replicate(b)")
-    treated, control, others = fit.cells(j)
-    count, total = table.count[:, 0], table.total[:, 0]  # [base cell, fold, stratum]
-    n_t, n_c = count[treated].sum(axis=0), count[control].sum(axis=0)
-    held = n_t + n_c + count[others].sum(axis=0)  # [fold, stratum]: the units each fold predicts
-    n_s, n_treated, n_control = held.sum(axis=0), n_t.sum(axis=0), n_c.sum(axis=0)
-    S = held.shape[1]
-    y_treated, y_control = (add_in_turn(total[cells].reshape(-1, S)) for cells in (treated, control))
-    p = fit.p_treated[j - 1, 0]  # [fold, stratum]
-    p_sum = add_in_turn(held * p)
-
-    tau_tab: dict[int, float] = {}
-    var_tab: dict[int, float] = {}
-    prob_tab: dict[int, float] = {}
-    dropped = 0
-    for s, code in enumerate(table.levels.tolist()):
-        if n_s[s] == 0:
-            continue
-        if n_treated[s] == 0 or n_control[s] == 0:
-            dropped += 1
-            continue
-        tau_tab[code] = float(y_treated[s] / n_treated[s] - y_control[s] / n_control[s])
-        if not np.isfinite(tau_tab[code]):
-            raise NotEstimableError(f"treatment {j}'s estimated effect in stratum {code} "
-                                    f"is not finite: {tau_tab[code]}")
-        var_tab[code] = regression_variance(float(p_sum[s] / n_s[s]))
-        prob_tab[code] = int(n_s[s]) / table.n
-
-    if not tau_tab:
-        raise NotEstimableError(
-            f"no stratum has both treated and control units for treatment {j}"
-        )
-    total = sum(prob_tab.values())
-    prob_tab = {s: p / total for s, p in prob_tab.items()}
-    return decompose(
-        tau_tab,
-        var_tab,
-        prob_tab,
+    try:
+        wate, squares = _plm(data, fit, j)
+        ate, scores = _score_estimate(data, fit, j, Method.AIPW)
+    except ESTIMATION_ERRORS as exc:
+        raise NotEstimableError(f"treatment {j}'s PLM or AIPW point is not finite or "
+                                f"not defined: {exc}") from exc
+    # units per stratum: j's cells hold each unit once (a chunk of treatments holds every unit)
+    n_s = fit.table.count[np.concatenate(fit.cells(j)), 0].sum(axis=(0, 1))
+    present = np.flatnonzero(n_s)
+    codes = fit.table.levels[present].tolist()
+    tau, weight = (add_in_turn(terms[0])[present] / n_s[present] for terms in (scores, squares))
+    report = decompose(
+        dict(zip(codes, tau.tolist())),
+        dict(zip(codes, weight.tolist())),
+        dict(zip(codes, (n_s[present] / fit.table.n).tolist())),
         treatment=j,
         source=Source.ESTIMATED,
-        dropped_strata=dropped,
     )
+    return replace(report, ate=ate.point, wate=wate.point,
+                   remainder=wate.point - ate.point - report.cov_tau_gamma)
 
 
 def reverses(ate_j: float, wate_j: float, ate_k: float, wate_k: float) -> bool:

@@ -15,7 +15,9 @@ Each takes ``(data, fit, j)``: ``data`` is the dataset the fit was made
 from, checked against the fit's size, or None, since a fit carries its
 cell table, and with it its number of units and whether it holds a block.
 ``ESTIMATORS`` maps each :class:`Method` to its function and is the only
-dispatch table.
+dispatch table. ``diagnostics.estimate_decomposition`` splits the PLM and
+AIPW points by stratum from the (fold, stratum) sums that ``_plm`` and
+``_score_estimate`` add up into them.
 
 Each estimator reads row ``j - 1`` of the fit's role tables (see
 ``nuisance.NuisanceFit``) and never the assignment mode: AIPW and IPW the
@@ -144,15 +146,16 @@ def _estimate(fit: NuisanceFit, method: Method, j: int, point: NDArray, se: NDAr
 
 
 def _score_estimate(data: Dataset | None, fit: NuisanceFit, j: int,
-                    method: Method) -> EffectEstimate:
-    """Mean and SE of treatment ``j``'s score ``mu1 - mu0 + D (y - mu1) / p - C (y - mu0) / q``.
+                    method: Method) -> tuple[EffectEstimate, NDArray[np.float64]]:
+    """Mean and SE of treatment ``j``'s score ``mu1 - mu0 + D (y - mu1) / p - C (y - mu0) / q``,
+    and the sums of the score per (dataset, fold, stratum) that the mean adds up.
 
     The outcome models ``mu1`` and ``mu0`` are the fit's for AIPW and zero
     for IPW. ``D`` and ``C`` mark the treated and control units, and a unit
     in neither (another arm) scores ``mu1 - mu0``; see the module docstring
     for the sums over base cells. A fold and stratum without units adds
-    nothing. One with units and a propensity or control probability of 0
-    (possible with ``clip=0``) makes the estimate undefined, as its units'
+    nothing (its sum is 0). One with units and a propensity or control
+    probability of 0 (possible with ``clip=0``) makes the estimate undefined, as its units'
     scores are: its treated or control cells then add ``0 * inf`` or
     ``inf``.
     """
@@ -171,25 +174,20 @@ def _score_estimate(data: Dataset | None, fit: NuisanceFit, j: int,
         score_t = base + (ybar_t - mu1) / p
         score_c = base - (ybar_c - mu0) / q
         scores = add_in_turn(n_t * score_t, n_c * score_c, *(units * base for units in n_o))
-        point = _cell_sum(np.where(occupied, scores, 0.0)) / n
+        scores = np.where(occupied, scores, 0.0)
+        point = _cell_sum(scores) / n
         mean = point[:, None, None]
         spread = add_in_turn((add_in_turn(m2_t) / (p * p))[None], n_t * (score_t - mean) ** 2,
                              (add_in_turn(m2_c) / (q * q))[None], n_c * (score_c - mean) ** 2,
                              *(units * (base - mean) ** 2 for units in n_o))
         variance = _cell_sum(np.where(occupied, spread, 0.0))
     se = np.sqrt(variance / (n - 1) / n) if n > 1 else np.zeros(point.shape)
-    return _estimate(fit, method, j, point, se)
+    return _estimate(fit, method, j, point, se), scores
 
 
-def plm_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstimate:
-    """Residual-on-residual regression coefficient for treatment ``j``.
-
-    Regresses ``Y - plm_outcome`` on ``W_j - plm_rate`` through the origin;
-    the reported standard error is the heteroskedasticity-robust (sandwich)
-    slope SE. The regression takes ``j``'s treated and control halves only,
-    so under MULTINOMIAL assignment it runs on the {control, j} subsample,
-    with the fit's conditional propensity as ``plm_rate``.
-    """
+def _plm(data: Dataset | None, fit: NuisanceFit,
+         j: int) -> tuple[EffectEstimate, NDArray[np.float64]]:
+    """``plm_estimate``, and its denominator's terms ``sum(n w**2)`` per (dataset, fold, stratum)."""
     _check(data, fit)
     treated, control, _ = fit.cells(j)
     (n_t, ybar_t, m2_t), (n_c, ybar_c, m2_c) = fit.moments(treated), fit.moments(control)
@@ -198,7 +196,8 @@ def plm_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstima
     gap_t, gap_c = ybar_t - y_hat, ybar_c - y_hat
     weight_t, weight_c = n_t * w_t, n_c * w_c
     units_t, units_c = n_t.sum(axis=0), n_c.sum(axis=0)  # whole numbers: exact in any order
-    denom = _cell_sum(units_t * w_t * w_t + units_c * w_c * w_c)
+    squares = units_t * w_t * w_t + units_c * w_c * w_c
+    denom = _cell_sum(squares)
     if np.any(denom <= 0.0):
         raise NoVariationError(
             f"treatment {j} residuals have zero variation; cannot run the residual regression"
@@ -210,7 +209,19 @@ def plm_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstima
                 + w_c * w_c * add_in_turn(m2_c + n_c * resid_c * resid_c))
     se = np.sqrt(_cell_sum(sandwich)) / denom
     n_used = (units_t.sum(axis=(1, 2)) + units_c.sum(axis=(1, 2))).astype(np.int64)
-    return _estimate(fit, Method.PLM, j, point, se, n_used)
+    return _estimate(fit, Method.PLM, j, point, se, n_used), squares
+
+
+def plm_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstimate:
+    """Residual-on-residual regression coefficient for treatment ``j``.
+
+    Regresses ``Y - plm_outcome`` on ``W_j - plm_rate`` through the origin;
+    the reported standard error is the heteroskedasticity-robust (sandwich)
+    slope SE. The regression takes ``j``'s treated and control halves only,
+    so under MULTINOMIAL assignment it runs on the {control, j} subsample,
+    with the fit's conditional propensity as ``plm_rate``.
+    """
+    return _plm(data, fit, j)[0]
 
 
 def aipw_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstimate:
@@ -219,7 +230,7 @@ def aipw_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstim
     The point is the mean pseudo-outcome contrast and the standard error
     its sample standard deviation over sqrt(n).
     """
-    return _score_estimate(data, fit, j, Method.AIPW)
+    return _score_estimate(data, fit, j, Method.AIPW)[0]
 
 
 def ipw_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstimate:
@@ -229,7 +240,7 @@ def ipw_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstima
     control condition is not receiving ``j`` under PARALLEL_BINARY and the
     control arm under MULTINOMIAL: the AIPW score with a zero outcome model.
     """
-    return _score_estimate(data, fit, j, Method.IPW)
+    return _score_estimate(data, fit, j, Method.IPW)[0]
 
 
 # Callers dispatch in this order; it is the row order of the estimate outputs.

@@ -3,7 +3,7 @@
 PLM, AIPW, IPW and ``estimate_decomposition`` read a fit's (fold, stratum,
 cell) moments. ``unit_reference`` keeps the per-unit formulas over the fit's
 tables gathered to the units; the two must agree to 1e-12 relative (of
-``max(1, |reference|)``), with equal units used, dropped strata and error
+``max(1, |reference|)``), with equal units used, strata and error
 types, for every learner, both assignment modes, cross-fit and in-sample
 fits, single datasets and every row of a block.
 """

@@ -16,7 +16,8 @@ import treatrank as tr
 from treatrank import cli, nuisance
 from treatrank.estimators import ESTIMATORS, Method
 
-from test_cli_pins import PINS, run_case
+from test_cli_pins import PINS, _cases, _no_control_csv, run_case
+from unit_reference import close
 
 
 def run_cli(*args) -> int:
@@ -333,8 +334,10 @@ class TestEstimateCommand:
         assert "did not converge in 1 Newton steps" in capsys.readouterr().err
         assert not (out / "estimates.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_imported_data_without_controls_flags_treatment_only(self, tmp_path):
-        # treatment 2 has no control condition: w2 is always 1
+        # treatment 2 has no control condition: w2 is always 1, and unclipped
+        # its PLM residuals are all 0 and its AIPW control weights infinite
         gen = np.random.default_rng(5)
         n = 400
         x = gen.integers(0, 2, size=n)
@@ -346,12 +349,53 @@ class TestEstimateCommand:
             for i in range(n):
                 fh.write(f"{float(y[i])!r},{w1[i]},1,{x[i]}\n")
         out = tmp_path / "out"
-        assert run_cli("estimate", "--data", path, "--out", out, "--format", "csv") == 0
+        assert run_cli("estimate", "--data", path, "--out", out, "--format", "csv",
+                       "--clip", 0) == 0
         header, rows = read_csv(out / "decomposition.csv")
         assert header == cli.DECOMPOSITION_HEADER
         by_treatment = {int(r[0]): r for r in rows}
         assert by_treatment[1][header.index("error")] == ""
-        assert "treated and control" in by_treatment[2][header.index("error")]
+        assert "zero variation" in by_treatment[2][header.index("error")]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(c for c in _cases() if c.startswith("estimate-")))
+    def test_decomposition_splits_the_estimates(self, tmp_path, case):
+        # on every pinned estimate case: wate and ate are the PLM and AIPW points
+        run_case(_cases()[case], tmp_path)
+        out = tmp_path / "out"
+        with open(out / "estimates.csv", newline="") as fh:
+            points = {(r["method"], int(r["treatment"])): float(r["point"])
+                      for r in csv.DictReader(fh) if not r["error"]}
+        if (out / "decomposition.json").exists():
+            rows = json.loads((out / "decomposition.json").read_text())
+        else:
+            with open(out / "decomposition.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+        for row in (r for r in rows if not r.get("error")):
+            j, ate, wate = int(row["treatment"]), float(row["ate"]), float(row["wate"])
+            assert close(ate, points["aipw", j]) and close(wate, points["plm", j]), row
+            parts = ate + float(row["cov_tau_gamma"]) + float(row["remainder"])
+            assert abs(wate - parts) <= 1e-12, row
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_decomposition_errors_where_plm_or_aipw_errors(self, tmp_path, fmt):
+        # the no-control pin case: treatment 1 is always taken, and unclipped
+        # its PLM and AIPW fail; treatment 2 has both arms
+        _no_control_csv(tmp_path / "data.csv")
+        out = tmp_path / "out"
+        assert run_cli("estimate", "--data", tmp_path / "data.csv", "--clip", 0,
+                       "--format", fmt, "--out", out) == 0
+        header, rows = read_csv(out / "estimates.csv")
+        failed = {int(r[0]) for r in rows
+                  if r[header.index("error")] and r[1] in ("plm", "aipw")}
+        if fmt == "csv":
+            header, rows = read_csv(out / "decomposition.csv")
+            errors = {int(r[0]) for r in rows if r[header.index("error")]}
+        else:
+            rows = json.loads((out / "decomposition.json").read_text())
+            errors = {r["treatment"] for r in rows if "error" in r}
+        assert failed == errors == {1}
 
     def test_non_finite_outcome_becomes_error_rows(self, tmp_path):
         data = tr.sample(tr.preset("balanced").dgp, 400, seed=1)
@@ -527,6 +571,29 @@ class TestMonteCarloCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments: --format" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+class TestFailedCommandOutput:
+    """A failed command removes the ``--out`` it made, never one that was there."""
+
+    def test_oracle_delta_zero_leaves_no_directory(self, tmp_path, dgp_config):
+        out = tmp_path / "new" / "out"
+        assert run_cli("oracle", "--config", dgp_config, "--delta", 0, "--out", out) == 1
+        assert not (tmp_path / "new").exists()
+
+    def test_estimate_zero_n_leaves_no_directory(self, tmp_path, dgp_config):
+        out = tmp_path / "out"
+        assert run_cli("estimate", "--config", dgp_config, "--n", 0, "--out", out) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["oracle", "--delta", "0"], ["estimate", "--n", "0"]])
+    def test_existing_directory_survives(self, tmp_path, dgp_config, argv):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "kept.txt").write_text("kept\n")
+        assert run_cli(*argv, "--config", dgp_config, "--out", out) == 1
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
+        assert (out / "kept.txt").read_text() == "kept\n"
 
 
 class TestCommands:

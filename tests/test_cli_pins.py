@@ -92,57 +92,57 @@ def run_case(argv: list[str], tmp: Path) -> dict[str, str]:
 
 PINS = {
     "estimate-multinomial-logistic_ridge-csv": {
-        "decomposition.csv": "a8511b5d1f76460c0b2d1ff14da3d8b229f83cff75cdda54a71af6513e379c82",
-        "decomposition_strata.csv": "52a769d1dd413ba7e601a1f4ae2331658e837960967a04a11cd86a47486ac438",
+        "decomposition.csv": "b23f954ed4f9ffe4cdd64240e3d8a2f705b2041c29da198eeedd2e99ad582df5",
+        "decomposition_strata.csv": "f2c1a6a439944102a9dbd3790b87387708c391639b91c19552bfa1fe047eb5d3",
         "estimates.csv": "4ff823c52a9a65acbc5841d0ba3596d9f706f7437c283bd51fbda738be760e39",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-multinomial-logistic_ridge-json": {
-        "decomposition.json": "ce9a9a0c90fef0d177bd8be3d334b07a547995471fa4d781a8f7ab65aef3bed4",
+        "decomposition.json": "ab7a124bffb23457e63d5bc58177614ec543ef6fdb0dc63d5989348d3698f74f",
         "estimates.csv": "4ff823c52a9a65acbc5841d0ba3596d9f706f7437c283bd51fbda738be760e39",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-multinomial-stratum_mean-csv": {
-        "decomposition.csv": "4f4ca2f9ea107b8c05021c56b2b40616c403eb5425bbc6c5d921116292e785fb",
-        "decomposition_strata.csv": "b292f42e897cdaeedcba70c96ff767e3d41004350a72a87b56f43b26dedacf1d",
+        "decomposition.csv": "dac2005478d571efb15b6a27bd53dc2618eeeb5f7cb0a531653fbe9baf2ac960",
+        "decomposition_strata.csv": "cd3614bfcbc5f4186bac1d633ae34fff804b2630a8f66b2c53e362a213ae113f",
         "estimates.csv": "4059cf764acb5645ce41bbc1c97d0136f1e33d35e6e113328b05d031be671db4",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-multinomial-stratum_mean-json": {
-        "decomposition.json": "c14e8119e2419576a7a3ea33902439084a59087139231ab821a15976dd8de471",
+        "decomposition.json": "7be8a73e8f5b08c7a7e2132d1c2aea58e381337d12eda83956e8d07983df65fc",
         "estimates.csv": "4059cf764acb5645ce41bbc1c97d0136f1e33d35e6e113328b05d031be671db4",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-no-control-csv": {
-        "decomposition.csv": "02e86dbc3eb43ed08ea14bb3b316b4caf7c5bbe75d6215302c6228aa4d92c7d1",
-        "decomposition_strata.csv": "66265439dafd51c810207693c8ba1207a6327bf8a02991331fc66cb383821260",
+        "decomposition.csv": "ff5978074963850eed2395de8fe52a326ae02d34f32fa95dcb8b8e76a23cf9c8",
+        "decomposition_strata.csv": "94f827cada1fa1c8daa214ac2c46cd1846ada1e5ad2dd5d78f08befe2beec350",
         "estimates.csv": "929ecbed3969edb248f57c95c9c19ec6b9d5912dba39e5cb7e881ba48f727e32",
         "ranking.json": "91bd4416347c7114d877274f2b78836a5970686ce08a9d304f004027bc8b6df2",
     },
     "estimate-no-control-json": {
-        "decomposition.json": "78f9deb0f6dd2c967f1648bbbe20949476972cddfb82571475f6aa44b6bb3cab",
+        "decomposition.json": "131942eb44fe4fbe81722a170687ddb4a56f7f79bf10231c12a020f5d7da1f24",
         "estimates.csv": "929ecbed3969edb248f57c95c9c19ec6b9d5912dba39e5cb7e881ba48f727e32",
         "ranking.json": "91bd4416347c7114d877274f2b78836a5970686ce08a9d304f004027bc8b6df2",
     },
     "estimate-parallel-logistic_ridge-csv": {
-        "decomposition.csv": "6b17fe9051424dfffe8e42cd38309103ffe9afb67b8f5f23fad1dc56b3022330",
-        "decomposition_strata.csv": "0a2d6c9d2159722d55651c230b24036c004e7dfbc7e11be8b223a73297355a33",
+        "decomposition.csv": "35d8c9caf5bf43d3a02fd337530475586fa978ba81814dd90b113f3df7f8db32",
+        "decomposition_strata.csv": "90c0758f992ce2a76191713e5a3b86971858ff65832fe0362fc58f37da227629",
         "estimates.csv": "731858c5769c2fe671ddb082612fa0163b4ca00744eb73bb5f75ae6159b697f5",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-logistic_ridge-json": {
-        "decomposition.json": "80733edb3ba3add90b5e20041ad908bf7626d88a9b7294bd0876da5431991a5b",
+        "decomposition.json": "51886f3e800251969629c6e0165561e99d09164bca7830a1c6af7338aa047f86",
         "estimates.csv": "731858c5769c2fe671ddb082612fa0163b4ca00744eb73bb5f75ae6159b697f5",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-stratum_mean-csv": {
-        "decomposition.csv": "965c039935543c71996b2f46702639969dc875f8e43c6b410452923591e9f506",
-        "decomposition_strata.csv": "ce8f259a666c63b909bfe8d05e95288b781f4f4d81787368d914c038e37ac88a",
+        "decomposition.csv": "84d0cb5c3755378ef70352043197aa36a822cb3e69732328621a22f4ad148178",
+        "decomposition_strata.csv": "368f9428e60c3dd32355fb089b70f0e9d75372b17f2d3842cb5d05f22ffff8a2",
         "estimates.csv": "339713640cd8ed0158f931cde44ea2130640a225973179d4f78a0b423dc81e8a",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-stratum_mean-json": {
-        "decomposition.json": "ebcd02ff4d8ceb6d4dddeea1e0c1052f8b988da6189ebee21c4056f9a723a4a6",
+        "decomposition.json": "b08404b55ae6da342c880746da161a4def67b9cedb03a197b92c88719c324961",
         "estimates.csv": "339713640cd8ed0158f931cde44ea2130640a225973179d4f78a0b423dc81e8a",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
@@ -155,20 +155,20 @@ PINS = {
         "summary.json": "cc63e2c5cc35b1807dbc455a8074950dfd4a074a78142fc3dcffd9d78632d35b",
     },
     "oracle-multinomial-csv": {
-        "oracle.csv": "1ddec046c98b641e53d5113f9200d60d44134b949826bb5e267c5716f4ad625b",
-        "oracle_weights.csv": "d0adaad9fc66a9d78bdd88e8663b842df991ebbcf19446804de3f38dc5450aae",
+        "oracle.csv": "cc3ca53933b6f39a6ebc7c93607b6b81cb727021b73fe9c0ec6a453df57161de",
+        "oracle_weights.csv": "8aebd252e79fe760c65532a7dfabf4bc7c898642def3b9cd3a4f8364516f22d2",
         "reversal.csv": "8fcb878e631e39d00af3cd43f2e3b89f231f0b6ea10376a567a14991f69ab7e8",
     },
     "oracle-multinomial-csv-no-delta": {
-        "oracle.csv": "1ddec046c98b641e53d5113f9200d60d44134b949826bb5e267c5716f4ad625b",
-        "oracle_weights.csv": "d0adaad9fc66a9d78bdd88e8663b842df991ebbcf19446804de3f38dc5450aae",
+        "oracle.csv": "cc3ca53933b6f39a6ebc7c93607b6b81cb727021b73fe9c0ec6a453df57161de",
+        "oracle_weights.csv": "8aebd252e79fe760c65532a7dfabf4bc7c898642def3b9cd3a4f8364516f22d2",
         "reversal.csv": "4f255d36ceb617baa908aeef93fee07cf53a31b7cba1d5c41d85a9cfa5bf3611",
     },
     "oracle-multinomial-json": {
-        "oracle.json": "5a68e00ad053a8c123c1234d27191d1006d5a51229c511f33ef0aaaa6b335fa7",
+        "oracle.json": "8769de26eaa8081a2a92e5d8f4ecd2c5589df7301601e49902262fa2a8ab5937",
     },
     "oracle-multinomial-json-no-delta": {
-        "oracle.json": "f8d7e6b1961e6af764af3d8de4a77f4918a489b0f846df8a2912890fbc0443bb",
+        "oracle.json": "7e53b430ff5b14f8cd34a1b2cc4ceb1acadeb6889ac1a8647fb252a7853260d0",
     },
     "oracle-parallel-csv": {
         "oracle.csv": "713309b8107aba7bc5b3c08e6eba89b53cdce7ba15c057dd4376fbf956dc4012",

@@ -399,14 +399,17 @@ def decomposition_cases():
             dgp = tr.random_dgp(seed, num_treatments=3, max_strata=12, assignment_mode=mode)
             data = tr.sample(dgp, 700 + 37 * seed, seed=seed)
             yield f"{mode.value}-{seed}", data
-    # stratum 5 has no control units for any treatment: dropped
+    # five parallel treatments: two chunks of base cells, each holding every unit
+    dgp = tr.random_dgp(13, num_treatments=5, max_strata=5, propensity_range=(0.1, 0.5))
+    yield "parallel_binary-five", tr.sample(dgp, 400, seed=1)
+    # stratum 5 has no control units for any treatment: kept, as in the points
     x = np.repeat([0, 3, 5], 20)
     w = np.zeros((60, 2), dtype=np.int8)
     w[::2, 0] = 1
     w[1::3, 1] = 1
     w[40:, :] = 1
     y = np.random.default_rng(0).normal(size=60) + x
-    yield "dropped-stratum", tr.Dataset(y=y, w=w, x=x)
+    yield "one-arm-stratum", tr.Dataset(y=y, w=w, x=x)
 
 
 @pytest.mark.parametrize("name,data", list(decomposition_cases()), ids=lambda v: v if isinstance(v, str) else "")
@@ -417,20 +420,35 @@ def test_decomposition_equals_reference(name, data):
     for j in range(1, data.num_treatments + 1):
         assert_reports_close(tr.estimate_decomposition(data, fit, j),
                              reference_decomposition(data, units, j))
-    if name == "dropped-stratum":
-        assert tr.estimate_decomposition(data, fit, 1).dropped_strata == 1
+    if name == "one-arm-stratum":
+        assert tr.estimate_decomposition(data, fit, 1).strata == (0, 3, 5)
 
 
-def test_decomposition_not_estimable_like_reference():
+@pytest.mark.parametrize("clip", [0.0, 0.01])
+def test_decomposition_not_estimable_exactly_when_plm_or_aipw_raises(clip):
+    # stratum 0 is all treated and stratum 1 all control: unclipped, PLM's
+    # residuals are all 0 and AIPW divides by 0; clipped, both have a point
     x = np.repeat([0, 1], 10)
     w = np.zeros((20, 1), dtype=np.int8)
     w[:10, 0] = 1
     data = tr.Dataset(y=np.arange(20.0), w=w, x=x)
-    fit = tr.fit_insample(data, tr.LearnerSpec(), clip=0.01)
-    with pytest.raises(NotEstimableError, match="treatment 1"):
-        reference_decomposition(data, unit_arrays(data, fit), 1)
-    with pytest.raises(NotEstimableError, match="treatment 1"):
-        tr.estimate_decomposition(data, fit, 1)
+    fit = tr.fit_insample(data, tr.LearnerSpec(), clip=clip)
+    failures = (tr.NoVariationError, tr.UndefinedEstimateError)
+    raises = []
+    for estimator in (tr.plm_estimate, tr.aipw_estimate):
+        try:
+            estimator(data, fit, 1)
+        except failures:
+            raises.append(estimator)
+    assert bool(raises) == (clip == 0.0)
+    if raises:
+        with pytest.raises(NotEstimableError, match="treatment 1"):
+            reference_decomposition(data, unit_arrays(data, fit), 1)
+        with pytest.raises(NotEstimableError, match="treatment 1"):
+            tr.estimate_decomposition(data, fit, 1)
+    else:
+        assert_reports_close(tr.estimate_decomposition(data, fit, 1),
+                             reference_decomposition(data, unit_arrays(data, fit), 1))
 
 
 # --- YAML ----------------------------------------------------------------------

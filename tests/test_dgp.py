@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import treatrank as tr
 from treatrank import cli, rng
 
-from conftest import dgp_sweep, dgp_tables
+from conftest import dgp_sweep, dgp_tables, exact_cell_dataset
 
 
 def numpy_stream(*path: int) -> np.random.Generator:
@@ -97,6 +97,27 @@ class TestOracleEstimands:
         assert (q1.ate, q1.wate) == (0.0, pytest.approx(2.7714, abs=1e-4))
         assert q1.cov_tau_gamma == pytest.approx(2.7714, abs=1e-4)
         assert q2.cov_tau_gamma == pytest.approx(-1.8095 - 0.5, abs=1e-4)
+
+    def test_multinomial_wate_weights_the_control_and_j_units(self):
+        # heterogeneous effects and asymmetric arms: PLM regresses on the
+        # {0, j} units, so a stratum weighs p_j p_0 / (p_j + p_0), not p_j (1 - p_j)
+        dgp = tr.StratifiedDGP(
+            strata=((0, 0.5), (1, 0.5)),
+            num_treatments=2,
+            propensity=np.array([[0.05, 0.6], [0.45, 0.1]]),
+            effect=np.array([[-3.0, -1.0], [3.0, 2.0]]),
+            baseline=np.zeros(2),
+            assignment_mode=tr.AssignmentMode.MULTINOMIAL,
+        )
+        assert tr.oracle_wate(dgp, 1) == pytest.approx(-1.3703703703703702, abs=1e-12)
+        assert tr.oracle_wate(dgp, 2) == pytest.approx(2.7594936708860756, abs=1e-12)
+        # the residual regression on the population's exact noiseless cells
+        data = exact_cell_dataset(dgp, 100)
+        fit = tr.oracle_nuisance(data, dgp)
+        for j in (1, 2):
+            assert tr.oracle_report(dgp, j).wate == tr.oracle_wate(dgp, j)
+            assert tr.plm_estimate(data, fit, j).point == pytest.approx(
+                tr.oracle_wate(dgp, j), abs=1e-12)
 
     def test_balanced_propensity_zero_covariance(self):
         dgp = tr.StratifiedDGP(

@@ -89,16 +89,24 @@ class TestEstimateDecomposition:
         assert rep.wate == pytest.approx(2.7714, abs=0.2)
         assert rep.ate == pytest.approx(0.0, abs=0.2)
 
-    def test_noiseless_exact_cells_reproduce_oracle(self):
-        dgp = round_propensity_dgp()
+    @pytest.mark.parametrize("mode", list(tr.AssignmentMode))
+    def test_noiseless_exact_cells_reproduce_oracle(self, mode):
+        # under MULTINOMIAL the control arm keeps 0.3 and 0.25 of the strata
+        dgp = dataclasses.replace(round_propensity_dgp(), assignment_mode=mode,
+                                  propensity=np.array([[0.2, 0.5], [0.5, 0.25]]))
         data = exact_cell_dataset(dgp, 40)
         fit = tr.oracle_nuisance(data, dgp)
         for j in (1, 2):
             rep = tr.estimate_decomposition(data, fit, j)
             oracle = tr.oracle_report(dgp, j)
-            assert rep.ate == pytest.approx(oracle.ate, abs=1e-8)
-            assert rep.wate == pytest.approx(oracle.wate, abs=1e-8)
-            assert rep.cov_tau_gamma == pytest.approx(oracle.cov_tau_gamma, abs=1e-8)
+            assert (oracle.remainder, rep.strata) == (0.0, oracle.strata)
+            # both sides are the residual regression's point on these cells
+            assert oracle.wate == pytest.approx(tr.plm_estimate(data, fit, j).point, abs=1e-10)
+            for name in ("ate", "wate", "cov_tau_gamma", "remainder"):
+                assert getattr(rep, name) == pytest.approx(getattr(oracle, name), abs=1e-10), name
+            for row, want in zip(rep.per_stratum, oracle.per_stratum):
+                for name in ("probability", "tau", "gamma"):
+                    assert getattr(row, name) == pytest.approx(getattr(want, name), abs=1e-10)
 
     def test_balanced_design_small_covariance(self):
         dgp = tr.preset(tr.ScenarioName.BALANCED).dgp
@@ -115,31 +123,54 @@ class TestEstimateDecomposition:
             fit = tr.fit_crossfit(data, tr.LearnerSpec(), folds)
             for j in (1, 2):
                 rep = tr.estimate_decomposition(data, fit, j)
-                assert abs(rep.wate - rep.ate - rep.cov_tau_gamma) < 1e-10
+                assert rep.wate == tr.plm_estimate(data, fit, j).point
+                assert rep.ate == tr.aipw_estimate(data, fit, j).point
+                assert abs(rep.wate - rep.ate - rep.cov_tau_gamma - rep.remainder) < 1e-12
+                assert 0.0 < abs(rep.remainder) < 0.05  # cross-fitted: small, not zero
 
-    def test_strata_without_both_arms_are_dropped(self):
+    @pytest.mark.parametrize("mode", list(tr.AssignmentMode))
+    def test_in_sample_stratum_mean_remainder_is_zero(self, mode):
+        # in-sample, a stratum's residual-regression slope is its mean score
+        dgp = tr.random_dgp(12, num_treatments=3, max_strata=5, propensity_range=(0.1, 0.4),
+                            assignment_mode=mode)
+        data = tr.sample(dgp, 2_000, seed=1)
+        fit = tr.fit_insample(data, tr.LearnerSpec(), clip=0.0)
+        for j in (1, 2, 3):
+            assert abs(tr.estimate_decomposition(data, fit, j).remainder) < 1e-12
+
+    def test_strata_without_both_arms_are_kept(self):
         y = np.arange(30, dtype=float)
         w = np.zeros((30, 1), dtype=np.int8)
         x = np.repeat([0, 1, 2], 10)
         w[:5, 0] = 1   # stratum 0 mixed
         w[10:15, 0] = 1  # stratum 1 mixed
-        # stratum 2 has no treated units
+        # stratum 2 has no treated units; PLM and AIPW still take its units
         data = tr.Dataset(y=y, w=w, x=x)
         fit = tr.fit_insample(data, tr.LearnerSpec(), clip=0.01)
         rep = tr.estimate_decomposition(data, fit, 1)
-        assert rep.dropped_strata == 1
-        assert rep.strata == (0, 1)
-        assert sum(r.probability for r in rep.per_stratum) == pytest.approx(1.0)
+        assert rep.strata == (0, 1, 2)
+        assert [r.probability for r in rep.per_stratum] == [1 / 3] * 3
+        assert (rep.ate, rep.wate) == (tr.aipw_estimate(data, fit, 1).point,
+                                       tr.plm_estimate(data, fit, 1).point)
 
-    def test_all_strata_dropped_raises(self):
+    @pytest.mark.parametrize("clip", [0.0, 0.01])
+    def test_not_estimable_exactly_when_plm_raises(self, clip):
+        # every unit treated: unclipped, PLM's residuals are all 0
         data = tr.Dataset(
             y=np.arange(10, dtype=float),
             w=np.ones((10, 1), dtype=np.int8),
             x=np.zeros(10, dtype=np.int64),
         )
-        fit = tr.fit_insample(data, tr.LearnerSpec(), clip=0.01)
-        with pytest.raises(tr.NotEstimableError):
-            tr.estimate_decomposition(data, fit, 1)
+        fit = tr.fit_insample(data, tr.LearnerSpec(), clip=clip)
+        if clip == 0.0:
+            with pytest.raises(tr.NoVariationError):
+                tr.plm_estimate(data, fit, 1)
+            with pytest.raises(tr.NotEstimableError, match="zero variation") as exc:
+                tr.estimate_decomposition(data, fit, 1)
+            assert isinstance(exc.value.__cause__, tr.NoVariationError)
+        else:
+            rep = tr.estimate_decomposition(data, fit, 1)
+            assert rep.wate == tr.plm_estimate(data, fit, 1).point
 
     @pytest.mark.parametrize("mode", list(tr.AssignmentMode))
     def test_non_finite_outcome_is_not_estimable(self, mode):

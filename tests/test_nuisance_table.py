@@ -675,7 +675,7 @@ PINNED = {
     "uncorrelated": "bc2f6d531d25abeffc4119c85fa708adf4ba47014344ee8cbe07e4cb51fa38ee",
     "selection_on_gains": "fe81238f2b3663898abbce4efcc40a977946a8db93caf4e0ccf78ce12af218dd",
     "balanced": "13f4276466f567796f996601aa4f0c4b54c2f901f7a1964dfb2f528b3a46a584",
-    "multinomial_random": "25a41d3f58096729f2f154493919788501140ddc0d11c97a7f6578066a483d99",
+    "multinomial_random": "521eda5596ed4a8372ced8d0e16145a1e7b789b5f74a290036b4b85490009de0",
 }
 
 

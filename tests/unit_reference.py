@@ -12,6 +12,8 @@ unit).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 import treatrank as tr
@@ -120,13 +122,17 @@ def _checked(point, se, n_used):
     return point, se, n_used
 
 
-def plm(data, arrays, j):
-    """(point, SE, units used) of the residual-on-residual regression."""
+def residuals(data, arrays, j):
+    """(treatment, outcome) residuals of the residual regression; 0 off its units."""
     treated, control = indicators(data, j)
     p, m = arrays["plm_rate"][:, j - 1], arrays["plm_outcome"][:, j - 1]
     mask = (treated == 1) | (control == 1)
-    w_res = np.where(mask, treated - p, 0.0)
-    y_res = np.where(mask, data.y - m, 0.0)
+    return np.where(mask, treated - p, 0.0), np.where(mask, data.y - m, 0.0), mask
+
+
+def plm(data, arrays, j):
+    """(point, SE, units used) of the residual-on-residual regression."""
+    w_res, y_res, mask = residuals(data, arrays, j)
     denom = np.sum(w_res**2)
     if denom <= 0.0:
         raise tr.NoVariationError(f"treatment {j} residuals have zero variation")
@@ -136,12 +142,15 @@ def plm(data, arrays, j):
     return _checked(point, se, int(mask.sum()))
 
 
-def aipw(data, arrays, j):
+def aipw_scores(data, arrays, j):
     treated, control = indicators(data, j)
     p, q = _propensities(arrays, j)
-    scores = (_dr_score(data.y, treated, arrays["mu_treated"][:, j - 1], p)
-              - _dr_score(data.y, control, arrays["mu_control"][:, j - 1], q))
-    return _checked(*_mean_and_se(scores), data.n)
+    return (_dr_score(data.y, treated, arrays["mu_treated"][:, j - 1], p)
+            - _dr_score(data.y, control, arrays["mu_control"][:, j - 1], q))
+
+
+def aipw(data, arrays, j):
+    return _checked(*_mean_and_se(aipw_scores(data, arrays, j)), data.n)
 
 
 def ipw(data, arrays, j):
@@ -154,29 +163,25 @@ REFERENCE = {tr.Method.PLM: plm, tr.Method.AIPW: aipw, tr.Method.IPW: ipw}
 
 
 def decomposition(data, arrays, j):
-    """The per-stratum-mask plug-in decomposition."""
-    treated, control = (side == 1 for side in indicators(data, j))
-    p_j = arrays["p_treated"][:, j - 1]
+    """The per-stratum-mask decomposition of the PLM and AIPW points.
+
+    Per stratum: the mean AIPW score and the mean squared treatment
+    residual. Not estimable when either point raises.
+    """
+    try:
+        wate, ate = plm(data, arrays, j)[0], aipw(data, arrays, j)[0]
+    except (tr.NoVariationError, tr.UndefinedEstimateError) as exc:
+        raise NotEstimableError(f"treatment {j} is not estimable: {exc}") from exc
+    scores, w_res = aipw_scores(data, arrays, j), residuals(data, arrays, j)[0]
     tau_tab, var_tab, prob_tab = {}, {}, {}
-    dropped = 0
     for code in np.unique(data.x):
         in_stratum = data.x == code
-        if not np.any(in_stratum & treated) or not np.any(in_stratum & control):
-            dropped += 1
-            continue
         code = int(code)
-        tau_tab[code] = float(
-            data.y[in_stratum & treated].mean() - data.y[in_stratum & control].mean()
-        )
-        p_bar = float(p_j[in_stratum].mean())
-        var_tab[code] = p_bar * (1.0 - p_bar)
+        tau_tab[code] = float(scores[in_stratum].mean())
+        var_tab[code] = float(np.mean(w_res[in_stratum] ** 2))
         prob_tab[code] = float(in_stratum.mean())
-    if not tau_tab:
-        raise NotEstimableError(f"no stratum has both treated and control units for treatment {j}")
-    total = sum(prob_tab.values())
-    prob_tab = {s: p / total for s, p in prob_tab.items()}
-    return decompose(tau_tab, var_tab, prob_tab, treatment=j, source=Source.ESTIMATED,
-                     dropped_strata=dropped)
+    report = decompose(tau_tab, var_tab, prob_tab, treatment=j, source=Source.ESTIMATED)
+    return replace(report, ate=ate, wate=wate, remainder=wate - ate - report.cov_tau_gamma)
 
 
 def close(got, want, rel=1e-12):
@@ -185,10 +190,9 @@ def close(got, want, rel=1e-12):
 
 
 def assert_reports_close(got, want, rel=1e-12):
-    """Two decomposition reports agree: labels and counts exactly, numbers to ``rel``."""
-    assert (got.treatment, got.source, got.dropped_strata, got.strata) == (
-        want.treatment, want.source, want.dropped_strata, want.strata)
-    for name in ("ate", "wate", "cov_tau_gamma"):
+    """Two decomposition reports agree: labels and strata exactly, numbers to ``rel``."""
+    assert (got.treatment, got.source, got.strata) == (want.treatment, want.source, want.strata)
+    for name in ("ate", "wate", "cov_tau_gamma", "remainder"):
         assert close(getattr(got, name), getattr(want, name), rel), name
     for row, ref in zip(got.per_stratum, want.per_stratum):
         for name in ("probability", "tau", "gamma"):
