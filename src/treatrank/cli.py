@@ -24,7 +24,8 @@ import functools
 import json
 import shutil
 import sys
-from itertools import combinations
+from contextlib import suppress
+from itertools import combinations, takewhile
 from pathlib import Path
 
 from . import rng
@@ -42,9 +43,9 @@ from .diagnostics import (
     DecompositionReport,
     NotEstimableError,
     check_reversal,
-    estimate_decomposition,
     oracle_report,
     rank_treatments,
+    split_points,
     sufficient_condition_check,
 )
 from .estimators import ESTIMATION_ERRORS, ESTIMATORS, Method
@@ -180,12 +181,12 @@ def _fitted(args) -> tuple[Dataset, NuisanceFit]:
     return data, fit_crossfit(data, LearnerSpec(kind=args.learner), folds, args.clip)
 
 
-def _write_decompositions(args, data: Dataset, fit: NuisanceFit) -> None:
-    """Decompose every treatment; one that is not estimable becomes an error row."""
+def _write_decompositions(args, data: Dataset, fit: NuisanceFit, points: dict) -> None:
+    """Split each treatment's PLM and AIPW points; one not estimable becomes an error row."""
     reports, errors = [], []
     for j in range(1, data.num_treatments + 1):
         try:
-            reports.append(estimate_decomposition(data, fit, j))
+            reports.append(split_points(fit, j, points[Method.PLM, j], points[Method.AIPW, j]))
         except NotEstimableError as exc:
             errors.append({"treatment": j, "error": str(exc)})
     if args.format == "json":
@@ -202,25 +203,26 @@ def _write_decompositions(args, data: Dataset, fit: NuisanceFit) -> None:
 def cmd_estimate(args: argparse.Namespace) -> None:
     data, fit = _fitted(args)
     estimate_rows: list[dict] = []
-    kept = []
+    points: dict = {}  # (method, j): the estimate, or the estimation error it raised
     for method, estimator in ESTIMATORS.items():
         for j in range(1, data.num_treatments + 1):
             row = {"treatment": j, "method": method.value}
             try:
-                est = estimator(data, fit, j)
+                est = points[method, j] = estimator(data, fit, j)
             except ESTIMATION_ERRORS as exc:  # estimator-level failure is data, not an exit code
+                points[method, j] = exc
                 estimate_rows.append({**row, "error": str(exc)})
                 continue
-            kept.append(est)
             estimate_rows.append(
                 {**row, "estimand": est.estimand.value, "point": est.point,
                  "std_error": est.std_error, "n_used": est.n_used, "error": ""}
             )
     _write_csv(args.out / "estimates.csv", ESTIMATES_HEADER, estimate_rows)
 
-    _write_decompositions(args, data, fit)
+    _write_decompositions(args, data, fit, points)
 
-    ranking_input = [e for e in kept if e.method in (Method.PLM, Method.AIPW)]
+    ranking_input = [e for (method, _), e in points.items()
+                     if method in (Method.PLM, Method.AIPW) and not isinstance(e, Exception)]
     try:
         ranking = rank_treatments(ranking_input)
         payload = {
@@ -370,18 +372,22 @@ def main(argv: list[str] | None = None) -> int:
 
     It may be called any number of times in one process; the parser is
     built on the first call (``build_parser``). A command that fails
-    removes the ``--out`` directory if this call made it, with the parents
-    it made; a directory that was there before is left as it is.
+    removes the ``--out`` directory if this call made it, and then each
+    parent it made that is left empty; a directory that was there before
+    is left as it is.
     """
     args = build_parser().parse_args(argv)
-    # the outermost directory that mkdir makes, if any
-    made = next((d for d in (*reversed(args.out.parents), args.out) if not d.exists()), None)
+    # the directories mkdir makes, innermost first
+    made = list(takewhile(lambda d: not d.exists(), (args.out, *args.out.parents)))
     try:
         args.out.mkdir(parents=True, exist_ok=True)
         COMMANDS[args.command](args)
     except (ConfigError, NotEstimableError, ValueError, OSError, *ESTIMATION_ERRORS) as exc:
-        if made is not None:
-            shutil.rmtree(made, ignore_errors=True)
+        if made:
+            shutil.rmtree(args.out, ignore_errors=True)
+        with suppress(OSError):  # stop at a parent that another run has written to
+            for parent in made[1:]:
+                parent.rmdir()
         print(f"treatrank {args.command}: error: {exc}", file=sys.stderr)
         return 1
     return 0

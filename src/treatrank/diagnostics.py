@@ -8,12 +8,9 @@ regression-based ordering away from the true one. This module makes that
 arithmetic inspectable: per-stratum decomposition reports, an exact
 reversal check, a delta-parameterized sufficient condition, and pairwise
 ranking summaries. The oracle and the estimated reports both hand
-:func:`decompose` raw weights, which it normalizes once: the oracle
-``dgp.regression_variance``, the estimated report PLM's mean squared
-treatment residual per stratum. The estimated report splits the PLM and
-AIPW points that ``estimate`` reports, from the estimators' own
-per-(fold, stratum) sums, and carries what the split leaves over as its
-``remainder``. :func:`reverses` is the one reversal rule.
+:func:`decompose` raw weights, which it normalizes once. The estimated
+report splits a fit's PLM and AIPW points from the estimators' own
+per-(fold, stratum) sums. :func:`reverses` is the one reversal rule.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dgp import Dataset, StratifiedDGP, decomposition_terms, regression_variance
-from .estimators import ESTIMATION_ERRORS, EffectEstimate, Estimand, Method, _plm, _score_estimate
+from .estimators import ESTIMATION_ERRORS, EffectEstimate, Estimand, aipw_estimate, plm_estimate
 from .nuisance import NuisanceFit, add_in_turn
 
 
@@ -50,12 +47,9 @@ class StratumRow:
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """Additive WATE = ATE + Cov + remainder split for one treatment, with
-    the per-stratum effect and weight tables it was computed from.
-
-    ``remainder`` is 0.0 on an oracle report; on an estimated one it is
-    what the PLM point holds beyond the AIPW point and the covariance.
-    """
+    """Additive WATE = ATE + Cov + remainder split for one treatment, with the
+    per-stratum effect and weight tables it was computed from (``remainder``
+    is 0.0 on an oracle report; see :func:`split_points`)."""
 
     treatment: int
     ate: float
@@ -159,41 +153,44 @@ def oracle_report(dgp: StratifiedDGP, j: int) -> DecompositionReport:
 
 
 def estimate_decomposition(data: Dataset | None, fit: NuisanceFit, j: int) -> DecompositionReport:
-    """The split of the PLM and AIPW points of ``j`` that ``fit`` gives.
+    """:func:`split_points` of ``j``'s PLM and AIPW estimates from one dataset's ``fit``
+    (``fit.replicate(b)`` of a block); ``data`` is the dataset it was made from, or None."""
+    try:
+        return split_points(fit, j, plm_estimate(data, fit, j), aipw_estimate(data, fit, j))
+    except ESTIMATION_ERRORS as exc:
+        return split_points(fit, j, exc, exc)
 
-    ``wate`` and ``ate`` are those points, bit for bit. Per stratum, ``tau``
+
+def split_points(fit: NuisanceFit, j: int, wate: EffectEstimate | Exception,
+                 ate: EffectEstimate | Exception) -> DecompositionReport:
+    """The split of ``j``'s PLM estimate ``wate`` and AIPW estimate ``ate``.
+
+    ``fit`` is the one dataset's fit they come from, and the report's
+    ``wate`` and ``ate`` are their points, bit for bit. Per stratum, ``tau``
     is the mean AIPW score and the raw weight PLM's mean squared treatment
     residual ``sum(n w**2) / n_s`` (the {0, j} units' under MULTINOMIAL):
-    the estimators' own (fold, stratum) terms, added over the folds in
+    the estimates' own (fold, stratum) ``sums``, added over the folds in
     turn. ``remainder = wate - ate - cov_tau_gamma`` is the weighted gap
     between each stratum's regression slope and its mean score: zero
     in-sample with ``stratum_mean``, shrinking with ``n`` cross-fitted.
-    Every stratum with units is in the points, so in their split.
-
-    ``fit`` is one dataset's fit (``fit.replicate(b)`` of a block), and
-    ``data`` the dataset it was made from, or None. The decomposition is
-    not estimable exactly when PLM or AIPW raises.
+    Every stratum with units is in the points, so in their split. Either
+    estimate may be the error its estimator raised; the split is then not
+    estimable.
     """
     if fit.table.block:
-        raise ValueError("estimate_decomposition takes one dataset's fit; use fit.replicate(b)")
-    try:
-        wate, squares = _plm(data, fit, j)
-        ate, scores = _score_estimate(data, fit, j, Method.AIPW)
-    except ESTIMATION_ERRORS as exc:
-        raise NotEstimableError(f"treatment {j}'s PLM or AIPW point is not finite or "
-                                f"not defined: {exc}") from exc
+        raise ValueError("a decomposition takes one dataset's fit; use fit.replicate(b)")
+    for point in (wate, ate):
+        if isinstance(point, Exception):
+            raise NotEstimableError(f"treatment {j}'s PLM or AIPW point is not finite or "
+                                    f"not defined: {point}") from point
     # units per stratum: j's cells hold each unit once (a chunk of treatments holds every unit)
     n_s = fit.table.count[np.concatenate(fit.cells(j)), 0].sum(axis=(0, 1))
     present = np.flatnonzero(n_s)
     codes = fit.table.levels[present].tolist()
-    tau, weight = (add_in_turn(terms[0])[present] / n_s[present] for terms in (scores, squares))
-    report = decompose(
-        dict(zip(codes, tau.tolist())),
-        dict(zip(codes, weight.tolist())),
-        dict(zip(codes, (n_s[present] / fit.table.n).tolist())),
-        treatment=j,
-        source=Source.ESTIMATED,
-    )
+    tau, weight = (add_in_turn(est.sums[0])[present] / n_s[present] for est in (ate, wate))
+    shares = n_s[present] / fit.table.n
+    report = decompose(*(dict(zip(codes, v.tolist())) for v in (tau, weight, shares)),
+                       treatment=j, source=Source.ESTIMATED)
     return replace(report, ate=ate.point, wate=wate.point,
                    remainder=wate.point - ate.point - report.cov_tau_gamma)
 

@@ -15,9 +15,8 @@ Each takes ``(data, fit, j)``: ``data`` is the dataset the fit was made
 from, checked against the fit's size, or None, since a fit carries its
 cell table, and with it its number of units and whether it holds a block.
 ``ESTIMATORS`` maps each :class:`Method` to its function and is the only
-dispatch table. ``diagnostics.estimate_decomposition`` splits the PLM and
-AIPW points by stratum from the (fold, stratum) sums that ``_plm`` and
-``_score_estimate`` add up into them.
+dispatch table. Each estimate carries the (fold, stratum) sums that
+``diagnostics.split_points`` splits its point by stratum from.
 
 Each estimator reads row ``j - 1`` of the fit's role tables (see
 ``nuisance.NuisanceFit``) and never the assignment mode: AIPW and IPW the
@@ -54,7 +53,7 @@ block raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -99,7 +98,9 @@ class EffectEstimate:
     """Point estimate with its standard error; ``estimand`` is its method's target.
 
     For a block of datasets, ``point``, ``std_error`` and ``n_used`` are
-    arrays with one entry per dataset.
+    arrays with one entry per dataset. ``sums`` holds, per (dataset, fold,
+    stratum), the score's sum for AIPW and IPW and PLM's denominator terms
+    ``sum(n w**2)`` for PLM; it is not compared.
     """
 
     treatment: int
@@ -107,6 +108,7 @@ class EffectEstimate:
     point: float | NDArray[np.float64]
     std_error: float | NDArray[np.float64]
     n_used: int | NDArray[np.int64]
+    sums: NDArray[np.float64] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.std_error).all():
@@ -131,7 +133,7 @@ def _check(data: Dataset | None, fit: NuisanceFit) -> None:
 
 
 def _estimate(fit: NuisanceFit, method: Method, j: int, point: NDArray, se: NDArray,
-              n_used: NDArray | None = None) -> EffectEstimate:
+              sums: NDArray, n_used: NDArray | None = None) -> EffectEstimate:
     """An estimate from per-dataset arrays, made plain numbers for a single dataset.
 
     ``n_used`` defaults to every unit of each dataset.
@@ -142,20 +144,20 @@ def _estimate(fit: NuisanceFit, method: Method, j: int, point: NDArray, se: NDAr
         n_used = n if n_used is None else n_used.item()
     elif n_used is None:
         n_used = np.full(point.shape, n)
-    return EffectEstimate(treatment=j, method=method, point=point, std_error=se, n_used=n_used)
+    return EffectEstimate(treatment=j, method=method, point=point, std_error=se, n_used=n_used,
+                          sums=sums)
 
 
 def _score_estimate(data: Dataset | None, fit: NuisanceFit, j: int,
-                    method: Method) -> tuple[EffectEstimate, NDArray[np.float64]]:
-    """Mean and SE of treatment ``j``'s score ``mu1 - mu0 + D (y - mu1) / p - C (y - mu0) / q``,
-    and the sums of the score per (dataset, fold, stratum) that the mean adds up.
+                    method: Method) -> EffectEstimate:
+    """Mean and SE of treatment ``j``'s score ``mu1 - mu0 + D (y - mu1) / p - C (y - mu0) / q``.
 
     The outcome models ``mu1`` and ``mu0`` are the fit's for AIPW and zero
     for IPW. ``D`` and ``C`` mark the treated and control units, and a unit
     in neither (another arm) scores ``mu1 - mu0``; see the module docstring
     for the sums over base cells. A fold and stratum without units adds
-    nothing (its sum is 0). One with units and a propensity or control
-    probability of 0 (possible with ``clip=0``) makes the estimate undefined, as its units'
+    nothing. One with units and a propensity or control probability of 0
+    (possible with ``clip=0``) makes the estimate undefined, as its units'
     scores are: its treated or control cells then add ``0 * inf`` or
     ``inf``.
     """
@@ -182,12 +184,18 @@ def _score_estimate(data: Dataset | None, fit: NuisanceFit, j: int,
                              *(units * (base - mean) ** 2 for units in n_o))
         variance = _cell_sum(np.where(occupied, spread, 0.0))
     se = np.sqrt(variance / (n - 1) / n) if n > 1 else np.zeros(point.shape)
-    return _estimate(fit, method, j, point, se), scores
+    return _estimate(fit, method, j, point, se, scores)
 
 
-def _plm(data: Dataset | None, fit: NuisanceFit,
-         j: int) -> tuple[EffectEstimate, NDArray[np.float64]]:
-    """``plm_estimate``, and its denominator's terms ``sum(n w**2)`` per (dataset, fold, stratum)."""
+def plm_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstimate:
+    """Residual-on-residual regression coefficient for treatment ``j``.
+
+    Regresses ``Y - plm_outcome`` on ``W_j - plm_rate`` through the origin;
+    the reported standard error is the heteroskedasticity-robust (sandwich)
+    slope SE. The regression takes ``j``'s treated and control halves only,
+    so under MULTINOMIAL assignment it runs on the {control, j} subsample,
+    with the fit's conditional propensity as ``plm_rate``.
+    """
     _check(data, fit)
     treated, control, _ = fit.cells(j)
     (n_t, ybar_t, m2_t), (n_c, ybar_c, m2_c) = fit.moments(treated), fit.moments(control)
@@ -209,19 +217,7 @@ def _plm(data: Dataset | None, fit: NuisanceFit,
                 + w_c * w_c * add_in_turn(m2_c + n_c * resid_c * resid_c))
     se = np.sqrt(_cell_sum(sandwich)) / denom
     n_used = (units_t.sum(axis=(1, 2)) + units_c.sum(axis=(1, 2))).astype(np.int64)
-    return _estimate(fit, Method.PLM, j, point, se, n_used), squares
-
-
-def plm_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstimate:
-    """Residual-on-residual regression coefficient for treatment ``j``.
-
-    Regresses ``Y - plm_outcome`` on ``W_j - plm_rate`` through the origin;
-    the reported standard error is the heteroskedasticity-robust (sandwich)
-    slope SE. The regression takes ``j``'s treated and control halves only,
-    so under MULTINOMIAL assignment it runs on the {control, j} subsample,
-    with the fit's conditional propensity as ``plm_rate``.
-    """
-    return _plm(data, fit, j)[0]
+    return _estimate(fit, Method.PLM, j, point, se, squares, n_used)
 
 
 def aipw_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstimate:
@@ -230,7 +226,7 @@ def aipw_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstim
     The point is the mean pseudo-outcome contrast and the standard error
     its sample standard deviation over sqrt(n).
     """
-    return _score_estimate(data, fit, j, Method.AIPW)[0]
+    return _score_estimate(data, fit, j, Method.AIPW)
 
 
 def ipw_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstimate:
@@ -240,7 +236,7 @@ def ipw_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstima
     control condition is not receiving ``j`` under PARALLEL_BINARY and the
     control arm under MULTINOMIAL: the AIPW score with a zero outcome model.
     """
-    return _score_estimate(data, fit, j, Method.IPW)[0]
+    return _score_estimate(data, fit, j, Method.IPW)
 
 
 # Callers dispatch in this order; it is the row order of the estimate outputs.

@@ -317,6 +317,10 @@ class TestEstimateCommand:
         header, rows = read_csv(out / "estimates.csv")
         errors = [r[header.index("error")] for r in rows if r[1] == "plm"]
         assert errors == ["no variation for 1", "no variation for 2"]
+        # the decompositions split the estimates the command reports
+        rows = json.loads((out / "decomposition.json").read_text())
+        assert [(r["treatment"], r["error"].endswith(f"no variation for {r['treatment']}"))
+                for r in rows] == [(1, True), (2, True)]
 
     def test_failed_fit_exits_nonzero_with_message(self, tmp_path, capsys):
         path = tmp_path / "data.csv"
@@ -335,7 +339,8 @@ class TestEstimateCommand:
         assert not (out / "estimates.csv").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_imported_data_without_controls_flags_treatment_only(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_imported_data_without_controls_flags_treatment_only(self, tmp_path, fmt):
         # treatment 2 has no control condition: w2 is always 1, and unclipped
         # its PLM residuals are all 0 and its AIPW control weights infinite
         gen = np.random.default_rng(5)
@@ -349,53 +354,46 @@ class TestEstimateCommand:
             for i in range(n):
                 fh.write(f"{float(y[i])!r},{w1[i]},1,{x[i]}\n")
         out = tmp_path / "out"
-        assert run_cli("estimate", "--data", path, "--out", out, "--format", "csv",
+        assert run_cli("estimate", "--data", path, "--out", out, "--format", fmt,
                        "--clip", 0) == 0
-        header, rows = read_csv(out / "decomposition.csv")
-        assert header == cli.DECOMPOSITION_HEADER
-        by_treatment = {int(r[0]): r for r in rows}
-        assert by_treatment[1][header.index("error")] == ""
-        assert "zero variation" in by_treatment[2][header.index("error")]
+        if fmt == "csv":
+            header, rows = read_csv(out / "decomposition.csv")
+            assert header == cli.DECOMPOSITION_HEADER
+            errors = {int(r[0]): r[header.index("error")] for r in rows}
+        else:
+            rows = json.loads((out / "decomposition.json").read_text())
+            errors = {r["treatment"]: r.get("error", "") for r in rows}
+        assert errors[1] == ""
+        assert "zero variation" in errors[2]
+        # the error rows are where estimates.csv has a PLM or AIPW error
+        header, rows = read_csv(out / "estimates.csv")
+        assert {int(r[0]) for r in rows if r[1] in ("plm", "aipw") and r[header.index("error")]} \
+            == {j for j, error in errors.items() if error} == {2}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("case", sorted(c for c in _cases() if c.startswith("estimate-")))
     def test_decomposition_splits_the_estimates(self, tmp_path, case):
-        # on every pinned estimate case: wate and ate are the PLM and AIPW points
+        # on every pinned estimate case: wate and ate are the PLM and AIPW points,
+        # and the error rows are where either has one
         run_case(_cases()[case], tmp_path)
         out = tmp_path / "out"
         with open(out / "estimates.csv", newline="") as fh:
-            points = {(r["method"], int(r["treatment"])): float(r["point"])
-                      for r in csv.DictReader(fh) if not r["error"]}
+            estimates = list(csv.DictReader(fh))
+        points = {(r["method"], int(r["treatment"])): float(r["point"])
+                  for r in estimates if not r["error"]}
         if (out / "decomposition.json").exists():
             rows = json.loads((out / "decomposition.json").read_text())
         else:
             with open(out / "decomposition.csv", newline="") as fh:
                 rows = list(csv.DictReader(fh))
+        failed = {int(r["treatment"]) for r in estimates if r["method"] != "ipw" and r["error"]}
+        assert {int(r["treatment"]) for r in rows if r.get("error")} == failed
+        assert failed == ({1} if "no-control" in case else set())
         for row in (r for r in rows if not r.get("error")):
             j, ate, wate = int(row["treatment"]), float(row["ate"]), float(row["wate"])
             assert close(ate, points["aipw", j]) and close(wate, points["plm", j]), row
             parts = ate + float(row["cov_tau_gamma"]) + float(row["remainder"])
             assert abs(wate - parts) <= 1e-12, row
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_decomposition_errors_where_plm_or_aipw_errors(self, tmp_path, fmt):
-        # the no-control pin case: treatment 1 is always taken, and unclipped
-        # its PLM and AIPW fail; treatment 2 has both arms
-        _no_control_csv(tmp_path / "data.csv")
-        out = tmp_path / "out"
-        assert run_cli("estimate", "--data", tmp_path / "data.csv", "--clip", 0,
-                       "--format", fmt, "--out", out) == 0
-        header, rows = read_csv(out / "estimates.csv")
-        failed = {int(r[0]) for r in rows
-                  if r[header.index("error")] and r[1] in ("plm", "aipw")}
-        if fmt == "csv":
-            header, rows = read_csv(out / "decomposition.csv")
-            errors = {int(r[0]) for r in rows if r[header.index("error")]}
-        else:
-            rows = json.loads((out / "decomposition.json").read_text())
-            errors = {r["treatment"] for r in rows if "error" in r}
-        assert failed == errors == {1}
 
     def test_non_finite_outcome_becomes_error_rows(self, tmp_path):
         data = tr.sample(tr.preset("balanced").dgp, 400, seed=1)
@@ -594,6 +592,20 @@ class TestFailedCommandOutput:
         assert run_cli(*argv, "--config", dgp_config, "--out", out) == 1
         assert [p.name for p in out.iterdir()] == ["kept.txt"]
         assert (out / "kept.txt").read_text() == "kept\n"
+
+    def test_parent_written_meanwhile_survives(self, tmp_path, dgp_config, monkeypatch):
+        # this call makes results/ and results/a; another run writes results/b meanwhile
+        def fails_after_sibling_writes(args):
+            (args.out / "partial.txt").write_text("partial\n")
+            (args.out.parent / "b").mkdir()
+            (args.out.parent / "b" / "kept.txt").write_text("kept\n")
+            raise ValueError("failed")
+
+        monkeypatch.setitem(cli.COMMANDS, "oracle", fails_after_sibling_writes)
+        results = tmp_path / "results"
+        assert run_cli("oracle", "--config", dgp_config, "--out", results / "a") == 1
+        assert [p.name for p in results.iterdir()] == ["b"]
+        assert (results / "b" / "kept.txt").read_text() == "kept\n"
 
 
 class TestCommands:

@@ -92,8 +92,7 @@ class TestEstimateDecomposition:
     @pytest.mark.parametrize("mode", list(tr.AssignmentMode))
     def test_noiseless_exact_cells_reproduce_oracle(self, mode):
         # under MULTINOMIAL the control arm keeps 0.3 and 0.25 of the strata
-        dgp = dataclasses.replace(round_propensity_dgp(), assignment_mode=mode,
-                                  propensity=np.array([[0.2, 0.5], [0.5, 0.25]]))
+        dgp = dataclasses.replace(round_propensity_dgp(), assignment_mode=mode)
         data = exact_cell_dataset(dgp, 40)
         fit = tr.oracle_nuisance(data, dgp)
         for j in (1, 2):
