@@ -203,6 +203,7 @@ def _write_decompositions(args, data: Dataset, fit: NuisanceFit, points: dict) -
 def cmd_estimate(args: argparse.Namespace) -> None:
     data, fit = _fitted(args)
     estimate_rows: list[dict] = []
+    kept = []
     points: dict = {}  # (method, j): the estimate, or the estimation error it raised
     for method, estimator in ESTIMATORS.items():
         for j in range(1, data.num_treatments + 1):
@@ -213,6 +214,7 @@ def cmd_estimate(args: argparse.Namespace) -> None:
                 points[method, j] = exc
                 estimate_rows.append({**row, "error": str(exc)})
                 continue
+            kept.append(est)
             estimate_rows.append(
                 {**row, "estimand": est.estimand.value, "point": est.point,
                  "std_error": est.std_error, "n_used": est.n_used, "error": ""}
@@ -221,8 +223,7 @@ def cmd_estimate(args: argparse.Namespace) -> None:
 
     _write_decompositions(args, data, fit, points)
 
-    ranking_input = [e for (method, _), e in points.items()
-                     if method in (Method.PLM, Method.AIPW) and not isinstance(e, Exception)]
+    ranking_input = [e for e in kept if e.method in (Method.PLM, Method.AIPW)]
     try:
         ranking = rank_treatments(ranking_input)
         payload = {
