@@ -8,8 +8,10 @@ Subcommands:
 * ``estimate``    PLM/AIPW/IPW estimates, decompositions, and ranking
 * ``montecarlo``  run a replication scenario and emit summary/plot data
 
-Each output has one producer: only ``oracle`` writes reversal rows, and
-only ``estimate`` writes decompositions.
+Each command writes one fixed set of files, and each output has one
+producer: only ``oracle`` writes reversal rows (``oracle.json`` and its
+three CSV tables), and only ``estimate`` writes decompositions
+(``decomposition.json``).
 
 Command-level errors (bad config, bad flags, a nuisance fit the data cannot
 support) exit nonzero; per-estimator failures inside ``estimate`` are
@@ -25,6 +27,7 @@ import json
 import shutil
 import sys
 from contextlib import suppress
+from dataclasses import replace
 from itertools import combinations, takewhile
 from pathlib import Path
 
@@ -55,10 +58,6 @@ from .nuisance import (
 )
 
 ESTIMATES_HEADER = ["treatment", "method", "estimand", "point", "std_error", "n_used", "error"]
-DECOMPOSITION_HEADER = [
-    "treatment", "source", "ate", "cov_tau_gamma", "wate", "remainder", "error",
-]
-DECOMPOSITION_STRATA_HEADER = ["treatment", "stratum", "probability", "tau", "gamma"]
 REVERSAL_HEADER = ["treatment_j", "treatment_k", "reversed", "margin", "sufficient_condition"]
 ORACLE_HEADER = ["treatment", "ate", "wate", "cov_tau_gamma"]
 ORACLE_WEIGHTS_HEADER = ["treatment", "stratum", "probability", "tau", "gamma"]
@@ -85,27 +84,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow(row)
 
 
-def _report_row(r: DecompositionReport) -> dict:
-    """A report's scalar fields, in output order."""
-    return {
-        "treatment": r.treatment,
-        "source": r.source.value,
-        "ate": r.ate,
-        "cov_tau_gamma": r.cov_tau_gamma,
-        "wate": r.wate,
-        "remainder": r.remainder,
-    }
-
-
 def _stratum_rows(r: DecompositionReport) -> list[dict]:
     return [
         {"stratum": s.stratum, "probability": s.probability, "tau": s.tau, "gamma": s.gamma}
         for s in r.per_stratum
     ]
-
-
-def _strata_csv_rows(reports) -> list[dict]:
-    return [{"treatment": r.treatment, **row} for r in reports for row in _stratum_rows(r)]
 
 
 def _pairwise_reversals(reports, delta: float | None) -> list[dict]:
@@ -136,22 +119,21 @@ def cmd_oracle(args: argparse.Namespace) -> None:
         {"treatment": r.treatment, "ate": r.ate, "wate": r.wate, "cov_tau_gamma": r.cov_tau_gamma}
         for r in reports
     ]
-    if args.format == "json":
-        payload = {
-            "treatments": [
-                {**row, "gamma": {s.stratum: s.gamma for s in r.per_stratum}}
-                for row, r in zip(rows, reports)
-            ],
-            "reversed_pairs": [
-                [row["treatment_j"], row["treatment_k"]] for row in pairs if row["reversed"]
-            ],
-            "pairs": pairs,
-        }
-        _write_json(args.out / "oracle.json", payload)
-    else:
-        _write_csv(args.out / "oracle.csv", ORACLE_HEADER, rows)
-        _write_csv(args.out / "oracle_weights.csv", ORACLE_WEIGHTS_HEADER, _strata_csv_rows(reports))
-        _write_csv(args.out / "reversal.csv", REVERSAL_HEADER, pairs)
+    payload = {
+        "treatments": [
+            {**row, "gamma": {s.stratum: s.gamma for s in r.per_stratum}}
+            for row, r in zip(rows, reports)
+        ],
+        "reversed_pairs": [
+            [row["treatment_j"], row["treatment_k"]] for row in pairs if row["reversed"]
+        ],
+        "pairs": pairs,
+    }
+    _write_json(args.out / "oracle.json", payload)
+    _write_csv(args.out / "oracle.csv", ORACLE_HEADER, rows)
+    _write_csv(args.out / "oracle_weights.csv", ORACLE_WEIGHTS_HEADER,
+               [{"treatment": r.treatment, **row} for r in reports for row in _stratum_rows(r)])
+    _write_csv(args.out / "reversal.csv", REVERSAL_HEADER, pairs)
 
 
 def _sampled(args) -> tuple[Dataset, StratifiedDGP]:
@@ -181,7 +163,7 @@ def _fitted(args) -> tuple[Dataset, NuisanceFit]:
     return data, fit_crossfit(data, LearnerSpec(kind=args.learner), folds, args.clip)
 
 
-def _write_decompositions(args, data: Dataset, fit: NuisanceFit, points: dict) -> None:
+def _write_decompositions(out: Path, data: Dataset, fit: NuisanceFit, points: dict) -> None:
     """Split each treatment's PLM and AIPW points; one not estimable becomes an error row."""
     reports, errors = [], []
     for j in range(1, data.num_treatments + 1):
@@ -189,15 +171,13 @@ def _write_decompositions(args, data: Dataset, fit: NuisanceFit, points: dict) -
             reports.append(split_points(fit, j, points[Method.PLM, j], points[Method.AIPW, j]))
         except NotEstimableError as exc:
             errors.append({"treatment": j, "error": str(exc)})
-    if args.format == "json":
-        payload = [{**_report_row(r), "per_stratum": _stratum_rows(r)} for r in reports]
-        _write_json(args.out / "decomposition.json", payload + errors)
-    else:
-        main = [{**_report_row(r), "error": ""} for r in reports] + errors
-        main.sort(key=lambda r: r["treatment"])
-        _write_csv(args.out / "decomposition.csv", DECOMPOSITION_HEADER, main)
-        _write_csv(args.out / "decomposition_strata.csv", DECOMPOSITION_STRATA_HEADER,
-                   _strata_csv_rows(reports))
+    payload = [
+        {"treatment": r.treatment, "source": r.source.value, "ate": r.ate,
+         "cov_tau_gamma": r.cov_tau_gamma, "wate": r.wate, "remainder": r.remainder,
+         "per_stratum": _stratum_rows(r)}
+        for r in reports
+    ]
+    _write_json(out / "decomposition.json", payload + errors)  # the error rows last
 
 
 def cmd_estimate(args: argparse.Namespace) -> None:
@@ -221,7 +201,7 @@ def cmd_estimate(args: argparse.Namespace) -> None:
             )
     _write_csv(args.out / "estimates.csv", ESTIMATES_HEADER, estimate_rows)
 
-    _write_decompositions(args, data, fit, points)
+    _write_decompositions(args.out, data, fit, points)
 
     ranking_input = [e for e in kept if e.method in (Method.PLM, Method.AIPW)]
     try:
@@ -238,19 +218,15 @@ def cmd_estimate(args: argparse.Namespace) -> None:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> None:
-    if args.preset is not None:
-        config = preset(args.preset)
-    elif args.config is not None:
-        config = load_scenario_config(args.config)
-    else:
-        raise ConfigError("provide --preset or --config for montecarlo")
+    config = preset(args.preset) if args.preset is not None else load_scenario_config(args.config)
     config = scaled(
         config,
         n_per_rep=args.n,
         num_reps=args.reps,
         seed=args.seed,
         num_folds=args.folds,
-        learner=LearnerSpec(kind=args.learner) if args.learner is not None else None,
+        # the flag names the kind only: the scenario's penalty and basis stay
+        learner=replace(config.learner, kind=args.learner) if args.learner is not None else None,
         clip=args.clip,
     )
     result = run_scenario(config, workers=args.workers)
@@ -303,14 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, config_required: bool = False,
-                   formatted: bool = True, source=None) -> None:
+    def add_common(p: argparse.ArgumentParser, config_required: bool = False, source=None) -> None:
         (source or p).add_argument("--config", type=Path, required=config_required,
                                    help="DGP or scenario config file (YAML)")
         p.add_argument("--out", type=Path, required=True, help="output directory")
-        if formatted:
-            p.add_argument("--format", choices=("json", "csv"), default="json",
-                           help="report format (default json)")
 
     def add_fit_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--folds", type=int, default=None,
@@ -321,14 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--clip", type=float, default=None,
                        help=f"propensity clipping bound (default {DEFAULT_CLIP})")
 
+    # every command writes one fixed set of files: none takes a --format
     p = sub.add_parser("oracle", help="closed-form estimands and reversal flags")
     add_common(p, config_required=True)
     p.add_argument("--delta", type=float, default=None,
                    help="also evaluate the delta-sufficient conditions")
 
-    # sample writes a dataset CSV and a YAML config, so it takes no --format
     p = sub.add_parser("sample", help="draw a dataset from a DGP config")
-    add_common(p, config_required=True, formatted=False)
+    add_common(p, config_required=True)
     p.add_argument("--n", type=int, required=True, help="sample size")
     p.add_argument("--seed", type=int, default=0, help="dataset seed (default 0)")
 
@@ -347,10 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(folds=DEFAULT_NUM_FOLDS, learner=LearnerKind.STRATUM_MEAN.value,
                    clip=DEFAULT_CLIP)
 
-    # montecarlo always writes both layouts, so it takes no --format
     p = sub.add_parser("montecarlo", help="run a replication scenario")
-    add_common(p, formatted=False)
-    p.add_argument("--preset", default=None, help="named scenario preset")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", default=None, help="named scenario preset")
+    add_common(p, source=source)
     p.add_argument("--n", type=int, default=None, help="override observations per replicate")
     p.add_argument("--reps", type=int, default=None, help="override replicate count")
     p.add_argument("--workers", type=int, default=1, help="processes, this one included (default 1)")

@@ -288,16 +288,6 @@ def _linear_ridge_beta(
     return np.linalg.solve(gram + penalty * np.eye(X.shape[1]), X.T @ total)
 
 
-def _logistic_ridge_beta(
-    X: NDArray, count: NDArray, total: NDArray, penalty: float
-) -> NDArray[np.float64]:
-    """The betas of ``_newton``'s fits ((d,) for one row), or its first row's error."""
-    beta, _, errors = _newton(X, np.atleast_2d(count), np.atleast_2d(total), penalty)
-    if errors:
-        raise errors[min(errors)]
-    return beta if count.ndim > 1 else beta[0]
-
-
 def _newton(
     X: NDArray, count: NDArray, total: NDArray, penalty: float
 ) -> tuple[NDArray[np.float64], NDArray[np.int64], dict[int, SingularFitError]]:

@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -178,7 +180,7 @@ class TestOracleCommand:
 
     def test_csv_headers(self, tmp_path, dgp_config):
         out = tmp_path / "out"
-        assert run_cli("oracle", "--config", dgp_config, "--out", out, "--format", "csv") == 0
+        assert run_cli("oracle", "--config", dgp_config, "--out", out) == 0
         header, rows = read_csv(out / "oracle.csv")
         assert header == cli.ORACLE_HEADER
         assert len(rows) == 2
@@ -199,18 +201,37 @@ class TestOracleCommand:
     @pytest.mark.parametrize("name", ["extreme_heterogeneity", "panel_negative_covariance",
                                       "panel_zero_covariance", "panel_positive_covariance"])
     def test_json_and_csv_weights_are_the_same_text(self, tmp_path, name):
-        # both layouts write the one oracle report: every gamma, ate and wate prints alike
-        cfg = tr.packaged_config_path(f"{name}.yaml")
-        assert run_cli("oracle", "--config", cfg, "--out", tmp_path / "j") == 0
-        assert run_cli("oracle", "--config", cfg, "--format", "csv", "--out", tmp_path / "c") == 0
-        payload = json.loads((tmp_path / "j" / "oracle.json").read_text(), parse_float=str)
+        # oracle.json and its tables print the one oracle report: every gamma, ate and wate alike
+        cfg, out = tr.packaged_config_path(f"{name}.yaml"), tmp_path / "out"
+        assert run_cli("oracle", "--config", cfg, "--out", out) == 0
+        payload = json.loads((out / "oracle.json").read_text(), parse_float=str)
         from_json = {(t["treatment"], int(s)): g for t in payload["treatments"]
                      for s, g in t["gamma"].items()}
-        _, rows = read_csv(tmp_path / "c" / "oracle_weights.csv")
+        _, rows = read_csv(out / "oracle_weights.csv")
         assert from_json == {(int(t), int(s)): g for t, s, _, _, g in rows}
-        _, rows = read_csv(tmp_path / "c" / "oracle.csv")
+        _, rows = read_csv(out / "oracle.csv")
         assert [[str(t["treatment"]), t["ate"], t["wate"], t["cov_tau_gamma"]]
                 for t in payload["treatments"]] == rows
+
+    @pytest.mark.parametrize("case", sorted(c for c in _cases() if c.startswith("oracle-")))
+    def test_reversal_csv_is_the_json_pairs(self, tmp_path, case):
+        # on every pinned oracle case: reversal.csv and oracle.json's pairs print the one
+        # pair list, and without --delta neither has a sufficient condition
+        run_case(_cases()[case], tmp_path)
+        out = tmp_path / "out"
+        payload = json.loads((out / "oracle.json").read_text(), parse_float=str)
+        header, rows = read_csv(out / "reversal.csv")
+        assert header == cli.REVERSAL_HEADER
+        text = {True: "True", False: "False", None: ""}
+        assert rows and rows == [
+            [str(p["treatment_j"]), str(p["treatment_k"]), text[p["reversed"]], p["margin"],
+             text[p["sufficient_condition"]]]
+            for p in payload["pairs"]
+        ]
+        no_delta = case.endswith("-no-delta")
+        assert all((p["sufficient_condition"] is None) == no_delta for p in payload["pairs"])
+        assert payload["reversed_pairs"] == [
+            [p["treatment_j"], p["treatment_k"]] for p in payload["pairs"] if p["reversed"]]
 
     def test_malformed_config_exits_nonzero(self, tmp_path, dgp_config, capsys):
         text = dgp_config.read_text().replace("probability: 0.5", "probability: 0.45", 1)
@@ -228,19 +249,16 @@ class TestOracleCommand:
         assert with_delta[0]["sufficient_condition"] is True
         assert without[0]["sufficient_condition"] is None
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_tied_pair_not_sufficient(self, tmp_path, tied_dgp, fmt):
+    def test_tied_pair_not_sufficient(self, tmp_path, tied_dgp):
         # Cov_1 < -delta and Cov_2 > delta, but a tie is no reversal
         cfg, out = tmp_path / "tied.yaml", tmp_path / "out"
         tr.write_dgp_config(tied_dgp, cfg)
-        assert run_cli("oracle", "--config", cfg, "--delta", 0.1, "--format", fmt, "--out", out) == 0
-        if fmt == "csv":
-            assert read_csv(out / "reversal.csv")[1] == [["1", "2", "False", "0.0", "False"]]
-        else:
-            payload = json.loads((out / "oracle.json").read_text())
-            assert payload["reversed_pairs"] == []
-            assert payload["pairs"] == [{"treatment_j": 1, "treatment_k": 2, "reversed": False,
-                                         "margin": 0.0, "sufficient_condition": False}]
+        assert run_cli("oracle", "--config", cfg, "--delta", 0.1, "--out", out) == 0
+        assert read_csv(out / "reversal.csv")[1] == [["1", "2", "False", "0.0", "False"]]
+        payload = json.loads((out / "oracle.json").read_text())
+        assert payload["reversed_pairs"] == []
+        assert payload["pairs"] == [{"treatment_j": 1, "treatment_k": 2, "reversed": False,
+                                     "margin": 0.0, "sufficient_condition": False}]
 
     @pytest.mark.parametrize("delta", ["nan", "0"])
     def test_delta_not_positive_exits_nonzero(self, tmp_path, dgp_config, capsys, delta):
@@ -262,16 +280,6 @@ class TestSampleCommand:
         out = tmp_path / "out"
         run_cli("sample", "--config", dgp_config, "--n", 50, "--seed", 4, "--out", out)
         assert tr.load_dataset_csv(out / "dataset.csv") == tr.sample(reversal_dgp, 50, seed=4)
-
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_format_rejected(self, tmp_path, capsys, dgp_config, fmt):
-        # sample writes one CSV and one YAML; a --format that changed nothing is refused
-        with pytest.raises(SystemExit) as exc:
-            run_cli("sample", "--config", dgp_config, "--n", 50, "--format", fmt,
-                    "--out", tmp_path / "o")
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --format" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
 
 
 class TestEstimateCommand:
@@ -339,8 +347,7 @@ class TestEstimateCommand:
         assert not (out / "estimates.csv").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_imported_data_without_controls_flags_treatment_only(self, tmp_path, fmt):
+    def test_imported_data_without_controls_flags_treatment_only(self, tmp_path):
         # treatment 2 has no control condition: w2 is always 1, and unclipped
         # its PLM residuals are all 0 and its AIPW control weights infinite
         gen = np.random.default_rng(5)
@@ -354,15 +361,9 @@ class TestEstimateCommand:
             for i in range(n):
                 fh.write(f"{float(y[i])!r},{w1[i]},1,{x[i]}\n")
         out = tmp_path / "out"
-        assert run_cli("estimate", "--data", path, "--out", out, "--format", fmt,
-                       "--clip", 0) == 0
-        if fmt == "csv":
-            header, rows = read_csv(out / "decomposition.csv")
-            assert header == cli.DECOMPOSITION_HEADER
-            errors = {int(r[0]): r[header.index("error")] for r in rows}
-        else:
-            rows = json.loads((out / "decomposition.json").read_text())
-            errors = {r["treatment"]: r.get("error", "") for r in rows}
+        assert run_cli("estimate", "--data", path, "--out", out, "--clip", 0) == 0
+        rows = json.loads((out / "decomposition.json").read_text())
+        errors = {r["treatment"]: r.get("error", "") for r in rows}
         assert errors[1] == ""
         assert "zero variation" in errors[2]
         # the error rows are where estimates.csv has a PLM or AIPW error
@@ -381,11 +382,7 @@ class TestEstimateCommand:
             estimates = list(csv.DictReader(fh))
         points = {(r["method"], int(r["treatment"])): float(r["point"])
                   for r in estimates if not r["error"]}
-        if (out / "decomposition.json").exists():
-            rows = json.loads((out / "decomposition.json").read_text())
-        else:
-            with open(out / "decomposition.csv", newline="") as fh:
-                rows = list(csv.DictReader(fh))
+        rows = json.loads((out / "decomposition.json").read_text())
         failed = {int(r["treatment"]) for r in estimates if r["method"] != "ipw" and r["error"]}
         assert {int(r["treatment"]) for r in rows if r.get("error")} == failed
         assert failed == ({1} if "no-control" in case else set())
@@ -395,18 +392,40 @@ class TestEstimateCommand:
             parts = ate + float(row["cov_tau_gamma"]) + float(row["remainder"])
             assert abs(wate - parts) <= 1e-12, row
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(c for c in _cases() if c.startswith("estimate-")))
+    def test_ranking_orders_the_estimates(self, tmp_path, case):
+        # on every pinned estimate case: ranking.json orders the AIPW and PLM points
+        # of estimates.csv, and its reversed pairs are where the two orders disagree
+        run_case(_cases()[case], tmp_path)
+        out = tmp_path / "out"
+        with open(out / "estimates.csv", newline="") as fh:
+            estimates = list(csv.DictReader(fh))
+        ate, wate = ({int(r["treatment"]): float(r["point"]) for r in estimates
+                      if r["method"] == method and not r["error"]} for method in ("aipw", "plm"))
+        assert set(ate) == set(wate)
+        pairs = list(combinations(sorted(ate), 2))
+        agree = [np.sign(ate[j] - ate[k]) == np.sign(wate[j] - wate[k]) for j, k in pairs]
+        assert json.loads((out / "ranking.json").read_text()) == {
+            "ordering_by_ate": sorted(ate, key=lambda t: (-ate[t], t)),
+            "ordering_by_wate": sorted(wate, key=lambda t: (-wate[t], t)),
+            "reversed_pairs": [[j, k] for j, k in pairs
+                               if (ate[j] - ate[k]) * (wate[j] - wate[k]) < 0],
+            "agreement": sum(agree) / len(pairs) if pairs else 1.0,
+        }
+
     def test_non_finite_outcome_becomes_error_rows(self, tmp_path):
         data = tr.sample(tr.preset("balanced").dgp, 400, seed=1)
         data.y[3] = np.nan
         path = tmp_path / "data.csv"
         tr.write_dataset_csv(data, path)
         out = tmp_path / "out"
-        assert run_cli("estimate", "--data", path, "--out", out, "--format", "csv") == 0
-        for name in ("estimates.csv", "decomposition.csv"):
-            header, rows = read_csv(out / name)
-            assert rows and all(row[header.index("error")] for row in rows), name
-        header, rows = read_csv(out / "decomposition.csv")
-        assert all("not finite" in row[header.index("error")] for row in rows)
+        assert run_cli("estimate", "--data", path, "--out", out) == 0
+        header, rows = read_csv(out / "estimates.csv")
+        assert rows and all(row[header.index("error")] for row in rows)
+        rows = json.loads((out / "decomposition.json").read_text())
+        assert [r["treatment"] for r in rows] == [1, 2]
+        assert all(set(r) == {"treatment", "error"} and "not finite" in r["error"] for r in rows)
 
     @pytest.mark.parametrize("flags", [
         ["--data", "{data}", "--config", "{config}"],
@@ -434,18 +453,18 @@ class TestEstimateCommand:
         assert "one of the arguments --data --config is required" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_csv_decomposition_headers(self, tmp_path, dgp_config):
+    def test_decomposition_fields(self, tmp_path, dgp_config):
         out = tmp_path / "out"
         assert run_cli(
-            "estimate", "--config", dgp_config, "--n", 2_000, "--seed", 7,
-            "--out", out, "--format", "csv",
+            "estimate", "--config", dgp_config, "--n", 2_000, "--seed", 7, "--out", out,
         ) == 0
-        header, rows = read_csv(out / "decomposition.csv")
-        assert header == cli.DECOMPOSITION_HEADER
-        assert len(rows) == 2
-        header, rows = read_csv(out / "decomposition_strata.csv")
-        assert header == cli.DECOMPOSITION_STRATA_HEADER
-        assert len(rows) == 4
+        rows = json.loads((out / "decomposition.json").read_text())
+        assert [list(r) for r in rows] == [
+            ["treatment", "source", "ate", "cov_tau_gamma", "wate", "remainder", "per_stratum"],
+        ] * 2
+        assert [list(s) for r in rows for s in r["per_stratum"]] == [
+            ["stratum", "probability", "tau", "gamma"],
+        ] * 4
 
 
 class TestMonteCarloCommand:
@@ -556,19 +575,48 @@ class TestMonteCarloCommand:
         assert err.startswith(f"treatrank {command}: error: {path}{context}")
         assert "NoneType" in err or "list" in err
 
-    def test_requires_preset_or_config(self, tmp_path, capsys):
-        assert run_cli("montecarlo", "--out", tmp_path / "o") == 1
-        assert "--preset or --config" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_format_rejected(self, tmp_path, capsys, fmt):
-        # a study writes both layouts; a --format that changed nothing is refused
+    @pytest.mark.parametrize("flags,message", [
+        ([], "one of the arguments --preset --config is required"),
+        (["--preset", "balanced", "--config", "{config}"],
+         "argument --config: not allowed with argument --preset"),
+    ])
+    def test_requires_preset_or_config(self, tmp_path, capsys, flags, message):
+        # a scenario given twice is not silently resolved to one of them
+        path = tmp_path / "scenario.yaml"
+        tr.write_scenario_config(tr.scaled(tr.preset("balanced"), num_reps=2, n_per_rep=200), path)
         with pytest.raises(SystemExit) as exc:
-            run_cli("montecarlo", "--preset", "balanced", "--reps", 2, "--n", 200,
-                    "--format", fmt, "--out", tmp_path / "o")
+            run_cli("montecarlo", *[f.format(config=path) for f in flags], "--out", tmp_path / "o")
         assert exc.value.code == 2
-        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_learner_flag_keeps_penalty_and_basis(self, tmp_path):
+        # --learner names the kind only: the scenario's ridge_penalty and basis stay
+        learner = tr.LearnerSpec(kind=tr.LearnerKind.LINEAR_RIDGE, ridge_penalty=2.0,
+                                 basis=tr.Basis.RAW_CODE)
+        config = tr.scaled(tr.preset("balanced"), num_reps=2, n_per_rep=200, learner=learner)
+        path, out = tmp_path / "scenario.yaml", tmp_path / "out"
+        tr.write_scenario_config(config, path)
+        assert run_cli("montecarlo", "--config", path, "--learner", "logistic_ridge",
+                       "--out", out) == 0
+        assert tr.load_scenario_config(out / "resolved_config.yaml").learner == tr.LearnerSpec(
+            kind=tr.LearnerKind.LOGISTIC_RIDGE, ridge_penalty=2.0, basis=tr.Basis.RAW_CODE)
+
+
+    @pytest.mark.parametrize("flags,field,value", [
+        (["--folds", "3"], "num_folds", 3),
+        (["--clip", "0.05"], "clip", 0.05),
+    ])
+    def test_fit_flag_overrides_its_field_only(self, tmp_path, flags, field, value):
+        # --folds and --clip each replace one setting: the scenario's learner stays whole
+        learner = tr.LearnerSpec(kind=tr.LearnerKind.LINEAR_RIDGE, ridge_penalty=2.0,
+                                 basis=tr.Basis.RAW_CODE)
+        config = tr.scaled(tr.preset("balanced"), num_reps=2, n_per_rep=200, learner=learner)
+        path, out = tmp_path / "scenario.yaml", tmp_path / "out"
+        tr.write_scenario_config(config, path)
+        assert run_cli("montecarlo", "--config", path, *flags, "--out", out) == 0
+        assert tr.load_scenario_config(out / "resolved_config.yaml") == replace(
+            tr.load_scenario_config(path), **{field: value})
 
 
 class TestFailedCommandOutput:
@@ -616,6 +664,22 @@ class TestCommands:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: treatrank {command}")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--config", "{config}"],
+        ["sample", "--config", "{config}", "--n", "50"],
+        ["estimate", "--config", "{config}", "--n", "50"],
+        ["montecarlo", "--preset", "balanced", "--reps", "2", "--n", "200"],
+    ])
+    def test_format_rejected(self, tmp_path, capsys, dgp_config, argv, fmt):
+        # every command writes one fixed set of files, so none takes a --format
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*[a.format(config=dgp_config) for a in argv], "--format", fmt,
+                    "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["reversal", "decompose"])
     def test_removed_commands_are_usage_errors(self, tmp_path, dgp_config, capsys, command):
         # oracle writes the reversal rows, estimate the decompositions
@@ -653,7 +717,7 @@ class TestInProcessCalls:
 
     # the pinned default case: stratum-mean learner, default folds and clip
     DEFAULT = ["estimate", "--config", "{tmp}/parallel.yaml", "--n", "300", "--seed", "4"]
-    PIN = PINS["estimate-parallel-stratum_mean-json"]
+    PIN = PINS["estimate-parallel-stratum_mean"]
     OVERRIDES = ["--learner", "logistic_ridge", "--folds", "3", "--clip", "0.05"]
 
     def run(self, tmp, *flags):

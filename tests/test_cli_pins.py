@@ -48,23 +48,17 @@ def _cases() -> dict[str, list[str]]:
     cases = {}
     for name in _dgps():
         cfg = f"{{tmp}}/{name}.yaml"
-        for fmt in ("json", "csv"):
-            cases[f"oracle-{name}-{fmt}"] = ["oracle", "--config", cfg, "--format", fmt, "--delta", "0.1"]
-            # without --delta the sufficient_condition column is empty
-            cases[f"oracle-{name}-{fmt}-no-delta"] = ["oracle", "--config", cfg, "--format", fmt]
+        cases[f"oracle-{name}"] = ["oracle", "--config", cfg, "--delta", "0.1"]
+        # without --delta the sufficient_condition column is empty
+        cases[f"oracle-{name}-no-delta"] = ["oracle", "--config", cfg]
         if name == "reversal":
             continue  # extreme propensities: sampled only through the montecarlo presets
         cases[f"sample-{name}"] = ["sample", "--config", cfg, "--n", str(N), "--seed", "3"]
         for learner in ("stratum_mean", "logistic_ridge"):
-            for fmt in ("json", "csv"):
-                cases[f"estimate-{name}-{learner}-{fmt}"] = [
-                    "estimate", "--config", cfg, "--n", str(N), "--seed", "4",
-                    "--learner", learner, "--format", fmt,
-                ]
-    for fmt in ("json", "csv"):
-        cases[f"estimate-no-control-{fmt}"] = [
-            "estimate", "--data", "{tmp}/no_control.csv", "--clip", "0", "--format", fmt,
-        ]
+            cases[f"estimate-{name}-{learner}"] = [
+                "estimate", "--config", cfg, "--n", str(N), "--seed", "4", "--learner", learner,
+            ]
+    cases["estimate-no-control"] = ["estimate", "--data", "{tmp}/no_control.csv", "--clip", "0"]
     cases["montecarlo-balanced"] = ["montecarlo", "--preset", "balanced", "--reps", "5", "--n", "200"]
     return cases
 
@@ -91,57 +85,27 @@ def run_case(argv: list[str], tmp: Path) -> dict[str, str]:
 
 
 PINS = {
-    "estimate-multinomial-logistic_ridge-csv": {
-        "decomposition.csv": "b23f954ed4f9ffe4cdd64240e3d8a2f705b2041c29da198eeedd2e99ad582df5",
-        "decomposition_strata.csv": "f2c1a6a439944102a9dbd3790b87387708c391639b91c19552bfa1fe047eb5d3",
-        "estimates.csv": "4ff823c52a9a65acbc5841d0ba3596d9f706f7437c283bd51fbda738be760e39",
-        "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
-    },
-    "estimate-multinomial-logistic_ridge-json": {
+    "estimate-multinomial-logistic_ridge": {
         "decomposition.json": "ab7a124bffb23457e63d5bc58177614ec543ef6fdb0dc63d5989348d3698f74f",
         "estimates.csv": "4ff823c52a9a65acbc5841d0ba3596d9f706f7437c283bd51fbda738be760e39",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
-    "estimate-multinomial-stratum_mean-csv": {
-        "decomposition.csv": "dac2005478d571efb15b6a27bd53dc2618eeeb5f7cb0a531653fbe9baf2ac960",
-        "decomposition_strata.csv": "cd3614bfcbc5f4186bac1d633ae34fff804b2630a8f66b2c53e362a213ae113f",
-        "estimates.csv": "4059cf764acb5645ce41bbc1c97d0136f1e33d35e6e113328b05d031be671db4",
-        "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
-    },
-    "estimate-multinomial-stratum_mean-json": {
+    "estimate-multinomial-stratum_mean": {
         "decomposition.json": "7be8a73e8f5b08c7a7e2132d1c2aea58e381337d12eda83956e8d07983df65fc",
         "estimates.csv": "4059cf764acb5645ce41bbc1c97d0136f1e33d35e6e113328b05d031be671db4",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
-    "estimate-no-control-csv": {
-        "decomposition.csv": "ff5978074963850eed2395de8fe52a326ae02d34f32fa95dcb8b8e76a23cf9c8",
-        "decomposition_strata.csv": "94f827cada1fa1c8daa214ac2c46cd1846ada1e5ad2dd5d78f08befe2beec350",
-        "estimates.csv": "929ecbed3969edb248f57c95c9c19ec6b9d5912dba39e5cb7e881ba48f727e32",
-        "ranking.json": "91bd4416347c7114d877274f2b78836a5970686ce08a9d304f004027bc8b6df2",
-    },
-    "estimate-no-control-json": {
+    "estimate-no-control": {
         "decomposition.json": "131942eb44fe4fbe81722a170687ddb4a56f7f79bf10231c12a020f5d7da1f24",
         "estimates.csv": "929ecbed3969edb248f57c95c9c19ec6b9d5912dba39e5cb7e881ba48f727e32",
         "ranking.json": "91bd4416347c7114d877274f2b78836a5970686ce08a9d304f004027bc8b6df2",
     },
-    "estimate-parallel-logistic_ridge-csv": {
-        "decomposition.csv": "35d8c9caf5bf43d3a02fd337530475586fa978ba81814dd90b113f3df7f8db32",
-        "decomposition_strata.csv": "90c0758f992ce2a76191713e5a3b86971858ff65832fe0362fc58f37da227629",
-        "estimates.csv": "731858c5769c2fe671ddb082612fa0163b4ca00744eb73bb5f75ae6159b697f5",
-        "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
-    },
-    "estimate-parallel-logistic_ridge-json": {
+    "estimate-parallel-logistic_ridge": {
         "decomposition.json": "51886f3e800251969629c6e0165561e99d09164bca7830a1c6af7338aa047f86",
         "estimates.csv": "731858c5769c2fe671ddb082612fa0163b4ca00744eb73bb5f75ae6159b697f5",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
-    "estimate-parallel-stratum_mean-csv": {
-        "decomposition.csv": "84d0cb5c3755378ef70352043197aa36a822cb3e69732328621a22f4ad148178",
-        "decomposition_strata.csv": "368f9428e60c3dd32355fb089b70f0e9d75372b17f2d3842cb5d05f22ffff8a2",
-        "estimates.csv": "339713640cd8ed0158f931cde44ea2130640a225973179d4f78a0b423dc81e8a",
-        "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
-    },
-    "estimate-parallel-stratum_mean-json": {
+    "estimate-parallel-stratum_mean": {
         "decomposition.json": "b08404b55ae6da342c880746da161a4def67b9cedb03a197b92c88719c324961",
         "estimates.csv": "339713640cd8ed0158f931cde44ea2130640a225973179d4f78a0b423dc81e8a",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
@@ -154,53 +118,41 @@ PINS = {
         "summary.csv": "60ddf1d5981d2102c2ffedba4070c920ea49d21aada3481858f5b0d630be952a",
         "summary.json": "cc63e2c5cc35b1807dbc455a8074950dfd4a074a78142fc3dcffd9d78632d35b",
     },
-    "oracle-multinomial-csv": {
+    "oracle-multinomial": {
         "oracle.csv": "cc3ca53933b6f39a6ebc7c93607b6b81cb727021b73fe9c0ec6a453df57161de",
+        "oracle.json": "8769de26eaa8081a2a92e5d8f4ecd2c5589df7301601e49902262fa2a8ab5937",
         "oracle_weights.csv": "8aebd252e79fe760c65532a7dfabf4bc7c898642def3b9cd3a4f8364516f22d2",
         "reversal.csv": "8fcb878e631e39d00af3cd43f2e3b89f231f0b6ea10376a567a14991f69ab7e8",
     },
-    "oracle-multinomial-csv-no-delta": {
+    "oracle-multinomial-no-delta": {
         "oracle.csv": "cc3ca53933b6f39a6ebc7c93607b6b81cb727021b73fe9c0ec6a453df57161de",
+        "oracle.json": "7e53b430ff5b14f8cd34a1b2cc4ceb1acadeb6889ac1a8647fb252a7853260d0",
         "oracle_weights.csv": "8aebd252e79fe760c65532a7dfabf4bc7c898642def3b9cd3a4f8364516f22d2",
         "reversal.csv": "4f255d36ceb617baa908aeef93fee07cf53a31b7cba1d5c41d85a9cfa5bf3611",
     },
-    "oracle-multinomial-json": {
-        "oracle.json": "8769de26eaa8081a2a92e5d8f4ecd2c5589df7301601e49902262fa2a8ab5937",
-    },
-    "oracle-multinomial-json-no-delta": {
-        "oracle.json": "7e53b430ff5b14f8cd34a1b2cc4ceb1acadeb6889ac1a8647fb252a7853260d0",
-    },
-    "oracle-parallel-csv": {
+    "oracle-parallel": {
         "oracle.csv": "713309b8107aba7bc5b3c08e6eba89b53cdce7ba15c057dd4376fbf956dc4012",
+        "oracle.json": "8813eab346cb3dbe3d128590ee69ed1f25f9bb0cbc702d805f415db4258e7a63",
         "oracle_weights.csv": "67650e94131e40cf4507d9e23c7868baa9da9bb45a72f089fd47d22002d7552e",
         "reversal.csv": "042c468d3eca65e057a0adb7989c9579e577df0ed1617b8f2e0d52c7b1482965",
     },
-    "oracle-parallel-csv-no-delta": {
+    "oracle-parallel-no-delta": {
         "oracle.csv": "713309b8107aba7bc5b3c08e6eba89b53cdce7ba15c057dd4376fbf956dc4012",
+        "oracle.json": "dbd8a29094060ef473f928e7a9729cd8c12c647e630705d70bad0855790809e8",
         "oracle_weights.csv": "67650e94131e40cf4507d9e23c7868baa9da9bb45a72f089fd47d22002d7552e",
         "reversal.csv": "5c8424f78da6a22ba82e6f5bf5bed7419bd2431f2138ecfc153b765491ada886",
     },
-    "oracle-parallel-json": {
-        "oracle.json": "8813eab346cb3dbe3d128590ee69ed1f25f9bb0cbc702d805f415db4258e7a63",
-    },
-    "oracle-parallel-json-no-delta": {
-        "oracle.json": "dbd8a29094060ef473f928e7a9729cd8c12c647e630705d70bad0855790809e8",
-    },
-    "oracle-reversal-csv": {
+    "oracle-reversal": {
         "oracle.csv": "9a2aa9b26f62f078ba47cbdf5833d4913a4407ea346daecf04c111f6b35ef95b",
+        "oracle.json": "053cac918bedb457ca814a46377361a121ca7d746861bde6d836d539d388753c",
         "oracle_weights.csv": "e83dd48818323e27cf04f771441cefded0b675557a52f5a3a4780280b56c1cac",
         "reversal.csv": "17f5b5e80b1cf5cf6e5348b72ac77fc832762081a180dd981a64122e74b91727",
     },
-    "oracle-reversal-csv-no-delta": {
+    "oracle-reversal-no-delta": {
         "oracle.csv": "9a2aa9b26f62f078ba47cbdf5833d4913a4407ea346daecf04c111f6b35ef95b",
+        "oracle.json": "462e728acbf446400fb8bd2c81e7862937754da286907cf7a90412b42644fb38",
         "oracle_weights.csv": "e83dd48818323e27cf04f771441cefded0b675557a52f5a3a4780280b56c1cac",
         "reversal.csv": "239fe21adcb344203792c0851a3e3d22262c5de66b40c5a9709f4406f0f3a3be",
-    },
-    "oracle-reversal-json": {
-        "oracle.json": "053cac918bedb457ca814a46377361a121ca7d746861bde6d836d539d388753c",
-    },
-    "oracle-reversal-json-no-delta": {
-        "oracle.json": "462e728acbf446400fb8bd2c81e7862937754da286907cf7a90412b42644fb38",
     },
     "sample-multinomial": {
         "dataset.csv": "c424bd363f546c4b22558817f6c1c8eb24154f6472a564abf20078100cd3aa58",
@@ -229,7 +181,7 @@ def test_cli_output_bytes_pinned(case, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(PAIRS_PINS))
 def test_oracle_pairs_pinned(name, tmp_path):
-    run_case(_cases()[f"oracle-{name}-json-no-delta"], tmp_path)
+    run_case(_cases()[f"oracle-{name}-no-delta"], tmp_path)
     pairs = json.loads((tmp_path / "out" / "oracle.json").read_text())["pairs"]
     text = json.dumps({"pairs": pairs}, indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == PAIRS_PINS[name]

@@ -67,10 +67,10 @@ def test_random_tables(basis, penalty):
 
 def test_one_row_keeps_its_shape():
     X, count, total = np.eye(3), np.array([10.0, 20.0, 30.0]), np.array([3.0, 11.0, 25.0])
-    beta = nuisance._logistic_ridge_beta(X, count, total, 0.0)
-    stacked = nuisance._logistic_ridge_beta(X, count[None], total[None], 0.0)
-    assert beta.shape == (3,) and stacked.shape == (1, 3)
-    assert beta.tobytes() == stacked[0].tobytes() == newton(X, count, total, 0.0)[0].tobytes()
+    beta, steps, errors = nuisance._newton(X, count[None], total[None], 0.0)
+    assert beta.shape == (1, 3) and steps.shape == (1,) and not errors
+    want, want_steps, _ = newton(X, count, total, 0.0)
+    assert beta[0].tobytes() == want.tobytes() and steps[0] == want_steps
 
 
 def test_nan_gradient_runs_to_the_cap_as_alone():
