@@ -1,9 +1,10 @@
 """Run the full replication study: every scenario preset at full scale.
 
 Each scenario runs through ``treatrank montecarlo --preset NAME``, which
-writes its output directory (resolved config, summary, per-replicate
-estimates, ranking rates, histogram data). This script adds a combined
-ranking-rate table over the scenarios. Reduce --reps / --n for a quick pass.
+writes its output directory (``summary.json`` and the resolved config).
+This script adds ``ranking_rates.csv``, each scenario's correct-ranking
+rate per method, read from its ``summary.json``. Reduce --reps / --n for a
+quick pass.
 
     python scripts/run_study.py --out results/ --workers 4
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 from pathlib import Path
 
@@ -41,14 +43,13 @@ def main() -> None:
         print(f"== {name} ...", flush=True)
         if cli.main(argv) != 0:
             sys.exit(f"scenario {name} failed")
-        with open(out / "ranking_rates.csv", newline="") as fh:
-            rates = list(csv.DictReader(fh))
-        print("   ranking rates " + ", ".join(
-            f"{r['method']} {r['correct_ranking_rate']}" for r in rates))
-        combined += [{"scenario": name, **r} for r in rates]
+        rates = json.loads((out / "summary.json").read_text())["result"]["correct_ranking_rate"]
+        print("   ranking rates " + ", ".join(f"{m} {r}" for m, r in rates.items()))
+        combined += [{"scenario": name, "method": m, "correct_ranking_rate": r}
+                     for m, r in rates.items()]
 
     with open(args.out / "ranking_rates.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["scenario", *cli.RANKING_RATES_HEADER])
+        writer = csv.DictWriter(fh, fieldnames=["scenario", "method", "correct_ranking_rate"])
         writer.writeheader()
         writer.writerows(combined)
     print(f"done -> {args.out}")

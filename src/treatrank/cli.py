@@ -6,7 +6,7 @@ Subcommands:
                   the delta-sufficient conditions) for a DGP config
 * ``sample``      draw a dataset from a DGP config and write it as CSV
 * ``estimate``    PLM/AIPW/IPW estimates, decompositions, and ranking
-* ``montecarlo``  run a replication scenario and emit summary/plot data
+* ``montecarlo``  run a replication scenario as its config sets it
 
 Each command writes one fixed set of files, and each output has one
 producer: only ``oracle`` writes reversal rows (``oracle.json`` and its
@@ -27,7 +27,6 @@ import json
 import shutil
 import sys
 from contextlib import suppress
-from dataclasses import replace
 from itertools import combinations, takewhile
 from pathlib import Path
 
@@ -52,7 +51,7 @@ from .diagnostics import (
     sufficient_condition_check,
 )
 from .estimators import ESTIMATION_ERRORS, ESTIMATORS, Method
-from .montecarlo import histogram_rows, preset, replicate_rows, run_scenario, scaled, summarize
+from .montecarlo import preset, run_scenario, scaled, summarize
 from .nuisance import (
     DEFAULT_CLIP, DEFAULT_NUM_FOLDS, LearnerKind, LearnerSpec, NuisanceFit, assign_folds, fit_crossfit,
 )
@@ -61,14 +60,6 @@ ESTIMATES_HEADER = ["treatment", "method", "estimand", "point", "std_error", "n_
 REVERSAL_HEADER = ["treatment_j", "treatment_k", "reversed", "margin", "sufficient_condition"]
 ORACLE_HEADER = ["treatment", "ate", "wate", "cov_tau_gamma"]
 ORACLE_WEIGHTS_HEADER = ["treatment", "stratum", "probability", "tau", "gamma"]
-REPLICATES_HEADER = ["replicate", "method", "treatment", "estimate"]
-RANKING_RATES_HEADER = ["method", "correct_ranking_rate"]
-HISTOGRAM_HEADER = ["method", "treatment", "bin_left", "bin_right", "count"]
-SUMMARY_HEADER = [
-    "scenario", "method", "treatment", "mean", "sd", "q025", "q500", "q975",
-    "oracle_ate", "oracle_wate", "bias_vs_ate", "bias_vs_wate",
-    "correct_ranking_rate", "failures",
-]
 
 
 def _write_json(path: Path, obj) -> None:
@@ -219,33 +210,19 @@ def cmd_estimate(args: argparse.Namespace) -> None:
 
 def cmd_montecarlo(args: argparse.Namespace) -> None:
     config = preset(args.preset) if args.preset is not None else load_scenario_config(args.config)
-    config = scaled(
-        config,
-        n_per_rep=args.n,
-        num_reps=args.reps,
-        seed=args.seed,
-        num_folds=args.folds,
-        # the flag names the kind only: the scenario's penalty and basis stay
-        learner=replace(config.learner, kind=args.learner) if args.learner is not None else None,
-        clip=args.clip,
-    )
+    # the fitting settings (folds, learner, clip) are the scenario's own
+    config = scaled(config, n_per_rep=args.n, num_reps=args.reps, seed=args.seed)
     result = run_scenario(config, workers=args.workers)
-    summary = summarize(result)
+    write_scenario_config(config, args.out / "resolved_config.yaml")
+    _write_json(args.out / "summary.json",
+                {"result": result.to_dict(), "summary": summarize(result)})
 
-    out = args.out
-    write_scenario_config(config, out / "resolved_config.yaml")
-    _write_json(out / "summary.json", {"result": result.to_dict(), "summary": summary})
-    _write_csv(out / "summary.csv", SUMMARY_HEADER, summary)
-    _write_csv(out / "replicates.csv", REPLICATES_HEADER, replicate_rows(result))
-    _write_csv(
-        out / "ranking_rates.csv",
-        RANKING_RATES_HEADER,
-        (
-            {"method": m, "correct_ranking_rate": r}
-            for m, r in result.correct_ranking_rate.items()
-        ),
-    )
-    _write_csv(out / "estimate_histograms.csv", HISTOGRAM_HEADER, histogram_rows(result))
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer >= 0, as every ``rng`` seed is."""
+    if not text.strip().removeprefix("+").isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 class _DataExcludesN(argparse.Action):
@@ -267,7 +244,7 @@ class _DataExcludesN(argparse.Action):
 def build_parser() -> argparse.ArgumentParser:
     """The ``treatrank`` argument parser, built on the first call and shared after.
 
-    Building it (four subcommands, about 30 arguments) takes about 1.5 ms,
+    Building it (four subcommands, about 25 arguments) takes about 1.5 ms,
     as long as a third of a ``sample`` at n = 200, so ``main`` parses every
     argv of a process with this one parser. ``parse_args`` only reads a
     parser and fills a fresh namespace, so no call sees another's
@@ -284,15 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    help="DGP or scenario config file (YAML)")
         p.add_argument("--out", type=Path, required=True, help="output directory")
 
-    def add_fit_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--folds", type=int, default=None,
-                       help=f"cross-fitting folds (default {DEFAULT_NUM_FOLDS})")
-        p.add_argument("--learner", choices=tuple(k.value for k in LearnerKind),
-                       default=None,
-                       help="nuisance learner (default stratum_mean)")
-        p.add_argument("--clip", type=float, default=None,
-                       help=f"propensity clipping bound (default {DEFAULT_CLIP})")
-
     # every command writes one fixed set of files: none takes a --format
     p = sub.add_parser("oracle", help="closed-form estimands and reversal flags")
     add_common(p, config_required=True)
@@ -302,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw a dataset from a DGP config")
     add_common(p, config_required=True)
     p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--seed", type=int, default=0, help="dataset seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="dataset seed (default 0)")
 
     # estimate samples --n units from --config, or imports --data
     p = sub.add_parser("estimate", help="PLM/AIPW/IPW estimates, decompositions, and ranking")
@@ -312,12 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, source=source)
     p.add_argument("--n", type=int, default=None, action=_DataExcludesN,
                    help="sample size (with --config)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="dataset seed with --config, fold seed with --data (default 0)")
-    add_fit_flags(p)
-    # montecarlo keeps None for these: "use the scenario's own setting"
-    p.set_defaults(folds=DEFAULT_NUM_FOLDS, learner=LearnerKind.STRATUM_MEAN.value,
-                   clip=DEFAULT_CLIP)
+    p.add_argument("--folds", type=int, default=DEFAULT_NUM_FOLDS,
+                   help="cross-fitting folds (default %(default)s)")
+    p.add_argument("--learner", choices=tuple(k.value for k in LearnerKind),
+                   default=LearnerKind.STRATUM_MEAN.value, help="nuisance learner (default %(default)s)")
+    p.add_argument("--clip", type=float, default=DEFAULT_CLIP,
+                   help="propensity clipping bound (default %(default)s)")
 
     p = sub.add_parser("montecarlo", help="run a replication scenario")
     source = p.add_mutually_exclusive_group(required=True)
@@ -326,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="override observations per replicate")
     p.add_argument("--reps", type=int, default=None, help="override replicate count")
     p.add_argument("--workers", type=int, default=1, help="processes, this one included (default 1)")
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    add_fit_flags(p)
+    p.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
 
     return parser
 

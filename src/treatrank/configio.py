@@ -232,6 +232,8 @@ class ScenarioConfig:
             raise ValueError(f"n_per_rep must be >= 1, got {self.n_per_rep}")
         if self.num_reps < 1:
             raise ValueError(f"num_reps must be >= 1, got {self.num_reps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 2 <= self.num_folds <= self.n_per_rep:
             raise ValueError(
                 f"num_folds must be in [2, n_per_rep={self.n_per_rep}], got {self.num_folds}"

@@ -73,7 +73,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import combinations
 from multiprocessing.connection import Connection
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -106,8 +106,6 @@ TASK_REPLICATES = 250
 LAYER_SECONDS = ("unit_seconds", "fit_seconds", "estimator_seconds")
 
 _COV_ZERO_TOL = 1e-9
-
-HISTOGRAM_BINS = 40
 
 
 class ScenarioName(str, Enum):
@@ -543,38 +541,6 @@ def summarize(result: MonteCarloResult) -> list[dict]:
                 }
             )
     return rows
-
-
-def replicate_rows(result: MonteCarloResult) -> Iterator[dict]:
-    """One row per replicate x method x treatment, for external plotting."""
-    for method, arr in result.estimates.items():
-        for r in range(result.num_reps):
-            for idx, j in enumerate(result.treatments):
-                v = arr[r, idx]
-                yield {
-                    "replicate": r,
-                    "method": method,
-                    "treatment": j,
-                    "estimate": None if np.isnan(v) else float(v),
-                }
-
-
-def histogram_rows(result: MonteCarloResult) -> Iterator[dict]:
-    """Estimate counts in ``HISTOGRAM_BINS`` bins per method x treatment (histogram plot data)."""
-    for method, arr in result.estimates.items():
-        for idx, j in enumerate(result.treatments):
-            finite = arr[:, idx][np.isfinite(arr[:, idx])]
-            if finite.size == 0:
-                continue
-            counts, edges = np.histogram(finite, bins=HISTOGRAM_BINS)
-            for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
-                yield {
-                    "method": method,
-                    "treatment": j,
-                    "bin_left": float(lo),
-                    "bin_right": float(hi),
-                    "count": int(c),
-                }
 
 
 def scaled(config: ScenarioConfig, n_per_rep: int | None = None, num_reps: int | None = None,

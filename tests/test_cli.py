@@ -474,19 +474,15 @@ class TestMonteCarloCommand:
             "montecarlo", "--preset", "extreme_heterogeneity",
             "--reps", 16, "--n", 1_000, "--workers", 2, "--out", out,
         ) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.yaml", "summary.json"]
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["result"]["num_reps"] == 16
-        header, rows = read_csv(out / "replicates.csv")
-        assert header == cli.REPLICATES_HEADER
-        assert len(rows) == 16 * 3 * 2
-        header, rows = read_csv(out / "ranking_rates.csv")
-        assert header == cli.RANKING_RATES_HEADER
-        rates = {r[0]: float(r[1]) for r in rows}
-        assert set(rates) == {"plm", "aipw", "ipw"}
-        header, _ = read_csv(out / "estimate_histograms.csv")
-        assert header == cli.HISTOGRAM_HEADER
-        header, _ = read_csv(out / "summary.csv")
-        assert header == cli.SUMMARY_HEADER
+        result = summary["result"]
+        assert result["num_reps"] == 16 and result["workers"] == 2
+        assert {m: np.shape(e) for m, e in result["estimates"].items()} == dict.fromkeys(
+            ("plm", "aipw", "ipw"), (16, 2))
+        assert all(0.0 <= r <= 1.0 for r in result["correct_ranking_rate"].values())
+        assert result["runtime_seconds"] > 0
+        assert len(summary["summary"]) == 3 * 2
         # the resolved config reproduces the run
         config = tr.load_scenario_config(out / "resolved_config.yaml")
         assert config.num_reps == 16
@@ -495,25 +491,18 @@ class TestMonteCarloCommand:
     def test_study_whose_every_fit_fails(self, tmp_path):
         # eight units over five folds leave a logistic training split with a
         # single class, so the one replicate's fit fails
-        out = tmp_path / "out"
-        assert run_cli(
-            "montecarlo", "--preset", "extreme_heterogeneity", "--reps", 1, "--n", 8,
-            "--learner", "logistic_ridge", "--out", out,
-        ) == 0
-        assert sorted(p.name for p in out.iterdir()) == [
-            "estimate_histograms.csv", "ranking_rates.csv", "replicates.csv",
-            "resolved_config.yaml", "summary.csv", "summary.json",
-        ]
+        config = replace(tr.scaled(tr.preset("extreme_heterogeneity"), num_reps=1, n_per_rep=8),
+                         learner=tr.LearnerSpec(kind=tr.LearnerKind.LOGISTIC_RIDGE))
+        path, out = tmp_path / "scenario.yaml", tmp_path / "out"
+        tr.write_scenario_config(config, path)
+        assert run_cli("montecarlo", "--config", path, "--out", out) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.yaml", "summary.json"]
         summary = json.loads((out / "summary.json").read_text())
         assert summary["result"]["failure_count"] == 6
+        assert summary["result"]["learner"]["kind"] == "logistic_ridge"
         assert [(r["failures"], r["mean"]) for r in summary["summary"]] == [(1, None)] * 6
-        header, rows = read_csv(out / "summary.csv")
-        assert header == cli.SUMMARY_HEADER and len(rows) == 6
-        assert all(r[header.index("mean")] == "" for r in rows)
-        _, rows = read_csv(out / "estimate_histograms.csv")
-        assert rows == []
+        assert summary["result"]["estimates"] == dict.fromkeys(("plm", "aipw", "ipw"), [[None] * 2])
         # no replicate has every estimate, so no ranking rate
-        assert read_csv(out / "ranking_rates.csv")[1] == [[m, ""] for m in ("plm", "aipw", "ipw")]
         assert summary["result"]["correct_ranking_rate"] == dict.fromkeys(("plm", "aipw", "ipw"))
 
     def test_unknown_preset_lists_names(self, tmp_path, capsys):
@@ -536,6 +525,7 @@ class TestMonteCarloCommand:
         ("num_folds", 501, "num_folds must be in [2, n_per_rep=500], got 501"),
         ("clip", 0.7, "clip must be in [0, 0.5), got 0.7"),
         ("clip", -0.1, "clip must be in [0, 0.5), got -0.1"),
+        ("seed", -3, "seed must be >= 0, got -3"),
     ])
     def test_invalid_settings_rejected_at_load(self, tmp_path, capsys, field, value, message):
         path = tmp_path / "scenario.yaml"
@@ -590,33 +580,17 @@ class TestMonteCarloCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_learner_flag_keeps_penalty_and_basis(self, tmp_path):
-        # --learner names the kind only: the scenario's ridge_penalty and basis stay
-        learner = tr.LearnerSpec(kind=tr.LearnerKind.LINEAR_RIDGE, ridge_penalty=2.0,
-                                 basis=tr.Basis.RAW_CODE)
-        config = tr.scaled(tr.preset("balanced"), num_reps=2, n_per_rep=200, learner=learner)
-        path, out = tmp_path / "scenario.yaml", tmp_path / "out"
-        tr.write_scenario_config(config, path)
-        assert run_cli("montecarlo", "--config", path, "--learner", "logistic_ridge",
-                       "--out", out) == 0
-        assert tr.load_scenario_config(out / "resolved_config.yaml").learner == tr.LearnerSpec(
-            kind=tr.LearnerKind.LOGISTIC_RIDGE, ridge_penalty=2.0, basis=tr.Basis.RAW_CODE)
-
-
-    @pytest.mark.parametrize("flags,field,value", [
-        (["--folds", "3"], "num_folds", 3),
-        (["--clip", "0.05"], "clip", 0.05),
+    @pytest.mark.parametrize("flag,value", [
+        ("--folds", "3"), ("--learner", "logistic_ridge"), ("--clip", "0.05"),
     ])
-    def test_fit_flag_overrides_its_field_only(self, tmp_path, flags, field, value):
-        # --folds and --clip each replace one setting: the scenario's learner stays whole
-        learner = tr.LearnerSpec(kind=tr.LearnerKind.LINEAR_RIDGE, ridge_penalty=2.0,
-                                 basis=tr.Basis.RAW_CODE)
-        config = tr.scaled(tr.preset("balanced"), num_reps=2, n_per_rep=200, learner=learner)
-        path, out = tmp_path / "scenario.yaml", tmp_path / "out"
-        tr.write_scenario_config(config, path)
-        assert run_cli("montecarlo", "--config", path, *flags, "--out", out) == 0
-        assert tr.load_scenario_config(out / "resolved_config.yaml") == replace(
-            tr.load_scenario_config(path), **{field: value})
+    def test_fit_flags_are_the_scenarios(self, tmp_path, capsys, flag, value):
+        # the scenario config owns the folds, learner and clip a run fits with
+        with pytest.raises(SystemExit) as exc:
+            run_cli("montecarlo", "--preset", "balanced", "--reps", 2, "--n", 200, flag, value,
+                    "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestFailedCommandOutput:
@@ -703,6 +677,22 @@ class TestSeedPropagation:
         read = lambda p: (p / "estimates.csv").read_text()
         assert read(out_a) == read(out_b)
         assert read(out_a) != read(out_c)
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--config", "{config}", "--n", "50"],
+        ["estimate", "--config", "{config}", "--n", "50"],
+        ["montecarlo", "--preset", "balanced", "--reps", "2", "--n", "200"],
+    ])
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_is_a_usage_error(self, tmp_path, dgp_config, capsys, argv, seed):
+        # every rng seed is >= 0: a usage error, not a failure inside the run
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*[a.format(config=dgp_config) for a in argv], "--seed", seed,
+                    "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert (f"argument --seed: seed must be an integer >= 0, got '{seed}'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     def test_closed_form_commands_take_no_seed(self, tmp_path, dgp_config, capsys):
         # oracle's output is a function of the config alone

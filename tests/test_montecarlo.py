@@ -356,18 +356,6 @@ class TestSummaries:
         with pytest.raises(ValueError):
             tr.summarize(hollow)
 
-    def test_replicate_rows_cover_everything(self):
-        result = tr.run_scenario(small(num_reps=5))
-        rows = list(montecarlo.replicate_rows(result))
-        assert len(rows) == 5 * 3 * 2
-        assert all(r["estimate"] is not None for r in rows)
-
-    def test_histogram_rows_count_all_estimates(self):
-        result = tr.run_scenario(small(num_reps=10))
-        rows = list(montecarlo.histogram_rows(result))
-        total = sum(r["count"] for r in rows if r["method"] == "plm")
-        assert total == 10 * 2
-
     def test_canonical_bytes_exclude_runtime(self):
         result = tr.run_scenario(small(num_reps=2))
         slower = replace(result, runtime_seconds=result.runtime_seconds + 99.0, workers=8)

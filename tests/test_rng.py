@@ -237,12 +237,16 @@ class TestNegativeSeeds:
             tr.assign_folds(10, 5, [-1])
 
     def test_cli_sample(self, tmp_path, reversal_dgp, capsys):
+        # the CLI refuses a negative --seed as a usage error before rng sees it
         config = tmp_path / "dgp.yaml"
         tr.write_dgp_config(reversal_dgp, config)
-        code = cli.main(["sample", "--config", str(config), "--n", "10", "--seed", "-1",
-                         "--out", str(tmp_path / "out")])
-        assert code == 1
-        assert self.MESSAGE in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sample", "--config", str(config), "--n", "10", "--seed", "-1",
+                      "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: seed must be an integer >= 0" in err
+        assert self.MESSAGE not in err
 
 
 class TestBigSeeds:
