@@ -5,7 +5,8 @@ Subcommands:
 * ``oracle``      closed-form estimands and pairwise reversal checks (plus
                   the delta-sufficient conditions) for a DGP config
 * ``sample``      draw a dataset from a DGP config and write it as CSV
-* ``estimate``    PLM/AIPW/IPW estimates, decompositions, and ranking
+* ``estimate``    PLM/AIPW/IPW estimates, decompositions, and ranking of a
+                  dataset CSV, such as one ``sample`` wrote
 * ``montecarlo``  run a replication scenario as its config sets it
 
 Each command writes one fixed set of files, and each output has one
@@ -30,7 +31,6 @@ from contextlib import suppress
 from itertools import combinations, takewhile
 from pathlib import Path
 
-from . import rng
 from .configio import (
     ConfigError,
     load_dataset_csv,
@@ -40,7 +40,7 @@ from .configio import (
     write_dgp_config,
     write_scenario_config,
 )
-from .dgp import Dataset, StratifiedDGP, sample
+from .dgp import Dataset, sample
 from .diagnostics import (
     DecompositionReport,
     NotEstimableError,
@@ -127,30 +127,18 @@ def cmd_oracle(args: argparse.Namespace) -> None:
     _write_csv(args.out / "reversal.csv", REVERSAL_HEADER, pairs)
 
 
-def _sampled(args) -> tuple[Dataset, StratifiedDGP]:
-    """``--n`` units drawn from the ``--config`` DGP with ``--seed``."""
-    dgp = load_dgp_config(args.config)
-    if args.n is None or args.n < 1:
-        raise ConfigError(f"--n must be a positive sample size, got {args.n}")
-    return sample(dgp, args.n, args.seed), dgp
-
-
 def cmd_sample(args: argparse.Namespace) -> None:
-    data, dgp = _sampled(args)
-    write_dataset_csv(data, args.out / "dataset.csv")
+    dgp = load_dgp_config(args.config)
+    if args.n < 1:
+        raise ConfigError(f"--n must be a positive sample size, got {args.n}")
+    write_dataset_csv(sample(dgp, args.n, args.seed), args.out / "dataset.csv")
     write_dgp_config(dgp, args.out / "resolved_dgp.yaml")
 
 
 def _fitted(args) -> tuple[Dataset, NuisanceFit]:
-    """The ``--data`` or sampled dataset and its cross-fitted nuisances."""
-    if args.data is not None:
-        data = load_dataset_csv(args.data)
-        fold_seed = args.seed
-    else:
-        data, _ = _sampled(args)
-        # the fold stream of --seed itself is the sample's stratum stream
-        fold_seed = rng.child_seed(args.seed, rng.FOLD)
-    folds = assign_folds(data.n, args.folds, fold_seed)
+    """The ``--data`` dataset and its cross-fitted nuisances, on the folds of ``--seed``."""
+    data = load_dataset_csv(args.data)
+    folds = assign_folds(data.n, args.folds, args.seed)
     return data, fit_crossfit(data, LearnerSpec(kind=args.learner), folds, args.clip)
 
 
@@ -225,26 +213,11 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-class _DataExcludesN(argparse.Action):
-    """``estimate``'s ``--data`` or ``--n``: the two together are a usage error.
-
-    ``--data`` is already in ``--config``'s mutually exclusive group, and
-    argparse puts an option in one group at most, so this action checks the
-    pair as argparse checks a group: when the second of them is parsed.
-    """
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        other = "n" if self.dest == "data" else "data"
-        if getattr(namespace, other) is not None:
-            parser.error(f"argument {option_string}: not allowed with argument --{other}")
-        setattr(namespace, self.dest, values)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``treatrank`` argument parser, built on the first call and shared after.
 
-    Building it (four subcommands, about 25 arguments) takes about 1.5 ms,
+    Building it (four subcommands, 20 arguments) takes about 1.5 ms,
     as long as a third of a ``sample`` at n = 200, so ``main`` parses every
     argv of a process with this one parser. ``parse_args`` only reads a
     parser and fills a fresh namespace, so no call sees another's
@@ -256,32 +229,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, config_required: bool = False, source=None) -> None:
-        (source or p).add_argument("--config", type=Path, required=config_required,
+    def add_common(p: argparse.ArgumentParser, source=None) -> None:
+        # --config is required unless it is one of a required group's options
+        (source or p).add_argument("--config", type=Path, required=source is None,
                                    help="DGP or scenario config file (YAML)")
         p.add_argument("--out", type=Path, required=True, help="output directory")
 
     # every command writes one fixed set of files: none takes a --format
     p = sub.add_parser("oracle", help="closed-form estimands and reversal flags")
-    add_common(p, config_required=True)
+    add_common(p)
     p.add_argument("--delta", type=float, default=None,
                    help="also evaluate the delta-sufficient conditions")
 
     p = sub.add_parser("sample", help="draw a dataset from a DGP config")
-    add_common(p, config_required=True)
+    add_common(p)
     p.add_argument("--n", type=int, required=True, help="sample size")
     p.add_argument("--seed", type=_seed, default=0, help="dataset seed (default 0)")
 
-    # estimate samples --n units from --config, or imports --data
     p = sub.add_parser("estimate", help="PLM/AIPW/IPW estimates, decompositions, and ranking")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--data", type=Path, default=None, action=_DataExcludesN,
-                        help="dataset CSV to import")
-    add_common(p, source=source)
-    p.add_argument("--n", type=int, default=None, action=_DataExcludesN,
-                   help="sample size (with --config)")
-    p.add_argument("--seed", type=_seed, default=0,
-                   help="dataset seed with --config, fold seed with --data (default 0)")
+    p.add_argument("--data", type=Path, required=True, help="dataset CSV to import")
+    p.add_argument("--out", type=Path, required=True, help="output directory")
+    p.add_argument("--seed", type=_seed, default=0, help="fold seed (default 0)")
     p.add_argument("--folds", type=int, default=DEFAULT_NUM_FOLDS,
                    help="cross-fitting folds (default %(default)s)")
     p.add_argument("--learner", choices=tuple(k.value for k in LearnerKind),

@@ -41,6 +41,18 @@ class OverlapError(ValueError):
     """Raised when a propensity table violates strict overlap."""
 
 
+def exact_int64(values: NDArray) -> bool:
+    """Whether every value is an integer in [-2**63, 2**63), which int64 holds exactly.
+
+    NaN and infinities are not; a cast to int64 would turn them, and values
+    out of range, into one wrapped or saturated code.
+    """
+    if values.dtype.kind in "bi" or values.size == 0:
+        return True
+    return bool(values.min() >= -2**63 and values.max() < 2**63
+                and np.all(values == np.round(values)))
+
+
 def code_positions(known: NDArray, codes: NDArray) -> NDArray[np.int64]:
     """Position in ``known`` (distinct stratum codes) of each of ``codes``.
 
@@ -220,9 +232,10 @@ class Dataset:
 
     ``w`` has one 0/1 column per treatment, and at least one column. Under
     MULTINOMIAL assignment the rows are one-hot (all-zero rows are control
-    units). Any other indicator, and a stratum code that is not an integer,
-    raises ``ValueError``. The arrays are not modified after construction:
-    the stratum grouping is computed once and shared by every fit.
+    units). Any other indicator, and a stratum code that is not an integer
+    in [-2**63, 2**63), raises ``ValueError``. The arrays are not modified
+    after construction: the stratum grouping is computed once and shared by
+    every fit.
 
     A *block* of datasets, all of ``n`` units, stacks them along a leading
     axis: ``y`` and ``x`` are ``(B, n)`` and ``w`` is ``(B, n, K)``. Fits and
@@ -246,8 +259,8 @@ class Dataset:
         # checked before the casts, which would truncate 0.7 or 0.5 to 0
         if np.any((w != 0) & (w != 1)):
             raise ValueError("treatment indicators must be 0/1")
-        if x.dtype.kind not in "biu" and not np.all(np.isfinite(x) & (x == np.round(x))):
-            raise ValueError("stratum codes must be integers")
+        if not exact_int64(x):
+            raise ValueError("stratum codes must be integers in [-2**63, 2**63)")
         self.y = np.asarray(self.y, dtype=np.float64)
         self.w = w.astype(np.int8, copy=False)
         self.x = x.astype(np.int64, copy=False)
@@ -527,8 +540,8 @@ def sample(dgp: StratifiedDGP, n: int, seed: int | Sequence[int] | rng.Streams) 
     :class:`Dataset`): each seed's streams fill one row of the ``(B, n)``
     draws, every later step is elementwise, and row ``b`` is bit for bit
     ``sample(dgp, n, seed[b])``. The seeds' three streams ``STRATUM``,
-    ``TREATMENT`` and ``NOISE``, keyed by ``rng.streams(seeds, 3)``, may
-    stand in for them; streams with another number of rows are refused.
+    ``TREATMENT`` and ``NOISE``, keyed by ``rng.streams(seeds, rng.SAMPLE_TAGS)``,
+    may stand in for them; streams of other tags are refused.
 
     The units are grouped on the DGP's stratum codes in ascending order,
     some perhaps without units, through the stratum index of the draw, so
@@ -541,7 +554,7 @@ def sample(dgp: StratifiedDGP, n: int, seed: int | Sequence[int] | rng.Streams) 
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     single = isinstance(seed, (int, np.integer))
-    streams = rng.as_streams(seed, 3)
+    streams = rng.as_streams(seed, rng.SAMPLE_TAGS)
     B, K = len(streams), dgp.num_treatments
     tables = dgp._sampling
     S = tables.codes.shape[0]

@@ -359,7 +359,8 @@ def _run_task(config: ScenarioConfig, reps: range
     # the data seeds, then the fold seeds, hashed in one pass; then the
     # streams of each
     seeds = rng.child_seeds(config.seed, list(reps) * 2, [_DATA_STREAM] * R + [_FOLD_STREAM] * R)
-    data_streams, fold_streams = rng.streams(seeds[:R], 3), rng.streams(seeds[R:], 1)
+    data_streams = rng.streams(seeds[:R], rng.SAMPLE_TAGS)
+    fold_streams = rng.streams(seeds[R:], rng.FOLD_TAGS)
     table = stack_tables([_block_table(config, data_streams[block.start:block.stop],
                                        fold_streams[block.start:block.stop])
                           for block in _blocks(range(R), n)])

@@ -167,23 +167,23 @@ def assign_folds(n: int, num_folds: int,
 
     A sequence of seeds partitions a block of datasets: row ``b`` is bit for
     bit ``assign_folds(n, num_folds, seed[b])``. A seed's permutation draws
-    its stream 0, the path ``(seed, 0)``; the seeds' streams keyed by
-    ``rng.streams(seeds, 1)`` may stand in for them, and streams with
-    another number of rows are refused.
+    its stream ``FOLD``, the path ``(seed, FOLD)``, which no dataset draws;
+    the seeds' streams keyed by ``rng.streams(seeds, rng.FOLD_TAGS)`` may
+    stand in for them, and streams of other tags are refused.
     """
     if num_folds < 2:
         raise ValueError(f"num_folds must be >= 2, got {num_folds}")
     if n < num_folds:
         raise ValueError(f"need at least one unit per fold: n={n} < num_folds={num_folds}")
     single = isinstance(seed, (int, np.integer))
-    streams = rng.as_streams(seed, 1)
+    streams = rng.as_streams(seed, rng.FOLD_TAGS)
     # unit order[i] joins fold i % num_folds; the labels are built as rows of
     # 0..num_folds-1, which is faster than an integer modulo
     labels = np.empty((-(-n // num_folds), num_folds), dtype=np.int64)
     labels[:] = np.arange(num_folds)
     labels = labels.ravel()[:n]
     fold_of = np.empty((len(streams), n), dtype=np.int64)
-    for row, gen in zip(fold_of, streams.generators(0)):
+    for row, gen in zip(fold_of, streams.generators(rng.FOLD)):
         row[gen.permutation(n)] = labels
     return FoldAssignment(num_folds=num_folds, fold_of=fold_of[0] if single else fold_of)
 

@@ -27,13 +27,9 @@ Path conventions used elsewhere in the package:
 
 * dataset sampling uses streams ``STRATUM``, ``TREATMENT``, ``NOISE`` of the
   dataset seed, the paths ``(seed, tag)``;
-* fold assignment uses stream 0 of its seed, the path ``(seed, 0)``. That
-  is the seed's ``STRATUM`` path, so a fold seed must not also be a dataset
-  seed: the Monte Carlo runner derives each replicate's two from different
-  paths, and the CLI draws the folds of a dataset it samples itself with
-  the seed ``child_seed(seed, FOLD)``. Below 2**96 it is also the seed's
-  own path ``(seed,)``, the key ``substream(seed)`` draws from; from 2**96
-  up the two differ, and the folds draw ``(seed, 0)``;
+* fold assignment uses stream ``FOLD`` of its seed, the path ``(seed,
+  FOLD)``, so the folds of a seed never share a stream with the dataset
+  that seed draws;
 * the Monte Carlo runner derives per-replicate seeds as
   ``child_seed(scenario_seed, replicate_index, purpose)``, a task's in one
   ``child_seeds`` call, and keys the data seeds' three streams in one
@@ -53,6 +49,8 @@ STRATUM = 0
 TREATMENT = 1
 NOISE = 2
 FOLD = 3
+SAMPLE_TAGS = (STRATUM, TREATMENT, NOISE)  # the streams dgp.sample draws
+FOLD_TAGS = (FOLD,)  # the stream nuisance.assign_folds draws
 
 PathEntry = int | Sequence[int]
 
@@ -222,46 +220,47 @@ def substreams(*path: PathEntry) -> Iterator[np.random.Generator]:
 class Streams:
     """Streams of a list of seeds, keyed ahead of the draws.
 
-    ``keys[t, i]`` is the Philox key of stream ``t`` of seed ``i``, the path
-    ``(seed_i, t)``. ``dgp.sample`` takes three rows and
-    ``nuisance.assign_folds`` one in place of a list of seeds, so a caller
-    can key the streams of many blocks of seeds in one pass
-    (:func:`streams`) and hand each block its slice, ``streams[lo:hi]``.
-    Every slice of one :func:`streams` call re-keys one generator, so, as
-    with :func:`substreams`, a generator is valid until the next one is
-    drawn.
+    ``keys[r, i]`` is the Philox key of stream ``tags[r]`` of seed ``i``,
+    the path ``(seed_i, tags[r])``. ``dgp.sample`` takes the streams
+    ``SAMPLE_TAGS`` and ``nuisance.assign_folds`` the streams ``FOLD_TAGS``
+    in place of a list of seeds, so a caller can key the streams of many
+    blocks of seeds in one pass (:func:`streams`) and hand each block its
+    slice, ``streams[lo:hi]``. Every slice of one :func:`streams`
+    call re-keys one generator, so, as with :func:`substreams`, a generator
+    is valid until the next one is drawn.
     """
 
-    __slots__ = ("keys", "_shared")
+    __slots__ = ("keys", "tags", "_shared")
 
-    def __init__(self, keys: NDArray[np.uint64], shared: list) -> None:
+    def __init__(self, keys: NDArray[np.uint64], tags: tuple[int, ...], shared: list) -> None:
         self.keys = keys
+        self.tags = tags
         self._shared = shared  # [the generator, or None before the first draw]
 
     def __len__(self) -> int:
         return self.keys.shape[1]
 
     def __getitem__(self, seeds: slice) -> "Streams":
-        return Streams(self.keys[:, seeds], self._shared)
+        return Streams(self.keys[:, seeds], self.tags, self._shared)
 
-    def generators(self, stream: int) -> Iterator[np.random.Generator]:
-        """The generator of each seed's stream ``stream``, in order."""
-        return _generators(self.keys[stream].tolist(), self._shared)
-
-
-def streams(seeds: Sequence[int], count: int) -> Streams:
-    """The streams ``0..count-1`` of every seed, keyed in one pass: the paths ``(seed, t)``."""
-    seeds = list(seeds)
-    keys = _keys(seeds * count, [t for t in range(count) for _ in seeds])
-    return Streams(keys.reshape(count, len(seeds), 2), [None])
+    def generators(self, tag: int) -> Iterator[np.random.Generator]:
+        """The generator of each seed's stream ``tag``, in order."""
+        return _generators(self.keys[self.tags.index(tag)].tolist(), self._shared)
 
 
-def as_streams(seed: int | Sequence[int] | Streams, count: int) -> Streams:
-    """``count`` streams of a seed or a list of seeds, or ``seed`` itself if it is such streams."""
+def streams(seeds: Sequence[int], tags: Sequence[int]) -> Streams:
+    """The streams ``tags`` of every seed, keyed in one pass: the paths ``(seed, t)``."""
+    seeds, tags = list(seeds), tuple(tags)
+    keys = _keys(seeds * len(tags), [t for t in tags for _ in seeds])
+    return Streams(keys.reshape(len(tags), len(seeds), 2), tags, [None])
+
+
+def as_streams(seed: int | Sequence[int] | Streams, tags: Sequence[int]) -> Streams:
+    """The streams ``tags`` of a seed or a list of seeds, or ``seed`` itself if it is those streams."""
     if not isinstance(seed, Streams):
-        return streams([seed] if isinstance(seed, (int, np.integer)) else seed, count)
-    if seed.keys.shape[0] != count:
-        raise ValueError(f"need {count} streams of each seed, got {seed.keys.shape[0]}")
+        return streams([seed] if isinstance(seed, (int, np.integer)) else seed, tags)
+    if seed.tags != tuple(tags):
+        raise ValueError(f"need the streams {tuple(tags)} of each seed, got {seed.tags}")
     return seed
 
 

@@ -33,6 +33,16 @@ def dgp_config(tmp_path, reversal_dgp):
     return path
 
 
+@pytest.fixture
+def sampled(tmp_path, dgp_config):
+    """``sampled(n, seed)``: the dataset CSV that ``sample`` draws from ``dgp_config``."""
+    def draw(n: int, seed: int = 0) -> Path:
+        out = tmp_path / f"sample-{n}-{seed}"
+        assert run_cli("sample", "--config", dgp_config, "--n", n, "--seed", seed, "--out", out) == 0
+        return out / "dataset.csv"
+    return draw
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -281,13 +291,15 @@ class TestSampleCommand:
         run_cli("sample", "--config", dgp_config, "--n", 50, "--seed", 4, "--out", out)
         assert tr.load_dataset_csv(out / "dataset.csv") == tr.sample(reversal_dgp, 50, seed=4)
 
+    def test_zero_n_rejected(self, tmp_path, dgp_config, capsys):
+        assert run_cli("sample", "--config", dgp_config, "--n", 0, "--out", tmp_path / "o") == 1
+        assert "--n" in capsys.readouterr().err
+
 
 class TestEstimateCommand:
-    def test_full_run_outputs(self, tmp_path, dgp_config):
+    def test_full_run_outputs(self, tmp_path, sampled):
         out = tmp_path / "out"
-        assert run_cli(
-            "estimate", "--config", dgp_config, "--n", 10_000, "--seed", 7, "--out", out
-        ) == 0
+        assert run_cli("estimate", "--data", sampled(10_000, 7), "--seed", 7, "--out", out) == 0
         header, rows = read_csv(out / "estimates.csv")
         assert header == cli.ESTIMATES_HEADER
         points = {(r[1], int(r[0])): float(r[3]) for r in rows if r[3]}
@@ -301,27 +313,21 @@ class TestEstimateCommand:
         assert len(decomposition) == 2
         assert all("per_stratum" in d for d in decomposition)
 
-    def test_zero_n_rejected(self, tmp_path, dgp_config, capsys):
-        assert run_cli(
-            "estimate", "--config", dgp_config, "--n", 0, "--out", tmp_path / "o"
-        ) == 1
-        assert "--n" in capsys.readouterr().err
-
-    def test_estimator_programming_error_propagates(self, tmp_path, dgp_config, monkeypatch):
+    def test_estimator_programming_error_propagates(self, tmp_path, sampled, monkeypatch):
         def broken(data, fit, j):
             raise TypeError("not a data problem")
 
         monkeypatch.setitem(ESTIMATORS, Method.IPW, broken)
         with pytest.raises(TypeError, match="not a data problem"):
-            run_cli("estimate", "--config", dgp_config, "--n", 200, "--out", tmp_path / "o")
+            run_cli("estimate", "--data", sampled(200), "--out", tmp_path / "o")
 
-    def test_estimator_data_error_recorded(self, tmp_path, dgp_config, monkeypatch):
+    def test_estimator_data_error_recorded(self, tmp_path, sampled, monkeypatch):
         def no_variation(data, fit, j):
             raise tr.NoVariationError(f"no variation for {j}")
 
         monkeypatch.setitem(ESTIMATORS, Method.PLM, no_variation)
         out = tmp_path / "o"
-        assert run_cli("estimate", "--config", dgp_config, "--n", 200, "--out", out) == 0
+        assert run_cli("estimate", "--data", sampled(200), "--out", out) == 0
         header, rows = read_csv(out / "estimates.csv")
         errors = [r[header.index("error")] for r in rows if r[1] == "plm"]
         assert errors == ["no variation for 1", "no variation for 2"]
@@ -337,12 +343,12 @@ class TestEstimateCommand:
         assert run_cli("estimate", "--data", path, "--learner", "logistic_ridge", "--out", out) == 1
         assert "single class" in capsys.readouterr().err
 
-    def test_newton_cap_exits_nonzero_with_message(self, tmp_path, dgp_config, monkeypatch, capsys):
+    def test_newton_cap_exits_nonzero_with_message(self, tmp_path, sampled, monkeypatch, capsys):
         # a failed fit leaves nothing to estimate, as with a single-class split
+        data = sampled(500)
         monkeypatch.setattr(nuisance, "NEWTON_MAX_ITER", 1)
         out = tmp_path / "o"
-        assert run_cli("estimate", "--config", dgp_config, "--n", 500,
-                       "--learner", "logistic_ridge", "--out", out) == 1
+        assert run_cli("estimate", "--data", data, "--learner", "logistic_ridge", "--out", out) == 1
         assert "did not converge in 1 Newton steps" in capsys.readouterr().err
         assert not (out / "estimates.csv").exists()
 
@@ -427,37 +433,25 @@ class TestEstimateCommand:
         assert [r["treatment"] for r in rows] == [1, 2]
         assert all(set(r) == {"treatment", "error"} and "not finite" in r["error"] for r in rows)
 
-    @pytest.mark.parametrize("flags", [
-        ["--data", "{data}", "--config", "{config}"],
-        ["--config", "{config}", "--data", "{data}"],
-        ["--data", "{data}", "--n", "99999"],
-        ["--n", "99999", "--data", "{data}"],
-        ["--data", "{data}", "--config", "{config}", "--n", "99999"],
+    @pytest.mark.parametrize("flags,message", [
+        (["--data", "{data}", "--config", "{config}"], "unrecognized arguments: --config"),
+        (["--data", "{data}", "--n", "99999"], "unrecognized arguments: --n 99999"),
+        (["--config", "{config}", "--n", "99999"], "the following arguments are required: --data"),
+        ([], "the following arguments are required: --data"),
     ])
-    def test_data_excludes_config_and_n(self, tmp_path, dgp_config, reversal_dgp, capsys, flags):
-        # an imported dataset is estimated as it is: a --config or --n is not silently dropped
-        data = tmp_path / "data.csv"
-        tr.write_dataset_csv(tr.sample(reversal_dgp, 200, seed=1), data)
+    def test_data_is_the_one_source(self, tmp_path, dgp_config, sampled, capsys, flags, message):
+        # estimate imports a dataset; sample draws one from a config
+        data = sampled(200)
         argv = [f.format(data=data, config=dgp_config) for f in flags]
         with pytest.raises(SystemExit) as exc:
             run_cli("estimate", *argv, "--out", tmp_path / "o")
         assert exc.value.code == 2
-        assert re.search(r"treatrank estimate: error: argument --(data|config|n): "
-                         r"not allowed with argument --(data|config|n)", capsys.readouterr().err)
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_requires_data_or_config(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("estimate", "--n", 200, "--out", tmp_path / "o")
-        assert exc.value.code == 2
-        assert "one of the arguments --data --config is required" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    def test_decomposition_fields(self, tmp_path, dgp_config):
+    def test_decomposition_fields(self, tmp_path, sampled):
         out = tmp_path / "out"
-        assert run_cli(
-            "estimate", "--config", dgp_config, "--n", 2_000, "--seed", 7, "--out", out,
-        ) == 0
+        assert run_cli("estimate", "--data", sampled(2_000, 7), "--seed", 7, "--out", out) == 0
         rows = json.loads((out / "decomposition.json").read_text())
         assert [list(r) for r in rows] == [
             ["treatment", "source", "ate", "cov_tau_gamma", "wate", "remainder", "per_stratum"],
@@ -601,12 +595,12 @@ class TestFailedCommandOutput:
         assert run_cli("oracle", "--config", dgp_config, "--delta", 0, "--out", out) == 1
         assert not (tmp_path / "new").exists()
 
-    def test_estimate_zero_n_leaves_no_directory(self, tmp_path, dgp_config):
+    def test_sample_zero_n_leaves_no_directory(self, tmp_path, dgp_config):
         out = tmp_path / "out"
-        assert run_cli("estimate", "--config", dgp_config, "--n", 0, "--out", out) == 1
+        assert run_cli("sample", "--config", dgp_config, "--n", 0, "--out", out) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["oracle", "--delta", "0"], ["estimate", "--n", "0"]])
+    @pytest.mark.parametrize("argv", [["oracle", "--delta", "0"], ["sample", "--n", "0"]])
     def test_existing_directory_survives(self, tmp_path, dgp_config, argv):
         out = tmp_path / "out"
         out.mkdir()
@@ -642,7 +636,7 @@ class TestCommands:
     @pytest.mark.parametrize("argv", [
         ["oracle", "--config", "{config}"],
         ["sample", "--config", "{config}", "--n", "50"],
-        ["estimate", "--config", "{config}", "--n", "50"],
+        ["estimate", "--data", "dataset.csv"],
         ["montecarlo", "--preset", "balanced", "--reps", "2", "--n", "200"],
     ])
     def test_format_rejected(self, tmp_path, capsys, dgp_config, argv, fmt):
@@ -668,19 +662,20 @@ class TestCommands:
 
 
 class TestSeedPropagation:
-    def test_seed_override_changes_results(self, tmp_path, dgp_config):
+    def test_seed_override_changes_results(self, tmp_path, sampled):
+        # sample's --seed draws the dataset, estimate's the folds
+        datasets = [sampled(500, seed).read_text() for seed in (1, 1, 2)]
+        assert datasets[0] == datasets[1] != datasets[2]
         out_a, out_b, out_c = (tmp_path / s for s in ("a", "b", "c"))
         for out, seed in ((out_a, 1), (out_b, 1), (out_c, 2)):
-            assert run_cli(
-                "estimate", "--config", dgp_config, "--n", 500, "--seed", seed, "--out", out
-            ) == 0
+            assert run_cli("estimate", "--data", sampled(500, 1), "--seed", seed, "--out", out) == 0
         read = lambda p: (p / "estimates.csv").read_text()
         assert read(out_a) == read(out_b)
         assert read(out_a) != read(out_c)
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--config", "{config}", "--n", "50"],
-        ["estimate", "--config", "{config}", "--n", "50"],
+        ["estimate", "--data", "dataset.csv"],
         ["montecarlo", "--preset", "balanced", "--reps", "2", "--n", "200"],
     ])
     @pytest.mark.parametrize("seed", ["-1", "x"])
@@ -706,7 +701,7 @@ class TestInProcessCalls:
     """``main`` parses every call with one parser: no call sees another's arguments."""
 
     # the pinned default case: stratum-mean learner, default folds and clip
-    DEFAULT = ["estimate", "--config", "{tmp}/parallel.yaml", "--n", "300", "--seed", "4"]
+    DEFAULT = ["estimate", "--data", "{tmp}/sample-parallel/dataset.csv", "--seed", "4"]
     PIN = PINS["estimate-parallel-stratum_mean"]
     OVERRIDES = ["--learner", "logistic_ridge", "--folds", "3", "--clip", "0.05"]
 

@@ -55,8 +55,9 @@ def _cases() -> dict[str, list[str]]:
             continue  # extreme propensities: sampled only through the montecarlo presets
         cases[f"sample-{name}"] = ["sample", "--config", cfg, "--n", str(N), "--seed", "3"]
         for learner in ("stratum_mean", "logistic_ridge"):
+            # the dataset of sample --seed 4, on the folds of the same seed
             cases[f"estimate-{name}-{learner}"] = [
-                "estimate", "--config", cfg, "--n", str(N), "--seed", "4", "--learner", learner,
+                "estimate", "--data", f"{{tmp}}/sample-{name}/dataset.csv", "--seed", "4", "--learner", learner,
             ]
     cases["estimate-no-control"] = ["estimate", "--data", "{tmp}/no_control.csv", "--clip", "0"]
     cases["montecarlo-balanced"] = ["montecarlo", "--preset", "balanced", "--reps", "5", "--n", "200"]
@@ -74,9 +75,17 @@ def _file_hash(path: Path) -> str:
 
 
 def run_case(argv: list[str], tmp: Path) -> dict[str, str]:
-    """Run one case in ``tmp``; returns {written file name: sha256}."""
+    """Run one case in ``tmp``; returns {written file name: sha256}.
+
+    The inputs in ``tmp`` are each DGP's config (``{name}.yaml``), the
+    dataset ``sample --n N --seed 4`` draws from it (``sample-{name}/``) and
+    ``no_control.csv``.
+    """
     for name, dgp in _dgps().items():
         tr.write_dgp_config(dgp, tmp / f"{name}.yaml")
+        if name != "reversal":
+            assert cli.main(["sample", "--config", str(tmp / f"{name}.yaml"), "--n", str(N),
+                             "--seed", "4", "--out", str(tmp / f"sample-{name}")]) == 0
     _no_control_csv(tmp / "no_control.csv")
     out = tmp / "out"
     argv = [a.format(tmp=tmp) for a in argv] + ["--out", str(out)]
@@ -86,33 +95,33 @@ def run_case(argv: list[str], tmp: Path) -> dict[str, str]:
 
 PINS = {
     "estimate-multinomial-logistic_ridge": {
-        "decomposition.json": "ab7a124bffb23457e63d5bc58177614ec543ef6fdb0dc63d5989348d3698f74f",
-        "estimates.csv": "4ff823c52a9a65acbc5841d0ba3596d9f706f7437c283bd51fbda738be760e39",
+        "decomposition.json": "5f056c1291a6d90a0bf5c9f420ab611be731581fd4cb4f61abf0bdf92c4eb46b",
+        "estimates.csv": "5fb0874dc6b37d1e2fd6dc3a1784d32a252b4eb3b702f83763f143cccf4a935e",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-multinomial-stratum_mean": {
-        "decomposition.json": "7be8a73e8f5b08c7a7e2132d1c2aea58e381337d12eda83956e8d07983df65fc",
-        "estimates.csv": "4059cf764acb5645ce41bbc1c97d0136f1e33d35e6e113328b05d031be671db4",
+        "decomposition.json": "9a061e4134fa05dab0571bfc2db52d4b0b9be34ea9f7e4d18cd5663c0ace8e99",
+        "estimates.csv": "41d9e23b7f6fdf792c18295f2bd721b6506ef3338cce1231fd3a2e2da250fb27",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-no-control": {
-        "decomposition.json": "131942eb44fe4fbe81722a170687ddb4a56f7f79bf10231c12a020f5d7da1f24",
-        "estimates.csv": "929ecbed3969edb248f57c95c9c19ec6b9d5912dba39e5cb7e881ba48f727e32",
+        "decomposition.json": "502ced9b3bf5d026405565fbe7eff8b3aaedcb51d00853e9c0b8348a2b224721",
+        "estimates.csv": "92ec8ded608d4d17b457b887cbdd82135e2e692b5b21a85e7629b4a0c1573dfa",
         "ranking.json": "91bd4416347c7114d877274f2b78836a5970686ce08a9d304f004027bc8b6df2",
     },
     "estimate-parallel-logistic_ridge": {
-        "decomposition.json": "51886f3e800251969629c6e0165561e99d09164bca7830a1c6af7338aa047f86",
-        "estimates.csv": "731858c5769c2fe671ddb082612fa0163b4ca00744eb73bb5f75ae6159b697f5",
+        "decomposition.json": "58e816fb8218abe6be2959df35478fb0ba6ebf3b3f1c09fe157e7c19ccc044ec",
+        "estimates.csv": "33be78679a49755238d9ec8f26de8d0c2a7bf47b66c1af7b55fd46f276363eb0",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-stratum_mean": {
-        "decomposition.json": "b08404b55ae6da342c880746da161a4def67b9cedb03a197b92c88719c324961",
-        "estimates.csv": "339713640cd8ed0158f931cde44ea2130640a225973179d4f78a0b423dc81e8a",
+        "decomposition.json": "73b1a95a2f4b5d2a75f411afdbb2935278d7615cdb55b903b08375106c4c4c27",
+        "estimates.csv": "9bff2e6a959fbf1ec80a5fed7641176c0ec241447487131b2e6f6215a04621d2",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "montecarlo-balanced": {
         "resolved_config.yaml": "be634eb3ce00f0a48cedc9265d10cf94432af76961a463a64d3a5b3e0b5c6ad6",
-        "summary.json": "cc63e2c5cc35b1807dbc455a8074950dfd4a074a78142fc3dcffd9d78632d35b",
+        "summary.json": "7587a2610d70ccd73c069f3b17d7dde86d7d91eb9437c5f3278e78ca6917b2f7",
     },
     "oracle-multinomial": {
         "oracle.csv": "cc3ca53933b6f39a6ebc7c93607b6b81cb727021b73fe9c0ec6a453df57161de",

@@ -7,6 +7,7 @@ from __future__ import annotations
 import builtins
 import csv
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -62,12 +63,13 @@ def reference_load(path) -> tr.Dataset:
     arr = np.array(rows)
     y = arr[:, 0]
     x = arr[:, -1]
-    if np.any(x != np.round(x)):
-        raise ConfigError(f"{path}: stratum codes must be integers")
+    # checked before any cast: int64 would wrap or saturate the others into one code
+    if not all(math.isfinite(v) and v.is_integer() and -2**63 <= v < 2**63 for v in x.tolist()):
+        raise ConfigError(f"{path}: stratum codes must be integers in [-2**63, 2**63)")
     if layout == "arm":
         arm = arr[:, 1]
-        if np.any(arm != np.round(arm)) or np.any(arm < 0):
-            raise ConfigError(f"{path}: arm labels must be non-negative integers")
+        if not all(math.isfinite(v) and v.is_integer() and 0 <= v < 2**63 for v in arm.tolist()):
+            raise ConfigError(f"{path}: arm labels must be integers in [0, 2**63)")
         arm = arm.astype(np.int64)
         K = int(arm.max())
         if K < 1:
@@ -252,6 +254,14 @@ CORPUS = {
     "no treated units": "y,w,x\n1.0,0,0\n2.0,0,1\n",
     "indicator not 0/1": "y,w1,w2,x\n1.5,2,0,0\n",
     "nan stratum code": "y,w,x\n1.5,1,nan\n",
+    "inf stratum code": "y,w,x\n1.5,1,0\n2.5,0,inf\n",
+    "-inf stratum code": "y,w,x\n1.5,1,-inf\n",
+    "stratum codes past int64": "y,w,x\n1.5,1,1e19\n2.5,0,2e19\n",
+    "stratum code 2**63": "y,w,x\n1.5,1,9223372036854775808\n",
+    "stratum code -2**63": "y,w,x\n1.5,1,-9223372036854775808\n",
+    "arm label past int64": "y,w,x\n1.5,1e19,0\n",
+    "inf arm label": "y,w,x\n1.5,inf,0\n",
+    "nan arm label": "y,w,x\n1.5,nan,0\n",
 }
 
 

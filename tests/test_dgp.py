@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -411,6 +413,9 @@ class TestSampling:
             tr.sample(reversal_dgp, 0, seed=1)
 
 
+CODES = "stratum codes must be integers in [-2**63, 2**63)"
+
+
 class TestDatasetGrouping:
     @pytest.mark.parametrize("num_codes", [1, 2, 300, 70_000])
     def test_strata_group_the_codes(self, num_codes):
@@ -439,11 +444,17 @@ class TestDatasetGrouping:
         # a 2 would key the unit into another fold's cell
         (np.array([[2, 0], [0, 1]], dtype=np.int8), np.zeros(2), "treatment indicators must be 0/1"),
         (np.array([[0.7], [1.0]]), np.zeros(2), "treatment indicators must be 0/1"),
-        (np.array([[0], [1]]), np.array([0.5, 1.0]), "stratum codes must be integers"),
+        (np.array([[0], [1]]), np.array([0.5, 1.0]), CODES),
+        # a cast to int64 would merge these into one stratum, -2**63
+        (np.array([[0], [1]]), np.array([1e19, 2e19]), CODES),
+        (np.array([[0], [1]]), np.array([0.0, np.inf]), CODES),
+        (np.array([[0], [1]]), np.array([-np.inf, np.nan]), CODES),
+        (np.array([[0], [1]]), np.array([0, 2**63], dtype=np.uint64), CODES),
         (np.zeros((2, 0)), np.zeros(2), "w must have at least one treatment column"),
-    ], ids=["indicator-2", "indicator-0.7", "code-0.5", "no-treatment-column"])
+    ], ids=["indicator-2", "indicator-0.7", "code-0.5", "code-past-int64", "code-inf",
+            "code-nan", "code-uint64-2**63", "no-treatment-column"])
     def test_bad_indicators_and_codes_rejected(self, w, x, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             tr.Dataset(y=np.zeros(2), w=w, x=x)
 
 

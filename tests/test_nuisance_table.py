@@ -670,12 +670,12 @@ class TestOneFitPerTarget:
 # pinned studies
 
 PINNED = {
-    "extreme_heterogeneity": "e5d227aeb9a1824202aecaf54262fb27b60d3de0f9b4d5ffde7938f7d0cf555d",
-    "constant_effects": "805939cbd048ddf851694a783904e2e1f84bf3c81aaaa785fe06fd620f72ac6e",
-    "uncorrelated": "bc2f6d531d25abeffc4119c85fa708adf4ba47014344ee8cbe07e4cb51fa38ee",
-    "selection_on_gains": "fe81238f2b3663898abbce4efcc40a977946a8db93caf4e0ccf78ce12af218dd",
-    "balanced": "13f4276466f567796f996601aa4f0c4b54c2f901f7a1964dfb2f528b3a46a584",
-    "multinomial_random": "521eda5596ed4a8372ced8d0e16145a1e7b789b5f74a290036b4b85490009de0",
+    "extreme_heterogeneity": "0ac8f78cf815b691904ba796cdb98e7f648fa6528289c078aa23dad0c0db41d4",
+    "constant_effects": "b6907aa39166ab3239b8c13af08c71df89956edc3a2091de284ad0a7a38345dd",
+    "uncorrelated": "1b76da88380296d7d872073ff666b58e0c9a9d03c85eebe43e49962aa88746e0",
+    "selection_on_gains": "f2bf68345879a3e79eaf96954bc57ad22e2bed7bcf2ec8021ca9eb53eb67df80",
+    "balanced": "ce22c57307e690bbede031e06cf8074e0fdae3fe288fac61c9eebbbc227e6d25",
+    "multinomial_random": "ef450ddffced17063140544b1633261f42d4827cccd30c100232a7e2ed9e9f1b",
 }
 
 

@@ -8,6 +8,7 @@ seed and draw here is compared with a generator that numpy builds from
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -112,16 +113,17 @@ def philox_key(gen: np.random.Generator) -> list[int]:
 
 
 class TestStreams:
-    """Streams keyed ahead: row ``t`` of seed ``i`` is the path ``(seed_i, t)``."""
+    """Streams keyed ahead: row ``r`` of seed ``i`` is the path ``(seed_i, tags[r])``."""
 
-    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("tags", [rng.FOLD_TAGS, rng.SAMPLE_TAGS, (5, 0)])
     @pytest.mark.parametrize("B", [0, 1, 7, 40])
-    def test_rows_match_numpy(self, B, count):
+    def test_rows_match_numpy(self, B, tags):
         seeds = block_seeds(B)
-        streams = rng.streams(seeds, count)
-        assert len(streams) == B and streams.keys.shape == (count, B, 2)
-        for t in range(count):
-            assert streams.keys[t].tolist() == [
+        streams = rng.streams(seeds, tags)
+        assert len(streams) == B and streams.keys.shape == (len(tags), B, 2)
+        assert streams.tags == tuple(tags)
+        for r, t in enumerate(tags):
+            assert streams.keys[r].tolist() == [
                 np.random.SeedSequence([seed, t]).generate_state(2, np.uint64).tolist()
                 for seed in seeds]
             drawn = 0
@@ -130,30 +132,34 @@ class TestStreams:
                 drawn += 1
             assert drawn == B
 
+    def test_unknown_tag_rejected(self):
+        with pytest.raises(ValueError):
+            rng.streams([1, 2], rng.SAMPLE_TAGS).generators(rng.FOLD)
+
     def test_slices(self):
         seeds = block_seeds(10)
-        streams = rng.streams(seeds, 3)
+        streams = rng.streams(seeds, rng.SAMPLE_TAGS)
         for lo, hi in [(0, 1), (3, 7), (9, 10)]:
             part = streams[lo:hi]
-            assert len(part) == hi - lo
+            assert len(part) == hi - lo and part.tags == rng.SAMPLE_TAGS
             for seed, gen in zip(seeds[lo:hi], part.generators(rng.NOISE)):
                 assert_same_stream(gen, [seed, rng.NOISE])
 
     def test_slices_share_one_generator(self):
-        streams = rng.streams(block_seeds(5), 3)
+        streams = rng.streams(block_seeds(5), rng.SAMPLE_TAGS)
         first = next(streams[0:2].generators(rng.STRATUM))
         assert next(streams[2:5].generators(rng.NOISE)) is first
         assert next(streams.generators(rng.TREATMENT)) is first
         # another call keys its own generator
-        assert next(rng.streams([1], 1).generators(0)) is not first
+        assert next(rng.streams([1], rng.FOLD_TAGS).generators(rng.FOLD)) is not first
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed path entries must be non-negative"):
-            rng.streams([3, -1], 1)
+            rng.streams([3, -1], rng.FOLD_TAGS)
 
     def test_sample_and_folds_take_streams(self, reversal_dgp):
         seeds, fold_seeds = block_seeds(6), [s + 1 for s in block_seeds(6)]
-        data, folds = rng.streams(seeds, 3), rng.streams(fold_seeds, 1)
+        data, folds = rng.streams(seeds, rng.SAMPLE_TAGS), rng.streams(fold_seeds, rng.FOLD_TAGS)
         block = tr.sample(reversal_dgp, 40, data[2:5])
         assert block == tr.sample(reversal_dgp, 40, seeds[2:5])
         assert np.array_equal(block.cell_keys, tr.sample(reversal_dgp, 40, seeds[2:5]).cell_keys)
@@ -161,22 +167,29 @@ class TestStreams:
                               tr.assign_folds(40, 5, fold_seeds[1:4]).fold_of)
 
     def test_sample_and_folds_refuse_each_others_streams(self, reversal_dgp):
-        data, folds = rng.streams(block_seeds(6), 3), rng.streams(block_seeds(6), 1)
-        with pytest.raises(ValueError, match="need 3 streams of each seed, got 1"):
+        data = rng.streams(block_seeds(6), rng.SAMPLE_TAGS)
+        folds = rng.streams(block_seeds(6), rng.FOLD_TAGS)
+        with pytest.raises(ValueError, match=re.escape("need the streams (0, 1, 2) of each seed, "
+                                                       "got (3,)")):
             tr.sample(reversal_dgp, 40, folds[2:5])
-        with pytest.raises(ValueError, match="need 1 streams of each seed, got 3"):
+        with pytest.raises(ValueError, match=re.escape("need the streams (3,) of each seed, "
+                                                       "got (0, 1, 2)")):
             tr.assign_folds(40, 5, data[1:4])
+        # streams of the right count but other tags are refused too
+        with pytest.raises(ValueError, match="need the streams"):
+            tr.assign_folds(40, 5, rng.streams(block_seeds(3), (rng.STRATUM,)))
+        with pytest.raises(ValueError, match="need the streams"):
+            tr.sample(reversal_dgp, 40, rng.streams(block_seeds(3), (rng.NOISE, rng.TREATMENT,
+                                                                     rng.STRATUM)))
 
-    @pytest.mark.parametrize("seed", [2**96, 2**100])
-    def test_fold_seed_past_four_words_draws_stream_0(self, seed):
-        # below 2**96 the paths (seed,) and (seed, 0) are one key; from
-        # there up a fold seed draws (seed, 0), no longer (seed,)
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**96, 2**100])
+    def test_folds_draw_the_fold_stream(self, seed):
+        # the path (seed, FOLD), which none of sample's streams of the seed is
         expected = np.empty(30, dtype=np.int64)
-        expected[numpy_generator([seed, 0]).permutation(30)] = np.arange(30) % 5
+        expected[numpy_generator([seed, rng.FOLD]).permutation(30)] = np.arange(30) % 5
         for folds in (tr.assign_folds(30, 5, seed), tr.assign_folds(30, 5, [seed, 3])):
             assert np.array_equal(folds.fold_of.reshape(-1, 30)[0], expected)
-        assert not np.array_equal(numpy_generator([seed]).permutation(30),
-                                  numpy_generator([seed, 0]).permutation(30))
+        assert rng.FOLD not in rng.SAMPLE_TAGS
 
 
 class TestTrailingZeros:
@@ -196,23 +209,25 @@ class TestTrailingZeros:
 
     @pytest.mark.parametrize("seed", [0, 7, 2**40])
     def test_cli_folds_of_a_sampled_dataset(self, seed, monkeypatch, tmp_path, reversal_dgp):
-        # the folds of --config --n --seed S must not be drawn from the stream
-        # that drew the strata: path (S,) keys as (S, STRATUM)
+        # sample --seed S then estimate --data --seed S: the folds draw the
+        # path (S, FOLD), none of the paths that drew the dataset
         config = tmp_path / "dgp.yaml"
         tr.write_dgp_config(reversal_dgp, config)
-        fold_seeds = []
+        assert cli.main(["sample", "--config", str(config), "--n", "200", "--seed", str(seed),
+                         "--out", str(tmp_path / "sample")]) == 0
+        fold_keys = []
 
         def recording(n, num_folds, fold_seed):
-            fold_seeds.append(fold_seed)
+            fold_keys.append(philox_key(next(rng.as_streams(fold_seed, rng.FOLD_TAGS)
+                                             .generators(rng.FOLD))))
             return tr.assign_folds(n, num_folds, fold_seed)
 
         monkeypatch.setattr(cli, "assign_folds", recording)
-        assert cli.main(["estimate", "--config", str(config), "--n", "200", "--seed", str(seed),
-                         "--out", str(tmp_path / "out")]) == 0
-        assert fold_seeds == [rng.child_seed(seed, rng.FOLD)]
-        stratum = philox_key(rng.substream(seed, rng.STRATUM))
-        assert philox_key(rng.substream(fold_seeds[0])) != stratum
-        assert philox_key(rng.substream(seed)) == stratum
+        assert cli.main(["estimate", "--data", str(tmp_path / "sample" / "dataset.csv"),
+                         "--seed", str(seed), "--out", str(tmp_path / "out")]) == 0
+        assert fold_keys == [philox_key(numpy_generator([seed, 3]))]
+        for tag in (0, 1, 2):
+            assert fold_keys[0] != philox_key(numpy_generator([seed, tag]))
 
 
 class TestNegativeSeeds:
@@ -256,10 +271,16 @@ class TestBigSeeds:
     def test_sample_and_folds(self, reversal_dgp, seed):
         block = tr.sample(reversal_dgp, 30, [seed, 3])
         assert block.replicate(0) == tr.sample(reversal_dgp, 30, seed)
+        streams = rng.streams([seed], rng.SAMPLE_TAGS)
+        for tag in rng.SAMPLE_TAGS:
+            assert philox_key(next(streams.generators(tag))) == \
+                philox_key(numpy_generator([seed, tag]))
         folds = tr.assign_folds(30, 5, [seed, 3])
         expected = np.empty(30, dtype=np.int64)
-        expected[numpy_generator([seed]).permutation(30)] = np.arange(30) % 5
+        expected[numpy_generator([seed, rng.FOLD]).permutation(30)] = np.arange(30) % 5
         assert np.array_equal(folds.fold_of[0], expected)
+        assert np.array_equal(tr.assign_folds(30, 5, rng.streams([seed], rng.FOLD_TAGS)).fold_of[0],
+                              expected)
 
     def test_scenario_seed(self):
         config = replace(tr.preset("balanced"), seed=2**70, num_reps=5, n_per_rep=200)
