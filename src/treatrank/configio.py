@@ -26,9 +26,10 @@ It rejects, as a :class:`ConfigError`: an empty file; a header other than
 the two layouts; a file with no data rows; and, naming ``path:line`` with
 the 1-based line in the file, a blank line, a row shorter or longer than
 the header, a blank field and a non-numeric cell. Stratum codes must be
-integers in [-2**63, 2**63), arm labels integers in [0, 2**63) with at
+integers in (-2**53, 2**53), arm labels integers in [0, 2**53) with at
 least one treated unit, and indicators 0/1; so NaN, an infinity or a code
-past int64 is refused, not cast.
+that float64 cannot tell from its neighbour (2**53 + 1 parses as 2**53)
+is refused, not cast or merged.
 
 The writer emits CRLF line endings and ``repr`` floats, so a written
 dataset reads back bit for bit.
@@ -56,7 +57,7 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .dgp import AssignmentMode, Dataset, StratifiedDGP, exact_int64
+from .dgp import AssignmentMode, Dataset, StratifiedDGP, exact_codes
 from .nuisance import DEFAULT_CLIP, DEFAULT_NUM_FOLDS, Basis, LearnerKind, LearnerSpec
 
 
@@ -413,12 +414,12 @@ def load_dataset_csv(path: str | Path) -> Dataset:
     # a copy: a column view would keep the whole parsed block alive with the dataset
     y = arr[:, 0].copy()
     x = arr[:, -1]
-    if not exact_int64(x):
-        raise ConfigError(f"{path}: stratum codes must be integers in [-2**63, 2**63)")
+    if not exact_codes(x):
+        raise ConfigError(f"{path}: stratum codes must be integers in (-2**53, 2**53)")
     if layout == "arm":
         arm = arr[:, 1]
-        if not exact_int64(arm) or arm.min() < 0:
-            raise ConfigError(f"{path}: arm labels must be integers in [0, 2**63)")
+        if not exact_codes(arm) or arm.min() < 0:
+            raise ConfigError(f"{path}: arm labels must be integers in [0, 2**53)")
         arm = arm.astype(np.int64)
         K = int(arm.max())
         if K < 1:

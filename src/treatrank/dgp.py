@@ -41,15 +41,21 @@ class OverlapError(ValueError):
     """Raised when a propensity table violates strict overlap."""
 
 
-def exact_int64(values: NDArray) -> bool:
-    """Whether every value is an integer in [-2**63, 2**63), which int64 holds exactly.
+CODE_BOUND = 2**53  # float64 holds each integer in (-2**53, 2**53) apart from its neighbours
 
-    NaN and infinities are not; a cast to int64 would turn them, and values
-    out of range, into one wrapped or saturated code.
+
+def exact_codes(values: NDArray) -> bool:
+    """Whether every value is a stratum code or label that int64 holds exactly.
+
+    Any value of a signed integer or bool array is; of any other array,
+    an integer in (-2**53, 2**53). Past that a float64 no longer tells
+    neighbouring integers apart (2**53 + 1 reads as 2**53), so two codes
+    could be one. NaN and infinities are not; a cast to int64 would turn
+    them, and values out of range, into one wrapped or saturated code.
     """
     if values.dtype.kind in "bi" or values.size == 0:
         return True
-    return bool(values.min() >= -2**63 and values.max() < 2**63
+    return bool(values.min() > -CODE_BOUND and values.max() < CODE_BOUND
                 and np.all(values == np.round(values)))
 
 
@@ -90,7 +96,8 @@ class StratifiedDGP:
     Parameters
     ----------
     strata : tuple of (int, float)
-        ``(stratum_code, probability)`` pairs; probabilities sum to one.
+        ``(stratum_code, probability)`` pairs; probabilities sum to one, and
+        codes are in (-2**53, 2**53), which a dataset file reads back exactly.
     num_treatments : int
         Number of treatments ``K``; treatment indices run 1..K and 0 denotes
         control.
@@ -136,6 +143,9 @@ class StratifiedDGP:
         codes = [s for s, _ in strata]
         if len(set(codes)) != S:
             raise ValueError(f"duplicate stratum codes: {codes}")
+        if not all(-CODE_BOUND < c < CODE_BOUND for c in codes):
+            # a dataset file would read two such codes back as one
+            raise ValueError(f"stratum codes must be integers in (-2**53, 2**53), got {codes}")
         probs = np.array([p for _, p in strata])
         if not np.all(np.isfinite(probs) & (probs >= 0)):
             raise ValueError(f"stratum probabilities must be finite and non-negative, got {probs}")
@@ -233,9 +243,9 @@ class Dataset:
     ``w`` has one 0/1 column per treatment, and at least one column. Under
     MULTINOMIAL assignment the rows are one-hot (all-zero rows are control
     units). Any other indicator, and a stratum code that is not an integer
-    in [-2**63, 2**63), raises ``ValueError``. The arrays are not modified
-    after construction: the stratum grouping is computed once and shared by
-    every fit.
+    in (-2**53, 2**53) (any code of an integer array is), raises
+    ``ValueError``. The arrays are not modified after construction: the
+    stratum grouping is computed once and shared by every fit.
 
     A *block* of datasets, all of ``n`` units, stacks them along a leading
     axis: ``y`` and ``x`` are ``(B, n)`` and ``w`` is ``(B, n, K)``. Fits and
@@ -259,8 +269,8 @@ class Dataset:
         # checked before the casts, which would truncate 0.7 or 0.5 to 0
         if np.any((w != 0) & (w != 1)):
             raise ValueError("treatment indicators must be 0/1")
-        if not exact_int64(x):
-            raise ValueError("stratum codes must be integers in [-2**63, 2**63)")
+        if not exact_codes(x):
+            raise ValueError("stratum codes must be integers in (-2**53, 2**53)")
         self.y = np.asarray(self.y, dtype=np.float64)
         self.w = w.astype(np.int8, copy=False)
         self.x = x.astype(np.int64, copy=False)

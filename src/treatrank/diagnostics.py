@@ -253,8 +253,9 @@ def rank_treatments(estimates: Sequence[EffectEstimate]) -> RankingResult:
 
     Expects one ATE-targeting method (AIPW or IPW) and one WATE-targeting
     method (PLM), each with exactly one estimate per treatment over a common
-    treatment set. ``agreement`` is the fraction of treatment pairs on which
-    the two orderings concur (1.0 when there are no pairs).
+    treatment set. ``agreement`` is the fraction of treatment pairs that
+    the two listed orderings put in the same order (1.0 when there are no
+    pairs); a tie is ordered by treatment index, as in the orderings.
     """
     sides: dict[Estimand, dict[int, float]] = {Estimand.ATE: {}, Estimand.WATE: {}}
     methods: dict[Estimand, set] = {Estimand.ATE: set(), Estimand.WATE: set()}
@@ -279,11 +280,12 @@ def rank_treatments(estimates: Sequence[EffectEstimate]) -> RankingResult:
         )
 
     pairs = list(combinations(sorted(ate_pts), 2))
-    concordant = sum(bool(np.sign(ate_pts[i] - ate_pts[j]) == np.sign(wate_pts[i] - wate_pts[j]))
-                     for i, j in pairs)
+    by_ate, by_wate = descending_order(ate_pts), descending_order(wate_pts)
+    rank_ate, rank_wate = ({t: r for r, t in enumerate(o)} for o in (by_ate, by_wate))
+    concordant = sum((rank_ate[i] < rank_ate[j]) == (rank_wate[i] < rank_wate[j]) for i, j in pairs)
     return RankingResult(
-        ordering_by_ate=descending_order(ate_pts),
-        ordering_by_wate=descending_order(wate_pts),
+        ordering_by_ate=by_ate,
+        ordering_by_wate=by_wate,
         reversed_pairs=tuple((i, j) for i, j in pairs
                              if reverses(ate_pts[i], wate_pts[i], ate_pts[j], wate_pts[j])),
         agreement=concordant / len(pairs) if pairs else 1.0,

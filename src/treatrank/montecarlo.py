@@ -503,19 +503,20 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> MonteCarloResult:
 
 
 def summarize(result: MonteCarloResult) -> list[dict]:
-    """Per-method, per-treatment summary rows: moments, quantiles, bias, rates.
+    """Per-method, per-treatment summary rows: moments, quantiles and failures.
 
-    ``failures`` counts the replicates whose estimate for that method and
-    treatment is missing (non-finite). A method and treatment without any
-    estimate still gets its row, with every moment, quantile and bias None.
+    The targets, biases and ranking rates are ``result``'s own, so a row
+    does not repeat them: its ``mean`` minus ``result.oracle_ate`` is
+    ``result.bias()``'s ``vs_ate``. ``failures`` counts the replicates whose
+    estimate for that method and treatment is missing (non-finite). A method
+    and treatment without any estimate still gets its row, with every moment
+    and quantile None.
     """
     if result.num_reps < 1 or not result.estimates:
         raise ValueError("cannot summarize an empty result")
-    bias = result.bias()
     rows = []
     for method, arr in result.estimates.items():
-        for idx, j in enumerate(result.treatments):
-            col = arr[:, idx]
+        for j, col in zip(result.treatments, arr.T):
             finite = col[np.isfinite(col)]
             moments: dict[str, float | None] = dict.fromkeys(("mean", "sd", "q025", "q500", "q975"))
             if finite.size:
@@ -527,20 +528,8 @@ def summarize(result: MonteCarloResult) -> list[dict]:
                     "q500": float(q500),
                     "q975": float(q975),
                 }
-            rows.append(
-                {
-                    "scenario": result.scenario,
-                    "method": method,
-                    "treatment": j,
-                    **moments,
-                    "oracle_ate": result.oracle_ate[idx],
-                    "oracle_wate": result.oracle_wate[idx],
-                    "bias_vs_ate": bias[method]["vs_ate"][idx],
-                    "bias_vs_wate": bias[method]["vs_wate"][idx],
-                    "correct_ranking_rate": result.correct_ranking_rate[method],
-                    "failures": int(col.size - finite.size),
-                }
-            )
+            rows.append({"method": method, "treatment": j, **moments,
+                         "failures": int(col.size - finite.size)})
     return rows
 
 

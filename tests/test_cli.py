@@ -188,16 +188,18 @@ class TestOracleCommand:
         assert payload["reversed_pairs"] == [[1, 2]]
         assert payload["pairs"][0]["sufficient_condition"] is True
 
-    def test_csv_headers(self, tmp_path, dgp_config):
-        out = tmp_path / "out"
+    def test_writes_only_oracle_json_in_estimates_shape(self, tmp_path, dgp_config, sampled):
+        # one file, whose entries have decomposition.json's keys in the same order
+        out, est = tmp_path / "out", tmp_path / "est"
         assert run_cli("oracle", "--config", dgp_config, "--out", out) == 0
-        header, rows = read_csv(out / "oracle.csv")
-        assert header == cli.ORACLE_HEADER
-        assert len(rows) == 2
-        header, _ = read_csv(out / "oracle_weights.csv")
-        assert header == cli.ORACLE_WEIGHTS_HEADER
-        header, _ = read_csv(out / "reversal.csv")
-        assert header == cli.REVERSAL_HEADER
+        assert [p.name for p in out.iterdir()] == ["oracle.json"]
+        payload = json.loads((out / "oracle.json").read_text())
+        assert list(payload) == ["treatments", "reversed_pairs", "pairs"]
+        assert run_cli("estimate", "--data", sampled(2_000), "--out", est) == 0
+        estimated = json.loads((est / "decomposition.json").read_text())
+        assert [list(t) for t in payload["treatments"]] == [list(r) for r in estimated]
+        assert [list(s) for t in payload["treatments"] for s in t["per_stratum"]] == [
+            list(s) for r in estimated for s in r["per_stratum"]]
 
     def test_constant_effect_config_zero_covariances(self, tmp_path):
         dgp = tr.preset(tr.ScenarioName.CONSTANT_EFFECTS).dgp
@@ -210,34 +212,30 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("name", ["extreme_heterogeneity", "panel_negative_covariance",
                                       "panel_zero_covariance", "panel_positive_covariance"])
-    def test_json_and_csv_weights_are_the_same_text(self, tmp_path, name):
-        # oracle.json and its tables print the one oracle report: every gamma, ate and wate alike
+    def test_per_stratum_is_the_closed_form(self, tmp_path, name):
+        # each treatment's entry holds the oracle values and the DGP's tables, bit for bit
         cfg, out = tr.packaged_config_path(f"{name}.yaml"), tmp_path / "out"
         assert run_cli("oracle", "--config", cfg, "--out", out) == 0
-        payload = json.loads((out / "oracle.json").read_text(), parse_float=str)
-        from_json = {(t["treatment"], int(s)): g for t in payload["treatments"]
-                     for s, g in t["gamma"].items()}
-        _, rows = read_csv(out / "oracle_weights.csv")
-        assert from_json == {(int(t), int(s)): g for t, s, _, _, g in rows}
-        _, rows = read_csv(out / "oracle.csv")
-        assert [[str(t["treatment"]), t["ate"], t["wate"], t["cov_tau_gamma"]]
-                for t in payload["treatments"]] == rows
+        dgp = tr.load_dgp_config(cfg)
+        treatments = json.loads((out / "oracle.json").read_text())["treatments"]
+        assert [t["treatment"] for t in treatments] == list(range(1, dgp.num_treatments + 1))
+        for t in treatments:
+            j = t["treatment"]
+            assert (t["source"], t["ate"], t["wate"], t["remainder"]) == (
+                "oracle", tr.oracle_ate(dgp, j), tr.oracle_wate(dgp, j), 0.0)
+            rows = t["per_stratum"]
+            assert [s["stratum"] for s in rows] == dgp.stratum_codes.tolist()
+            assert [s["probability"] for s in rows] == dgp.stratum_probs.tolist()
+            assert [s["tau"] for s in rows] == dgp.effect[j - 1].tolist()
+            assert [s["gamma"] for s in rows] == tr.oracle_weights(dgp, j).tolist()
 
     @pytest.mark.parametrize("case", sorted(c for c in _cases() if c.startswith("oracle-")))
-    def test_reversal_csv_is_the_json_pairs(self, tmp_path, case):
-        # on every pinned oracle case: reversal.csv and oracle.json's pairs print the one
-        # pair list, and without --delta neither has a sufficient condition
+    def test_reversed_pairs_are_the_pairs_flagged(self, tmp_path, case):
+        # on every pinned oracle case: reversed_pairs lists the pairs flagged reversed,
+        # and without --delta no pair has a sufficient condition
         run_case(_cases()[case], tmp_path)
-        out = tmp_path / "out"
-        payload = json.loads((out / "oracle.json").read_text(), parse_float=str)
-        header, rows = read_csv(out / "reversal.csv")
-        assert header == cli.REVERSAL_HEADER
-        text = {True: "True", False: "False", None: ""}
-        assert rows and rows == [
-            [str(p["treatment_j"]), str(p["treatment_k"]), text[p["reversed"]], p["margin"],
-             text[p["sufficient_condition"]]]
-            for p in payload["pairs"]
-        ]
+        payload = json.loads((tmp_path / "out" / "oracle.json").read_text())
+        assert payload["pairs"]
         no_delta = case.endswith("-no-delta")
         assert all((p["sufficient_condition"] is None) == no_delta for p in payload["pairs"])
         assert payload["reversed_pairs"] == [
@@ -264,7 +262,6 @@ class TestOracleCommand:
         cfg, out = tmp_path / "tied.yaml", tmp_path / "out"
         tr.write_dgp_config(tied_dgp, cfg)
         assert run_cli("oracle", "--config", cfg, "--delta", 0.1, "--out", out) == 0
-        assert read_csv(out / "reversal.csv")[1] == [["1", "2", "False", "0.0", "False"]]
         payload = json.loads((out / "oracle.json").read_text())
         assert payload["reversed_pairs"] == []
         assert payload["pairs"] == [{"treatment_j": 1, "treatment_k": 2, "reversed": False,
@@ -411,10 +408,13 @@ class TestEstimateCommand:
                       if r["method"] == method and not r["error"]} for method in ("aipw", "plm"))
         assert set(ate) == set(wate)
         pairs = list(combinations(sorted(ate), 2))
-        agree = [np.sign(ate[j] - ate[k]) == np.sign(wate[j] - wate[k]) for j, k in pairs]
+        by_ate, by_wate = (sorted(p, key=lambda t: (-p[t], t)) for p in (ate, wate))
+        # agreement: the share of pairs the two orderings list in the same order
+        agree = [(by_ate.index(j) < by_ate.index(k)) == (by_wate.index(j) < by_wate.index(k))
+                 for j, k in pairs]
         assert json.loads((out / "ranking.json").read_text()) == {
-            "ordering_by_ate": sorted(ate, key=lambda t: (-ate[t], t)),
-            "ordering_by_wate": sorted(wate, key=lambda t: (-wate[t], t)),
+            "ordering_by_ate": by_ate,
+            "ordering_by_wate": by_wate,
             "reversed_pairs": [[j, k] for j, k in pairs
                                if (ate[j] - ate[k]) * (wate[j] - wate[k]) < 0],
             "agreement": sum(agree) / len(pairs) if pairs else 1.0,

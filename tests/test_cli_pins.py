@@ -121,43 +121,25 @@ PINS = {
     },
     "montecarlo-balanced": {
         "resolved_config.yaml": "be634eb3ce00f0a48cedc9265d10cf94432af76961a463a64d3a5b3e0b5c6ad6",
-        "summary.json": "7587a2610d70ccd73c069f3b17d7dde86d7d91eb9437c5f3278e78ca6917b2f7",
+        "summary.json": "8def47619a82d5ac061e5d530ddc1a65a93e8f7dfab2d0b1747ac599b88a87a7",
     },
     "oracle-multinomial": {
-        "oracle.csv": "cc3ca53933b6f39a6ebc7c93607b6b81cb727021b73fe9c0ec6a453df57161de",
-        "oracle.json": "8769de26eaa8081a2a92e5d8f4ecd2c5589df7301601e49902262fa2a8ab5937",
-        "oracle_weights.csv": "8aebd252e79fe760c65532a7dfabf4bc7c898642def3b9cd3a4f8364516f22d2",
-        "reversal.csv": "8fcb878e631e39d00af3cd43f2e3b89f231f0b6ea10376a567a14991f69ab7e8",
+        "oracle.json": "3a4e3fc3e027c54b34a3ccc7cd50d0905f632a40de4f401df4a8b11c656ba82a",
     },
     "oracle-multinomial-no-delta": {
-        "oracle.csv": "cc3ca53933b6f39a6ebc7c93607b6b81cb727021b73fe9c0ec6a453df57161de",
-        "oracle.json": "7e53b430ff5b14f8cd34a1b2cc4ceb1acadeb6889ac1a8647fb252a7853260d0",
-        "oracle_weights.csv": "8aebd252e79fe760c65532a7dfabf4bc7c898642def3b9cd3a4f8364516f22d2",
-        "reversal.csv": "4f255d36ceb617baa908aeef93fee07cf53a31b7cba1d5c41d85a9cfa5bf3611",
+        "oracle.json": "b9f5d530fa054bdd86949b41d99b8401f82106c1a210a25a9231b44ed47f56b5",
     },
     "oracle-parallel": {
-        "oracle.csv": "713309b8107aba7bc5b3c08e6eba89b53cdce7ba15c057dd4376fbf956dc4012",
-        "oracle.json": "8813eab346cb3dbe3d128590ee69ed1f25f9bb0cbc702d805f415db4258e7a63",
-        "oracle_weights.csv": "67650e94131e40cf4507d9e23c7868baa9da9bb45a72f089fd47d22002d7552e",
-        "reversal.csv": "042c468d3eca65e057a0adb7989c9579e577df0ed1617b8f2e0d52c7b1482965",
+        "oracle.json": "8bef616cf655608fca04e40986be5b91f1e5030faa6307b5d88306f558b3464e",
     },
     "oracle-parallel-no-delta": {
-        "oracle.csv": "713309b8107aba7bc5b3c08e6eba89b53cdce7ba15c057dd4376fbf956dc4012",
-        "oracle.json": "dbd8a29094060ef473f928e7a9729cd8c12c647e630705d70bad0855790809e8",
-        "oracle_weights.csv": "67650e94131e40cf4507d9e23c7868baa9da9bb45a72f089fd47d22002d7552e",
-        "reversal.csv": "5c8424f78da6a22ba82e6f5bf5bed7419bd2431f2138ecfc153b765491ada886",
+        "oracle.json": "c10ebad9fe9562b62780015bceb71da02674bf26e3b84270fc25c24c32f8fe02",
     },
     "oracle-reversal": {
-        "oracle.csv": "9a2aa9b26f62f078ba47cbdf5833d4913a4407ea346daecf04c111f6b35ef95b",
-        "oracle.json": "053cac918bedb457ca814a46377361a121ca7d746861bde6d836d539d388753c",
-        "oracle_weights.csv": "e83dd48818323e27cf04f771441cefded0b675557a52f5a3a4780280b56c1cac",
-        "reversal.csv": "17f5b5e80b1cf5cf6e5348b72ac77fc832762081a180dd981a64122e74b91727",
+        "oracle.json": "685ee9b84c91093d6811943b6cbb493f629d1e1bec421cd226511e723f34bb98",
     },
     "oracle-reversal-no-delta": {
-        "oracle.csv": "9a2aa9b26f62f078ba47cbdf5833d4913a4407ea346daecf04c111f6b35ef95b",
-        "oracle.json": "462e728acbf446400fb8bd2c81e7862937754da286907cf7a90412b42644fb38",
-        "oracle_weights.csv": "e83dd48818323e27cf04f771441cefded0b675557a52f5a3a4780280b56c1cac",
-        "reversal.csv": "239fe21adcb344203792c0851a3e3d22262c5de66b40c5a9709f4406f0f3a3be",
+        "oracle.json": "53b346d083f73eb45a6a1d1dbbd1fd8517821ad8e107246996f47386ea823a2b",
     },
     "sample-multinomial": {
         "dataset.csv": "c424bd363f546c4b22558817f6c1c8eb24154f6472a564abf20078100cd3aa58",

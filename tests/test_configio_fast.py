@@ -64,12 +64,13 @@ def reference_load(path) -> tr.Dataset:
     y = arr[:, 0]
     x = arr[:, -1]
     # checked before any cast: int64 would wrap or saturate the others into one code
-    if not all(math.isfinite(v) and v.is_integer() and -2**63 <= v < 2**63 for v in x.tolist()):
-        raise ConfigError(f"{path}: stratum codes must be integers in [-2**63, 2**63)")
+    # and past 2**53 a float is no longer one integer: 2**53 + 1 parses as 2**53
+    if not all(math.isfinite(v) and v.is_integer() and -2**53 < v < 2**53 for v in x.tolist()):
+        raise ConfigError(f"{path}: stratum codes must be integers in (-2**53, 2**53)")
     if layout == "arm":
         arm = arr[:, 1]
-        if not all(math.isfinite(v) and v.is_integer() and 0 <= v < 2**63 for v in arm.tolist()):
-            raise ConfigError(f"{path}: arm labels must be integers in [0, 2**63)")
+        if not all(math.isfinite(v) and v.is_integer() and 0 <= v < 2**53 for v in arm.tolist()):
+            raise ConfigError(f"{path}: arm labels must be integers in [0, 2**53)")
         arm = arm.astype(np.int64)
         K = int(arm.max())
         if K < 1:
@@ -259,6 +260,11 @@ CORPUS = {
     "stratum codes past int64": "y,w,x\n1.5,1,1e19\n2.5,0,2e19\n",
     "stratum code 2**63": "y,w,x\n1.5,1,9223372036854775808\n",
     "stratum code -2**63": "y,w,x\n1.5,1,-9223372036854775808\n",
+    # float64 reads 2**53 + 1 as 2**53: the two codes would be one stratum
+    "stratum codes 2**53 and 2**53 + 1": "y,w,x\n1.5,1,9007199254740992\n2.5,0,9007199254740993\n",
+    "stratum code -2**53": "y,w,x\n1.5,1,-9007199254740992\n",
+    "stratum codes +-(2**53 - 1)": "y,w,x\n1.5,1,9007199254740991\n2.5,0,-9007199254740991\n",
+    "arm label 2**53": "y,w,x\n1.5,9007199254740992,0\n",
     "arm label past int64": "y,w,x\n1.5,1e19,0\n",
     "inf arm label": "y,w,x\n1.5,inf,0\n",
     "nan arm label": "y,w,x\n1.5,nan,0\n",
@@ -363,6 +369,20 @@ def test_sample_round_trip_exact(tmp_path, mode):
     path = tmp_path / "data.csv"
     tr.write_dataset_csv(data, path)
     assert_same_dataset(tr.load_dataset_csv(path), data)
+
+
+@pytest.mark.parametrize("mode", list(tr.AssignmentMode))
+def test_sampled_codes_near_2_53_round_trip(tmp_path, mode):
+    # the largest codes a DGP takes read back bit for bit
+    dgp = tr.StratifiedDGP(strata=((2**53 - 1, 0.5), (1 - 2**53, 0.5)), num_treatments=2,
+                           propensity=[[0.3, 0.4], [0.2, 0.3]], effect=[[1.0, 2.0], [0.5, -1.0]],
+                           baseline=[0.0, 1.0], assignment_mode=mode)
+    data = tr.sample(dgp, 200, seed=3)
+    path = tmp_path / "data.csv"
+    tr.write_dataset_csv(data, path)
+    back = tr.load_dataset_csv(path)
+    assert_same_dataset(back, data)
+    assert set(back.x.tolist()) == {2**53 - 1, 1 - 2**53}
 
 
 @pytest.mark.parametrize("mode", list(tr.AssignmentMode))

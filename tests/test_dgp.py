@@ -215,6 +215,14 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             tr.StratifiedDGP(**{**self.GOOD, field: value})
 
+    @pytest.mark.parametrize("code", [2**53, -2**53, 2**63])
+    def test_codes_a_dataset_file_would_merge_rejected(self, code):
+        # a dataset file holds codes as float64, which reads 2**53 + 1 as 2**53
+        strata = ((code, 0.5), (1, 0.5))
+        with pytest.raises(ValueError, match=re.escape(
+                f"stratum codes must be integers in (-2**53, 2**53), got {[code, 1]}")):
+            tr.StratifiedDGP(**{**self.GOOD, "strata": strata})
+
     def test_nan_propensity_rejected_under_multinomial(self):
         with pytest.raises(tr.OverlapError):
             tr.StratifiedDGP(**{**self.GOOD, "propensity": [[np.nan, 0.6]],
@@ -413,7 +421,7 @@ class TestSampling:
             tr.sample(reversal_dgp, 0, seed=1)
 
 
-CODES = "stratum codes must be integers in [-2**63, 2**63)"
+CODES = "stratum codes must be integers in (-2**53, 2**53)"
 
 
 class TestDatasetGrouping:
@@ -450,9 +458,12 @@ class TestDatasetGrouping:
         (np.array([[0], [1]]), np.array([0.0, np.inf]), CODES),
         (np.array([[0], [1]]), np.array([-np.inf, np.nan]), CODES),
         (np.array([[0], [1]]), np.array([0, 2**63], dtype=np.uint64), CODES),
+        # a float past 2**53 may be another integer rounded: 2.0**53 + 1 == 2.0**53
+        (np.array([[0], [1]]), np.array([2.0**53, 0.0]), CODES),
+        (np.array([[0], [1]]), np.array([0.0, -2.0**53]), CODES),
         (np.zeros((2, 0)), np.zeros(2), "w must have at least one treatment column"),
     ], ids=["indicator-2", "indicator-0.7", "code-0.5", "code-past-int64", "code-inf",
-            "code-nan", "code-uint64-2**63", "no-treatment-column"])
+            "code-nan", "code-uint64-2**63", "code-2**53", "code--2**53", "no-treatment-column"])
     def test_bad_indicators_and_codes_rejected(self, w, x, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             tr.Dataset(y=np.zeros(2), w=w, x=x)

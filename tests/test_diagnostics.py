@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -409,6 +410,18 @@ class TestRankTreatments:
         assert result.ordering_by_ate == (1, 2)
         assert result.ordering_by_wate == (1, 2)
         assert result.reversed_pairs == ()
+        assert result.agreement == 1.0
+
+    def test_agreement_follows_the_listed_orderings(self):
+        # a tied ATE pair is listed by index, as the WATE ordering lists it: they agree
+        ests = [tr.EffectEstimate(treatment=j, method=method, point=point, std_error=0.0, n_used=0)
+                for method, points in ((tr.Method.AIPW, {1: 1.0, 2: 1.0}),
+                                       (tr.Method.PLM, {1: 2.0, 2: 1.0}))
+                for j, point in points.items()]
+        result = tr.rank_treatments(ests)
+        assert result.ordering_by_ate == result.ordering_by_wate == (1, 2)
+        assert result.reversed_pairs == ()
+        assert result.agreement == 1.0
 
     def test_missing_treatment_rejected(self, reversal_dgp):
         ests = [e for e in oracle_estimates(reversal_dgp) if not (
@@ -444,7 +457,14 @@ class TestRankTreatments:
                        for j in range(1, K + 1)}
             flagged = tuple((i, j) for i in range(1, K + 1) for j in range(i + 1, K + 1)
                             if tr.check_reversal(reports[i], reports[j]).reversed)
-            assert tr.rank_treatments(ests).reversed_pairs == flagged
+            result = tr.rank_treatments(ests)
+            assert result.reversed_pairs == flagged
+            # agreement: the share of pairs the two listed orderings put in the same order
+            pairs = list(combinations(range(1, K + 1), 2))
+            same = [(result.ordering_by_ate.index(i) < result.ordering_by_ate.index(j))
+                    == (result.ordering_by_wate.index(i) < result.ordering_by_wate.index(j))
+                    for i, j in pairs]
+            assert result.agreement == sum(same) / len(pairs)
 
     def test_agreement_one_when_weights_flat(self):
         gen = rng.substream(208)
