@@ -77,18 +77,15 @@ def _report_entry(r: DecompositionReport) -> dict:
     """One treatment's entry in ``decomposition.json`` and in ``oracle.json``'s ``treatments``."""
     return {"treatment": r.treatment, "source": r.source.value, "ate": r.ate,
             "cov_tau_gamma": r.cov_tau_gamma, "wate": r.wate, "remainder": r.remainder,
-            "per_stratum": [{"stratum": s.stratum, "probability": s.probability, "tau": s.tau,
-                             "gamma": s.gamma} for s in r.per_stratum]}
+            "per_stratum": [{"stratum": s, "probability": p, "tau": t, "gamma": g}
+                            for s, p, t, g in zip(r.strata, r.probability, r.tau, r.gamma)]}
 
 
 def _pairwise_reversals(reports, delta: float | None) -> list[dict]:
     rows = []
     for rj, rk in combinations(reports, 2):
         res = check_reversal(rj, rk)
-        sufficient = None
-        if delta is not None:
-            high, low = (rj, rk) if rj.ate >= rk.ate else (rk, rj)
-            sufficient = sufficient_condition_check(high, low, delta)
+        sufficient = None if delta is None else sufficient_condition_check(rj, rk, delta)
         rows.append(
             {
                 "treatment_j": rj.treatment,

@@ -29,7 +29,9 @@ the header, a blank field and a non-numeric cell. Stratum codes must be
 integers in (-2**53, 2**53), arm labels integers in [0, 2**53) with at
 least one treated unit, and indicators 0/1; so NaN, an infinity or a code
 that float64 cannot tell from its neighbour (2**53 + 1 parses as 2**53)
-is refused, not cast or merged.
+is refused, not cast or merged. An arm label past ``dgp.MAX_ARMS`` (64)
+is refused naming its line, before the indicator matrix it would size is
+made.
 
 The writer emits CRLF line endings and ``repr`` floats, so a written
 dataset reads back bit for bit.
@@ -57,7 +59,7 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .dgp import AssignmentMode, Dataset, StratifiedDGP, exact_codes
+from .dgp import MAX_ARMS, AssignmentMode, Dataset, StratifiedDGP, exact_codes
 from .nuisance import DEFAULT_CLIP, DEFAULT_NUM_FOLDS, Basis, LearnerKind, LearnerSpec
 
 
@@ -345,6 +347,19 @@ def _row_fault(path, width: int, first_line: int, cause: object) -> ConfigError:
     return ConfigError(f"{path}: {cause}")
 
 
+def _row_start(path, row: int) -> int:
+    """The 1-based line of the file on which body row ``row`` (0-based) starts.
+
+    Counts as the csv module does, so a quoted line break in a cell, which
+    numpy's reader also takes, does not shift the lines after it.
+    """
+    with open(path) as fh:
+        reader = csv.reader(fh)
+        for _ in islice(reader, row + 1):  # the header, then the rows before
+            pass
+        return reader.line_num + 1
+
+
 def _scan_body(fh) -> tuple[bool, bool]:
     """Whether the rest of ``fh`` is empty, and whether it holds an empty line.
 
@@ -424,6 +439,10 @@ def load_dataset_csv(path: str | Path) -> Dataset:
         K = int(arm.max())
         if K < 1:
             raise ConfigError(f"{path}: no treated units; cannot infer the number of treatments")
+        if K > MAX_ARMS:
+            row = int(np.argmax(arm > MAX_ARMS))
+            raise ConfigError(f"{path}:{_row_start(path, row)}: arm label {arm[row]} is past "
+                              f"the {MAX_ARMS}-arm limit")
         w = np.zeros((arr.shape[0], K), dtype=np.int8)
         treated = arm > 0
         w[np.nonzero(treated)[0], arm[treated] - 1] = 1

@@ -42,6 +42,13 @@ class OverlapError(ValueError):
 
 
 CODE_BOUND = 2**53  # float64 holds each integer in (-2**53, 2**53) apart from its neighbours
+# The most arms a multinomial design takes. A dataset file's largest arm
+# label sets the width of the n x K int8 indicator matrix it is read into,
+# so without a cap one label of 2**40 asks for a terabyte a row. At 64 the
+# matrix is at most 64 bytes a row, about what the reader spends a row
+# besides; and since the arms' propensities sum below one, more arms
+# would get under 1/64 of the units each, on average.
+MAX_ARMS = 64
 
 
 def exact_codes(values: NDArray) -> bool:
@@ -138,6 +145,8 @@ class StratifiedDGP:
         K = self.num_treatments
         if K < 1:
             raise ValueError(f"num_treatments must be >= 1, got {K}")
+        if self.assignment_mode is AssignmentMode.MULTINOMIAL and K > MAX_ARMS:
+            raise ValueError(f"multinomial assignment takes at most {MAX_ARMS} arms, got {K}")
         if S < 1:
             raise ValueError("at least one stratum is required")
         codes = [s for s, _ in strata]

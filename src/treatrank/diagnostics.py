@@ -7,10 +7,13 @@ the covariance terms are large enough, and of the right signs, to flip the
 regression-based ordering away from the true one. This module makes that
 arithmetic inspectable: per-stratum decomposition reports, an exact
 reversal check, a delta-parameterized sufficient condition, and pairwise
-ranking summaries. The oracle and the estimated reports both hand
+ranking summaries. A decomposition is four aligned stratum columns, from
+:func:`decompose`'s input to the report's ``strata``, ``probability``,
+``tau`` and ``gamma``. The oracle and the estimated reports both hand
 :func:`decompose` raw weights, which it normalizes once. The estimated
 report splits a fit's PLM and AIPW points from the estimators' own
-per-(fold, stratum) sums. :func:`reverses` is the one reversal rule.
+per-(fold, stratum) sums. :func:`reverses` is the one reversal rule, and
+the pairwise checks take a pair in either order.
 """
 
 from __future__ import annotations
@@ -38,30 +41,22 @@ class Source(str, Enum):
 
 
 @dataclass(frozen=True)
-class StratumRow:
-    stratum: int
-    probability: float
-    tau: float
-    gamma: float
-
-
-@dataclass(frozen=True)
 class DecompositionReport:
     """Additive WATE = ATE + Cov + remainder split for one treatment, with the
-    per-stratum effect and weight tables it was computed from (``remainder``
-    is 0.0 on an oracle report; see :func:`split_points`)."""
+    per-stratum columns it was computed from: ``strata[i]`` has probability
+    ``probability[i]``, effect ``tau[i]`` and normalized weight ``gamma[i]``
+    (``remainder`` is 0.0 on an oracle report; see :func:`split_points`)."""
 
     treatment: int
     ate: float
     cov_tau_gamma: float
     wate: float
-    per_stratum: tuple[StratumRow, ...]
+    strata: tuple[int, ...]
+    probability: tuple[float, ...]
+    tau: tuple[float, ...]
+    gamma: tuple[float, ...]
     source: Source
     remainder: float = 0.0
-
-    @property
-    def strata(self) -> tuple[int, ...]:
-        return tuple(row.stratum for row in self.per_stratum)
 
 
 @dataclass(frozen=True)
@@ -89,34 +84,35 @@ class RankingResult:
 
 
 def decompose(
-    tau_by_stratum: Mapping[int, float],
-    gamma_by_stratum: Mapping[int, float],
-    strata_probs: Mapping[int, float],
+    strata: Sequence[int],
+    tau: Sequence[float],
+    weight: Sequence[float],
+    probs: Sequence[float],
     treatment: int = 0,
     source: Source = Source.ORACLE,
 ) -> DecompositionReport:
     """Split the weighted effect into ATE plus an effect-weight covariance.
 
-    The weight table is normalized to probability-weighted mean one; the
-    three terms then come from :func:`~treatrank.dgp.decomposition_terms`.
-    The strata are taken, and summed over, in the order of
-    ``tau_by_stratum``. A negative or non-finite probability or weight, or
-    a non-finite effect, raises ``ValueError``.
+    ``strata`` are distinct stratum codes and ``tau``, ``weight`` and
+    ``probs`` 1-D columns aligned with them, kept and summed in that order.
+    The weights are normalized to probability-weighted mean one; the three
+    terms then come from :func:`~treatrank.dgp.decomposition_terms`.
+    Misaligned or empty columns, repeated codes, a negative or non-finite
+    probability or weight, or a non-finite effect raise ``ValueError``.
     """
-    keys = list(tau_by_stratum)
-    if set(gamma_by_stratum) != set(keys) or set(strata_probs) != set(keys):
-        raise ValueError(
-            "misaligned tables: tau, gamma, and probabilities must cover the same strata"
-        )
-    if not keys:
+    codes = np.asarray(strata)
+    probs, tau, gamma = (np.asarray(v, dtype=np.float64) for v in (probs, tau, weight))
+    # a set, not np.unique, whose hash path raised the benchmark's peak RSS by 2-3 MB
+    if (codes.ndim != 1 or any(v.shape != codes.shape for v in (probs, tau, gamma))
+            or len(set(codes.tolist())) < codes.size):
+        raise ValueError("misaligned columns: strata, tau, weight and probs must be 1-D, "
+                         "of one length, over distinct strata")
+    if not codes.size:
         raise ValueError("empty tables")
-    probs = np.array([strata_probs[s] for s in keys], dtype=np.float64)
     if not np.all(np.isfinite(probs) & (probs >= 0)):
         raise ValueError(f"stratum probabilities must be finite and non-negative, got {probs}")
     if abs(probs.sum() - 1.0) > 1e-8:
         raise ValueError(f"stratum probabilities must sum to 1, got {probs.sum()!r}")
-    tau = np.array([tau_by_stratum[s] for s in keys], dtype=np.float64)
-    gamma = np.array([gamma_by_stratum[s] for s in keys], dtype=np.float64)
     if not np.isfinite(tau).all():
         raise ValueError(f"effects must be finite, got {tau}")
     if not np.all(np.isfinite(gamma) & (gamma >= 0)):
@@ -126,12 +122,10 @@ def decompose(
         raise ValueError("weights must have positive probability-weighted mean")
     gamma = gamma / total
     ate, wate, cov = decomposition_terms(probs, tau, gamma)
-    rows = tuple(
-        StratumRow(stratum=s, probability=float(p), tau=float(t), gamma=float(g))
-        for s, p, t, g in zip(keys, probs, tau, gamma)
-    )
     return DecompositionReport(treatment=treatment, ate=ate, cov_tau_gamma=cov, wate=wate,
-                               per_stratum=rows, source=source)
+                               strata=tuple(codes.tolist()), probability=tuple(probs.tolist()),
+                               tau=tuple(tau.tolist()), gamma=tuple(gamma.tolist()),
+                               source=source)
 
 
 def oracle_report(dgp: StratifiedDGP, j: int) -> DecompositionReport:
@@ -141,15 +135,9 @@ def oracle_report(dgp: StratifiedDGP, j: int) -> DecompositionReport:
     ``oracle_wate`` and ``oracle_weights``, which normalize the same
     ``regression_variance`` once, in the same order.
     """
-    codes = dgp.stratum_codes.tolist()
-    variance = regression_variance(dgp, j)  # checks j
-    return decompose(
-        dict(zip(codes, dgp.effect[j - 1].tolist())),
-        dict(zip(codes, variance.tolist())),
-        dict(zip(codes, dgp.stratum_probs.tolist())),
-        treatment=j,
-        source=Source.ORACLE,
-    )
+    variance = regression_variance(dgp, j)  # checks j before it indexes the effects
+    return decompose(dgp.stratum_codes, dgp.effect[j - 1], variance, dgp.stratum_probs,
+                     treatment=j, source=Source.ORACLE)
 
 
 def estimate_decomposition(data: Dataset | None, fit: NuisanceFit, j: int) -> DecompositionReport:
@@ -186,10 +174,8 @@ def split_points(fit: NuisanceFit, j: int, wate: EffectEstimate | Exception,
     # units per stratum: j's cells hold each unit once (a chunk of treatments holds every unit)
     n_s = fit.table.count[np.concatenate(fit.cells(j)), 0].sum(axis=(0, 1))
     present = np.flatnonzero(n_s)
-    codes = fit.table.levels[present].tolist()
     tau, weight = (add_in_turn(est.sums[0])[present] / n_s[present] for est in (ate, wate))
-    shares = n_s[present] / fit.table.n
-    report = decompose(*(dict(zip(codes, v.tolist())) for v in (tau, weight, shares)),
+    report = decompose(fit.table.levels[present], tau, weight, n_s[present] / fit.table.n,
                        treatment=j, source=Source.ESTIMATED)
     return replace(report, ate=ate.point, wate=wate.point,
                    remainder=wate.point - ate.point - report.cov_tau_gamma)
@@ -207,7 +193,7 @@ def check_reversal(dec_j: DecompositionReport, dec_k: DecompositionReport) -> Re
 
     Exact ATE ties are never reversals and report zero margin.
     """
-    if dec_j.per_stratum and dec_k.per_stratum and set(dec_j.strata) != set(dec_k.strata):
+    if dec_j.strata and dec_k.strata and set(dec_j.strata) != set(dec_k.strata):
         raise ValueError(
             f"reports cover different strata: {dec_j.strata} vs {dec_k.strata}"
         )
@@ -224,22 +210,27 @@ def sufficient_condition_check(
 ) -> bool:
     """Delta-parameterized sufficient conditions for a rank reversal.
 
-    Convention: ``dec_j`` is the higher-ATE treatment. Returns True iff
+    The pair may come in either order: ``h`` is the one with the higher
+    ATE and ``l`` the other, as in :func:`check_reversal`. Returns True iff
 
-    1. ``ate_j > ate_k`` (a tied pair is never a reversal),
-    2. ``Cov(tau_j, gamma_j) < -delta``,
-    3. ``Cov(tau_k, gamma_k) > delta``, and
-    4. ``ate_j - ate_k < 2 delta``.
+    1. ``ate_h > ate_l`` (a tied pair is never a reversal),
+    2. ``Cov(tau_h, gamma_h) < -delta``,
+    3. ``Cov(tau_l, gamma_l) > delta``, and
+    4. ``ate_h - ate_l < 2 delta``.
 
-    Together these imply ``wate_j < wate_k``.
+    Together these imply ``wate_h < wate_l``. Condition 4 would still
+    imply it written as ``<=``, because 2 and 3 are strict; it is kept
+    strict, so a gap of exactly ``2 delta`` is not sufficient, though the
+    pair may be reversed.
     """
     if not delta > 0:  # also rejects NaN
         raise ValueError(f"delta must be > 0, got {delta}")
+    high, low = (dec_j, dec_k) if dec_j.ate > dec_k.ate else (dec_k, dec_j)
     return (
-        dec_j.ate > dec_k.ate
-        and dec_j.cov_tau_gamma < -delta
-        and dec_k.cov_tau_gamma > delta
-        and dec_j.ate - dec_k.ate < 2.0 * delta
+        high.ate > low.ate
+        and high.cov_tau_gamma < -delta
+        and low.cov_tau_gamma > delta
+        and high.ate - low.ate < 2.0 * delta
     )
 
 

@@ -137,8 +137,10 @@ class MonteCarloResult:
     ``sample``, ``assign_folds``, ``cell_table`` and stacking),
     ``fit_table`` and the estimators. With more than one worker the shares
     run at once, so the seconds can add up to more than
-    ``runtime_seconds``. It is volatile
-    too, and neither :meth:`to_dict` nor :meth:`canonical_bytes` writes it.
+    ``runtime_seconds``. Only those ``*_seconds`` entries are volatile: the
+    counts and ``failures`` are the same at any worker count, like the
+    estimates. Neither :meth:`to_dict` nor :meth:`canonical_bytes` writes
+    ``diagnostics`` yet.
     """
 
     scenario: str

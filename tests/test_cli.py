@@ -600,6 +600,16 @@ class TestFailedCommandOutput:
         assert run_cli("sample", "--config", dgp_config, "--n", 0, "--out", out) == 1
         assert not out.exists()
 
+    def test_estimate_arm_label_past_the_limit_leaves_no_directory(self, tmp_path, capsys):
+        # an arm label of 2**40 once asked numpy for a 1 TiB indicator matrix
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"y,w,x\r\n1.5,1099511627776,0\r\n")
+        out = tmp_path / "out"
+        assert run_cli("estimate", "--data", data, "--out", out) == 1
+        assert capsys.readouterr().err == (f"treatrank estimate: error: {data}:2: arm label "
+                                           "1099511627776 is past the 64-arm limit\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["oracle", "--delta", "0"], ["sample", "--n", "0"]])
     def test_existing_directory_survives(self, tmp_path, dgp_config, argv):
         out = tmp_path / "out"

@@ -75,6 +75,10 @@ def reference_load(path) -> tr.Dataset:
         K = int(arm.max())
         if K < 1:
             raise ConfigError(f"{path}: no treated units; cannot infer the number of treatments")
+        # refused before the indicator matrix: a label of 2**40 would ask for 1 TiB a row
+        if K > 64:
+            row = int(np.argmax(arm > 64))
+            raise ConfigError(f"{path}:{row + 2}: arm label {arm[row]} is past the 64-arm limit")
         w = np.zeros((arr.shape[0], K), dtype=np.int8)
         treated = arm > 0
         w[np.nonzero(treated)[0], arm[treated] - 1] = 1
@@ -268,6 +272,10 @@ CORPUS = {
     "arm label past int64": "y,w,x\n1.5,1e19,0\n",
     "inf arm label": "y,w,x\n1.5,inf,0\n",
     "nan arm label": "y,w,x\n1.5,nan,0\n",
+    # the largest label sets the indicator matrix's width: at most 64 arms
+    "arm label 2**40": "y,w,x\r\n1.5,1099511627776,0\r\n",
+    "arm label 64": "y,w,x\n1.5,64,0\n2.5,0,1\n",
+    "arm label 65 on line 3": "y,w,x\n1.5,64,0\n2.5,65,1\n3.5,66,1\n",
 }
 
 
@@ -383,6 +391,27 @@ def test_sampled_codes_near_2_53_round_trip(tmp_path, mode):
     back = tr.load_dataset_csv(path)
     assert_same_dataset(back, data)
     assert set(back.x.tolist()) == {2**53 - 1, 1 - 2**53}
+
+
+def test_most_arms_round_trip(tmp_path):
+    # 64 arms, the most a DGP and a dataset file take; arm 64 holds half the units
+    propensity = np.vstack([np.full((63, 2), 0.005), [[0.5, 0.5]]])
+    dgp = tr.StratifiedDGP(strata=((0, 0.5), (1, 0.5)), num_treatments=64, propensity=propensity,
+                           effect=np.ones((64, 2)), baseline=np.zeros(2),
+                           assignment_mode=tr.AssignmentMode.MULTINOMIAL)
+    data = tr.sample(dgp, 200, seed=1)
+    path = tmp_path / "data.csv"
+    tr.write_dataset_csv(data, path)
+    assert_same_dataset(tr.load_dataset_csv(path), data)
+    assert data.arm.max() == 64
+
+
+def test_arm_label_past_the_limit_names_its_line(tmp_path):
+    # the first row holds a quoted line break, so the label's row starts on line 4
+    path = tmp_path / "data.csv"
+    path.write_text('y,w,x\n"1.5\n",1,0\n-2,65,1\n')
+    with pytest.raises(ConfigError, match=r"data\.csv:4: arm label 65 is past the 64-arm limit$"):
+        tr.load_dataset_csv(path)
 
 
 @pytest.mark.parametrize("mode", list(tr.AssignmentMode))

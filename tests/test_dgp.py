@@ -223,6 +223,15 @@ class TestValidation:
                 f"stratum codes must be integers in (-2**53, 2**53), got {[code, 1]}")):
             tr.StratifiedDGP(**{**self.GOOD, "strata": strata})
 
+    def test_more_multinomial_arms_than_a_dataset_file_takes_rejected(self):
+        # a dataset file's arm labels stop at 64; parallel treatments have no cap
+        fields = dict(strata=((0, 1.0),), num_treatments=65, propensity=np.full((65, 1), 0.01),
+                      effect=np.zeros((65, 1)), baseline=np.zeros(1))
+        assert tr.StratifiedDGP(**fields).num_treatments == 65
+        with pytest.raises(ValueError, match=re.escape(
+                "multinomial assignment takes at most 64 arms, got 65")):
+            tr.StratifiedDGP(**fields, assignment_mode=tr.AssignmentMode.MULTINOMIAL)
+
     def test_nan_propensity_rejected_under_multinomial(self):
         with pytest.raises(tr.OverlapError):
             tr.StratifiedDGP(**{**self.GOOD, "propensity": [[np.nan, 0.6]],

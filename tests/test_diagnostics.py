@@ -40,44 +40,49 @@ class TestDecompose:
         assert rep.wate == tr.oracle_wate(reversal_dgp, 1)
 
     def test_unit_weights_mean_zero_covariance(self):
-        rep = tr.decompose(
-            {0: 1.0, 1: 3.0}, {0: 1.0, 1: 1.0}, {0: 0.5, 1: 0.5}
-        )
+        rep = tr.decompose([0, 1], [1.0, 3.0], [1.0, 1.0], [0.5, 0.5])
         assert rep.cov_tau_gamma == pytest.approx(0.0, abs=1e-15)
         assert rep.wate == pytest.approx(rep.ate, abs=1e-15)
 
     def test_constant_effect_zero_covariance(self):
-        rep = tr.decompose(
-            {0: 2.5, 1: 2.5}, {0: 0.3, 1: 1.7}, {0: 0.5, 1: 0.5}
-        )
+        rep = tr.decompose([0, 1], [2.5, 2.5], [0.3, 1.7], [0.5, 0.5])
         assert rep.cov_tau_gamma == pytest.approx(0.0, abs=1e-12)
         assert rep.wate == pytest.approx(2.5, abs=1e-12)
 
     def test_weights_renormalized_to_unit_mean(self):
-        rep = tr.decompose({0: 1.0, 1: 2.0}, {0: 4.0, 1: 8.0}, {0: 0.5, 1: 0.5})
-        mean_gamma = sum(r.probability * r.gamma for r in rep.per_stratum)
+        rep = tr.decompose([0, 1], [1.0, 2.0], [4.0, 8.0], [0.5, 0.5])
+        mean_gamma = sum(p * g for p, g in zip(rep.probability, rep.gamma))
         assert mean_gamma == pytest.approx(1.0, abs=1e-12)
 
-    def test_misaligned_tables_rejected(self):
+    @pytest.mark.parametrize("columns", [
+        ([0], [1.0], [1.0, 1.0], [1.0]),  # a weight too many
+        ([0, 1], [1.0, 1.0], [1.0, 1.0], [1.0]),  # a probability too few
+        ([0, 0], [1.0, 1.0], [1.0, 1.0], [0.5, 0.5]),  # one stratum twice
+        ([[0, 1]], [[1.0, 1.0]], [[1.0, 1.0]], [[0.5, 0.5]]),  # not 1-D
+    ])
+    def test_misaligned_tables_rejected(self, columns):
         with pytest.raises(ValueError, match="misaligned"):
-            tr.decompose({0: 1.0}, {1: 1.0}, {0: 1.0})
-        with pytest.raises(ValueError, match="sum to 1"):
-            tr.decompose({0: 1.0}, {0: 1.0}, {0: 0.9})
+            tr.decompose(*columns)
 
-    @pytest.mark.parametrize("probs", [{0: 1.5, 1: -0.5}, {0: np.nan, 1: 0.5},
-                                       {0: np.inf, 1: 0.5}])
+    def test_empty_and_unnormalized_columns_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            tr.decompose([], [], [], [])
+        with pytest.raises(ValueError, match="sum to 1"):
+            tr.decompose([0], [1.0], [1.0], [0.9])
+
+    @pytest.mark.parametrize("probs", [[1.5, -0.5], [np.nan, 0.5], [np.inf, 0.5]])
     def test_bad_probabilities_rejected(self, probs):
-        # {1.5, -0.5} sums to one; a NaN fails the sum check's comparison
+        # [1.5, -0.5] sums to one; a NaN fails the sum check's comparison
         with pytest.raises(ValueError, match="finite and non-negative"):
-            tr.decompose({0: 1.0, 1: 2.0}, {0: 1.0, 1: 1.0}, probs)
+            tr.decompose([0, 1], [1.0, 2.0], [1.0, 1.0], probs)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_effects_and_weights_rejected(self, value):
-        probs = {0: 0.5, 1: 0.5}
+        probs = [0.5, 0.5]
         with pytest.raises(ValueError, match="effects must be finite"):
-            tr.decompose({0: value, 1: 2.0}, {0: 1.0, 1: 1.0}, probs)
+            tr.decompose([0, 1], [value, 2.0], [1.0, 1.0], probs)
         with pytest.raises(ValueError, match="weights must be finite"):
-            tr.decompose({0: 1.0, 1: 2.0}, {0: value, 1: 1.0}, probs)
+            tr.decompose([0, 1], [1.0, 2.0], [value, 1.0], probs)
 
 
 class TestEstimateDecomposition:
@@ -104,9 +109,8 @@ class TestEstimateDecomposition:
             assert oracle.wate == pytest.approx(tr.plm_estimate(data, fit, j).point, abs=1e-10)
             for name in ("ate", "wate", "cov_tau_gamma", "remainder"):
                 assert getattr(rep, name) == pytest.approx(getattr(oracle, name), abs=1e-10), name
-            for row, want in zip(rep.per_stratum, oracle.per_stratum):
-                for name in ("probability", "tau", "gamma"):
-                    assert getattr(row, name) == pytest.approx(getattr(want, name), abs=1e-10)
+            for name in ("probability", "tau", "gamma"):
+                assert getattr(rep, name) == pytest.approx(getattr(oracle, name), abs=1e-10)
 
     def test_balanced_design_small_covariance(self):
         dgp = tr.preset(tr.ScenarioName.BALANCED).dgp
@@ -149,7 +153,7 @@ class TestEstimateDecomposition:
         fit = tr.fit_insample(data, tr.LearnerSpec(), clip=0.01)
         rep = tr.estimate_decomposition(data, fit, 1)
         assert rep.strata == (0, 1, 2)
-        assert [r.probability for r in rep.per_stratum] == [1 / 3] * 3
+        assert rep.probability == (1 / 3,) * 3
         assert (rep.ate, rep.wate) == (tr.aipw_estimate(data, fit, 1).point,
                                        tr.plm_estimate(data, fit, 1).point)
 
@@ -261,9 +265,9 @@ class TestOracleReport:
             assert rep.ate == tr.oracle_ate(dgp, j)
             assert rep.wate == tr.oracle_wate(dgp, j)
             assert rep.strata == tuple(dgp.stratum_codes.tolist())
-            assert [row.gamma for row in rep.per_stratum] == tr.oracle_weights(dgp, j).tolist()
-            assert [row.probability for row in rep.per_stratum] == dgp.stratum_probs.tolist()
-            assert [row.tau for row in rep.per_stratum] == dgp.effect[j - 1].tolist()
+            assert rep.gamma == tuple(tr.oracle_weights(dgp, j).tolist())
+            assert rep.probability == tuple(dgp.stratum_probs.tolist())
+            assert rep.tau == tuple(dgp.effect[j - 1].tolist())
 
     @pytest.mark.parametrize("name", sorted(_packaged_dgps()))
     def test_packaged_configs(self, name):
@@ -296,7 +300,7 @@ class TestCheckReversal:
 
     def test_mismatched_strata_rejected(self, reversal_dgp):
         r1 = tr.oracle_report(reversal_dgp, 1)
-        other = tr.decompose({5: 1.0}, {5: 1.0}, {5: 1.0}, treatment=2)
+        other = tr.decompose([5], [1.0], [1.0], [1.0], treatment=2)
         with pytest.raises(ValueError, match="strata"):
             tr.check_reversal(r1, other)
 
@@ -308,9 +312,9 @@ class TestCheckReversal:
             baseline=reversal_dgp.baseline[::-1],
         )
         r1 = tr.oracle_report(shuffled, 1)
-        rows = sorted(tr.oracle_report(shuffled, 2).per_stratum, key=lambda row: row.stratum)
-        sorted_r2 = tr.decompose({r.stratum: r.tau for r in rows}, {r.stratum: r.gamma for r in rows},
-                                 {r.stratum: r.probability for r in rows}, treatment=2)
+        r2 = tr.oracle_report(shuffled, 2)
+        sorted_r2 = tr.decompose(*(column[::-1] for column in (r2.strata, r2.tau, r2.gamma,
+                                                               r2.probability)), treatment=2)
         assert r1.strata == (1, 0) and sorted_r2.strata == (0, 1)
         res = tr.check_reversal(r1, sorted_r2)
         expected = tr.check_reversal(tr.oracle_report(reversal_dgp, 1),
@@ -334,9 +338,30 @@ class TestSufficientConditions:
         r2 = tr.oracle_report(reversal_dgp, 2)
         assert tr.sufficient_condition_check(r2, r1, delta=1.0)
 
+    def test_either_order_gives_one_answer(self, reversal_dgp):
+        # sufficient for delta in (0.25, 2.31): ATE gap 0.5, covariances -2.31 and 2.77
+        r1, r2 = tr.oracle_report(reversal_dgp, 1), tr.oracle_report(reversal_dgp, 2)
+        answers = []
+        for delta in (0.1, 0.25, 0.3, 1.0, 2.3, 2.4, 3.0):
+            answers.append(tr.sufficient_condition_check(r1, r2, delta))
+            assert tr.sufficient_condition_check(r2, r1, delta) is answers[-1], delta
+        assert answers == [False, False, True, True, True, False, False]
+
+    def test_gap_of_exactly_two_delta_is_not_sufficient(self):
+        # exact binary numbers: ATEs 1.5 and 0.5, covariances -0.75 and 0.75, so
+        # WATEs 0.75 and 1.25, a reversal; but condition 4 is strict, and the gap is 2 delta
+        high = tr.decompose([0, 1], [0.0, 3.0], [1.5, 0.5], [0.5, 0.5], treatment=1)
+        low = tr.decompose([0, 1], [2.0, -1.0], [1.5, 0.5], [0.5, 0.5], treatment=2)
+        assert (high.ate, high.cov_tau_gamma, high.wate) == (1.5, -0.75, 0.75)
+        assert (low.ate, low.cov_tau_gamma, low.wate) == (0.5, 0.75, 1.25)
+        assert tr.check_reversal(high, low).reversed
+        assert not tr.sufficient_condition_check(high, low, delta=0.5)
+        # conditions 2 and 3 are strict, so any delta just above the boundary is sufficient
+        assert tr.sufficient_condition_check(high, low, delta=np.nextafter(0.5, 1.0))
+
     def test_zero_covariances_never_sufficient(self):
-        rep_a = tr.decompose({0: 2.0, 1: 2.0}, {0: 0.5, 1: 1.5}, {0: 0.5, 1: 0.5}, treatment=1)
-        rep_b = tr.decompose({0: 1.0, 1: 1.0}, {0: 1.2, 1: 0.8}, {0: 0.5, 1: 0.5}, treatment=2)
+        rep_a = tr.decompose([0, 1], [2.0, 2.0], [0.5, 1.5], [0.5, 0.5], treatment=1)
+        rep_b = tr.decompose([0, 1], [1.0, 1.0], [1.2, 0.8], [0.5, 0.5], treatment=2)
         for delta in (0.01, 0.5, 3.0):
             assert not tr.sufficient_condition_check(rep_a, rep_b, delta)
 
@@ -362,13 +387,12 @@ class TestSufficientConditions:
             tied = dataclasses.replace(dgp, effect=dgp.effect[[0, 0]])
             delta = float(gen.uniform(0.01, 0.5))
             for d in (dgp, tied):
-                high, low = sorted(
-                    (tr.oracle_report(d, 1), tr.oracle_report(d, 2)),
-                    key=lambda r: -r.ate,
-                )
-                if tr.sufficient_condition_check(high, low, delta):
+                r1, r2 = tr.oracle_report(d, 1), tr.oracle_report(d, 2)
+                sufficient = tr.sufficient_condition_check(r1, r2, delta)
+                assert tr.sufficient_condition_check(r2, r1, delta) is sufficient
+                if sufficient:
                     hits += 1
-                    assert tr.check_reversal(high, low).reversed
+                    assert tr.check_reversal(r1, r2).reversed
             assert tr.oracle_report(tied, 1).ate == tr.oracle_report(tied, 2).ate
         assert hits > 100  # the sweep must actually exercise the implication
 
@@ -452,7 +476,8 @@ class TestRankTreatments:
                     for method, points in ((tr.Method.AIPW, ate), (tr.Method.PLM, wate))]
             reports = {j: tr.DecompositionReport(treatment=j, ate=float(ate[j - 1]),
                                                  cov_tau_gamma=float(wate[j - 1] - ate[j - 1]),
-                                                 wate=float(wate[j - 1]), per_stratum=(),
+                                                 wate=float(wate[j - 1]), strata=(),
+                                                 probability=(), tau=(), gamma=(),
                                                  source=tr.Source.ESTIMATED)
                        for j in range(1, K + 1)}
             flagged = tuple((i, j) for i in range(1, K + 1) for j in range(i + 1, K + 1)

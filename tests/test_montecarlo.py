@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import subprocess
@@ -100,6 +101,10 @@ class TestRunScenario:
         serial = tr.run_scenario(config, workers=1)
         pooled = tr.run_scenario(config, workers=2)
         assert serial.canonical_bytes() == pooled.canonical_bytes()
+        # of the diagnostics, only the seconds are volatile
+        counts = [{k: v for k, v in r.diagnostics.items() if not k.endswith("_seconds")}
+                  for r in (serial, pooled)]
+        assert counts[0] == counts[1] and counts[0]["clipped_count"] > 0
 
     def test_result_shapes_and_rates(self):
         config = small(num_reps=8)
@@ -122,6 +127,30 @@ class TestRunScenario:
         assert np.all(np.isnan(result.estimates["plm"]))
         assert result.correct_ranking_rate["plm"] is None  # no replicate estimated every treatment
         assert not np.any(np.isnan(result.estimates["aipw"]))
+
+    def test_one_failed_estimate_drops_only_its_replicate_from_the_rate(self, monkeypatch):
+        # AIPW fails for treatment 2 in one replicate: the block call fails, so each
+        # replicate is estimated alone, and the third of those calls fails
+        aipw, calls = ESTIMATORS[Method.AIPW], itertools.count()
+
+        def flaky(data, fit, j):
+            if j == 2 and (fit.table.block or next(calls) == 2):
+                raise tr.NoVariationError("flaky")
+            return aipw(data, fit, j)
+
+        monkeypatch.setitem(ESTIMATORS, Method.AIPW, flaky)
+        reps = 12
+        result = tr.run_scenario(small(num_reps=reps))
+        assert result.failure_count == 1
+        assert result.diagnostics["failures"] == {("aipw", 2, "NoVariationError"): 1}
+        oracle = descending_order(dict(zip(result.treatments, result.oracle_ate)))
+        for method, points in result.estimates.items():
+            complete = [row for row in points if not np.isnan(row).any()]
+            assert len(complete) == (reps - 1 if method == "aipw" else reps), method
+            hits = sum(descending_order(dict(zip(result.treatments, row))) == oracle
+                       for row in complete)
+            assert result.correct_ranking_rate[method] == hits / len(complete), method
+        assert 0 < result.correct_ranking_rate["aipw"] < 1  # so the count of replicates shows
 
     def test_failed_fit_recorded_for_every_method_and_treatment(self):
         # n=10 logistic fits hit single-class training splits

@@ -173,14 +173,12 @@ def decomposition(data, arrays, j):
     except (tr.NoVariationError, tr.UndefinedEstimateError) as exc:
         raise NotEstimableError(f"treatment {j} is not estimable: {exc}") from exc
     scores, w_res = aipw_scores(data, arrays, j), residuals(data, arrays, j)[0]
-    tau_tab, var_tab, prob_tab = {}, {}, {}
-    for code in np.unique(data.x):
-        in_stratum = data.x == code
-        code = int(code)
-        tau_tab[code] = float(scores[in_stratum].mean())
-        var_tab[code] = float(np.mean(w_res[in_stratum] ** 2))
-        prob_tab[code] = float(in_stratum.mean())
-    report = decompose(tau_tab, var_tab, prob_tab, treatment=j, source=Source.ESTIMATED)
+    codes = np.unique(data.x)
+    masks = [data.x == code for code in codes]
+    tau = [float(scores[in_stratum].mean()) for in_stratum in masks]
+    var = [float(np.mean(w_res[in_stratum] ** 2)) for in_stratum in masks]
+    prob = [float(in_stratum.mean()) for in_stratum in masks]
+    report = decompose(codes, tau, var, prob, treatment=j, source=Source.ESTIMATED)
     return replace(report, ate=ate, wate=wate, remainder=wate - ate - report.cov_tau_gamma)
 
 
@@ -194,6 +192,6 @@ def assert_reports_close(got, want, rel=1e-12):
     assert (got.treatment, got.source, got.strata) == (want.treatment, want.source, want.strata)
     for name in ("ate", "wate", "cov_tau_gamma", "remainder"):
         assert close(getattr(got, name), getattr(want, name), rel), name
-    for row, ref in zip(got.per_stratum, want.per_stratum):
-        for name in ("probability", "tau", "gamma"):
-            assert close(getattr(row, name), getattr(ref, name), rel), (row.stratum, name)
+    for name in ("probability", "tau", "gamma"):
+        for stratum, a, b in zip(got.strata, getattr(got, name), getattr(want, name)):
+            assert close(a, b, rel), (stratum, name)
