@@ -31,6 +31,7 @@ import sys
 from contextlib import suppress
 from itertools import combinations, takewhile
 from pathlib import Path
+from typing import Callable
 
 from .configio import (
     ConfigError,
@@ -56,6 +57,7 @@ from .montecarlo import preset, run_scenario, scaled, summarize
 from .nuisance import (
     DEFAULT_CLIP, DEFAULT_NUM_FOLDS, LearnerKind, LearnerSpec, NuisanceFit, assign_folds, fit_crossfit,
 )
+from .rng import SEED_LIMIT, STREAM_SEED_LIMIT
 
 ESTIMATES_HEADER = ["treatment", "method", "estimand", "point", "std_error", "n_used", "error"]
 
@@ -179,15 +181,25 @@ def cmd_montecarlo(args: argparse.Namespace) -> None:
     config = scaled(config, n_per_rep=args.n, num_reps=args.reps, seed=args.seed)
     result = run_scenario(config, workers=args.workers)
     write_scenario_config(config, args.out / "resolved_config.yaml")
-    _write_json(args.out / "summary.json",
-                {"result": result.to_dict(), "summary": summarize(result)})
+    # the study's counts, which any worker count gives alike; not its *_seconds
+    diagnostics = result.diagnostics
+    _write_json(args.out / "summary.json", {
+        "result": result.to_dict(), "summary": summarize(result),
+        "diagnostics": {
+            "clipped_count": diagnostics["clipped_count"],
+            "fallback_count": diagnostics["fallback_count"],
+            "failures": [{"method": m, "treatment": j, "error": e, "count": c}
+                         for (m, j, e), c in diagnostics["failures"].items()]}})
 
 
-def _seed(text: str) -> int:
-    """A ``--seed`` value: an integer >= 0, as every ``rng`` seed is."""
-    if not text.strip().removeprefix("+").isdecimal():
-        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
-    return int(text)
+def _seed_below(limit: int) -> Callable[[str], int]:
+    """The ``--seed`` type of a command whose seed ``rng`` takes in [0, limit)."""
+    def seed(text: str) -> int:
+        if text.strip().removeprefix("+").isdecimal() and int(text) < limit:
+            return int(text)
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer in [0, 2**{limit.bit_length() - 1}), got {text!r}")
+    return seed
 
 
 @functools.cache
@@ -222,12 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw a dataset from a DGP config")
     add_common(p)
     p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--seed", type=_seed, default=0, help="dataset seed (default 0)")
+    p.add_argument("--seed", type=_seed_below(STREAM_SEED_LIMIT), default=0,
+                   help="dataset seed (default 0)")
 
     p = sub.add_parser("estimate", help="PLM/AIPW/IPW estimates, decompositions, and ranking")
     p.add_argument("--data", type=Path, required=True, help="dataset CSV to import")
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--seed", type=_seed, default=0, help="fold seed (default 0)")
+    p.add_argument("--seed", type=_seed_below(STREAM_SEED_LIMIT), default=0,
+                   help="fold seed (default 0)")
     p.add_argument("--folds", type=int, default=DEFAULT_NUM_FOLDS,
                    help="cross-fitting folds (default %(default)s)")
     p.add_argument("--learner", choices=tuple(k.value for k in LearnerKind),
@@ -242,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="override observations per replicate")
     p.add_argument("--reps", type=int, default=None, help="override replicate count")
     p.add_argument("--workers", type=int, default=1, help="processes, this one included (default 1)")
-    p.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
+    p.add_argument("--seed", type=_seed_below(SEED_LIMIT), default=None,
+                   help="override the scenario seed")
 
     return parser
 

@@ -61,6 +61,7 @@ import yaml
 
 from .dgp import MAX_ARMS, AssignmentMode, Dataset, StratifiedDGP, exact_codes
 from .nuisance import DEFAULT_CLIP, DEFAULT_NUM_FOLDS, Basis, LearnerKind, LearnerSpec
+from .rng import SEED_LIMIT
 
 
 class ConfigError(ValueError):
@@ -236,8 +237,8 @@ class ScenarioConfig:
             raise ValueError(f"n_per_rep must be >= 1, got {self.n_per_rep}")
         if self.num_reps < 1:
             raise ValueError(f"num_reps must be >= 1, got {self.num_reps}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed}")
         if not 2 <= self.num_folds <= self.n_per_rep:
             raise ValueError(
                 f"num_folds must be in [2, n_per_rep={self.n_per_rep}], got {self.num_folds}"
@@ -326,24 +327,35 @@ def _is_number(cell: str) -> bool:
 
 
 def _row_fault(path, width: int, first_line: int, cause: object) -> ConfigError:
-    """Name the first faulty line of a body that is already rejected.
+    """Name the line on which the first faulty row of a rejected body starts.
 
     Called only once the file is rejected (an empty line, or the bulk parse
     or its checks failed), so it locates a fault and never decides whether
-    the file is accepted; it reads the file again from ``first_line`` on.
-    ``cause`` is the message used if no single line shows the fault.
+    the file is accepted; it reads the file again from ``first_line`` on,
+    row by row as the csv module splits it, so a quoted line break in a
+    cell, which numpy's reader also takes, does not shift the lines after
+    it. ``cause`` is the message used if no single row shows the fault.
     """
     with open(path) as fh:
-        for lineno, line in enumerate(islice(fh, first_line - 1, None), start=first_line):
-            cells = next(csv.reader([line]), [])
+        lines: list[str] = []  # the lines of the row being read
+
+        def taken(source):
+            for line in source:
+                lines.append(line)
+                yield line
+
+        lineno = first_line
+        for cells in csv.reader(taken(islice(fh, first_line - 1, None))):
             if len(cells) != width or any(cell.strip() == "" for cell in cells):
                 return ConfigError(f"{path}:{lineno}: blank or missing fields are not allowed")
             try:
-                _read_rows([line])
+                _read_rows(lines)
             except ValueError as exc:
                 bad = next((cell for cell in cells if not _is_number(cell)), None)
                 detail = exc if bad is None else f"could not convert string to float: {bad!r}"
                 return ConfigError(f"{path}:{lineno}: {detail}")
+            lineno += len(lines)
+            lines.clear()
     return ConfigError(f"{path}: {cause}")
 
 

@@ -18,7 +18,7 @@ estimators chase are available in closed form:
 ``WATE = ATE + Cov(tau_j(X), gamma_j(X))``, bit for bit these.
 
 Sampling is deterministic given ``(dgp, n, seed)`` and uses separate Philox
-substreams for the stratum draw, treatment draw, and outcome noise.
+streams of the seed for the stratum draw, treatment draw, and outcome noise.
 """
 
 from __future__ import annotations
@@ -553,7 +553,11 @@ def sample(dgp: StratifiedDGP, n: int, seed: int | Sequence[int] | rng.Streams) 
     """Draw ``n`` units from the DGP, deterministically in ``(dgp, n, seed)``.
 
     The stratum draw, treatment draw, and outcome noise each consume their own
-    substream, so enlarging one table never perturbs the others' draws.
+    stream of the seed, ``STRATUM``, ``TREATMENT`` and ``NOISE``, so
+    enlarging one table never perturbs the others' draws. A seed is any int
+    in [0, 2**120), whose streams ``rng`` keys by laying out the seed and
+    the tag; replicate ``r`` of a Monte Carlo study with seed ``s`` is the
+    dataset of ``rng.child_seed(s, r, 0)``.
 
     A sequence of ``B`` seeds draws a block of ``B`` datasets (see
     :class:`Dataset`): each seed's streams fill one row of the ``(B, n)``

@@ -14,8 +14,10 @@ Each replicate runs every estimator of ``estimators.ESTIMATORS``, in its
 order; ``METHODS`` holds their names.
 
 Replicates are independent work items keyed by index: replicate ``r``
-derives its sampling and fold seeds as ``child_seed(seed, r, purpose)``,
-so results are bit-identical for any worker count.
+draws its dataset from the seed ``child_seed(seed, r, 0)`` and its folds
+from ``child_seed(seed, r, 1)``, so results are bit-identical for any
+worker count, and ``treatrank sample`` and ``treatrank estimate`` given
+those seeds reproduce the replicate (``rng`` lays the seeds out).
 
 A run of ``workers`` processes splits the replicates into
 ``min(workers, num_reps)`` consecutive *shares* whose sizes differ by at
@@ -29,18 +31,17 @@ one share). A block holds at most ``BLOCK_UNITS`` units,
 so a task draws its replicates ``max(1, BLOCK_UNITS // n_per_rep)`` at a
 time (one replicate per block from n = 4,097 up), and peak memory does
 not grow with the task. Each replicate still draws its own Philox
-streams, into one row of the block's ``(B, n)`` arrays, but their seeds
-and keys are derived once per task: one ``rng.child_seeds`` pass gives
-every replicate's data and fold seeds, and two ``rng.streams`` passes key
-the data seeds' stratum, treatment and noise streams and the fold seeds'
-fold stream, each the numpy ``SeedSequence`` hash of the path that
-``sample`` or ``assign_folds`` of that one seed draws. Each block hands
-its slice of those streams to ``sample`` and ``assign_folds`` in place of
-seeds. Each block ends in its cell table (``nuisance.cell_table``) on
-the DGP's stratum list, which ``sample`` keeps as every dataset's stratum
-grouping, keyed from the cell-table keys ``sample`` kept while drawing
-(``Dataset.cell_keys``); the task stacks
-those tables along the dataset axis, fits them once (``fit_table``) and
+streams, into one row of the block's ``(B, n)`` arrays, but their keys
+are laid out once per task, as arrays: two ``rng.child_streams`` calls
+key the data seeds' stratum, treatment and noise streams and the fold
+seeds' fold stream, the keys that ``sample`` or ``assign_folds`` of that
+one seed draws. Each block hands its slice of those streams to
+``sample`` and ``assign_folds`` in place of seeds. Each block ends in
+its cell table (``nuisance.cell_table``) on the DGP's stratum list,
+which ``sample`` keeps as every dataset's stratum grouping, keyed from
+the cell-table keys ``sample`` kept while drawing
+(``Dataset.cell_keys``); the task stacks those tables along the dataset
+axis, fits them once (``fit_table``) and
 runs each estimator once per treatment on the stacked fit. So a task pays
 the fixed cost of a fit and of each estimator call once, whatever its
 number of replicates.
@@ -133,14 +134,15 @@ class MonteCarloResult:
     cause as ``{(method, treatment, exception type name): count}`` (a
     failed fit counts once for every method and treatment, with the fit's
     exception type); and the seconds spent in each layer
-    (``LAYER_SECONDS``), summed over tasks: the unit pass (seeds,
+    (``LAYER_SECONDS``), summed over tasks: the unit pass (stream keys,
     ``sample``, ``assign_folds``, ``cell_table`` and stacking),
     ``fit_table`` and the estimators. With more than one worker the shares
     run at once, so the seconds can add up to more than
     ``runtime_seconds``. Only those ``*_seconds`` entries are volatile: the
     counts and ``failures`` are the same at any worker count, like the
-    estimates. Neither :meth:`to_dict` nor :meth:`canonical_bytes` writes
-    ``diagnostics`` yet.
+    estimates. The ``montecarlo`` command writes the counts and
+    ``failures`` into ``summary.json``; neither :meth:`to_dict` nor
+    :meth:`canonical_bytes` writes ``diagnostics``.
     """
 
     scenario: str
@@ -358,11 +360,8 @@ def _run_task(config: ScenarioConfig, reps: range
     """
     start = time.perf_counter()
     R, n = len(reps), config.n_per_rep
-    # the data seeds, then the fold seeds, hashed in one pass; then the
-    # streams of each
-    seeds = rng.child_seeds(config.seed, list(reps) * 2, [_DATA_STREAM] * R + [_FOLD_STREAM] * R)
-    data_streams = rng.streams(seeds[:R], rng.SAMPLE_TAGS)
-    fold_streams = rng.streams(seeds[R:], rng.FOLD_TAGS)
+    data_streams = rng.child_streams(config.seed, reps, _DATA_STREAM, rng.SAMPLE_TAGS)
+    fold_streams = rng.child_streams(config.seed, reps, _FOLD_STREAM, rng.FOLD_TAGS)
     table = stack_tables([_block_table(config, data_streams[block.start:block.stop],
                                        fold_streams[block.start:block.stop])
                           for block in _blocks(range(R), n)])

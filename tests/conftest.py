@@ -10,6 +10,22 @@ import treatrank as tr
 from treatrank import rng
 
 
+def layout_key(seed: int, tag: int) -> list[int]:
+    """The Philox key of stream ``tag`` of ``seed``: ``rng``'s layout, written out in Python ints."""
+    return [seed % 2**64, seed // 2**64 * 2**8 + tag]
+
+
+def layout_child_seed(seed: int, *path: int) -> int:
+    """``rng.child_seed(seed, *path)`` of ``(seed, purpose)`` or ``(seed, r, purpose)``, written out."""
+    r, purpose = path if len(path) == 2 else (-1, *path)
+    return seed + 2**64 * ((r + 1) * 2**8 + purpose + 1)
+
+
+def layout_stream(seed: int, tag: int) -> np.random.Generator:
+    """Stream ``tag`` of ``seed``, keyed by :func:`layout_key`, not by ``rng``."""
+    return np.random.Generator(np.random.Philox(key=np.array(layout_key(seed, tag), dtype=np.uint64)))
+
+
 @pytest.fixture
 def reversal_dgp() -> tr.StratifiedDGP:
     return tr.preset("extreme_heterogeneity").dgp

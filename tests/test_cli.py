@@ -477,6 +477,13 @@ class TestMonteCarloCommand:
         assert all(0.0 <= r <= 1.0 for r in result["correct_ranking_rate"].values())
         assert result["runtime_seconds"] > 0
         assert len(summary["summary"]) == 3 * 2
+        # the study's counts, as a serial run counts them
+        serial = tr.run_scenario(tr.scaled(tr.preset("extreme_heterogeneity"), num_reps=16,
+                                           n_per_rep=1_000)).diagnostics
+        assert serial["clipped_count"] > 0 and not serial["failures"]
+        assert summary["diagnostics"] == {"clipped_count": serial["clipped_count"],
+                                          "fallback_count": serial["fallback_count"],
+                                          "failures": []}
         # the resolved config reproduces the run
         config = tr.load_scenario_config(out / "resolved_config.yaml")
         assert config.num_reps == 16
@@ -498,6 +505,11 @@ class TestMonteCarloCommand:
         assert summary["result"]["estimates"] == dict.fromkeys(("plm", "aipw", "ipw"), [[None] * 2])
         # no replicate has every estimate, so no ranking rate
         assert summary["result"]["correct_ranking_rate"] == dict.fromkeys(("plm", "aipw", "ipw"))
+        # the study's counts, and its failures by cause; no *_seconds entry
+        assert summary["diagnostics"] == {
+            "clipped_count": 0, "fallback_count": 0,
+            "failures": [{"method": m, "treatment": j, "error": "SingularFitError", "count": 1}
+                         for m in ("aipw", "ipw", "plm") for j in (1, 2)]}
 
     def test_unknown_preset_lists_names(self, tmp_path, capsys):
         assert run_cli("montecarlo", "--preset", "nope", "--out", tmp_path / "o") == 1
@@ -519,7 +531,8 @@ class TestMonteCarloCommand:
         ("num_folds", 501, "num_folds must be in [2, n_per_rep=500], got 501"),
         ("clip", 0.7, "clip must be in [0, 0.5), got 0.7"),
         ("clip", -0.1, "clip must be in [0, 0.5), got -0.1"),
-        ("seed", -3, "seed must be >= 0, got -3"),
+        ("seed", -3, "seed must be an integer in [0, 2**64), got -3"),
+        ("seed", 2**64, f"seed must be an integer in [0, 2**64), got {2**64}"),
     ])
     def test_invalid_settings_rejected_at_load(self, tmp_path, capsys, field, value, message):
         path = tmp_path / "scenario.yaml"
@@ -585,6 +598,35 @@ class TestMonteCarloCommand:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+class TestReplicateReproduction:
+    def test_sample_then_estimate_reproduce_a_replicate(self, tmp_path):
+        # README's recipe: replicate r of a study with seed s is the dataset
+        # sample --seed s + 2**64 * (256 * r + 257) draws from the resolved
+        # config, estimated on the folds of --seed s + 2**64 * (256 * r + 258)
+        # with the scenario's folds, learner and clip. r = 45 is in the
+        # second block of 40 replicates at n = 200
+        s, n = 11, 200
+        study = tmp_path / "study"
+        assert run_cli("montecarlo", "--preset", "balanced", "--reps", 50, "--n", n,
+                       "--seed", s, "--out", study) == 0
+        estimates = json.loads((study / "summary.json").read_text())["result"]["estimates"]
+        config = tr.load_scenario_config(study / "resolved_config.yaml")
+        assert config.seed == s and tr.montecarlo.BLOCK_UNITS // n == 40
+        for r in (3, 45):
+            sample, estimate = tmp_path / f"sample-{r}", tmp_path / f"estimate-{r}"
+            assert run_cli("sample", "--config", study / "resolved_config.yaml", "--n", n,
+                           "--seed", s + 2**64 * (256 * r + 257), "--out", sample) == 0
+            assert run_cli("estimate", "--data", sample / "dataset.csv",
+                           "--seed", s + 2**64 * (256 * r + 258),
+                           "--folds", config.num_folds, "--learner", config.learner.kind.value,
+                           "--clip", config.clip, "--out", estimate) == 0
+            with open(estimate / "estimates.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert {row["method"] for row in rows} == {"plm", "aipw", "ipw"}
+            for row in rows:
+                assert float(row["point"]) == estimates[row["method"]][r][int(row["treatment"]) - 1]
 
 
 class TestFailedCommandOutput:
@@ -688,14 +730,18 @@ class TestSeedPropagation:
         ["estimate", "--data", "dataset.csv"],
         ["montecarlo", "--preset", "balanced", "--reps", "2", "--n", "200"],
     ])
-    @pytest.mark.parametrize("seed", ["-1", "x"])
+    @pytest.mark.parametrize("seed", ["-1", "x", "bound"])
     def test_bad_seed_is_a_usage_error(self, tmp_path, dgp_config, capsys, argv, seed):
-        # every rng seed is >= 0: a usage error, not a failure inside the run
+        # a seed outside rng's layout is a usage error, not a failure inside
+        # the run: a scenario seed is a root seed, below 2**64, and a dataset
+        # or fold seed may be any child seed, below 2**120
+        bits = 64 if argv[0] == "montecarlo" else 120
+        seed = str(2**bits) if seed == "bound" else seed
         with pytest.raises(SystemExit) as exc:
             run_cli(*[a.format(config=dgp_config) for a in argv], "--seed", seed,
                     "--out", tmp_path / "o")
         assert exc.value.code == 2
-        assert (f"argument --seed: seed must be an integer >= 0, got '{seed}'"
+        assert (f"argument --seed: seed must be an integer in [0, 2**{bits}), got '{seed}'"
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 

@@ -95,33 +95,33 @@ def run_case(argv: list[str], tmp: Path) -> dict[str, str]:
 
 PINS = {
     "estimate-multinomial-logistic_ridge": {
-        "decomposition.json": "5f056c1291a6d90a0bf5c9f420ab611be731581fd4cb4f61abf0bdf92c4eb46b",
-        "estimates.csv": "5fb0874dc6b37d1e2fd6dc3a1784d32a252b4eb3b702f83763f143cccf4a935e",
+        "decomposition.json": "00406ad9405e6a9e37c35a82b5beb747fbd6cf01fbb743755d48bfff0f322aee",
+        "estimates.csv": "3f572e2f6176d482bc8bc02d05b230607be92cb1e19e7f75555e988901b683d2",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-multinomial-stratum_mean": {
-        "decomposition.json": "9a061e4134fa05dab0571bfc2db52d4b0b9be34ea9f7e4d18cd5663c0ace8e99",
-        "estimates.csv": "41d9e23b7f6fdf792c18295f2bd721b6506ef3338cce1231fd3a2e2da250fb27",
+        "decomposition.json": "87e14c629b8fe85e9ba90d8b72db417bb608bee2a8aa4846a281202d5e0633ae",
+        "estimates.csv": "6109f9e36b8d68d4176dc159f0a7af6fb23a6a5bffd82d7082ec0a1e878f4175",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-no-control": {
-        "decomposition.json": "502ced9b3bf5d026405565fbe7eff8b3aaedcb51d00853e9c0b8348a2b224721",
-        "estimates.csv": "92ec8ded608d4d17b457b887cbdd82135e2e692b5b21a85e7629b4a0c1573dfa",
+        "decomposition.json": "b23415b32c9b3cf574d128474a8984b875f910a6d5fb07ddfe60eda32d48ad5c",
+        "estimates.csv": "67375906d027868f5812eec6e417cf7c1c74b78aae303488f4afcb972854144d",
         "ranking.json": "91bd4416347c7114d877274f2b78836a5970686ce08a9d304f004027bc8b6df2",
     },
     "estimate-parallel-logistic_ridge": {
-        "decomposition.json": "58e816fb8218abe6be2959df35478fb0ba6ebf3b3f1c09fe157e7c19ccc044ec",
-        "estimates.csv": "33be78679a49755238d9ec8f26de8d0c2a7bf47b66c1af7b55fd46f276363eb0",
+        "decomposition.json": "37482be6dd6b4e462b26b39ec3aceeae589167b70663f77d0c49553aa66b7892",
+        "estimates.csv": "1281c1df8ba4a73444a2783bc773b056fc7fdd094be1429c1ec15c13076b258b",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-stratum_mean": {
-        "decomposition.json": "73b1a95a2f4b5d2a75f411afdbb2935278d7615cdb55b903b08375106c4c4c27",
-        "estimates.csv": "9bff2e6a959fbf1ec80a5fed7641176c0ec241447487131b2e6f6215a04621d2",
+        "decomposition.json": "e1565cd65279ebc33ec7931d6f8e04e700e2284e390f47b8d77858a97db34c09",
+        "estimates.csv": "aa7473dd4877355154afab3b319643a4457309f3f0e06f4bed122cd08505c35b",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "montecarlo-balanced": {
         "resolved_config.yaml": "be634eb3ce00f0a48cedc9265d10cf94432af76961a463a64d3a5b3e0b5c6ad6",
-        "summary.json": "8def47619a82d5ac061e5d530ddc1a65a93e8f7dfab2d0b1747ac599b88a87a7",
+        "summary.json": "3f3d42ece8a2f644be4e5db6cfe552b096458ba7bcd8df2f018e8280a1211c6b",
     },
     "oracle-multinomial": {
         "oracle.json": "3a4e3fc3e027c54b34a3ccc7cd50d0905f632a40de4f401df4a8b11c656ba82a",
@@ -142,11 +142,11 @@ PINS = {
         "oracle.json": "53b346d083f73eb45a6a1d1dbbd1fd8517821ad8e107246996f47386ea823a2b",
     },
     "sample-multinomial": {
-        "dataset.csv": "c424bd363f546c4b22558817f6c1c8eb24154f6472a564abf20078100cd3aa58",
+        "dataset.csv": "b88f780f49d3845e0d2050daf70c185f7b2bdf5a5bcbab6c72b171629ccdf8da",
         "resolved_dgp.yaml": "7300da6e22fc081f9bb094928b44337510dfa82ff8830413f25178d3159152ee",
     },
     "sample-parallel": {
-        "dataset.csv": "b13669052af1aaa9f465d502dc968bd8e69cd99424b69899c9aa35918db24954",
+        "dataset.csv": "1f42a53763edd079ccfb8e6389fbe76d95b980850862827ff38b51e11c269cef",
         "resolved_dgp.yaml": "5eb5c10051e4349b54165aaf4d730c5f247a43890cae751d52af58e1f4fef557",
     },
 }

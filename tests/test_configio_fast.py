@@ -51,13 +51,17 @@ def reference_load(path) -> tr.Dataset:
                 f"{path}: unsupported header {header}; expected y,w,x or y,w1,...,wK,x"
             )
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        # a row's first line, counted as the csv module reads lines: a quoted
+        # line break in a cell does not shift the rows after it
+        lineno = reader.line_num + 1
+        for row in reader:
             if len(row) != len(header) or any(cell.strip() == "" for cell in row):
                 raise ConfigError(f"{path}:{lineno}: blank or missing fields are not allowed")
             try:
                 rows.append([float(c) for c in row])
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            lineno = reader.line_num + 1
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     arr = np.array(rows)
@@ -233,6 +237,8 @@ CORPUS = {
     "blank line at end": "y,w,x\n1.5,1,0\n\n",
     "body of one line ending": "y,w,x\n\n",
     "quoted line break in a cell": 'y,w,x\n"1.5\n",1,0\n-2,0,1\n',
+    # the fault is on line 4: the first row takes lines 2 and 3
+    "fault after a quoted line break": 'y,w,x\n"1.5\n",1,0\n-2,0,abc\n',
     "quoted line break in the header": '"y\n",w,x\n1.5,1,0\n-2,0,1\n',
     "whitespace-only line": "y,w,x\n1.5,1,0\n   \n-2,0,1\n",
     "short row": "y,w,x\n1.5,1,0\n-2,0\n",

@@ -9,22 +9,17 @@ from hypothesis import given, settings
 import treatrank as tr
 from treatrank import cli, rng
 
-from conftest import dgp_sweep, dgp_tables, exact_cell_dataset
-
-
-def numpy_stream(*path: int) -> np.random.Generator:
-    """The Philox generator of ``path``, derived by numpy itself, not by ``rng``."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(path))))
+from conftest import dgp_sweep, dgp_tables, exact_cell_dataset, layout_stream
 
 
 def reference_sample(dgp: tr.StratifiedDGP, n: int, seed: int):
-    """(x, w, y) of ``sample(dgp, n, seed)``, by its formula and numpy's streams."""
+    """(x, w, y) of ``sample(dgp, n, seed)``, by its formula and the streams of the written-out layout."""
     K = dgp.num_treatments
     cum = np.cumsum(dgp.stratum_probs)
     cum[-1] = 1.0
-    idx = np.searchsorted(cum, numpy_stream(seed, rng.STRATUM).random(n), side="right")
+    idx = np.searchsorted(cum, layout_stream(seed, rng.STRATUM).random(n), side="right")
     p = dgp.propensity[:, idx]
-    treatment_rng = numpy_stream(seed, rng.TREATMENT)
+    treatment_rng = layout_stream(seed, rng.TREATMENT)
     if dgp.assignment_mode is tr.AssignmentMode.PARALLEL_BINARY:
         w = (treatment_rng.random((K, n)) < p).T.astype(np.int8)
     else:
@@ -34,7 +29,7 @@ def reference_sample(dgp: tr.StratifiedDGP, n: int, seed: int):
         w[np.nonzero(arm > 0)[0], arm[arm > 0] - 1] = 1
     y = dgp.baseline[idx] + (dgp.effect[:, idx] * w.T).sum(axis=0)
     if dgp.noise_sd > 0:
-        y = y + numpy_stream(seed, rng.NOISE).normal(0.0, dgp.noise_sd, size=n)
+        y = y + layout_stream(seed, rng.NOISE).normal(0.0, dgp.noise_sd, size=n)
     return dgp.stratum_codes[idx], w, y
 
 
@@ -275,8 +270,8 @@ class TestSampling:
     def test_matches_fancy_index_formula(self, mode, design):
         # ``sample`` against the fancy-indexing formula its gathers replaced,
         # bit for bit, with K = 3 (three terms summed per unit), and with
-        # streams that numpy derives itself, at one-, two- and three-word
-        # seeds. The designs: unsorted codes (200 and 24 strata), a stratum of
+        # streams keyed by the layout written out in Python ints, at seeds
+        # below and past 2**64. The designs: unsorted codes (200 and 24 strata), a stratum of
         # probability zero (a repeated cumulative entry), one stratum, and
         # K = 5 (two pattern chunks under parallel assignment)
         S = {"200_unsorted": 200, "24_unsorted": 24, "zero_probability": 6, "one_stratum": 1,

@@ -9,6 +9,8 @@ block of datasets must raise the error that fitting fit by fit, in
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -95,7 +97,7 @@ def test_large_n_tables_end_on_the_stall_test(basis):
 
 @pytest.mark.parametrize("basis", list(tr.Basis))
 def test_block_with_different_present_strata(monkeypatch, basis):
-    # stratum 7 is rare: a dataset of the block may lack it, and then its
+    # stratum 7 is rare: the last dataset of the block lacks it, and its
     # fits see a smaller basis than the others'
     dgp = tr.StratifiedDGP(
         strata=((0, 0.3), (3, 0.3), (5, 0.39), (7, 0.01)), num_treatments=3,
@@ -103,7 +105,8 @@ def test_block_with_different_present_strata(monkeypatch, basis):
         effect=[[1.0, 2.0, 3.0, 4.0]] * 3, baseline=[0.0, 1.0, 2.0, 3.0],
         assignment_mode=tr.AssignmentMode.MULTINOMIAL,
     )
-    block = tr.sample(dgp, 300, list(range(12)))
+    lacking = next(s for s in itertools.count(11) if 7 not in tr.sample(dgp, 300, s).x)
+    block = tr.sample(dgp, 300, [*range(11), lacking])
     folds = tr.assign_folds(300, 5, list(range(100, 112)))
     table = nuisance.cell_table(block, folds)
     calls = []

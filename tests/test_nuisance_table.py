@@ -670,12 +670,12 @@ class TestOneFitPerTarget:
 # pinned studies
 
 PINNED = {
-    "extreme_heterogeneity": "0ac8f78cf815b691904ba796cdb98e7f648fa6528289c078aa23dad0c0db41d4",
-    "constant_effects": "b6907aa39166ab3239b8c13af08c71df89956edc3a2091de284ad0a7a38345dd",
-    "uncorrelated": "1b76da88380296d7d872073ff666b58e0c9a9d03c85eebe43e49962aa88746e0",
-    "selection_on_gains": "f2bf68345879a3e79eaf96954bc57ad22e2bed7bcf2ec8021ca9eb53eb67df80",
-    "balanced": "ce22c57307e690bbede031e06cf8074e0fdae3fe288fac61c9eebbbc227e6d25",
-    "multinomial_random": "ef450ddffced17063140544b1633261f42d4827cccd30c100232a7e2ed9e9f1b",
+    "extreme_heterogeneity": "bce6a8fdf470fc673189a55321e3ea4508d3fdb84a52975b96df3e9d6d19e4f8",
+    "constant_effects": "18b585ae289c2d117541be18adb640f14fd205c43ed3c6d51280fe89d4efbd4b",
+    "uncorrelated": "6a05e8ce38dc94bef5971f219b5ddaaf1a6fc17454362f2ae8f40b02acae945e",
+    "selection_on_gains": "352c51cd1e1ce8f87fc502e41e1a0d2c3272731cb64c6bb2bcfd7f4a5712d811",
+    "balanced": "de122b63924414d39fa1c38d1a21157c303c42720f0181dd4b63c85351bbb21e",
+    "multinomial_random": "e51bae459deef3cfd8abe3fdd863575716a62fd29ec14734a4f07c59469c12dc",
 }
 
 
