@@ -17,8 +17,12 @@ estimators chase are available in closed form:
 :func:`treatrank.diagnostics.oracle_report` gives the split
 ``WATE = ATE + Cov(tau_j(X), gamma_j(X))``, bit for bit these.
 
-Sampling is deterministic given ``(dgp, n, seed)`` and uses separate Philox
-streams of the seed for the stratum draw, treatment draw, and outcome noise.
+Sampling is deterministic given ``(dgp, n, seed)``. One multinomial draw
+on the seed's ``STRATUM`` Philox stream gives the units' counts per base
+cell (arm, or pattern of the first ``PATTERN_TREATMENTS`` parallel
+treatments) and stratum, and the units come grouped by those cells. The
+outcome noise has its own stream, ``NOISE``, and so do the parallel
+treatments past the first ``PATTERN_TREATMENTS``, ``TREATMENT``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -490,89 +494,106 @@ def decomposition_terms(
 
 
 class _SamplerTables(NamedTuple):
-    """A DGP's tables as ``sample`` reads them, strata in ascending code order."""
+    """A DGP's tables as ``sample`` reads them, strata in ascending code order.
 
-    codes: NDArray[np.int64]
-    rank: NDArray[np.intp]  # each stratum's place in ``codes``
-    cum: NDArray[np.float64]  # cumulative stratum probabilities, in the DGP's order; last 1
-    propensity: NDArray[np.float64]  # (K, S); under MULTINOMIAL, cumulated over the arms
+    A *key* is a unit's first-chunk cell key (``Dataset.cell_keys``), its
+    base cell times ``S`` plus its stratum position. The per-key tables run
+    over the keys up to the last one of positive probability, in ascending
+    order.
+    """
+
+    codes: NDArray[np.int64]  # (S,)
+    joint: NDArray[np.float64]  # each key's probability, normalized to sum to one
+    keys: NDArray[np.signedinteger]  # in the smallest signed type that holds every key
+    position: NDArray[np.intp]  # each key's stratum position
+    x: NDArray[np.int64]  # each key's stratum code
+    indicators: NDArray[np.int8]  # (keys, first chunk's treatments): each key's base cell's
     means: NDArray[np.float64]  # (cells, S): see _sampler_tables
-    effect: NDArray[np.float64]  # (K, S)
+    propensity: NDArray[np.float64]  # (K, S), read past the first chunk
+    effect: NDArray[np.float64]  # (K, S), read past the first chunk
     baseline: NDArray[np.float64]  # (S,)
 
 
 def _sampler_tables(dgp: StratifiedDGP) -> _SamplerTables:
-    """The tables ``sample`` gathers from, with each unit's outcome mean per base cell.
+    """The tables ``sample`` draws and gathers from.
+
+    ``joint[cell * S + s] = Pr(s) Pr(cell | s)`` over the first chunk's
+    base cells (see ``cell_layout``): under PARALLEL_BINARY ``Pr(cell | s)``
+    multiplies, in treatment order from one, ``p`` for each treatment the
+    cell takes and ``1 - p`` for each it does not; under MULTINOMIAL it is
+    the arm's propensity, or ``1 - sum(p)`` for control. The products are
+    divided by their sum, and the keys past the last of positive
+    probability are left out, so the multinomial draw gives the remainder
+    to a key that can hold units.
 
     ``means[c, s]`` is the outcome mean of a unit of stratum ``s`` in base
-    cell ``c`` of the first chunk (see ``cell_layout``), computed as
-    a unit's is: the products ``effect * indicator`` summed in treatment
-    order from zero, then the baseline added. When the first chunk does not
-    hold every treatment (over ``PATTERN_TREATMENTS`` parallel ones),
-    ``means`` stops before the baseline, and ``sample`` adds each later
-    treatment's product per unit, then the baseline.
+    cell ``c`` of the first chunk, computed as a unit's is: the products
+    ``effect * indicator`` summed in treatment order from zero, then the
+    baseline added. When the first chunk does not hold every treatment
+    (over ``PATTERN_TREATMENTS`` parallel ones), ``means`` stops before the
+    baseline, and ``sample`` adds each later treatment's product per unit,
+    then the baseline.
     """
     order = np.argsort(dgp.stratum_codes)
-    cum = np.cumsum(dgp.stratum_probs)
-    cum[-1] = 1.0
+    S = order.shape[0]
+    probs, propensity = dgp.stratum_probs[order], dgp.propensity[:, order]
     effect, baseline = dgp.effect[:, order], dgp.baseline[order]
+    layout = cell_layout(dgp.assignment_mode, dgp.num_treatments)
+    indicators = layout.indicators
     if dgp.assignment_mode is AssignmentMode.MULTINOMIAL:
-        propensity = np.cumsum(dgp.propensity[:, order], axis=0)
+        given = np.vstack([1.0 - propensity.sum(axis=0), propensity])
     else:
-        propensity = dgp.propensity[:, order]
-    indicators = cell_layout(dgp.assignment_mode, dgp.num_treatments).indicators
-    means = np.zeros((indicators.shape[0], order.shape[0]))
+        given = np.ones((indicators.shape[0], S))
+        for k, column in enumerate(indicators.T):
+            given *= np.where(column[:, None] == 1, propensity[k], 1.0 - propensity[k])
+    joint = (probs * given).reshape(-1)
+    joint /= joint.sum()
+    size = np.flatnonzero(joint)[-1] + 1
+    keys = np.arange(size, dtype=np.min_scalar_type(-layout.num_cells * S))
+    cell, position = np.divmod(np.arange(size), S)
+    means = np.zeros((indicators.shape[0], S))
     for k, column in enumerate(indicators.T):
         means += effect[k] * column[:, None]
     if indicators.shape[1] == dgp.num_treatments:
         means = baseline + means
-    return _SamplerTables(dgp.stratum_codes[order], np.argsort(order), cum, propensity, means,
-                          effect, baseline)
-
-
-def _stratum_index(cum: NDArray[np.float64], u: NDArray[np.float64]) -> NDArray[np.unsignedinteger]:
-    """``np.searchsorted(cum, u, side="right")``: the number of entries of ``cum`` at most ``u``.
-
-    Counted one pass per entry, in the smallest unsigned type that holds
-    the count. Over 10,000 draws on a 2-vCPU VM this takes 13 us against
-    binary search's 106 us at 2 strata and 388 against 583 us at 64, but
-    754 against 725 us at 128; over a few hundred draws binary search is
-    the faster at any number of strata. The Monte Carlo draws whole
-    blocks, and no preset or benchmark design has more than 24 strata.
-    """
-    # u < 1 = cum[-1], so the last entry never counts
-    count = np.zeros(u.shape, dtype=np.min_scalar_type(cum.shape[0] - 1))
-    reached = np.empty(u.shape, dtype=bool)
-    for edge in cum[:-1]:
-        np.greater_equal(u, edge, out=reached)
-        count += reached
-    return count
+    codes = dgp.stratum_codes[order]
+    return _SamplerTables(codes, joint[:size], keys, position, codes[position], indicators[cell],
+                          means, propensity, effect, baseline)
 
 
 def sample(dgp: StratifiedDGP, n: int, seed: int | Sequence[int] | rng.Streams) -> Dataset:
     """Draw ``n`` units from the DGP, deterministically in ``(dgp, n, seed)``.
 
-    The stratum draw, treatment draw, and outcome noise each consume their own
-    stream of the seed, ``STRATUM``, ``TREATMENT`` and ``NOISE``, so
-    enlarging one table never perturbs the others' draws. A seed is any int
-    in [0, 2**120), whose streams ``rng`` keys by laying out the seed and
-    the tag; replicate ``r`` of a Monte Carlo study with seed ``s`` is the
-    dataset of ``rng.child_seed(s, r, 0)``.
+    One multinomial draw on the ``STRATUM`` stream gives the units' counts
+    per first-chunk cell key (``Dataset.cell_keys``: base cell and stratum,
+    with the probabilities of ``_sampler_tables``), and the units are laid
+    out in ascending key order: grouped by base cell, then by stratum in
+    ascending code order. Each unit's stratum, indicators, key and outcome
+    mean are its key's, repeated by the counts; the mean table repeats a
+    unit's own float operations, so ``y`` is what a per-unit sum would
+    give, bit for bit. Under PARALLEL_BINARY each treatment past the first
+    ``PATTERN_TREATMENTS`` is then drawn per unit on the ``TREATMENT``
+    stream, a uniform against its propensity, and last the outcome noise
+    per unit on the ``NOISE`` stream.
 
-    A sequence of ``B`` seeds draws a block of ``B`` datasets (see
-    :class:`Dataset`): each seed's streams fill one row of the ``(B, n)``
-    draws, every later step is elementwise, and row ``b`` is bit for bit
-    ``sample(dgp, n, seed[b])``. The seeds' three streams ``STRATUM``,
-    ``TREATMENT`` and ``NOISE``, keyed by ``rng.streams(seeds, rng.SAMPLE_TAGS)``,
-    may stand in for them; streams of other tags are refused.
+    That is i.i.d. sampling in distribution, up to the rounding of the
+    probabilities: the counts of i.i.d. units are multinomial, and given
+    the counts only the units' order differs, which no estimate reads,
+    since every estimate is a function of the (fold, cell, outcome)
+    multiset and the folds are an independent, balanced partition. The
+    row order carries no information.
 
-    The units are grouped on the DGP's stratum codes in ascending order,
-    some perhaps without units, through the stratum index of the draw, so
-    the codes of the units are never sorted. The sampler also keeps each
-    unit's cell-table keys (``Dataset.cell_keys``), and gathers each unit's
-    outcome mean by them from a table per base cell and stratum; the table
-    repeats a unit's own float operations, so ``y`` is what a per-unit sum
-    would give, bit for bit.
+    A seed is any int in [0, 2**120), whose streams ``rng`` keys by laying
+    out the seed and the tag; replicate ``r`` of a Monte Carlo study with
+    seed ``s`` is the dataset of ``rng.child_seed(s, r, 0)``. A sequence of
+    ``B`` seeds draws a block of ``B`` datasets (see :class:`Dataset`):
+    each seed's streams fill one row of the ``(B, n)`` draws, every later
+    step is elementwise, and row ``b`` is bit for bit ``sample(dgp, n,
+    seed[b])``. The seeds' three streams ``STRATUM``, ``TREATMENT`` and
+    ``NOISE``, keyed by ``rng.streams(seeds, rng.SAMPLE_TAGS)``, may stand
+    in for them; streams of other tags are refused. The units are grouped
+    on the DGP's stratum codes in ascending order, some perhaps without
+    units.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -581,33 +602,32 @@ def sample(dgp: StratifiedDGP, n: int, seed: int | Sequence[int] | rng.Streams) 
     B, K = len(streams), dgp.num_treatments
     tables = dgp._sampling
     S = tables.codes.shape[0]
-    position = tables.rank.take(
-        _stratum_index(tables.cum, _uniforms(streams.generators(rng.STRATUM), B, n)))
-    x = tables.codes.take(position)
-    treatment = streams.generators(rng.TREATMENT)
-    if dgp.assignment_mode is AssignmentMode.PARALLEL_BINARY:
-        # treatment k's indicators, (K, B, n); w is a (B, n, K) view of them
-        treated = np.empty((K, B, n), dtype=np.int8)
-        u = _uniforms(treatment, B, K, n)
-        for k in range(K):
-            np.less(u[:, k], tables.propensity[k].take(position), out=treated[k])
-        w = treated.transpose(1, 2, 0)
-        arm = None
+    counts = np.concatenate([gen.multinomial(n, tables.joint)
+                             for gen in streams.generators(rng.STRATUM)])
+
+    def per_unit(table: NDArray) -> NDArray:
+        """Each unit's row of a per-key table: each key's row, repeated by its count."""
+        rows = np.tile(table, (B,) + (1,) * (table.ndim - 1))
+        return np.repeat(rows, counts, axis=0).reshape((B, n) + table.shape[1:])
+
+    position, x = per_unit(tables.position), per_unit(tables.x)
+    w, y = per_unit(tables.indicators), per_unit(tables.means.reshape(-1)[:tables.keys.shape[0]])
+    if w.shape[-1] == K:  # the first chunk holds every treatment
+        keys = per_unit(tables.keys)[None]
     else:
-        # draws past all K arms -> control
-        u = _uniforms(treatment, B, n)
-        below = np.zeros((B, n), dtype=np.intp)
-        for k in range(K):
-            below += u >= tables.propensity[k].take(position)
-        arm = np.where(below < K, below + 1, 0)
-        w = np.equal.outer(arm, np.arange(1, K + 1)).astype(np.int8)
-    keys = _cell_keys(w, arm, position, S)
-    y = tables.means.take(keys[0])
-    if arm is None and K > PATTERN_TREATMENTS:
-        # the later treatments' products, in treatment order, then the baseline
-        for k in range(PATTERN_TREATMENTS, K):
-            y += tables.effect[k].take(position) * treated[k]
+        # the later treatments' indicators, (K - P, B, n), and products, in
+        # treatment order, then the baseline
+        later = range(PATTERN_TREATMENTS, K)
+        treated = np.empty((len(later), B, n), dtype=np.int8)
+        u = np.empty((B, len(later), n))
+        for row, gen in zip(u, streams.generators(rng.TREATMENT)):
+            gen.random(out=row)
+        for i, k in enumerate(later):
+            np.less(u[:, i], tables.propensity[k].take(position), out=treated[i])
+            y += tables.effect[k].take(position) * treated[i]
         y = tables.baseline.take(position) + y
+        w = np.concatenate([w, treated.transpose(1, 2, 0)], axis=-1)
+        keys = _cell_keys(w, None, position, S)
     if dgp.noise_sd > 0:
         for row, gen in zip(y, streams.generators(rng.NOISE)):
             row += gen.normal(0.0, dgp.noise_sd, size=n)
@@ -615,14 +635,6 @@ def sample(dgp: StratifiedDGP, n: int, seed: int | Sequence[int] | rng.Streams) 
     return Dataset(y=y[0] if single else y, w=w[0] if single else w, x=x[0] if single else x,
                    assignment_mode=dgp.assignment_mode, groups=groups,
                    keys=keys[:, 0] if single else keys)
-
-
-def _uniforms(streams: Iterator[np.random.Generator], B: int, *shape: int) -> NDArray[np.float64]:
-    """Uniform draws of ``shape`` from each of the next ``B`` streams, one row per stream."""
-    out = np.empty((B,) + shape)
-    for row, gen in zip(out, streams):
-        gen.random(out=row)
-    return out
 
 
 def random_dgp(

@@ -81,6 +81,14 @@ class UndefinedEstimateError(ValueError):
 # on catch exactly these; any other exception is a bug and propagates.
 ESTIMATION_ERRORS = (SingularFitError, NoVariationError, UndefinedEstimateError)
 
+# PLM's treatment residuals whose root mean square is at most this are
+# rounding, not variation: a fitted rate of 0 or 1 may come out a few units
+# in the last place off (1 - 0.9999999999999998 = 2.2e-16), and slopes over
+# such residuals are noise. A rate fitted from counts that is not 0 or 1 is
+# at least 1/n from every unit's indicator, so real variation among n units
+# has a root mean square of at least n**-1.5, above this for n up to 1e7.
+NO_VARIATION_RMS = 1e-12
+
 
 class Method(str, Enum):
     PLM = "plm"
@@ -194,7 +202,9 @@ def plm_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstima
     the reported standard error is the heteroskedasticity-robust (sandwich)
     slope SE. The regression takes ``j``'s treated and control halves only,
     so under MULTINOMIAL assignment it runs on the {control, j} subsample,
-    with the fit's conditional propensity as ``plm_rate``.
+    with the fit's conditional propensity as ``plm_rate``. Residuals whose
+    root mean square is at most ``NO_VARIATION_RMS`` raise
+    ``NoVariationError``, as residuals of exactly zero do.
     """
     _check(data, fit)
     treated, control, _ = fit.cells(j)
@@ -206,7 +216,8 @@ def plm_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstima
     units_t, units_c = n_t.sum(axis=0), n_c.sum(axis=0)  # whole numbers: exact in any order
     squares = units_t * w_t * w_t + units_c * w_c * w_c
     denom = _cell_sum(squares)
-    if np.any(denom <= 0.0):
+    n_used = (units_t.sum(axis=(1, 2)) + units_c.sum(axis=(1, 2))).astype(np.int64)
+    if np.any(denom <= NO_VARIATION_RMS**2 * n_used):
         raise NoVariationError(
             f"treatment {j} residuals have zero variation; cannot run the residual regression"
         )
@@ -216,7 +227,6 @@ def plm_estimate(data: Dataset | None, fit: NuisanceFit, j: int) -> EffectEstima
     sandwich = (w_t * w_t * add_in_turn(m2_t + n_t * resid_t * resid_t)
                 + w_c * w_c * add_in_turn(m2_c + n_c * resid_c * resid_c))
     se = np.sqrt(_cell_sum(sandwich)) / denom
-    n_used = (units_t.sum(axis=(1, 2)) + units_c.sum(axis=(1, 2))).astype(np.int64)
     return _estimate(fit, Method.PLM, j, point, se, squares, n_used)
 
 

@@ -110,6 +110,12 @@ class SingularFitError(RuntimeError):
     """Raised when a logistic fit cannot be pinned down by the data."""
 
 
+# the remedies a singular logistic fit's error names: the estimate command's
+# flag, and a scenario config's field (LearnerSpec.ridge_penalty in code)
+SINGULAR_FIT_REMEDY = ("fit with --learner stratum_mean, or with learner.ridge_penalty > 0 "
+                       "in a scenario config")
+
+
 class LearnerKind(str, Enum):
     STRATUM_MEAN = "stratum_mean"
     LINEAR_RIDGE = "linear_ridge"
@@ -306,9 +312,9 @@ def _newton(
     steps = np.zeros(G, dtype=np.int64)
     hits = total.sum(axis=-1)
     single = (hits == 0) | (hits == count.sum(axis=-1)) if penalty == 0.0 else np.zeros(G, bool)
-    errors = {int(g): SingularFitError("logistic training split contains a single class; "
-                                       "set ridge_penalty > 0 to regularize the fit")
-              for g in np.flatnonzero(single)}
+    errors = {int(g): SingularFitError(
+        f"logistic training split contains a single class; {SINGULAR_FIT_REMEDY}")
+        for g in np.flatnonzero(single)}
     active = np.flatnonzero(~single)
     last = np.full(G, np.inf)  # each fit's previous step's largest entry
     ridge = penalty * np.eye(d)
@@ -358,7 +364,7 @@ def _solve_each(H, grad, active, errors):
         try:
             step[i] = np.linalg.solve(H[i : i + 1], grad[i : i + 1, :, None])[0, :, 0]
         except np.linalg.LinAlgError as exc:
-            error = SingularFitError("singular Hessian in logistic fit; set ridge_penalty > 0")
+            error = SingularFitError(f"singular Hessian in logistic fit; {SINGULAR_FIT_REMEDY}")
             error.__cause__ = exc
             errors[int(g)], solved[i] = error, False
     return step, solved

@@ -26,12 +26,15 @@ three kinds share a key. An entry past its bound is refused with a
 ``ValueError`` before any fixed-width conversion. A child seed is a seed
 like any other, so ``treatrank sample --seed`` takes one.
 
-``dgp.sample`` draws the streams ``SAMPLE_TAGS`` of its seed and
-``nuisance.assign_folds`` the stream ``FOLD`` of its own, so one seed may
-draw a dataset and its folds. The Monte Carlo runner's replicate ``r``
-draws its dataset from ``child_seed(seed, r, 0)`` and its folds from
-``child_seed(seed, r, 1)``; a task keys those seeds' streams as arrays
-(``child_streams``) and hands each block its slice.
+``dgp.sample`` draws the streams ``SAMPLE_TAGS`` of its seed (``STRATUM``
+the dataset's counts per base cell and stratum, in one multinomial draw;
+``TREATMENT`` the parallel treatments past the first four, per unit;
+``NOISE`` the outcome noise, per unit) and ``nuisance.assign_folds`` the
+stream ``FOLD`` of its own, so one seed may draw a dataset and its folds.
+The Monte Carlo runner's replicate ``r`` draws its dataset from
+``child_seed(seed, r, 0)`` and its folds from ``child_seed(seed, r, 1)``;
+a task keys those seeds' streams as arrays (``child_streams``) and hands
+each block its slice.
 
 ``substream(*path)`` keys the generators that are no stream of a seed,
 such as ``random_dgp``'s, by numpy's ``SeedSequence(list(path))`` hash; a

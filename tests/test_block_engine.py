@@ -286,7 +286,7 @@ def edge_design(name):
     if name == "five_treatments":  # two pattern chunks
         return tr.random_dgp(32, num_treatments=5, min_strata=4, max_strata=4,
                              propensity_range=(0.1, 0.9))
-    if name == "many_strata":  # one counting pass per stratum
+    if name == "many_strata":  # 280 keys in the count draw
         return tr.random_dgp(33, min_strata=70, max_strata=70, propensity_range=(0.1, 0.9))
     if name == "unsorted_codes":
         strata = tuple((code, p) for code, (_, p) in zip([7, -3, 12, 0], strata))
@@ -314,10 +314,10 @@ class TestEdgeDesigns:
     def test_designs_take_their_paths(self):
         tables = {name: edge_design(name)._sampling for name in EDGE_DESIGNS}
         assert tables["five_treatments"].means.shape[0] == 2**tr.dgp.PATTERN_TREATMENTS
-        assert not np.array_equal(tables["unsorted_codes"].rank, np.arange(4))
-        assert np.diff(tables["zero_probability_stratum"].cum).min() == 0.0
+        assert not np.array_equal(tables["unsorted_codes"].codes, [7, -3, 12, 0])
+        assert tables["zero_probability_stratum"].joint.min() == 0.0
         assert edge_design("no_noise").noise_sd == 0.0
-        assert tables["many_strata"].cum.shape[0] == 70
+        assert tables["many_strata"].codes.shape[0] == 70
 
 
 class TestDiagnostics:

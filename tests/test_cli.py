@@ -340,6 +340,23 @@ class TestEstimateCommand:
         assert run_cli("estimate", "--data", path, "--learner", "logistic_ridge", "--out", out) == 1
         assert "single class" in capsys.readouterr().err
 
+    def test_single_class_error_names_remedies_that_exist(self, tmp_path, capsys):
+        # one control unit: the logistic fit of the folds without it sees a single class
+        path = tmp_path / "data.csv"
+        path.write_text("y,w,x\n" + "".join(f"{0.5 * i!r},{int(i != 3)},{i % 2}\n"
+                                            for i in range(10)))
+        out = tmp_path / "o"
+        assert run_cli("estimate", "--data", path, "--learner", "logistic_ridge", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "single class" in err and "set ridge_penalty" not in err
+        assert "--learner stratum_mean" in err and "learner.ridge_penalty" in err
+        # the remedies named: the flag, and a scenario config's penalty
+        assert run_cli("estimate", "--data", path, "--learner", "stratum_mean", "--out", out) == 0
+        data = tr.load_dataset_csv(path)
+        folds = tr.assign_folds(data.n, 5, 0)
+        tr.fit_crossfit(data, tr.LearnerSpec(kind=tr.LearnerKind.LOGISTIC_RIDGE,
+                                             ridge_penalty=1.0), folds)
+
     def test_newton_cap_exits_nonzero_with_message(self, tmp_path, sampled, monkeypatch, capsys):
         # a failed fit leaves nothing to estimate, as with a single-class split
         data = sampled(500)

@@ -95,13 +95,13 @@ def run_case(argv: list[str], tmp: Path) -> dict[str, str]:
 
 PINS = {
     "estimate-multinomial-logistic_ridge": {
-        "decomposition.json": "00406ad9405e6a9e37c35a82b5beb747fbd6cf01fbb743755d48bfff0f322aee",
-        "estimates.csv": "3f572e2f6176d482bc8bc02d05b230607be92cb1e19e7f75555e988901b683d2",
+        "decomposition.json": "53cb0a6ff3d49d3401e70a39b976550da6c95a22af230cce898d0fe91f8d0c6e",
+        "estimates.csv": "db2e637072e77b51ce187fa2e288625479a4479a526a7bf4f2e9e4ee3cfd7a5c",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-multinomial-stratum_mean": {
-        "decomposition.json": "87e14c629b8fe85e9ba90d8b72db417bb608bee2a8aa4846a281202d5e0633ae",
-        "estimates.csv": "6109f9e36b8d68d4176dc159f0a7af6fb23a6a5bffd82d7082ec0a1e878f4175",
+        "decomposition.json": "e5b22b1b9bd626d9ecd4bd0a6d0ed15f5d4aed9661ab5d440ba7bb02e1a809d5",
+        "estimates.csv": "8a8970d297961711a6b9bfe7cde7a9bef4350fc2fc8fe65e1b2e23e4eccbfdb5",
         "ranking.json": "8fc0c29f19eccc24b76b0e2276147b14a832fcfdd109ef7f639a0680482f7252",
     },
     "estimate-no-control": {
@@ -110,18 +110,18 @@ PINS = {
         "ranking.json": "91bd4416347c7114d877274f2b78836a5970686ce08a9d304f004027bc8b6df2",
     },
     "estimate-parallel-logistic_ridge": {
-        "decomposition.json": "37482be6dd6b4e462b26b39ec3aceeae589167b70663f77d0c49553aa66b7892",
-        "estimates.csv": "1281c1df8ba4a73444a2783bc773b056fc7fdd094be1429c1ec15c13076b258b",
+        "decomposition.json": "bb478b60d78a41fd3ab52a27bd08a242c92da0d872b617428a60d0feb0784b1b",
+        "estimates.csv": "aab43b89b847cf0f3e566bce27c99968fd66d2e3831249d927954464b1515595",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "estimate-parallel-stratum_mean": {
-        "decomposition.json": "e1565cd65279ebc33ec7931d6f8e04e700e2284e390f47b8d77858a97db34c09",
-        "estimates.csv": "aa7473dd4877355154afab3b319643a4457309f3f0e06f4bed122cd08505c35b",
+        "decomposition.json": "38ec516f9e54ea8c9ef0ef21ab3d97a948dccb00bcedf0d365ff7530a65483df",
+        "estimates.csv": "eb64bf4be9ed528b96edd3a224ad39414049d886590c55de4964e7e5ad7f73e0",
         "ranking.json": "b199c2cb51abe5eac563a2ba50c8f22bd0704f618252833569f4d146885785d9",
     },
     "montecarlo-balanced": {
         "resolved_config.yaml": "be634eb3ce00f0a48cedc9265d10cf94432af76961a463a64d3a5b3e0b5c6ad6",
-        "summary.json": "3f3d42ece8a2f644be4e5db6cfe552b096458ba7bcd8df2f018e8280a1211c6b",
+        "summary.json": "4e57a57944b49ceb3be65b748d60023d703e330c2a509ad2d111798b547e45bf",
     },
     "oracle-multinomial": {
         "oracle.json": "3a4e3fc3e027c54b34a3ccc7cd50d0905f632a40de4f401df4a8b11c656ba82a",
@@ -142,11 +142,11 @@ PINS = {
         "oracle.json": "53b346d083f73eb45a6a1d1dbbd1fd8517821ad8e107246996f47386ea823a2b",
     },
     "sample-multinomial": {
-        "dataset.csv": "b88f780f49d3845e0d2050daf70c185f7b2bdf5a5bcbab6c72b171629ccdf8da",
+        "dataset.csv": "96f3ec70fa68fb4cd38aa60ca3e4b7b320b3186d03516b92885eb748d3b55100",
         "resolved_dgp.yaml": "7300da6e22fc081f9bb094928b44337510dfa82ff8830413f25178d3159152ee",
     },
     "sample-parallel": {
-        "dataset.csv": "1f42a53763edd079ccfb8e6389fbe76d95b980850862827ff38b51e11c269cef",
+        "dataset.csv": "ea98a3174879d41c9efc9473eeef2fd45008e9bba58b21415105964406b3e214",
         "resolved_dgp.yaml": "5eb5c10051e4349b54165aaf4d730c5f247a43890cae751d52af58e1f4fef557",
     },
 }

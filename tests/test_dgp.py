@@ -12,21 +12,54 @@ from treatrank import cli, rng
 from conftest import dgp_sweep, dgp_tables, exact_cell_dataset, layout_stream
 
 
-def reference_sample(dgp: tr.StratifiedDGP, n: int, seed: int):
-    """(x, w, y) of ``sample(dgp, n, seed)``, by its formula and the streams of the written-out layout."""
-    K = dgp.num_treatments
-    cum = np.cumsum(dgp.stratum_probs)
-    cum[-1] = 1.0
-    idx = np.searchsorted(cum, layout_stream(seed, rng.STRATUM).random(n), side="right")
-    p = dgp.propensity[:, idx]
-    treatment_rng = layout_stream(seed, rng.TREATMENT)
+def reference_cells(dgp: tr.StratifiedDGP):
+    """(cells, joint) of the count draw: the first chunk's base cells and each key's probability.
+
+    A base cell is a tuple of indicators: the first ``min(K, 4)`` treatments'
+    pattern under PARALLEL_BINARY (treatment ``i`` adds ``2**i`` to the
+    cell's index), one arm's indicators under MULTINOMIAL (arm ``a`` is
+    cell ``a``, control cell 0). Key ``cell * S + s``, ``s`` the stratum's
+    place in ascending code order, has probability ``Pr(s) Pr(cell | s)``,
+    divided by the sum over every key.
+    """
+    K, S = dgp.num_treatments, dgp.num_strata
     if dgp.assignment_mode is tr.AssignmentMode.PARALLEL_BINARY:
-        w = (treatment_rng.random((K, n)) < p).T.astype(np.int8)
+        width = min(K, 4)
+        cells = [tuple((c >> i) & 1 for i in range(width)) for c in range(2**width)]
     else:
-        below = np.sum(treatment_rng.random(n)[None, :] >= np.cumsum(p, axis=0), axis=0)
-        arm = np.where(below < K, below + 1, 0)
-        w = np.zeros((n, K), dtype=np.int8)
-        w[np.nonzero(arm > 0)[0], arm[arm > 0] - 1] = 1
+        cells = [tuple(int(a == j) for j in range(1, K + 1)) for a in range(K + 1)]
+    probs = []
+    for cell in cells:
+        for s in np.argsort(dgp.stratum_codes):
+            p = dgp.propensity[:, s].tolist()
+            if dgp.assignment_mode is tr.AssignmentMode.MULTINOMIAL:
+                given = p[cell.index(1)] if any(cell) else 1.0 - sum(p)
+            else:
+                given = 1.0
+                for taken, p_i in zip(cell, p):
+                    given *= p_i if taken else 1.0 - p_i
+            probs.append(dgp.stratum_probs[s] * given)
+    joint = np.array(probs)
+    return cells, joint / joint.sum()
+
+
+def reference_sample(dgp: tr.StratifiedDGP, n: int, seed: int):
+    """(x, w, y) of ``sample(dgp, n, seed)``, by its formula and the streams of the written-out layout.
+
+    One multinomial draw of the keys' counts on the ``STRATUM`` stream, over
+    the keys up to the last of positive probability; the units in ascending
+    key order; each treatment past the first four parallel ones a uniform
+    per unit on the ``TREATMENT`` stream; then the noise on ``NOISE``.
+    """
+    K, S = dgp.num_treatments, dgp.num_strata
+    cells, joint = reference_cells(dgp)
+    joint = joint[: np.flatnonzero(joint)[-1] + 1]
+    key = np.repeat(np.arange(joint.size), layout_stream(seed, rng.STRATUM).multinomial(n, joint))
+    idx = np.argsort(dgp.stratum_codes)[key % S]
+    w = np.array(cells, dtype=np.int8)[key // S]
+    if w.shape[1] < K:
+        u = layout_stream(seed, rng.TREATMENT).random((K - w.shape[1], n))
+        w = np.hstack([w, (u < dgp.propensity[w.shape[1]:, idx]).T.astype(np.int8)])
     y = dgp.baseline[idx] + (dgp.effect[:, idx] * w.T).sum(axis=0)
     if dgp.noise_sd > 0:
         y = y + layout_stream(seed, rng.NOISE).normal(0.0, dgp.noise_sd, size=n)
@@ -261,19 +294,74 @@ class TestSampling:
         c = tr.sample(reversal_dgp, 500, seed=10)
         assert a != c
 
+    @pytest.mark.parametrize("mode", list(tr.AssignmentMode), ids=lambda mode: mode.value)
+    def test_cell_counts_and_noise_in_distribution(self, mode):
+        # 2,000 datasets of 60 units: each (base cell, stratum) count has the
+        # multinomial's mean n pi and variance n pi (1 - pi), each within 5
+        # Monte Carlo standard errors (the variance's from the counts' own
+        # fourth moment), and y minus its cell's mean is noise of mean 0 and
+        # SD sigma. Stratum 9 has probability 0 and the largest code, so its
+        # keys end every base cell's run and the last is the last key
+        dgp = tr.StratifiedDGP(
+            strata=((5, 0.3), (-2, 0.25), (9, 0.0), (0, 0.45)), num_treatments=2,
+            propensity=np.array([[0.2, 0.6, 0.3, 0.1], [0.3, 0.05, 0.3, 0.4]]),
+            effect=np.array([[1.0, -2.0, 0.0, 3.0], [0.5, 1.5, 0.0, -1.0]]),
+            baseline=np.array([0.0, 2.0, 0.0, -1.0]), noise_sd=0.8, assignment_mode=mode)
+        R, n, S = 2_000, 60, dgp.num_strata
+        block = tr.sample(dgp, n, list(range(R)))
+        cells, pi = reference_cells(dgp)
+        keys = block.cell_keys[0].astype(np.int64)
+        counts = np.bincount((keys + pi.size * np.arange(R)[:, None]).ravel(),
+                             minlength=R * pi.size).reshape(R, pi.size)
+        assert np.array_equal(counts.sum(axis=1), np.full(R, n))
+        mean, var = n * pi, n * pi * (1 - pi)
+        m4 = ((counts - counts.mean(axis=0)) ** 4).mean(axis=0)
+        got_var = counts.var(axis=0, ddof=1)
+        assert np.all(np.abs(counts.mean(axis=0) - mean) <= 5 * np.sqrt(var / R))
+        assert np.all(np.abs(got_var - var) <= 5 * np.sqrt(np.maximum(m4 - got_var**2, 0) / R))
+        zero = np.arange(pi.size) % S == 3  # stratum 9's keys, the last of each cell
+        assert np.all(pi[zero] == 0) and not counts[:, zero].any()
+        assert not np.isin(block.x, 9).any()
+        # y minus the mean of the unit's cell
+        idx = np.argsort(dgp.stratum_codes)[keys % S]
+        taken = np.moveaxis(np.array(cells, dtype=np.int8)[keys // S], -1, 0)
+        noise = block.y - (dgp.baseline[idx] + (dgp.effect[:, idx] * taken).sum(axis=0))
+        N = R * n
+        assert abs(noise.mean()) <= 5 * 0.8 / np.sqrt(N)
+        assert abs(noise.std() - 0.8) <= 5 * 0.8 / np.sqrt(2 * N)
+
+    @pytest.mark.parametrize("mode", list(tr.AssignmentMode), ids=lambda mode: mode.value)
+    def test_rows_come_in_ascending_key_order(self, mode):
+        # grouped by base cell, then by stratum in ascending code order; a
+        # stratum of probability zero, first, in the middle or last in code
+        # order, gets no units
+        for zero in (-7, 3, 50):
+            others = [code for code in (-7, 3, 50) if code != zero]
+            dgp = tr.StratifiedDGP(
+                strata=((others[0], 0.6), (zero, 0.0), (others[1], 0.4)), num_treatments=3,
+                propensity=np.full((3, 3), 0.3), effect=np.ones((3, 3)), baseline=np.zeros(3),
+                assignment_mode=mode)
+            block = tr.sample(dgp, 500, list(range(40)))
+            keys = block.cell_keys[0]
+            assert np.all(np.diff(keys, axis=1) >= 0)
+            assert not np.isin(block.x, zero).any()
+            codes = np.sort(dgp.stratum_codes)
+            assert np.array_equal(block.x, codes[keys % dgp.num_strata])
+
     @pytest.mark.parametrize("mode, design", [
         pytest.param(mode, design, id=mode.value if design == "200_unsorted"
                      else f"{mode.value}-{design}")
         for mode in tr.AssignmentMode
         for design in ("200_unsorted", "24_unsorted", "zero_probability", "one_stratum",
                        "five_treatments")])
-    def test_matches_fancy_index_formula(self, mode, design):
-        # ``sample`` against the fancy-indexing formula its gathers replaced,
-        # bit for bit, with K = 3 (three terms summed per unit), and with
-        # streams keyed by the layout written out in Python ints, at seeds
-        # below and past 2**64. The designs: unsorted codes (200 and 24 strata), a stratum of
-        # probability zero (a repeated cumulative entry), one stratum, and
-        # K = 5 (two pattern chunks under parallel assignment)
+    def test_matches_the_reference_count_draw(self, mode, design):
+        # ``sample`` against ``reference_sample``, bit for bit, with K = 3
+        # (three terms summed per unit), and with streams keyed by the
+        # layout written out in Python ints, at seeds below and past 2**64.
+        # The designs: unsorted codes (200 and 24 strata), strata of
+        # probability zero (the last of them the last key), one stratum,
+        # and K = 5 (two pattern chunks under parallel assignment, the
+        # fifth treatment drawn per unit)
         S = {"200_unsorted": 200, "24_unsorted": 24, "zero_probability": 6, "one_stratum": 1,
              "five_treatments": 8}[design]
         K = 5 if design == "five_treatments" else 3
@@ -298,21 +386,6 @@ class TestSampling:
             assert data.y.tobytes() == y.tobytes()
             if design == "zero_probability":
                 assert not np.isin(data.x, [1, 3, 5]).any()
-
-    @pytest.mark.parametrize("S", [1, 2, 5, 64, 256, 257])
-    def test_stratum_index_is_searchsorted(self, S):
-        # draws on and next to every edge, with repeated (zero-probability) edges
-        probs = np.random.default_rng(S).dirichlet(np.ones(S))
-        probs[1::3] = 0.0
-        cum = np.cumsum(probs / probs.sum())
-        cum[-1] = 1.0
-        edges = cum[:-1]
-        u = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 1), [0.0],
-                            np.random.default_rng(0).random(500)])
-        u = u[u < 1.0]
-        got = tr.dgp._stratum_index(cum, u.reshape(1, -1))
-        assert got.dtype == np.min_scalar_type(S - 1)  # 257 strata need 16 bits
-        assert np.array_equal(got[0], np.searchsorted(cum, u, side="right"))
 
     @pytest.mark.parametrize("mode, K, S, dtype", [
         (tr.AssignmentMode.PARALLEL_BINARY, 2, 4, np.int8),

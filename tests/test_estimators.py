@@ -73,6 +73,25 @@ class TestPlm:
         with pytest.raises(tr.NoVariationError):
             tr.plm_estimate(data, fit, 1)
 
+    @pytest.mark.parametrize("spec", [tr.LearnerSpec(),
+                                      tr.LearnerSpec(kind=tr.LearnerKind.LINEAR_RIDGE)],
+                             ids=["stratum_mean", "linear_ridge"])
+    def test_rounding_level_residuals_are_no_variation(self, spec):
+        # arm 2 and control never share a stratum, so every {0, 2} rate is 0
+        # or 1; the least-squares fit gives one as 0.9999999999999998, whose
+        # residuals once read as a slope of 1.0 with an SE of 2.6e14
+        arm = np.array([0] * 2 + [1] * 7 + [2] * 21 + [3] * 10)
+        x = np.array([4, 4, 1, 3, 5, 5, 5, 5, 6, 1, 1, 1, 2, 3, 5, 5, 5, 5, 5, 5, 5, 5, 5,
+                      6, 6, 6, 6, 6, 6, 6, 1, 1, 3, 4, 4, 4, 5, 5, 5, 6])
+        w = (arm[:, None] == np.arange(1, 4)).astype(np.int8)
+        data = tr.Dataset(np.linspace(-1, 2, 40), w, x, tr.AssignmentMode.MULTINOMIAL)
+        fit = tr.fit_insample(data, spec)
+        rate = fit.plm_rate[1, 0, 0]
+        assert np.all(np.minimum(rate, 1.0 - rate) <= tr.estimators.NO_VARIATION_RMS)
+        with pytest.raises(tr.NoVariationError):
+            tr.plm_estimate(data, fit, 2)
+        assert tr.plm_estimate(data, fit, 3).n_used == 12  # arm 3 shares stratum 4 with control
+
     def test_multinomial_restriction(self):
         dgp = tr.StratifiedDGP(
             strata=((0, 0.5), (1, 0.5)),

@@ -670,12 +670,12 @@ class TestOneFitPerTarget:
 # pinned studies
 
 PINNED = {
-    "extreme_heterogeneity": "bce6a8fdf470fc673189a55321e3ea4508d3fdb84a52975b96df3e9d6d19e4f8",
-    "constant_effects": "18b585ae289c2d117541be18adb640f14fd205c43ed3c6d51280fe89d4efbd4b",
-    "uncorrelated": "6a05e8ce38dc94bef5971f219b5ddaaf1a6fc17454362f2ae8f40b02acae945e",
-    "selection_on_gains": "352c51cd1e1ce8f87fc502e41e1a0d2c3272731cb64c6bb2bcfd7f4a5712d811",
-    "balanced": "de122b63924414d39fa1c38d1a21157c303c42720f0181dd4b63c85351bbb21e",
-    "multinomial_random": "e51bae459deef3cfd8abe3fdd863575716a62fd29ec14734a4f07c59469c12dc",
+    "extreme_heterogeneity": "9b9f6ffb3a797c9b9c079ce66d03eee4868685e211a12800d1106f3a25950411",
+    "constant_effects": "cfb5012d3c1429dc713bfbb9d064face0b0a28611587d6100836f115944ee380",
+    "uncorrelated": "b063cb6f4c70e778c06037fc10be8ffb1b3ebda6b750742f1de97762fd105576",
+    "selection_on_gains": "b040e4600f2151bc95843e8df61856162eb1ec5ece7d87a5b983fca90f18bc3f",
+    "balanced": "8e8992310d1246cf58ff95b7824016ef0ae1e42478bdbc70384dea6ef4d9d147",
+    "multinomial_random": "ee04407ba862099aab3d6eb2d9503c26a1ef6462a01c265e58894f5468c0925d",
 }
 
 

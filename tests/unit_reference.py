@@ -19,6 +19,7 @@ import numpy as np
 import treatrank as tr
 from treatrank import nuisance
 from treatrank.diagnostics import NotEstimableError, Source, decompose
+from treatrank.estimators import NO_VARIATION_RMS
 
 FIELDS = ("p_treated", "p_control", "mu_treated", "mu_control", "plm_outcome", "plm_rate")
 
@@ -45,8 +46,7 @@ def newton(X, count, total, penalty):
     hits = total.sum()
     if penalty == 0.0 and (hits == 0 or hits == count.sum()):
         raise tr.SingularFitError(
-            "logistic training split contains a single class; "
-            "set ridge_penalty > 0 to regularize the fit"
+            f"logistic training split contains a single class; {nuisance.SINGULAR_FIT_REMEDY}"
         )
     d = X.shape[1]
     beta = np.zeros(d)
@@ -63,7 +63,7 @@ def newton(X, count, total, penalty):
             step = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError as exc:
             raise tr.SingularFitError(
-                "singular Hessian in logistic fit; set ridge_penalty > 0"
+                f"singular Hessian in logistic fit; {nuisance.SINGULAR_FIT_REMEDY}"
             ) from exc
         beta = beta + step
         size = np.max(np.abs(step))
@@ -134,7 +134,7 @@ def plm(data, arrays, j):
     """(point, SE, units used) of the residual-on-residual regression."""
     w_res, y_res, mask = residuals(data, arrays, j)
     denom = np.sum(w_res**2)
-    if denom <= 0.0:
+    if denom <= NO_VARIATION_RMS**2 * mask.sum():
         raise tr.NoVariationError(f"treatment {j} residuals have zero variation")
     point = float(np.sum(w_res * y_res) / denom)
     resid = y_res - point * w_res
